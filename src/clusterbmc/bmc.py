@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .netlist import (
     INDUCTIVE,
@@ -283,28 +283,20 @@ def check_cluster(n: Netlist, cluster, cfg: BmcConfig) -> ClusterVerdict:
 
 
 def run_with_budget(n: Netlist, props, cfg: BmcConfig, total_budget) -> ClusterVerdict:
-    """Cluster run with an explicitly allocated total budget (online phase)."""
+    """Cluster run with an explicitly allocated total budget (online phase),
+    split evenly over the properties; without a per-property budget in
+    `cfg` the run is bounded by frames alone and `total_budget` is unused."""
     props = sorted(set(props))
     if not props:
         raise EmptyCluster("cluster must be non-empty")
-    if cfg.deterministic:
-        per = max(1, int(total_budget) // len(props)) if cfg.conflict_budget else None
-        sub = BmcConfig(
-            conflict_budget=per,
-            max_frames=cfg.max_frames,
-            mode=cfg.mode,
-            seed=cfg.seed,
-            proof_bound=cfg.proof_bound,
-        )
+    k = len(props)
+    if not cfg.deterministic:
+        budget = {"time_budget": max(total_budget / k, 1e-9)}
+    elif cfg.conflict_budget:
+        budget = {"conflict_budget": max(1, int(total_budget) // k)}
     else:
-        sub = BmcConfig(
-            time_budget=max(total_budget / len(props), 1e-9),
-            max_frames=cfg.max_frames,
-            mode=cfg.mode,
-            seed=cfg.seed,
-            proof_bound=cfg.proof_bound,
-        )
-    return _run(n, props, sub, multiplier=len(props))
+        budget = {}
+    return _run(n, props, replace(cfg, **budget), multiplier=k)
 
 
 CONFIRMED = "confirmed"

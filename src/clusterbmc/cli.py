@@ -8,6 +8,8 @@ violation.
 from __future__ import annotations
 
 import argparse
+import csv
+import glob
 import logging
 import os
 import sys
@@ -61,24 +63,16 @@ def cmd_offline(args) -> int:
 
     db1, tensors, standalone = [], [], {}
     for name, n in designs:
-        props = []
-        verdicts = {}
-        for p in range(n.num_properties):
-            c = online.extract_coi(n, p)
-            v = bmc.check_single(n, p, cfg)
-            verdicts[p] = v
-            props.append(
-                store.PropertyEntry(c.coi_inputs, c.coi_latches, c.coi_ands,
-                                    v.status, v.depth, v.elapsed)
-            )
-            if args.embed == "sim":
-                tensors.append(
-                    embed.coi_signature(n, p, patterns=args.patterns,
-                                        seed=args.seed, design=name)
-                )
+        verdicts = {p: bmc.check_single(n, p, cfg)
+                    for p in range(n.num_properties)}
         standalone[name] = verdicts
-        db1.append(store.DesignRecord(name, n.num_inputs, n.num_latches,
-                                      n.num_ands, tuple(props)))
+        db1.append(online.unknown_record(n, name, verdicts))
+        if args.embed == "sim":
+            tensors.extend(
+                embed.coi_signature(n, p, patterns=args.patterns,
+                                    seed=args.seed, design=name)
+                for p in range(n.num_properties)
+            )
     if args.embed == "import":
         for path in args.tensors or []:
             tensors.append(embed.import_tensor(path))
@@ -154,15 +148,15 @@ def cmd_verify(args) -> int:
 
 
 def _read_report(path: str):
+    """Property rows of a campaign report, keyed by the column names of its
+    header row (the second line, under the campaign line)."""
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    rows = []
-    for line in lines[2:]:
-        if not line:
-            continue
-        f = line.split("|")
-        rows.append(f)
-    return rows
+        fh.readline()
+        reader = csv.DictReader(fh, delimiter="|", quoting=csv.QUOTE_NONE)
+        missing = {"depth", "baseline_depth"} - set(reader.fieldnames or ())
+        if missing:
+            raise DataError(f"{path}: no column {', '.join(sorted(missing))}")
+        return list(reader)
 
 
 def cmd_report(args) -> int:
@@ -172,9 +166,6 @@ def cmd_report(args) -> int:
     rows = _read_report(report_path)
 
     # aggregate per-frame metrics over all cluster runs of the campaign
-    import csv
-    import glob
-
     def aggregate(metric):
         totals: dict = {}
         for path in sorted(glob.glob(
@@ -199,9 +190,9 @@ def cmd_report(args) -> int:
     scatter = os.path.join(args.campaign_dir, "depth_scatter.csv")
     with open(scatter, "w") as fh:
         fh.write("x,y\n")
-        for f in rows:
-            if f[6] != "-":  # baseline depth present
-                fh.write(f"{f[6]},{f[3]}\n")
+        for r in rows:
+            if r["baseline_depth"] != "-":
+                fh.write(f"{r['baseline_depth']},{r['depth']}\n")
     wrote.append(scatter)
     for w in wrote:
         print(w)
@@ -216,7 +207,6 @@ def _add_common(p):
     p.add_argument("--max-frames", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=sorted(MODES), default="inductive")
-    p.add_argument("--workers", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -36,17 +36,11 @@ class Cluster:
         if len(self.members) < 2:
             raise ValueError("cluster needs at least 2 members")
 
-    def sorted_members(self):
-        return tuple(sorted(self.members))
-
 
 @dataclass(frozen=True)
 class ClusterFamily:
     design: str
     clusters: tuple  # deduplicated by member set, stable order
-
-    def member_sets(self):
-        return [c.members for c in self.clusters]
 
 
 def _unit_rows(points) -> np.ndarray:
@@ -97,6 +91,8 @@ def kmeans(points, k: int, seed: int = 0, max_iters: int = 100):
         assign = new_assign
         for c in range(k):
             members = x[assign == c]
+            if not len(members):
+                continue  # emptied by the repair above; keep its centre
             m = members.mean(axis=0)
             norm = np.linalg.norm(m)
             if norm > 0:

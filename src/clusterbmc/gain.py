@@ -90,23 +90,19 @@ def _vector6(transition: str, value: float) -> tuple:
 
 
 def compute_gain(transition, standalone, clustered, cluster_size: int,
-                 property_index: int = 0, cluster=frozenset(),
-                 sat_inverse: bool = False) -> GainRecord:
+                 property_index: int = 0, cluster=frozenset()) -> GainRecord:
     """Scalar gain for one transition.
 
     Full resolutions inside the cluster score t_c/n (n co-properties);
     resolutions present in both runs score the time saving (t_s - t_c)/t_s;
     still-undetermined outcomes score the relative depth change
     (d_c - d_s)/d_s.  Degenerate divisors give value 0 with a flag.
-    `sat_inverse` flips the sign of the t_c/n family (non-standard mode).
     """
     if cluster_size < 2:
         raise ValueError("cluster_size must be >= 2")
     degenerate = False
     if transition in (UNDET_TO_SAT, UNDET_TO_UNSAT):
         value = clustered.elapsed / (cluster_size - 1)
-        if sat_inverse:
-            value = -value
     elif transition in (SAT_TO_SAT, UNSAT_TO_UNSAT):
         t_s = standalone.elapsed
         if t_s <= 0:
@@ -150,11 +146,10 @@ class InfluencingClusterMap:
     design: str
     influencing: dict  # property -> frozenset or None
     records: dict      # property -> list of GainRecord
-    properties: tuple = ()
 
 
-def build_influencing_map(design: str, standalone: dict, cluster_runs,
-                          sat_inverse: bool = False) -> InfluencingClusterMap:
+def build_influencing_map(design: str, standalone: dict,
+                          cluster_runs) -> InfluencingClusterMap:
     """Select the influencing cluster of every property.
 
     `standalone` maps property -> Verdict; `cluster_runs` is an iterable of
@@ -173,7 +168,7 @@ def build_influencing_map(design: str, standalone: dict, cluster_runs,
             records[p].append(
                 compute_gain(
                     tr, standalone[p], verdicts[p], len(members),
-                    property_index=p, cluster=members, sat_inverse=sat_inverse,
+                    property_index=p, cluster=members,
                 )
             )
     influencing = {
@@ -184,5 +179,4 @@ def build_influencing_map(design: str, standalone: dict, cluster_runs,
         design=design,
         influencing=influencing,
         records=records,
-        properties=tuple(sorted(standalone)),
     )

@@ -117,6 +117,8 @@ class Netlist:
                     f"AND output {lhs} out of canonical position"
                 )
             for rhs in (rhs0, rhs1):
+                if rhs < 0:
+                    raise LiteralOutOfRange(f"AND {lhs} has negative literal {rhs}")
                 if rhs > 1 and lit_var(rhs) > defined:
                     raise NonTopologicalDefinition(
                         f"AND {lhs} references undefined literal {rhs}"
@@ -206,10 +208,7 @@ def parse_aiger(text: str, name: str = "") -> Netlist:
         raise MalformedHeader(f"expected 'aag' header, got {lines[0]!r}")
     if len(head) < 6 or len(head) > 10:
         raise MalformedHeader(f"bad header field count: {lines[0]!r}")
-    try:
-        counts = [int(tok) for tok in head[1:]]
-    except ValueError as exc:
-        raise MalformedHeader(f"non-numeric header field: {lines[0]!r}") from exc
+    counts = [_nat(tok, lines[0]) for tok in head[1:]]
     maxvar, ni, nl, no, na = counts[:5]
     nb = counts[5] if len(counts) > 5 else 0
     extra = counts[6:]
@@ -232,9 +231,9 @@ def parse_aiger(text: str, name: str = "") -> Netlist:
 
     for i in range(ni):
         toks = next_line("input").split()
-        if len(toks) != 1 or not toks[0].isdigit():
+        if len(toks) != 1:
             raise MalformedHeader(f"bad input line: {lines[pos - 1]!r}")
-        if int(toks[0]) != 2 * (i + 1):
+        if _nat(toks[0], lines[pos - 1]) != 2 * (i + 1):
             raise NonTopologicalDefinition(
                 f"input literal {toks[0]} out of canonical position"
             )
@@ -244,15 +243,11 @@ def parse_aiger(text: str, name: str = "") -> Netlist:
         toks = next_line("latch").split()
         if len(toks) not in (2, 3):
             raise MalformedHeader(f"bad latch line: {lines[pos - 1]!r}")
-        try:
-            lit, nxt = int(toks[0]), int(toks[1])
-        except ValueError as exc:
-            raise MalformedHeader(f"bad latch line: {lines[pos - 1]!r}") from exc
+        lit, nxt, *rest = (_nat(t, lines[pos - 1]) for t in toks)
         reset: int | None = 0
-        if len(toks) == 3:
-            rv = int(toks[2])
+        if rest:
             # AIGER 1.9: reset equal to the latch literal means "uninitialized"
-            reset = None if rv == lit else rv
+            reset = None if rest[0] == lit else rest[0]
             if reset not in (0, 1, None):
                 raise MalformedHeader(f"bad reset value in: {lines[pos - 1]!r}")
         latches.append(Latch(lit, nxt, reset))
@@ -264,10 +259,7 @@ def parse_aiger(text: str, name: str = "") -> Netlist:
         toks = next_line("and").split()
         if len(toks) != 3:
             raise MalformedHeader(f"bad and line: {lines[pos - 1]!r}")
-        try:
-            lhs, rhs0, rhs1 = (int(t) for t in toks)
-        except ValueError as exc:
-            raise MalformedHeader(f"bad and line: {lines[pos - 1]!r}") from exc
+        lhs, rhs0, rhs1 = (_nat(t, lines[pos - 1]) for t in toks)
         for lit in (lhs, rhs0, rhs1):
             if lit_var(lit) > maxvar:
                 raise LiteralOutOfRange(f"literal {lit} exceeds {maxvar}")
@@ -286,9 +278,7 @@ def parse_aiger(text: str, name: str = "") -> Netlist:
             raise MalformedHeader(f"bad symbol line: {line!r}")
         rest = line[1:]
         idx_str, _, sym = rest.partition(" ")
-        if not idx_str.isdigit():
-            raise MalformedHeader(f"bad symbol line: {line!r}")
-        symbols.append((kind, int(idx_str), sym))
+        symbols.append((kind, _nat(idx_str, line), sym))
 
     return Netlist(
         name=name,
@@ -301,15 +291,22 @@ def parse_aiger(text: str, name: str = "") -> Netlist:
     )
 
 
+def _nat(tok: str, line: str) -> int:
+    """A non-negative decimal field; AIGER numbers are ASCII digits only."""
+    if tok.isascii() and tok.isdigit():
+        try:
+            return int(tok)
+        except ValueError:  # longer than Python's int conversion limit
+            pass
+    raise MalformedHeader(f"bad number {tok[:20]!r} in line {line[:80]!r}")
+
+
 def _read_lit_line(line: str, maxvar: int) -> int:
     toks = line.split()
     if len(toks) != 1:
         raise MalformedHeader(f"bad output/bad line: {line!r}")
-    try:
-        lit = int(toks[0])
-    except ValueError as exc:
-        raise MalformedHeader(f"bad output/bad line: {line!r}") from exc
-    if lit < 0 or lit_var(lit) > maxvar:
+    lit = _nat(toks[0], line)
+    if lit_var(lit) > maxvar:
         raise LiteralOutOfRange(f"literal {lit} exceeds {maxvar}")
     return lit
 

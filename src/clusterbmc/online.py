@@ -56,14 +56,17 @@ class PropertyMap:
     unmapped: tuple  # B properties without a partner
 
 
-def unknown_record(n: Netlist, design: str = "") -> DesignRecord:
-    """DB1-shaped summary of a netlist with live COI extraction."""
+def unknown_record(n: Netlist, design: str = "", verdicts=None) -> DesignRecord:
+    """DB1 record of a netlist: per-property COI sizes with the standalone
+    verdicts in `verdicts` (property -> Verdict), or UNDET at depth -1 for
+    a design not yet verified."""
     props = []
     for p in range(n.num_properties):
         c = extract_coi(n, p)
+        v = verdicts[p] if verdicts is not None else bmc.Verdict(bmc.UNDET, -1)
         props.append(
             PropertyEntry(c.coi_inputs, c.coi_latches, c.coi_ands,
-                          bmc.UNDET, -1, 0.0)
+                          v.status, v.depth, v.elapsed)
         )
     return DesignRecord(design or n.name or "unknown", n.num_inputs,
                         n.num_latches, n.num_ands, tuple(props))
@@ -100,22 +103,22 @@ def select_similar_design(db1_records, unknown: DesignRecord,
     return min(candidates, key=lambda r: (distance(r), r.design)).design
 
 
-def build_diff_matrix(b: DesignRecord, unknown: Netlist) -> DiffMatrix:
-    """Pairwise L1 distance over per-property COI sizes."""
-    u_props = []
-    for p in range(unknown.num_properties):
-        c = extract_coi(unknown, p)
-        u_props.append((c.coi_inputs, c.coi_latches, c.coi_ands))
+def build_diff_matrix(b: DesignRecord, u: DesignRecord) -> DiffMatrix:
+    """Pairwise L1 distance over per-property COI sizes: entries[i][j]
+    compares property i of the known design `b` with property j of the
+    unknown's record `u`."""
     entries = tuple(
         tuple(
-            abs(bp.coi_inputs - ui) + abs(bp.coi_latches - ul) + abs(bp.coi_ands - ua)
-            for ui, ul, ua in u_props
+            abs(bp.coi_inputs - up.coi_inputs)
+            + abs(bp.coi_latches - up.coi_latches)
+            + abs(bp.coi_ands - up.coi_ands)
+            for up in u.props
         )
         for bp in b.props
     )
     return DiffMatrix(
         rows=tuple(range(len(b.props))),
-        cols=tuple(range(len(u_props))),
+        cols=tuple(range(len(u.props))),
         entries=entries,
     )
 
@@ -241,17 +244,22 @@ def verify_unknown(
 ) -> CampaignReport:
     """Algorithm for the full online phase; every property gets one verdict.
 
-    Each converted cluster is charged the per-property budget times the
-    number of still-unverified properties it claims, so the campaign total
-    stays within budget x property count.
+    The unknown's record (COI sizes, each cone extracted once) picks the
+    closest DB1 design and is associated with it; that design's DB3
+    influencing clusters are converted through the association.  Each
+    converted cluster is charged the per-property budget times the number
+    of still-unverified properties it claims, so the campaign total stays
+    within budget x property count; with a frame bound alone it runs
+    unbudgeted.  Properties no cluster claims run standalone.
+
+    `baseline` adds each property's standalone verdict, transition and
+    gain.  Unclaimed properties already ran standalone, so their verdicts
+    are reused; only clustered properties run `check_single` again.
     """
-    if not db1_records:
-        raise EmptyDatabase("DB1 has no designs")
     u_rec = unknown_record(unknown, design)
     matched = select_similar_design(db1_records, u_rec, delta)
     b_rec = next(r for r in db1_records if r.design == matched)
-    diff = build_diff_matrix(b_rec, unknown)
-    prop_map = associate_properties(diff, assoc)
+    prop_map = associate_properties(build_diff_matrix(b_rec, u_rec), assoc)
 
     influencing = []
     seen = set()
@@ -268,9 +276,8 @@ def verify_unknown(
         new = sorted(set(members) - claimed)
         if not new:
             continue
-        run = bmc.run_with_budget(
-            unknown, sorted(members), cfg, per_prop_budget * len(new)
-        )
+        total = None if per_prop_budget is None else per_prop_budget * len(new)
+        run = bmc.run_with_budget(unknown, sorted(members), cfg, total)
         report.cluster_runs.append((tuple(sorted(members)), run.per_frame))
         for p in new:
             v = run.per_property[p]
@@ -279,16 +286,17 @@ def verify_unknown(
             )
         claimed.update(new)
 
+    standalone = {}
     for p in range(unknown.num_properties):
         if p in claimed:
             continue
-        v = bmc.check_single(unknown, p, cfg)
+        v = standalone[p] = bmc.check_single(unknown, p, cfg)
         report.rows.append(PropertyRow(p, None, v.status, v.depth, v.elapsed))
 
     if baseline:
         by_prop = {r.property: r for r in report.rows}
         for p in range(unknown.num_properties):
-            v = bmc.check_single(unknown, p, cfg)
+            v = standalone[p] if p in standalone else bmc.check_single(unknown, p, cfg)
             row = by_prop[p]
             row.baseline_status = v.status
             row.baseline_depth = v.depth

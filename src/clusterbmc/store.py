@@ -243,8 +243,6 @@ def query_db1_by_property_count(db1_records, low: int, high: int):
 
 
 def write_pca(model, path: str):
-    from .embed import PcaModel  # noqa: F401  (type documented here)
-
     with open(path, "w") as fh:
         fh.write(_header("pca") + "\n")
         fh.write(f"{model.explained_ratio!r}\n")

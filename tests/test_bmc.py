@@ -78,6 +78,27 @@ def test_cluster_budget_scales_with_size():
     assert cv.total_elapsed <= 3 * 100
 
 
+def test_run_with_budget_splits_total_evenly():
+    n = duplicated_property_family(3, width=7)
+    per = bmc.BmcConfig(conflict_budget=40, max_frames=6, seed=0)
+    got = bmc.run_with_budget(n, [2, 0, 1], bmc.BmcConfig(
+        conflict_budget=1, max_frames=6, seed=0), 3 * 40 + 2)
+    want = bmc.check_cluster(n, [0, 1, 2], per)
+    assert got.total_elapsed == want.total_elapsed <= 120
+    assert {p: (v.status, v.depth) for p, v in got.per_property.items()} == {
+        p: (v.status, v.depth) for p, v in want.per_property.items()}
+
+
+def test_run_with_budget_frames_only_is_unbudgeted():
+    n = two_counters(bits=2, bad_a=3, bad_b=2)
+    cfg = bmc.BmcConfig(max_frames=6, mode=INIT)
+    got = bmc.run_with_budget(n, [0, 1], cfg, None)
+    want = bmc.check_cluster(n, [0, 1], cfg)
+    for p, depth in ((0, 3), (1, 2)):
+        assert got.per_property[p].status == want.per_property[p].status == bmc.SAT
+        assert got.per_property[p].depth == want.per_property[p].depth == depth
+
+
 def test_empty_cluster_rejected():
     with pytest.raises(bmc.EmptyCluster):
         bmc.check_cluster(counter(2), [], cfg_init())

@@ -67,6 +67,30 @@ def test_verify_and_report(corpus, tmp_path):
         assert lines[0] == "x,y"
     scatter = (run_dir / "depth_scatter.csv").read_text().splitlines()
     assert len(scatter) == 3  # header + one point per property
+    rows = [line.split("|") for line in report.splitlines()[2:]]
+    columns = report.splitlines()[1].split("|")
+    want = [f"{r[columns.index('baseline_depth')]},{r[columns.index('depth')]}"
+            for r in rows]
+    assert scatter[1:] == want
+
+
+def test_verify_with_frame_bound_only(corpus, tmp_path):
+    flags = ["--max-frames", "6", "--mode", "init"]
+    out = tmp_path / "db"
+    assert cli.main(["offline", str(corpus / "ctr.aag"),
+                     str(corpus / "twoctr.aag"), "--out-dir", str(out),
+                     "--patterns", "128"] + flags) == cli.EXIT_OK
+    run_dir = tmp_path / "run"
+    assert cli.main(["verify", str(corpus / "unknown.aag"), "--db-dir", str(out),
+                     "--out-dir", str(run_dir)] + flags) == cli.EXIT_OK
+    rows = (run_dir / "report.txt").read_text().splitlines()[2:]
+    # both properties ran in one converted cluster and were resolved
+    assert [r.split("|")[1:3] for r in rows] == [["0 1", "SAT"], ["0 1", "SAT"]]
+
+
+def test_report_without_columns_is_data_error(tmp_path):
+    (tmp_path / "report.txt").write_text("campaign x matched=y assoc=z\n")
+    assert cli.main(["report", str(tmp_path)]) == cli.EXIT_DATA
 
 
 def test_verify_missing_db_dir(corpus, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -161,3 +162,12 @@ def test_family_cap():
 def test_too_few_properties():
     with pytest.raises(clusterer.TooFewProperties):
         clusterer.build_family("d", {0: (1.0,)}, seed=0)
+
+
+def test_kmeans_empty_group_is_not_averaged():
+    # the empty-group repair empties group 2; its centre must stay put
+    # without averaging an empty slice
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        groups = clusterer.kmeans([(1, 0)] * 3 + [(0, 1)], 4)
+    assert groups == [[3], [1, 2], [], [0]]

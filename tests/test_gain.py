@@ -84,13 +84,6 @@ def test_degenerate_divisors():
     assert r.value == 0.0 and r.degenerate
 
 
-def test_sat_inverse_mode():
-    a = gain.compute_gain(gain.UNDET_TO_SAT, V(UNDET), V(SAT, 2, 8.0), 3)
-    b = gain.compute_gain(gain.UNDET_TO_SAT, V(UNDET), V(SAT, 2, 8.0), 3,
-                          sat_inverse=True)
-    assert a.value == 4.0 and b.value == -4.0
-
-
 def rec(prop, members, tr, value):
     return gain.GainRecord(prop, frozenset(members), tr, value,
                            gain._vector6(tr, value))

@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clusterbmc import netlist
 from clusterbmc.circuits import AigBuilder, counter, random_netlist, two_counters
 from clusterbmc.netlist import (
+    AigerError,
     BinaryFormatUnsupported,
     InputArityMismatch,
+    Latch,
     MalformedHeader,
     Netlist,
     ZeroFrames,
@@ -38,6 +41,50 @@ def test_binary_rejected():
 def test_malformed_header():
     with pytest.raises(MalformedHeader):
         parse_aiger("aag 1 2\n")
+
+
+@pytest.mark.parametrize("text", [
+    "aag 1 0 1 0 0\n2 3 x\n",          # non-numeric latch reset
+    "aag 1 1 0 0 0\n\u00b2\n",          # Unicode digit as input literal
+    "aag 1 1 0 0 0\n2\ni\u00b2 a\n",     # Unicode digit as symbol index
+    "aag 1 1 0 0 0\n\u0663\n",          # non-ASCII decimal digit
+    "aag 2 1 0 1 1\n2\n4\n4 -2 2\n",  # negative AND operand
+    "aag 1 1 0 0 0\n" + "9" * 5000 + "\n",  # beyond int() digit limit
+], ids=["reset", "superscript", "symbol", "arabic", "negative", "long"])
+def test_malformed_fields_raise_aiger_error(text):
+    with pytest.raises(AigerError):
+        parse_aiger(text)
+
+
+def test_netlist_rejects_negative_and_operand():
+    with pytest.raises(AigerError):
+        Netlist(name="", num_inputs=1, latches=(), ands=((4, -2, 2),),
+                outputs=(4,))
+    with pytest.raises(AigerError):
+        Netlist(name="", num_inputs=0, latches=(Latch(2, -1, 0),), ands=())
+
+
+# near-valid documents: a consistent header, then lines of small literals
+# mixed with malformed fields
+FIELDS = st.sampled_from(["0", "1", "2", "3", "4", "5", "6", "7", "8", "-2",
+                          "x", "\u00b2", "\u0663", "i0", "l1", "o0", "c"])
+HEADERS = st.tuples(*[st.integers(0, 2)] * 5).map(
+    lambda c: f"aag {c[0] + c[1] + c[3]} {c[0]} {c[1]} {c[2]} {c[3]} {c[4]}")
+DOCUMENTS = st.tuples(
+    HEADERS, st.lists(st.lists(FIELDS, min_size=1, max_size=3).map(" ".join),
+                      max_size=8),
+).map(lambda d: "\n".join([d[0], *d[1]]) + "\n")
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.one_of(st.text(max_size=40), DOCUMENTS))
+def test_parse_aiger_total(text):
+    # any text either parses or raises the module's own error type
+    try:
+        n = parse_aiger(text)
+    except AigerError:
+        return
+    assert isinstance(n, Netlist)
 
 
 def test_bad_lines_preferred_over_outputs():

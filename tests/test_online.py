@@ -64,7 +64,7 @@ def test_empty_db():
 def test_diff_matrix_arithmetic():
     n = two_counters(bits=2)
     b = record("b", [(0, 0, 0), (2, 3, 4)])
-    m = online.build_diff_matrix(b, n)
+    m = online.build_diff_matrix(b, online.unknown_record(n))
     # unknown's properties each cover 2 latches and some ANDs
     c0 = online.extract_coi(n, 0)
     assert m.entries[0][0] == c0.coi_inputs + c0.coi_latches + c0.coi_ands
@@ -174,6 +174,42 @@ def test_verify_baseline_fields():
         assert row.baseline_status is not None
         assert row.transition is not None
         assert row.gain is not None
+
+
+def test_unknown_record_carries_verdicts():
+    n = counter(3, (5, 6))
+    cfg = bmc.BmcConfig(conflict_budget=500, max_frames=8, mode=INIT, seed=0)
+    verdicts = {p: bmc.check_single(n, p, cfg) for p in range(2)}
+    rec = online.unknown_record(n, "ctr", verdicts)
+    assert [(e.status, e.depth, e.elapsed) for e in rec.props] == [
+        (v.status, v.depth, v.elapsed) for v in verdicts.values()]
+    bare = online.unknown_record(n, "ctr")
+    assert [(e.status, e.depth) for e in bare.props] == [(bmc.UNDET, -1)] * 2
+    assert [e.coi_ands for e in bare.props] == [e.coi_ands for e in rec.props]
+
+
+def test_baseline_reuses_standalone_verdicts(monkeypatch):
+    n = counter(3, (5, 6, 7))
+    cfg = bmc.BmcConfig(conflict_budget=500, max_frames=8, mode=INIT, seed=0)
+    db1, db3 = db_for(n, "ctr", cfg, [frozenset({0, 1})])
+    runs = []
+    check_single = bmc.check_single
+
+    def counting(n, p, cfg):
+        runs.append(p)
+        return check_single(n, p, cfg)
+
+    monkeypatch.setattr(bmc, "check_single", counting)
+    report = online.verify_unknown(n, db1, db3, cfg, design="ctr",
+                                   baseline=True)
+    # property 2 ran standalone once; only the clustered 0 and 1 re-run
+    assert sorted(runs) == [0, 1, 2]
+    by_prop = {r.property: r for r in report.rows}
+    for p in range(3):
+        v = check_single(n, p, cfg)
+        row = by_prop[p]
+        assert (row.baseline_status, row.baseline_depth,
+                row.baseline_elapsed) == (v.status, v.depth, v.elapsed)
 
 
 def test_report_render_deterministic():
