@@ -1,15 +1,26 @@
 """Incremental CDCL SAT solver with assumptions and conflict accounting.
 
-First-UIP clause learning, two-watched literals, VSIDS-style activities,
-Luby restarts, phase saving.  No preprocessing and no clause deletion:
-learned clauses persist for the lifetime of the session, which is exactly
-the effect shared-session multi-property BMC relies on.
+First-UIP clause learning, two-watched literals, VSIDS activities with a
+heap-ordered decision queue, Luby restarts, phase saving.  No
+preprocessing and no clause deletion: learned clauses persist for the
+lifetime of the session, which is exactly the effect shared-session
+multi-property BMC relies on.
 
-Literals are nonzero signed ints in the DIMACS convention.
+Literals are nonzero signed ints in the DIMACS convention at the
+interface.  Inside, DIMACS literal d is stored as 2*|d| + (d < 0), so the
+variable of `lit` is `lit >> 1` and its negation is `lit ^ 1`; the value
+table and the watch lists are plain lists indexed by that literal.
+
+Decisions take the unassigned variable of highest activity, lowest index
+on ties, from a heap of (-activity, variable) entries.  The heap is lazy:
+an entry whose variable is assigned or whose activity has since grown is
+dropped when it surfaces, and `_backtrack` pushes every variable it
+unassigns with its current activity.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 import time
 from dataclasses import dataclass
@@ -50,15 +61,20 @@ class SolverSession:
         self._rng = random.Random(seed)
         self.num_vars = 0
         self.clauses: list[list[int]] = []   # original clauses, as added
-        self._db: list[list[int]] = []       # original + learned
-        self._watches: dict[int, list[int]] = {}
-        self._assign: list[int] = [_UNASSIGNED]  # index 0 unused
+        self._db: list[list[int]] = []       # original + learned, internal literals
+        # per internal literal (indices 0 and 1 unused)
+        self._vals: list[int] = [_UNASSIGNED, _UNASSIGNED]  # 1 true, 0 false
+        self._watches: list[list[int]] = [[], []]
+        # per variable (index 0 unused)
         self._level: list[int] = [0]
         self._reason: list[int] = [-1]
+        self._activity: list[float] = [0.0]
+        self._phase: list[int] = [1]   # sign bit of the last value; 1 is false
+        self._seen: list[bool] = [False]
+        self._heap: list[tuple[float, int]] = []   # (-activity, variable)
+        self._heaped: list[float] = [-1.0]   # activity of the var's live entry
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
-        self._activity: list[float] = [0.0]
-        self._phase: list[bool] = [False]
         self._act_inc = 1.0
         self._act_decay = 0.95
         self._conflict_total = 0
@@ -72,15 +88,18 @@ class SolverSession:
     def add_var(self) -> int:
         self.num_vars += 1
         v = self.num_vars
-        self._assign.append(_UNASSIGNED)
+        self._vals += (_UNASSIGNED, _UNASSIGNED)
+        self._watches += ([], [])
         self._level.append(0)
         self._reason.append(-1)
         # Tiny seeded jitter decorrelates tie-breaks between seeds while
         # keeping each seed fully deterministic.
-        self._activity.append(self._rng.random() * 1e-6)
-        self._phase.append(False)
-        self._watches[v] = []
-        self._watches[-v] = []
+        act = self._rng.random() * 1e-6
+        self._activity.append(act)
+        self._phase.append(1)
+        self._seen.append(False)
+        self._heaped.append(act)
+        heapq.heappush(self._heap, (-act, v))
         return v
 
     def ensure_var(self, v: int):
@@ -89,29 +108,33 @@ class SolverSession:
 
     def add_clause(self, lits) -> None:
         lits = list(lits)
-        for lit in lits:
-            self.ensure_var(abs(lit))
-        self.clauses.append(list(lits))
-        self._backtrack(0)
+        self._ensure_vars(lits)
+        self.clauses.append(lits)
+        if self._trail_lim:
+            self._backtrack(0)
         # dedup literals, drop tautologies, strip level-0-false literals
-        seen = set()
+        vals = self._vals
         out = []
-        for lit in lits:
-            if -lit in seen:
-                return
-            if lit in seen:
-                continue
-            seen.add(lit)
-            val = self._value(lit)
+        for d in lits:
+            lit = d << 1 if d > 0 else (-d << 1) | 1
+            val = vals[lit]
             if val == 1:
                 return  # satisfied at level 0 for good
-            if val == 0:
+            if val == 0 or lit in out:
                 continue
+            if (lit ^ 1) in out:
+                return
             out.append(lit)
         if not out:
             self._has_empty_clause = True
             return
-        self._attach(out)
+        idx = len(self._db)
+        self._db.append(out)
+        if len(out) == 1:
+            self._enqueue(out[0], idx)
+        else:
+            self._watches[out[0]].append(idx)
+            self._watches[out[1]].append(idx)
 
     def solve(
         self,
@@ -126,8 +149,8 @@ class SolverSession:
         reported as status, never raised.
         """
         assumptions = list(assumptions)
-        for lit in assumptions:
-            self.ensure_var(abs(lit))
+        self._ensure_vars(assumptions)
+        assumptions = [d << 1 if d > 0 else (-d << 1) | 1 for d in assumptions]
         conflicts = 0
         prop_start = self._propagated
         if self._has_empty_clause:
@@ -138,6 +161,7 @@ class SolverSession:
         if confl is not None:
             return SolveResult(UNSAT, None, 0, self._propagated - prop_start)
 
+        vals, trail, trail_lim = self._vals, self._trail, self._trail_lim
         next_restart = self._restart_base * _luby(1)
         restart_count = 1
         while True:
@@ -146,7 +170,7 @@ class SolverSession:
             if confl is not None:
                 conflicts += 1
                 self._conflict_total += 1
-                if self._decision_level() <= len(assumptions):
+                if len(trail_lim) <= len(assumptions):
                     # conflict implied by the assumptions alone
                     self._backtrack(0)
                     return SolveResult(UNSAT, None, conflicts, propagations)
@@ -156,7 +180,7 @@ class SolverSession:
                     self._backtrack(0)
                     return SolveResult(UNKNOWN, None, conflicts, propagations)
                 self._learn(learned)
-                self._decay_activities()
+                self._act_inc /= self._act_decay
                 if conflict_budget is not None and conflicts >= conflict_budget:
                     self._backtrack(0)
                     return SolveResult(UNKNOWN, None, conflicts, propagations)
@@ -171,26 +195,26 @@ class SolverSession:
                 return SolveResult(UNKNOWN, None, conflicts, propagations)
 
             # place pending assumptions first, one decision level each
-            if self._decision_level() < len(assumptions):
-                lit = assumptions[self._decision_level()]
-                val = self._value(lit)
+            if len(trail_lim) < len(assumptions):
+                lit = assumptions[len(trail_lim)]
+                val = vals[lit]
                 if val == 1:
-                    self._trail_lim.append(len(self._trail))  # dummy level
+                    trail_lim.append(len(trail))  # dummy level
                     continue
                 if val == 0:
                     self._backtrack(0)
                     return SolveResult(UNSAT, None, conflicts, propagations)
-                self._trail_lim.append(len(self._trail))
+                trail_lim.append(len(trail))
                 self._enqueue(lit, -1)
                 continue
 
-            branch = self._pick_branch()
-            if branch is None:
-                model = [None] + [self._assign[v] == 1 for v in range(1, self.num_vars + 1)]
+            v = self._pick_branch()
+            if not v:
+                model = [None] + [val == 1 for val in vals[2::2]]
                 self._backtrack(0)
                 return SolveResult(SAT, model, conflicts, propagations)
-            self._trail_lim.append(len(self._trail))
-            self._enqueue(branch, -1)
+            trail_lim.append(len(trail))
+            self._enqueue((v << 1) | self._phase[v], -1)
 
     @property
     def conflict_total(self) -> int:
@@ -204,159 +228,192 @@ class SolverSession:
 
     # -- internals ----------------------------------------------------------
 
-    def _decision_level(self) -> int:
-        return len(self._trail_lim)
-
-    def _value(self, lit: int) -> int:
-        v = self._assign[abs(lit)]
-        if v == _UNASSIGNED:
-            return _UNASSIGNED
-        return v if lit > 0 else 1 - v
-
-    def _attach(self, lits: list[int]):
-        idx = len(self._db)
-        self._db.append(lits)
-        if len(lits) == 1:
-            if self._value(lits[0]) == 0:
-                self._has_empty_clause = True
-            elif self._value(lits[0]) == _UNASSIGNED:
-                self._enqueue(lits[0], idx)
-        else:
-            self._watches[lits[0]].append(idx)
-            self._watches[lits[1]].append(idx)
+    def _ensure_vars(self, lits: list):
+        """Creates the variables of DIMACS `lits`."""
+        top = 0
+        for d in lits:
+            if d > top:
+                top = d
+            elif -d > top:
+                top = -d
+            elif not d:
+                raise ValueError("0 is not a literal")
+        if top > self.num_vars:
+            self.ensure_var(top)
 
     def _learn(self, lits: list[int]):
         idx = len(self._db)
         self._db.append(lits)
-        if len(lits) == 1:
-            self._enqueue(lits[0], idx)
-        else:
+        if len(lits) > 1:
             self._watches[lits[0]].append(idx)
             self._watches[lits[1]].append(idx)
-            self._enqueue(lits[0], idx)
+        self._enqueue(lits[0], idx)
 
     def _enqueue(self, lit: int, reason: int):
-        v = abs(lit)
-        self._assign[v] = 1 if lit > 0 else 0
-        self._level[v] = self._decision_level()
+        v = lit >> 1
+        self._vals[lit] = 1
+        self._vals[lit ^ 1] = 0
+        self._level[v] = len(self._trail_lim)
         self._reason[v] = reason
-        self._phase[v] = lit > 0
+        self._phase[v] = lit & 1
         self._trail.append(lit)
 
     def _propagate(self):
         """Unit propagation; returns a conflicting clause index or None."""
-        head = self._qhead
-        db = self._db
-        watches = self._watches
-        while head < len(self._trail):
-            lit = self._trail[head]
+        trail = self._trail
+        start = head = self._qhead
+        db, watches, vals = self._db, self._watches, self._vals
+        level, reason, phase = self._level, self._reason, self._phase
+        dl = len(self._trail_lim)
+        while head < len(trail):
+            false_lit = trail[head] ^ 1
             head += 1
-            self._propagated += 1
-            false_lit = -lit
             watch_list = watches[false_lit]
             i = 0
-            while i < len(watch_list):
+            end = len(watch_list)
+            while i < end:
                 ci = watch_list[i]
                 clause = db[ci]
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
-                if self._value(clause[0]) == 1:
+                # keep the false watch at position 1
+                first = clause[0]
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                if vals[first] == 1:
                     i += 1
                     continue
-                moved = False
                 for k in range(2, len(clause)):
-                    if self._value(clause[k]) != 0:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        watches[clause[1]].append(ci)
+                    other = clause[k]
+                    if vals[other] != 0:
+                        clause[k] = clause[1]
+                        clause[1] = other
+                        watches[other].append(ci)
                         watch_list[i] = watch_list[-1]
                         watch_list.pop()
-                        moved = True
+                        end -= 1
                         break
-                if moved:
-                    continue
-                if self._value(clause[0]) == 0:
-                    self._qhead = head
-                    return ci
-                self._enqueue(clause[0], ci)
-                i += 1
+                else:
+                    if vals[first] == 0:
+                        self._propagated += head - start
+                        self._qhead = head
+                        return ci
+                    v = first >> 1
+                    vals[first] = 1
+                    vals[first ^ 1] = 0
+                    level[v] = dl
+                    reason[v] = ci
+                    phase[v] = first & 1
+                    trail.append(first)
+                    i += 1
+        self._propagated += head - start
         self._qhead = head
         return None
 
     def _analyze(self, confl: int):
         """First-UIP conflict analysis; returns (learned_clause, bt_level)."""
+        db, trail, level, seen = self._db, self._trail, self._level, self._seen
+        act, inc = self._activity, self._act_inc
         learned = [0]  # slot for the asserting literal
-        seen = [False] * (self.num_vars + 1)
         counter = 0
-        lit = None
-        level = self._decision_level()
-        idx = len(self._trail) - 1
-        reason_idx = confl
+        dl = len(self._trail_lim)
+        idx = len(trail) - 1
+        clause = db[confl]
+        start = 0
         while True:
-            clause = self._db[reason_idx]
-            # the reason clause stores its propagated literal at position 0
-            for q in (clause if lit is None else clause[1:]):
-                v = abs(q)
-                if not seen[v] and self._level[v] > 0:
+            # a reason clause stores its propagated literal at position 0
+            for q in clause[start:]:
+                v = q >> 1
+                if not seen[v] and level[v] > 0:
                     seen[v] = True
-                    self._bump(v)
-                    if self._level[v] >= level:
+                    a = act[v] + inc
+                    act[v] = a
+                    if a > 1e100:
+                        self._rescale()
+                        inc = self._act_inc
+                    if level[v] >= dl:
                         counter += 1
                     else:
                         learned.append(q)
             while True:
-                p = self._trail[idx]
+                p = trail[idx]
                 idx -= 1
-                if seen[abs(p)]:
+                if seen[p >> 1]:
                     break
-            lit = p
-            seen[abs(p)] = False
+            seen[p >> 1] = False
             counter -= 1
             if counter == 0:
                 break
-            reason_idx = self._reason[abs(p)]
-        learned[0] = -lit
+            clause = db[self._reason[p >> 1]]
+            start = 1
+        learned[0] = p ^ 1
+        for q in learned:
+            seen[q >> 1] = False
         if len(learned) == 1:
             bt = 0
         else:
             # second-highest decision level in the learned clause
             max_i = 1
             for i in range(2, len(learned)):
-                if self._level[abs(learned[i])] > self._level[abs(learned[max_i])]:
+                if level[learned[i] >> 1] > level[learned[max_i] >> 1]:
                     max_i = i
             learned[1], learned[max_i] = learned[max_i], learned[1]
-            bt = self._level[abs(learned[1])]
+            bt = level[learned[1] >> 1]
         return learned, bt
 
-    def _bump(self, v: int):
-        self._activity[v] += self._act_inc
-        if self._activity[v] > 1e100:
-            for u in range(1, self.num_vars + 1):
-                self._activity[u] *= 1e-100
-            self._act_inc *= 1e-100
+    def _rescale(self):
+        act = self._activity
+        act[:] = [a * 1e-100 for a in act]
+        self._act_inc *= 1e-100
+        # every entry is stale now, and the scaling can create new ties
+        self._rebuild_heap()
 
-    def _decay_activities(self):
-        self._act_inc /= self._act_decay
-
-    def _pick_branch(self):
-        best = None
-        best_act = -1.0
+    def _rebuild_heap(self):
+        """One entry per unassigned variable, at its current activity."""
+        vals, act, heap, heaped = self._vals, self._activity, self._heap, self._heaped
+        heap.clear()
         for v in range(1, self.num_vars + 1):
-            if self._assign[v] == _UNASSIGNED and self._activity[v] > best_act:
-                best = v
-                best_act = self._activity[v]
-        if best is None:
-            return None
-        return best if self._phase[best] else -best
+            if vals[v << 1] == _UNASSIGNED:
+                heaped[v] = act[v]
+                heap.append((-act[v], v))
+            else:
+                heaped[v] = -1.0
+        heapq.heapify(heap)
+
+    def _pick_branch(self) -> int:
+        """Unassigned variable of highest activity, lowest index on ties;
+        0 when every variable is assigned."""
+        heap, vals, act, heaped = self._heap, self._vals, self._activity, self._heaped
+        while heap:
+            neg_act, v = heapq.heappop(heap)
+            if -neg_act == heaped[v]:
+                heaped[v] = -1.0
+            if vals[v << 1] == _UNASSIGNED and -neg_act == act[v]:
+                return v
+        return 0
 
     def _backtrack(self, level: int):
-        if self._decision_level() <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        target = self._trail_lim[level]
-        for lit in self._trail[target:]:
-            self._assign[abs(lit)] = _UNASSIGNED
-        del self._trail[target:]
-        del self._trail_lim[level:]
-        self._qhead = min(self._qhead, len(self._trail))
+        target = trail_lim[level]
+        trail, vals, act = self._trail, self._vals, self._activity
+        heap, heaped, push = self._heap, self._heaped, heapq.heappush
+        for i in range(target, len(trail)):
+            lit = trail[i]
+            vals[lit] = _UNASSIGNED
+            vals[lit ^ 1] = _UNASSIGNED
+            v = lit >> 1
+            a = act[v]
+            if heaped[v] != a:
+                heaped[v] = a
+                push(heap, (-a, v))
+        del trail[target:]
+        del trail_lim[level:]
+        self._qhead = min(self._qhead, target)
+        # drop stale and duplicate entries once they outnumber the variables
+        if len(heap) > 2 * self.num_vars:
+            self._rebuild_heap()
 
 
 def new_solver(seed: int = 0) -> SolverSession:

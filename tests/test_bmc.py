@@ -61,6 +61,26 @@ def test_vs_bfs_oracle_sample():
             assert v.status == bmc.UNDET
 
 
+def test_cluster_vs_bfs_oracle():
+    # every member of a shared-session run against its own BFS: clauses
+    # learned for one property stay in the session for the next ones
+    sat = undet = 0
+    for trial in range(200):
+        rng = random.Random(900 + trial)
+        n = random_netlist(rng, num_bads=rng.randint(2, 4))
+        cv = bmc.check_cluster(n, range(n.num_properties), cfg_init(seed=trial % 3))
+        for p, v in cv.per_property.items():
+            want_status, want_depth = bfs_reach(n, p, 8)
+            if want_status == "SAT":
+                assert (v.status, v.depth) == ("SAT", want_depth)
+                assert bmc.replay_cex(n, p, v.cex) == bmc.CONFIRMED
+                sat += 1
+            else:
+                assert (v.status, v.depth) == (bmc.UNDET, 8)
+                undet += 1
+    assert sat > 100 and undet > 30
+
+
 def test_cluster_covers_all_members():
     n = two_counters(bits=2, bad_a=3, bad_b=2)
     cv = bmc.check_cluster(n, [0, 1], cfg_init())

@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from clusterbmc import satcore
 from oracles import cnf_enumerate
 
@@ -15,6 +17,28 @@ def random_cnf(rng, max_vars=8, max_clauses=25):
         ]
         clauses.append(clause)
     return nv, clauses
+
+
+class ScanCheckedSession(satcore.SolverSession):
+    """Asserts at every decision that the heap picks what a linear scan
+    over all variables picks: highest activity, lowest index on ties."""
+
+    decisions = 0
+
+    def _pick_branch(self):
+        best, best_act = 0, -1.0
+        for v in range(1, self.num_vars + 1):
+            if self._vals[v << 1] == satcore._UNASSIGNED and self._activity[v] > best_act:
+                best, best_act = v, self._activity[v]
+        picked = super()._pick_branch()
+        assert picked == best
+        self.decisions += 1
+        return picked
+
+    def solve(self, *args, **kwargs):
+        res = super().solve(*args, **kwargs)
+        assert len(self._heap) <= 2 * self.num_vars
+        return res
 
 
 def test_vs_enumeration():
@@ -54,6 +78,59 @@ def test_assumptions_do_not_persist():
     assert s.solve([-1, -2]).status == satcore.UNSAT
     # the session is still satisfiable afterwards
     assert s.solve().status == satcore.SAT
+
+
+def test_decisions_match_linear_scan():
+    # the CNFs of test_vs_enumeration, added in two halves, the first half
+    # solved under assumptions
+    decisions = 0
+    for trial in range(150):
+        rng = random.Random(trial)
+        nv, clauses = random_cnf(rng)
+        assumptions = [
+            rng.randint(1, nv) * rng.choice([1, -1])
+            for _ in range(rng.randint(0, 2))
+        ]
+        s = ScanCheckedSession(seed=trial)
+        cut = len(clauses) // 2
+        for c in clauses[:cut]:
+            s.add_clause(c)
+        res = s.solve(assumptions)
+        assert res.status == cnf_enumerate(nv, clauses[:cut], assumptions)
+        for c in clauses[cut:]:
+            s.add_clause(c)
+        assert s.solve().status == cnf_enumerate(nv, clauses)
+        decisions += s.decisions
+    assert decisions > 150
+
+
+@pytest.mark.parametrize("act_inc", [1.0, 0.97e100])
+def test_decisions_match_linear_scan_with_conflicts(act_inc):
+    # random 3-CNFs at the satisfiability threshold, so that decisions
+    # follow bumped activities; the second solve rides on learned clauses.
+    # From 0.97e100 the bumps of the second conflict pass 1e100 and every
+    # activity is rescaled.
+    conflicts = 0
+    for trial in range(20):
+        rng = random.Random(7000 + trial)
+        nv = 40
+        clauses = [
+            [rng.randint(1, nv) * rng.choice([1, -1]) for _ in range(3)]
+            for _ in range(170)
+        ]
+        s = ScanCheckedSession(seed=trial)
+        s._act_inc = act_inc
+        for c in clauses:
+            s.add_clause(c)
+        for assumptions in ([], [rng.randint(1, nv) * rng.choice([1, -1])]):
+            res = s.solve(assumptions)
+            if res.status == satcore.SAT:
+                for c in clauses + [[a] for a in assumptions]:
+                    assert any(res.model[abs(l)] == (l > 0) for l in c)
+            conflicts += res.conflicts_this_call
+        if act_inc > 1e99 and s.conflict_total > 1:
+            assert max(s._activity) < 1e99   # the rescale happened
+    assert conflicts > 300
 
 
 def test_incremental_adds():
