@@ -130,6 +130,11 @@ class _CostMeter:
         self.spent += cost
         return cost
 
+    def overspent(self) -> bool:
+        """Cost units past the budget.  A call may use the budget up, never
+        more; wall-clock budgets can be passed by the call that ends them."""
+        return self.deterministic and self.budget is not None and self.spent > self.budget
+
 
 class _Encoder:
     """Tseitin-encodes unfolded frames into a solver session.
@@ -227,6 +232,7 @@ def _run(n: Netlist, props: list, cfg: BmcConfig, multiplier: int) -> ClusterVer
                 deadline = None if rem is None else time.perf_counter() + rem
                 res = solver.solve([enc.slit(bads[p])], deadline=deadline)
             cost = meter.charge_call(res, time.perf_counter() - t0)
+            assert not meter.overspent(), f"spent {meter.spent} of {meter.budget} cost units"
             frame_conflicts += res.conflicts_this_call
             frame_cost += cost
             if res.status == satcore.SAT:

@@ -8,7 +8,7 @@ is its "influencing cluster" and what the third database remembers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bmc import SAT, UNSAT, UNDET
 

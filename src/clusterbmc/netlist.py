@@ -7,7 +7,7 @@ and 1 is constant true.  Only the ASCII ``aag`` format is supported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class AigerError(Exception):

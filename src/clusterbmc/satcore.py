@@ -144,9 +144,10 @@ class SolverSession:
     ) -> SolveResult:
         """Solve the current clause set under the given assumptions.
 
-        `conflict_budget` bounds the number of conflicts this call may spend;
-        `deadline` is an absolute time.perf_counter() value.  Exhaustion is
-        reported as status, never raised.
+        `conflict_budget` bounds the number of conflicts this call may spend,
+        exactly: with 0 it stops at its first conflict.  `deadline` is an
+        absolute time.perf_counter() value.  Exhaustion is reported as
+        status, never raised.
         """
         assumptions = list(assumptions)
         self._ensure_vars(assumptions)
@@ -168,6 +169,11 @@ class SolverSession:
             confl = self._propagate()
             propagations = self._propagated - prop_start
             if confl is not None:
+                if conflict_budget is not None and conflicts >= conflict_budget:
+                    # nothing left to spend (a zero budget): stop before
+                    # counting this conflict
+                    self._backtrack(0)
+                    return SolveResult(UNKNOWN, None, conflicts, propagations)
                 conflicts += 1
                 self._conflict_total += 1
                 if len(trail_lim) <= len(assumptions):
@@ -182,6 +188,7 @@ class SolverSession:
                 self._learn(learned)
                 self._act_inc /= self._act_decay
                 if conflict_budget is not None and conflicts >= conflict_budget:
+                    # budget spent: stop now rather than search on
                     self._backtrack(0)
                     return SolveResult(UNKNOWN, None, conflicts, propagations)
                 if conflicts >= next_restart:

@@ -5,13 +5,11 @@ Run with `pytest -v tests/test_acceptance.py`; each test prints
 """
 
 import filecmp
-import itertools
 import os
 import random
 import time
 
 import numpy as np
-import pytest
 
 from clusterbmc import bmc, cli, embed, gain, online, satcore, store
 from clusterbmc.bmc import BmcConfig

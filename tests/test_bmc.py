@@ -2,6 +2,7 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clusterbmc import bmc
 from clusterbmc.circuits import (
@@ -96,6 +97,20 @@ def test_cluster_budget_scales_with_size():
     cfg = bmc.BmcConfig(conflict_budget=100, seed=0)
     cv = bmc.check_cluster(n, [0, 1, 2], cfg)
     assert cv.total_elapsed <= 3 * 100
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(budget=st.integers(5, 101), seed=st.integers(0, 3), cluster=st.booleans())
+def test_cost_never_exceeds_budget(budget, seed, cluster):
+    # no frame bound: every run ends by spending its budget, often down to
+    # a last unit that one solver call must not overrun
+    n = parity_miter(width=7, variants=2)
+    cfg = bmc.BmcConfig(conflict_budget=budget, seed=seed)
+    if cluster:
+        spent, cap = bmc.check_cluster(n, [0, 1], cfg).total_elapsed, 2 * budget
+    else:
+        spent, cap = bmc.check_single(n, 0, cfg).elapsed, budget
+    assert spent <= cap
 
 
 def test_run_with_budget_splits_total_evenly():

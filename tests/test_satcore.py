@@ -179,6 +179,18 @@ def test_conflict_budget_exhaustion():
     assert res.conflicts_this_call == 5
 
 
+def test_zero_conflict_budget_counts_no_conflict():
+    s = satcore.new_solver()
+    _, clauses = php(4)
+    for c in clauses:
+        s.add_clause(c)
+    res = s.solve(conflict_budget=0)
+    assert res.status == satcore.UNKNOWN
+    assert res.conflicts_this_call == 0
+    # the session is intact afterwards
+    assert s.solve().status == satcore.UNSAT
+
+
 def test_conflict_total_accumulates():
     s = satcore.new_solver()
     _, clauses = php(4)
