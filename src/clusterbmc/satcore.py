@@ -14,8 +14,8 @@ table and the watch lists are plain lists indexed by that literal.
 Decisions take the unassigned variable of highest activity, lowest index
 on ties, from a heap of (-activity, variable) entries.  The heap is lazy:
 an entry whose variable is assigned or whose activity has since grown is
-dropped when it surfaces, and `_backtrack` pushes every variable it
-unassigns with its current activity.
+dropped when it surfaces, and `_backtrack` pushes each variable it
+unassigns unless the heap still holds it at its current activity.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class SolverSession:
         self._phase: list[int] = [1]   # sign bit of the last value; 1 is false
         self._seen: list[bool] = [False]
         self._heap: list[tuple[float, int]] = []   # (-activity, variable)
-        self._heaped: list[float] = [-1.0]   # activity of the var's live entry
+        self._heaped: list[float] = [-1.0]   # newest entry's activity, or -1.0
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         self._act_inc = 1.0
@@ -418,7 +418,7 @@ class SolverSession:
         del trail[target:]
         del trail_lim[level:]
         self._qhead = min(self._qhead, target)
-        # drop stale and duplicate entries once they outnumber the variables
+        # drop stale entries once they outnumber the variables
         if len(heap) > 2 * self.num_vars:
             self._rebuild_heap()
 
