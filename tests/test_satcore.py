@@ -229,6 +229,14 @@ def test_seed_determinism():
     assert runs[0] == runs[1]
 
 
+def test_zero_is_not_a_literal():
+    s = satcore.new_solver()
+    with pytest.raises(ValueError):
+        s.add_clause([1, 0])
+    with pytest.raises(ValueError):
+        s.solve([0])
+
+
 def test_dimacs_export():
     s = satcore.new_solver()
     s.add_clause([1, -2])
