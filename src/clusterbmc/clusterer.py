@@ -5,6 +5,13 @@ family is built by unioning the partitions of k-means and k-medoids across
 the whole k range (2 .. ceil(n/2)) plus the full property set, then
 deduplicating by member set.  Distances are cosine on unit-normalized
 vectors throughout.
+
+Every distance is rounded to a fixed 1e-9 grid.  Builds hold many
+properties with identical embeddings, so seeding, assignment and medoid
+swaps break ties between equal distances; unrounded, those ties fall to
+the last bits of the PCA and the chosen clusters follow the eigensolver's
+rounding noise rather than the data.  Rounding the distances, not the
+unit rows, keeps identical points at distance exactly 0.
 """
 
 from __future__ import annotations
@@ -50,8 +57,10 @@ def _unit_rows(points) -> np.ndarray:
     return x / norms[:, None]
 
 
-def _cos_dist(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    return 1.0 - rows @ u
+def _cos_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine distances between the unit rows of `a` and `b` (a row or a
+    matrix of rows), rounded to the 1e-9 grid."""
+    return np.round(1.0 - a @ b.T, 9)
 
 
 def kmeans(points, k: int, seed: int = 0, max_iters: int = 100):
@@ -66,7 +75,7 @@ def kmeans(points, k: int, seed: int = 0, max_iters: int = 100):
     centers = [x[rng.randrange(n)]]
     while len(centers) < k:
         d2 = np.min(
-            np.stack([_cos_dist(c, x) for c in centers]), axis=0
+            np.stack([_cos_dist(x, c) for c in centers]), axis=0
         ) ** 2
         total = float(d2.sum())
         if total <= 0:
@@ -79,7 +88,7 @@ def kmeans(points, k: int, seed: int = 0, max_iters: int = 100):
 
     assign = np.zeros(n, dtype=int)
     for _ in range(max_iters):
-        dists = 1.0 - x @ centers.T
+        dists = _cos_dist(x, centers)
         new_assign = np.argmin(dists, axis=1)
         # repair empty clusters with the globally farthest point
         for c in range(k):
@@ -102,7 +111,7 @@ def kmeans(points, k: int, seed: int = 0, max_iters: int = 100):
 
 def _pairwise_cos(points) -> np.ndarray:
     x = _unit_rows(points)
-    d = 1.0 - x @ x.T
+    d = _cos_dist(x, x)
     np.fill_diagonal(d, 0.0)
     return np.maximum(d, 0.0)
 

@@ -1,10 +1,11 @@
 import math
+import random
 import warnings
 
 import numpy as np
 import pytest
 
-from clusterbmc import clusterer
+from clusterbmc import circuits, clusterer, embed
 
 
 def unit(v):
@@ -171,3 +172,24 @@ def test_kmeans_empty_group_is_not_averaged():
         warnings.simplefilter("error")
         groups = clusterer.kmeans([(1, 0)] * 3 + [(0, 1)], 4)
     assert groups == [[3], [1, 2], [], [0]]
+
+
+def test_family_ignores_rounding_noise():
+    # projected embeddings of random designs hold many identical pairs;
+    # noise far below the distance grid must not change any family
+    rng = random.Random(101)
+    nets = [circuits.random_netlist(rng, num_bads=rng.randint(4, 10),
+                                    name=f"d{i}") for i in range(12)]
+    tensors = [embed.coi_signature(n, p, patterns=1024, seed=101, design=n.name)
+               for n in nets for p in range(n.num_properties)]
+    pca = embed.fit_pca(tensors)
+    reduced = {}
+    for t in tensors:
+        reduced.setdefault(t.design, {})[t.property] = embed.project(pca, t)
+    noise = np.random.default_rng(0)
+    for name, emb in reduced.items():
+        noisy = {p: tuple(np.asarray(v) + noise.normal(0, 1e-14, len(v)))
+                 for p, v in emb.items()}
+        want = clusterer.build_family(name, emb, seed=101).clusters
+        got = clusterer.build_family(name, noisy, seed=101).clusters
+        assert [c.members for c in got] == [c.members for c in want], name
