@@ -6,8 +6,8 @@ width by bucketed averaging in topological order.  Externally produced
 tensors (e.g. from a learned model) can be imported through a small text
 interchange format instead.
 
-PCA is fit once per database build with a hand-rolled cyclic Jacobi
-eigensolver; the covariance uses 1/(n-1) normalization.
+PCA is fit once per database build from the LAPACK symmetric eigensolver
+(`numpy.linalg.eigh`); the covariance uses 1/(n-1) normalization.
 """
 
 from __future__ import annotations
@@ -147,41 +147,6 @@ class PcaModel:
         return len(self.components)
 
 
-def _jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60):
-    """Cyclic Jacobi rotations for a symmetric matrix.
-
-    Returns (eigenvalues, eigenvector-columns), unsorted.
-    """
-    a = a.copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= tol * max(1.0, np.sqrt(np.sum(np.diag(a) ** 2))):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    return np.diag(a).copy(), v
-
-
 def fit_pca(tensors, threshold: float = 0.95) -> PcaModel:
     """Smallest component count reaching `threshold` cumulative variance."""
     if not 0.0 < threshold <= 1.0:
@@ -202,7 +167,7 @@ def fit_pca(tensors, threshold: float = 0.95) -> PcaModel:
         comp = np.zeros(width)
         comp[0] = 1.0
         return PcaModel(tuple(mean), (tuple(comp),), 1.0)
-    evals, evecs = _jacobi_eigh(cov)
+    evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(-evals, kind="stable")
     evals = np.clip(evals[order], 0.0, None)
     evecs = evecs[:, order]

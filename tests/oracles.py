@@ -122,15 +122,16 @@ def assignment_brute_force(entries):
     )
 
 
-# -- PCA via numpy's eigensolver --------------------------------------------
+# -- PCA via the singular values of the centred data ----------------------
 
 def pca_keep_count(data, threshold):
-    """Minimal component count and its cumulative ratio, via numpy.linalg.eigh."""
+    """Minimal component count and its cumulative ratio, from the singular
+    values of the centred data (eigenvalues sigma^2/(n-1)), not from a
+    symmetric eigensolver."""
     x = np.asarray(data, dtype=float)
     centered = x - x.mean(axis=0)
-    cov = centered.T @ centered / (len(x) - 1)
-    evals = np.sort(np.linalg.eigvalsh(cov))[::-1]
-    evals = np.clip(evals, 0.0, None)
+    sigma = np.linalg.svd(centered, compute_uv=False)
+    evals = sigma ** 2 / (len(x) - 1)
     cum = np.cumsum(evals) / evals.sum()
     keep = int(np.searchsorted(cum, threshold - 1e-12) + 1)
     return keep, float(cum[keep - 1])

@@ -170,7 +170,7 @@ def test_criterion_06_pca_threshold(capsys):
     verdict_line(
         capsys, 6, mismatches == 0 and worst <= 1e-9,
         f"PCA keeps the minimal component count vs independent "
-        f"eigendecomposition (worst ratio error {worst:.2e})",
+        f"SVD of the centred data (worst ratio error {worst:.2e})",
     )
 
 
