@@ -19,7 +19,6 @@ UNSAT_TO_UNSAT = "UNSAT_TO_UNSAT"
 UNDET_TO_UNDET = "UNDET_TO_UNDET"
 SAT_TO_UNDET = "SAT_TO_UNDET"
 UNSAT_TO_UNDET = "UNSAT_TO_UNDET"
-OTHER = "OTHER"
 
 # Higher is better.  The two full-resolution transitions share the top
 # rank; the time-saving pair shares the next one.
@@ -31,7 +30,6 @@ RANK = {
     UNDET_TO_UNDET: 3,
     SAT_TO_UNDET: 2,
     UNSAT_TO_UNDET: 1,
-    OTHER: 0,
 }
 
 # Slot in the 6-element gain vector; the extension category shares its
@@ -65,21 +63,25 @@ class GainRecord:
     degenerate: bool = False
 
 
+_TRANSITIONS = {
+    (UNDET, SAT): UNDET_TO_SAT,
+    (UNDET, UNSAT): UNDET_TO_UNSAT,
+    (SAT, SAT): SAT_TO_SAT,
+    (UNSAT, UNSAT): UNSAT_TO_UNSAT,
+    (UNDET, UNDET): UNDET_TO_UNDET,
+    (SAT, UNDET): SAT_TO_UNDET,
+    (UNSAT, UNDET): UNSAT_TO_UNDET,
+}
+
+
 def classify(standalone, clustered) -> str:
     """Transition of one property's status from standalone to cluster run."""
     pair = (standalone.status, clustered.status)
-    table = {
-        (UNDET, SAT): UNDET_TO_SAT,
-        (UNDET, UNSAT): UNDET_TO_UNSAT,
-        (SAT, SAT): SAT_TO_SAT,
-        (UNSAT, UNSAT): UNSAT_TO_UNSAT,
-        (UNDET, UNDET): UNDET_TO_UNDET,
-        (SAT, UNDET): SAT_TO_UNDET,
-        (UNSAT, UNDET): UNSAT_TO_UNDET,
-    }
-    # (SAT, UNSAT) and (UNSAT, SAT) would mean an unsound harness; they are
-    # flagged as OTHER rather than ranked.
-    return table.get(pair, OTHER)
+    if pair not in _TRANSITIONS:
+        # (SAT, UNSAT) or (UNSAT, SAT): a counterexample and a proof for the
+        # same property, which only an unsound harness can produce
+        raise AssertionError(f"contradictory verdicts {pair[0]} and {pair[1]}")
+    return _TRANSITIONS[pair]
 
 
 def _vector6(transition: str, value: float) -> tuple:
@@ -116,7 +118,7 @@ def compute_gain(transition, standalone, clustered, cluster_size: int,
         else:
             value = (clustered.depth - d_s) / d_s
     else:
-        value, degenerate = 0.0, True
+        raise ValueError(f"unknown transition {transition!r}")
     return GainRecord(
         property=property_index,
         cluster=frozenset(cluster),

@@ -26,11 +26,13 @@ def test_classification_table():
         (UNDET, UNDET): gain.UNDET_TO_UNDET,
         (SAT, UNDET): gain.SAT_TO_UNDET,
         (UNSAT, UNDET): gain.UNSAT_TO_UNDET,
-        (SAT, UNSAT): gain.OTHER,
-        (UNSAT, SAT): gain.OTHER,
     }
     for (s, c), want in cases.items():
         assert gain.classify(V(s), V(c)) == want
+    # a counterexample against a proof means an unsound harness
+    for s, c in ((SAT, UNSAT), (UNSAT, SAT)):
+        with pytest.raises(AssertionError):
+            gain.classify(V(s), V(c))
 
 
 def test_rank_total_order():
@@ -42,7 +44,6 @@ def test_rank_total_order():
         > gain.RANK[gain.UNDET_TO_UNDET]
         > gain.RANK[gain.SAT_TO_UNDET]
         > gain.RANK[gain.UNSAT_TO_UNDET]
-        > gain.RANK[gain.OTHER]
     )
 
 
@@ -53,6 +54,8 @@ def test_worked_numbers():
     assert r.value == 0.75
     r = gain.compute_gain(gain.UNDET_TO_UNDET, V(UNDET, 9), V(UNDET, 9), 2)
     assert r.value == 0.0 and not r.degenerate
+    with pytest.raises(ValueError):
+        gain.compute_gain("SAT_TO_UNSAT", V(SAT), V(UNSAT), 2)
 
 
 def test_vector6_one_hot():
