@@ -45,6 +45,29 @@ def _design_name(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
 
 
+def _import_tensors(paths, designs) -> list:
+    """Imported tensors, each naming a property of a parsed design, at most
+    one per property."""
+    num_props = {name: n.num_properties for name, n in designs}
+    tensors, seen = [], set()
+    for path in paths:
+        try:
+            t = embed.import_tensor(path)
+        except OSError as e:
+            raise DataError(f"cannot read tensor file: {e}") from None
+        if t.design not in num_props:
+            raise DataError(f"{path}: design {t.design!r} is not among the "
+                            f"parsed designs")
+        if not 0 <= t.property < num_props[t.design]:
+            raise DataError(f"{path}: {t.design} has no property {t.property}")
+        if (t.design, t.property) in seen:
+            raise DataError(f"{path}: second tensor for {t.design} "
+                            f"property {t.property}")
+        seen.add((t.design, t.property))
+        tensors.append(t)
+    return tensors
+
+
 def cmd_offline(args) -> int:
     cfg = _bmc_config(args)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -56,12 +79,14 @@ def cmd_offline(args) -> int:
         try:
             with open(path) as fh:
                 designs.append((name, parse_aiger(fh.read(), name=name)))
-        except (OSError, AigerError) as e:
+        except (OSError, AigerError, UnicodeDecodeError) as e:
             log.error("skipping %s: %s", path, e)
     if not designs:
         raise DataError("no parseable designs")
 
-    db1, tensors, standalone = [], [], {}
+    tensors = (_import_tensors(args.tensors or [], designs)
+               if args.embed == "import" else [])
+    db1, standalone = [], {}
     for name, n in designs:
         verdicts = {p: bmc.check_single(n, p, cfg)
                     for p in range(n.num_properties)}
@@ -73,9 +98,6 @@ def cmd_offline(args) -> int:
                                     seed=args.seed, design=name)
                 for p in range(n.num_properties)
             )
-    if args.embed == "import":
-        for path in args.tensors or []:
-            tensors.append(embed.import_tensor(path))
 
     if len(tensors) >= 2:
         pca = embed.fit_pca(tensors, args.pca_threshold)
@@ -128,7 +150,7 @@ def cmd_verify(args) -> int:
     try:
         with open(args.unknown) as fh:
             n = parse_aiger(fh.read(), name=_design_name(args.unknown))
-    except (OSError, AigerError) as e:
+    except (OSError, AigerError, UnicodeDecodeError) as e:
         raise DataError(f"cannot load {args.unknown}: {e}") from None
 
     report = online.verify_unknown(

@@ -12,6 +12,7 @@ PCA is fit once per database build from the LAPACK symmetric eigensolver
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,7 @@ class EmbeddingTensor:
             raise WidthMismatch(
                 f"{len(self.values)} values for declared width {self.width}"
             )
-        if not all(np.isfinite(v) for v in self.values):
+        if not all(math.isfinite(v) for v in self.values):
             raise ValueError("non-finite embedding value")
 
 
@@ -110,8 +111,11 @@ def export_tensor(t: EmbeddingTensor, path: str):
 
 
 def import_tensor(path: str) -> EmbeddingTensor:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as e:
+        raise MalformedTensorFile(f"{path}: {e}") from None
     if len(lines) < 2:
         raise MalformedTensorFile(f"{path}: expected header and value lines")
     head = lines[0].split(",")
@@ -127,7 +131,7 @@ def import_tensor(path: str) -> EmbeddingTensor:
         raise MalformedTensorFile(
             f"{path}: {len(vals)} values for declared width {width}"
         )
-    if not all(np.isfinite(v) for v in vals):
+    if not all(math.isfinite(v) for v in vals):
         raise MalformedTensorFile(f"{path}: non-finite value")
     return EmbeddingTensor(design, prop, width, vals, PROVIDER_IMPORTED)
 

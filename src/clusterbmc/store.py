@@ -94,8 +94,13 @@ def _header(kind: str) -> str:
 
 
 def _read_lines(path: str, kind: str):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise CorruptRow(data.count(b"\n", 0, e.start) + 1,
+                         f"{path} is not UTF-8 text ({e.reason})") from None
     if not lines:
         raise SchemaVersionMismatch(f"{path}: empty file")
     parts = lines[0].split()
@@ -217,7 +222,7 @@ _PARSERS = {DB1: _parse_db1_row, DB2: _parse_db2_row, DB3: _parse_db3_row}
 
 
 def write_db(kind: str, records, path: str):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(_header(kind) + "\n")
         _WRITERS[kind](records, fh)
 
@@ -243,7 +248,7 @@ def query_db1_by_property_count(db1_records, low: int, high: int):
 
 
 def write_pca(model, path: str):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(_header("pca") + "\n")
         fh.write(f"{model.explained_ratio!r}\n")
         fh.write(",".join(repr(float(v)) for v in model.mean) + "\n")

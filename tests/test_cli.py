@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from clusterbmc import cli, store
+from clusterbmc import cli, embed, store
 from clusterbmc.circuits import counter, parity_miter, two_counters
 from clusterbmc.netlist import serialize_aiger
 
@@ -134,3 +134,96 @@ def test_offline_skips_unparseable_design(corpus, tmp_path):
     assert cli.main(argv) == cli.EXIT_OK
     db1 = store.read_db(store.DB1, store.db_paths(str(out))[store.DB1])
     assert sorted(r.design for r in db1) == ["ctr", "twoctr"]
+
+
+def test_offline_skips_non_utf8_design(corpus, tmp_path, caplog):
+    bad = tmp_path / "bad.aag"
+    bad.write_bytes(b"aag 1 1 0 0 0\n\xff\n")
+    out = tmp_path / "db"
+    assert cli.main(["offline", str(bad), "--out-dir", str(out),
+                     "--budget-conflicts", "10"]) == cli.EXIT_DATA
+    argv = ["offline", str(bad),
+            str(corpus / "ctr.aag"), str(corpus / "twoctr.aag"),
+            "--out-dir", str(out)] + COMMON
+    assert cli.main(argv) == cli.EXIT_OK
+    assert f"skipping {bad}" in caplog.text
+    db1 = store.read_db(store.DB1, store.db_paths(str(out))[store.DB1])
+    assert sorted(r.design for r in db1) == ["ctr", "twoctr"]
+
+
+def empty_db(tmp_path, db1=b"mpbdb 1 db1\n"):
+    d = tmp_path / "db"
+    d.mkdir()
+    (d / "db1.mpb").write_bytes(db1)
+    (d / "db3.mpb").write_bytes(b"mpbdb 1 db3\n")
+    return d
+
+
+def test_verify_non_utf8_unknown(tmp_path, caplog):
+    unknown = tmp_path / "unk.aag"
+    unknown.write_bytes(b"aag 0 0 0 0 0\n\xff\n")
+    argv = ["verify", str(unknown), "--db-dir", str(empty_db(tmp_path)),
+            "--out-dir", str(tmp_path / "run"), "--budget-conflicts", "10"]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert f"cannot load {unknown}" in caplog.text
+
+
+def test_verify_non_utf8_database(corpus, tmp_path, caplog):
+    db = empty_db(tmp_path, db1=b"mpbdb 1 db1\nctr|\xff\n")
+    argv = ["verify", str(corpus / "unknown.aag"), "--db-dir", str(db),
+            "--out-dir", str(tmp_path / "run"), "--budget-conflicts", "10"]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert "line 2: " in caplog.text and "not UTF-8" in caplog.text
+
+
+def write_tensors(tmp_path, keys):
+    paths = []
+    for i, (design, p) in enumerate(keys):
+        path = str(tmp_path / f"t{i}.tensor")
+        embed.export_tensor(
+            embed.EmbeddingTensor(design, p, 3, (float(i), 1.0, float(p))),
+            path)
+        paths.append(path)
+    return paths
+
+
+def run_import(corpus, tmp_path, tensor_paths):
+    argv = ["offline", str(corpus / "ctr.aag"), str(corpus / "twoctr.aag"),
+            "--out-dir", str(tmp_path / "db"), "--embed", "import",
+            "--tensors", *tensor_paths] + COMMON
+    return cli.main(argv)
+
+
+ALL_KEYS = [("ctr", 0), ("ctr", 1), ("twoctr", 0), ("twoctr", 1)]
+
+
+def test_offline_imports_tensors(corpus, tmp_path):
+    assert run_import(corpus, tmp_path,
+                      write_tensors(tmp_path, ALL_KEYS)) == cli.EXIT_OK
+    db2 = store.read_db(store.DB2, store.db_paths(str(tmp_path / "db"))[store.DB2])
+    assert [(r.design, r.property) for r in db2] == ALL_KEYS
+
+
+@pytest.mark.parametrize("extra", [
+    [("ctr", 2)],
+    [("twoctr", -1)],
+    [("ctr", 0)],
+    [("nope", 0)],
+    "missing",
+    "non-utf8",
+], ids=["property-past-end", "negative-property", "duplicate",
+        "unknown-design", "missing-file", "non-utf8-file"])
+def test_offline_import_rejects_bad_tensors(corpus, tmp_path, caplog, extra):
+    paths = write_tensors(tmp_path, ALL_KEYS)
+    if extra == "missing":
+        paths.append(str(tmp_path / "nope.tensor"))
+    elif extra == "non-utf8":
+        bad = tmp_path / "bad.tensor"
+        bad.write_bytes(b"ctr,0,3\n\xff\n")
+        paths.append(str(bad))
+    else:
+        extra_dir = tmp_path / "extra"
+        extra_dir.mkdir()
+        paths += write_tensors(extra_dir, extra)
+    assert run_import(corpus, tmp_path, paths) == cli.EXIT_DATA
+    assert not os.path.exists(tmp_path / "db" / "db1.mpb")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clusterbmc import embed
 from clusterbmc.circuits import AigBuilder, parity_miter
@@ -68,6 +69,35 @@ def test_malformed_tensor(tmp_path):
     p.write_text("only-header\n")
     with pytest.raises(embed.MalformedTensorFile):
         embed.import_tensor(str(p))
+
+
+# a header line and a value line built from number-like fields, so that
+# files parse often enough to reach the width and finiteness checks
+NUMBER = st.one_of(
+    st.floats().map(repr),
+    st.text(alphabet="0123456789.-+e_ infa", max_size=6),
+)
+INTEGER = st.one_of(st.integers(-1, 4).map(str),
+                    st.sampled_from(["", "1.0", "\u0663", "9" * 5000]))
+TENSOR_TEXT = st.builds(
+    lambda design, prop, width, values, tail:
+        f"{design},{prop},{width}\n{','.join(values)}\n{tail}".encode(),
+    st.text(alphabet="d\xe9", max_size=3), INTEGER, INTEGER,
+    st.lists(NUMBER, max_size=4), st.text(max_size=8),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=64), TENSOR_TEXT))
+def test_import_tensor_total(tmp_path_factory, data):
+    # any file content either imports or raises the module's own errors
+    path = tmp_path_factory.getbasetemp() / "fuzz.tensor"
+    path.write_bytes(data)
+    try:
+        t = embed.import_tensor(str(path))
+    except (embed.MalformedTensorFile, embed.WidthMismatch):
+        return
+    assert len(t.values) == t.width
 
 
 def test_width_invariant():
