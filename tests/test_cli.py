@@ -200,7 +200,8 @@ ALL_KEYS = [("ctr", 0), ("ctr", 1), ("twoctr", 0), ("twoctr", 1)]
 def test_offline_imports_tensors(corpus, tmp_path):
     assert run_import(corpus, tmp_path,
                       write_tensors(tmp_path, ALL_KEYS)) == cli.EXIT_OK
-    db2 = store.read_db(store.DB2, store.db_paths(str(tmp_path / "db"))[store.DB2])
+    db2 = store.read_db(store.DB2,
+                        store.db_paths(str(tmp_path / "db"))[store.DB2])
     assert [(r.design, r.property) for r in db2] == ALL_KEYS
 
 
@@ -213,7 +214,7 @@ def test_offline_imports_tensors(corpus, tmp_path):
     "non-utf8",
 ], ids=["property-past-end", "negative-property", "duplicate",
         "unknown-design", "missing-file", "non-utf8-file"])
-def test_offline_import_rejects_bad_tensors(corpus, tmp_path, caplog, extra):
+def test_offline_import_rejects_bad_tensors(corpus, tmp_path, extra):
     paths = write_tensors(tmp_path, ALL_KEYS)
     if extra == "missing":
         paths.append(str(tmp_path / "nope.tensor"))
