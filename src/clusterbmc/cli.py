@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import csv
 import glob
+import io
 import logging
 import os
 import sys
 
-from . import bmc, clusterer, embed, gain, online, store
+from . import bmc, clusterer, embed, gain, online, parallel, store
 from .netlist import INDUCTIVE, INIT, AigerError, parse_aiger
 
 log = logging.getLogger("clusterbmc")
@@ -77,27 +78,38 @@ def cmd_offline(args) -> int:
     for path in args.designs:
         name = _design_name(path)
         try:
+            store.check_name(name)
             with open(path) as fh:
                 designs.append((name, parse_aiger(fh.read(), name=name)))
-        except (OSError, AigerError, UnicodeDecodeError) as e:
+        except (store.ReservedName, OSError, AigerError,
+                UnicodeDecodeError) as e:
             log.error("skipping %s: %s", path, e)
     if not designs:
         raise DataError("no parseable designs")
 
     tensors = (_import_tensors(args.tensors or [], designs)
                if args.embed == "import" else [])
-    db1, standalone = [], {}
-    for name, n in designs:
+    # the cost of a design's BMC work, for the two-process split
+    costs = [n.num_properties * (n.num_ands + n.num_latches)
+             for _name, n in designs]
+
+    def standalone_runs(design):
+        name, n = design
         verdicts = {p: bmc.check_single(n, p, cfg)
                     for p in range(n.num_properties)}
-        standalone[name] = verdicts
-        db1.append(online.unknown_record(n, name, verdicts))
+        sigs = []
         if args.embed == "sim":
-            tensors.extend(
-                embed.coi_signature(n, p, patterns=args.patterns,
-                                    seed=args.seed, design=name)
-                for p in range(n.num_properties)
-            )
+            sigs = [embed.coi_signature(n, p, patterns=args.patterns,
+                                        seed=args.seed, design=name)
+                    for p in range(n.num_properties)]
+        return verdicts, online.unknown_record(n, name, verdicts), sigs
+
+    db1, standalone = [], {}
+    for (name, _n), (verdicts, rec, sigs) in zip(
+            designs, parallel.map2(standalone_runs, designs, costs)):
+        standalone[name] = verdicts
+        db1.append(rec)
+        tensors.extend(sigs)
 
     if len(tensors) >= 2:
         pca = embed.fit_pca(tensors, args.pca_threshold)
@@ -108,27 +120,29 @@ def cmd_offline(args) -> int:
         for t in tensors
     ]
 
-    db3 = []
     reduced = {}
     for rec in db2:
         reduced.setdefault(rec.design, {})[rec.property] = rec.vector
-    for name, n in designs:
-        if len(reduced.get(name, {})) < 2:
-            continue
+
+    def influence_rows(design):
+        name, n = design
         family = clusterer.build_family(name, reduced[name], seed=args.seed,
                                         max_clusters=args.max_clusters)
-        runs = []
-        for c in family.clusters:
-            cv = bmc.check_cluster(n, sorted(c.members), cfg)
-            runs.append((c.members, cv.per_property))
+        runs = [(c.members, bmc.check_cluster(n, sorted(c.members),
+                                              cfg).per_property)
+                for c in family.clusters]
         imap = gain.build_influencing_map(name, standalone[name], runs)
-        for p in sorted(imap.influencing):
-            if imap.influencing[p] is None:
-                continue
-            db3.append(
-                store.InfluenceRecord(name, p, imap.influencing[p],
+        return [store.InfluenceRecord(name, p, imap.influencing[p],
                                       tuple(imap.records[p]))
-            )
+                for p in sorted(imap.influencing)
+                if imap.influencing[p] is not None]
+
+    clustered = [i for i, (name, _n) in enumerate(designs)
+                 if len(reduced.get(name, {})) >= 2]
+    db3 = [row for rows in parallel.map2(influence_rows,
+                                         [designs[i] for i in clustered],
+                                         [costs[i] for i in clustered])
+           for row in rows]
 
     store.write_db(store.DB1, db1, paths[store.DB1])
     store.write_db(store.DB2, db2, paths[store.DB2])
@@ -169,16 +183,20 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _require_columns(path, reader, names):
+    missing = set(names) - set(reader.fieldnames or ())
+    if missing:
+        raise DataError(f"{path}: no column {', '.join(sorted(missing))}")
+
+
 def _read_report(path: str):
     """Property rows of a campaign report, keyed by the column names of its
     header row (the second line, under the campaign line)."""
-    with open(path) as fh:
-        fh.readline()
-        reader = csv.DictReader(fh, delimiter="|", quoting=csv.QUOTE_NONE)
-        missing = {"depth", "baseline_depth"} - set(reader.fieldnames or ())
-        if missing:
-            raise DataError(f"{path}: no column {', '.join(sorted(missing))}")
-        return list(reader)
+    fh = io.StringIO(store.read_text(path))
+    fh.readline()
+    reader = csv.DictReader(fh, delimiter="|", quoting=csv.QUOTE_NONE)
+    _require_columns(path, reader, ("depth", "baseline_depth"))
+    return list(reader)
 
 
 def cmd_report(args) -> int:
@@ -192,10 +210,15 @@ def cmd_report(args) -> int:
         totals: dict = {}
         for path in sorted(glob.glob(
                 os.path.join(args.campaign_dir, f"cluster_*_{metric}.csv"))):
-            with open(path) as fh:
-                for rec in list(csv.DictReader(fh)):
-                    x = int(rec["x"])
-                    totals[x] = totals.get(x, 0.0) + float(rec["y"])
+            reader = csv.DictReader(io.StringIO(store.read_text(path)))
+            _require_columns(path, reader, ("x", "y"))
+            for rec in reader:
+                try:
+                    x, y = int(rec["x"]), float(rec["y"])
+                except (TypeError, ValueError) as e:  # None: a short row
+                    raise DataError(
+                        f"{path}: line {reader.line_num}: {e}") from None
+                totals[x] = totals.get(x, 0.0) + y
         return totals
 
     wrote = []
@@ -284,7 +307,7 @@ def main(argv=None) -> int:
             embed.MalformedTensorFile, embed.WidthMismatch) as e:
         log.error("%s", e)
         return EXIT_DATA
-    except AssertionError as e:
+    except (AssertionError, parallel.ChildLost) as e:
         log.error("internal invariant violation: %s", e)
         return EXIT_INTERNAL
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from . import bmc
+from . import bmc, parallel
 from .gain import classify, compute_gain
 from .netlist import Netlist, extract_coi
 from .store import DesignRecord, PropertyEntry, query_db1_by_property_count
@@ -255,6 +256,10 @@ def verify_unknown(
     `baseline` adds each property's standalone verdict, transition and
     gain.  Unclaimed properties already ran standalone, so their verdicts
     are reused; only clustered properties run `check_single` again.
+
+    Which properties a cluster claims follows from member lists alone, so
+    every run is planned first and the runs go through one `parallel.map2`
+    call, each costed by its budget multiplier (its member count).
     """
     u_rec = unknown_record(unknown, design)
     matched = select_similar_design(db1_records, u_rec, delta)
@@ -269,34 +274,40 @@ def verify_unknown(
             influencing.append(r.influencing)
     clusters = convert_clusters(influencing, prop_map)
 
-    report = CampaignReport(unknown=u_rec.design, matched=matched, assoc=assoc)
     claimed: set = set()
+    planned = []   # (sorted members, properties the run answers, budget)
     per_prop_budget = cfg.conflict_budget if cfg.deterministic else cfg.time_budget
     for members in clusters:
         new = sorted(set(members) - claimed)
         if not new:
             continue
         total = None if per_prop_budget is None else per_prop_budget * len(new)
-        run = bmc.run_with_budget(unknown, sorted(members), cfg, total)
-        report.cluster_runs.append((tuple(sorted(members)), run.per_frame))
+        planned.append((tuple(sorted(members)), new, total))
+        claimed.update(new)
+    unclaimed = [p for p in range(unknown.num_properties) if p not in claimed]
+    singles = unclaimed + (sorted(claimed) if baseline else [])
+    jobs = ([partial(bmc.run_with_budget, unknown, list(members), cfg, total)
+             for members, _new, total in planned]
+            + [partial(bmc.check_single, unknown, p, cfg) for p in singles])
+    costs = ([len(members) for members, _new, _total in planned]
+             + [1] * len(singles))
+    results = parallel.map2(lambda run: run(), jobs, costs)
+
+    report = CampaignReport(unknown=u_rec.design, matched=matched, assoc=assoc)
+    for (members, new, _total), run in zip(planned, results):
+        report.cluster_runs.append((members, run.per_frame))
         for p in new:
             v = run.per_property[p]
-            report.rows.append(
-                PropertyRow(p, tuple(sorted(members)), v.status, v.depth, v.elapsed)
-            )
-        claimed.update(new)
-
-    standalone = {}
-    for p in range(unknown.num_properties):
-        if p in claimed:
-            continue
-        v = standalone[p] = bmc.check_single(unknown, p, cfg)
+            report.rows.append(PropertyRow(p, members, v.status, v.depth, v.elapsed))
+    standalone = dict(zip(singles, results[len(planned):]))
+    for p in unclaimed:
+        v = standalone[p]
         report.rows.append(PropertyRow(p, None, v.status, v.depth, v.elapsed))
 
     if baseline:
         by_prop = {r.property: r for r in report.rows}
         for p in range(unknown.num_properties):
-            v = standalone[p] if p in standalone else bmc.check_single(unknown, p, cfg)
+            v = standalone[p]
             row = by_prop[p]
             row.baseline_status = v.status
             row.baseline_depth = v.depth

@@ -84,23 +84,34 @@ class InfluenceRecord:
     gains: tuple  # GainRecord list across this property's clusters
 
 
-def _check_name(s: str):
+class ReservedName(ValueError):
+    pass
+
+
+def check_name(s: str):
+    """Raises ReservedName unless `s` can be stored as a design id."""
     if any(ch in s for ch in "|,;:\n") or not s:
-        raise ValueError(f"design id {s!r} contains reserved characters")
+        raise ReservedName(f"design id {s!r} contains reserved characters")
 
 
 def _header(kind: str) -> str:
     return f"mpbdb {SCHEMA_VERSION} {kind}"
 
 
-def _read_lines(path: str, kind: str):
+def read_text(path: str) -> str:
+    """The text of a file, decoded as UTF-8; raises CorruptRow at the line
+    of the first byte that is not."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        lines = data.decode("utf-8").splitlines()
+        return data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise CorruptRow(data.count(b"\n", 0, e.start) + 1,
                          f"{path} is not UTF-8 text ({e.reason})") from None
+
+
+def _read_lines(path: str, kind: str):
+    lines = read_text(path).splitlines()
     if not lines:
         raise SchemaVersionMismatch(f"{path}: empty file")
     parts = lines[0].split()
@@ -117,7 +128,7 @@ def _read_lines(path: str, kind: str):
 
 def _write_db1(records, fh):
     for r in records:
-        _check_name(r.design)
+        check_name(r.design)
         entries = ";".join(
             f"{p.coi_inputs},{p.coi_latches},{p.coi_ands},"
             f"{p.status},{p.depth},{p.elapsed!r}"
@@ -153,7 +164,7 @@ def _parse_db1_row(line: str, no: int) -> DesignRecord:
 
 def _write_db2(records, fh):
     for r in records:
-        _check_name(r.design)
+        check_name(r.design)
         fh.write(
             f"{r.design}|{r.property}|"
             + ",".join(repr(float(v)) for v in r.vector) + "\n"
@@ -177,7 +188,7 @@ def _fmt_members(members) -> str:
 
 def _write_db3(records, fh):
     for r in records:
-        _check_name(r.design)
+        check_name(r.design)
         if not r.gains:
             raise ValueError(f"{r.design} P{r.property}: empty gain list")
         if r.influencing not in [g.cluster for g in r.gains]:

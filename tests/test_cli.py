@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from clusterbmc import cli, embed, store
+from clusterbmc import bmc, cli, embed, parallel, store
 from clusterbmc.circuits import counter, parity_miter, two_counters
 from clusterbmc.netlist import serialize_aiger
 
@@ -93,6 +93,31 @@ def test_report_without_columns_is_data_error(tmp_path):
     assert cli.main(["report", str(tmp_path)]) == cli.EXIT_DATA
 
 
+REPORT = ("campaign u matched=b assoc=optimal\n"
+          "property|cluster|status|depth|elapsed|baseline_status"
+          "|baseline_depth|baseline_elapsed|transition|gain\n"
+          "0|0 1|UNDET|3|10.0|-|-|-|-|-\n")
+
+
+def test_report_non_utf8_is_data_error(tmp_path, caplog):
+    (tmp_path / "report.txt").write_bytes(REPORT.encode() + b"1|\xff\n")
+    assert cli.main(["report", str(tmp_path)]) == cli.EXIT_DATA
+    assert "line 4: " in caplog.text and "not UTF-8" in caplog.text
+
+
+@pytest.mark.parametrize("csv_text, message", [
+    ("x,y\n0,1.0\n1,many\n", "line 3: could not convert"),
+    ("x,z\n0,1.0\n", "no column y"),
+    ("y\n1.0\n", "no column x"),
+], ids=["non-numeric-y", "missing-y", "missing-x"])
+def test_report_bad_frame_csv_is_data_error(tmp_path, caplog, csv_text,
+                                            message):
+    (tmp_path / "report.txt").write_text(REPORT)
+    (tmp_path / "cluster_0_1_conflicts.csv").write_text(csv_text)
+    assert cli.main(["report", str(tmp_path)]) == cli.EXIT_DATA
+    assert "cluster_0_1_conflicts.csv: " + message in caplog.text
+
+
 def test_verify_missing_db_dir(corpus, tmp_path):
     argv = ["verify", str(corpus / "unknown.aag"),
             "--db-dir", str(tmp_path / "nope"), "--out-dir", str(tmp_path / "r"),
@@ -147,6 +172,22 @@ def test_offline_skips_non_utf8_design(corpus, tmp_path, caplog):
             "--out-dir", str(out)] + COMMON
     assert cli.main(argv) == cli.EXIT_OK
     assert f"skipping {bad}" in caplog.text
+    db1 = store.read_db(store.DB1, store.db_paths(str(out))[store.DB1])
+    assert sorted(r.design for r in db1) == ["ctr", "twoctr"]
+
+
+def test_offline_skips_reserved_design_name(corpus, tmp_path, caplog):
+    bad = tmp_path / "a,b.aag"
+    bad.write_text((corpus / "ctr.aag").read_text())
+    out = tmp_path / "db"
+    assert cli.main(["offline", str(bad), "--out-dir", str(out),
+                     "--budget-conflicts", "10"]) == cli.EXIT_DATA
+    assert not os.path.exists(out / "db1.mpb")
+    argv = ["offline", str(bad),
+            str(corpus / "ctr.aag"), str(corpus / "twoctr.aag"),
+            "--out-dir", str(out)] + COMMON
+    assert cli.main(argv) == cli.EXIT_OK
+    assert f"skipping {bad}: design id 'a,b'" in caplog.text
     db1 = store.read_db(store.DB1, store.db_paths(str(out))[store.DB1])
     assert sorted(r.design for r in db1) == ["ctr", "twoctr"]
 
@@ -228,3 +269,54 @@ def test_offline_import_rejects_bad_tensors(corpus, tmp_path, extra):
         paths += write_tensors(extra_dir, extra)
     assert run_import(corpus, tmp_path, paths) == cli.EXIT_DATA
     assert not os.path.exists(tmp_path / "db" / "db1.mpb")
+
+
+def raise_assertion():
+    raise AssertionError("child broke")
+
+
+def raise_data_error():
+    raise cli.DataError("child broke")
+
+
+@pytest.mark.parametrize("action, code, message", [
+    (raise_assertion, cli.EXIT_INTERNAL,
+     "ERROR: internal invariant violation: child broke"),
+    (raise_data_error, cli.EXIT_DATA, "ERROR: child broke"),
+    (lambda: os._exit(1), cli.EXIT_INTERNAL, "and sent no result"),
+], ids=["assertion", "data-error", "no-result"])
+def test_offline_reports_child_errors(corpus, tmp_path, monkeypatch, caplog,
+                                      action, code, message):
+    parent = os.getpid()
+    check_cluster = bmc.check_cluster
+
+    def failing_in_child(*args):
+        if os.getpid() != parent:
+            action()
+        return check_cluster(*args)
+
+    monkeypatch.setattr(bmc, "check_cluster", failing_in_child)
+    assert run_offline(corpus, tmp_path / "db") == code
+    last = caplog.records[-1]
+    assert f"{last.levelname}: {last.getMessage()}".endswith(message)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_two_processes_write_the_same_bytes(corpus, tmp_path, monkeypatch):
+    def run(out):
+        assert run_offline(corpus, out / "db") == cli.EXIT_OK
+        assert cli.main(["verify", str(corpus / "unknown.aag"),
+                         "--db-dir", str(out / "db"),
+                         "--out-dir", str(out / "run"), "--baseline",
+                         "--budget-conflicts", "300", "--max-frames", "8",
+                         "--mode", "init", "--seed", "1"]) == cli.EXIT_OK
+        return {str(p.relative_to(out)): p.read_bytes()
+                for p in sorted(out.rglob("*")) if p.is_file()}
+
+    forked = run(tmp_path / "forked")
+    monkeypatch.setattr(parallel, "map2",
+                        lambda fn, jobs, costs: [fn(job) for job in jobs])
+    sequential = run(tmp_path / "sequential")
+    assert "db/db3.mpb" in forked and "run/report.txt" in forked
+    assert sequential == forked

@@ -188,20 +188,23 @@ def test_unknown_record_carries_verdicts():
     assert [e.coi_ands for e in bare.props] == [e.coi_ands for e in rec.props]
 
 
-def test_baseline_reuses_standalone_verdicts(monkeypatch):
+def test_baseline_reuses_standalone_verdicts(monkeypatch, tmp_path):
     n = counter(3, (5, 6, 7))
     cfg = bmc.BmcConfig(conflict_budget=500, max_frames=8, mode=INIT, seed=0)
     db1, db3 = db_for(n, "ctr", cfg, [frozenset({0, 1})])
-    runs = []
+    # runs are split over two processes, so they are counted in a file
+    log = tmp_path / "runs.txt"
     check_single = bmc.check_single
 
     def counting(n, p, cfg):
-        runs.append(p)
+        with open(log, "a") as fh:
+            fh.write(f"{p}\n")
         return check_single(n, p, cfg)
 
     monkeypatch.setattr(bmc, "check_single", counting)
     report = online.verify_unknown(n, db1, db3, cfg, design="ctr",
                                    baseline=True)
+    runs = [int(line) for line in log.read_text().split()]
     # property 2 ran standalone once; only the clustered 0 and 1 re-run
     assert sorted(runs) == [0, 1, 2]
     by_prop = {r.property: r for r in report.rows}

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clusterbmc import embed, gain, store
 
@@ -145,3 +146,53 @@ def test_reads_are_repeatable(tmp_path):
     path = str(tmp_path / "db1.mpb")
     store.write_db(store.DB1, recs, path)
     assert store.read_db(store.DB1, path) == store.read_db(store.DB1, path)
+
+
+def write_real(kind, path):
+    """A small database or PCA file as `offline` writes it."""
+    rng = random.Random(11)
+    if kind == "pca":
+        ts = [embed.EmbeddingTensor("d", i, 3, (rng.random(), 1.0, i / 4))
+              for i in range(5)]
+        store.write_pca(embed.fit_pca(ts, 0.95), path)
+    elif kind == store.DB2:
+        store.write_db(kind, [store.EmbeddingRecord(f"d{i}", i, (0.5, -1.25))
+                              for i in range(3)], path)
+    else:
+        recs = random_db1(rng, 3) if kind == store.DB1 else random_db3(rng, 3)
+        store.write_db(kind, recs, path)
+
+
+# ASCII edits keep a file UTF-8 (raw bytes cover the rest); the bytes that
+# separate or form the fields of a row are drawn more often
+EDIT_BYTES = (st.integers(0, 127)
+              | st.sampled_from(list(b"|,;: \n-.0123456789einfa")))
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(kind=st.sampled_from([store.DB1, store.DB2, store.DB3, "pca"]),
+       raw=st.none() | st.binary(max_size=96),
+       edits=st.lists(st.tuples(st.integers(0, 1 << 16), EDIT_BYTES),
+                      max_size=6),
+       cut=st.none() | st.integers(0, 1 << 16))
+def test_readers_raise_only_store_errors(tmp_path_factory, kind, raw, edits,
+                                         cut):
+    # arbitrary bytes and byte-edited real files either read or raise the
+    # store's own errors
+    path = tmp_path_factory.getbasetemp() / f"fuzz_{kind}.mpb"
+    if raw is None:
+        write_real(kind, str(path))
+        data = bytearray(path.read_bytes())
+        for pos, byte in edits:
+            data[pos % len(data)] = byte
+        if cut is not None:
+            data = data[:cut % (len(data) + 1)]
+        raw = bytes(data)
+    path.write_bytes(raw)
+    try:
+        if kind == "pca":
+            store.read_pca(str(path))
+        else:
+            store.read_db(kind, str(path))
+    except (store.CorruptRow, store.SchemaVersionMismatch):
+        pass
