@@ -6,7 +6,6 @@ proof costs real conflicts), then BMC on the counter: the bad state
 """
 
 from clusterbmc import BmcConfig, INIT, check_single, new_solver, replay_cex
-from clusterbmc import bmc
 from clusterbmc.circuits import counter, parity_miter
 
 # pigeonhole: 5 pigeons, 4 holes

@@ -1,8 +1,11 @@
 """Incremental bounded model checking over one shared solver session.
 
 A run owns a single SolverSession.  Frames are Tseitin-encoded one at a
-time; at every frame the bad literal of each still-unresolved property is
-assumed and solved, in ascending property order.  Learned clauses persist
+time, each limited to the union cone of influence of the run's
+properties: an input, latch or gate that no property of the run can see
+gets no solver variable and reads as false in counterexamples.  At every
+frame the bad literal of each still-unresolved property is assumed and
+solved, in ascending property order.  Learned clauses persist
 across properties and frames, which is what makes clustered runs cheaper
 than the sum of standalone runs on similar properties.
 
@@ -23,6 +26,7 @@ from .netlist import (
     Netlist,
     PropertyIndexOutOfRange,
     UnfoldBuilder,
+    cone_vars,
 )
 from . import satcore
 
@@ -143,8 +147,9 @@ class _Encoder:
     1 is pinned true so constants can appear in assumptions.
     """
 
-    def __init__(self, n: Netlist, mode: str, solver: satcore.SolverSession):
-        self.builder = UnfoldBuilder(n, mode)
+    def __init__(self, n: Netlist, mode: str, solver: satcore.SolverSession,
+                 cone: set):
+        self.builder = UnfoldBuilder(n, mode, cone)
         self.solver = solver
         solver.ensure_var(1)
         solver.add_clause([1])
@@ -189,13 +194,11 @@ class _Encoder:
 
 
 def _run(n: Netlist, props: list, cfg: BmcConfig, multiplier: int) -> ClusterVerdict:
-    for p in props:
-        if not 0 <= p < n.num_properties:
-            raise PropertyIndexOutOfRange(f"property {p} of {n.num_properties}")
+    cone = cone_vars(n, props)  # raises PropertyIndexOutOfRange
     props = sorted(props)
     meter = _CostMeter(cfg, multiplier)
     solver = satcore.new_solver(seed=cfg.seed)
-    enc = _Encoder(n, cfg.mode, solver)
+    enc = _Encoder(n, cfg.mode, solver, cone)
 
     verdicts: dict = {}
     refuted_to = {p: -1 for p in props}       # deepest refuted frame

@@ -117,7 +117,11 @@ def _pairwise_cos(points) -> np.ndarray:
 
 
 def kmedoids(points, k: int, seed: int = 0, max_iters: int = 100):
-    """PAM build + swap under cosine distance; returns a list of k groups."""
+    """PAM build + swap under cosine distance; returns a list of k groups.
+
+    The groups partition ``range(len(points))``, but a group can be empty:
+    see the assignment below.
+    """
     n = len(points)
     if not 2 <= k <= n:
         raise KOutOfRange(f"k={k} for {n} points")
@@ -157,10 +161,11 @@ def kmedoids(points, k: int, seed: int = 0, max_iters: int = 100):
             break
 
     medoids = sorted(medoids)
+    # each point goes to its nearest medoid, the first one on a tie; medoids
+    # at distance 0 from each other (coinciding points) all lose their
+    # points to the first of them, and their groups stay empty
     assign = np.argmin(d[:, medoids], axis=1)
-    groups = [sorted(np.flatnonzero(assign == c).tolist()) for c in range(k)]
-    # a medoid always belongs to its own group even under distance ties
-    return groups
+    return [sorted(np.flatnonzero(assign == c).tolist()) for c in range(k)]
 
 
 def build_family(

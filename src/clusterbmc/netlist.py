@@ -364,6 +364,15 @@ def _coi_vars(n: Netlist, p: int) -> tuple[set, set, set]:
     return inputs, latch_vars, and_vars
 
 
+def cone_vars(n: Netlist, props) -> set:
+    """Union of the input, latch and AND variables in the COI of `props`."""
+    cone: set = set()
+    for p in props:
+        for part in _coi_vars(n, p):
+            cone |= part
+    return cone
+
+
 def extract_coi(n: Netlist, p: int) -> Property:
     """COI size information for property p."""
     inputs, latch_vars, and_vars = _coi_vars(n, p)
@@ -439,11 +448,18 @@ class UnfoldedCircuit:
 
 class UnfoldBuilder:
     """Incremental frame-by-frame unfolder shared by `unfold` and the BMC
-    encoder."""
+    encoder.
 
-    def __init__(self, n: Netlist, mode: str):
+    ``cone`` is the set of netlist variables to unfold (None: every one).
+    A variable outside it gets literal 0 (constant false) instead of a
+    fresh variable, and its AND gate or next-state function is skipped, so
+    only the bads of properties whose COI lies inside ``cone`` are exact.
+    """
+
+    def __init__(self, n: Netlist, mode: str, cone: set | None = None):
         if mode not in (INIT, INDUCTIVE):
             raise ValueError(f"unknown mode {mode!r}")
+        keep = (lambda var: True) if cone is None else cone.__contains__
         self.netlist = n
         self.mode = mode
         self.num_vars = 0
@@ -451,7 +467,11 @@ class UnfoldBuilder:
         self.frame_inputs: list = []
         self.frame_bads: list = []
         self.frame0_latches: list = []
-        self._latch_lits: list = []  # current-frame latch literals
+        self._inputs = [keep(var) for var in range(1, n.num_inputs + 1)]
+        self._latches = [
+            latch if keep(lit_var(latch.lit)) else None for latch in n.latches
+        ]
+        self._ands = [g for g in n.ands if keep(lit_var(g[0]))]
 
     def _fresh(self) -> int:
         self.num_vars += 1
@@ -462,16 +482,21 @@ class UnfoldBuilder:
         n = self.netlist
         if self.frames == 0:
             latch_lits = []
-            for latch in n.latches:
-                if self.mode == INDUCTIVE or latch.reset is None:
+            for latch in self._latches:
+                if latch is None:
+                    latch_lits.append(0)
+                elif self.mode == INDUCTIVE or latch.reset is None:
                     latch_lits.append(self._fresh())
                 else:
                     latch_lits.append(latch.reset)  # constant 0 or 1
             self.frame0_latches = list(latch_lits)
         else:
             prev = self._frame_map
-            latch_lits = [_map_lit(latch.next, prev) for latch in n.latches]
-        input_lits = [self._fresh() for _ in range(n.num_inputs)]
+            latch_lits = [
+                0 if latch is None else _map_lit(latch.next, prev)
+                for latch in self._latches
+            ]
+        input_lits = [self._fresh() if kept else 0 for kept in self._inputs]
         self.frame_inputs.append(input_lits)
 
         # frame_map[var] -> combinational literal of that variable's output
@@ -481,7 +506,7 @@ class UnfoldBuilder:
         for i, lit in enumerate(latch_lits):
             frame_map[n.num_inputs + 1 + i] = lit
         triples = []
-        for lhs, rhs0, rhs1 in n.ands:
+        for lhs, rhs0, rhs1 in self._ands:
             a = _map_lit(rhs0, frame_map)
             b = _map_lit(rhs1, frame_map)
             out = self._fresh()

@@ -12,7 +12,7 @@ from clusterbmc.circuits import (
     random_netlist,
     two_counters,
 )
-from clusterbmc.netlist import INDUCTIVE, INIT, PropertyIndexOutOfRange
+from clusterbmc.netlist import INDUCTIVE, INIT, PropertyIndexOutOfRange, extract_coi
 from oracles import bfs_reach
 
 
@@ -60,6 +60,29 @@ def test_vs_bfs_oracle_sample():
             assert (v.status, v.depth) == ("SAT", want_depth)
         else:
             assert v.status == bmc.UNDET
+
+
+def test_single_vs_bfs_every_property():
+    # standalone runs encode the smallest cones: inputs outside a cone get
+    # no solver variable and read as False in the counterexample
+    sat = undet = outside = 0
+    for trial in range(150):
+        rng = random.Random(5000 + trial)
+        n = random_netlist(rng, num_bads=rng.randint(2, 5))
+        for p in range(n.num_properties):
+            v = bmc.check_single(n, p, cfg_init(seed=trial % 3))
+            want_status, want_depth = bfs_reach(n, p, 8)
+            if want_status == "SAT":
+                assert (v.status, v.depth) == ("SAT", want_depth)
+                assert bmc.replay_cex(n, p, v.cex) == bmc.CONFIRMED
+                assert len(v.cex.latch_init) == n.num_latches
+                assert all(len(f) == n.num_inputs for f in v.cex.inputs)
+                sat += 1
+                outside += extract_coi(n, p).coi_inputs < n.num_inputs
+            else:
+                assert (v.status, v.depth) == (bmc.UNDET, 8)
+                undet += 1
+    assert sat > 300 and undet > 50 and outside > 200
 
 
 def test_cluster_vs_bfs_oracle():

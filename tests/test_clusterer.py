@@ -113,6 +113,20 @@ def test_identical_points_zero_cost():
     assert sorted(i for g in groups for i in g) == list(range(5))
 
 
+def test_kmedoids_coinciding_medoids_leave_empty_groups():
+    # two of the three medoids coincide: ties go to the first of them
+    pts = [(1, 0)] * 3 + [(0, 1)]
+    assert clusterer.kmedoids(pts, 3, seed=0) == [[0, 1, 2], [], [3]]
+    pts = [(1, 0)] * 3 + [(0, 1)] * 2
+    groups = clusterer.kmedoids(pts, 3, seed=0)
+    assert [] in groups
+    assert sorted(i for g in groups for i in g) == list(range(5))
+    # Cluster() rejects a group below two members, so building the family
+    # proves that build_family drops the empty group
+    fam = clusterer.build_family("d", dict(enumerate(pts)), seed=0)
+    assert all(len(c.members) >= 2 for c in fam.clusters)
+
+
 def test_k_out_of_range():
     pts = [(1, 0), (0, 1)]
     for fn in (clusterer.kmeans, clusterer.kmedoids):

@@ -182,3 +182,73 @@ def test_unfold_init_vs_inductive():
     # initial-state mode pins reset-0 latches to constant false literals
     assert all(lit in (0, 1) for lit in init.frame0_latches)
     assert all(lit > 1 for lit in free.frame0_latches)
+
+
+def test_unfold_full_cone_equals_unfold():
+    n = counter(2, (1,))
+    assert unfold(n, 2, netlist.INIT).ands == [
+        (2, 0, 1), (4, 1, 0), (6, 5, 3), (8, 0, 0),
+        (10, 7, 0), (12, 6, 1), (14, 13, 11), (16, 7, 1),
+    ]
+    for trial in range(30):
+        n = random_netlist(random.Random(1100 + trial), num_bads=3)
+        for mode in (netlist.INIT, netlist.INDUCTIVE):
+            want = unfold(n, 4, mode)
+            every = netlist.UnfoldBuilder(n, mode, set(range(1, n.max_var + 1)))
+            assert [t for _ in range(4) for t in every.add_frame()] == want.ands
+            assert every.frame_inputs == want.frame_inputs
+            assert every.frame_bads == want.frame_bads
+            assert every.frame0_latches == want.frame0_latches
+
+
+def test_unfold_cone_matches_restricted_netlist():
+    # same fresh numbering: the cone's latches, inputs and ANDs keep their
+    # order in restrict_to_coi, and everything outside gets no variable
+    for trial in range(30):
+        rng = random.Random(1200 + trial)
+        n = random_netlist(rng, num_bads=3)
+        p = rng.randrange(n.num_properties)
+        inputs, latches, _ = netlist._coi_vars(n, p)
+        sub = restrict_to_coi(n, p)
+        for mode in (netlist.INIT, netlist.INDUCTIVE):
+            cut = netlist.UnfoldBuilder(n, mode, netlist.cone_vars(n, [p]))
+            ref = netlist.UnfoldBuilder(sub, mode)
+            for _ in range(4):
+                assert cut.add_frame() == ref.add_frame()
+                assert cut.frame_bads[-1][p] == ref.frame_bads[-1][0]
+                assert [cut.frame_inputs[-1][v - 1] for v in sorted(inputs)] == (
+                    ref.frame_inputs[-1])
+            assert cut.num_vars == ref.num_vars
+            first_latch = n.num_inputs + 1
+            assert [cut.frame0_latches[v - first_latch] for v in sorted(latches)] == (
+                ref.frame0_latches)
+
+
+def test_unfold_cone_of_one_counter():
+    # property 0 watches counter A (latches 0-1); counter B (latches 2-3)
+    # is outside its cone
+    n = two_counters()
+    sub = restrict_to_coi(n, 0)
+    b = netlist.UnfoldBuilder(n, netlist.INDUCTIVE, netlist.cone_vars(n, [0]))
+    for _ in range(4):
+        triples = b.add_frame()
+        assert len(triples) == sub.num_ands < n.num_ands
+        # no gate of counter A reads a constant, so a 0 or 1 operand
+        # would be a latch of counter B
+        assert all(x > 1 and y > 1 for _, x, y in triples)
+        assert b._frame_map[3:5] == [0, 0]  # latch variables 3 and 4
+    assert b.frame0_latches[2:] == [0, 0]
+    assert all(lit > 1 for lit in b.frame0_latches[:2])
+
+
+def test_unfold_cone_input_outside_gets_literal_zero():
+    b = AigBuilder(num_inputs=2, num_latches=1)
+    b.set_latch(0, b.not_(b.input_lit(0)))
+    b.add_bad(b.and_(b.input_lit(0), b.latch_lit(0)))
+    b.add_bad(b.input_lit(1))
+    n = b.build()
+    builder = netlist.UnfoldBuilder(n, netlist.INIT, netlist.cone_vars(n, [0]))
+    for _ in range(3):
+        assert len(builder.add_frame()) == 1
+    assert [lits[1] for lits in builder.frame_inputs] == [0, 0, 0]
+    assert all(lits[0] > 1 for lits in builder.frame_inputs)
