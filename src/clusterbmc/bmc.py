@@ -61,6 +61,8 @@ class BmcConfig:
             raise BmcConfigError("time_budget must be positive")
         if self.conflict_budget is not None and self.conflict_budget <= 0:
             raise BmcConfigError("conflict_budget must be positive")
+        if self.max_frames is not None and self.max_frames < 0:
+            raise BmcConfigError("max_frames must not be negative")
         if (
             self.proof_bound is not None
             and self.max_frames is not None

@@ -42,6 +42,18 @@ def _bmc_config(args, mode=None) -> bmc.BmcConfig:
     )
 
 
+def _at_least_one(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {text}")
+    return int(text)
+
+
+def _fraction(text: str) -> float:
+    if not 0 < float(text) <= 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], not {text}")
+    return float(text)
+
+
 def _design_name(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
 
@@ -87,62 +99,49 @@ def cmd_offline(args) -> int:
     if not designs:
         raise DataError("no parseable designs")
 
-    tensors = (_import_tensors(args.tensors or [], designs)
-               if args.embed == "import" else [])
-    # the cost of a design's BMC work, for the two-process split
-    costs = [n.num_properties * (n.num_ands + n.num_latches)
-             for _name, n in designs]
-
-    def standalone_runs(design):
-        name, n = design
-        verdicts = {p: bmc.check_single(n, p, cfg)
-                    for p in range(n.num_properties)}
-        sigs = []
-        if args.embed == "sim":
-            sigs = [embed.coi_signature(n, p, patterns=args.patterns,
-                                        seed=args.seed, design=name)
-                    for p in range(n.num_properties)]
-        return verdicts, online.unknown_record(n, name, verdicts), sigs
-
-    db1, standalone = [], {}
-    for (name, _n), (verdicts, rec, sigs) in zip(
-            designs, parallel.map2(standalone_runs, designs, costs)):
-        standalone[name] = verdicts
-        db1.append(rec)
-        tensors.extend(sigs)
-
-    if len(tensors) >= 2:
-        pca = embed.fit_pca(tensors, args.pca_threshold)
+    # the embeddings and the PCA need no verdict: fit them before any run
+    if args.embed == "import":
+        tensors = _import_tensors(args.tensors or [], designs)
     else:
+        tensors = [embed.coi_signature(n, p, patterns=args.patterns,
+                                       seed=args.seed, design=name)
+                   for name, n in designs for p in range(n.num_properties)]
+    if len(tensors) < 2:
         raise DataError("need at least 2 property embeddings to fit PCA")
-    db2 = [
-        store.EmbeddingRecord(t.design, t.property, embed.project(pca, t))
-        for t in tensors
-    ]
+    pca = embed.fit_pca(tensors, args.pca_threshold)
+    db2 = [store.EmbeddingRecord(t.design, t.property, embed.project(pca, t))
+           for t in tensors]
 
     reduced = {}
     for rec in db2:
         reduced.setdefault(rec.design, {})[rec.property] = rec.vector
 
-    def influence_rows(design):
+    def design_runs(design):
+        """A design's DB1 record and DB3 rows: its standalone runs, then
+        its cluster runs if it has at least two reduced embeddings."""
         name, n = design
+        standalone = {p: bmc.check_single(n, p, cfg)
+                      for p in range(n.num_properties)}
+        record = online.unknown_record(n, name, standalone)
+        if len(reduced.get(name, {})) < 2:
+            return record, []
         family = clusterer.build_family(name, reduced[name], seed=args.seed,
                                         max_clusters=args.max_clusters)
         runs = [(c.members, bmc.check_cluster(n, sorted(c.members),
                                               cfg).per_property)
                 for c in family.clusters]
-        imap = gain.build_influencing_map(name, standalone[name], runs)
-        return [store.InfluenceRecord(name, p, imap.influencing[p],
-                                      tuple(imap.records[p]))
-                for p in sorted(imap.influencing)
-                if imap.influencing[p] is not None]
+        imap = gain.build_influencing_map(name, standalone, runs)
+        return record, [store.InfluenceRecord(name, p, imap.influencing[p],
+                                              tuple(imap.records[p]))
+                        for p in sorted(imap.influencing)
+                        if imap.influencing[p] is not None]
 
-    clustered = [i for i, (name, _n) in enumerate(designs)
-                 if len(reduced.get(name, {})) >= 2]
-    db3 = [row for rows in parallel.map2(influence_rows,
-                                         [designs[i] for i in clustered],
-                                         [costs[i] for i in clustered])
-           for row in rows]
+    # the cost of a design's BMC work, for the two-process split
+    costs = [n.num_properties * (n.num_ands + n.num_latches)
+             for _name, n in designs]
+    results = parallel.map2(design_runs, designs, costs)
+    db1 = [record for record, _rows in results]
+    db3 = [row for _record, rows in results for row in rows]
 
     store.write_db(store.DB1, db1, paths[store.DB1])
     store.write_db(store.DB2, db2, paths[store.DB2])
@@ -264,12 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("offline", help="build the three databases")
     p.add_argument("designs", nargs="+", help="AIGER (aag) design files")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--pca-threshold", type=float, default=0.95)
+    p.add_argument("--pca-threshold", type=_fraction, default=0.95)
     p.add_argument("--embed", choices=["sim", "import"], default="sim")
-    p.add_argument("--patterns", type=int, default=4096)
+    p.add_argument("--patterns", type=_at_least_one, default=4096)
     p.add_argument("--tensors", nargs="*", default=None,
                    help="tensor files for --embed import")
-    p.add_argument("--max-clusters", type=int,
+    p.add_argument("--max-clusters", type=_at_least_one,
                    default=clusterer.DEFAULT_MAX_CLUSTERS)
     _add_common(p)
     p.set_defaults(func=cmd_offline)
@@ -295,13 +294,10 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.command in ("offline", "verify") and (
-        args.time_budget is None and args.budget_conflicts is None
-        and args.max_frames is None
-    ):
-        ap.error("need --time-budget, --budget-conflicts, or --max-frames")
     try:
         return args.func(args)
+    except bmc.BmcConfigError as e:  # the budget options, before any work
+        ap.error(str(e))
     except (DataError, store.CorruptRow, store.SchemaVersionMismatch,
             online.EmptyDatabase, online.EmptyAfterPruning,
             embed.MalformedTensorFile, embed.WidthMismatch) as e:

@@ -105,6 +105,30 @@ def test_cluster_vs_bfs_oracle():
     assert sat > 100 and undet > 30
 
 
+@pytest.mark.parametrize("time_budget", [1e-5, 3e-5, 0.01])
+def test_time_budget_vs_bfs_oracle(time_budget):
+    # a wall-clock budget may stop a run anywhere, so only soundness is
+    # checked: SAT at BFS's first bad frame, UNDET refuted only below it
+    for trial in range(40):
+        rng = random.Random(7000 + trial)
+        n = random_netlist(rng, num_bads=rng.randint(2, 4))
+        cfg = bmc.BmcConfig(time_budget=time_budget, max_frames=8, mode=INIT,
+                            seed=trial % 3)
+        props = range(n.num_properties)
+        runs = [{p: bmc.check_single(n, p, cfg) for p in props},
+                bmc.check_cluster(n, props, cfg).per_property]
+        for verdicts in runs:
+            for p, v in verdicts.items():
+                want_status, want_depth = bfs_reach(n, p, 8)
+                if v.status == bmc.SAT:
+                    assert (want_status, want_depth) == ("SAT", v.depth)
+                    assert bmc.replay_cex(n, p, v.cex) == bmc.CONFIRMED
+                else:
+                    assert v.status == bmc.UNDET
+                    first_bad = want_depth if want_status == "SAT" else 9
+                    assert -1 <= v.depth < first_bad
+
+
 def test_cluster_covers_all_members():
     n = two_counters(bits=2, bad_a=3, bad_b=2)
     cv = bmc.check_cluster(n, [0, 1], cfg_init())
@@ -174,6 +198,9 @@ def test_config_validation():
         bmc.BmcConfig(conflict_budget=0)
     with pytest.raises(bmc.BmcConfigError):
         bmc.BmcConfig(conflict_budget=10, proof_bound=9, max_frames=4)
+    with pytest.raises(bmc.BmcConfigError):
+        bmc.BmcConfig(max_frames=-1)
+    assert bmc.BmcConfig(max_frames=0).max_frames == 0
 
 
 def test_deterministic_costs():

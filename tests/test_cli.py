@@ -74,6 +74,19 @@ def test_verify_and_report(corpus, tmp_path):
     assert scatter[1:] == want
 
 
+def test_verify_with_time_budget(corpus, tmp_path):
+    out = tmp_path / "db"
+    assert run_offline(corpus, out) == cli.EXIT_OK
+    run_dir = tmp_path / "run"
+    assert cli.main(["verify", str(corpus / "unknown.aag"),
+                     "--db-dir", str(out), "--out-dir", str(run_dir),
+                     "--baseline", "--time-budget", "0.05",
+                     "--mode", "init", "--seed", "1"]) == cli.EXIT_OK
+    rows = (run_dir / "report.txt").read_text().splitlines()[2:]
+    # a wall-clock budget decides how far each run gets, not which rows exist
+    assert [r.split("|")[0] for r in rows] == ["0", "1"]
+
+
 def test_verify_with_frame_bound_only(corpus, tmp_path):
     flags = ["--max-frames", "6", "--mode", "init"]
     out = tmp_path / "db"
@@ -141,12 +154,57 @@ def test_budget_required(corpus, capsys):
     assert exc.value.code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--budget-conflicts", "0"], "conflict_budget must be positive"),
+    (["--time-budget", "-1"], "time_budget must be positive"),
+    (["--max-frames", "-3"], "max_frames must not be negative"),
+    (["--budget-conflicts", "10", "--patterns", "0"], "must be at least 1"),
+    (["--budget-conflicts", "10", "--max-clusters", "0"],
+     "must be at least 1"),
+    (["--budget-conflicts", "10", "--pca-threshold", "0"],
+     "must be in (0, 1]"),
+    (["--budget-conflicts", "10", "--pca-threshold", "1.5"],
+     "must be in (0, 1]"),
+], ids=["budget-conflicts-0", "time-budget-negative", "max-frames-negative",
+        "patterns-0", "max-clusters-0", "pca-threshold-0",
+        "pca-threshold-above-1"])
+def test_out_of_range_option_is_usage_error(corpus, tmp_path, capsys, flags,
+                                            message):
+    out = tmp_path / "db"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["offline", str(corpus / "ctr.aag"),
+                  str(corpus / "twoctr.aag"), "--out-dir", str(out)] + flags)
+    assert exc.value.code == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_offline_all_designs_unparseable(tmp_path):
     bad = tmp_path / "bad.aag"
     bad.write_text("not an aiger file\n")
     argv = ["offline", str(bad), "--out-dir", str(tmp_path / "db"),
             "--budget-conflicts", "10"]
     assert cli.main(argv) == cli.EXIT_DATA
+
+
+def test_offline_fits_pca_before_any_bmc_run(tmp_path, monkeypatch, caplog):
+    design = tmp_path / "one.aag"
+    design.write_text(serialize_aiger(counter(3, (5,))))
+    # a forked child's runs would miss an in-process list: count in a file
+    log = tmp_path / "runs.txt"
+    check_single = bmc.check_single
+
+    def counting(n, p, cfg):
+        with open(log, "a") as fh:
+            fh.write(f"{p}\n")
+        return check_single(n, p, cfg)
+
+    monkeypatch.setattr(bmc, "check_single", counting)
+    argv = ["offline", str(design), "--out-dir", str(tmp_path / "db"),
+            "--embed", "sim"] + COMMON
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert "need at least 2 property embeddings" in caplog.text
+    assert not log.exists()
 
 
 def test_offline_skips_unparseable_design(corpus, tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -189,6 +190,34 @@ def test_zero_conflict_budget_counts_no_conflict():
     assert res.conflicts_this_call == 0
     # the session is intact afterwards
     assert s.solve().status == satcore.UNSAT
+
+
+def test_past_deadline_stops_before_search():
+    s = satcore.new_solver()
+    _, clauses = php(4)
+    for c in clauses:
+        s.add_clause(c)
+    res = s.solve(deadline=time.perf_counter() - 1)
+    assert res.status == satcore.UNKNOWN
+    assert res.conflicts_this_call == 0
+    # the session is intact afterwards
+    assert s.solve().status == satcore.UNSAT
+
+    rng = random.Random(31)
+    for _ in range(100):
+        nv, clauses = random_cnf(rng)
+        s = satcore.new_solver()
+        for c in clauses:
+            s.add_clause(c)
+        want = cnf_enumerate(nv, clauses)
+        res = s.solve(deadline=time.perf_counter() - 1)
+        assert res.conflicts_this_call == 0
+        # top-level propagation may still refute the clauses outright
+        assert res.status == satcore.UNKNOWN or (
+            res.status == satcore.UNSAT and want == "unsatisfiable")
+        res = s.solve()
+        assert res.status == (satcore.SAT if want == "satisfiable"
+                              else satcore.UNSAT)
 
 
 def test_conflict_total_accumulates():
