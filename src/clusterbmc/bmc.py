@@ -282,6 +282,17 @@ def check_single(n: Netlist, p: int, cfg: BmcConfig) -> Verdict:
     return _run(n, [p], cfg, multiplier=1).per_property[p]
 
 
+def single_run_owners(n: Netlist, props) -> dict:
+    """Each of `props` mapped to the first of `props` with its bad literal.
+
+    A standalone run depends only on the netlist, the bad literal and the
+    config, so only these owners need to run; the others take their
+    owner's verdict.
+    """
+    first: dict = {}
+    return {p: first.setdefault(n.properties[p], p) for p in props}
+
+
 def check_cluster(n: Netlist, cluster, cfg: BmcConfig) -> ClusterVerdict:
     """Shared-session BMC of a property cluster.
 

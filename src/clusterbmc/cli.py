@@ -14,6 +14,7 @@ import io
 import logging
 import os
 import sys
+from collections import Counter
 
 from . import bmc, clusterer, embed, gain, online, parallel, store
 from .netlist import INDUCTIVE, INIT, AigerError, parse_aiger
@@ -30,6 +31,10 @@ MODES = {"init": INIT, "inductive": INDUCTIVE}
 
 class DataError(Exception):
     pass
+
+
+class UsageError(Exception):
+    """Options that are each valid but do not go together."""
 
 
 def _bmc_config(args, mode=None) -> bmc.BmcConfig:
@@ -58,6 +63,13 @@ def _design_name(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
 
 
+def _make_out_dir(path: str):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:  # a file of that name, or one on the path
+        raise DataError(f"cannot create output directory: {e}") from None
+
+
 def _import_tensors(paths, designs) -> list:
     """Imported tensors, each naming a property of a parsed design, at most
     one per property."""
@@ -83,12 +95,19 @@ def _import_tensors(paths, designs) -> list:
 
 def cmd_offline(args) -> int:
     cfg = _bmc_config(args)
-    os.makedirs(args.out_dir, exist_ok=True)
+    if (args.embed == "import") != (args.tensors is not None):
+        raise UsageError("--tensors needs --embed import, and "
+                         "--embed import needs --tensors")
+    names = [_design_name(path) for path in args.designs]
+    twice = sorted(name for name, k in Counter(names).items() if k > 1)
+    if twice:
+        raise DataError(f"two design files named {', '.join(twice)}: "
+                        f"design ids come from base names and must differ")
+    _make_out_dir(args.out_dir)
     paths = store.db_paths(args.out_dir)
 
     designs = []
-    for path in args.designs:
-        name = _design_name(path)
+    for path, name in zip(args.designs, names):
         try:
             store.check_name(name)
             with open(path) as fh:
@@ -101,16 +120,16 @@ def cmd_offline(args) -> int:
 
     # the embeddings and the PCA need no verdict: fit them before any run
     if args.embed == "import":
-        tensors = _import_tensors(args.tensors or [], designs)
+        tensors = _import_tensors(args.tensors, designs)
     else:
-        tensors = [embed.coi_signature(n, p, patterns=args.patterns,
-                                       seed=args.seed, design=name)
-                   for name, n in designs for p in range(n.num_properties)]
+        tensors = [t for name, n in designs
+                   for t in embed.design_signatures(
+                       n, patterns=args.patterns, seed=args.seed, design=name)]
     if len(tensors) < 2:
         raise DataError("need at least 2 property embeddings to fit PCA")
     pca = embed.fit_pca(tensors, args.pca_threshold)
-    db2 = [store.EmbeddingRecord(t.design, t.property, embed.project(pca, t))
-           for t in tensors]
+    db2 = [store.EmbeddingRecord(t.design, t.property, vector)
+           for t, vector in zip(tensors, embed.project_all(pca, tensors))]
 
     reduced = {}
     for rec in db2:
@@ -120,8 +139,10 @@ def cmd_offline(args) -> int:
         """A design's DB1 record and DB3 rows: its standalone runs, then
         its cluster runs if it has at least two reduced embeddings."""
         name, n = design
-        standalone = {p: bmc.check_single(n, p, cfg)
-                      for p in range(n.num_properties)}
+        owner = bmc.single_run_owners(n, range(n.num_properties))
+        runs = {q: bmc.check_single(n, q, cfg)
+                for q in dict.fromkeys(owner.values())}
+        standalone = {p: runs[q] for p, q in owner.items()}
         record = online.unknown_record(n, name, standalone)
         if len(reduced.get(name, {})) < 2:
             return record, []
@@ -165,13 +186,13 @@ def cmd_verify(args) -> int:
             n = parse_aiger(fh.read(), name=_design_name(args.unknown))
     except (OSError, AigerError, UnicodeDecodeError) as e:
         raise DataError(f"cannot load {args.unknown}: {e}") from None
+    _make_out_dir(args.out_dir)
 
     report = online.verify_unknown(
         n, db1, db3, cfg,
         delta=args.delta, assoc=args.assoc, baseline=args.baseline,
         design=_design_name(args.unknown),
     )
-    os.makedirs(args.out_dir, exist_ok=True)
     report_path = os.path.join(args.out_dir, "report.txt")
     with open(report_path, "w") as fh:
         fh.write(report.render())
@@ -265,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--pca-threshold", type=_fraction, default=0.95)
     p.add_argument("--embed", choices=["sim", "import"], default="sim")
-    p.add_argument("--patterns", type=_at_least_one, default=4096)
+    p.add_argument("--patterns", type=_at_least_one, default=4096,
+                   help="simulation stimuli per design")
     p.add_argument("--tensors", nargs="*", default=None,
                    help="tensor files for --embed import")
     p.add_argument("--max-clusters", type=_at_least_one,
@@ -277,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("unknown", help="AIGER (aag) file")
     p.add_argument("--db-dir", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--delta", type=int, default=None)
+    p.add_argument("--delta", type=_at_least_one, default=None)
     p.add_argument("--assoc", choices=[online.ASSOC_OPTIMAL, online.ASSOC_GREEDY],
                    default=online.ASSOC_OPTIMAL)
     p.add_argument("--baseline", action="store_true")
@@ -296,7 +318,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except bmc.BmcConfigError as e:  # the budget options, before any work
+    except (bmc.BmcConfigError, UsageError) as e:  # before any work
         ap.error(str(e))
     except (DataError, store.CorruptRow, store.SchemaVersionMismatch,
             online.EmptyDatabase, online.EmptyAfterPruning,

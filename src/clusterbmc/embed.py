@@ -1,19 +1,24 @@
 """Functional property embeddings and their PCA reduction.
 
-The built-in provider simulates the property cone on one inductive frame
-with random stimuli and records per-gate logic-1 ratios, pooled to a fixed
-width by bucketed averaging in topological order.  Externally produced
+The built-in provider simulates a design once, on one inductive frame with
+random stimuli drawn per design, and records every gate's logic-1 ratio.
+A property's signature pools the ratios of its cone to a fixed width by
+bucketed averaging, in the order `restrict_to_coi` numbers the cone's
+variables (inputs, latches, ANDs): so it equals a simulation of the cone
+alone fed the cone's share of the same stimuli.  Externally produced
 tensors (e.g. from a learned model) can be imported through a small text
 interchange format instead.
 
 PCA is fit once per database build from the LAPACK symmetric eigensolver
 (`numpy.linalg.eigh`); the covariance uses 1/(n-1) normalization.
+Every tensor of a build is projected with one matrix product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -50,7 +55,7 @@ class EmbeddingTensor:
             raise WidthMismatch(
                 f"{len(self.values)} values for declared width {self.width}"
             )
-        if not all(math.isfinite(v) for v in self.values):
+        if not all(map(math.isfinite, self.values)):
             raise ValueError("non-finite embedding value")
 
 
@@ -66,6 +71,26 @@ def _bucket_pool(ratios, width: int):
     return tuple(s / c if c else 0.0 for s, c in zip(sums, counts))
 
 
+def _gate_ratios(n: Netlist, patterns: int, seed: int) -> list:
+    """Logic-1 ratio of every variable of `n` (index var - 1) on one frame
+    under random stimuli: frame-0 latches are free like the inputs, and
+    are drawn first."""
+    if patterns < 1:
+        raise ValueError("patterns must be >= 1")
+    rng = np.random.default_rng(seed)
+    latch_vals = [rng.random(patterns) < 0.5 for _ in range(n.num_latches)]
+    input_vals = [rng.random(patterns) < 0.5 for _ in range(n.num_inputs)]
+    values, _, _ = n.eval_frame(latch_vals, input_vals)
+    ratios = []
+    for var in range(1, n.max_var + 1):
+        v = values[var]
+        if isinstance(v, (bool, np.bool_)):
+            ratios.append(1.0 if v else 0.0)
+        else:
+            ratios.append(float(np.count_nonzero(v)) / patterns)
+    return ratios
+
+
 def simulate_signature(
     coi: Netlist,
     patterns: int = 4096,
@@ -74,33 +99,44 @@ def simulate_signature(
     design: str = "",
     property_index: int = 0,
 ) -> EmbeddingTensor:
-    """Per-gate logic-1 ratios under random stimuli, pooled to `width`.
+    """Per-gate logic-1 ratios of a whole netlist under random stimuli,
+    pooled to `width`.
 
-    The cone is evaluated on a single inductive frame, so frame-0 latches
-    are free variables just like the inputs.  Deterministic for fixed seed.
+    The netlist is evaluated on a single inductive frame, so frame-0
+    latches are free variables just like the inputs.  Deterministic for
+    fixed seed.
     """
-    if patterns < 1:
-        raise ValueError("patterns must be >= 1")
-    rng = np.random.default_rng(seed)
-    latch_vals = [rng.random(patterns) < 0.5 for _ in range(coi.num_latches)]
-    input_vals = [rng.random(patterns) < 0.5 for _ in range(coi.num_inputs)]
-    values, _, _ = coi.eval_frame(latch_vals, input_vals)
-    ratios = []
-    for var in range(1, coi.max_var + 1):
-        v = values[var]
-        if isinstance(v, (bool, np.bool_)):
-            ratios.append(1.0 if v else 0.0)
-        else:
-            ratios.append(float(np.count_nonzero(v)) / patterns)
-    if not ratios:
-        ratios = [0.0]
+    ratios = _gate_ratios(coi, patterns, seed)
     return EmbeddingTensor(
         design=design,
         property=property_index,
         width=width,
-        values=_bucket_pool(ratios, width),
+        values=_bucket_pool(ratios or [0.0], width),
         provider=PROVIDER_SIM,
     )
+
+
+def _cone_signature(n: Netlist, p: int, ratios, width: int,
+                    design: str) -> EmbeddingTensor:
+    # canonical numbering puts inputs before latches before ANDs, so one
+    # sort gives the variable order of restrict_to_coi(n, p)
+    cone = [ratios[var - 1] for var in sorted(chain(*n.cone(p)))]
+    return EmbeddingTensor(
+        design=design or n.name,
+        property=p,
+        width=width,
+        values=_bucket_pool(cone or [0.0], width),
+        provider=PROVIDER_SIM,
+    )
+
+
+def design_signatures(n: Netlist, patterns: int = 4096, seed: int = 0,
+                      width: int = DEFAULT_WIDTH, design: str = "") -> list:
+    """Signatures of every property of `n`, in property order, from one
+    simulation of the whole design."""
+    ratios = _gate_ratios(n, patterns, seed)
+    return [_cone_signature(n, p, ratios, width, design)
+            for p in range(n.num_properties)]
 
 
 def export_tensor(t: EmbeddingTensor, path: str):
@@ -188,23 +224,24 @@ def fit_pca(tensors, threshold: float = 0.95) -> PcaModel:
     return PcaModel(tuple(mean), tuple(comps), float(cum[keep - 1]))
 
 
+def project_all(m: PcaModel, tensors) -> list:
+    """Reduced vector (a tuple) of each tensor, by one matrix product."""
+    for t in tensors:
+        if t.width != m.width:
+            raise WidthMismatch(
+                f"tensor width {t.width} != model width {m.width}")
+    x = np.array([t.values for t in tensors], dtype=float)
+    z = (x.reshape(len(tensors), m.width) - np.array(m.mean)) @ np.array(
+        m.components).T
+    return [tuple(row) for row in z.tolist()]
+
+
 def project(m: PcaModel, t: EmbeddingTensor):
-    if t.width != m.width:
-        raise WidthMismatch(f"tensor width {t.width} != model width {m.width}")
-    centered = np.array(t.values, dtype=float) - np.array(m.mean)
-    return tuple(float(np.dot(centered, c)) for c in m.components)
+    return project_all(m, [t])[0]
 
 
 def coi_signature(n: Netlist, p: int, patterns: int = 4096, seed: int = 0,
                   width: int = DEFAULT_WIDTH, design: str = "") -> EmbeddingTensor:
-    """Signature of property p's cone, extracted from the full netlist."""
-    from .netlist import restrict_to_coi
-
-    return simulate_signature(
-        restrict_to_coi(n, p),
-        patterns=patterns,
-        seed=seed,
-        width=width,
-        design=design or n.name,
-        property_index=p,
-    )
+    """Signature of property p, equal to `design_signatures(...)[p]`."""
+    return _cone_signature(n, p, _gate_ratios(n, patterns, seed), width,
+                           design)

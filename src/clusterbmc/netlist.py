@@ -128,6 +128,8 @@ class Netlist:
             self._check_lit(latch.next)
         for lit in self.outputs + self.bads:
             self._check_lit(lit)
+        # property -> cone; not a field, so equality and hashing ignore it
+        object.__setattr__(self, "_cones", {})
 
     def _check_lit(self, lit: int):
         if lit < 0 or lit_var(lit) > self.max_var:
@@ -146,6 +148,17 @@ class Netlist:
 
     def and_of_var(self, var: int) -> tuple[int, int, int]:
         return self.ands[var - self.num_inputs - self.num_latches - 1]
+
+    def cone(self, p: int) -> tuple[frozenset, frozenset, frozenset]:
+        """Input, latch and AND variables in the COI of property p.
+
+        Computed once per netlist and property; the sets are frozen, so
+        every caller can share them.
+        """
+        cone = self._cones.get(p)
+        if cone is None:
+            cone = self._cones[p] = tuple(map(frozenset, _coi_vars(self, p)))
+        return cone
 
     # -- simulation ---------------------------------------------------------
 
@@ -364,18 +377,14 @@ def _coi_vars(n: Netlist, p: int) -> tuple[set, set, set]:
     return inputs, latch_vars, and_vars
 
 
-def cone_vars(n: Netlist, props) -> set:
+def cone_vars(n: Netlist, props) -> frozenset:
     """Union of the input, latch and AND variables in the COI of `props`."""
-    cone: set = set()
-    for p in props:
-        for part in _coi_vars(n, p):
-            cone |= part
-    return cone
+    return frozenset().union(*(part for p in props for part in n.cone(p)))
 
 
 def extract_coi(n: Netlist, p: int) -> Property:
     """COI size information for property p."""
-    inputs, latch_vars, and_vars = _coi_vars(n, p)
+    inputs, latch_vars, and_vars = n.cone(p)
     return Property(
         index=p,
         bad_literal=n.properties[p],
@@ -391,7 +400,7 @@ def restrict_to_coi(n: Netlist, p: int) -> Netlist:
     The result has the property as its single bad output; verdicts on it
     equal verdicts of p on the original netlist.
     """
-    inputs, latch_vars, and_vars = _coi_vars(n, p)
+    inputs, latch_vars, and_vars = n.cone(p)
     old_inputs = sorted(inputs)
     old_latches = sorted(latch_vars)
     old_ands = sorted(and_vars)

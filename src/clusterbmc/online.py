@@ -86,7 +86,8 @@ def select_similar_design(db1_records, unknown: DesignRecord,
     p_u = unknown.property_count
     if delta is None:
         delta = default_delta(p_u)
-    delta = max(1, delta)
+    if delta < 1:
+        raise ValueError(f"delta must be at least 1, not {delta}")
     candidates = []
     while not candidates:
         ids = set(query_db1_by_property_count(db1_records, p_u - delta, p_u + delta))
@@ -256,6 +257,7 @@ def verify_unknown(
     `baseline` adds each property's standalone verdict, transition and
     gain.  Unclaimed properties already ran standalone, so their verdicts
     are reused; only clustered properties run `check_single` again.
+    Properties with one bad literal share one standalone run.
 
     Which properties a cluster claims follows from member lists alone, so
     every run is planned first and the runs go through one `parallel.map2`
@@ -286,11 +288,13 @@ def verify_unknown(
         claimed.update(new)
     unclaimed = [p for p in range(unknown.num_properties) if p not in claimed]
     singles = unclaimed + (sorted(claimed) if baseline else [])
+    owner = bmc.single_run_owners(unknown, singles)
+    owners = list(dict.fromkeys(owner.values()))
     jobs = ([partial(bmc.run_with_budget, unknown, list(members), cfg, total)
              for members, _new, total in planned]
-            + [partial(bmc.check_single, unknown, p, cfg) for p in singles])
+            + [partial(bmc.check_single, unknown, q, cfg) for q in owners])
     costs = ([len(members) for members, _new, _total in planned]
-             + [1] * len(singles))
+             + [1] * len(owners))
     results = parallel.map2(lambda run: run(), jobs, costs)
 
     report = CampaignReport(unknown=u_rec.design, matched=matched, assoc=assoc)
@@ -299,7 +303,8 @@ def verify_unknown(
         for p in new:
             v = run.per_property[p]
             report.rows.append(PropertyRow(p, members, v.status, v.depth, v.elapsed))
-    standalone = dict(zip(singles, results[len(planned):]))
+    runs = dict(zip(owners, results[len(planned):]))
+    standalone = {p: runs[q] for p, q in owner.items()}
     for p in unclaimed:
         v = standalone[p]
         report.rows.append(PropertyRow(p, None, v.status, v.depth, v.elapsed))

@@ -16,10 +16,12 @@ validate invariants row by row and point at the offending line.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
-from .gain import GainRecord, _vector6
+from .bmc import SAT, UNDET, UNSAT
+from .gain import RANK, GainRecord, _vector6
 
 SCHEMA_VERSION = 1
 
@@ -157,6 +159,13 @@ def _parse_db1_row(line: str, no: int) -> DesignRecord:
         raise CorruptRow(no, str(e)) from None
     if len(props) != count:
         raise CorruptRow(no, f"{len(props)} property entries, declared {count}")
+    for p in props:
+        if p.status not in (SAT, UNSAT, UNDET):
+            raise CorruptRow(no, f"unknown status {p.status!r}")
+        if p.depth < -1:
+            raise CorruptRow(no, f"depth {p.depth} below -1")
+        if not math.isfinite(p.elapsed):
+            raise CorruptRow(no, f"elapsed {p.elapsed!r} is not finite")
     return DesignRecord(design, ni, nl, na, tuple(props))
 
 
@@ -221,6 +230,9 @@ def _parse_db3_row(line: str, no: int) -> InfluenceRecord:
         raise CorruptRow(no, str(e)) from None
     if not gains:
         raise CorruptRow(no, "empty gain list")
+    for g in gains:
+        if g.transition not in RANK:
+            raise CorruptRow(no, f"unknown transition {g.transition!r}")
     if influencing not in [g.cluster for g in gains]:
         raise CorruptRow(no, "influencing cluster not in gain list")
     return InfluenceRecord(design, prop, influencing, tuple(gains))

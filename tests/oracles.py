@@ -2,8 +2,9 @@
 
 Everything in here deliberately avoids the library's own evaluation and
 solving code paths: the BFS oracle walks the AIG with its own literal
-evaluator, the CNF oracle enumerates assignments, the gain table re-states
-the formulas from scratch, and the assignment oracle tries permutations.
+evaluator, the signature oracle simulates and pools with its own code, the
+CNF oracle enumerates assignments, the gain table re-states the formulas
+from scratch, and the assignment oracle tries permutations.
 """
 
 import itertools
@@ -62,6 +63,32 @@ def bfs_reach(n, prop, max_depth):
             # fixpoint: keep scanning nothing; no deeper state exists
             break
     return "UNDET", None
+
+
+# -- simulation signature ----------------------------------------------------
+
+def pooled_ratios(n, latch_vals, input_vals, patterns, width):
+    """Logic-1 ratio of every variable of `n` on one frame, given a boolean
+    array per latch and per input, averaged in variable order into `width`
+    buckets (bucket i * width // count for the i-th variable)."""
+    values = {}
+    for i, v in enumerate(input_vals):
+        values[i + 1] = v
+    for latch, v in zip(n.latches, latch_vals):
+        values[latch.lit >> 1] = v
+
+    def lit(x):
+        v = np.full(patterns, False) if x <= 1 else values[x >> 1]
+        return ~v if x & 1 else v
+
+    for lhs, a, b in n.ands:
+        values[lhs >> 1] = lit(a) & lit(b)
+    ratios = [np.count_nonzero(values[var]) / patterns
+              for var in range(1, n.max_var + 1)] or [0.0]
+    buckets = [[] for _ in range(width)]
+    for i, r in enumerate(ratios):
+        buckets[i * width // len(ratios)].append(r)
+    return tuple(sum(b) / len(b) if b else 0.0 for b in buckets)
 
 
 # -- CNF by enumeration ------------------------------------------------------

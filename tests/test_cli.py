@@ -2,9 +2,9 @@ import os
 
 import pytest
 
-from clusterbmc import bmc, cli, embed, parallel, store
+from clusterbmc import bmc, cli, embed, netlist, online, parallel, store
 from clusterbmc.circuits import counter, parity_miter, two_counters
-from clusterbmc.netlist import serialize_aiger
+from clusterbmc.netlist import INIT, parse_aiger, serialize_aiger
 
 
 @pytest.fixture
@@ -165,9 +165,14 @@ def test_budget_required(corpus, capsys):
      "must be in (0, 1]"),
     (["--budget-conflicts", "10", "--pca-threshold", "1.5"],
      "must be in (0, 1]"),
+    (["--budget-conflicts", "10", "--tensors", "t.tensor"],
+     "--tensors needs --embed import"),
+    (["--budget-conflicts", "10", "--embed", "import"],
+     "--embed import needs --tensors"),
 ], ids=["budget-conflicts-0", "time-budget-negative", "max-frames-negative",
         "patterns-0", "max-clusters-0", "pca-threshold-0",
-        "pca-threshold-above-1"])
+        "pca-threshold-above-1", "tensors-without-import",
+        "import-without-tensors"])
 def test_out_of_range_option_is_usage_error(corpus, tmp_path, capsys, flags,
                                             message):
     out = tmp_path / "db"
@@ -177,6 +182,113 @@ def test_out_of_range_option_is_usage_error(corpus, tmp_path, capsys, flags,
     assert exc.value.code == cli.EXIT_USAGE
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("delta", ["0", "-5"])
+def test_verify_delta_below_one_is_usage_error(corpus, tmp_path, capsys,
+                                               delta):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", str(corpus / "unknown.aag"),
+                  "--db-dir", str(tmp_path / "db"), "--out-dir", str(out),
+                  "--delta", delta, "--budget-conflicts", "10"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def count_runs(monkeypatch, log):
+    """Appends one line per BMC run to `log`, a file, since a forked
+    child's runs would miss an in-process list."""
+    for name in ("check_single", "check_cluster", "run_with_budget"):
+        run = getattr(bmc, name)
+
+        def counting(*args, run=run, name=name):
+            with open(log, "a") as fh:
+                fh.write(f"{name}\n")
+            return run(*args)
+
+        monkeypatch.setattr(bmc, name, counting)
+
+
+def test_offline_same_base_name_twice_is_data_error(corpus, tmp_path,
+                                                     monkeypatch, caplog):
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "ctr.aag").write_text((corpus / "twoctr.aag").read_text())
+    log = tmp_path / "runs.txt"
+    count_runs(monkeypatch, log)
+    out = tmp_path / "db"
+    argv = ["offline", str(corpus / "ctr.aag"), str(other / "ctr.aag"),
+            str(corpus / "miter.aag"), "--out-dir", str(out)] + COMMON
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert "two design files named ctr" in caplog.text
+    assert not out.exists() and not log.exists()
+
+
+def test_out_dir_that_is_a_file_is_data_error(corpus, tmp_path, monkeypatch,
+                                              caplog):
+    db = tmp_path / "db"
+    assert run_offline(corpus, db) == cli.EXIT_OK
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    log = tmp_path / "runs.txt"
+    count_runs(monkeypatch, log)
+    assert run_offline(corpus, taken) == cli.EXIT_DATA
+    assert cli.main(["verify", str(corpus / "unknown.aag"),
+                     "--db-dir", str(db), "--out-dir", str(taken),
+                     "--baseline"] + COMMON[:-2]) == cli.EXIT_DATA
+    assert caplog.text.count("cannot create output directory") == 2
+    assert not log.exists()
+
+
+def test_offline_computes_each_cone_once(corpus, tmp_path, monkeypatch):
+    log = tmp_path / "cones.txt"
+    coi_vars = netlist._coi_vars
+
+    def counting(n, p):
+        with open(log, "a") as fh:
+            fh.write(f"{n.name} {p}\n")
+        return coi_vars(n, p)
+
+    monkeypatch.setattr(netlist, "_coi_vars", counting)
+    assert run_offline(corpus, tmp_path / "db") == cli.EXIT_OK
+    want = []
+    for name in ("ctr", "twoctr", "miter"):
+        n = parse_aiger((corpus / f"{name}.aag").read_text())
+        want += [f"{name} {p}" for p in range(n.num_properties)]
+    assert sorted(log.read_text().splitlines()) == sorted(want)
+
+
+def test_offline_shares_standalone_runs_of_one_bad_literal(tmp_path,
+                                                           monkeypatch):
+    # properties 0 and 1 are copies: one standalone run answers both
+    path = tmp_path / "miter.aag"
+    path.write_text(serialize_aiger(parity_miter(width=4, copies=2,
+                                                 variants=2)))
+    n = parse_aiger(path.read_text(), name="miter")
+    assert n.properties[0] == n.properties[1] != n.properties[2]
+    ran, standalone = [], {}
+    check_single, unknown_record = bmc.check_single, online.unknown_record
+
+    def counting(n, p, cfg):
+        ran.append(p)
+        return check_single(n, p, cfg)
+
+    def recording(n, design="", verdicts=None):
+        standalone.update(verdicts)
+        return unknown_record(n, design, verdicts)
+
+    # one design is one job, which runs in this process
+    monkeypatch.setattr(bmc, "check_single", counting)
+    monkeypatch.setattr(online, "unknown_record", recording)
+    assert cli.main(["offline", str(path), "--out-dir", str(tmp_path / "db")]
+                    + COMMON) == cli.EXIT_OK
+    assert ran == [0, 2]
+    cfg = bmc.BmcConfig(conflict_budget=300, max_frames=8, mode=INIT, seed=1)
+    assert sorted(standalone) == [0, 1, 2]
+    for p, v in standalone.items():
+        assert v == check_single(n, p, cfg), p
 
 
 def test_offline_all_designs_unparseable(tmp_path):

@@ -1,10 +1,13 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clusterbmc import embed
-from clusterbmc.circuits import AigBuilder, parity_miter
-from oracles import pca_keep_count
+from clusterbmc import embed, netlist
+from clusterbmc.circuits import AigBuilder, parity_miter, random_netlist
+from clusterbmc.netlist import restrict_to_coi
+from oracles import pca_keep_count, pooled_ratios
 
 
 def and_of_inputs():
@@ -48,6 +51,34 @@ def test_signature_functional_sensitivity():
     sig_and = embed.simulate_signature(and_of_inputs(), patterns=1024, seed=3)
     sig_or = embed.simulate_signature(or_of_inputs(), patterns=1024, seed=3)
     assert sig_and.values != sig_or.values
+
+
+def test_design_signatures_equal_cone_simulations():
+    # one simulation of the whole design gives each property the signature
+    # of its cone simulated alone on the cone's share of the same stimuli
+    for trial in range(30):
+        rng = random.Random(1400 + trial)
+        n = random_netlist(rng, num_bads=4, name="r")
+        if trial % 3 == 0:
+            n = parity_miter(width=rng.randint(3, 9), copies=2, variants=3)
+        patterns, width = 97, rng.choice([4, 16, 128])
+        sigs = embed.design_signatures(n, patterns=patterns, seed=trial,
+                                       width=width)
+        assert [t.property for t in sigs] == list(range(n.num_properties))
+        draw = np.random.default_rng(trial)   # latches first, then inputs
+        latch_vals = [draw.random(patterns) < 0.5
+                      for _ in range(n.num_latches)]
+        input_vals = [draw.random(patterns) < 0.5
+                      for _ in range(n.num_inputs)]
+        for p, sig in enumerate(sigs):
+            inputs, latches, _ = netlist._coi_vars(n, p)
+            want = pooled_ratios(
+                restrict_to_coi(n, p),
+                [latch_vals[v - n.num_inputs - 1] for v in sorted(latches)],
+                [input_vals[v - 1] for v in sorted(inputs)], patterns, width)
+            assert sig.values == want, (trial, p)
+            assert embed.coi_signature(n, p, patterns=patterns, seed=trial,
+                                       width=width) == sig
 
 
 def test_tensor_roundtrip(tmp_path):

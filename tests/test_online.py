@@ -3,7 +3,7 @@ import random
 import pytest
 
 from clusterbmc import bmc, gain, online, store
-from clusterbmc.circuits import counter, two_counters
+from clusterbmc.circuits import counter, parity_miter, two_counters
 from clusterbmc.netlist import INIT
 from oracles import assignment_brute_force
 
@@ -213,6 +213,39 @@ def test_baseline_reuses_standalone_verdicts(monkeypatch, tmp_path):
         row = by_prop[p]
         assert (row.baseline_status, row.baseline_depth,
                 row.baseline_elapsed) == (v.status, v.depth, v.elapsed)
+
+
+def test_singles_run_once_per_bad_literal(monkeypatch, tmp_path):
+    # properties 0 and 1 are copies of one bad literal
+    n = parity_miter(width=4, copies=2, variants=2)
+    cfg = bmc.BmcConfig(conflict_budget=300, max_frames=6, mode=INIT, seed=0)
+    db1, db3 = db_for(n, "miter", cfg, [frozenset({0, 2})])
+    log = tmp_path / "runs.txt"
+    check_single = bmc.check_single
+
+    def counting(n, p, cfg):
+        with open(log, "a") as fh:
+            fh.write(f"{p}\n")
+        return check_single(n, p, cfg)
+
+    monkeypatch.setattr(bmc, "check_single", counting)
+    report = online.verify_unknown(n, db1, db3, cfg, design="miter",
+                                   baseline=True)
+    # 1 runs unclaimed and answers the baseline of 0; 2 runs for its own
+    assert sorted(int(line) for line in log.read_text().split()) == [1, 2]
+    by_prop = {r.property: r for r in report.rows}
+    assert by_prop[1].cluster is None
+    for p in range(3):
+        v = check_single(n, p, cfg)
+        row = by_prop[p]
+        assert (row.baseline_status, row.baseline_depth,
+                row.baseline_elapsed) == (v.status, v.depth, v.elapsed)
+
+
+def test_select_rejects_delta_below_one():
+    rec = record("a", [(1, 1, 1)] * 2)
+    with pytest.raises(ValueError, match="delta must be at least 1"):
+        online.select_similar_design([rec], rec, delta=0)
 
 
 def test_report_render_deterministic():

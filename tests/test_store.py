@@ -97,6 +97,21 @@ def test_corrupt_row_line_number(tmp_path):
     assert exc.value.line_no == 3
 
 
+@pytest.mark.parametrize("kind, row, message", [
+    (store.DB3, "d|0|0 1|0 1:BOGUS:0.5:0", "unknown transition 'BOGUS'"),
+    (store.DB1, "d|1,1,4|1|1,1,4,MAYBE,3,9.0", "unknown status 'MAYBE'"),
+    (store.DB1, "d|1,1,4|1|1,1,4,UNDET,-7,9.0", "depth -7 below -1"),
+    (store.DB1, "d|1,1,4|1|1,1,4,UNDET,2,nan", "elapsed nan is not finite"),
+], ids=["db3-transition", "db1-status", "db1-depth", "db1-elapsed"])
+def test_reader_rejects_rows_no_writer_produces(tmp_path, kind, row,
+                                                message):
+    path = tmp_path / "db.mpb"
+    path.write_text(f"mpbdb 1 {kind}\n{row}\n")
+    with pytest.raises(store.CorruptRow) as exc:
+        store.read_db(kind, str(path))
+    assert exc.value.line_no == 2 and message in str(exc.value)
+
+
 def test_db3_invariant_rejected(tmp_path):
     g = gain.GainRecord(0, frozenset({0, 1}), gain.SAT_TO_SAT, 0.5,
                         gain._vector6(gain.SAT_TO_SAT, 0.5))
