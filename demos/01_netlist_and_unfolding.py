@@ -5,8 +5,9 @@ is enough to show the whole netlist surface: AIGER text round-trips, cone
 of influence extraction per property, and time-unfolding in both modes.
 """
 
-from clusterbmc import INIT, INDUCTIVE, extract_coi, parse_aiger, serialize_aiger, unfold
+from clusterbmc import INIT, INDUCTIVE, extract_coi, parse_aiger, serialize_aiger
 from clusterbmc.circuits import counter
+from clusterbmc.netlist import UnfoldBuilder
 
 n = counter(3, bad_values=(5, 6))
 print("circuit:", n.num_inputs, "inputs,", n.num_latches, "latches,",
@@ -26,9 +27,11 @@ for p in range(n.num_properties):
           f"{c.coi_latches} latches, {c.coi_ands} ANDs")
 
 # unfolding: initial-state mode pins latches at their resets, inductive
-# mode leaves frame 0 free (an over-approximation of reachability)
+# mode leaves frame 0 free (an over-approximation of reachability); BMC
+# adds one frame at a time
 for mode in (INIT, INDUCTIVE):
-    u = unfold(n, 3, mode)
-    frame0 = u.frame0_latches
-    print(f"{mode}: frame-0 latch literals = {frame0}, "
+    u = UnfoldBuilder(n, mode)
+    for _ in range(3):
+        u.add_frame()
+    print(f"{mode}: frame-0 latch literals = {u.frame0_latches}, "
           f"{u.num_vars} fresh variables over {u.frames} frames")

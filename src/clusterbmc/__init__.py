@@ -16,7 +16,6 @@ from .netlist import (  # noqa: F401
     parse_aiger,
     restrict_to_coi,
     serialize_aiger,
-    unfold,
 )
 from .bmc import BmcConfig, check_cluster, check_single, replay_cex  # noqa: F401
 from .satcore import SolverSession, new_solver  # noqa: F401

@@ -37,12 +37,12 @@ class UsageError(Exception):
     """Options that are each valid but do not go together."""
 
 
-def _bmc_config(args, mode=None) -> bmc.BmcConfig:
+def _bmc_config(args) -> bmc.BmcConfig:
     return bmc.BmcConfig(
         time_budget=args.time_budget,
         conflict_budget=args.budget_conflicts,
         max_frames=args.max_frames,
-        mode=mode or MODES[args.mode],
+        mode=MODES[args.mode],
         seed=args.seed,
     )
 
@@ -190,7 +190,7 @@ def cmd_verify(args) -> int:
 
     report = online.verify_unknown(
         n, db1, db3, cfg,
-        delta=args.delta, assoc=args.assoc, baseline=args.baseline,
+        delta=args.delta, baseline=args.baseline,
         design=_design_name(args.unknown),
     )
     report_path = os.path.join(args.out_dir, "report.txt")
@@ -300,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db-dir", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--delta", type=_at_least_one, default=None)
-    p.add_argument("--assoc", choices=[online.ASSOC_OPTIMAL, online.ASSOC_GREEDY],
-                   default=online.ASSOC_OPTIMAL)
     p.add_argument("--baseline", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_verify)

@@ -32,18 +32,6 @@ RANK = {
     UNSAT_TO_UNDET: 1,
 }
 
-# Slot in the 6-element gain vector; the extension category shares its
-# equal-rank slot.
-VECTOR_SLOT = {
-    UNDET_TO_SAT: 0,
-    UNDET_TO_UNSAT: 1,
-    SAT_TO_SAT: 2,
-    UNSAT_TO_UNSAT: 2,
-    UNDET_TO_UNDET: 3,
-    SAT_TO_UNDET: 4,
-    UNSAT_TO_UNDET: 5,
-}
-
 
 class NoRecords(ValueError):
     pass
@@ -59,7 +47,6 @@ class GainRecord:
     cluster: frozenset
     transition: str
     value: float
-    vector6: tuple
     degenerate: bool = False
 
 
@@ -82,13 +69,6 @@ def classify(standalone, clustered) -> str:
         # same property, which only an unsound harness can produce
         raise AssertionError(f"contradictory verdicts {pair[0]} and {pair[1]}")
     return _TRANSITIONS[pair]
-
-
-def _vector6(transition: str, value: float) -> tuple:
-    v = [0.0] * 6
-    if transition in VECTOR_SLOT:
-        v[VECTOR_SLOT[transition]] = value
-    return tuple(v)
 
 
 def compute_gain(transition, standalone, clustered, cluster_size: int,
@@ -124,7 +104,6 @@ def compute_gain(transition, standalone, clustered, cluster_size: int,
         cluster=frozenset(cluster),
         transition=transition,
         value=float(value),
-        vector6=_vector6(transition, float(value)),
         degenerate=degenerate,
     )
 

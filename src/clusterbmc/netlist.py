@@ -34,10 +34,6 @@ class PropertyIndexOutOfRange(AigerError):
     pass
 
 
-class ZeroFrames(AigerError):
-    pass
-
-
 class InputArityMismatch(AigerError):
     pass
 
@@ -435,29 +431,16 @@ INIT = "initial-state"
 INDUCTIVE = "inductive"
 
 
-@dataclass
-class UnfoldedCircuit:
-    """Combinational unfolding of a netlist over one or more frames.
+class UnfoldBuilder:
+    """Combinational unfolding of a netlist, one frame per `add_frame`.
 
     Fresh variables are numbered from 1; literals use the same even/odd
     convention as Netlist.  ``frame_inputs[f][i]`` is the literal of input i
     at frame f, ``frame_bads[f][p]`` the literal of property p at frame f,
-    and ``frame0_latches`` the frame-0 latch literals (constants in
-    initial-state mode when the reset is specified).
-    """
-
-    frames: int
-    mode: str
-    ands: list  # (out_lit, a_lit, b_lit)
-    frame_inputs: list
-    frame_bads: list
-    frame0_latches: list
-    num_vars: int
-
-
-class UnfoldBuilder:
-    """Incremental frame-by-frame unfolder shared by `unfold` and the BMC
-    encoder.
+    and ``frame0_latches`` the frame-0 latch literals.  Initial-state mode
+    pins frame-0 latches at their reset values (constants where the reset
+    is specified); inductive mode leaves them free, over-approximating the
+    reachable states.
 
     ``cone`` is the set of netlist variables to unfold (None: every one).
     A variable outside it gets literal 0 (constant false) instead of a
@@ -531,26 +514,3 @@ def _map_lit(lit: int, frame_map) -> int:
     if lit <= 1:
         return lit
     return frame_map[lit_var(lit)] ^ (lit & 1)
-
-
-def unfold(n: Netlist, frames: int, mode: str = INIT) -> UnfoldedCircuit:
-    """Combinational unfolding over `frames` time steps.
-
-    Initial-state mode pins frame-0 latches at their reset values; inductive
-    mode leaves them free, over-approximating the reachable states.
-    """
-    if frames < 1:
-        raise ZeroFrames(f"frames must be >= 1, got {frames}")
-    builder = UnfoldBuilder(n, mode)
-    ands = []
-    for _ in range(frames):
-        ands.extend(builder.add_frame())
-    return UnfoldedCircuit(
-        frames=frames,
-        mode=mode,
-        ands=ands,
-        frame_inputs=builder.frame_inputs,
-        frame_bads=builder.frame_bads,
-        frame0_latches=builder.frame0_latches,
-        num_vars=builder.num_vars,
-    )

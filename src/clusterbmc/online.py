@@ -24,9 +24,6 @@ from .store import DesignRecord, PropertyEntry, query_db1_by_property_count
 
 log = logging.getLogger(__name__)
 
-ASSOC_OPTIMAL = "optimal"
-ASSOC_GREEDY = "greedy"
-
 # rectangular assignment pads with this sentinel; anything matched to a pad
 # stays unmapped
 _SENTINEL = 10 ** 9
@@ -125,32 +122,11 @@ def build_diff_matrix(b: DesignRecord, u: DesignRecord) -> DiffMatrix:
     )
 
 
-def associate_properties(m: DiffMatrix, method: str = ASSOC_OPTIMAL) -> PropertyMap:
+def associate_properties(m: DiffMatrix) -> PropertyMap:
     """Injective B-property -> unknown-property map of minimal total cost."""
     nr, nc = len(m.rows), len(m.cols)
     if nr == 0 or nc == 0:
         return PropertyMap({}, tuple(m.rows))
-    if method == ASSOC_GREEDY:
-        # repeatedly take the smallest remaining entry, row-then-column ties
-        mapping = {}
-        used_cols = set()
-        remaining = set(range(nr))
-        while remaining and len(used_cols) < nc:
-            best = None
-            for i in sorted(remaining):
-                for j in range(nc):
-                    if j in used_cols:
-                        continue
-                    key = (m.entries[i][j], i, j)
-                    if best is None or key < best:
-                        best = key
-            _, i, j = best
-            mapping[m.rows[i]] = m.cols[j]
-            used_cols.add(j)
-            remaining.discard(i)
-        unmapped = tuple(m.rows[i] for i in sorted(remaining))
-        return PropertyMap(mapping, unmapped)
-
     size = max(nr, nc)
     cost = np.full((size, size), _SENTINEL, dtype=float)
     for i in range(nr):
@@ -208,12 +184,11 @@ class PropertyRow:
 class CampaignReport:
     unknown: str
     matched: str
-    assoc: str
     rows: list = field(default_factory=list)
     cluster_runs: list = field(default_factory=list)  # (members, per_frame)
 
     def render(self) -> str:
-        out = [f"campaign {self.unknown} matched={self.matched} assoc={self.assoc}"]
+        out = [f"campaign {self.unknown} matched={self.matched}"]
         out.append(
             "property|cluster|status|depth|elapsed"
             "|baseline_status|baseline_depth|baseline_elapsed|transition|gain"
@@ -240,7 +215,6 @@ def verify_unknown(
     db3_records,
     cfg: bmc.BmcConfig,
     delta: int | None = None,
-    assoc: str = ASSOC_OPTIMAL,
     baseline: bool = False,
     design: str = "",
 ) -> CampaignReport:
@@ -266,7 +240,7 @@ def verify_unknown(
     u_rec = unknown_record(unknown, design)
     matched = select_similar_design(db1_records, u_rec, delta)
     b_rec = next(r for r in db1_records if r.design == matched)
-    prop_map = associate_properties(build_diff_matrix(b_rec, u_rec), assoc)
+    prop_map = associate_properties(build_diff_matrix(b_rec, u_rec))
 
     influencing = []
     seen = set()
@@ -297,7 +271,7 @@ def verify_unknown(
              + [1] * len(owners))
     results = parallel.map2(lambda run: run(), jobs, costs)
 
-    report = CampaignReport(unknown=u_rec.design, matched=matched, assoc=assoc)
+    report = CampaignReport(unknown=u_rec.design, matched=matched)
     for (members, new, _total), run in zip(planned, results):
         report.cluster_runs.append((members, run.per_frame))
         for p in new:

@@ -77,7 +77,6 @@ class SolverSession:
         self._trail_lim: list[int] = []
         self._act_inc = 1.0
         self._act_decay = 0.95
-        self._conflict_total = 0
         self._restart_base = 64
         self._has_empty_clause = False
         self._propagated = 0
@@ -175,7 +174,6 @@ class SolverSession:
                     self._backtrack(0)
                     return SolveResult(UNKNOWN, None, conflicts, propagations)
                 conflicts += 1
-                self._conflict_total += 1
                 if len(trail_lim) <= len(assumptions):
                     # conflict implied by the assumptions alone
                     self._backtrack(0)
@@ -222,10 +220,6 @@ class SolverSession:
                 return SolveResult(SAT, model, conflicts, propagations)
             trail_lim.append(len(trail))
             self._enqueue((v << 1) | self._phase[v], -1)
-
-    @property
-    def conflict_total(self) -> int:
-        return self._conflict_total
 
     def to_dimacs(self) -> str:
         """DIMACS CNF export of the original clause set (diagnostic only)."""

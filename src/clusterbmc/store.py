@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass
 
 from .bmc import SAT, UNDET, UNSAT
-from .gain import RANK, GainRecord, _vector6
+from .gain import RANK, GainRecord
 
 SCHEMA_VERSION = 1
 
@@ -223,8 +223,7 @@ def _parse_db3_row(line: str, no: int) -> InfluenceRecord:
             members = frozenset(int(x) for x in members_s.split())
             value = float(value_s)
             gains.append(
-                GainRecord(prop, members, transition, value,
-                           _vector6(transition, value), bool(int(deg_s)))
+                GainRecord(prop, members, transition, value, bool(int(deg_s)))
             )
     except ValueError as e:
         raise CorruptRow(no, str(e)) from None

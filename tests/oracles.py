@@ -37,12 +37,15 @@ def _step(n, state, inputs):
     return bads, nxt
 
 
-def bfs_reach(n, prop, max_depth):
+def bfs_reach(n, prop, max_depth, free_start=False):
     """('SAT', depth) for the first frame where bad `prop` holds on some
-    reachable state, else ('UNDET', None) within `max_depth` frames."""
+    reachable state, else ('UNDET', None) within `max_depth` frames.
+
+    States are reachable from reset, or with `free_start` from every latch
+    valuation (the start of inductive-mode BMC)."""
     init = [[]]
     for latch in n.latches:
-        if latch.reset is None:
+        if latch.reset is None or free_start:
             init = [s + [b] for s in init for b in (False, True)]
         else:
             init = [s + [bool(latch.reset)] for s in init]

@@ -101,10 +101,8 @@ def test_criterion_03_gain_formula_oracle(capsys):
         gain.UNDET_TO_UNDET, Verdict(bmc.UNDET, 70), Verdict(bmc.UNDET, 105), 2
     ).value == 0.5
     recs = [
-        gain.GainRecord(0, frozenset({0, 1}), gain.UNDET_TO_UNDET, 0.9,
-                        gain._vector6(gain.UNDET_TO_UNDET, 0.9)),
-        gain.GainRecord(0, frozenset({0, 2}), gain.UNDET_TO_SAT, 0.4,
-                        gain._vector6(gain.UNDET_TO_SAT, 0.4)),
+        gain.GainRecord(0, frozenset({0, 1}), gain.UNDET_TO_UNDET, 0.9),
+        gain.GainRecord(0, frozenset({0, 2}), gain.UNDET_TO_SAT, 0.4),
     ]
     priority = gain.influencing_cluster(0, recs) == frozenset({0, 2})
     verdict_line(

@@ -105,6 +105,30 @@ def test_cluster_vs_bfs_oracle():
     assert sat > 100 and undet > 30
 
 
+def test_inductive_vs_free_start_bfs_oracle():
+    # the CLI's default mode: frame 0 is every latch valuation, so a bad
+    # that holds on any state is hit at once and any other is never hit
+    sat = undet = 0
+    for trial in range(100):
+        rng = random.Random(3000 + trial)
+        n = random_netlist(rng, num_bads=rng.randint(2, 4))
+        cfg = cfg_init(mode=INDUCTIVE, seed=trial % 3)
+        props = range(n.num_properties)
+        runs = [{p: bmc.check_single(n, p, cfg) for p in props},
+                bmc.check_cluster(n, props, cfg).per_property]
+        for verdicts in runs:
+            for p, v in verdicts.items():
+                want_status, want_depth = bfs_reach(n, p, 8, free_start=True)
+                if want_status == "SAT":
+                    assert (v.status, v.depth) == ("SAT", want_depth)
+                    assert bmc.replay_cex(n, p, v.cex) == bmc.CONFIRMED
+                    sat += 1
+                else:
+                    assert (v.status, v.depth) == (bmc.UNDET, 8)
+                    undet += 1
+    assert sat > 400 and undet > 40
+
+
 @pytest.mark.parametrize("time_budget", [1e-5, 3e-5, 0.01])
 def test_time_budget_vs_bfs_oracle(time_budget):
     # a wall-clock budget may stop a run anywhere, so only soundness is
@@ -227,7 +251,8 @@ def test_frame_csvs(tmp_path):
     paths = bmc.write_frame_csvs(v.per_frame, str(tmp_path), "run0")
     assert len(paths) == 3
     for p in paths:
-        lines = open(p).read().splitlines()
+        with open(p) as fh:
+            lines = fh.read().splitlines()
         assert lines[0] == "x,y"
         assert len(lines) == 1 + len(v.per_frame)
         assert os.path.basename(p).startswith("run0_")

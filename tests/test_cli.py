@@ -96,17 +96,19 @@ def test_verify_with_frame_bound_only(corpus, tmp_path):
     run_dir = tmp_path / "run"
     assert cli.main(["verify", str(corpus / "unknown.aag"), "--db-dir", str(out),
                      "--out-dir", str(run_dir)] + flags) == cli.EXIT_OK
-    rows = (run_dir / "report.txt").read_text().splitlines()[2:]
+    lines = (run_dir / "report.txt").read_text().splitlines()
+    assert lines[0] == "campaign unknown matched=twoctr"
+    rows = lines[2:]
     # both properties ran in one converted cluster and were resolved
     assert [r.split("|")[1:3] for r in rows] == [["0 1", "SAT"], ["0 1", "SAT"]]
 
 
 def test_report_without_columns_is_data_error(tmp_path):
-    (tmp_path / "report.txt").write_text("campaign x matched=y assoc=z\n")
+    (tmp_path / "report.txt").write_text("campaign x matched=y\n")
     assert cli.main(["report", str(tmp_path)]) == cli.EXIT_DATA
 
 
-REPORT = ("campaign u matched=b assoc=optimal\n"
+REPORT = ("campaign u matched=b\n"
           "property|cluster|status|depth|elapsed|baseline_status"
           "|baseline_depth|baseline_elapsed|transition|gain\n"
           "0|0 1|UNDET|3|10.0|-|-|-|-|-\n")
@@ -182,6 +184,16 @@ def test_out_of_range_option_is_usage_error(corpus, tmp_path, capsys, flags,
     assert exc.value.code == cli.EXIT_USAGE
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_verify_assoc_is_unknown_option(corpus, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", str(corpus / "unknown.aag"),
+                  "--db-dir", str(tmp_path / "db"),
+                  "--out-dir", str(tmp_path / "run"),
+                  "--assoc", "greedy", "--budget-conflicts", "10"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "unrecognized arguments: --assoc" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("delta", ["0", "-5"])

@@ -58,16 +58,6 @@ def test_worked_numbers():
         gain.compute_gain("SAT_TO_UNSAT", V(SAT), V(UNSAT), 2)
 
 
-def test_vector6_one_hot():
-    for tr in TRANSITIONS:
-        r = gain.compute_gain(tr, V(UNDET, 3, 2.0), V(SAT, 5, 4.0), 3)
-        nonzero = [v for v in r.vector6 if v != 0.0]
-        assert len(nonzero) <= 1
-        if nonzero:
-            assert nonzero[0] == r.value
-            assert r.vector6[gain.VECTOR_SLOT[tr]] == r.value
-
-
 def test_formula_matches_independent_table():
     rng = random.Random(0)
     for _ in range(300):
@@ -88,8 +78,7 @@ def test_degenerate_divisors():
 
 
 def rec(prop, members, tr, value):
-    return gain.GainRecord(prop, frozenset(members), tr, value,
-                           gain._vector6(tr, value))
+    return gain.GainRecord(prop, frozenset(members), tr, value)
 
 
 def test_rank_dominance_beats_value():

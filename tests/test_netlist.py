@@ -12,12 +12,10 @@ from clusterbmc.netlist import (
     Latch,
     MalformedHeader,
     Netlist,
-    ZeroFrames,
     extract_coi,
     parse_aiger,
     restrict_to_coi,
     serialize_aiger,
-    unfold,
 )
 
 
@@ -170,32 +168,36 @@ def test_restrict_to_coi_preserves_reachability():
         assert bads_sub[0] == bads_full[0]
 
 
-def test_unfold_zero_frames():
-    with pytest.raises(ZeroFrames):
-        unfold(counter(2), 0)
+def unfold_ands(builder, frames):
+    return [t for _ in range(frames) for t in builder.add_frame()]
 
 
 def test_unfold_init_vs_inductive():
     n = counter(2, (1,))
-    init = unfold(n, 1, netlist.INIT)
-    free = unfold(n, 1, netlist.INDUCTIVE)
+    init = netlist.UnfoldBuilder(n, netlist.INIT)
+    free = netlist.UnfoldBuilder(n, netlist.INDUCTIVE)
+    init.add_frame()
+    free.add_frame()
     # initial-state mode pins reset-0 latches to constant false literals
     assert all(lit in (0, 1) for lit in init.frame0_latches)
     assert all(lit > 1 for lit in free.frame0_latches)
 
 
 def test_unfold_full_cone_equals_unfold():
+    # cone=None ("every variable") is the reference for an explicit cone
+    # holding every variable
     n = counter(2, (1,))
-    assert unfold(n, 2, netlist.INIT).ands == [
+    assert unfold_ands(netlist.UnfoldBuilder(n, netlist.INIT), 2) == [
         (2, 0, 1), (4, 1, 0), (6, 5, 3), (8, 0, 0),
         (10, 7, 0), (12, 6, 1), (14, 13, 11), (16, 7, 1),
     ]
     for trial in range(30):
         n = random_netlist(random.Random(1100 + trial), num_bads=3)
         for mode in (netlist.INIT, netlist.INDUCTIVE):
-            want = unfold(n, 4, mode)
+            want = netlist.UnfoldBuilder(n, mode)
             every = netlist.UnfoldBuilder(n, mode, set(range(1, n.max_var + 1)))
-            assert [t for _ in range(4) for t in every.add_frame()] == want.ands
+            assert unfold_ands(every, 4) == unfold_ands(want, 4)
+            assert every.num_vars == want.num_vars
             assert every.frame_inputs == want.frame_inputs
             assert every.frame_bads == want.frame_bads
             assert every.frame0_latches == want.frame0_latches

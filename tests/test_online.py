@@ -89,24 +89,13 @@ def test_assignment_matches_brute_force():
 def test_assignment_identity_matrix():
     ent = ((0, 7, 7), (7, 0, 7), (7, 7, 0))
     m = online.DiffMatrix((0, 1, 2), (0, 1, 2), ent)
-    for method in (online.ASSOC_OPTIMAL, online.ASSOC_GREEDY):
-        assert online.associate_properties(m, method).mapping == {0: 0, 1: 1, 2: 2}
+    pm = online.associate_properties(m)
+    assert pm.mapping == {0: 0, 1: 1, 2: 2} and not pm.unmapped
 
 
 def test_assignment_single_row():
     m = online.DiffMatrix((0,), (0, 1, 2), ((4, 1, 9),))
     assert online.associate_properties(m).mapping == {0: 1}
-
-
-def test_greedy_can_differ_but_is_total():
-    rng = random.Random(2)
-    for _ in range(20):
-        nr = nc = 4
-        ent = tuple(tuple(rng.randint(0, 9) for _ in range(nc))
-                    for _ in range(nr))
-        m = online.DiffMatrix(tuple(range(nr)), tuple(range(nc)), ent)
-        pm = online.associate_properties(m, online.ASSOC_GREEDY)
-        assert len(pm.mapping) == 4 and not pm.unmapped
 
 
 def test_convert_clusters_rewrite():
@@ -134,8 +123,7 @@ def test_identity_map_keeps_clusters():
 def db_for(n, name, cfg, clusters):
     """Minimal DB1+DB3 built from a real netlist."""
     rec = online.unknown_record(n, name)
-    g = gain.GainRecord(0, clusters[0], gain.UNDET_TO_UNDET, 0.5,
-                        gain._vector6(gain.UNDET_TO_UNDET, 0.5))
+    g = gain.GainRecord(0, clusters[0], gain.UNDET_TO_UNDET, 0.5)
     db3 = [store.InfluenceRecord(name, 0, clusters[0],
                                  (g,))]
     return [rec], db3

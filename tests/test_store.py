@@ -34,7 +34,6 @@ def random_db3(rng, count=8):
                              gain.UNDET_TO_UNDET, gain.UNSAT_TO_UNDET])
             val = rng.random() * 4 - 1
             gains.append(gain.GainRecord(i, members, tr, val,
-                                         gain._vector6(tr, val),
                                          rng.random() < 0.2))
         recs.append(store.InfluenceRecord(f"d{i}", i, gains[0].cluster,
                                           tuple(gains)))
@@ -89,9 +88,11 @@ def test_corrupt_row_line_number(tmp_path):
     recs = random_db1(random.Random(1), count=3)
     path = str(tmp_path / "db1.mpb")
     store.write_db(store.DB1, recs, path)
-    lines = open(path).read().splitlines()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     lines[2] = lines[2].replace("|", "!", 1)
-    open(path, "w").write("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
     with pytest.raises(store.CorruptRow) as exc:
         store.read_db(store.DB1, path)
     assert exc.value.line_no == 3
@@ -113,8 +114,7 @@ def test_reader_rejects_rows_no_writer_produces(tmp_path, kind, row,
 
 
 def test_db3_invariant_rejected(tmp_path):
-    g = gain.GainRecord(0, frozenset({0, 1}), gain.SAT_TO_SAT, 0.5,
-                        gain._vector6(gain.SAT_TO_SAT, 0.5))
+    g = gain.GainRecord(0, frozenset({0, 1}), gain.SAT_TO_SAT, 0.5)
     bad = store.InfluenceRecord("d", 0, frozenset({0, 9}), (g,))
     with pytest.raises(ValueError):
         store.write_db(store.DB3, [bad], str(tmp_path / "db3.mpb"))
