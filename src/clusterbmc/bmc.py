@@ -1,13 +1,16 @@
 """Incremental bounded model checking over one shared solver session.
 
-A run owns a single SolverSession.  Frames are Tseitin-encoded one at a
+A run owns a single SolverSession.  Frames are encoded into CNF one at a
 time, each limited to the union cone of influence of the run's
 properties: an input, latch or gate that no property of the run can see
-gets no solver variable and reads as false in counterexamples.  At every
-frame the bad literal of each still-unresolved property is assumed and
-solved, in ascending property order.  Learned clauses persist
-across properties and frames, which is what makes clustered runs cheaper
-than the sum of standalone runs on similar properties.
+gets no solver variable and reads as false in counterexamples.  Each XOR
+that `Netlist.xors` finds becomes 4 clauses over its two inputs and its
+two inner AND gates get none; every other AND gate gets the 3 Tseitin
+clauses.  At every frame the bad literal of each still-unresolved
+property is assumed and solved, in ascending property order.  Learned
+clauses persist across properties and frames, which is what makes
+clustered runs cheaper than the sum of standalone runs on similar
+properties.
 
 Budgets come in two flavours: wall-clock seconds and conflict counts
 (deterministic, used by all reproducibility tests).  In
@@ -27,6 +30,7 @@ from .netlist import (
     PropertyIndexOutOfRange,
     UnfoldBuilder,
     cone_vars,
+    lit_var,
 )
 from . import satcore
 
@@ -143,10 +147,13 @@ class _CostMeter:
 
 
 class _Encoder:
-    """Tseitin-encodes unfolded frames into a solver session.
+    """Writes unfolded frames into a solver session as CNF.
 
     Combinational variable k maps to solver variable k + 1; solver variable
-    1 is pinned true so constants can appear in assumptions.
+    1 is pinned true so constants can appear in assumptions.  An XOR top
+    o = p XOR q gets 4 clauses over p and q, read off the triple of its
+    inner gate AND(p, q); its two inner gates, which nothing else reads,
+    keep their variables but get no clauses.
     """
 
     def __init__(self, n: Netlist, mode: str, solver: satcore.SolverSession,
@@ -155,6 +162,17 @@ class _Encoder:
         self.solver = solver
         solver.ensure_var(1)
         solver.add_clause([1])
+        # per triple of a frame: None for a plain AND, the index of the
+        # inner AND(p, q) triple for an XOR top, -1 for an inner gate
+        kept = [lit_var(g[0]) for g in n.ands if lit_var(g[0]) in cone]
+        self._roles = [None] * len(kept)
+        xors = n.xors()
+        if xors:
+            at = {var: i for i, var in enumerate(kept)}
+            for top, g1, g2 in xors:
+                if top in at:   # then so are g1 and g2, which only it reads
+                    self._roles[at[top]] = at[g1]
+                    self._roles[at[g1]] = self._roles[at[g2]] = -1
 
     def slit(self, comb_lit: int) -> int:
         if comb_lit == 0:
@@ -166,19 +184,28 @@ class _Encoder:
 
     def add_frame(self) -> list:
         triples = self.builder.add_frame()
+        slit, add = self.slit, self.solver.add_clause
         # inputs (and frame-0 latches) may feed nothing; the solver still
         # needs their variables so counterexamples cover them
-        for lit in self.builder.frame_inputs[-1]:
+        frame_lits = self.builder.frame_inputs[-1]
+        if self.builder.frames == 1:
+            frame_lits = frame_lits + self.builder.frame0_latches
+        for lit in frame_lits:
             if lit > 1:
                 self.solver.ensure_var((lit >> 1) + 1)
-        for lit in self.builder.frame0_latches:
-            if lit > 1:
-                self.solver.ensure_var((lit >> 1) + 1)
-        for out, a, b in triples:
-            o, sa, sb = self.slit(out), self.slit(a), self.slit(b)
-            self.solver.add_clause([-o, sa])
-            self.solver.add_clause([-o, sb])
-            self.solver.add_clause([o, -sa, -sb])
+        for (out, a, b), role in zip(triples, self._roles):
+            if role is None:
+                o, sa, sb = slit(out), slit(a), slit(b)
+                add([-o, sa])
+                add([-o, sb])
+                add([o, -sa, -sb])
+            elif role >= 0:
+                _, p, q = triples[role]
+                o, sp, sq = slit(out), slit(p), slit(q)
+                add([-o, sp, sq])
+                add([-o, -sp, -sq])
+                add([o, -sp, sq])
+                add([o, sp, -sq])
         return self.builder.frame_bads[-1]
 
     def extract_cex(self, model, frames: int) -> Cex:

@@ -124,8 +124,9 @@ class Netlist:
             self._check_lit(latch.next)
         for lit in self.outputs + self.bads:
             self._check_lit(lit)
-        # property -> cone; not a field, so equality and hashing ignore it
-        object.__setattr__(self, "_cones", {})
+        # caches, not fields, so equality and hashing ignore them
+        object.__setattr__(self, "_cones", {})   # property -> cone
+        object.__setattr__(self, "_xors", None)
 
     def _check_lit(self, lit: int):
         if lit < 0 or lit_var(lit) > self.max_var:
@@ -155,6 +156,20 @@ class Netlist:
         if cone is None:
             cone = self._cones[p] = tuple(map(frozenset, _coi_vars(self, p)))
         return cone
+
+    def xors(self) -> tuple[tuple[int, int, int], ...]:
+        """XOR gates as ``(top, g1, g2)`` variables, ascending by top.
+
+        The top is ``AND(!g1, !g2)`` with ``g1 = AND(p, q)`` and
+        ``g2 = AND(!p, !q)``, the shape ``AigBuilder.xor_`` builds, so the
+        top equals ``p XOR q``.  A top is listed only if g1 and g2 have it
+        as their only reader among every AND, latch next-state function
+        and property; nothing else then sees an inner gate, and no gate is
+        both a top and an inner gate.  Computed once per netlist.
+        """
+        if self._xors is None:
+            object.__setattr__(self, "_xors", _find_xors(self))
+        return self._xors
 
     # -- simulation ---------------------------------------------------------
 
@@ -371,6 +386,28 @@ def _coi_vars(n: Netlist, p: int) -> tuple[set, set, set]:
             stack.append(lit_var(rhs0))
             stack.append(lit_var(rhs1))
     return inputs, latch_vars, and_vars
+
+
+def _find_xors(n: Netlist) -> tuple[tuple[int, int, int], ...]:
+    readers = [0] * (n.max_var + 1)
+    for _, rhs0, rhs1 in n.ands:
+        readers[lit_var(rhs0)] += 1
+        readers[lit_var(rhs1)] += 1
+    for lit in [latch.next for latch in n.latches] + list(n.properties):
+        readers[lit_var(lit)] += 1
+    first_and = n.num_inputs + n.num_latches + 1
+    found = []
+    for lhs, rhs0, rhs1 in n.ands:
+        g1, g2 = lit_var(rhs0), lit_var(rhs1)
+        if not (rhs0 & rhs1 & 1) or min(g1, g2) < first_and or g1 == g2:
+            continue
+        if readers[g1] != 1 or readers[g2] != 1:
+            continue
+        _, p, q = n.and_of_var(g1)
+        _, r, s = n.and_of_var(g2)
+        if sorted((p ^ 1, q ^ 1)) == sorted((r, s)):
+            found.append((lit_var(lhs), g1, g2))
+    return tuple(found)
 
 
 def cone_vars(n: Netlist, props) -> frozenset:

@@ -4,15 +4,23 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clusterbmc import bmc
+from clusterbmc import bmc, satcore
 from clusterbmc.circuits import (
+    TRUE,
+    AigBuilder,
     counter,
     duplicated_property_family,
     parity_miter,
     random_netlist,
     two_counters,
 )
-from clusterbmc.netlist import INDUCTIVE, INIT, PropertyIndexOutOfRange, extract_coi
+from clusterbmc.netlist import (
+    INDUCTIVE,
+    INIT,
+    PropertyIndexOutOfRange,
+    cone_vars,
+    extract_coi,
+)
 from oracles import bfs_reach
 
 
@@ -127,6 +135,87 @@ def test_inductive_vs_free_start_bfs_oracle():
                     assert (v.status, v.depth) == (bmc.UNDET, 8)
                     undet += 1
     assert sat > 400 and undet > 40
+
+
+def xor_rich_netlist(rng, num_bads):
+    """Random netlist mostly of `xor_` gates, with the XOR tops it built.
+
+    Some inner gates of an XOR are read again (by an AND, a latch or a
+    bad), so that XOR is encoded as its three ANDs instead."""
+    ni, nl = rng.randint(1, 3), rng.randint(1, 4)
+    b = AigBuilder(num_inputs=ni, num_latches=nl, name="xrand")
+    pool = [TRUE] + [b.input_lit(i) for i in range(ni)]
+    pool += [b.latch_lit(i) for i in range(nl)]
+    tops = set()
+
+    def pick():
+        return rng.choice(pool) ^ (rng.random() < 0.5)
+
+    for _ in range(rng.randint(3, 16)):
+        x, y = pick(), pick()
+        if rng.random() < 0.7:
+            fresh = b._next_var
+            lit = b.xor_(x, y)
+            if b._next_var == fresh + 3:
+                tops.add(lit >> 1)
+                if rng.random() < 0.2:
+                    pool.append(b.and_(x, y ^ 1))   # reuse an inner gate
+        else:
+            lit = b.and_(x, y)
+        if lit > 1:
+            pool.append(lit)
+    for i in range(nl):
+        b.set_latch(i, pick(), reset=rng.choice([0, 0, 1, None]))
+    for _ in range(num_bads):
+        b.add_bad(pick())
+    return b.build(), tops
+
+
+@pytest.mark.parametrize("mode", [INIT, INDUCTIVE])
+def test_xor_rich_vs_bfs_oracle(mode):
+    # XOR tops get 4 clauses and their inner gates none; standalone and
+    # cluster runs must still agree with explicit-state BFS exactly
+    sat = undet = absorbed = declined = 0
+    for trial in range(120):
+        rng = random.Random(11000 + trial)
+        n, tops = xor_rich_netlist(rng, num_bads=rng.randint(2, 4))
+        found = {top for top, _, _ in n.xors()}
+        assert not found & {g for _, g1, g2 in n.xors() for g in (g1, g2)}
+        absorbed += len(found)
+        declined += len(tops - found)
+        cfg = cfg_init(mode=mode, seed=trial % 3)
+        props = range(n.num_properties)
+        runs = [{p: bmc.check_single(n, p, cfg) for p in props},
+                bmc.check_cluster(n, props, cfg).per_property]
+        for verdicts in runs:
+            for p, v in verdicts.items():
+                want_status, want_depth = bfs_reach(
+                    n, p, 8, free_start=mode == INDUCTIVE)
+                if want_status == "SAT":
+                    assert (v.status, v.depth) == ("SAT", want_depth)
+                    assert bmc.replay_cex(n, p, v.cex) == bmc.CONFIRMED
+                    sat += 1
+                else:
+                    assert (v.status, v.depth) == (bmc.UNDET, 8)
+                    undet += 1
+    assert sat > 600 and undet > 20
+    assert absorbed > 300 and declined > 30
+
+
+@pytest.mark.parametrize("width", [4, 9])
+def test_xor_frame_clause_count(width):
+    # one frame: 4 clauses per XOR top, none per inner gate, 3 per other
+    # AND; a return to 3 clauses per AND would give 3 * num_ands
+    n = parity_miter(width=width, variants=2)
+    tops = len(n.xors())
+    assert tops == 3 * width - 1
+    solver = satcore.new_solver(seed=0)
+    enc = bmc._Encoder(n, INIT, solver, cone_vars(n, [0, 1]))
+    before = len(solver.clauses)
+    enc.add_frame()
+    plain = n.num_ands - 3 * tops
+    assert plain == 1   # the variant's AND with a leaf
+    assert len(solver.clauses) - before == 4 * tops + 3 * plain
 
 
 @pytest.mark.parametrize("time_budget", [1e-5, 3e-5, 0.01])

@@ -1,10 +1,19 @@
+import importlib
+import os
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from clusterbmc import netlist
-from clusterbmc.circuits import AigBuilder, counter, random_netlist, two_counters
+from clusterbmc.circuits import (
+    AigBuilder,
+    counter,
+    parity_miter,
+    random_netlist,
+    two_counters,
+)
 from clusterbmc.netlist import (
     AigerError,
     BinaryFormatUnsupported,
@@ -136,6 +145,84 @@ def test_coi_sizes_two_counters():
     c1 = extract_coi(n, 1)
     assert c0.coi_latches == 2 and c1.coi_latches == 2
     assert c0.coi_inputs == 0
+
+
+def recording_xor_tops(monkeypatch):
+    """Patches `AigBuilder.xor_` to collect the top of every XOR it builds."""
+    tops = set()
+    xor_ = AigBuilder.xor_
+
+    def recording(self, a, b):
+        fresh = self._next_var
+        lit = xor_(self, a, b)
+        if self._next_var == fresh + 3:
+            tops.add(lit >> 1)
+        return lit
+
+    monkeypatch.setattr(AigBuilder, "xor_", recording)
+    return tops
+
+
+def assert_xors_well_formed(n):
+    xors = n.xors()
+    tops = [top for top, _, _ in xors]
+    inner = [g for _, g1, g2 in xors for g in (g1, g2)]
+    assert tops == sorted(tops)
+    assert len(set(inner)) == len(inner)
+    # implied by the single-reader rule
+    assert not set(tops) & set(inner)
+    for top, g1, g2 in xors:
+        _, a, b = n.and_of_var(top)
+        assert {a, b} == {2 * g1 + 1, 2 * g2 + 1}
+        _, p, q = n.and_of_var(g1)
+        assert sorted(n.and_of_var(g2)[1:]) == sorted((p ^ 1, q ^ 1))
+
+
+def test_xors_are_the_xor_gates_of_a_miter_and_a_bank(monkeypatch):
+    monkeypatch.syspath_prepend(
+        os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench"))
+    workloads = importlib.import_module("workloads")
+    for build in (lambda: parity_miter(width=9, variants=3),
+                  lambda: workloads.bank(random.Random(101), "bank")):
+        with monkeypatch.context() as m:
+            built = recording_xor_tops(m)
+            n = build()
+        assert built and {top for top, _, _ in n.xors()} == built
+        assert_xors_well_formed(n)
+
+
+@pytest.mark.parametrize("reader", ["and", "latch", "bad"])
+def test_xors_decline_an_inner_gate_with_a_second_reader(reader):
+    b = AigBuilder(num_inputs=2, num_latches=1)
+    x, y = b.input_lit(0), b.input_lit(1)
+    top = b.xor_(x, y) ^ 1
+    inner = b.and_(x, y ^ 1)   # the builder's cache returns the inner gate
+    b.add_bad(top)
+    b.set_latch(0, b.latch_lit(0))
+    plain = b.build()
+    [(got_top, *got_inner)] = plain.xors()
+    assert got_top == top >> 1
+    assert set(got_inner) == {inner >> 1, b.and_(x ^ 1, y) >> 1}
+    if reader == "and":
+        b.add_bad(b.and_(inner, b.latch_lit(0)))
+    if reader == "latch":
+        b.set_latch(0, inner)
+    if reader == "bad":
+        b.add_bad(inner ^ 1)
+    assert b.build().xors() == ()
+
+
+def test_xors_computed_once_and_not_part_of_equality(monkeypatch):
+    calls = []
+    find = netlist._find_xors
+    monkeypatch.setattr(netlist, "_find_xors",
+                        lambda n: calls.append(n) or find(n))
+    n, twin = parity_miter(width=5), parity_miter(width=5)
+    assert n.xors() is n.xors()
+    assert len(calls) == 1
+    assert n == twin and hash(n) == hash(twin)
+    copy = pickle.loads(pickle.dumps(n))
+    assert copy == n and hash(copy) == hash(n) and copy.xors() == n.xors()
 
 
 def test_restrict_to_coi_sizes_and_idempotence():
