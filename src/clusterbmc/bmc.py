@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .netlist import (
     INDUCTIVE,
@@ -78,6 +78,12 @@ class BmcConfig:
     def deterministic(self) -> bool:
         return self.time_budget is None
 
+    @property
+    def budget(self):
+        """Per-property budget in the run's unit: seconds, or cost units
+        when deterministic; None when only frames bound a run."""
+        return self.conflict_budget if self.deterministic else self.time_budget
+
 
 @dataclass
 class Cex:
@@ -115,16 +121,10 @@ class ClusterVerdict:
 class _CostMeter:
     """Budget accounting; wall seconds or deterministic cost units."""
 
-    def __init__(self, cfg: BmcConfig, multiplier: int):
-        self.deterministic = cfg.deterministic
-        if self.deterministic:
-            self.budget = (
-                None if cfg.conflict_budget is None else cfg.conflict_budget * multiplier
-            )
-        else:
-            self.budget = cfg.time_budget * multiplier
+    def __init__(self, deterministic: bool, budget):
+        self.deterministic = deterministic
+        self.budget = budget
         self.spent = 0.0
-        self._t0 = time.perf_counter()
 
     def remaining(self):
         if self.budget is None:
@@ -164,7 +164,7 @@ class _Encoder:
         solver.add_clause([1])
         # per triple of a frame: None for a plain AND, the index of the
         # inner AND(p, q) triple for an XOR top, -1 for an inner gate
-        kept = [lit_var(g[0]) for g in n.ands if lit_var(g[0]) in cone]
+        kept = [lit_var(g[0]) for g in self.builder.ands]
         self._roles = [None] * len(kept)
         xors = n.xors()
         if xors:
@@ -222,16 +222,17 @@ class _Encoder:
         return Cex(latch_init, inputs)
 
 
-def _run(n: Netlist, props: list, cfg: BmcConfig, multiplier: int) -> ClusterVerdict:
+def _run(n: Netlist, props: list, cfg: BmcConfig, budget) -> ClusterVerdict:
+    """BMC of `props` in one session that spends at most `budget` in all
+    (None: bounded by frames only)."""
     cone = cone_vars(n, props)  # raises PropertyIndexOutOfRange
     props = sorted(props)
-    meter = _CostMeter(cfg, multiplier)
+    meter = _CostMeter(cfg.deterministic, budget)
     solver = satcore.new_solver(seed=cfg.seed)
     enc = _Encoder(n, cfg.mode, solver, cone)
 
     verdicts: dict = {}
     refuted_to = {p: -1 for p in props}       # deepest refuted frame
-    resolved_elapsed: dict = {}
     frame_stats: list = []
     frame_limit = cfg.max_frames
     if cfg.proof_bound is not None and frame_limit is None:
@@ -258,8 +259,8 @@ def _run(n: Netlist, props: list, cfg: BmcConfig, multiplier: int) -> ClusterVer
             rem = meter.remaining()
             t0 = time.perf_counter()
             if meter.deterministic:
-                budget = None if rem is None else max(0, int(rem) - 1)
-                res = solver.solve([enc.slit(bads[p])], conflict_budget=budget)
+                limit = None if rem is None else max(0, int(rem) - 1)
+                res = solver.solve([enc.slit(bads[p])], conflict_budget=limit)
             else:
                 deadline = None if rem is None else time.perf_counter() + rem
                 res = solver.solve([enc.slit(bads[p])], deadline=deadline)
@@ -274,14 +275,12 @@ def _run(n: Netlist, props: list, cfg: BmcConfig, multiplier: int) -> ClusterVer
                     elapsed=meter.spent,
                     cex=enc.extract_cex(res.model, frame + 1),
                 )
-                resolved_elapsed[p] = meter.spent
             elif res.status == satcore.UNSAT:
                 refuted_to[p] = frame
                 if cfg.proof_bound is not None and frame >= cfg.proof_bound:
                     verdicts[p] = Verdict(
                         status=UNSAT, depth=cfg.proof_bound, elapsed=meter.spent
                     )
-                    resolved_elapsed[p] = meter.spent
             else:
                 stopped = True
                 break
@@ -305,8 +304,8 @@ def _run(n: Netlist, props: list, cfg: BmcConfig, multiplier: int) -> ClusterVer
 
 
 def check_single(n: Netlist, p: int, cfg: BmcConfig) -> Verdict:
-    """Standalone BMC of one property under a 1x budget."""
-    return _run(n, [p], cfg, multiplier=1).per_property[p]
+    """Standalone BMC of one property under the per-property budget."""
+    return _run(n, [p], cfg, cfg.budget).per_property[p]
 
 
 def single_run_owners(n: Netlist, props) -> dict:
@@ -328,24 +327,19 @@ def check_cluster(n: Netlist, cluster, cfg: BmcConfig) -> ClusterVerdict:
     cluster = sorted(set(cluster))
     if not cluster:
         raise EmptyCluster("cluster must be non-empty")
-    return _run(n, cluster, cfg, multiplier=len(cluster))
+    budget = None if cfg.budget is None else cfg.budget * len(cluster)
+    return _run(n, cluster, cfg, budget)
 
 
 def run_with_budget(n: Netlist, props, cfg: BmcConfig, total_budget) -> ClusterVerdict:
-    """Cluster run with an explicitly allocated total budget (online phase),
-    split evenly over the properties; without a per-property budget in
-    `cfg` the run is bounded by frames alone and `total_budget` is unused."""
+    """Cluster run that spends at most `total_budget` in all (online
+    phase), in `cfg`'s unit: cost units, or seconds under a time budget;
+    `cfg`'s per-property budget is not read.  None bounds the run by
+    frames alone."""
     props = sorted(set(props))
     if not props:
         raise EmptyCluster("cluster must be non-empty")
-    k = len(props)
-    if not cfg.deterministic:
-        budget = {"time_budget": max(total_budget / k, 1e-9)}
-    elif cfg.conflict_budget:
-        budget = {"conflict_budget": max(1, int(total_budget) // k)}
-    else:
-        budget = {}
-    return _run(n, props, replace(cfg, **budget), multiplier=k)
+    return _run(n, props, cfg, total_budget)
 
 
 CONFIRMED = "confirmed"

@@ -319,8 +319,8 @@ def main(argv=None) -> int:
     except (bmc.BmcConfigError, UsageError) as e:  # before any work
         ap.error(str(e))
     except (DataError, store.CorruptRow, store.SchemaVersionMismatch,
-            online.EmptyDatabase, online.EmptyAfterPruning,
-            embed.MalformedTensorFile, embed.WidthMismatch) as e:
+            online.EmptyDatabase, embed.MalformedTensorFile,
+            embed.WidthMismatch) as e:
         log.error("%s", e)
         return EXIT_DATA
     except (AssertionError, parallel.ChildLost) as e:

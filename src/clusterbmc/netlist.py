@@ -189,18 +189,15 @@ class Netlist:
                 f"expected {self.num_latches} latch values, got {len(latch_vals)}"
             )
         values: list = [None] * (self.max_var + 1)
+        values[0] = False
         for i, v in enumerate(input_vals):
             values[i + 1] = v
         for i, v in enumerate(latch_vals):
             values[self.num_inputs + 1 + i] = v
 
         def ev(lit):
-            if lit == 0:
-                return False
-            if lit == 1:
-                return True
-            v = values[lit_var(lit)]
-            return ~v if (lit & 1) and not isinstance(v, bool) else (not v if lit & 1 else v)
+            v = values[lit >> 1]
+            return v ^ True if lit & 1 else v
 
         for lhs, rhs0, rhs1 in self.ands:
             values[lit_var(lhs)] = ev(rhs0) & ev(rhs1)
@@ -483,6 +480,8 @@ class UnfoldBuilder:
     A variable outside it gets literal 0 (constant false) instead of a
     fresh variable, and its AND gate or next-state function is skipped, so
     only the bads of properties whose COI lies inside ``cone`` are exact.
+    ``ands`` lists the kept AND gates, in the order of the triples that
+    `add_frame` returns.
     """
 
     def __init__(self, n: Netlist, mode: str, cone: set | None = None):
@@ -500,7 +499,7 @@ class UnfoldBuilder:
         self._latches = [
             latch if keep(lit_var(latch.lit)) else None for latch in n.latches
         ]
-        self._ands = [g for g in n.ands if keep(lit_var(g[0]))]
+        self.ands = [g for g in n.ands if keep(lit_var(g[0]))]
 
     def _fresh(self) -> int:
         self.num_vars += 1
@@ -535,7 +534,7 @@ class UnfoldBuilder:
         for i, lit in enumerate(latch_lits):
             frame_map[n.num_inputs + 1 + i] = lit
         triples = []
-        for lhs, rhs0, rhs1 in self._ands:
+        for lhs, rhs0, rhs1 in self.ands:
             a = _map_lit(rhs0, frame_map)
             b = _map_lit(rhs1, frame_map)
             out = self._fresh()

@@ -33,10 +33,6 @@ class EmptyDatabase(ValueError):
     pass
 
 
-class EmptyAfterPruning(ValueError):
-    pass
-
-
 def default_delta(property_count: int) -> int:
     return max(5, math.ceil(0.2 * property_count))
 
@@ -76,7 +72,8 @@ def select_similar_design(db1_records, unknown: DesignRecord,
 
     Pruning keeps designs whose property count lies strictly within
     (P_U - delta, P_U + delta); an empty result doubles delta and retries
-    instead of failing.
+    instead of failing.  Once delta exceeds both P_U and every design's
+    property count, every design is a candidate, so the loop ends.
     """
     if not db1_records:
         raise EmptyDatabase("DB1 has no designs")
@@ -90,8 +87,6 @@ def select_similar_design(db1_records, unknown: DesignRecord,
         ids = set(query_db1_by_property_count(db1_records, p_u - delta, p_u + delta))
         candidates = [r for r in db1_records if r.design in ids]
         if not candidates:
-            if delta > 2 * max(p_u, max(r.property_count for r in db1_records)):
-                raise EmptyAfterPruning(f"no candidates even at delta={delta}")
             log.warning("pruning empty at delta=%d; widening to %d", delta, 2 * delta)
             delta *= 2
     fu = unknown.feature_vector()
@@ -235,7 +230,7 @@ def verify_unknown(
 
     Which properties a cluster claims follows from member lists alone, so
     every run is planned first and the runs go through one `parallel.map2`
-    call, each costed by its budget multiplier (its member count).
+    call, each costed by its member count.
     """
     u_rec = unknown_record(unknown, design)
     matched = select_similar_design(db1_records, u_rec, delta)
@@ -252,12 +247,11 @@ def verify_unknown(
 
     claimed: set = set()
     planned = []   # (sorted members, properties the run answers, budget)
-    per_prop_budget = cfg.conflict_budget if cfg.deterministic else cfg.time_budget
     for members in clusters:
         new = sorted(set(members) - claimed)
         if not new:
             continue
-        total = None if per_prop_budget is None else per_prop_budget * len(new)
+        total = None if cfg.budget is None else cfg.budget * len(new)
         planned.append((tuple(sorted(members)), new, total))
         claimed.update(new)
     unclaimed = [p for p in range(unknown.num_properties) if p not in claimed]

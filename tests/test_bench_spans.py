@@ -6,13 +6,17 @@ instruments and restores the package without running anything.  The
 tracer also counts `netlist.unfold_ands` from the triples that
 `UnfoldBuilder.add_frame` returns, so the second checks that a BMC run
 still unfolds one triple per AND of its cone, XOR inner gates included.
+The third checks that the tracer's budget of each online cluster run
+still agrees with the program's at the benchmark's budget.
 """
 
 import importlib
 import os
+import random
 
-from clusterbmc import bmc, cli, clusterer, netlist
+from clusterbmc import bmc, cli, clusterer, netlist, parallel
 from clusterbmc.circuits import parity_miter
+from clusterbmc.netlist import serialize_aiger
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -56,3 +60,32 @@ def test_traced_unfold_counts_one_triple_per_kept_and(monkeypatch):
         tracer.unpatch()
     assert tracer.counts["bmc.frames"] == 3
     assert tracer.counts["netlist.unfold_ands"] == 3 * kept
+
+
+def test_traced_verify_bank_reads_no_budget_overshoot(monkeypatch, tmp_path):
+    spans = import_spans(monkeypatch)
+    from workloads import VerifyBank, _budget_args, bank
+    rng = random.Random(0)
+    args = _budget_args(VerifyBank.BUDGET, VerifyBank.FRAMES, 1)
+    known = []
+    for i in range(2):
+        path = tmp_path / f"known{i}.aag"
+        path.write_text(serialize_aiger(bank(rng, f"known{i}", 3)))
+        known.append(str(path))
+    db = str(tmp_path / "db")
+    assert cli.main(["offline", *known, "--out-dir", db, "--patterns", "256",
+                     "--max-clusters", "6", *args]) == 0
+    unseen = tmp_path / "unseen.aag"
+    unseen.write_text(serialize_aiger(bank(rng, "unseen")))
+    # every run on this process, so the tracer sees all of them
+    monkeypatch.setattr(parallel, "map2",
+                        lambda fn, jobs, costs: [fn(job) for job in jobs])
+    tracer = spans.Tracer()
+    spans.instrument(tracer)
+    try:
+        assert cli.main(["verify", str(unseen), "--db-dir", db, "--out-dir",
+                         str(tmp_path / "run"), "--baseline", *args]) == 0
+    finally:
+        tracer.unpatch()
+    assert tracer.counts["bmc.runs"] > 0
+    assert tracer.counts["bmc.budget_overshoots"] == 0

@@ -273,14 +273,18 @@ def test_cost_never_exceeds_budget(budget, seed, cluster):
     assert spent <= cap
 
 
-def test_run_with_budget_splits_total_evenly():
+def test_run_with_budget_spends_its_total():
+    # the total is the session's own budget: not split over the members,
+    # not rounded, and the per-property budget of `cfg` is not read
     n = duplicated_property_family(3, width=7)
-    per = bmc.BmcConfig(conflict_budget=40, max_frames=6, seed=0)
-    got = bmc.run_with_budget(n, [2, 0, 1], bmc.BmcConfig(
-        conflict_budget=1, max_frames=6, seed=0), 3 * 40 + 2)
-    want = bmc.check_cluster(n, [0, 1, 2], per)
-    assert got.total_elapsed == want.total_elapsed <= 120
-    assert {p: (v.status, v.depth) for p, v in got.per_property.items()} == {
+    cfg = bmc.BmcConfig(conflict_budget=1, max_frames=6, seed=0)
+    got = bmc.run_with_budget(n, [2, 0, 1], cfg, 3 * 40 + 2)
+    assert got.total_elapsed == 122
+    even = bmc.run_with_budget(n, [2, 0, 1], cfg, 3 * 40)
+    want = bmc.check_cluster(n, [0, 1, 2], bmc.BmcConfig(
+        conflict_budget=40, max_frames=6, seed=0))
+    assert even.total_elapsed == want.total_elapsed == 120
+    assert {p: (v.status, v.depth) for p, v in even.per_property.items()} == {
         p: (v.status, v.depth) for p, v in want.per_property.items()}
 
 

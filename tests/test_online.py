@@ -1,11 +1,15 @@
+import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from clusterbmc import bmc, gain, online, store
+from clusterbmc import bmc, cli, gain, online, store
 from clusterbmc.circuits import counter, parity_miter, two_counters
-from clusterbmc.netlist import INIT
+from clusterbmc.netlist import INIT, serialize_aiger
 from oracles import assignment_brute_force
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def record(design, props, ni=2, nl=4, na=20):
@@ -54,6 +58,17 @@ def test_pruning_widens_when_empty():
     unknown = record("unk", [(1, 1, 1)] * 2)
     # delta=1 admits only property count exactly 2; widening finds "far"
     assert online.select_similar_design([far], unknown, delta=1) == "far"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(counts=st.lists(st.integers(0, 40), min_size=1, max_size=6),
+       unknown_count=st.integers(0, 40), delta=st.integers(1, 100))
+def test_pruning_always_finds_a_design(counts, unknown_count, delta):
+    # doubling delta past every property count admits every design
+    recs = [record(f"d{i}", [(1, 1, 1)] * c) for i, c in enumerate(counts)]
+    unknown = record("unk", [(1, 1, 1)] * unknown_count)
+    got = online.select_similar_design(recs, unknown, delta=delta)
+    assert got in {r.design for r in recs}
 
 
 def test_empty_db():
@@ -228,6 +243,50 @@ def test_singles_run_once_per_bad_literal(monkeypatch, tmp_path):
         row = by_prop[p]
         assert (row.baseline_status, row.baseline_depth,
                 row.baseline_elapsed) == (v.status, v.depth, v.elapsed)
+
+
+@pytest.fixture(scope="module")
+def bank_db(tmp_path_factory):
+    """DB1 and DB3 of an `offline` build over two three-block banks (the
+    benchmark's generator), and two unseen four-block banks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(os.path.join(ROOT, "bench"))
+        from workloads import bank
+    root = tmp_path_factory.mktemp("banks")
+    rng = random.Random(0)
+    paths = []
+    for i in range(2):
+        path = root / f"known{i}.aag"
+        path.write_text(serialize_aiger(bank(rng, f"known{i}", 3)))
+        paths.append(str(path))
+    db = str(root / "db")
+    assert cli.main(["offline", *paths, "--out-dir", db, "--patterns", "256",
+                     "--max-clusters", "6", "--budget-conflicts", "30",
+                     "--max-frames", "8", "--mode", "init", "--seed", "1"]) == 0
+    files = store.db_paths(db)
+    db1 = store.read_db(store.DB1, files[store.DB1])
+    db3 = store.read_db(store.DB3, files[store.DB3])
+    unseen = [bank(rng, f"unseen{k}") for k in range(2)]
+    return db1, db3, unseen
+
+
+@pytest.mark.parametrize("budget", range(1, 10))
+def test_campaign_spends_at_most_its_budget(bank_db, budget):
+    # each cluster run gets exactly the per-property budget times the
+    # properties it claims, also when that is fewer than its members
+    db1, db3, unseen = bank_db
+    cfg = bmc.BmcConfig(conflict_budget=budget, max_frames=8, mode=INIT,
+                        seed=0)
+    for n in unseen:
+        report = online.verify_unknown(n, db1, db3, cfg, design=n.name)
+        assert report.cluster_runs
+        spent = 0.0
+        for members, per_frame in report.cluster_runs:
+            claims = sum(r.cluster == members for r in report.rows)
+            assert per_frame[-1].cumulative_time <= budget * claims
+            spent += per_frame[-1].cumulative_time
+        spent += sum(r.elapsed for r in report.rows if r.cluster is None)
+        assert spent <= budget * n.num_properties
 
 
 def test_select_rejects_delta_below_one():
