@@ -4,9 +4,9 @@ A run owns a single SolverSession.  Frames are encoded into CNF one at a
 time, each limited to the union cone of influence of the run's
 properties: an input, latch or gate that no property of the run can see
 gets no solver variable and reads as false in counterexamples.  Each XOR
-that `Netlist.xors` finds becomes 4 clauses over its two inputs and its
-two inner AND gates get none; every other AND gate gets the 3 Tseitin
-clauses.  At every frame the bad literal of each still-unresolved
+that `Netlist.xors` finds becomes 4 clauses over its two inputs, and its
+two inner AND gates get neither clauses nor solver variables; every other
+AND gate gets the 3 Tseitin clauses.  At every frame the bad literal of each still-unresolved
 property is assumed and solved, in ascending property order.  Learned
 clauses persist across properties and frames, which is what makes
 clustered runs cheaper than the sum of standalone runs on similar
@@ -152,13 +152,17 @@ class _Encoder:
     Combinational variable k maps to solver variable k + 1; solver variable
     1 is pinned true so constants can appear in assumptions.  An XOR top
     o = p XOR q gets 4 clauses over p and q, read off the triple of its
-    inner gate AND(p, q); its two inner gates, which nothing else reads,
-    keep their variables but get no clauses.
+    inner gate AND(p, q).  Its two inner gates, which nothing else reads,
+    get no clauses, and the builder gives them literal 0 instead of a
+    variable: past variable 1, the inputs and the frame-0 latches, some
+    clause reads every solver variable.
     """
 
     def __init__(self, n: Netlist, mode: str, solver: satcore.SolverSession,
                  cone: set):
-        self.builder = UnfoldBuilder(n, mode, cone)
+        xors = n.xors()
+        inner = {g for _, g1, g2 in xors for g in (g1, g2)}
+        self.builder = UnfoldBuilder(n, mode, cone, inner)
         self.solver = solver
         solver.ensure_var(1)
         solver.add_clause([1])
@@ -166,7 +170,6 @@ class _Encoder:
         # inner AND(p, q) triple for an XOR top, -1 for an inner gate
         kept = [lit_var(g[0]) for g in self.builder.ands]
         self._roles = [None] * len(kept)
-        xors = n.xors()
         if xors:
             at = {var: i for i, var in enumerate(kept)}
             for top, g1, g2 in xors:

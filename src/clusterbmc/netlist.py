@@ -482,9 +482,15 @@ class UnfoldBuilder:
     only the bads of properties whose COI lies inside ``cone`` are exact.
     ``ands`` lists the kept AND gates, in the order of the triples that
     `add_frame` returns.
+
+    ``inner_gates`` is a set of AND variables that nothing reads but a
+    caller that encodes them through their reader (the inner gates of
+    `Netlist.xors`).  Each keeps its triple, with output literal 0 instead
+    of a fresh variable.
     """
 
-    def __init__(self, n: Netlist, mode: str, cone: set | None = None):
+    def __init__(self, n: Netlist, mode: str, cone: set | None = None,
+                 inner_gates=frozenset()):
         if mode not in (INIT, INDUCTIVE):
             raise ValueError(f"unknown mode {mode!r}")
         keep = (lambda var: True) if cone is None else cone.__contains__
@@ -500,6 +506,7 @@ class UnfoldBuilder:
             latch if keep(lit_var(latch.lit)) else None for latch in n.latches
         ]
         self.ands = [g for g in n.ands if keep(lit_var(g[0]))]
+        self._has_var = [lit_var(g[0]) not in inner_gates for g in self.ands]
 
     def _fresh(self) -> int:
         self.num_vars += 1
@@ -534,10 +541,10 @@ class UnfoldBuilder:
         for i, lit in enumerate(latch_lits):
             frame_map[n.num_inputs + 1 + i] = lit
         triples = []
-        for lhs, rhs0, rhs1 in self.ands:
+        for (lhs, rhs0, rhs1), has_var in zip(self.ands, self._has_var):
             a = _map_lit(rhs0, frame_map)
             b = _map_lit(rhs1, frame_map)
-            out = self._fresh()
+            out = self._fresh() if has_var else 0
             frame_map[lit_var(lhs)] = out
             triples.append((out, a, b))
         self.frame_bads.append([_map_lit(bad, frame_map) for bad in n.properties])

@@ -3,7 +3,8 @@
 Everything in here deliberately avoids the library's own evaluation and
 solving code paths: the BFS oracle walks the AIG with its own literal
 evaluator, the signature oracle simulates and pools with its own code, the
-CNF oracle enumerates assignments, the gain table re-states the formulas
+CNF oracle enumerates assignments, the RUP checker propagates over the
+clauses a solver session logged with its own loop, the gain table re-states the formulas
 from scratch, and the assignment oracle tries permutations.
 """
 
@@ -115,6 +116,72 @@ def cnf_enumerate(num_vars, clauses, assumptions=()):
         if ok:
             return "satisfiable"
     return "unsatisfiable"
+
+
+# -- reverse unit propagation over a solver session's clauses ------------
+
+class RupLog:
+    """Mixin for a solver session class that logs, in session order, each
+    original clause (``add_clause``), each learned clause (``_learn``, whose
+    literals are ``2 * var + sign``) and, for each UNSAT answer under
+    assumptions, the clause of the negated assumptions."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.log = []   # (must be RUP, clause)
+
+    def add_clause(self, lits):
+        lits = list(lits)
+        self.log.append((False, lits))
+        super().add_clause(lits)
+
+    def _learn(self, lits):
+        self.log.append((True, [-(q >> 1) if q & 1 else q >> 1 for q in lits]))
+        super()._learn(lits)
+
+    def solve(self, assumptions=(), **kwargs):
+        assumptions = list(assumptions)
+        res = super().solve(assumptions, **kwargs)
+        if res.status == "unsatisfiable" and assumptions:
+            self.log.append((True, [-a for a in assumptions]))
+        return res
+
+
+def rup_failures(log):
+    """The claimed clauses of a `RupLog` log for which assigning every
+    literal false and unit-propagating over all earlier original and
+    learned clauses reaches no conflict."""
+    units, occurs, failures = [], {}, []
+    for claimed, clause in log:
+        if claimed and not _propagates_to_conflict(units, occurs, clause):
+            failures.append(clause)
+            continue
+        if len(clause) == 1:
+            units.append(clause[0])
+        for lit in clause:
+            occurs.setdefault(-lit, []).append(clause)
+    return failures
+
+
+def _propagates_to_conflict(units, occurs, clause):
+    """`occurs[lit]` lists the clauses that hold -lit."""
+    true = {-lit for lit in clause}
+    for unit in units:
+        if -unit in true:
+            return True
+        true.add(unit)
+    queue = list(true)
+    while queue:
+        for c in occurs.get(queue.pop(), ()):
+            if any(lit in true for lit in c):
+                continue
+            free = [lit for lit in c if -lit not in true]
+            if not free:
+                return True
+            if len(free) == 1:
+                true.add(free[0])
+                queue.append(free[0])
+    return False
 
 
 # -- gain formula table ------------------------------------------------------

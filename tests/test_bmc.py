@@ -1,3 +1,4 @@
+import importlib
 import os
 import random
 
@@ -21,7 +22,7 @@ from clusterbmc.netlist import (
     cone_vars,
     extract_coi,
 )
-from oracles import bfs_reach
+from oracles import RupLog, bfs_reach, rup_failures
 
 
 def cfg_init(**kw):
@@ -202,6 +203,35 @@ def test_xor_rich_vs_bfs_oracle(mode):
     assert absorbed > 300 and declined > 30
 
 
+class RupSession(RupLog, satcore.SolverSession):
+    pass
+
+
+@pytest.mark.parametrize("mode", [INIT, INDUCTIVE])
+def test_shared_session_clauses_are_rup(monkeypatch, mode):
+    # each clause learned in a cluster run, and the negated bad of each
+    # refuted frame, follows by unit propagation from the clauses its
+    # session held before it, whichever property it was learned for
+    sessions = []
+
+    def new_solver(seed=0):
+        sessions.append(RupSession(seed))
+        return sessions[-1]
+
+    monkeypatch.setattr(satcore, "new_solver", new_solver)
+    designs = [parity_miter(width=w, variants=2) for w in (4, 5, 6, 7)]
+    for trial in range(60):
+        rng = random.Random(13000 + trial)
+        designs.append(random_netlist(rng, num_bads=rng.randint(2, 4)))
+        designs.append(xor_rich_netlist(rng, num_bads=rng.randint(2, 4))[0])
+    for trial, n in enumerate(designs):
+        bmc.check_cluster(n, range(n.num_properties),
+                          cfg_init(mode=mode, seed=trial % 3))
+    claims = [c for s in sessions for claimed, c in s.log if claimed]
+    assert len(claims) > 500
+    assert [rup_failures(s.log) for s in sessions] == [[]] * len(sessions)
+
+
 @pytest.mark.parametrize("width", [4, 9])
 def test_xor_frame_clause_count(width):
     # one frame: 4 clauses per XOR top, none per inner gate, 3 per other
@@ -216,6 +246,26 @@ def test_xor_frame_clause_count(width):
     plain = n.num_ands - 3 * tops
     assert plain == 1   # the variant's AND with a leaf
     assert len(solver.clauses) - before == 4 * tops + 3 * plain
+
+
+@pytest.mark.parametrize("design", ["miter", "bank"])
+def test_every_gate_variable_is_in_a_clause(monkeypatch, design):
+    # an XOR's inner gates get no solver variable: past variable 1 (true),
+    # the frame inputs and the frame-0 latches, some clause reads each one
+    if design == "miter":
+        n = parity_miter(width=9, variants=2)
+    else:
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        monkeypatch.syspath_prepend(os.path.join(root, "bench"))
+        n = importlib.import_module("workloads").bank(random.Random(5), "bank")
+    solver = RupSession(seed=0)
+    enc = bmc._Encoder(n, INIT, solver, cone_vars(n, range(n.num_properties)))
+    for _ in range(3):
+        enc.add_frame()
+        free = {1} | {abs(enc.slit(lit)) for lits in enc.builder.frame_inputs
+                      for lit in lits + enc.builder.frame0_latches}
+        read = {abs(lit) for _, clause in solver.log for lit in clause}
+        assert set(range(1, solver.num_vars + 1)) - free <= read
 
 
 @pytest.mark.parametrize("time_budget", [1e-5, 3e-5, 0.01])

@@ -273,3 +273,63 @@ def test_dimacs_export():
     text = s.to_dimacs()
     assert text.splitlines()[0] == "p cnf 3 2"
     assert "1 -2 0" in text
+
+
+def pinned_solves():
+    """(status, conflicts, propagations, model) of every solve of a fixed
+    script: seeded CNFs with clauses of 2 to 6 literals, solved three times
+    per session under 0-4 assumptions, with clauses added before each
+    solve.  A model is the bit mask of its true variables."""
+    out = []
+    for trial in range(8):
+        rng = random.Random(4100 + trial)
+        nv = rng.randint(90, 110)
+        s = satcore.new_solver(seed=trial)
+        for _ in range(3):
+            for _ in range(int(nv * 1.55)):
+                width = rng.choice((2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 4, 5, 6))
+                vs = rng.sample(range(1, nv + 1), width)
+                s.add_clause([v * rng.choice((1, -1)) for v in vs])
+            assumptions = [v * rng.choice((1, -1))
+                           for v in rng.sample(range(1, nv + 1), rng.randint(0, 4))]
+            r = s.solve(assumptions)
+            model = None if r.model is None else sum(
+                1 << v for v in range(1, nv + 1) if r.model[v])
+            out.append((r.status, r.conflicts_this_call,
+                        r.propagations_this_call, model))
+    return out
+
+
+SAT, UNSAT = satcore.SAT, satcore.UNSAT
+PINNED = [
+    (SAT, 1, 134, 0x5200400161212a102500120100c),
+    (SAT, 1, 111, 0x52e46101eb25ee11e520d2230c0),
+    (SAT, 55, 1582, 0x44e1edc1bdb7c3114786db80582),
+    (SAT, 0, 106, 0x400908040121900584002c602),
+    (SAT, 2, 144, 0x215059c11eaf61860d010624752),
+    (UNSAT, 43, 1330, None),
+    (SAT, 0, 106, 0x20804dc585888a0001800d24900),
+    (SAT, 4, 171, 0x269aacc395c80a80e2bec9e9e20),
+    (UNSAT, 63, 1626, None),
+    (SAT, 0, 104, 0x2000800000000200008092),
+    (SAT, 0, 104, 0x1142e6192002082b042b2c1849a),
+    (SAT, 40, 1120, 0x273b599370388c56a617301b76),
+    (SAT, 1, 139, 0x6200110a74002c044100c40),
+    (SAT, 1, 94, 0x14323bccc55ad2d974104e50),
+    (UNSAT, 37, 841, None),
+    (SAT, 0, 106, 0x3120240800010942402aa441180),
+    (SAT, 0, 106, 0x791ea8b91244000348a816ed986),
+    (UNSAT, 6, 131, None),
+    (SAT, 0, 101, 0x11004800034100000820520800),
+    (SAT, 1, 116, 0x11342a084341226700334c6140),
+    (UNSAT, 8, 219, None),
+    (SAT, 0, 101, 0x6000000004800400403044),
+    (SAT, 1, 119, 0x847c5025925421181353238e),
+    (UNSAT, 183, 4307, None),
+]
+
+
+def test_search_is_pinned():
+    # recorded before watch lists held clauses instead of indices: a
+    # change to the propagation order or to conflict analysis moves these
+    assert pinned_solves() == PINNED
