@@ -9,7 +9,10 @@ multi-property BMC relies on.
 Literals are nonzero signed ints in the DIMACS convention at the
 interface.  Inside, DIMACS literal d is stored as 2*|d| + (d < 0), so the
 variable of `lit` is `lit >> 1` and its negation is `lit ^ 1`; the value
-table and the watch lists are plain lists indexed by that literal.
+table and the watch lists are plain lists indexed by that literal.  Watch
+lists and the reason of each propagated variable hold the clause lists
+themselves, so propagation and conflict analysis read a clause without a
+lookup; a clause keeps its two watched literals at positions 0 and 1.
 
 Decisions take the unassigned variable of highest activity, lowest index
 on ties, from a heap of (-activity, variable) entries.  The heap is lazy:
@@ -61,13 +64,13 @@ class SolverSession:
         self._rng = random.Random(seed)
         self.num_vars = 0
         self.clauses: list[list[int]] = []   # original clauses, as added
-        self._db: list[list[int]] = []       # original + learned, internal literals
+        self._num_clauses = 0   # original + learned in the solver, for CLAUSE_CAP
         # per internal literal (indices 0 and 1 unused)
         self._vals: list[int] = [_UNASSIGNED, _UNASSIGNED]  # 1 true, 0 false
-        self._watches: list[list[int]] = [[], []]
+        self._watches: list[list[list[int]]] = [[], []]   # clauses watching it
         # per variable (index 0 unused)
         self._level: list[int] = [0]
-        self._reason: list[int] = [-1]
+        self._reason: list = [None]   # the clause that propagated it
         self._activity: list[float] = [0.0]
         self._phase: list[int] = [1]   # sign bit of the last value; 1 is false
         self._seen: list[bool] = [False]
@@ -90,7 +93,7 @@ class SolverSession:
         self._vals += (_UNASSIGNED, _UNASSIGNED)
         self._watches += ([], [])
         self._level.append(0)
-        self._reason.append(-1)
+        self._reason.append(None)
         # Tiny seeded jitter decorrelates tie-breaks between seeds while
         # keeping each seed fully deterministic.
         act = self._rng.random() * 1e-6
@@ -127,13 +130,12 @@ class SolverSession:
         if not out:
             self._has_empty_clause = True
             return
-        idx = len(self._db)
-        self._db.append(out)
+        self._num_clauses += 1
         if len(out) == 1:
-            self._enqueue(out[0], idx)
+            self._enqueue(out[0], out)
         else:
-            self._watches[out[0]].append(idx)
-            self._watches[out[1]].append(idx)
+            self._watches[out[0]].append(out)
+            self._watches[out[1]].append(out)
 
     def solve(
         self,
@@ -180,7 +182,7 @@ class SolverSession:
                     return SolveResult(UNSAT, None, conflicts, propagations)
                 learned, bt_level = self._analyze(confl)
                 self._backtrack(bt_level)
-                if len(self._db) >= CLAUSE_CAP:
+                if self._num_clauses >= CLAUSE_CAP:
                     self._backtrack(0)
                     return SolveResult(UNKNOWN, None, conflicts, propagations)
                 self._learn(learned)
@@ -210,7 +212,7 @@ class SolverSession:
                     self._backtrack(0)
                     return SolveResult(UNSAT, None, conflicts, propagations)
                 trail_lim.append(len(trail))
-                self._enqueue(lit, -1)
+                self._enqueue(lit, None)
                 continue
 
             v = self._pick_branch()
@@ -219,7 +221,7 @@ class SolverSession:
                 self._backtrack(0)
                 return SolveResult(SAT, model, conflicts, propagations)
             trail_lim.append(len(trail))
-            self._enqueue((v << 1) | self._phase[v], -1)
+            self._enqueue((v << 1) | self._phase[v], None)
 
     def to_dimacs(self) -> str:
         """DIMACS CNF export of the original clause set (diagnostic only)."""
@@ -243,14 +245,13 @@ class SolverSession:
             self.ensure_var(top)
 
     def _learn(self, lits: list[int]):
-        idx = len(self._db)
-        self._db.append(lits)
+        self._num_clauses += 1
         if len(lits) > 1:
-            self._watches[lits[0]].append(idx)
-            self._watches[lits[1]].append(idx)
-        self._enqueue(lits[0], idx)
+            self._watches[lits[0]].append(lits)
+            self._watches[lits[1]].append(lits)
+        self._enqueue(lits[0], lits)
 
-    def _enqueue(self, lit: int, reason: int):
+    def _enqueue(self, lit: int, reason: list | None):
         v = lit >> 1
         self._vals[lit] = 1
         self._vals[lit ^ 1] = 0
@@ -260,10 +261,10 @@ class SolverSession:
         self._trail.append(lit)
 
     def _propagate(self):
-        """Unit propagation; returns a conflicting clause index or None."""
+        """Unit propagation; returns a conflicting clause or None."""
         trail = self._trail
         start = head = self._qhead
-        db, watches, vals = self._db, self._watches, self._vals
+        watches, vals = self._watches, self._vals
         level, reason, phase = self._level, self._reason, self._phase
         dl = len(self._trail_lim)
         while head < len(trail):
@@ -273,8 +274,7 @@ class SolverSession:
             i = 0
             end = len(watch_list)
             while i < end:
-                ci = watch_list[i]
-                clause = db[ci]
+                clause = watch_list[i]
                 # keep the false watch at position 1
                 first = clause[0]
                 if first == false_lit:
@@ -284,42 +284,50 @@ class SolverSession:
                 if vals[first] == 1:
                     i += 1
                     continue
-                for k in range(2, len(clause)):
-                    other = clause[k]
-                    if vals[other] != 0:
-                        clause[k] = clause[1]
-                        clause[1] = other
-                        watches[other].append(ci)
-                        watch_list[i] = watch_list[-1]
-                        watch_list.pop()
-                        end -= 1
-                        break
+                # look for a new watch; almost every clause of a frame has
+                # three literals, so that case skips the loop
+                if len(clause) == 3:
+                    k = 0 if vals[clause[2]] == 0 else 2
                 else:
-                    if vals[first] == 0:
-                        self._propagated += head - start
-                        self._qhead = head
-                        return ci
-                    v = first >> 1
-                    vals[first] = 1
-                    vals[first ^ 1] = 0
-                    level[v] = dl
-                    reason[v] = ci
-                    phase[v] = first & 1
-                    trail.append(first)
-                    i += 1
+                    for k in range(2, len(clause)):
+                        if vals[clause[k]] != 0:
+                            break
+                    else:
+                        k = 0
+                if k:
+                    other = clause[k]
+                    clause[k] = false_lit
+                    clause[1] = other
+                    watches[other].append(clause)
+                    watch_list[i] = watch_list[-1]
+                    watch_list.pop()
+                    end -= 1
+                    continue
+                if vals[first] == 0:
+                    self._propagated += head - start
+                    self._qhead = head
+                    return clause
+                v = first >> 1
+                vals[first] = 1
+                vals[first ^ 1] = 0
+                level[v] = dl
+                reason[v] = clause
+                phase[v] = first & 1
+                trail.append(first)
+                i += 1
         self._propagated += head - start
         self._qhead = head
         return None
 
-    def _analyze(self, confl: int):
+    def _analyze(self, confl: list[int]):
         """First-UIP conflict analysis; returns (learned_clause, bt_level)."""
-        db, trail, level, seen = self._db, self._trail, self._level, self._seen
+        trail, level, seen = self._trail, self._level, self._seen
         act, inc = self._activity, self._act_inc
         learned = [0]  # slot for the asserting literal
         counter = 0
         dl = len(self._trail_lim)
         idx = len(trail) - 1
-        clause = db[confl]
+        clause = confl
         start = 0
         while True:
             # a reason clause stores its propagated literal at position 0
@@ -345,7 +353,7 @@ class SolverSession:
             counter -= 1
             if counter == 0:
                 break
-            clause = db[self._reason[p >> 1]]
+            clause = self._reason[p >> 1]
             start = 1
         learned[0] = p ^ 1
         for q in learned:

@@ -330,6 +330,7 @@ PINNED = [
 
 
 def test_search_is_pinned():
-    # recorded before watch lists held clauses instead of indices: a
-    # change to the propagation order or to conflict analysis moves these
+    # a change meant to leave the search alone (how propagation visits
+    # watches, how analysis reads reasons, the decision heap) keeps these
+    # tuples; one that changes the search must re-record them
     assert pinned_solves() == PINNED
