@@ -6,11 +6,11 @@ properties: an input, latch or gate that no property of the run can see
 gets no solver variable and reads as false in counterexamples.  Each XOR
 that `Netlist.xors` finds becomes 4 clauses over its two inputs, and its
 two inner AND gates get neither clauses nor solver variables; every other
-AND gate gets the 3 Tseitin clauses.  At every frame the bad literal of each still-unresolved
-property is assumed and solved, in ascending property order.  Learned
-clauses persist across properties and frames, which is what makes
-clustered runs cheaper than the sum of standalone runs on similar
-properties.
+AND gate gets the 3 Tseitin clauses.  At every frame the bad literal of
+each still-unresolved property is assumed and solved, in ascending
+property order.  Learned clauses persist across properties and frames,
+which is what makes clustered runs cheaper than the sum of standalone
+runs on similar properties.
 
 Budgets come in two flavours: wall-clock seconds and conflict counts
 (deterministic, used by all reproducibility tests).  In

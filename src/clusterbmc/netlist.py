@@ -483,10 +483,10 @@ class UnfoldBuilder:
     ``ands`` lists the kept AND gates, in the order of the triples that
     `add_frame` returns.
 
-    ``inner_gates`` is a set of AND variables that nothing reads but a
-    caller that encodes them through their reader (the inner gates of
-    `Netlist.xors`).  Each keeps its triple, with output literal 0 instead
-    of a fresh variable.
+    ``inner_gates`` holds AND variables that the caller encodes through
+    their one reader, such as the inner gates of `Netlist.xors`; nothing
+    else may read them.  Each keeps its triple, but with output literal 0
+    instead of a fresh variable.
     """
 
     def __init__(self, n: Netlist, mode: str, cone: set | None = None,

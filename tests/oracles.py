@@ -4,8 +4,9 @@ Everything in here deliberately avoids the library's own evaluation and
 solving code paths: the BFS oracle walks the AIG with its own literal
 evaluator, the signature oracle simulates and pools with its own code, the
 CNF oracle enumerates assignments, the RUP checker propagates over the
-clauses a solver session logged with its own loop, the gain table re-states the formulas
-from scratch, and the assignment oracle tries permutations.
+clauses a solver session logged with its own loop, the gain table
+re-states the formulas from scratch, and the assignment oracle tries
+permutations.
 """
 
 import itertools

@@ -228,7 +228,7 @@ def test_shared_session_clauses_are_rup(monkeypatch, mode):
         bmc.check_cluster(n, range(n.num_properties),
                           cfg_init(mode=mode, seed=trial % 3))
     claims = [c for s in sessions for claimed, c in s.log if claimed]
-    assert len(claims) > 500
+    assert len(claims) > 1000
     assert [rup_failures(s.log) for s in sessions] == [[]] * len(sessions)
 
 
