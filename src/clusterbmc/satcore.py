@@ -1,7 +1,7 @@
 """Incremental CDCL SAT solver with assumptions and conflict accounting.
 
-First-UIP clause learning, two-watched literals, VSIDS activities with a
-heap-ordered decision queue, Luby restarts, phase saving.  No
+First-UIP clause learning, two-watched literals, a VMTF (variable
+move-to-front) decision queue, Luby restarts, phase saving.  No
 preprocessing and no clause deletion: learned clauses persist for the
 lifetime of the session, which is exactly the effect shared-session
 multi-property BMC relies on.
@@ -14,16 +14,21 @@ lists and the reason of each propagated variable hold the clause lists
 themselves, so propagation and conflict analysis read a clause without a
 lookup; a clause keeps its two watched literals at positions 0 and 1.
 
-Decisions take the unassigned variable of highest activity, lowest index
-on ties, from a heap of (-activity, variable) entries.  The heap is lazy:
-an entry whose variable is assigned or whose activity has since grown is
-dropped when it surfaces, and `_backtrack` pushes each variable it
-unassigns unless the heap still holds it at its current activity.
+Decisions take the unassigned variable of highest bump stamp (Biere &
+Froehlich, "Evaluating CDCL Variable Scoring Schemes", SAT 2015).  The
+variables form a doubly linked list in increasing stamp order, closed into
+a ring through variable 0, whose stamp is -inf.  Each conflict moves the
+variables its analysis marks to the back of the list, oldest stamp first,
+and gives each a new, highest stamp.  `_search` caches a variable after
+which every variable is assigned: `_backtrack` moves it to each variable
+it unassigns whose stamp is higher, and `_pick_branch` walks back from it
+to the first unassigned variable.  A new variable joins the back of the
+list (decided first) or the front by a draw from the seeded generator,
+which is how the seed steers the search.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 import time
 from dataclasses import dataclass
@@ -71,15 +76,18 @@ class SolverSession:
         # per variable (index 0 unused)
         self._level: list[int] = [0]
         self._reason: list = [None]   # the clause that propagated it
-        self._activity: list[float] = [0.0]
         self._phase: list[int] = [1]   # sign bit of the last value; 1 is false
         self._seen: list[bool] = [False]
-        self._heap: list[tuple[float, int]] = []   # (-activity, variable)
-        self._heaped: list[float] = [-1.0]   # newest entry's activity, or -1.0
+        # the decision queue, a ring in stamp order whose ends variable 0
+        # joins: _next[0] is the first variable and _prev[0] the last
+        self._stamp: list[float] = [float("-inf")]
+        self._prev: list[int] = [0]
+        self._next: list[int] = [0]
+        self._stamp_hi = 0   # last stamp given at the back
+        self._stamp_lo = 0   # last stamp given at the front
+        self._search = 0   # every variable after it is assigned
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
-        self._act_inc = 1.0
-        self._act_decay = 0.95
         self._restart_base = 64
         self._has_empty_clause = False
         self._propagated = 0
@@ -94,14 +102,25 @@ class SolverSession:
         self._watches += ([], [])
         self._level.append(0)
         self._reason.append(None)
-        # Tiny seeded jitter decorrelates tie-breaks between seeds while
-        # keeping each seed fully deterministic.
-        act = self._rng.random() * 1e-6
-        self._activity.append(act)
         self._phase.append(1)
         self._seen.append(False)
-        self._heaped.append(act)
-        heapq.heappush(self._heap, (-act, v))
+        # the seed's one say in the search: a new variable goes to the back
+        # of the queue (decided first) or to the front
+        prev, nxt, stamp = self._prev, self._next, self._stamp
+        if self._rng.random() < 0.5:
+            self._stamp_hi += 1
+            stamp.append(self._stamp_hi)
+            p, n = prev[0], 0
+        else:
+            self._stamp_lo -= 1
+            stamp.append(self._stamp_lo)
+            p, n = 0, nxt[0]
+        prev.append(p)
+        nxt.append(n)
+        nxt[p] = v
+        prev[n] = v
+        if stamp[v] > stamp[self._search]:
+            self._search = v
         return v
 
     def ensure_var(self, v: int):
@@ -186,7 +205,6 @@ class SolverSession:
                     self._backtrack(0)
                     return SolveResult(UNKNOWN, None, conflicts, propagations)
                 self._learn(learned)
-                self._act_inc /= self._act_decay
                 if conflict_budget is not None and conflicts >= conflict_budget:
                     # budget spent: stop now rather than search on
                     self._backtrack(0)
@@ -222,12 +240,6 @@ class SolverSession:
                 return SolveResult(SAT, model, conflicts, propagations)
             trail_lim.append(len(trail))
             self._enqueue((v << 1) | self._phase[v], None)
-
-    def to_dimacs(self) -> str:
-        """DIMACS CNF export of the original clause set (diagnostic only)."""
-        out = [f"p cnf {self.num_vars} {len(self.clauses)}"]
-        out.extend(" ".join(map(str, c)) + " 0" for c in self.clauses)
-        return "\n".join(out) + "\n"
 
     # -- internals ----------------------------------------------------------
 
@@ -322,7 +334,7 @@ class SolverSession:
     def _analyze(self, confl: list[int]):
         """First-UIP conflict analysis; returns (learned_clause, bt_level)."""
         trail, level, seen = self._trail, self._level, self._seen
-        act, inc = self._activity, self._act_inc
+        bumped = []
         learned = [0]  # slot for the asserting literal
         counter = 0
         dl = len(self._trail_lim)
@@ -335,11 +347,7 @@ class SolverSession:
                 v = q >> 1
                 if not seen[v] and level[v] > 0:
                     seen[v] = True
-                    a = act[v] + inc
-                    act[v] = a
-                    if a > 1e100:
-                        self._rescale()
-                        inc = self._act_inc
+                    bumped.append(v)
                     if level[v] >= dl:
                         counter += 1
                     else:
@@ -368,61 +376,58 @@ class SolverSession:
                     max_i = i
             learned[1], learned[max_i] = learned[max_i], learned[1]
             bt = level[learned[1] >> 1]
+        self._bump(bumped)
         return learned, bt
 
-    def _rescale(self):
-        act = self._activity
-        act[:] = [a * 1e-100 for a in act]
-        self._act_inc *= 1e-100
-        # every entry is stale now, and the scaling can create new ties
-        self._rebuild_heap()
-
-    def _rebuild_heap(self):
-        """One entry per unassigned variable, at its current activity."""
-        vals, act, heap, heaped = self._vals, self._activity, self._heap, self._heaped
-        heap.clear()
-        for v in range(1, self.num_vars + 1):
-            if vals[v << 1] == _UNASSIGNED:
-                heaped[v] = act[v]
-                heap.append((-act[v], v))
-            else:
-                heaped[v] = -1.0
-        heapq.heapify(heap)
+    def _bump(self, vs: list[int]):
+        """Moves `vs` to the back of the decision queue, oldest stamp first.
+        Each is assigned, so `_search` needs no update."""
+        prev, nxt, stamp = self._prev, self._next, self._stamp
+        hi = self._stamp_hi
+        vs.sort(key=stamp.__getitem__)
+        for v in vs:
+            p, n = prev[v], nxt[v]
+            nxt[p] = n
+            prev[n] = p
+            last = prev[0]
+            nxt[last] = v
+            prev[v] = last
+            nxt[v] = 0
+            prev[0] = v
+            hi += 1
+            stamp[v] = hi
+        self._stamp_hi = hi
 
     def _pick_branch(self) -> int:
-        """Unassigned variable of highest activity, lowest index on ties;
-        0 when every variable is assigned."""
-        heap, vals, act, heaped = self._heap, self._vals, self._activity, self._heaped
-        while heap:
-            neg_act, v = heapq.heappop(heap)
-            if -neg_act == heaped[v]:
-                heaped[v] = -1.0
-            if vals[v << 1] == _UNASSIGNED and -neg_act == act[v]:
-                return v
-        return 0
+        """Unassigned variable of highest stamp; 0 when every variable is
+        assigned (the walk ends at variable 0, whose value slot is never
+        set)."""
+        vals, prev = self._vals, self._prev
+        v = self._search
+        while vals[v << 1] != _UNASSIGNED:
+            v = prev[v]
+        self._search = v
+        return v
 
     def _backtrack(self, level: int):
         trail_lim = self._trail_lim
         if len(trail_lim) <= level:
             return
         target = trail_lim[level]
-        trail, vals, act = self._trail, self._vals, self._activity
-        heap, heaped, push = self._heap, self._heaped, heapq.heappush
-        for i in range(target, len(trail)):
-            lit = trail[i]
+        trail, vals, stamp = self._trail, self._vals, self._stamp
+        search = self._search
+        best = stamp[search]
+        for lit in trail[target:]:
             vals[lit] = _UNASSIGNED
             vals[lit ^ 1] = _UNASSIGNED
             v = lit >> 1
-            a = act[v]
-            if heaped[v] != a:
-                heaped[v] = a
-                push(heap, (-a, v))
+            if stamp[v] > best:
+                best = stamp[v]
+                search = v
+        self._search = search
         del trail[target:]
         del trail_lim[level:]
         self._qhead = min(self._qhead, target)
-        # drop stale entries once they outnumber the variables
-        if len(heap) > 2 * self.num_vars:
-            self._rebuild_heap()
 
 
 def new_solver(seed: int = 0) -> SolverSession:

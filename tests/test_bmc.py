@@ -13,6 +13,7 @@ from clusterbmc.circuits import (
     duplicated_property_family,
     parity_miter,
     random_netlist,
+    shared_coi_pair,
     two_counters,
 )
 from clusterbmc.netlist import (
@@ -379,6 +380,26 @@ def test_deterministic_costs():
     assert [(s.conflicts, s.solve_time) for s in a.per_frame] == [
         (s.conflicts, s.solve_time) for s in b.per_frame
     ]
+
+
+def test_seed_steers_the_search():
+    # criterion 08's setup: its 20 trials must be more than one trial run
+    # 20 times, and each must still be deterministic
+    n = shared_coi_pair(width=9)
+
+    def trial(seed):
+        cfg = bmc.BmcConfig(conflict_budget=400, seed=seed)
+        singles = [bmc.check_single(n, p, cfg) for p in (0, 1)]
+        cv = bmc.check_cluster(n, [0, 1], cfg)
+        conflicts = [sum(s.conflicts for s in v.per_frame)
+                     for v in singles + [cv]]
+        depths = [v.depth for v in singles + [cv.per_property[0],
+                                              cv.per_property[1]]]
+        return tuple(conflicts), tuple(depths)
+
+    outcomes = [trial(seed) for seed in range(20)]
+    assert len(set(outcomes)) >= 2
+    assert trial(0) == outcomes[0]
 
 
 def test_replay_refutes_wrong_cex():

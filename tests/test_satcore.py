@@ -20,26 +20,34 @@ def random_cnf(rng, max_vars=8, max_clauses=25):
     return nv, clauses
 
 
-class ScanCheckedSession(satcore.SolverSession):
-    """Asserts at every decision that the heap picks what a linear scan
-    over all variables picks: highest activity, lowest index on ties."""
+class QueueCheckedSession(satcore.SolverSession):
+    """Asserts at every decision that the queue picks what a linear scan
+    over all variables picks, the unassigned variable of highest stamp, and
+    that the queue links every variable once, in increasing stamp order."""
 
     decisions = 0
 
     def _pick_branch(self):
-        best, best_act = 0, -1.0
+        best = 0
         for v in range(1, self.num_vars + 1):
-            if self._vals[v << 1] == satcore._UNASSIGNED and self._activity[v] > best_act:
-                best, best_act = v, self._activity[v]
+            if (self._vals[v << 1] == satcore._UNASSIGNED
+                    and (not best or self._stamp[v] > self._stamp[best])):
+                best = v
+        order = []
+        v = self._next[0]
+        while v:
+            assert self._next[self._prev[v]] == v
+            order.append(v)
+            assert len(order) <= self.num_vars
+            v = self._next[v]
+        assert self._prev[0] == (order[-1] if order else 0)
+        assert sorted(order) == list(range(1, self.num_vars + 1))
+        stamps = [self._stamp[v] for v in order]
+        assert all(a < b for a, b in zip(stamps, stamps[1:]))
         picked = super()._pick_branch()
         assert picked == best
         self.decisions += 1
         return picked
-
-    def solve(self, *args, **kwargs):
-        res = super().solve(*args, **kwargs)
-        assert len(self._heap) <= 2 * self.num_vars
-        return res
 
 
 def test_vs_enumeration():
@@ -92,7 +100,7 @@ def test_decisions_match_linear_scan():
             rng.randint(1, nv) * rng.choice([1, -1])
             for _ in range(rng.randint(0, 2))
         ]
-        s = ScanCheckedSession(seed=trial)
+        s = QueueCheckedSession(seed=trial)
         cut = len(clauses) // 2
         for c in clauses[:cut]:
             s.add_clause(c)
@@ -105,12 +113,9 @@ def test_decisions_match_linear_scan():
     assert decisions > 150
 
 
-@pytest.mark.parametrize("act_inc", [1.0, 0.97e100])
-def test_decisions_match_linear_scan_with_conflicts(act_inc):
+def test_decisions_match_linear_scan_with_conflicts():
     # random 3-CNFs at the satisfiability threshold, so that decisions
-    # follow bumped activities; the second solve rides on learned clauses.
-    # From 0.97e100 the bumps of the second conflict pass 1e100 and every
-    # activity is rescaled.
+    # follow bumped stamps; the second solve rides on learned clauses
     conflicts = 0
     for trial in range(20):
         rng = random.Random(7000 + trial)
@@ -119,8 +124,7 @@ def test_decisions_match_linear_scan_with_conflicts(act_inc):
             [rng.randint(1, nv) * rng.choice([1, -1]) for _ in range(3)]
             for _ in range(170)
         ]
-        s = ScanCheckedSession(seed=trial)
-        s._act_inc = act_inc
+        s = QueueCheckedSession(seed=trial)
         for c in clauses:
             s.add_clause(c)
         session_conflicts = 0
@@ -131,8 +135,6 @@ def test_decisions_match_linear_scan_with_conflicts(act_inc):
                     assert any(res.model[abs(l)] == (l > 0) for l in c)
             session_conflicts += res.conflicts_this_call
         conflicts += session_conflicts
-        if act_inc > 1e99 and session_conflicts > 1:
-            assert max(s._activity) < 1e99   # the rescale happened
     assert conflicts > 300
 
 
@@ -266,15 +268,6 @@ def test_zero_is_not_a_literal():
         s.solve([0])
 
 
-def test_dimacs_export():
-    s = satcore.new_solver()
-    s.add_clause([1, -2])
-    s.add_clause([2, 3])
-    text = s.to_dimacs()
-    assert text.splitlines()[0] == "p cnf 3 2"
-    assert "1 -2 0" in text
-
-
 def pinned_solves():
     """(status, conflicts, propagations, model) of every solve of a fixed
     script: seeded CNFs with clauses of 2 to 6 literals, solved three times
@@ -302,35 +295,48 @@ def pinned_solves():
 
 SAT, UNSAT = satcore.SAT, satcore.UNSAT
 PINNED = [
-    (SAT, 1, 134, 0x5200400161212a102500120100c),
-    (SAT, 1, 111, 0x52e46101eb25ee11e520d2230c0),
-    (SAT, 55, 1582, 0x44e1edc1bdb7c3114786db80582),
-    (SAT, 0, 106, 0x400908040121900584002c602),
-    (SAT, 2, 144, 0x215059c11eaf61860d010624752),
-    (UNSAT, 43, 1330, None),
-    (SAT, 0, 106, 0x20804dc585888a0001800d24900),
-    (SAT, 4, 171, 0x269aacc395c80a80e2bec9e9e20),
-    (UNSAT, 63, 1626, None),
-    (SAT, 0, 104, 0x2000800000000200008092),
-    (SAT, 0, 104, 0x1142e6192002082b042b2c1849a),
-    (SAT, 40, 1120, 0x273b599370388c56a617301b76),
-    (SAT, 1, 139, 0x6200110a74002c044100c40),
-    (SAT, 1, 94, 0x14323bccc55ad2d974104e50),
-    (UNSAT, 37, 841, None),
-    (SAT, 0, 106, 0x3120240800010942402aa441180),
-    (SAT, 0, 106, 0x791ea8b91244000348a816ed986),
-    (UNSAT, 6, 131, None),
-    (SAT, 0, 101, 0x11004800034100000820520800),
-    (SAT, 1, 116, 0x11342a084341226700334c6140),
-    (UNSAT, 8, 219, None),
-    (SAT, 0, 101, 0x6000000004800400403044),
-    (SAT, 1, 119, 0x847c5025925421181353238e),
-    (UNSAT, 183, 4307, None),
+    (SAT, 0, 109, 0x12046006001918c0c0000827400),
+    (SAT, 7, 223, 0x82a1a21441a0dde5d08876ebc64),
+    (SAT, 126, 3420, 0x15b55cc9349efeecae1285eb3c22),
+    (SAT, 0, 106, 0x600489000008440c40000d500),
+    (SAT, 2, 133, 0x2684990580e2012dc39434406),
+    (UNSAT, 31, 957, None),
+    (SAT, 0, 106, 0x500928000830161020f00889894),
+    (SAT, 1, 157, 0x505124478c60733d637790c5ffe),
+    (UNSAT, 50, 1223, None),
+    (SAT, 0, 104, 0x1001000002004020008008000),
+    (SAT, 2, 125, 0x18308088991f4000fd08227019c),
+    (SAT, 25, 801, 0x273b599170388c16a617301b76),
+    (SAT, 0, 92, 0x140b00000860f6e22400c88),
+    (SAT, 6, 197, 0x48a64cc1dc574f7216ca2e),
+    (UNSAT, 46, 1022, None),
+    (SAT, 0, 106, 0x404080240414220001891400006),
+    (SAT, 1, 130, 0x4642cc240154036a4dd108a1896),
+    (UNSAT, 16, 382, None),
+    (SAT, 0, 101, 0x680003400a024000368004),
+    (SAT, 0, 101, 0x4083804c3d196628eb43aa006),
+    (UNSAT, 7, 166, None),
+    (SAT, 0, 101, 0x200100000c812000802484),
+    (SAT, 2, 130, 0x2078b7ba15c2d431caa200),
+    (UNSAT, 156, 3758, None),
 ]
 
 
 def test_search_is_pinned():
     # a change meant to leave the search alone (how propagation visits
-    # watches, how analysis reads reasons, the decision heap) keeps these
-    # tuples; one that changes the search must re-record them
+    # watches, how analysis reads reasons, how the decision queue is kept)
+    # keeps these tuples; one that changes the search must re-record them
+    # with `python tests/test_satcore.py`
     assert pinned_solves() == PINNED
+
+
+def _pinned_literal(solves) -> str:
+    """`solves` written as the source of PINNED."""
+    names = {SAT: "SAT", UNSAT: "UNSAT"}
+    rows = [f"    ({names[st]}, {c}, {p}, {'None' if m is None else hex(m)}),"
+            for st, c, p, m in solves]
+    return "\n".join(["PINNED = ["] + rows + ["]"])
+
+
+if __name__ == "__main__":
+    print(_pinned_literal(pinned_solves()))
