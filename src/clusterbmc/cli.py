@@ -270,7 +270,9 @@ def _add_common(p):
     p.add_argument("--budget-conflicts", type=int, default=None,
                    help="per-property budget in solver cost units (deterministic)")
     p.add_argument("--max-frames", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="orders new solver variables; offline also draws "
+                        "the simulation stimuli and starts k-means with it")
     p.add_argument("--mode", choices=sorted(MODES), default="inductive")
 
 
