@@ -321,8 +321,8 @@ def main(argv=None) -> int:
     except (bmc.BmcConfigError, UsageError) as e:  # before any work
         ap.error(str(e))
     except (DataError, store.CorruptRow, store.SchemaVersionMismatch,
-            online.EmptyDatabase, embed.MalformedTensorFile,
-            embed.WidthMismatch) as e:
+            store.UnreadableFile, online.EmptyDatabase,
+            embed.MalformedTensorFile, embed.WidthMismatch) as e:
         log.error("%s", e)
         return EXIT_DATA
     except (AssertionError, parallel.ChildLost) as e:

@@ -5,6 +5,12 @@ pick the structurally closest design B, associate B's properties with the
 unknown's through a minimum-cost assignment over COI-size differences,
 rewrite B's influencing clusters through that association, then spend the
 budget on the converted clusters (leftover properties run standalone).
+
+The assignment is the shortest augmenting path algorithm of Crouse, "On
+implementing 2D rectangular assignment algorithms" (IEEE Transactions on
+Aerospace and Electronic Systems, 2016), ported from the solver behind
+scipy's `linear_sum_assignment` with its tie-breaking, so the association
+is the one scipy would choose.
 """
 
 from __future__ import annotations
@@ -13,9 +19,6 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import partial
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import bmc, parallel
 from .gain import classify, compute_gain
@@ -117,22 +120,78 @@ def build_diff_matrix(b: DesignRecord, u: DesignRecord) -> DiffMatrix:
     )
 
 
+def _min_cost_assignment(cost):
+    """Column of each row in a minimum-cost perfect matching of the square
+    matrix `cost` (a list of rows of finite numbers).
+
+    Row by row, a Dijkstra search over reduced costs finds the shortest
+    augmenting path; the dual potentials `u` and `v` keep reduced costs
+    non-negative.  Ties break as in scipy: columns are scanned from the
+    last, and among columns of equal path cost an unassigned one wins.
+    """
+    n = len(cost)
+    u = [0] * n
+    v = [0] * n
+    path = [-1] * n
+    col4row = [-1] * n
+    row4col = [-1] * n
+    for cur in range(n):
+        shortest = [math.inf] * n
+        remaining = list(range(n - 1, -1, -1))
+        rows, cols = [], []   # rows and columns the search reached
+        min_val = 0
+        i, sink = cur, -1
+        while sink == -1:
+            rows.append(i)
+            row, ui = cost[i], u[i]
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                if shortest[j] < lowest or (shortest[j] == lowest
+                                            and row4col[j] == -1):
+                    lowest = shortest[j]
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in rows[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in cols:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:   # augment along the path back to row `cur`
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def associate_properties(m: DiffMatrix) -> PropertyMap:
     """Injective B-property -> unknown-property map of minimal total cost."""
     nr, nc = len(m.rows), len(m.cols)
     if nr == 0 or nc == 0:
         return PropertyMap({}, tuple(m.rows))
     size = max(nr, nc)
-    cost = np.full((size, size), _SENTINEL, dtype=float)
+    cost = [[_SENTINEL] * size for _ in range(size)]
     for i in range(nr):
-        for j in range(nc):
-            cost[i, j] = m.entries[i][j]
-    rows, cols = linear_sum_assignment(cost)
+        cost[i][:nc] = m.entries[i]
     mapping = {}
-    for i, j in zip(rows, cols):
+    for i, j in enumerate(_min_cost_assignment(cost)):
         if i < nr and j < nc:
             mapping[m.rows[i]] = m.cols[j]
-    unmapped = tuple(r for k, r in enumerate(m.rows) if m.rows[k] not in mapping)
+    unmapped = tuple(r for r in m.rows if r not in mapping)
     return PropertyMap(mapping, unmapped)
 
 

@@ -43,6 +43,10 @@ class SchemaVersionMismatch(ValueError):
     pass
 
 
+class UnreadableFile(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class PropertyEntry:
     coi_inputs: int
@@ -101,10 +105,14 @@ def _header(kind: str) -> str:
 
 
 def read_text(path: str) -> str:
-    """The text of a file, decoded as UTF-8; raises CorruptRow at the line
-    of the first byte that is not."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """The text of a file, decoded as UTF-8; raises UnreadableFile when it
+    cannot be read and CorruptRow at the line of the first byte that is
+    not UTF-8."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as e:
+        raise UnreadableFile(f"cannot read {path}: {e.strerror or e}") from None
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:

@@ -133,6 +133,25 @@ def test_report_bad_frame_csv_is_data_error(tmp_path, caplog, csv_text,
     assert "cluster_0_1_conflicts.csv: " + message in caplog.text
 
 
+@pytest.mark.parametrize("name", ["db1.mpb", "db3.mpb", "report.txt",
+                                  "cluster_0_1_conflicts.csv"])
+def test_unreadable_input_is_data_error(corpus, tmp_path, caplog, name):
+    # a directory where a database, report or frame CSV should be
+    if name.endswith(".mpb"):
+        base = empty_db(tmp_path)
+        argv = ["verify", str(corpus / "unknown.aag"), "--db-dir", str(base),
+                "--out-dir", str(tmp_path / "run"), "--budget-conflicts", "10"]
+    else:
+        base = tmp_path / "run"
+        base.mkdir()
+        (base / "report.txt").write_text(REPORT)
+        argv = ["report", str(base)]
+    (base / name).unlink(missing_ok=True)
+    (base / name).mkdir()
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert f"cannot read {base / name}: Is a directory" in caplog.text
+
+
 def test_verify_missing_db_dir(corpus, tmp_path):
     argv = ["verify", str(corpus / "unknown.aag"),
             "--db-dir", str(tmp_path / "nope"), "--out-dir", str(tmp_path / "r"),

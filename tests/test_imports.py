@@ -1,4 +1,5 @@
-"""No module imports a name it never uses.
+"""Imports: no module imports a name it never uses, and no command
+imports scipy.
 
 A plain `ast` scan, since no linter is a dependency: every name an
 import statement binds must appear as a name somewhere else in the
@@ -8,6 +9,14 @@ module.  `__future__` imports and the package's re-exports in
 
 import ast
 import os
+import random
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from clusterbmc.online import _SENTINEL, _min_cost_assignment
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIRS = ("src/clusterbmc", "tests", "demos")
@@ -56,3 +65,55 @@ def test_no_unused_imports():
         if names:
             found[path] = names
     assert found == {}
+
+
+# builds a small database and verifies an unseen design against it, all
+# in one fresh interpreter, then prints the scipy modules it imported
+COMMANDS = """
+import sys
+from clusterbmc import cli
+from clusterbmc.circuits import counter, two_counters
+from clusterbmc.netlist import serialize_aiger
+designs = {"ctr": counter(3, (5, 6)), "twoctr": two_counters(),
+           "unk": two_counters(bits=2, bad_a=2, bad_b=3, name="unk")}
+for name, n in designs.items():
+    with open(name + ".aag", "w") as fh:
+        fh.write(serialize_aiger(n))
+common = ["--budget-conflicts", "50", "--max-frames", "4", "--mode", "init"]
+assert cli.main(["offline", "ctr.aag", "twoctr.aag", "--out-dir", "db",
+                 "--patterns", "64"] + common) == 0
+assert cli.main(["verify", "unk.aag", "--db-dir", "db", "--out-dir", "run",
+                 "--baseline"] + common) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_commands_do_not_import_scipy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", COMMANDS], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_assignment_equals_scipy_on_ties():
+    # scipy's tie-breaking is the reference: on small integer ranges most
+    # matrices have several optimal assignments, and the port must pick
+    # scipy's.  Rows or columns past the real ones are sentinel padding,
+    # as `associate_properties` builds them.
+    linear_sum_assignment = pytest.importorskip(
+        "scipy.optimize").linear_sum_assignment
+    rng = random.Random(2016)
+    shapes = set()
+    for _ in range(2400):
+        nr, nc = rng.randint(1, 9), rng.randint(1, 9)
+        shapes.add((nr > nc) - (nr < nc))
+        hi = rng.choice([0, 1, 3, 10, 1000])
+        size = max(nr, nc)
+        cost = [[_SENTINEL] * size for _ in range(size)]
+        for i in range(nr):
+            cost[i][:nc] = [rng.randint(0, hi) for _ in range(nc)]
+        _, cols = linear_sum_assignment(np.array(cost, dtype=float))
+        assert _min_cost_assignment(cost) == cols.tolist(), cost
+    assert shapes == {-1, 0, 1}
