@@ -2,7 +2,8 @@
 
 First the solver alone on a pigeonhole instance (unsatisfiable, and the
 proof costs real conflicts), then BMC on the counter: the bad state
-"counter == 5" is reached at depth 5 and the extracted trace replays.
+"counter == 5" is reached at depth 5 and the extracted trace replays,
+while an unreachable parity miter is only refuted up to the frame bound.
 """
 
 from clusterbmc import BmcConfig, INIT, check_single, new_solver, replay_cex
@@ -33,9 +34,10 @@ v = check_single(n, 0, cfg)
 print(f"\ncounter==5: {v.status} at depth {v.depth}")
 print("trace replay:", replay_cex(n, 0, v.cex))
 
-# an unreachable property with a frame bound yields a bounded proof
+# an unreachable property is refuted frame by frame up to the bound; BMC
+# alone proves nothing deeper, so the verdict stays UNDET
 m = parity_miter(width=5)
-v = check_single(m, 0, BmcConfig(conflict_budget=10_000, proof_bound=4,
+v = check_single(m, 0, BmcConfig(conflict_budget=10_000, max_frames=4,
                                  mode=INIT, seed=0))
-print(f"parity miter: {v.status} up to depth {v.depth} "
+print(f"parity miter: {v.status}, refuted up to depth {v.depth} "
       f"(per-frame conflicts: {[s.conflicts for s in v.per_frame]})")

@@ -12,6 +12,13 @@ property order.  Learned clauses persist across properties and frames,
 which is what makes clustered runs cheaper than the sum of standalone
 runs on similar properties.
 
+Every property ends SAT, with a counterexample at the first frame whose
+bad is satisfiable, or UNDET at the deepest frame it was refuted at before
+the budget or the frame bound ran out.  A refuted frame proves nothing
+about deeper ones without a completeness threshold, so no run reports
+UNSAT: that status appears only in gain's transition table and in the
+database files.
+
 Budgets come in two flavours: wall-clock seconds and conflict counts
 (deterministic, used by all reproducibility tests).  In
 conflict mode every time-like field is measured in *cost units*, where one
@@ -35,7 +42,7 @@ from .netlist import (
 from . import satcore
 
 SAT = "SAT"
-UNSAT = "UNSAT"
+UNSAT = "UNSAT"  # no run reports it; gain and the database files name it
 UNDET = "UNDET"
 
 
@@ -56,7 +63,6 @@ class BmcConfig:
     max_frames: int | None = None        # highest frame index checked
     mode: str = INDUCTIVE
     seed: int = 0
-    proof_bound: int | None = None
 
     def __post_init__(self):
         if self.time_budget is None and self.conflict_budget is None and self.max_frames is None:
@@ -67,12 +73,6 @@ class BmcConfig:
             raise BmcConfigError("conflict_budget must be positive")
         if self.max_frames is not None and self.max_frames < 0:
             raise BmcConfigError("max_frames must not be negative")
-        if (
-            self.proof_bound is not None
-            and self.max_frames is not None
-            and self.proof_bound > self.max_frames
-        ):
-            raise BmcConfigError("proof_bound must not exceed max_frames")
 
     @property
     def deterministic(self) -> bool:
@@ -104,8 +104,8 @@ class FrameStat:
 @dataclass
 class Verdict:
     status: str
-    depth: int        # CEX frame for SAT; proof bound for UNSAT; deepest
-                      # refuted frame (-1 if none) for UNDET
+    depth: int        # CEX frame for SAT; deepest refuted frame (-1 if
+                      # none) for UNDET
     elapsed: float = 0.0
     cex: Cex | None = None
     per_frame: list = field(default_factory=list)
@@ -116,34 +116,6 @@ class ClusterVerdict:
     per_property: dict  # property index -> Verdict
     per_frame: list     # shared FrameStats of the whole session
     total_elapsed: float
-
-
-class _CostMeter:
-    """Budget accounting; wall seconds or deterministic cost units."""
-
-    def __init__(self, deterministic: bool, budget):
-        self.deterministic = deterministic
-        self.budget = budget
-        self.spent = 0.0
-
-    def remaining(self):
-        if self.budget is None:
-            return None
-        return self.budget - self.spent
-
-    def exhausted(self) -> bool:
-        rem = self.remaining()
-        return rem is not None and rem <= 0
-
-    def charge_call(self, result: satcore.SolveResult, wall_seconds: float) -> float:
-        cost = (1 + result.conflicts_this_call) if self.deterministic else wall_seconds
-        self.spent += cost
-        return cost
-
-    def overspent(self) -> bool:
-        """Cost units past the budget.  A call may use the budget up, never
-        more; wall-clock budgets can be passed by the call that ends them."""
-        return self.deterministic and self.budget is not None and self.spent > self.budget
 
 
 class _Encoder:
@@ -225,85 +197,68 @@ class _Encoder:
         return Cex(latch_init, inputs)
 
 
-def _run(n: Netlist, props: list, cfg: BmcConfig, budget) -> ClusterVerdict:
+def _run(n: Netlist, props, cfg: BmcConfig, budget) -> ClusterVerdict:
     """BMC of `props` in one session that spends at most `budget` in all
-    (None: bounded by frames only)."""
+    (None: bounded by frames only).  A solver call costs 1 + its
+    conflicts when deterministic, its wall seconds otherwise."""
+    props = sorted(set(props))
+    if not props:
+        raise EmptyCluster("cluster must be non-empty")
     cone = cone_vars(n, props)  # raises PropertyIndexOutOfRange
-    props = sorted(props)
-    meter = _CostMeter(cfg.deterministic, budget)
     solver = satcore.new_solver(seed=cfg.seed)
     enc = _Encoder(n, cfg.mode, solver, cone)
 
     verdicts: dict = {}
     refuted_to = {p: -1 for p in props}       # deepest refuted frame
     frame_stats: list = []
-    frame_limit = cfg.max_frames
-    if cfg.proof_bound is not None and frame_limit is None:
-        frame_limit = cfg.proof_bound
-
+    spent = 0.0
+    stopped = budget is not None and budget <= 0
     frame = 0
-    stopped = False
-    while not stopped:
-        if frame_limit is not None and frame > frame_limit:
-            break
-        if all(p in verdicts for p in props):
-            break
-        if meter.exhausted():
-            break
+    while not stopped and len(verdicts) < len(props) and (
+            cfg.max_frames is None or frame <= cfg.max_frames):
         bads = enc.add_frame()
         frame_conflicts = 0
         frame_cost = 0.0
         for p in props:
             if p in verdicts:
                 continue
-            if meter.exhausted():
-                stopped = True
-                break
-            rem = meter.remaining()
-            t0 = time.perf_counter()
-            if meter.deterministic:
+            rem = None if budget is None else budget - spent
+            assumption = [enc.slit(bads[p])]
+            if cfg.deterministic:
                 limit = None if rem is None else max(0, int(rem) - 1)
-                res = solver.solve([enc.slit(bads[p])], conflict_budget=limit)
+                res = solver.solve(assumption, conflict_budget=limit)
+                cost = 1 + res.conflicts_this_call
             else:
-                deadline = None if rem is None else time.perf_counter() + rem
-                res = solver.solve([enc.slit(bads[p])], deadline=deadline)
-            cost = meter.charge_call(res, time.perf_counter() - t0)
-            assert not meter.overspent(), f"spent {meter.spent} of {meter.budget} cost units"
+                t0 = time.perf_counter()
+                res = solver.solve(
+                    assumption, deadline=None if rem is None else t0 + rem)
+                cost = time.perf_counter() - t0
+            spent += cost
+            # a call may use a cost-unit budget up, never more; a wall-clock
+            # budget can be passed by the call that ends it
+            assert not (cfg.deterministic and budget is not None
+                        and spent > budget), (
+                f"spent {spent} of {budget} cost units")
             frame_conflicts += res.conflicts_this_call
             frame_cost += cost
             if res.status == satcore.SAT:
-                verdicts[p] = Verdict(
-                    status=SAT,
-                    depth=frame,
-                    elapsed=meter.spent,
-                    cex=enc.extract_cex(res.model, frame + 1),
-                )
+                verdicts[p] = Verdict(SAT, frame, spent,
+                                      enc.extract_cex(res.model, frame + 1))
             elif res.status == satcore.UNSAT:
                 refuted_to[p] = frame
-                if cfg.proof_bound is not None and frame >= cfg.proof_bound:
-                    verdicts[p] = Verdict(
-                        status=UNSAT, depth=cfg.proof_bound, elapsed=meter.spent
-                    )
-            else:
-                stopped = True
+            stopped = res.status == satcore.UNKNOWN or (
+                budget is not None and spent >= budget)
+            if stopped:
                 break
         frame_stats.append(
-            FrameStat(
-                frame=frame,
-                conflicts=frame_conflicts,
-                solve_time=frame_cost,
-                cumulative_time=meter.spent,
-            )
-        )
+            FrameStat(frame, frame_conflicts, frame_cost, spent))
         frame += 1
 
     for p in props:
         if p not in verdicts:
-            verdicts[p] = Verdict(status=UNDET, depth=refuted_to[p], elapsed=meter.spent)
+            verdicts[p] = Verdict(UNDET, refuted_to[p], spent)
         verdicts[p].per_frame = frame_stats
-    return ClusterVerdict(
-        per_property=verdicts, per_frame=frame_stats, total_elapsed=meter.spent
-    )
+    return ClusterVerdict(verdicts, frame_stats, total_elapsed=spent)
 
 
 def check_single(n: Netlist, p: int, cfg: BmcConfig) -> Verdict:
@@ -327,9 +282,7 @@ def check_cluster(n: Netlist, cluster, cfg: BmcConfig) -> ClusterVerdict:
 
     The run's budget is the per-property budget times the cluster size.
     """
-    cluster = sorted(set(cluster))
-    if not cluster:
-        raise EmptyCluster("cluster must be non-empty")
+    cluster = set(cluster)
     budget = None if cfg.budget is None else cfg.budget * len(cluster)
     return _run(n, cluster, cfg, budget)
 
@@ -339,9 +292,6 @@ def run_with_budget(n: Netlist, props, cfg: BmcConfig, total_budget) -> ClusterV
     phase), in `cfg`'s unit: cost units, or seconds under a time budget;
     `cfg`'s per-property budget is not read.  None bounds the run by
     frames alone."""
-    props = sorted(set(props))
-    if not props:
-        raise EmptyCluster("cluster must be non-empty")
     return _run(n, props, cfg, total_budget)
 
 
@@ -365,6 +315,7 @@ def replay_cex(n: Netlist, p: int, cex: Cex) -> str:
 
 def write_frame_csvs(per_frame, out_dir: str, run_id: str) -> list:
     """Per-run figure data: one x,y CSV per metric."""
+    from .store import write_text  # store imports this module
     os.makedirs(out_dir, exist_ok=True)
     metrics = {
         "conflicts": lambda s: s.conflicts,
@@ -374,9 +325,7 @@ def write_frame_csvs(per_frame, out_dir: str, run_id: str) -> list:
     paths = []
     for name, getter in metrics.items():
         path = os.path.join(out_dir, f"{run_id}_{name}.csv")
-        with open(path, "w") as fh:
-            fh.write("x,y\n")
-            for stat in per_frame:
-                fh.write(f"{stat.frame},{getter(stat)!r}\n")
+        write_text(path, "x,y\n" + "".join(
+            f"{stat.frame},{getter(stat)!r}\n" for stat in per_frame))
         paths.append(path)
     return paths

@@ -184,6 +184,34 @@ def shared_coi_pair(width: int = 9, name: str = "shared") -> Netlist:
     return parity_miter(width=width, copies=1, variants=2, name=name)
 
 
+def deep_sat_miter(width: int = 10, depth: int = 4, seed: int = 0,
+                   name: str = "deep") -> Netlist:
+    """A parity miter XORed with the last bits of a shift register: bads
+    that hold at known depths, which only search can reach.
+
+    Inputs and latches 0..width-1 form a parity-equivalence miter whose
+    chains take the leaves in an order drawn from `seed`.  Input `width`
+    feeds a shift register of `depth` latches that reset to 0.  Property 0
+    is miter XOR shift[depth-1], property 1 is miter XOR shift[depth-2].
+    The miter is always 0, so from reset property 0 first holds at frame
+    `depth` and property 1 at frame `depth` - 1, and every earlier frame is
+    refuted only through the miter, which costs conflicts.  From a free
+    initial state both hold at frame 0.
+    """
+    if depth < 2:
+        raise ValueError("depth must be at least 2")
+    b = AigBuilder(num_inputs=width + 1, num_latches=width + depth, name=name)
+    order = random.Random(seed).sample(_miter_leaves(b, width), width)
+    miter = b.xor_(_xor_chain(b, order, True), _xor_chain(b, order, False))
+    shift = [b.latch_lit(width + i) for i in range(depth)]
+    b.set_latch(width, b.input_lit(width))
+    for i in range(1, depth):
+        b.set_latch(width + i, shift[i - 1])
+    b.add_bad(b.xor_(miter, shift[-1]))
+    b.add_bad(b.xor_(miter, shift[-2]))
+    return b.build()
+
+
 def random_netlist(
     rng: random.Random,
     max_inputs: int = 4,

@@ -76,10 +76,7 @@ def _import_tensors(paths, designs) -> list:
     num_props = {name: n.num_properties for name, n in designs}
     tensors, seen = [], set()
     for path in paths:
-        try:
-            t = embed.import_tensor(path)
-        except OSError as e:
-            raise DataError(f"cannot read tensor file: {e}") from None
+        t = embed.import_tensor(path)
         if t.design not in num_props:
             raise DataError(f"{path}: design {t.design!r} is not among the "
                             f"parsed designs")
@@ -110,10 +107,10 @@ def cmd_offline(args) -> int:
     for path, name in zip(args.designs, names):
         try:
             store.check_name(name)
-            with open(path) as fh:
-                designs.append((name, parse_aiger(fh.read(), name=name)))
-        except (store.ReservedName, OSError, AigerError,
-                UnicodeDecodeError) as e:
+            text = store.read_text(path)
+            designs.append((name, parse_aiger(text, name=name)))
+        except (store.ReservedName, store.UnreadableFile, store.CorruptRow,
+                AigerError) as e:
             log.error("skipping %s: %s", path, e)
     if not designs:
         raise DataError("no parseable designs")
@@ -182,9 +179,9 @@ def cmd_verify(args) -> int:
     db1 = store.read_db(store.DB1, paths[store.DB1])
     db3 = store.read_db(store.DB3, paths[store.DB3])
     try:
-        with open(args.unknown) as fh:
-            n = parse_aiger(fh.read(), name=_design_name(args.unknown))
-    except (OSError, AigerError, UnicodeDecodeError) as e:
+        n = parse_aiger(store.read_text(args.unknown),
+                        name=_design_name(args.unknown))
+    except (store.UnreadableFile, store.CorruptRow, AigerError) as e:
         raise DataError(f"cannot load {args.unknown}: {e}") from None
     _make_out_dir(args.out_dir)
 
@@ -194,8 +191,7 @@ def cmd_verify(args) -> int:
         design=_design_name(args.unknown),
     )
     report_path = os.path.join(args.out_dir, "report.txt")
-    with open(report_path, "w") as fh:
-        fh.write(report.render())
+    store.write_text(report_path, report.render())
     for members, per_frame in report.cluster_runs:
         run_id = "cluster_" + "_".join(map(str, members))
         bmc.write_frame_csvs(per_frame, args.out_dir, run_id)
@@ -246,18 +242,14 @@ def cmd_report(args) -> int:
                              ("cumulative_time", "verification_time.csv")):
         totals = aggregate(metric)
         out = os.path.join(args.campaign_dir, out_name)
-        with open(out, "w") as fh:
-            fh.write("x,y\n")
-            for x in sorted(totals):
-                fh.write(f"{x},{totals[x]!r}\n")
+        store.write_text(out, "x,y\n" + "".join(
+            f"{x},{totals[x]!r}\n" for x in sorted(totals)))
         wrote.append(out)
 
     scatter = os.path.join(args.campaign_dir, "depth_scatter.csv")
-    with open(scatter, "w") as fh:
-        fh.write("x,y\n")
-        for r in rows:
-            if r["baseline_depth"] != "-":
-                fh.write(f"{r['baseline_depth']},{r['depth']}\n")
+    store.write_text(scatter, "x,y\n" + "".join(
+        f"{r['baseline_depth']},{r['depth']}\n"
+        for r in rows if r["baseline_depth"] != "-"))
     wrote.append(scatter)
     for w in wrote:
         print(w)
@@ -321,7 +313,7 @@ def main(argv=None) -> int:
     except (bmc.BmcConfigError, UsageError) as e:  # before any work
         ap.error(str(e))
     except (DataError, store.CorruptRow, store.SchemaVersionMismatch,
-            store.UnreadableFile, online.EmptyDatabase,
+            store.UnreadableFile, store.UnwritableFile, online.EmptyDatabase,
             embed.MalformedTensorFile, embed.WidthMismatch) as e:
         log.error("%s", e)
         return EXIT_DATA

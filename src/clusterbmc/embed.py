@@ -22,6 +22,7 @@ from itertools import chain
 
 import numpy as np
 
+from . import store
 from .netlist import Netlist
 
 DEFAULT_WIDTH = 128
@@ -147,11 +148,7 @@ def export_tensor(t: EmbeddingTensor, path: str):
 
 
 def import_tensor(path: str) -> EmbeddingTensor:
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as e:
-        raise MalformedTensorFile(f"{path}: {e}") from None
+    lines = store.read_text(path).splitlines()
     if len(lines) < 2:
         raise MalformedTensorFile(f"{path}: expected header and value lines")
     head = lines[0].split(",")

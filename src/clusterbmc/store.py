@@ -16,6 +16,7 @@ validate invariants row by row and point at the offending line.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -44,6 +45,10 @@ class SchemaVersionMismatch(ValueError):
 
 
 class UnreadableFile(ValueError):
+    pass
+
+
+class UnwritableFile(ValueError):
     pass
 
 
@@ -118,6 +123,16 @@ def read_text(path: str) -> str:
     except UnicodeDecodeError as e:
         raise CorruptRow(data.count(b"\n", 0, e.start) + 1,
                          f"{path} is not UTF-8 text ({e.reason})") from None
+
+
+def write_text(path: str, text: str):
+    """Writes `text` to a file as UTF-8; raises UnwritableFile when it
+    cannot."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise UnwritableFile(f"cannot write {path}: {e.strerror or e}") from None
 
 
 def _read_lines(path: str, kind: str):
@@ -252,9 +267,10 @@ _PARSERS = {DB1: _parse_db1_row, DB2: _parse_db2_row, DB3: _parse_db3_row}
 
 
 def write_db(kind: str, records, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_header(kind) + "\n")
-        _WRITERS[kind](records, fh)
+    fh = io.StringIO()
+    fh.write(_header(kind) + "\n")
+    _WRITERS[kind](records, fh)
+    write_text(path, fh.getvalue())
 
 
 def read_db(kind: str, path: str):
@@ -278,12 +294,10 @@ def query_db1_by_property_count(db1_records, low: int, high: int):
 
 
 def write_pca(model, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_header("pca") + "\n")
-        fh.write(f"{model.explained_ratio!r}\n")
-        fh.write(",".join(repr(float(v)) for v in model.mean) + "\n")
-        for comp in model.components:
-            fh.write(",".join(repr(float(v)) for v in comp) + "\n")
+    rows = [_header("pca"), repr(model.explained_ratio)]
+    rows += [",".join(repr(float(v)) for v in vec)
+             for vec in (model.mean, *model.components)]
+    write_text(path, "".join(row + "\n" for row in rows))
 
 
 def read_pca(path: str):

@@ -10,6 +10,7 @@ from clusterbmc.circuits import (
     TRUE,
     AigBuilder,
     counter,
+    deep_sat_miter,
     duplicated_property_family,
     parity_miter,
     random_netlist,
@@ -46,18 +47,29 @@ def test_inductive_dominates_init():
     assert v.status == bmc.SAT and v.depth == 0
 
 
-def test_proof_bound_unsat():
-    n = parity_miter(width=4)  # unreachable bad; bounded proof at depth 3
-    v = bmc.check_single(n, 0, bmc.BmcConfig(conflict_budget=20000,
-                                             proof_bound=3, mode=INIT, seed=0))
-    assert v.status == bmc.UNSAT and v.depth == 3
-
-
 def test_undet_depth_is_deepest_refuted_frame():
     n = parity_miter(width=9)
     v = bmc.check_single(n, 0, bmc.BmcConfig(conflict_budget=300, seed=0))
     assert v.status == bmc.UNDET
     assert 0 <= v.depth <= max(s.frame for s in v.per_frame)
+
+
+@pytest.mark.parametrize("mode", [INIT, INDUCTIVE])
+@pytest.mark.parametrize("width, depth", [(10, 4), (12, 6)])
+def test_deep_sat_depths(width, depth, mode):
+    # each frame before the first bad one is refuted only through a parity
+    # miter, so a clause learned unsoundly there can hide the bad frame
+    want = {0: depth, 1: depth - 1} if mode == INIT else {0: 0, 1: 0}
+    for seed in range(4):
+        n = deep_sat_miter(width, depth, seed)
+        cfg = cfg_init(max_frames=depth + 2, mode=mode, seed=seed)
+        runs = [{p: bmc.check_single(n, p, cfg) for p in (0, 1)},
+                bmc.check_cluster(n, [0, 1], cfg).per_property]
+        for verdicts in runs:
+            assert {p: (v.status, v.depth) for p, v in verdicts.items()} == {
+                p: (bmc.SAT, d) for p, d in want.items()}
+            for p, v in verdicts.items():
+                assert bmc.replay_cex(n, p, v.cex) == bmc.CONFIRMED
 
 
 def test_vs_bfs_oracle_sample():
@@ -367,8 +379,6 @@ def test_config_validation():
     with pytest.raises(bmc.BmcConfigError):
         bmc.BmcConfig(conflict_budget=0)
     with pytest.raises(bmc.BmcConfigError):
-        bmc.BmcConfig(conflict_budget=10, proof_bound=9, max_frames=4)
-    with pytest.raises(bmc.BmcConfigError):
         bmc.BmcConfig(max_frames=-1)
     assert bmc.BmcConfig(max_frames=0).max_frames == 0
 
@@ -422,3 +432,61 @@ def test_frame_csvs(tmp_path):
         assert lines[0] == "x,y"
         assert len(lines) == 1 + len(v.per_frame)
         assert os.path.basename(p).startswith("run0_")
+
+
+def pinned_runs():
+    """Four runs, one through each entry point under a conflict budget and
+    one bounded by frames alone, each as its verdicts (property, status,
+    depth, elapsed) in the order the run reports them and its frames
+    (frame, conflicts, solve time, cumulative time)."""
+    dup = duplicated_property_family(3, width=7)
+    single = bmc.check_single(parity_miter(width=9), 0,
+                              bmc.BmcConfig(conflict_budget=300, seed=0))
+    clusters = [
+        bmc.check_cluster(dup, [0, 1, 2],
+                          bmc.BmcConfig(conflict_budget=100, seed=0)),
+        bmc.run_with_budget(dup, [2, 0, 1], bmc.BmcConfig(
+            conflict_budget=1, max_frames=6, seed=0), 3 * 40 + 2),
+        bmc.check_cluster(random_netlist(random.Random(7), num_bads=4),
+                          range(4), bmc.BmcConfig(max_frames=6, mode=INIT)),
+    ]
+    runs = [({0: single}, single.per_frame)] + [
+        (cv.per_property, cv.per_frame) for cv in clusters]
+    return [([(p, v.status, v.depth, v.elapsed) for p, v in verdicts.items()],
+             [(s.frame, s.conflicts, s.solve_time, s.cumulative_time)
+              for s in frames])
+            for verdicts, frames in runs]
+
+
+PINNED_RUNS = [
+    ([(0, 'UNDET', 2, 300.0)],
+     [(0, 71, 72.0, 72.0), (1, 71, 72.0, 144.0), (2, 84, 85.0, 229.0),
+      (3, 70, 71.0, 300.0)]),
+    ([(0, 'UNDET', 3, 300.0), (1, 'UNDET', 3, 300.0),
+      (2, 'UNDET', 3, 300.0)],
+     [(0, 60, 63.0, 63.0), (1, 52, 55.0, 118.0), (2, 107, 110.0, 228.0),
+      (3, 52, 55.0, 283.0), (4, 16, 17.0, 300.0)]),
+    ([(0, 'UNDET', 1, 122.0), (1, 'UNDET', 1, 122.0),
+      (2, 'UNDET', 1, 122.0)],
+     [(0, 60, 63.0, 63.0), (1, 52, 55.0, 118.0), (2, 3, 4.0, 122.0)]),
+    ([(2, 'SAT', 0, 3.0), (1, 'SAT', 1, 8.0), (3, 'SAT', 1, 9.0),
+      (0, 'UNDET', 6, 19.0)],
+     [(0, 0, 4.0, 4.0), (1, 2, 5.0, 9.0), (2, 1, 2.0, 11.0),
+      (3, 1, 2.0, 13.0), (4, 1, 2.0, 15.0), (5, 1, 2.0, 17.0),
+      (6, 1, 2.0, 19.0)]),
+]
+
+
+def test_runs_are_pinned():
+    # a change meant to leave the BMC loop's output alone keeps these
+    # tuples; one that changes it must re-record them with
+    # `python tests/test_bmc.py`
+    assert pinned_runs() == PINNED_RUNS
+
+
+if __name__ == "__main__":
+    import pprint
+    rows = [pprint.pformat(run, width=72, compact=True)
+            for run in pinned_runs()]
+    print("PINNED_RUNS = [\n" + "".join(
+        "    " + row.replace("\n", "\n    ") + ",\n" for row in rows) + "]")

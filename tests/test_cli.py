@@ -152,6 +152,35 @@ def test_unreadable_input_is_data_error(corpus, tmp_path, caplog, name):
     assert f"cannot read {base / name}: Is a directory" in caplog.text
 
 
+@pytest.mark.parametrize("command, name", [
+    ("offline", "db1.mpb"), ("offline", "db2.mpb"), ("offline", "db3.mpb"),
+    ("offline", "pca.mpb"), ("verify", "report.txt"),
+    ("verify", "cluster_0_1_conflicts.csv"),
+    ("verify", "cluster_0_1_solve_time.csv"),
+    ("verify", "cluster_0_1_cumulative_time.csv"),
+    ("report", "conflicts.csv"), ("report", "verification_time.csv"),
+    ("report", "depth_scatter.csv"),
+])
+def test_unwritable_output_is_data_error(corpus, tmp_path, caplog, command,
+                                         name):
+    # a directory where an output file should go
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / name).mkdir()
+    if command == "offline":
+        code = run_offline(corpus, out)
+    elif command == "verify":
+        assert run_offline(corpus, tmp_path / "db") == cli.EXIT_OK
+        code = cli.main(["verify", str(corpus / "unknown.aag"),
+                         "--db-dir", str(tmp_path / "db"),
+                         "--out-dir", str(out)] + COMMON[:-2])
+    else:
+        (out / "report.txt").write_text(REPORT)
+        code = cli.main(["report", str(out)])
+    assert code == cli.EXIT_DATA
+    assert f"cannot write {out / name}: Is a directory" in caplog.text
+
+
 def test_verify_missing_db_dir(corpus, tmp_path):
     argv = ["verify", str(corpus / "unknown.aag"),
             "--db-dir", str(tmp_path / "nope"), "--out-dir", str(tmp_path / "r"),

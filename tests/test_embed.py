@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clusterbmc import embed, netlist
+from clusterbmc import embed, netlist, store
 from clusterbmc.circuits import AigBuilder, parity_miter, random_netlist
 from clusterbmc.netlist import restrict_to_coi
 from oracles import pca_keep_count, pooled_ratios
@@ -121,12 +121,13 @@ TENSOR_TEXT = st.builds(
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.one_of(st.binary(max_size=64), TENSOR_TEXT))
 def test_import_tensor_total(tmp_path_factory, data):
-    # any file content either imports or raises the module's own errors
+    # any file content either imports or raises the module's own errors,
+    # or store's error for a byte that is not UTF-8
     path = tmp_path_factory.getbasetemp() / "fuzz.tensor"
     path.write_bytes(data)
     try:
         t = embed.import_tensor(str(path))
-    except (embed.MalformedTensorFile, embed.WidthMismatch):
+    except (embed.MalformedTensorFile, embed.WidthMismatch, store.CorruptRow):
         return
     assert len(t.values) == t.width
 
