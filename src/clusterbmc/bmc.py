@@ -67,6 +67,9 @@ class BmcConfig:
     def __post_init__(self):
         if self.time_budget is None and self.conflict_budget is None and self.max_frames is None:
             raise BmcConfigError("need a time budget, conflict budget, or frame bound")
+        if self.time_budget is not None and self.conflict_budget is not None:
+            raise BmcConfigError("time_budget and conflict_budget are "
+                                 "exclusive: set one")
         if self.time_budget is not None and self.time_budget <= 0:
             raise BmcConfigError("time_budget must be positive")
         if self.conflict_budget is not None and self.conflict_budget <= 0:

@@ -102,6 +102,9 @@ def cmd_offline(args) -> int:
                         f"design ids come from base names and must differ")
     _make_out_dir(args.out_dir)
     paths = store.db_paths(args.out_dir)
+    # DB1 goes first and comes back last, so that its presence marks a
+    # complete build; verify refuses a directory without it
+    store.remove_file(paths[store.DB1])
 
     designs = []
     for path, name in zip(args.designs, names):
@@ -161,10 +164,10 @@ def cmd_offline(args) -> int:
     db1 = [record for record, _rows in results]
     db3 = [row for _record, rows in results for row in rows]
 
-    store.write_db(store.DB1, db1, paths[store.DB1])
     store.write_db(store.DB2, db2, paths[store.DB2])
     store.write_db(store.DB3, db3, paths[store.DB3])
     store.write_pca(pca, paths["pca"])
+    store.write_db(store.DB1, db1, paths[store.DB1])
     log.info("wrote %d designs, %d embeddings, %d influence rows",
              len(db1), len(db2), len(db3))
     return EXIT_OK

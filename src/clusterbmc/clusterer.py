@@ -4,7 +4,8 @@ Partitional algorithms only produce disjoint groups, so the overlapping
 family is built by unioning the partitions of k-means and k-medoids across
 the whole k range (2 .. ceil(n/2)) plus the full property set, then
 deduplicating by member set.  Distances are cosine on unit-normalized
-vectors throughout.
+vectors throughout.  Each design's unit rows and distance matrix are
+computed once, and every k of both algorithms reads them.
 
 Every distance is rounded to a fixed 1e-9 grid.  Builds hold many
 properties with identical embeddings, so seeding, assignment and medoid
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_MAX_CLUSTERS = 64
+_MAX_ITERS = 100  # Lloyd iterations and PAM swap sweeps
 
 
 class KOutOfRange(ValueError):
@@ -63,31 +65,42 @@ def _cos_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.round(1.0 - a @ b.T, 9)
 
 
-def kmeans(points, k: int, seed: int = 0, max_iters: int = 100):
-    """Lloyd iterations under cosine distance; returns a list of k groups."""
-    n = len(points)
+def _pairwise_cos(points):
+    """The unit rows of `points` and their rounded distance matrix.  numpy
+    computes ``x @ x.T`` as a symmetric product, so the matrix is exactly
+    symmetric: row c holds the distances to point c."""
+    x = _unit_rows(points)
+    d = _cos_dist(x, x)
+    np.fill_diagonal(d, 0.0)
+    return x, np.maximum(d, 0.0)
+
+
+def kmeans(x: np.ndarray, d: np.ndarray, k: int, seed: int):
+    """Lloyd iterations under cosine distance on the unit rows `x`, seeded
+    by k-means++ over their distance matrix `d`; returns a list of k
+    groups."""
+    n = len(x)
     if not 2 <= k <= n:
         raise KOutOfRange(f"k={k} for {n} points")
-    x = _unit_rows(points)
     rng = random.Random(seed)
 
-    # kmeans++ seeding
-    centers = [x[rng.randrange(n)]]
-    while len(centers) < k:
-        d2 = np.min(
-            np.stack([_cos_dist(x, c) for c in centers]), axis=0
-        ) ** 2
+    # kmeans++ seeding: d2 is each point's squared distance to its nearest
+    # centre so far
+    idx = rng.randrange(n)
+    chosen, d2 = [idx], d[:, idx] ** 2
+    while len(chosen) < k:
         total = float(d2.sum())
         if total <= 0:
-            centers.append(x[rng.randrange(n)])
-            continue
-        r = rng.random() * total
-        idx = int(np.searchsorted(np.cumsum(d2), r))
-        centers.append(x[min(idx, n - 1)])
-    centers = np.stack(centers)
+            idx = rng.randrange(n)
+        else:
+            r = rng.random() * total
+            idx = min(int(np.searchsorted(np.cumsum(d2), r)), n - 1)
+        chosen.append(idx)
+        d2 = np.minimum(d2, d[:, idx] ** 2)
+    centers = x[chosen]
 
     assign = np.zeros(n, dtype=int)
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         dists = _cos_dist(x, centers)
         new_assign = np.argmin(dists, axis=1)
         # repair empty clusters with the globally farthest point
@@ -109,53 +122,41 @@ def kmeans(points, k: int, seed: int = 0, max_iters: int = 100):
     return [sorted(np.flatnonzero(assign == c).tolist()) for c in range(k)]
 
 
-def _pairwise_cos(points) -> np.ndarray:
-    x = _unit_rows(points)
-    d = _cos_dist(x, x)
-    np.fill_diagonal(d, 0.0)
-    return np.maximum(d, 0.0)
+def kmedoids(d: np.ndarray, k: int):
+    """PAM build + swap over the distance matrix `d`; returns a list of k
+    groups.
 
-
-def kmedoids(points, k: int, seed: int = 0, max_iters: int = 100):
-    """PAM build + swap under cosine distance; returns a list of k groups.
-
-    The groups partition ``range(len(points))``, but a group can be empty:
-    see the assignment below.
+    Candidate c costs row c of ``np.minimum(rest, d)`` summed, where
+    `rest` is each point's distance to the medoids that stay.  Row sums add
+    as ``d[:, c].sum()`` does; column sums add in another order, whose last
+    bits can break ties differently.  The groups partition
+    ``range(len(d))``, but a group can be empty: see the assignment below.
     """
-    n = len(points)
+    n = len(d)
     if not 2 <= k <= n:
         raise KOutOfRange(f"k={k} for {n} points")
-    d = _pairwise_cos(points)
 
     # build: greedy medoid additions minimizing total cost
     medoids = [int(np.argmin(d.sum(axis=1)))]
     while len(medoids) < k:
-        best, best_cost = None, None
-        cur = np.min(d[:, medoids], axis=1)
-        for cand in range(n):
-            if cand in medoids:
-                continue
-            cost = float(np.minimum(cur, d[:, cand]).sum())
-            if best_cost is None or cost < best_cost:
-                best, best_cost = cand, cost
-        medoids.append(best)
+        cost = np.minimum(d[:, medoids].min(axis=1), d).sum(axis=1)
+        cost[medoids] = np.inf
+        medoids.append(int(np.argmin(cost)))
 
-    def total_cost(ms):
-        return float(np.min(d[:, ms], axis=1).sum())
-
-    # swap until no single medoid exchange improves the cost
-    for _ in range(max_iters):
+    # swap until no single medoid exchange improves the cost.  A slot's
+    # candidate costs do not depend on the medoid it holds, so each slot
+    # scores all candidates at once and takes, in index order, every one
+    # that beats the best so far by more than 1e-12
+    best = float(d[:, medoids].min(axis=1).sum())
+    for _ in range(_MAX_ITERS):
         improved = False
-        cost = total_cost(medoids)
         for i in range(k):
-            for cand in range(n):
-                if cand in medoids:
-                    continue
-                trial = medoids.copy()
-                trial[i] = cand
-                c = total_cost(trial)
-                if c < cost - 1e-12:
-                    medoids, cost = trial, c
+            rest = d[:, medoids[:i] + medoids[i + 1:]].min(axis=1)
+            cost = np.minimum(rest, d).sum(axis=1)
+            cost[medoids] = np.inf
+            for cand, c in enumerate(cost.tolist()):
+                if c < best - 1e-12:
+                    medoids[i], best = cand, c
                     improved = True
         if not improved:
             break
@@ -180,15 +181,14 @@ def build_family(
     n = len(props)
     if n < 2:
         raise TooFewProperties(f"{n} properties")
-    points = [embeddings[p] for p in props]
+    x, d = _pairwise_cos([embeddings[p] for p in props])
 
     candidates = [Cluster(design, frozenset(props), "full")]
     k_hi = max(2, math.ceil(n / 2))
-    for k in range(2, k_hi + 1):
-        if k > n:
-            break
-        for algo, fn in (("kmeans", kmeans), ("kmedoids", kmedoids)):
-            for group in fn(points, k, seed=seed):
+    for k in range(2, k_hi + 1):  # k_hi <= n, as n >= 2
+        for algo, groups in (("kmeans", kmeans(x, d, k, seed)),
+                             ("kmedoids", kmedoids(d, k))):
+            for group in groups:
                 if len(group) >= 2:
                     members = frozenset(props[i] for i in group)
                     candidates.append(Cluster(design, members, f"{algo}({k})"))

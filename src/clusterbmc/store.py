@@ -135,6 +135,17 @@ def write_text(path: str, text: str):
         raise UnwritableFile(f"cannot write {path}: {e.strerror or e}") from None
 
 
+def remove_file(path: str):
+    """Removes the file at `path` if there is one; raises UnwritableFile
+    when it cannot, as no file could then be written there either."""
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+    except OSError as e:
+        raise UnwritableFile(f"cannot write {path}: {e.strerror or e}") from None
+
+
 def _read_lines(path: str, kind: str):
     lines = read_text(path).splitlines()
     if not lines:

@@ -5,11 +5,13 @@ solving code paths: the BFS oracle walks the AIG with its own literal
 evaluator, the signature oracle simulates and pools with its own code, the
 CNF oracle enumerates assignments, the RUP checker propagates over the
 clauses a solver session logged with its own loop, the gain table
-re-states the formulas from scratch, and the assignment oracle tries
-permutations.
+re-states the formulas from scratch, the assignment oracle tries
+permutations, and the clusterer references recompute every distance
+and cost every PAM swap on a copy.
 """
 
 import itertools
+import random
 
 import numpy as np
 
@@ -233,3 +235,104 @@ def pca_keep_count(data, threshold):
     cum = np.cumsum(evals) / evals.sum()
     keep = int(np.searchsorted(cum, threshold - 1e-12) + 1)
     return keep, float(cum[keep - 1])
+
+
+# -- k-means and PAM, each recomputing its distances -----------------------
+
+def _unit_rows(points):
+    x = np.array([list(p) for p in points], dtype=float)
+    norms = np.linalg.norm(x, axis=1)
+    norms[norms == 0] = 1.0
+    return x / norms[:, None]
+
+
+def _cos_dist(a, b):
+    return np.round(1.0 - a @ b.T, 9)
+
+
+def kmeans_reference(points, k, seed):
+    """k-means++ seeding by stacking every centre's distances per draw,
+    then Lloyd iterations; a list of k groups."""
+    n = len(points)
+    x = _unit_rows(points)
+    rng = random.Random(seed)
+    centers = [x[rng.randrange(n)]]
+    while len(centers) < k:
+        d2 = np.min(
+            np.stack([_cos_dist(x, c) for c in centers]), axis=0
+        ) ** 2
+        total = float(d2.sum())
+        if total <= 0:
+            centers.append(x[rng.randrange(n)])
+            continue
+        r = rng.random() * total
+        idx = int(np.searchsorted(np.cumsum(d2), r))
+        centers.append(x[min(idx, n - 1)])
+    centers = np.stack(centers)
+
+    assign = np.zeros(n, dtype=int)
+    for it in range(100):
+        dists = _cos_dist(x, centers)
+        new_assign = np.argmin(dists, axis=1)
+        for c in range(k):
+            if not np.any(new_assign == c):
+                far = int(np.argmax(dists[np.arange(n), new_assign]))
+                new_assign[far] = c
+        if np.array_equal(new_assign, assign) and it != 0:
+            break
+        assign = new_assign
+        for c in range(k):
+            members = x[assign == c]
+            if not len(members):
+                continue
+            m = members.mean(axis=0)
+            norm = np.linalg.norm(m)
+            if norm > 0:
+                centers[c] = m / norm
+    return [sorted(np.flatnonzero(assign == c).tolist()) for c in range(k)]
+
+
+def kmedoids_reference(points, k):
+    """PAM build, then swaps that try each (slot, candidate) pair on a
+    copy of the medoids and cost the copy from scratch; a list of k
+    groups."""
+    n = len(points)
+    x = _unit_rows(points)
+    d = _cos_dist(x, x)
+    np.fill_diagonal(d, 0.0)
+    d = np.maximum(d, 0.0)
+
+    medoids = [int(np.argmin(d.sum(axis=1)))]
+    while len(medoids) < k:
+        best, best_cost = None, None
+        cur = np.min(d[:, medoids], axis=1)
+        for cand in range(n):
+            if cand in medoids:
+                continue
+            cost = float(np.minimum(cur, d[:, cand]).sum())
+            if best_cost is None or cost < best_cost:
+                best, best_cost = cand, cost
+        medoids.append(best)
+
+    def total_cost(ms):
+        return float(np.min(d[:, ms], axis=1).sum())
+
+    for _ in range(100):
+        improved = False
+        cost = total_cost(medoids)
+        for i in range(k):
+            for cand in range(n):
+                if cand in medoids:
+                    continue
+                trial = medoids.copy()
+                trial[i] = cand
+                c = total_cost(trial)
+                if c < cost - 1e-12:
+                    medoids, cost = trial, c
+                    improved = True
+        if not improved:
+            break
+
+    medoids = sorted(medoids)
+    assign = np.argmin(d[:, medoids], axis=1)
+    return [sorted(np.flatnonzero(assign == c).tolist()) for c in range(k)]

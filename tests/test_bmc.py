@@ -380,6 +380,8 @@ def test_config_validation():
         bmc.BmcConfig(conflict_budget=0)
     with pytest.raises(bmc.BmcConfigError):
         bmc.BmcConfig(max_frames=-1)
+    with pytest.raises(bmc.BmcConfigError):
+        bmc.BmcConfig(time_budget=1.0, conflict_budget=5)
     assert bmc.BmcConfig(max_frames=0).max_frames == 0
 
 

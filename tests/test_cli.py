@@ -3,7 +3,8 @@ import os
 import pytest
 
 from clusterbmc import bmc, cli, embed, netlist, online, parallel, store
-from clusterbmc.circuits import counter, parity_miter, two_counters
+from clusterbmc.circuits import (counter, deep_sat_miter, parity_miter,
+                                 two_counters)
 from clusterbmc.netlist import INIT, parse_aiger, serialize_aiger
 
 
@@ -72,6 +73,34 @@ def test_verify_and_report(corpus, tmp_path):
     want = [f"{r[columns.index('baseline_depth')]},{r[columns.index('depth')]}"
             for r in rows]
     assert scatter[1:] == want
+
+
+@pytest.mark.parametrize("mode, depths", [("init", [4, 3]),
+                                          ("inductive", [0, 0])])
+def test_deep_sat_depths_through_offline_and_verify(tmp_path, mode, depths):
+    # bads first reachable at known depths, each earlier frame refuted
+    # through a parity miter: DB1, the campaign and its baseline must all
+    # find them
+    paths = []
+    for seed in range(4):
+        path = tmp_path / f"deep{seed}.aag"
+        path.write_text(serialize_aiger(
+            deep_sat_miter(10, 4, seed, name=f"deep{seed}")))
+        paths.append(str(path))
+    flags = ["--mode", mode, "--max-frames", "6", "--budget-conflicts", "5000"]
+    db = tmp_path / "db"
+    assert cli.main(["offline", *paths[:3], "--out-dir", str(db)]
+                    + flags) == cli.EXIT_OK
+    for rec in store.read_db(store.DB1, str(db / "db1.mpb")):
+        assert [(p.status, p.depth) for p in rec.props] == [
+            (bmc.SAT, d) for d in depths]
+    run = tmp_path / "run"
+    assert cli.main(["verify", paths[3], "--db-dir", str(db),
+                     "--out-dir", str(run), "--baseline"] + flags) == cli.EXIT_OK
+    rows = cli._read_report(str(run / "report.txt"))
+    assert [(r["status"], r["depth"], r["baseline_status"], r["baseline_depth"],
+             r["transition"]) for r in rows] == [
+        ("SAT", str(d), "SAT", str(d), "SAT_TO_SAT") for d in depths]
 
 
 def test_verify_with_time_budget(corpus, tmp_path):
@@ -181,6 +210,27 @@ def test_unwritable_output_is_data_error(corpus, tmp_path, caplog, command,
     assert f"cannot write {out / name}: Is a directory" in caplog.text
 
 
+@pytest.mark.parametrize("name", ["db2.mpb", "pca.mpb"])
+@pytest.mark.parametrize("earlier", [False, True],
+                         ids=["fresh", "over-complete-db"])
+def test_failed_offline_leaves_no_db_to_verify(corpus, tmp_path, name,
+                                               earlier):
+    # offline fails on a later output; no DB1 marks the build incomplete,
+    # also where a complete earlier build stood
+    out = tmp_path / "db"
+    if earlier:
+        assert run_offline(corpus, out) == cli.EXIT_OK
+        (out / name).unlink()
+    else:
+        out.mkdir()
+    (out / name).mkdir()
+    assert run_offline(corpus, out) == cli.EXIT_DATA
+    assert not (out / "db1.mpb").exists()
+    assert cli.main(["verify", str(corpus / "unknown.aag"),
+                     "--db-dir", str(out), "--out-dir", str(tmp_path / "run")]
+                    + COMMON[:-2]) == cli.EXIT_DATA
+
+
 def test_verify_missing_db_dir(corpus, tmp_path):
     argv = ["verify", str(corpus / "unknown.aag"),
             "--db-dir", str(tmp_path / "nope"), "--out-dir", str(tmp_path / "r"),
@@ -208,6 +258,8 @@ def test_budget_required(corpus, capsys):
     (["--budget-conflicts", "0"], "conflict_budget must be positive"),
     (["--time-budget", "-1"], "time_budget must be positive"),
     (["--max-frames", "-3"], "max_frames must not be negative"),
+    (["--budget-conflicts", "5", "--time-budget", "1"],
+     "time_budget and conflict_budget are exclusive"),
     (["--budget-conflicts", "10", "--patterns", "0"], "must be at least 1"),
     (["--budget-conflicts", "10", "--max-clusters", "0"],
      "must be at least 1"),
@@ -220,7 +272,7 @@ def test_budget_required(corpus, capsys):
     (["--budget-conflicts", "10", "--embed", "import"],
      "--embed import needs --tensors"),
 ], ids=["budget-conflicts-0", "time-budget-negative", "max-frames-negative",
-        "patterns-0", "max-clusters-0", "pca-threshold-0",
+        "both-budgets", "patterns-0", "max-clusters-0", "pca-threshold-0",
         "pca-threshold-above-1", "tensors-without-import",
         "import-without-tensors"])
 def test_out_of_range_option_is_usage_error(corpus, tmp_path, capsys, flags,

@@ -7,6 +7,18 @@ import pytest
 
 from clusterbmc import circuits, clusterer, embed
 
+from oracles import kmeans_reference, kmedoids_reference
+
+
+def kmeans(pts, k, seed=0):
+    x, d = clusterer._pairwise_cos(pts)
+    return clusterer.kmeans(x, d, k, seed)
+
+
+def kmedoids(pts, k, seed=0):
+    """PAM draws nothing: `seed` is taken only to match kmeans."""
+    return clusterer.kmedoids(clusterer._pairwise_cos(pts)[1], k)
+
 
 def unit(v):
     a = np.asarray(v, dtype=float)
@@ -28,21 +40,21 @@ def cos_cost_kmeans(points, groups):
 
 def test_antipodal_separation():
     pts = [(1, 0), (0.95, 0.05), (-1, 0), (-0.9, -0.1)]
-    for fn in (clusterer.kmeans, clusterer.kmedoids):
+    for fn in (kmeans, kmedoids):
         groups = sorted(fn(pts, 2, seed=0))
         assert groups == [[0, 1], [2, 3]]
 
 
 def test_k_equals_n_singletons():
     pts = [(1, 0), (0, 1), (-1, 0), (0, -1)]
-    groups = clusterer.kmeans(pts, 4, seed=2)
+    groups = kmeans(pts, 4, seed=2)
     assert sorted(len(g) for g in groups) == [1, 1, 1, 1]
 
 
 def test_partition_validity():
     rng = np.random.default_rng(4)
     pts = [tuple(r) for r in rng.normal(size=(9, 3))]
-    for fn in (clusterer.kmeans, clusterer.kmedoids):
+    for fn in (kmeans, kmedoids):
         for k in (2, 3, 4):
             groups = fn(pts, k, seed=1)
             flat = sorted(i for g in groups for i in g)
@@ -52,7 +64,7 @@ def test_partition_validity():
 def test_determinism():
     rng = np.random.default_rng(6)
     pts = [tuple(r) for r in rng.normal(size=(8, 4))]
-    for fn in (clusterer.kmeans, clusterer.kmedoids):
+    for fn in (kmeans, kmedoids):
         assert fn(pts, 3, seed=9) == fn(pts, 3, seed=9)
 
 
@@ -60,7 +72,7 @@ def test_kmeans_one_move_stability():
     # the converged partition should not improve by moving any single point
     rng = np.random.default_rng(12)
     pts = [tuple(r) for r in rng.normal(size=(7, 3))]
-    groups = clusterer.kmeans(pts, 2, seed=0)
+    groups = kmeans(pts, 2, seed=0)
     base = cos_cost_kmeans(pts, groups)
     for src in range(2):
         for dst in range(2):
@@ -78,8 +90,8 @@ def test_kmeans_one_move_stability():
 def test_kmedoids_swap_stability():
     rng = np.random.default_rng(13)
     pts = [tuple(r) for r in rng.normal(size=(8, 3))]
-    d = clusterer._pairwise_cos(pts)
-    groups = clusterer.kmedoids(pts, 3, seed=0)
+    _x, d = clusterer._pairwise_cos(pts)
+    groups = kmedoids(pts, 3)
 
     def cost(medoids):
         return float(np.min(d[:, list(medoids)], axis=1).sum())
@@ -101,14 +113,14 @@ def test_kmedoids_swap_stability():
 
 def test_separated_triples_medoids():
     pts = [(1, 0.01 * i, 0) for i in range(3)] + [(0, 0.01 * i, 1) for i in range(3)]
-    groups = sorted(clusterer.kmedoids(pts, 2, seed=0))
+    groups = sorted(kmedoids(pts, 2))
     assert groups == [[0, 1, 2], [3, 4, 5]]
 
 
 def test_identical_points_zero_cost():
     pts = [(1.0, 1.0)] * 5
-    groups = clusterer.kmedoids(pts, 2, seed=0)
-    d = clusterer._pairwise_cos(pts)
+    groups = kmedoids(pts, 2)
+    _x, d = clusterer._pairwise_cos(pts)
     assert float(d.sum()) == pytest.approx(0.0, abs=1e-12)
     assert sorted(i for g in groups for i in g) == list(range(5))
 
@@ -116,9 +128,9 @@ def test_identical_points_zero_cost():
 def test_kmedoids_coinciding_medoids_leave_empty_groups():
     # two of the three medoids coincide: ties go to the first of them
     pts = [(1, 0)] * 3 + [(0, 1)]
-    assert clusterer.kmedoids(pts, 3, seed=0) == [[0, 1, 2], [], [3]]
+    assert kmedoids(pts, 3) == [[0, 1, 2], [], [3]]
     pts = [(1, 0)] * 3 + [(0, 1)] * 2
-    groups = clusterer.kmedoids(pts, 3, seed=0)
+    groups = kmedoids(pts, 3)
     assert [] in groups
     assert sorted(i for g in groups for i in g) == list(range(5))
     # Cluster() rejects a group below two members, so building the family
@@ -129,7 +141,7 @@ def test_kmedoids_coinciding_medoids_leave_empty_groups():
 
 def test_k_out_of_range():
     pts = [(1, 0), (0, 1)]
-    for fn in (clusterer.kmeans, clusterer.kmedoids):
+    for fn in (kmeans, kmedoids):
         with pytest.raises(clusterer.KOutOfRange):
             fn(pts, 1, seed=0)
         with pytest.raises(clusterer.KOutOfRange):
@@ -184,7 +196,7 @@ def test_kmeans_empty_group_is_not_averaged():
     # without averaging an empty slice
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        groups = clusterer.kmeans([(1, 0)] * 3 + [(0, 1)], 4)
+        groups = kmeans([(1, 0)] * 3 + [(0, 1)], 4)
     assert groups == [[3], [1, 2], [], [0]]
 
 
@@ -207,3 +219,54 @@ def test_family_ignores_rounding_noise():
         want = clusterer.build_family(name, emb, seed=101).clusters
         got = clusterer.build_family(name, noisy, seed=101).clusters
         assert [c.members for c in got] == [c.members for c in want], name
+
+
+def random_point_sets(count, seed, zero_rows):
+    """Small point sets that force ties: duplicated rows, and coordinates
+    rounded to 0-2 decimals.  `zero_rows` selects the sets
+    that hold an all-zero row, or those that hold none."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        n, m = int(rng.integers(2, 13)), int(rng.integers(1, 5))
+        pts = np.round(rng.normal(size=(n, m)), int(rng.integers(0, 3)))
+        pts[rng.integers(0, n, size=n // 2)] = pts[rng.integers(0, n, size=n // 2)]
+        if (~pts.any(axis=1)).any() == zero_rows:
+            out.append([tuple(r) for r in pts])
+    return out
+
+
+def test_clusterers_match_reference():
+    for t, pts in enumerate(random_point_sets(300, 22, zero_rows=False)):
+        x, d = clusterer._pairwise_cos(pts)
+        assert np.array_equal(d, d.T)
+        for k in range(2, len(pts) + 1):
+            assert clusterer.kmeans(x, d, k, t) == kmeans_reference(pts, k, t)
+            assert clusterer.kmedoids(d, k) == kmedoids_reference(pts, k)
+
+
+def test_zero_rows_are_at_distance_0_from_themselves():
+    # the reference's seeding put a zero row at distance 1 from itself, so
+    # k-means++ could draw a zero-row centre twice; the matrix diagonal is
+    # 0, so a drawn centre has weight 0.  Only kmeans seeding read that
+    # distance: kmedoids still matches the reference
+    for pts in random_point_sets(100, 23, zero_rows=True):
+        x, d = clusterer._pairwise_cos(pts)
+        assert not d.diagonal().any()
+        for k in range(2, len(pts) + 1):
+            groups = clusterer.kmeans(x, d, k, k)
+            assert sorted(i for g in groups for i in g) == list(range(len(pts)))
+            assert clusterer.kmedoids(d, k) == kmedoids_reference(pts, k)
+
+
+def test_family_computes_distances_once(monkeypatch):
+    calls, pairwise = [], clusterer._pairwise_cos
+
+    def counted(points):
+        calls.append(len(points))
+        return pairwise(points)
+
+    monkeypatch.setattr(clusterer, "_pairwise_cos", counted)
+    emb = {i: (math.cos(i), math.sin(i), 0.5) for i in range(9)}
+    clusterer.build_family("d", emb, seed=3)
+    assert calls == [9]
