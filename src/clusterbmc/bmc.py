@@ -15,9 +15,8 @@ runs on similar properties.
 Every property ends SAT, with a counterexample at the first frame whose
 bad is satisfiable, or UNDET at the deepest frame it was refuted at before
 the budget or the frame bound ran out.  A refuted frame proves nothing
-about deeper ones without a completeness threshold, so no run reports
-UNSAT: that status appears only in gain's transition table and in the
-database files.
+about deeper ones without a completeness threshold, so no verdict is a
+proof.
 
 Budgets come in two flavours: wall-clock seconds and conflict counts
 (deterministic, used by all reproducibility tests).  In
@@ -27,6 +26,7 @@ solver call costs 1 + its conflicts.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -42,7 +42,6 @@ from .netlist import (
 from . import satcore
 
 SAT = "SAT"
-UNSAT = "UNSAT"  # no run reports it; gain and the database files name it
 UNDET = "UNDET"
 
 
@@ -70,12 +69,16 @@ class BmcConfig:
         if self.time_budget is not None and self.conflict_budget is not None:
             raise BmcConfigError("time_budget and conflict_budget are "
                                  "exclusive: set one")
-        if self.time_budget is not None and self.time_budget <= 0:
-            raise BmcConfigError("time_budget must be positive")
+        # NaN and inf never run out: with no frame bound, a run might not end
+        if (self.time_budget is not None
+                and not 0 < self.time_budget < math.inf):
+            raise BmcConfigError("time_budget must be positive and finite")
         if self.conflict_budget is not None and self.conflict_budget <= 0:
             raise BmcConfigError("conflict_budget must be positive")
         if self.max_frames is not None and self.max_frames < 0:
             raise BmcConfigError("max_frames must not be negative")
+        if self.seed < 0:   # numpy's generators take none
+            raise BmcConfigError("seed must not be negative")
 
     @property
     def deterministic(self) -> bool:
@@ -247,7 +250,7 @@ def _run(n: Netlist, props, cfg: BmcConfig, budget) -> ClusterVerdict:
             if res.status == satcore.SAT:
                 verdicts[p] = Verdict(SAT, frame, spent,
                                       enc.extract_cex(res.model, frame + 1))
-            elif res.status == satcore.UNSAT:
+            elif res.status != satcore.UNKNOWN:   # the frame is refuted
                 refuted_to[p] = frame
             stopped = res.status == satcore.UNKNOWN or (
                 budget is not None and spent >= budget)

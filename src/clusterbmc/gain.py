@@ -1,7 +1,7 @@
 """Verification-status transitions and their gain metric.
 
 Comparing a property's standalone run against a cluster run gives one of
-six ranked transitions.  Each transition carries a scalar gain; per
+four ranked transitions.  Each transition carries a scalar gain; per
 property, the cluster with the lexicographically best (rank, value) record
 is its "influencing cluster" and what the third database remembers.
 """
@@ -10,26 +10,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bmc import SAT, UNSAT, UNDET
+from .bmc import SAT, UNDET
 
 UNDET_TO_SAT = "UNDET_TO_SAT"
-UNDET_TO_UNSAT = "UNDET_TO_UNSAT"
 SAT_TO_SAT = "SAT_TO_SAT"
-UNSAT_TO_UNSAT = "UNSAT_TO_UNSAT"
 UNDET_TO_UNDET = "UNDET_TO_UNDET"
 SAT_TO_UNDET = "SAT_TO_UNDET"
-UNSAT_TO_UNDET = "UNSAT_TO_UNDET"
 
-# Higher is better.  The two full-resolution transitions share the top
-# rank; the time-saving pair shares the next one.
+# Higher is better: a counterexample only the cluster run found, one both
+# runs found, one neither found, and one the cluster run lost.
 RANK = {
     UNDET_TO_SAT: 5,
-    UNDET_TO_UNSAT: 5,
     SAT_TO_SAT: 4,
-    UNSAT_TO_UNSAT: 4,
     UNDET_TO_UNDET: 3,
     SAT_TO_UNDET: 2,
-    UNSAT_TO_UNDET: 1,
 }
 
 
@@ -52,23 +46,26 @@ class GainRecord:
 
 _TRANSITIONS = {
     (UNDET, SAT): UNDET_TO_SAT,
-    (UNDET, UNSAT): UNDET_TO_UNSAT,
     (SAT, SAT): SAT_TO_SAT,
-    (UNSAT, UNSAT): UNSAT_TO_UNSAT,
     (UNDET, UNDET): UNDET_TO_UNDET,
     (SAT, UNDET): SAT_TO_UNDET,
-    (UNSAT, UNDET): UNSAT_TO_UNDET,
 }
 
 
 def classify(standalone, clustered) -> str:
-    """Transition of one property's status from standalone to cluster run."""
-    pair = (standalone.status, clustered.status)
-    if pair not in _TRANSITIONS:
-        # (SAT, UNSAT) or (UNSAT, SAT): a counterexample and a proof for the
-        # same property, which only an unsound harness can produce
-        raise AssertionError(f"contradictory verdicts {pair[0]} and {pair[1]}")
-    return _TRANSITIONS[pair]
+    """Transition of one property's status from standalone to cluster run.
+
+    Both runs check the same frames in order, so two SAT depths are equal
+    and an UNDET run refuted only frames below the other's SAT depth;
+    anything else means an unsound search, and raises AssertionError.
+    """
+    runs = (standalone, clustered)
+    sat = {v.depth for v in runs if v.status == SAT}
+    refuted = [v.depth for v in runs if v.status == UNDET]
+    if len(sat) > 1 or any(r >= d for r in refuted for d in sat):
+        raise AssertionError("contradictory verdicts " + " and ".join(
+            f"{v.status}@{v.depth}" for v in runs))
+    return _TRANSITIONS[(standalone.status, clustered.status)]
 
 
 def compute_gain(transition, standalone, clustered, cluster_size: int,
@@ -83,15 +80,15 @@ def compute_gain(transition, standalone, clustered, cluster_size: int,
     if cluster_size < 2:
         raise ValueError("cluster_size must be >= 2")
     degenerate = False
-    if transition in (UNDET_TO_SAT, UNDET_TO_UNSAT):
+    if transition == UNDET_TO_SAT:
         value = clustered.elapsed / (cluster_size - 1)
-    elif transition in (SAT_TO_SAT, UNSAT_TO_UNSAT):
+    elif transition == SAT_TO_SAT:
         t_s = standalone.elapsed
         if t_s <= 0:
             value, degenerate = 0.0, True
         else:
             value = (t_s - clustered.elapsed) / t_s
-    elif transition in (UNDET_TO_UNDET, SAT_TO_UNDET, UNSAT_TO_UNDET):
+    elif transition in (UNDET_TO_UNDET, SAT_TO_UNDET):
         d_s = standalone.depth
         if d_s <= 0:
             value, degenerate = 0.0, True

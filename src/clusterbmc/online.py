@@ -50,7 +50,6 @@ class DiffMatrix:
 @dataclass(frozen=True)
 class PropertyMap:
     mapping: dict    # B property -> unknown property (injective)
-    unmapped: tuple  # B properties without a partner
 
 
 def unknown_record(n: Netlist, design: str = "", verdicts=None) -> DesignRecord:
@@ -182,7 +181,7 @@ def associate_properties(m: DiffMatrix) -> PropertyMap:
     """Injective B-property -> unknown-property map of minimal total cost."""
     nr, nc = len(m.rows), len(m.cols)
     if nr == 0 or nc == 0:
-        return PropertyMap({}, tuple(m.rows))
+        return PropertyMap({})
     size = max(nr, nc)
     cost = [[_SENTINEL] * size for _ in range(size)]
     for i in range(nr):
@@ -191,8 +190,7 @@ def associate_properties(m: DiffMatrix) -> PropertyMap:
     for i, j in enumerate(_min_cost_assignment(cost)):
         if i < nr and j < nc:
             mapping[m.rows[i]] = m.cols[j]
-    unmapped = tuple(r for r in m.rows if r not in mapping)
-    return PropertyMap(mapping, unmapped)
+    return PropertyMap(mapping)
 
 
 def convert_clusters(influencing_clusters, prop_map: PropertyMap):

@@ -21,7 +21,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .bmc import SAT, UNDET, UNSAT
+from .bmc import SAT, UNDET
 from .gain import RANK, GainRecord
 
 SCHEMA_VERSION = 1
@@ -194,7 +194,7 @@ def _parse_db1_row(line: str, no: int) -> DesignRecord:
     if len(props) != count:
         raise CorruptRow(no, f"{len(props)} property entries, declared {count}")
     for p in props:
-        if p.status not in (SAT, UNSAT, UNDET):
+        if p.status not in (SAT, UNDET):
             raise CorruptRow(no, f"unknown status {p.status!r}")
         if p.depth < -1:
             raise CorruptRow(no, f"depth {p.depth} below -1")

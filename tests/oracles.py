@@ -190,14 +190,14 @@ def _propagates_to_conflict(units, occurs, clause):
 # -- gain formula table ------------------------------------------------------
 
 def gain_value(transition, t_s, t_c, d_s, d_c, cluster_size):
-    """The six formulas, re-coded directly.  Returns (value, degenerate)."""
-    if transition in ("UNDET_TO_SAT", "UNDET_TO_UNSAT"):
+    """The three formulas, re-coded directly.  Returns (value, degenerate)."""
+    if transition == "UNDET_TO_SAT":
         return t_c / (cluster_size - 1), False
-    if transition in ("SAT_TO_SAT", "UNSAT_TO_UNSAT"):
+    if transition == "SAT_TO_SAT":
         if t_s <= 0:
             return 0.0, True
         return (t_s - t_c) / t_s, False
-    if transition in ("UNDET_TO_UNDET", "SAT_TO_UNDET", "UNSAT_TO_UNDET"):
+    if transition in ("UNDET_TO_UNDET", "SAT_TO_UNDET"):
         if d_s <= 0:
             return 0.0, True
         return (d_c - d_s) / d_s, False

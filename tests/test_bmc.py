@@ -382,6 +382,11 @@ def test_config_validation():
         bmc.BmcConfig(max_frames=-1)
     with pytest.raises(bmc.BmcConfigError):
         bmc.BmcConfig(time_budget=1.0, conflict_budget=5)
+    for budget in (float("nan"), float("inf")):
+        with pytest.raises(bmc.BmcConfigError):
+            bmc.BmcConfig(time_budget=budget)
+    with pytest.raises(bmc.BmcConfigError):
+        bmc.BmcConfig(conflict_budget=5, seed=-1)
     assert bmc.BmcConfig(max_frames=0).max_frames == 0
 
 

@@ -2,7 +2,8 @@ import os
 
 import pytest
 
-from clusterbmc import bmc, cli, embed, netlist, online, parallel, store
+from clusterbmc import (bmc, cli, embed, netlist, online, parallel,
+                        satcore, store)
 from clusterbmc.circuits import (counter, deep_sat_miter, parity_miter,
                                  two_counters)
 from clusterbmc.netlist import INIT, parse_aiger, serialize_aiger
@@ -75,19 +76,30 @@ def test_verify_and_report(corpus, tmp_path):
     assert scatter[1:] == want
 
 
-@pytest.mark.parametrize("mode, depths", [("init", [4, 3]),
-                                          ("inductive", [0, 0])])
-def test_deep_sat_depths_through_offline_and_verify(tmp_path, mode, depths):
-    # bads first reachable at known depths, each earlier frame refuted
-    # through a parity miter: DB1, the campaign and its baseline must all
-    # find them
+def deep_designs(tmp_path):
+    """Four width-10 miters whose bads are first reachable at frames 4 and
+    3 in init mode, 0 and 0 in inductive mode."""
     paths = []
     for seed in range(4):
         path = tmp_path / f"deep{seed}.aag"
         path.write_text(serialize_aiger(
             deep_sat_miter(10, 4, seed, name=f"deep{seed}")))
         paths.append(str(path))
-    flags = ["--mode", mode, "--max-frames", "6", "--budget-conflicts", "5000"]
+    return paths
+
+
+def deep_flags(mode):
+    return ["--mode", mode, "--max-frames", "6", "--budget-conflicts", "5000"]
+
+
+@pytest.mark.parametrize("mode, depths", [("init", [4, 3]),
+                                          ("inductive", [0, 0])])
+def test_deep_sat_depths_through_offline_and_verify(tmp_path, mode, depths):
+    # bads first reachable at known depths, each earlier frame refuted
+    # through a parity miter: DB1, the campaign and its baseline must all
+    # find them
+    paths = deep_designs(tmp_path)
+    flags = deep_flags(mode)
     db = tmp_path / "db"
     assert cli.main(["offline", *paths[:3], "--out-dir", str(db)]
                     + flags) == cli.EXIT_OK
@@ -101,6 +113,24 @@ def test_deep_sat_depths_through_offline_and_verify(tmp_path, mode, depths):
     assert [(r["status"], r["depth"], r["baseline_status"], r["baseline_depth"],
              r["transition"]) for r in rows] == [
         ("SAT", str(d), "SAT", str(d), "SAT_TO_SAT") for d in depths]
+
+
+@pytest.mark.parametrize("mode", ["init", "inductive"])
+def test_unsound_learning_is_internal_error(tmp_path, monkeypatch, caplog,
+                                            mode):
+    # a learned clause missing a literal is stronger than its derivation:
+    # a cluster run then disagrees with a standalone run on a depth
+    learn = satcore.SolverSession._learn
+
+    def drop_last_literal(self, lits):
+        learn(self, lits[:-1] if len(lits) > 2 else lits)
+
+    monkeypatch.setattr(satcore.SolverSession, "_learn", drop_last_literal)
+    assert cli.main(["offline", *deep_designs(tmp_path)[:3],
+                     "--out-dir", str(tmp_path / "db")]
+                    + deep_flags(mode)) == cli.EXIT_INTERNAL
+    assert "contradictory verdicts" in caplog.records[-1].getMessage()
+    assert not (tmp_path / "db" / "db1.mpb").exists()
 
 
 def test_verify_with_time_budget(corpus, tmp_path):
@@ -257,6 +287,10 @@ def test_budget_required(corpus, capsys):
 @pytest.mark.parametrize("flags, message", [
     (["--budget-conflicts", "0"], "conflict_budget must be positive"),
     (["--time-budget", "-1"], "time_budget must be positive"),
+    (["--time-budget", "nan"], "time_budget must be positive and finite"),
+    (["--time-budget", "inf"], "time_budget must be positive and finite"),
+    (["--budget-conflicts", "10", "--seed", "-1"],
+     "seed must not be negative"),
     (["--max-frames", "-3"], "max_frames must not be negative"),
     (["--budget-conflicts", "5", "--time-budget", "1"],
      "time_budget and conflict_budget are exclusive"),
@@ -271,7 +305,8 @@ def test_budget_required(corpus, capsys):
      "--tensors needs --embed import"),
     (["--budget-conflicts", "10", "--embed", "import"],
      "--embed import needs --tensors"),
-], ids=["budget-conflicts-0", "time-budget-negative", "max-frames-negative",
+], ids=["budget-conflicts-0", "time-budget-negative", "time-budget-nan",
+        "time-budget-inf", "seed-negative", "max-frames-negative",
         "both-budgets", "patterns-0", "max-clusters-0", "pca-threshold-0",
         "pca-threshold-above-1", "tensors-without-import",
         "import-without-tensors"])

@@ -1,0 +1,211 @@
+"""`cli.main` on drawn command lines, input files and directories.
+
+Options take in-range, out-of-range and conflicting values.  Input files
+are valid, truncated, not UTF-8, directories or missing; database
+directories may lack a file, campaign directories their report, and
+output directories may hold a directory where a file goes.  Every outcome
+is exit 0, 2 (argparse's `SystemExit(2)` included) or 3: never exit 4, and
+never an exception out of `main`.
+"""
+
+import os
+import shutil
+import tempfile
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from clusterbmc import cli, embed
+from clusterbmc.circuits import counter, two_counters
+from clusterbmc.netlist import serialize_aiger
+
+KINDS = ["valid", "truncated", "non-utf8", "directory", "missing"]
+
+# in-range values, each option drawn or left out; a frame bound comes
+# first, so that no run is unbounded
+BOUND = ["--max-frames", "3"]
+COMMON = {
+    "--budget-conflicts": ["40", "1"],
+    "--max-frames": ["2", "0"],
+    "--seed": ["0", "7"],
+    "--mode": ["init", "inductive"],
+}
+OFFLINE = {
+    "--pca-threshold": ["0.95", "0.5", "1"],
+    "--patterns": ["16", "1"],
+    "--max-clusters": ["3", "1"],
+}
+VERIFY = {"--delta": ["1", "3"]}
+# at most one option appended last, so that it wins: out of range, not a
+# number, in conflict with another option, or of another command
+BAD = [("--budget-conflicts", "0"), ("--budget-conflicts", "x"),
+       ("--time-budget", "0.02"), ("--time-budget", "-1"),
+       ("--time-budget", "nan"), ("--time-budget", "inf"),
+       ("--max-frames", "-1"), ("--seed", "-1"), ("--mode", "bogus"),
+       ("--patterns", "0"), ("--max-clusters", "0"),
+       ("--pca-threshold", "1.5"), ("--pca-threshold", "nan"),
+       ("--delta", "0"), ("--delta", "-2"), ("--embed", "import"),
+       ("--embed", "bogus"), ("--bogus", "3")]
+
+# names an output directory may hold as a directory instead of a file
+OUTPUTS = ["db1.mpb", "db2.mpb", "db3.mpb", "pca.mpb", "report.txt",
+           "cluster_0_1_conflicts.csv", "conflicts.csv", "depth_scatter.csv"]
+
+
+def variants(root, name, data):
+    """A path of each of KINDS under `root`, the valid one holding `data`."""
+    paths = {}
+    for kind, body in (("valid", data), ("truncated", data[:len(data) // 2]),
+                       ("non-utf8", data[:7] + b"\xff\xfe" + data[7:])):
+        paths[kind] = root / f"{kind}-{name}"
+        paths[kind].write_bytes(body)
+    paths["directory"] = root / f"directory-{name}"
+    paths["directory"].mkdir()
+    paths["missing"] = root / f"missing-{name}"
+    return {kind: str(path) for kind, path in paths.items()}
+
+
+def damaged_copies(root, name, source, files):
+    """Copies of directory `source`: complete, with each of `files` (label
+    -> file name) missing, truncated or not UTF-8, and the directory itself
+    a file or missing."""
+    dirs = {"complete": source}
+    for label, f in files.items():
+        for kind in ("no", "truncated", "non-utf8"):
+            d = root / f"{name}-{kind}-{label}"
+            shutil.copytree(source, d)
+            if kind == "no":
+                os.remove(d / f)
+            else:
+                data = (d / f).read_bytes()
+                (d / f).write_bytes(data[:len(data) // 2]
+                                    if kind == "truncated" else b"\xff" + data)
+            dirs[f"{kind}-{label}"] = d
+    dirs["file"] = root / f"{name}-file"
+    dirs["file"].write_text("not a directory\n")
+    dirs["missing"] = root / f"{name}-missing"
+    return {kind: str(path) for kind, path in dirs.items()}
+
+
+@pytest.fixture(scope="module")
+def world(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    designs = {
+        "ctr": variants(root, "ctr.aag", serialize_aiger(
+            counter(3, (5, 6))).encode()),
+        "two": variants(root, "two.aag", serialize_aiger(
+            two_counters()).encode()),
+    }
+    unknown = variants(root, "unk.aag", serialize_aiger(
+        two_counters(bits=2, bad_a=2, bad_b=3, name="unk")).encode())
+    tensors = {"valid": []}
+    for design in ("valid-ctr", "valid-two"):
+        for p in range(2):
+            path = str(root / f"{design}-{p}.tensor")
+            embed.export_tensor(embed.EmbeddingTensor(
+                design, p, 3, (float(p), 1.0, float(len(design)))), path)
+            tensors["valid"].append(path)
+    with open(tensors["valid"][0], "rb") as fh:
+        one = variants(root, "t.tensor", fh.read())
+    tensors.update((kind, tensors["valid"][1:] + [one[kind]])
+                   for kind in KINDS[1:])
+
+    db, camp = root / "db", root / "camp"
+    run = ["--budget-conflicts", "40", "--max-frames", "3", "--mode", "init"]
+    assert cli.main(["offline", designs["ctr"]["valid"],
+                     designs["two"]["valid"], "--out-dir", str(db),
+                     "--patterns", "16"] + run) == cli.EXIT_OK
+    assert cli.main(["verify", unknown["valid"], "--db-dir", str(db),
+                     "--out-dir", str(camp), "--baseline"]
+                    + run) == cli.EXIT_OK
+    csv = next(name for name in sorted(os.listdir(camp))
+               if name.endswith(".csv"))
+    return {
+        "root": root, "designs": designs, "unknown": unknown,
+        "tensors": tensors,
+        "dbs": damaged_copies(root, "db", db, {
+            "db1": "db1.mpb", "db2": "db2.mpb", "db3": "db3.mpb",
+            "pca": "pca.mpb"}),
+        "camps": damaged_copies(root, "camp", camp,
+                                {"report": "report.txt", "csv": csv}),
+    }
+
+
+def options(table):
+    return st.fixed_dictionaries(
+        {flag: st.none() | st.sampled_from(values)
+         for flag, values in table.items()})
+
+
+def flags(chosen):
+    return [item for flag, value in chosen.items() if value is not None
+            for item in (flag, value)]
+
+
+def intact_or(intact, damaged):
+    """`intact` about half the time, else one of `damaged`."""
+    return st.just(intact) | st.sampled_from(damaged)
+
+
+def damaged(labels):
+    return ["file", "missing"] + [f"{kind}-{label}" for label in labels
+                                  for kind in ("no", "truncated", "non-utf8")]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(command=st.sampled_from(["offline", "verify", "report"]),
+       inputs=st.lists(st.tuples(st.sampled_from(["ctr", "two"]),
+                                 intact_or("valid", KINDS[1:])),
+                       min_size=1, max_size=3),
+       common=options(COMMON), offline=options(OFFLINE),
+       verify=options(VERIFY), baseline=st.booleans(),
+       bad=st.none() | st.sampled_from(BAD),
+       tensors=st.none() | st.sampled_from(KINDS),
+       db=intact_or("complete", damaged(["db1", "db2", "db3", "pca"])),
+       camp=intact_or("complete", damaged(["report", "csv"])),
+       out=st.none() | st.sampled_from(["file"] + OUTPUTS))
+def test_main_exits_0_2_or_3(world, command, inputs, common, offline, verify,
+                             baseline, bad, tensors, db, camp, out):
+    work = tempfile.mkdtemp(dir=world["root"])
+    out_dir = os.path.join(work, "out")
+    if out == "file":
+        with open(out_dir, "w") as fh:
+            fh.write("not a directory\n")
+    elif out is not None:
+        os.makedirs(os.path.join(out_dir, out))
+
+    if command == "offline":
+        argv = (["offline"]
+                + [world["designs"][name][kind] for name, kind in inputs]
+                + ["--out-dir", out_dir] + BOUND + flags(common)
+                + flags(offline))
+        if tensors is not None:
+            argv += ["--embed", "import",
+                     "--tensors", *world["tensors"][tensors]]
+    elif command == "verify":
+        argv = (["verify", world["unknown"][inputs[0][1]],
+                 "--db-dir", world["dbs"][db], "--out-dir", out_dir]
+                + BOUND + flags(common) + flags(verify)
+                + (["--baseline"] if baseline else []))
+    else:
+        # report writes into the campaign: run it on a copy
+        source = world["camps"][camp]
+        campaign = os.path.join(work, "camp")
+        if os.path.isdir(source):
+            shutil.copytree(source, campaign)
+            if out is not None and out != "file":
+                blocked = os.path.join(campaign, out)
+                if os.path.isfile(blocked):
+                    os.remove(blocked)
+                os.makedirs(blocked, exist_ok=True)
+        elif os.path.exists(source):
+            shutil.copy(source, campaign)
+        argv = ["report", campaign]
+    if bad is not None:
+        argv += list(bad)
+
+    try:
+        code = cli.main(argv)
+    except SystemExit as e:   # argparse's usage errors
+        code = e.code
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA), argv

@@ -3,13 +3,12 @@ import random
 import pytest
 
 from clusterbmc import gain
-from clusterbmc.bmc import SAT, UNSAT, UNDET, Verdict
+from clusterbmc.bmc import SAT, UNDET, Verdict
 from oracles import gain_value
 
 TRANSITIONS = [
-    gain.UNDET_TO_SAT, gain.UNDET_TO_UNSAT, gain.SAT_TO_SAT,
-    gain.UNSAT_TO_UNSAT, gain.UNDET_TO_UNDET, gain.SAT_TO_UNDET,
-    gain.UNSAT_TO_UNDET,
+    gain.UNDET_TO_SAT, gain.SAT_TO_SAT, gain.UNDET_TO_UNDET,
+    gain.SAT_TO_UNDET,
 ]
 
 
@@ -18,32 +17,40 @@ def V(status, depth=0, elapsed=0.0):
 
 
 def test_classification_table():
-    cases = {
-        (UNDET, SAT): gain.UNDET_TO_SAT,
-        (UNDET, UNSAT): gain.UNDET_TO_UNSAT,
-        (SAT, SAT): gain.SAT_TO_SAT,
-        (UNSAT, UNSAT): gain.UNSAT_TO_UNSAT,
-        (UNDET, UNDET): gain.UNDET_TO_UNDET,
-        (SAT, UNDET): gain.SAT_TO_UNDET,
-        (UNSAT, UNDET): gain.UNSAT_TO_UNDET,
-    }
-    for (s, c), want in cases.items():
-        assert gain.classify(V(s), V(c)) == want
-    # a counterexample against a proof means an unsound harness
-    for s, c in ((SAT, UNSAT), (UNSAT, SAT)):
-        with pytest.raises(AssertionError):
-            gain.classify(V(s), V(c))
+    # an UNDET run may refute up to the frame below the other's SAT depth
+    cases = [
+        (V(UNDET, 2), V(SAT, 3), gain.UNDET_TO_SAT),
+        (V(SAT, 3), V(SAT, 3), gain.SAT_TO_SAT),
+        (V(UNDET, 2), V(UNDET, 9), gain.UNDET_TO_UNDET),
+        (V(SAT, 3), V(UNDET, 2), gain.SAT_TO_UNDET),
+        (V(SAT, 0), V(UNDET, -1), gain.SAT_TO_UNDET),
+    ]
+    for s, c, want in cases:
+        assert gain.classify(s, c) == want
+    assert sorted(gain.RANK) == sorted(TRANSITIONS)
+
+
+@pytest.mark.parametrize("a, b", [
+    (V(SAT, 4), V(SAT, 5)),
+    (V(SAT, 3), V(UNDET, 3)),
+    (V(SAT, 3), V(UNDET, 7)),
+], ids=["sat-depths-differ", "undet-refutes-the-sat-frame",
+        "undet-refutes-past-the-sat-frame"])
+def test_contradictory_depths_raise(a, b):
+    # both runs check the same frames in order: a refuted frame at or past
+    # the other run's counterexample, or two counterexample depths, mean an
+    # unsound search
+    for s, c in ((a, b), (b, a)):
+        with pytest.raises(AssertionError, match="contradictory verdicts"):
+            gain.classify(s, c)
 
 
 def test_rank_total_order():
-    assert gain.RANK[gain.UNDET_TO_SAT] == gain.RANK[gain.UNDET_TO_UNSAT]
-    assert gain.RANK[gain.SAT_TO_SAT] == gain.RANK[gain.UNSAT_TO_UNSAT]
     assert (
         gain.RANK[gain.UNDET_TO_SAT]
         > gain.RANK[gain.SAT_TO_SAT]
         > gain.RANK[gain.UNDET_TO_UNDET]
         > gain.RANK[gain.SAT_TO_UNDET]
-        > gain.RANK[gain.UNSAT_TO_UNDET]
     )
 
 
@@ -55,7 +62,7 @@ def test_worked_numbers():
     r = gain.compute_gain(gain.UNDET_TO_UNDET, V(UNDET, 9), V(UNDET, 9), 2)
     assert r.value == 0.0 and not r.degenerate
     with pytest.raises(ValueError):
-        gain.compute_gain("SAT_TO_UNSAT", V(SAT), V(UNSAT), 2)
+        gain.compute_gain("SAT_TO_UNSAT", V(SAT), V(SAT), 2)
 
 
 def test_formula_matches_independent_table():

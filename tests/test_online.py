@@ -105,7 +105,7 @@ def test_assignment_identity_matrix():
     ent = ((0, 7, 7), (7, 0, 7), (7, 7, 0))
     m = online.DiffMatrix((0, 1, 2), (0, 1, 2), ent)
     pm = online.associate_properties(m)
-    assert pm.mapping == {0: 0, 1: 1, 2: 2} and not pm.unmapped
+    assert pm.mapping == {0: 0, 1: 1, 2: 2}
 
 
 def test_assignment_single_row():
@@ -114,13 +114,13 @@ def test_assignment_single_row():
 
 
 def test_convert_clusters_rewrite():
-    pm = online.PropertyMap({1: 3, 3: 1, 4: 2}, ())
+    pm = online.PropertyMap({1: 3, 3: 1, 4: 2})
     out = online.convert_clusters([frozenset({1, 3, 4})], pm)
     assert out == [frozenset({1, 2, 3})]
 
 
 def test_convert_clusters_drops_and_dedups():
-    pm = online.PropertyMap({1: 3, 3: 1, 4: 2}, (2,))
+    pm = online.PropertyMap({1: 3, 3: 1, 4: 2})
     out = online.convert_clusters(
         [frozenset({1, 2}), frozenset({1, 2, 3}), frozenset({3, 1})], pm
     )
@@ -129,7 +129,7 @@ def test_convert_clusters_drops_and_dedups():
 
 
 def test_identity_map_keeps_clusters():
-    pm = online.PropertyMap({0: 0, 1: 1, 2: 2}, ())
+    pm = online.PropertyMap({0: 0, 1: 1, 2: 2})
     fam = [frozenset({0, 1}), frozenset({0, 1, 2})]
     assert online.convert_clusters(fam, pm) == sorted(
         fam, key=lambda c: (len(c), tuple(sorted(c))))

@@ -12,7 +12,7 @@ def random_db1(rng, count=10):
         props = tuple(
             store.PropertyEntry(
                 rng.randint(0, 9), rng.randint(0, 9), rng.randint(0, 99),
-                rng.choice(["SAT", "UNSAT", "UNDET"]),
+                rng.choice(["SAT", "UNDET"]),
                 rng.randint(-1, 60), rng.random() * 500,
             )
             for _ in range(rng.randint(0, 6))
@@ -30,8 +30,7 @@ def random_db3(rng, count=8):
         gains = []
         for j in range(rng.randint(1, 4)):
             members = frozenset(rng.sample(range(8), rng.randint(2, 4)))
-            tr = rng.choice([gain.UNDET_TO_SAT, gain.SAT_TO_SAT,
-                             gain.UNDET_TO_UNDET, gain.UNSAT_TO_UNDET])
+            tr = rng.choice(sorted(gain.RANK))
             val = rng.random() * 4 - 1
             gains.append(gain.GainRecord(i, members, tr, val,
                                          rng.random() < 0.2))
@@ -100,10 +99,16 @@ def test_corrupt_row_line_number(tmp_path):
 
 @pytest.mark.parametrize("kind, row, message", [
     (store.DB3, "d|0|0 1|0 1:BOGUS:0.5:0", "unknown transition 'BOGUS'"),
+    (store.DB3, "d|0|0 1|0 1:UNDET_TO_UNSAT:0.5:0",
+     "unknown transition 'UNDET_TO_UNSAT'"),
+    (store.DB3, "d|0|0 1|0 1:UNSAT_TO_UNDET:0.5:0",
+     "unknown transition 'UNSAT_TO_UNDET'"),
     (store.DB1, "d|1,1,4|1|1,1,4,MAYBE,3,9.0", "unknown status 'MAYBE'"),
+    (store.DB1, "d|1,1,4|1|1,1,4,UNSAT,3,9.0", "unknown status 'UNSAT'"),
     (store.DB1, "d|1,1,4|1|1,1,4,UNDET,-7,9.0", "depth -7 below -1"),
     (store.DB1, "d|1,1,4|1|1,1,4,UNDET,2,nan", "elapsed nan is not finite"),
-], ids=["db3-transition", "db1-status", "db1-depth", "db1-elapsed"])
+], ids=["db3-transition", "db3-unsat-target", "db3-unsat-source",
+        "db1-status", "db1-unsat", "db1-depth", "db1-elapsed"])
 def test_reader_rejects_rows_no_writer_produces(tmp_path, kind, row,
                                                 message):
     path = tmp_path / "db.mpb"
