@@ -2,6 +2,9 @@
 
 The built-in provider simulates a design once, on one inductive frame with
 random stimuli drawn per design, and records every gate's logic-1 ratio.
+The stimuli come from `random.Random(seed)`: one `getrandbits(patterns)`
+int per latch, then one per input, so bit j of every signal is pattern j
+and each AND gate evaluates all patterns with one `&` on Python ints.
 A property's signature pools the ratios of its cone to a fixed width by
 bucketed averaging, in the order `restrict_to_coi` numbers the cone's
 variables (inputs, latches, ANDs): so it equals a simulation of the cone
@@ -17,6 +20,7 @@ Every tensor of a build is projected with one matrix product.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from itertools import chain
 
@@ -75,21 +79,15 @@ def _bucket_pool(ratios, width: int):
 def _gate_ratios(n: Netlist, patterns: int, seed: int) -> list:
     """Logic-1 ratio of every variable of `n` (index var - 1) on one frame
     under random stimuli: frame-0 latches are free like the inputs, and
-    are drawn first."""
+    are drawn first.  Bit j of every signal is pattern j."""
     if patterns < 1:
         raise ValueError("patterns must be >= 1")
-    rng = np.random.default_rng(seed)
-    latch_vals = [rng.random(patterns) < 0.5 for _ in range(n.num_latches)]
-    input_vals = [rng.random(patterns) < 0.5 for _ in range(n.num_inputs)]
-    values, _, _ = n.eval_frame(latch_vals, input_vals)
-    ratios = []
-    for var in range(1, n.max_var + 1):
-        v = values[var]
-        if isinstance(v, (bool, np.bool_)):
-            ratios.append(1.0 if v else 0.0)
-        else:
-            ratios.append(float(np.count_nonzero(v)) / patterns)
-    return ratios
+    rng = random.Random(seed)
+    latch_vals = [rng.getrandbits(patterns) for _ in range(n.num_latches)]
+    input_vals = [rng.getrandbits(patterns) for _ in range(n.num_inputs)]
+    values, _, _ = n.eval_frame(latch_vals, input_vals,
+                                ones=(1 << patterns) - 1)
+    return [v.bit_count() / patterns for v in values[1:]]
 
 
 def simulate_signature(
@@ -141,10 +139,10 @@ def design_signatures(n: Netlist, patterns: int = 4096, seed: int = 0,
 
 
 def export_tensor(t: EmbeddingTensor, path: str):
-    """Two-line interchange file: `design,property,width` then the values."""
-    with open(path, "w") as fh:
-        fh.write(f"{t.design},{t.property},{t.width}\n")
-        fh.write(",".join(repr(float(v)) for v in t.values) + "\n")
+    """Two-line interchange file: `design,property,width` then the values,
+    in UTF-8; raises `store.UnwritableFile` when it cannot be written."""
+    store.write_text(path, f"{t.design},{t.property},{t.width}\n"
+                     + ",".join(repr(float(v)) for v in t.values) + "\n")
 
 
 def import_tensor(path: str) -> EmbeddingTensor:

@@ -68,6 +68,17 @@ def classify(standalone, clustered) -> str:
     return _TRANSITIONS[(standalone.status, clustered.status)]
 
 
+def classify_at(design: str, p: int, members, standalone, clustered) -> str:
+    """`classify`, with the design, the property and the cluster members
+    in front of a contradiction's message."""
+    try:
+        return classify(standalone, clustered)
+    except AssertionError as e:
+        raise AssertionError(
+            f"design {design} property {p} cluster "
+            f"{' '.join(map(str, sorted(members)))}: {e}") from None
+
+
 def compute_gain(transition, standalone, clustered, cluster_size: int,
                  property_index: int = 0, cluster=frozenset()) -> GainRecord:
     """Scalar gain for one transition.
@@ -142,7 +153,7 @@ def build_influencing_map(design: str, standalone: dict,
                 raise MissingStandaloneVerdict(p)
             if p not in verdicts:
                 continue
-            tr = classify(standalone[p], verdicts[p])
+            tr = classify_at(design, p, members, standalone[p], verdicts[p])
             records[p].append(
                 compute_gain(
                     tr, standalone[p], verdicts[p], len(members),

@@ -173,11 +173,13 @@ class Netlist:
 
     # -- simulation ---------------------------------------------------------
 
-    def eval_frame(self, latch_vals, input_vals):
+    def eval_frame(self, latch_vals, input_vals, ones=True):
         """One combinational evaluation.
 
-        ``latch_vals`` and ``input_vals`` are sequences of bools (or numpy
-        arrays for vectorized simulation).  Returns ``(values, next_latch,
+        ``latch_vals`` and ``input_vals`` are sequences of bools, numpy bool
+        arrays, or ints that pack one pattern per bit; ``ones`` is the
+        all-true value a literal's negation is xor-ed with, so int callers
+        pass ``(1 << patterns) - 1``.  Returns ``(values, next_latch,
         bad_vals)`` where ``values[var]`` holds every variable's value.
         """
         if len(input_vals) != self.num_inputs:
@@ -197,7 +199,7 @@ class Netlist:
 
         def ev(lit):
             v = values[lit >> 1]
-            return v ^ True if lit & 1 else v
+            return v ^ ones if lit & 1 else v
 
         for lhs, rhs0, rhs1 in self.ands:
             values[lit_var(lhs)] = ev(rhs0) & ev(rhs1)

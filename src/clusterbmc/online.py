@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from . import bmc, parallel
-from .gain import classify, compute_gain
+from .gain import classify_at, compute_gain
 from .netlist import Netlist, extract_coi
 from .store import DesignRecord, PropertyEntry, query_db1_by_property_count
 
@@ -343,7 +343,7 @@ def verify_unknown(
             row.baseline_depth = v.depth
             row.baseline_elapsed = v.elapsed
             clustered = bmc.Verdict(row.status, row.depth, row.elapsed)
-            tr = classify(v, clustered)
+            tr = classify_at(u_rec.design, p, row.cluster or (), v, clustered)
             row.transition = tr
             size = len(row.cluster) if row.cluster else 2
             row.gain = compute_gain(

@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 
@@ -129,8 +130,31 @@ def test_unsound_learning_is_internal_error(tmp_path, monkeypatch, caplog,
     assert cli.main(["offline", *deep_designs(tmp_path)[:3],
                      "--out-dir", str(tmp_path / "db")]
                     + deep_flags(mode)) == cli.EXIT_INTERNAL
-    assert "contradictory verdicts" in caplog.records[-1].getMessage()
+    # the logged line says where: a design, a property and its cluster
+    assert re.search(r"design deep[0-2] property [01] cluster 0 1: "
+                     r"contradictory verdicts ",
+                     caplog.records[-1].getMessage())
     assert not (tmp_path / "db" / "db1.mpb").exists()
+
+
+def test_unsound_learning_in_verify_names_the_design(tmp_path, monkeypatch,
+                                                      caplog):
+    # a sound database, then a baseline run whose cluster run learns the
+    # unsound clause and misses the standalone run's counterexample
+    paths, flags = deep_designs(tmp_path), deep_flags("init")
+    db = str(tmp_path / "db")
+    assert cli.main(["offline", *paths[:3], "--out-dir", db]
+                    + flags) == cli.EXIT_OK
+    learn = satcore.SolverSession._learn
+    monkeypatch.setattr(satcore.SolverSession, "_learn",
+                        lambda self, lits: learn(
+                            self, lits[:-1] if len(lits) > 2 else lits))
+    assert cli.main(["verify", paths[3], "--db-dir", db, "--out-dir",
+                     str(tmp_path / "run"), "--baseline"]
+                    + flags) == cli.EXIT_INTERNAL
+    assert re.search(r"design deep3 property [01] cluster 0 1: "
+                     r"contradictory verdicts ",
+                     caplog.records[-1].getMessage())
 
 
 def test_verify_with_time_budget(corpus, tmp_path):

@@ -53,32 +53,40 @@ def test_signature_functional_sensitivity():
     assert sig_and.values != sig_or.values
 
 
+def unpack(bits: int, patterns: int):
+    """Bool array whose entry j is bit j of `bits`."""
+    return np.array([(bits >> j) & 1 for j in range(patterns)], dtype=bool)
+
+
 def test_design_signatures_equal_cone_simulations():
     # one simulation of the whole design gives each property the signature
-    # of its cone simulated alone on the cone's share of the same stimuli
-    for trial in range(30):
-        rng = random.Random(1400 + trial)
-        n = random_netlist(rng, num_bads=4, name="r")
-        if trial % 3 == 0:
-            n = parity_miter(width=rng.randint(3, 9), copies=2, variants=3)
-        patterns, width = 97, rng.choice([4, 16, 128])
-        sigs = embed.design_signatures(n, patterns=patterns, seed=trial,
-                                       width=width)
-        assert [t.property for t in sigs] == list(range(n.num_properties))
-        draw = np.random.default_rng(trial)   # latches first, then inputs
-        latch_vals = [draw.random(patterns) < 0.5
-                      for _ in range(n.num_latches)]
-        input_vals = [draw.random(patterns) < 0.5
-                      for _ in range(n.num_inputs)]
-        for p, sig in enumerate(sigs):
-            inputs, latches, _ = netlist._coi_vars(n, p)
-            want = pooled_ratios(
-                restrict_to_coi(n, p),
-                [latch_vals[v - n.num_inputs - 1] for v in sorted(latches)],
-                [input_vals[v - 1] for v in sorted(inputs)], patterns, width)
-            assert sig.values == want, (trial, p)
-            assert embed.coi_signature(n, p, patterns=patterns, seed=trial,
-                                       width=width) == sig
+    # of its cone simulated alone on the cone's share of the same stimuli;
+    # the reference evaluates numpy bool arrays, one entry per pattern
+    for patterns in (1, 64, 65, 97, 1024):
+        for trial in range(30):
+            rng = random.Random(1400 + trial)
+            n = random_netlist(rng, num_bads=4, name="r")
+            if trial % 3 == 0:
+                n = parity_miter(width=rng.randint(3, 9), copies=2, variants=3)
+            width = rng.choice([4, 16, 128])
+            sigs = embed.design_signatures(n, patterns=patterns, seed=trial,
+                                           width=width)
+            assert [t.property for t in sigs] == list(range(n.num_properties))
+            draw = random.Random(trial)   # latches first, then inputs
+            latch_vals = [unpack(draw.getrandbits(patterns), patterns)
+                          for _ in range(n.num_latches)]
+            input_vals = [unpack(draw.getrandbits(patterns), patterns)
+                          for _ in range(n.num_inputs)]
+            for p, sig in enumerate(sigs):
+                inputs, latches, _ = netlist._coi_vars(n, p)
+                want = pooled_ratios(
+                    restrict_to_coi(n, p),
+                    [latch_vals[v - n.num_inputs - 1] for v in sorted(latches)],
+                    [input_vals[v - 1] for v in sorted(inputs)], patterns,
+                    width)
+                assert sig.values == want, (patterns, trial, p)
+                assert embed.coi_signature(n, p, patterns=patterns,
+                                           seed=trial, width=width) == sig
 
 
 def test_tensor_roundtrip(tmp_path):
@@ -90,6 +98,17 @@ def test_tensor_roundtrip(tmp_path):
     assert back.design == "m" and back.property == 0
     assert tuple(back.values) == tuple(float(v) for v in t.values)
     assert back.provider == embed.PROVIDER_IMPORTED
+
+
+def test_export_tensor_is_utf8_and_unwritable_is_store_error(tmp_path):
+    t = embed.coi_signature(parity_miter(width=3), 0, patterns=64,
+                            design="m\u00e9")
+    path = tmp_path / "t.tensor"
+    embed.export_tensor(t, str(path))
+    assert path.read_bytes().startswith("m\u00e9,0,".encode("utf-8"))
+    assert embed.import_tensor(str(path)).design == "m\u00e9"
+    with pytest.raises(store.UnwritableFile):
+        embed.export_tensor(t, str(tmp_path))   # a directory
 
 
 def test_malformed_tensor(tmp_path):

@@ -1,5 +1,5 @@
 """Imports: no module imports a name it never uses, and no command
-imports scipy.
+imports scipy or numpy.random.
 
 A plain `ast` scan, since no linter is a dependency: every name an
 import statement binds must appear as a name somewhere else in the
@@ -68,7 +68,8 @@ def test_no_unused_imports():
 
 
 # builds a small database and verifies an unseen design against it, all
-# in one fresh interpreter, then prints the scipy modules it imported
+# in one fresh interpreter, then prints the scipy and numpy.random modules
+# it imported
 COMMANDS = """
 import sys
 from clusterbmc import cli
@@ -84,11 +85,12 @@ assert cli.main(["offline", "ctr.aag", "twoctr.aag", "--out-dir", "db",
                  "--patterns", "64"] + common) == 0
 assert cli.main(["verify", "unk.aag", "--db-dir", "db", "--out-dir", "run",
                  "--baseline"] + common) == 0
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+             or m.split(".")[:2] == ["numpy", "random"]))
 """
 
 
-def test_commands_do_not_import_scipy(tmp_path):
+def test_commands_do_not_import_scipy_or_numpy_random(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, "-c", COMMANDS], cwd=tmp_path,
                           env=env, capture_output=True, text=True,
