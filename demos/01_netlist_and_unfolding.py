@@ -28,7 +28,8 @@ for p in range(n.num_properties):
 
 # unfolding: initial-state mode pins latches at their resets, inductive
 # mode leaves frame 0 free (an over-approximation of reachability); BMC
-# adds one frame at a time
+# adds one frame at a time.  Constants fold as frames unroll, so a counter
+# with no inputs needs no variable from reset
 for mode in (INIT, INDUCTIVE):
     u = UnfoldBuilder(n, mode)
     for _ in range(3):

@@ -3,14 +3,18 @@
 A run owns a single SolverSession.  Frames are encoded into CNF one at a
 time, each limited to the union cone of influence of the run's
 properties: an input, latch or gate that no property of the run can see
-gets no solver variable and reads as false in counterexamples.  Each XOR
-that `Netlist.xors` finds becomes 4 clauses over its two inputs, and its
-two inner AND gates get neither clauses nor solver variables; every other
-AND gate gets the 3 Tseitin clauses.  At every frame the bad literal of
-each still-unresolved property is assumed and solved, in ascending
-property order.  Learned clauses persist across properties and frames,
-which is what makes clustered runs cheaper than the sum of standalone
-runs on similar properties.
+gets no solver variable and reads as false in counterexamples.  Constants
+are folded while a frame unfolds: a gate with a constant operand, or with
+equal or complementary operands, takes the literal of a constant or of an
+operand and gets neither a variable nor clauses.  Each other XOR that
+`Netlist.xors` finds becomes 4 clauses over its two inputs, and its two
+inner AND gates get neither clauses nor solver variables; every other AND
+gate gets the 3 Tseitin clauses.  At every frame the bad literal of each
+still-unresolved property is assumed and solved, in ascending property
+order; a bad folded to constant false is refuted without a solver call.
+Learned clauses persist across properties and frames, which is what makes
+clustered runs cheaper than the sum of standalone runs on similar
+properties.
 
 Every property ends SAT, with a counterexample at the first frame whose
 bad is satisfiable, or UNDET at the deepest frame it was refuted at before
@@ -21,7 +25,7 @@ proof.
 Budgets come in two flavours: wall-clock seconds and conflict counts
 (deterministic, used by all reproducibility tests).  In
 conflict mode every time-like field is measured in *cost units*, where one
-solver call costs 1 + its conflicts.
+solver call costs 1 + its conflicts, and a bad refuted by folding costs 1.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from .netlist import (
     PropertyIndexOutOfRange,
     UnfoldBuilder,
     cone_vars,
-    lit_var,
 )
 from . import satcore
 
@@ -77,7 +80,8 @@ class BmcConfig:
             raise BmcConfigError("conflict_budget must be positive")
         if self.max_frames is not None and self.max_frames < 0:
             raise BmcConfigError("max_frames must not be negative")
-        if self.seed < 0:   # numpy's generators take none
+        # random.Random seeds with |seed|, so -s would name the run of s
+        if self.seed < 0:
             raise BmcConfigError("seed must not be negative")
 
     @property
@@ -128,32 +132,20 @@ class _Encoder:
     """Writes unfolded frames into a solver session as CNF.
 
     Combinational variable k maps to solver variable k + 1; solver variable
-    1 is pinned true so constants can appear in assumptions.  An XOR top
-    o = p XOR q gets 4 clauses over p and q, read off the triple of its
-    inner gate AND(p, q).  Its two inner gates, which nothing else reads,
-    get no clauses, and the builder gives them literal 0 instead of a
-    variable: past variable 1, the inputs and the frame-0 latches, some
-    clause reads every solver variable.
+    1 is pinned true so constants can appear in assumptions.  The builder
+    folds constants and tells each gate's kind: a gate it gives a variable
+    gets 3 Tseitin clauses as an AND, or 4 clauses over p and q as an XOR
+    top; a folded gate or an XOR inner gate gets none.  Past variable 1,
+    the inputs and the frame-0 latches, some clause reads every solver
+    variable.
     """
 
     def __init__(self, n: Netlist, mode: str, solver: satcore.SolverSession,
                  cone: set):
-        xors = n.xors()
-        inner = {g for _, g1, g2 in xors for g in (g1, g2)}
-        self.builder = UnfoldBuilder(n, mode, cone, inner)
+        self.builder = UnfoldBuilder(n, mode, cone, n.xors())
         self.solver = solver
         solver.ensure_var(1)
         solver.add_clause([1])
-        # per triple of a frame: None for a plain AND, the index of the
-        # inner AND(p, q) triple for an XOR top, -1 for an inner gate
-        kept = [lit_var(g[0]) for g in self.builder.ands]
-        self._roles = [None] * len(kept)
-        if xors:
-            at = {var: i for i, var in enumerate(kept)}
-            for top, g1, g2 in xors:
-                if top in at:   # then so are g1 and g2, which only it reads
-                    self._roles[at[top]] = at[g1]
-                    self._roles[at[g1]] = self._roles[at[g2]] = -1
 
     def slit(self, comb_lit: int) -> int:
         if comb_lit == 0:
@@ -164,8 +156,8 @@ class _Encoder:
         return -var if comb_lit & 1 else var
 
     def add_frame(self) -> list:
-        triples = self.builder.add_frame()
-        slit, add = self.slit, self.solver.add_clause
+        gates = self.builder.add_frame()
+        add = self.solver.add_clause
         # inputs (and frame-0 latches) may feed nothing; the solver still
         # needs their variables so counterexamples cover them
         frame_lits = self.builder.frame_inputs[-1]
@@ -174,19 +166,23 @@ class _Encoder:
         for lit in frame_lits:
             if lit > 1:
                 self.solver.ensure_var((lit >> 1) + 1)
-        for (out, a, b), role in zip(triples, self._roles):
-            if role is None:
-                o, sa, sb = slit(out), slit(a), slit(b)
+        for gate in gates:
+            if gate is None:
+                continue
+            out, a, b, xor = gate
+            # no operand is a constant and no output is negated
+            o = (out >> 1) + 1
+            sa = -(a >> 1) - 1 if a & 1 else (a >> 1) + 1
+            sb = -(b >> 1) - 1 if b & 1 else (b >> 1) + 1
+            if xor:
+                add([-o, sa, sb])
+                add([-o, -sa, -sb])
+                add([o, -sa, sb])
+                add([o, sa, -sb])
+            else:
                 add([-o, sa])
                 add([-o, sb])
                 add([o, -sa, -sb])
-            elif role >= 0:
-                _, p, q = triples[role]
-                o, sp, sq = slit(out), slit(p), slit(q)
-                add([-o, sp, sq])
-                add([-o, -sp, -sq])
-                add([o, -sp, sq])
-                add([o, sp, -sq])
         return self.builder.frame_bads[-1]
 
     def extract_cex(self, model, frames: int) -> Cex:
@@ -201,6 +197,10 @@ class _Encoder:
             [val(lit) for lit in self.builder.frame_inputs[f]] for f in range(frames)
         ]
         return Cex(latch_init, inputs)
+
+
+# the answer of a call whose assumed bad folded to constant false
+_FOLDED_FALSE = satcore.SolveResult(satcore.UNSAT, None, 0, 0)
 
 
 def _run(n: Netlist, props, cfg: BmcConfig, budget) -> ClusterVerdict:
@@ -230,15 +230,21 @@ def _run(n: Netlist, props, cfg: BmcConfig, budget) -> ClusterVerdict:
                 continue
             rem = None if budget is None else budget - spent
             assumption = [enc.slit(bads[p])]
-            if cfg.deterministic:
-                limit = None if rem is None else max(0, int(rem) - 1)
-                res = solver.solve(assumption, conflict_budget=limit)
-                cost = 1 + res.conflicts_this_call
-            else:
+            if not cfg.deterministic:
                 t0 = time.perf_counter()
                 res = solver.solve(
                     assumption, deadline=None if rem is None else t0 + rem)
                 cost = time.perf_counter() - t0
+            elif bads[p] == 0:
+                # folded to false: the frame is refuted without a call, at
+                # the 1 unit the call would have cost.  Wall-clock runs
+                # still call, since a call's seconds are what run their
+                # budget out when every bad folds to false
+                res, cost = _FOLDED_FALSE, 1
+            else:
+                limit = None if rem is None else max(0, int(rem) - 1)
+                res = solver.solve(assumption, conflict_budget=limit)
+                cost = 1 + res.conflicts_this_call
             spent += cost
             # a call may use a cost-unit budget up, never more; a wall-clock
             # budget can be passed by the call that ends it

@@ -482,17 +482,21 @@ class UnfoldBuilder:
     A variable outside it gets literal 0 (constant false) instead of a
     fresh variable, and its AND gate or next-state function is skipped, so
     only the bads of properties whose COI lies inside ``cone`` are exact.
-    ``ands`` lists the kept AND gates, in the order of the triples that
-    `add_frame` returns.
 
-    ``inner_gates`` holds AND variables that the caller encodes through
-    their one reader, such as the inner gates of `Netlist.xors`; nothing
-    else may read them.  Each keeps its triple, but with output literal 0
-    instead of a fresh variable.
+    ``xors`` lists ``(top, g1, g2)`` XOR gates as `Netlist.xors` finds
+    them.  A kept top unfolds as ``p XOR q`` over the operands of
+    ``g1 = AND(p, q)``; its two inner gates, which only the top reads, get
+    no literal.
+
+    Constants are folded as each frame unfolds.  An AND with a constant
+    operand, or with equal or complementary operands, gets no variable: its
+    literal is the constant or the operand.  So does an XOR whose p or q is
+    constant or whose p is q or its negation.  The rest get one fresh
+    variable each.
     """
 
     def __init__(self, n: Netlist, mode: str, cone: set | None = None,
-                 inner_gates=frozenset()):
+                 xors=()):
         if mode not in (INIT, INDUCTIVE):
             raise ValueError(f"unknown mode {mode!r}")
         keep = (lambda var: True) if cone is None else cone.__contains__
@@ -507,15 +511,34 @@ class UnfoldBuilder:
         self._latches = [
             latch if keep(lit_var(latch.lit)) else None for latch in n.latches
         ]
-        self.ands = [g for g in n.ands if keep(lit_var(g[0]))]
-        self._has_var = [lit_var(g[0]) not in inner_gates for g in self.ands]
+        tops = {top: n.and_of_var(g1) for top, g1, _ in xors}
+        inner = {g for _, g1, g2 in xors for g in (g1, g2)}
+        # per kept AND: (variable, operand, operand, xor), where xor is
+        # True for an XOR top, False for an AND and None for an inner gate
+        self._gates = []
+        for lhs, rhs0, rhs1 in n.ands:
+            var = lit_var(lhs)
+            if not keep(var):
+                continue
+            xor = var in tops
+            if xor:
+                _, rhs0, rhs1 = tops[var]
+            elif var in inner:
+                xor = None
+            self._gates.append((var, rhs0, rhs1, xor))
 
     def _fresh(self) -> int:
         self.num_vars += 1
         return 2 * self.num_vars
 
     def add_frame(self):
-        """Unfold one more frame; returns the new (out, a, b) AND triples."""
+        """Unfold one more frame.
+
+        Returns one entry per kept AND gate, XOR inner gates included:
+        None for a gate that got no variable, else ``(out, a, b, xor)``,
+        whose operands are never constants and which states
+        ``out = a XOR b`` if ``xor``, ``out = a AND b`` otherwise.
+        """
         n = self.netlist
         if self.frames == 0:
             latch_lits = []
@@ -530,32 +553,45 @@ class UnfoldBuilder:
         else:
             prev = self._frame_map
             latch_lits = [
-                0 if latch is None else _map_lit(latch.next, prev)
+                0 if latch is None else prev[latch.next >> 1] ^ (latch.next & 1)
                 for latch in self._latches
             ]
         input_lits = [self._fresh() if kept else 0 for kept in self._inputs]
         self.frame_inputs.append(input_lits)
 
-        # frame_map[var] -> combinational literal of that variable's output
-        frame_map = [0] * (n.max_var + 1)
-        for i, lit in enumerate(input_lits):
-            frame_map[i + 1] = lit
-        for i, lit in enumerate(latch_lits):
-            frame_map[n.num_inputs + 1 + i] = lit
-        triples = []
-        for (lhs, rhs0, rhs1), has_var in zip(self.ands, self._has_var):
-            a = _map_lit(rhs0, frame_map)
-            b = _map_lit(rhs1, frame_map)
-            out = self._fresh() if has_var else 0
-            frame_map[lit_var(lhs)] = out
-            triples.append((out, a, b))
-        self.frame_bads.append([_map_lit(bad, frame_map) for bad in n.properties])
-        self._frame_map = frame_map
+        # fm[var] -> combinational literal of that variable's output; fm[0]
+        # stays 0, so fm[lit >> 1] ^ (lit & 1) maps constants to themselves
+        fm = [0] * (n.max_var + 1)
+        fm[1:n.num_inputs + 1] = input_lits
+        fm[n.num_inputs + 1:n.num_inputs + 1 + n.num_latches] = latch_lits
+        gates = []
+        append = gates.append
+        num_vars = self.num_vars
+        for var, rhs0, rhs1, xor in self._gates:
+            if xor is None:
+                append(None)
+                continue
+            a = fm[rhs0 >> 1] ^ (rhs0 & 1)
+            b = fm[rhs1 >> 1] ^ (rhs1 & 1)
+            if a > 1 and b > 1 and a ^ b > 1:   # two distinct variables
+                num_vars += 1
+                out = 2 * num_vars
+                append((out, a, b, xor))
+            else:
+                append(None)
+                if xor:
+                    # a constant flips or clears the other operand's sign;
+                    # p and +-q give 0 or 1
+                    out = a ^ b
+                elif a == b or b == 1:
+                    out = a
+                elif a == 1:
+                    out = b
+                else:   # a 0 operand, or complementary operands
+                    out = 0
+            fm[var] = out
+        self.num_vars = num_vars
+        self.frame_bads.append([fm[bad >> 1] ^ (bad & 1) for bad in n.properties])
+        self._frame_map = fm
         self.frames += 1
-        return triples
-
-
-def _map_lit(lit: int, frame_map) -> int:
-    if lit <= 1:
-        return lit
-    return frame_map[lit_var(lit)] ^ (lit & 1)
+        return gates

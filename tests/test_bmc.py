@@ -250,17 +250,20 @@ def test_shared_session_clauses_are_rup(monkeypatch, mode):
 @pytest.mark.parametrize("width", [4, 9])
 def test_xor_frame_clause_count(width):
     # one frame: 4 clauses per XOR top, none per inner gate, 3 per other
-    # AND; a return to 3 clauses per AND would give 3 * num_ands
+    # AND; a return to 3 clauses per AND would give 3 * num_ands.  In
+    # inductive mode no gate folds; from reset the `width` leaves XOR an
+    # input with a constant-0 latch, so each folds to its input
     n = parity_miter(width=width, variants=2)
     tops = len(n.xors())
     assert tops == 3 * width - 1
-    solver = satcore.new_solver(seed=0)
-    enc = bmc._Encoder(n, INIT, solver, cone_vars(n, [0, 1]))
-    before = len(solver.clauses)
-    enc.add_frame()
     plain = n.num_ands - 3 * tops
     assert plain == 1   # the variant's AND with a leaf
-    assert len(solver.clauses) - before == 4 * tops + 3 * plain
+    for mode, folded in ((INDUCTIVE, 0), (INIT, width)):
+        solver = satcore.new_solver(seed=0)
+        enc = bmc._Encoder(n, mode, solver, cone_vars(n, [0, 1]))
+        before = len(solver.clauses)
+        enc.add_frame()
+        assert len(solver.clauses) - before == 4 * (tops - folded) + 3 * plain
 
 
 @pytest.mark.parametrize("design", ["miter", "bank"])
@@ -281,6 +284,105 @@ def test_every_gate_variable_is_in_a_clause(monkeypatch, design):
                       for lit in lits + enc.builder.frame0_latches}
         read = {abs(lit) for _, clause in solver.log for lit in clause}
         assert set(range(1, solver.num_vars + 1)) - free <= read
+
+
+def simulation_sample():
+    designs = [parity_miter(width=w, variants=2) for w in (4, 6)]
+    for trial in range(25):
+        rng = random.Random(15000 + trial)
+        designs.append(random_netlist(rng, num_bads=rng.randint(2, 4)))
+        designs.append(xor_rich_netlist(rng, num_bads=rng.randint(2, 4))[0])
+    return designs
+
+
+@pytest.mark.parametrize("mode", [INIT, INDUCTIVE])
+def test_encoding_agrees_with_simulation(mode):
+    # with every input and free frame-0 latch assumed, the unrolled CNF has
+    # one model; each frame's bad literal, folded to a constant or not,
+    # must read what simulating the netlist from the same values reads
+    frames = 5
+    folded = kept = 0
+    for trial, n in enumerate(simulation_sample()):
+        rng = random.Random(16000 + trial)
+        solver = satcore.new_solver(seed=trial % 3)
+        enc = bmc._Encoder(n, mode, solver,
+                           cone_vars(n, range(n.num_properties)))
+        bads = [enc.add_frame() for _ in range(frames)]
+        state = [bool(latch.reset) if mode == INIT and latch.reset is not None
+                 else rng.random() < 0.5 for latch in n.latches]
+        inputs = [[rng.random() < 0.5 for _ in range(n.num_inputs)]
+                  for _ in range(frames)]
+        assumptions = []
+        for lits, vals in [(enc.builder.frame0_latches, state)] + list(
+                zip(enc.builder.frame_inputs, inputs)):
+            assumptions += [enc.slit(lit) if val else -enc.slit(lit)
+                            for lit, val in zip(lits, vals) if lit > 1]
+        res = solver.solve(assumptions)
+        assert res.status == satcore.SAT
+
+        def value(lit):
+            return bool(lit) if lit <= 1 else res.model[(lit >> 1) + 1] ^ (lit & 1)
+
+        for f in range(frames):
+            _, state, want = n.eval_frame(state, inputs[f])
+            assert [value(lit) for lit in bads[f]] == want, (trial, f)
+            folded += sum(lit <= 1 for lit in bads[f])
+            kept += sum(lit > 1 for lit in bads[f])
+    assert folded > 100 and kept > 400
+
+
+def test_constant_false_bad_is_refuted_without_a_call(monkeypatch):
+    # from reset a counter has no free variable: "counter == 5" folds to
+    # false at frames 0-4 and to true at frame 5
+    calls = []
+    solve = satcore.SolverSession.solve
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(satcore.SolverSession, "solve", counted)
+    n = counter(3, (5,))
+    v = bmc.check_single(n, 0, cfg_init(max_frames=3))
+    assert (v.status, v.depth, v.elapsed, calls) == (bmc.UNDET, 3, 4, [])
+    assert [(s.conflicts, s.solve_time) for s in v.per_frame] == [(0, 1)] * 4
+    v = bmc.check_single(n, 0, cfg_init())
+    assert (v.status, v.depth, v.elapsed, len(calls)) == (bmc.SAT, 5, 6, 1)
+    assert bmc.replay_cex(n, 0, v.cex) == bmc.CONFIRMED
+
+
+def test_constant_true_bad_is_sat_at_frame_0():
+    # the latch resets to 0, so its negation is a bad that holds at once
+    b = AigBuilder(num_inputs=1, num_latches=1)
+    b.set_latch(0, b.input_lit(0))
+    b.add_bad(b.not_(b.latch_lit(0)))
+    b.add_bad(b.and_(b.input_lit(0), b.not_(b.latch_lit(0))))
+    n = b.build()
+    cv = bmc.check_cluster(n, [0, 1], cfg_init())
+    assert {p: (v.status, v.depth) for p, v in cv.per_property.items()} == {
+        0: (bmc.SAT, 0), 1: (bmc.SAT, 0)}
+    for p, v in cv.per_property.items():
+        assert bmc.replay_cex(n, p, v.cex) == bmc.CONFIRMED
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3])
+def test_folded_frames_spend_the_budget_exactly(budget):
+    # a folded frame costs 1 unit, so a budget of b refutes exactly the
+    # first b frames of a counter; runs that mix folded and solved bads
+    # never spend more than their budget
+    v = bmc.check_single(counter(3, (5,)), 0,
+                         bmc.BmcConfig(conflict_budget=budget, mode=INIT))
+    assert (v.status, v.depth, v.elapsed) == (bmc.UNDET, budget - 1, budget)
+    for trial in range(40):
+        rng = random.Random(17000 + trial)
+        n = random_netlist(rng, num_bads=rng.randint(2, 4))
+        cfg = bmc.BmcConfig(conflict_budget=budget, max_frames=8, mode=INIT,
+                            seed=trial % 3)
+        props = range(n.num_properties)
+        for p in props:
+            assert bmc.check_single(n, p, cfg).elapsed <= budget
+        cv = bmc.check_cluster(n, props, cfg)
+        assert cv.total_elapsed <= budget * n.num_properties
 
 
 @pytest.mark.parametrize("time_budget", [1e-5, 3e-5, 0.01])
@@ -491,9 +593,59 @@ def test_runs_are_pinned():
     assert pinned_runs() == PINNED_RUNS
 
 
+class CountingSession(satcore.SolverSession):
+    added = 0
+
+    def add_clause(self, lits):
+        self.added += 1
+        super().add_clause(lits)
+
+
+def pinned_work():
+    """(solver variables, clauses added, cost units) of fixed initial-state
+    runs: the work of the frame encoding, which conflicts alone miss."""
+    sessions = []
+
+    def new_solver(seed=0):
+        sessions.append(CountingSession(seed))
+        return sessions[-1]
+
+    real, satcore.new_solver = satcore.new_solver, new_solver
+    try:
+        costs = [
+            bmc.check_cluster(random_netlist(random.Random(7), num_bads=4),
+                              range(4), cfg_init(max_frames=6)).total_elapsed,
+            bmc.check_single(random_netlist(random.Random(28), num_bads=3), 0,
+                             cfg_init(conflict_budget=60, max_frames=6)).elapsed,
+            bmc.check_cluster(parity_miter(width=9, variants=2), [0, 1],
+                              cfg_init(conflict_budget=300)).total_elapsed,
+            bmc.check_single(parity_miter(width=7), 0,
+                             cfg_init(conflict_budget=300, seed=1)).elapsed,
+        ]
+    finally:
+        satcore.new_solver = real
+    return [(s.num_vars, s.added, cost) for s, cost in zip(sessions, costs)]
+
+
+PINNED_WORK = [
+    (57, 127, 19.0),
+    (1, 1, 7.0),
+    (280, 821, 600.0),
+    (183, 533, 300.0),
+]
+
+
+def test_encoding_work_is_pinned():
+    # a change to the unfolding or the encoder shows here first; one meant
+    # to change them re-records with `python tests/test_bmc.py`
+    assert pinned_work() == PINNED_WORK
+
+
 if __name__ == "__main__":
     import pprint
     rows = [pprint.pformat(run, width=72, compact=True)
             for run in pinned_runs()]
     print("PINNED_RUNS = [\n" + "".join(
         "    " + row.replace("\n", "\n    ") + ",\n" for row in rows) + "]")
+    print("PINNED_WORK = [\n" + "".join(
+        f"    {row},\n" for row in pinned_work()) + "]")

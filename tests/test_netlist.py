@@ -274,10 +274,18 @@ def test_unfold_full_cone_equals_unfold():
     # cone=None ("every variable") is the reference for an explicit cone
     # holding every variable
     n = counter(2, (1,))
-    assert unfold_ands(netlist.UnfoldBuilder(n, netlist.INIT), 2) == [
-        (2, 0, 1), (4, 1, 0), (6, 5, 3), (8, 0, 0),
-        (10, 7, 0), (12, 6, 1), (14, 13, 11), (16, 7, 1),
+    # from reset the counter has no free variable, so every gate folds and
+    # the bad "counter == 1" is constant: false at frame 0, true at 1
+    init = netlist.UnfoldBuilder(n, netlist.INIT)
+    assert unfold_ands(init, 2) == [None] * 8
+    assert (init.num_vars, init.frame_bads) == (0, [[0], [1]])
+    free = netlist.UnfoldBuilder(n, netlist.INDUCTIVE)
+    assert unfold_ands(free, 2) == [
+        (6, 4, 3, False), (8, 5, 2, False), (10, 9, 7, False),
+        (12, 4, 2, False), (14, 11, 2, False), (16, 10, 3, False),
+        (18, 17, 15, False), (20, 11, 3, False),
     ]
+    assert (free.num_vars, free.frame_bads) == (10, [[8], [16]])
     for trial in range(30):
         n = random_netlist(random.Random(1100 + trial), num_bads=3)
         for mode in (netlist.INIT, netlist.INDUCTIVE):
@@ -320,11 +328,11 @@ def test_unfold_cone_of_one_counter():
     sub = restrict_to_coi(n, 0)
     b = netlist.UnfoldBuilder(n, netlist.INDUCTIVE, netlist.cone_vars(n, [0]))
     for _ in range(4):
-        triples = b.add_frame()
-        assert len(triples) == sub.num_ands < n.num_ands
-        # no gate of counter A reads a constant, so a 0 or 1 operand
-        # would be a latch of counter B
-        assert all(x > 1 and y > 1 for _, x, y in triples)
+        gates = b.add_frame()
+        assert len(gates) == sub.num_ands < n.num_ands
+        # no gate of counter A reads a constant, so a folded gate (None) or
+        # a 0 or 1 operand would come from a latch of counter B
+        assert all(g is not None and g[1] > 1 and g[2] > 1 for g in gates)
         assert b._frame_map[3:5] == [0, 0]  # latch variables 3 and 4
     assert b.frame0_latches[2:] == [0, 0]
     assert all(lit > 1 for lit in b.frame0_latches[:2])
