@@ -23,9 +23,12 @@ about deeper ones without a completeness threshold, so no verdict is a
 proof.
 
 Budgets come in two flavours: wall-clock seconds and conflict counts
-(deterministic, used by all reproducibility tests).  In
-conflict mode every time-like field is measured in *cost units*, where one
-solver call costs 1 + its conflicts, and a bad refuted by folding costs 1.
+(deterministic, used by all reproducibility tests).  In conflict mode
+every time-like field is measured in *cost units*, where one solver call
+costs 1 + its conflicts, and a bad refuted by folding costs 1.  Under a
+wall-clock budget a run is charged the seconds since it began, unrolling
+included: every solver call gets the run's deadline, and the run stops
+at the first bad it checks after the deadline has passed.
 """
 
 from __future__ import annotations
@@ -131,27 +134,22 @@ class ClusterVerdict:
 class _Encoder:
     """Writes unfolded frames into a solver session as CNF.
 
-    Combinational variable k maps to solver variable k + 1; solver variable
-    1 is pinned true so constants can appear in assumptions.  The builder
-    folds constants and tells each gate's kind: a gate it gives a variable
-    gets 3 Tseitin clauses as an AND, or 4 clauses over p and q as an XOR
-    top; a folded gate or an XOR inner gate gets none.  Past variable 1,
-    the inputs and the frame-0 latches, some clause reads every solver
-    variable.
+    Combinational variable k maps to solver variable k + 1.  Variable 0
+    is the constant false, so solver variable 1 is pinned false and the
+    constants map like any other literal.  The builder folds constants and
+    tells each gate's kind: a gate it gives a variable gets 3 Tseitin
+    clauses as an AND, or 4 clauses over p and q as an XOR top; a folded
+    gate or an XOR inner gate gets none.  Past variable 1, the inputs and
+    the frame-0 latches, some clause reads every solver variable.
     """
 
     def __init__(self, n: Netlist, mode: str, solver: satcore.SolverSession,
                  cone: set):
         self.builder = UnfoldBuilder(n, mode, cone, n.xors())
         self.solver = solver
-        solver.ensure_var(1)
-        solver.add_clause([1])
+        solver.add_clause([-1])
 
     def slit(self, comb_lit: int) -> int:
-        if comb_lit == 0:
-            return -1
-        if comb_lit == 1:
-            return 1
         var = (comb_lit >> 1) + 1
         return -var if comb_lit & 1 else var
 
@@ -164,8 +162,7 @@ class _Encoder:
         if self.builder.frames == 1:
             frame_lits = frame_lits + self.builder.frame0_latches
         for lit in frame_lits:
-            if lit > 1:
-                self.solver.ensure_var((lit >> 1) + 1)
+            self.solver.ensure_var((lit >> 1) + 1)
         for gate in gates:
             if gate is None:
                 continue
@@ -187,10 +184,7 @@ class _Encoder:
 
     def extract_cex(self, model, frames: int) -> Cex:
         def val(comb_lit):
-            if comb_lit <= 1:
-                return bool(comb_lit)
-            v = model[(comb_lit >> 1) + 1]
-            return (not v) if comb_lit & 1 else v
+            return model[(comb_lit >> 1) + 1] != bool(comb_lit & 1)
 
         latch_init = [val(lit) for lit in self.builder.frame0_latches]
         inputs = [
@@ -199,20 +193,24 @@ class _Encoder:
         return Cex(latch_init, inputs)
 
 
-# the answer of a call whose assumed bad folded to constant false
+# the answer for a bad folded to constant false: refuted without a call
 _FOLDED_FALSE = satcore.SolveResult(satcore.UNSAT, None, 0, 0)
 
 
 def _run(n: Netlist, props, cfg: BmcConfig, budget) -> ClusterVerdict:
     """BMC of `props` in one session that spends at most `budget` in all
-    (None: bounded by frames only).  A solver call costs 1 + its
-    conflicts when deterministic, its wall seconds otherwise."""
+    (None: bounded by frames only).  A deterministic run is charged 1 +
+    its conflicts per solver call and 1 per folded bad; any other run is
+    charged the wall seconds since it began, unrolling included."""
+    start = time.perf_counter()
     props = sorted(set(props))
     if not props:
         raise EmptyCluster("cluster must be non-empty")
     cone = cone_vars(n, props)  # raises PropertyIndexOutOfRange
     solver = satcore.new_solver(seed=cfg.seed)
     enc = _Encoder(n, cfg.mode, solver, cone)
+    timed = not cfg.deterministic
+    deadline = start + budget if timed and budget is not None else None
 
     verdicts: dict = {}
     refuted_to = {p: -1 for p in props}       # deepest refuted frame
@@ -224,35 +222,25 @@ def _run(n: Netlist, props, cfg: BmcConfig, budget) -> ClusterVerdict:
             cfg.max_frames is None or frame <= cfg.max_frames):
         bads = enc.add_frame()
         frame_conflicts = 0
-        frame_cost = 0.0
+        frame_start = spent
         for p in props:
             if p in verdicts:
                 continue
-            rem = None if budget is None else budget - spent
-            assumption = [enc.slit(bads[p])]
-            if not cfg.deterministic:
-                t0 = time.perf_counter()
-                res = solver.solve(
-                    assumption, deadline=None if rem is None else t0 + rem)
-                cost = time.perf_counter() - t0
-            elif bads[p] == 0:
-                # folded to false: the frame is refuted without a call, at
-                # the 1 unit the call would have cost.  Wall-clock runs
-                # still call, since a call's seconds are what run their
-                # budget out when every bad folds to false
-                res, cost = _FOLDED_FALSE, 1
+            if bads[p] == 0:
+                res = _FOLDED_FALSE
             else:
-                limit = None if rem is None else max(0, int(rem) - 1)
-                res = solver.solve(assumption, conflict_budget=limit)
-                cost = 1 + res.conflicts_this_call
-            spent += cost
-            # a call may use a cost-unit budget up, never more; a wall-clock
-            # budget can be passed by the call that ends it
-            assert not (cfg.deterministic and budget is not None
-                        and spent > budget), (
-                f"spent {spent} of {budget} cost units")
+                limit = None if timed or budget is None else max(
+                    0, int(budget - spent) - 1)
+                res = solver.solve([enc.slit(bads[p])],
+                                   conflict_budget=limit, deadline=deadline)
+            if timed:
+                spent = time.perf_counter() - start
+            else:
+                spent += 1 + res.conflicts_this_call
+                # a call may use a cost-unit budget up, never more
+                assert budget is None or spent <= budget, (
+                    f"spent {spent} of {budget} cost units")
             frame_conflicts += res.conflicts_this_call
-            frame_cost += cost
             if res.status == satcore.SAT:
                 verdicts[p] = Verdict(SAT, frame, spent,
                                       enc.extract_cex(res.model, frame + 1))
@@ -263,7 +251,7 @@ def _run(n: Netlist, props, cfg: BmcConfig, budget) -> ClusterVerdict:
             if stopped:
                 break
         frame_stats.append(
-            FrameStat(frame, frame_conflicts, frame_cost, spent))
+            FrameStat(frame, frame_conflicts, spent - frame_start, spent))
         frame += 1
 
     for p in props:

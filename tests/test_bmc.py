@@ -1,6 +1,7 @@
 import importlib
 import os
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -268,7 +269,7 @@ def test_xor_frame_clause_count(width):
 
 @pytest.mark.parametrize("design", ["miter", "bank"])
 def test_every_gate_variable_is_in_a_clause(monkeypatch, design):
-    # an XOR's inner gates get no solver variable: past variable 1 (true),
+    # an XOR's inner gates get no solver variable: past variable 1 (false),
     # the frame inputs and the frame-0 latches, some clause reads each one
     if design == "miter":
         n = parity_miter(width=9, variants=2)
@@ -386,9 +387,17 @@ def test_folded_frames_spend_the_budget_exactly(budget):
 
 
 @pytest.mark.parametrize("time_budget", [1e-5, 3e-5, 0.01])
-def test_time_budget_vs_bfs_oracle(time_budget):
+def test_time_budget_vs_bfs_oracle(monkeypatch, time_budget):
     # a wall-clock budget may stop a run anywhere, so only soundness is
     # checked: SAT at BFS's first bad frame, UNDET refuted only below it
+    calls = []
+    solve = satcore.SolverSession.solve
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(satcore.SolverSession, "solve", counted)
     for trial in range(40):
         rng = random.Random(7000 + trial)
         n = random_netlist(rng, num_bads=rng.randint(2, 4))
@@ -407,6 +416,25 @@ def test_time_budget_vs_bfs_oracle(time_budget):
                     assert v.status == bmc.UNDET
                     first_bad = want_depth if want_status == "SAT" else 9
                     assert -1 <= v.depth < first_bad
+    assert calls   # the budgets reach the solver, not just the unrolling
+
+
+def test_time_budget_charges_unrolling():
+    # each bad reads a latch stuck at its reset 0, so every frame folds to
+    # false and no solver call is made: only the run's clock can stop it
+    b = AigBuilder(num_inputs=2, num_latches=1)
+    b.set_latch(0, b.latch_lit(0))
+    b.add_bad(b.and_(b.latch_lit(0), b.input_lit(0)))
+    b.add_bad(b.and_(b.latch_lit(0), b.input_lit(1)))
+    n = b.build()
+    cfg = bmc.BmcConfig(time_budget=0.1, mode=INIT)
+    t0 = time.perf_counter()
+    single = bmc.check_single(n, 0, cfg).elapsed
+    t1 = time.perf_counter()
+    cluster = bmc.check_cluster(n, [0, 1], cfg).total_elapsed
+    t2 = time.perf_counter()
+    assert 0.1 <= single < 0.2 and t1 - t0 < 0.2
+    assert 0.2 <= cluster < 0.4 and t2 - t1 < 0.4
 
 
 def test_cluster_covers_all_members():
@@ -434,10 +462,14 @@ def test_cost_never_exceeds_budget(budget, seed, cluster):
     n = parity_miter(width=7, variants=2)
     cfg = bmc.BmcConfig(conflict_budget=budget, seed=seed)
     if cluster:
-        spent, cap = bmc.check_cluster(n, [0, 1], cfg).total_elapsed, 2 * budget
+        cv = bmc.check_cluster(n, [0, 1], cfg)
+        spent, cap, per_frame = cv.total_elapsed, 2 * budget, cv.per_frame
     else:
-        spent, cap = bmc.check_single(n, 0, cfg).elapsed, budget
+        v = bmc.check_single(n, 0, cfg)
+        spent, cap, per_frame = v.elapsed, budget, v.per_frame
     assert spent <= cap
+    assert per_frame[-1].cumulative_time == spent == sum(
+        s.solve_time for s in per_frame)
 
 
 def test_run_with_budget_spends_its_total():

@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -661,3 +663,19 @@ def test_two_processes_write_the_same_bytes(corpus, tmp_path, monkeypatch):
     sequential = run(tmp_path / "sequential")
     assert "db/db3.mpb" in forked and "run/report.txt" in forked
     assert sequential == forked
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "clusterbmc", *argv],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=60)
+
+    shown = run("--help")
+    assert shown.returncode == 0, shown.stderr[-2000:]
+    assert shown.stdout.startswith("usage: clusterbmc")
+    assert run().returncode == 2
