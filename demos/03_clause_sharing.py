@@ -1,11 +1,12 @@
 """Walkthrough: why verifying similar properties together is cheaper.
 
 The fixture embeds the same unreachable parity-miter property k times.
-Standalone runs re-derive the same refutation k times; a cluster run keeps
-one solver session, so the learned clauses from the first property make
-the rest nearly free.  The second half shows the depth side of the story:
-with two almost-identical cones, the shared session gets deeper within the
-same total budget.
+Standalone runs re-derive the same refutation k times; a cluster run
+solves the shared bad literal once and gives every copy its verdict, so
+it costs one standalone run, 1/k of the sum.  The second half is the
+learned-clause sharing: two distinct properties with almost-identical
+cones share one solver session, whose clauses learned for one property
+prune the other's search, so it gets deeper within the same total budget.
 """
 
 from clusterbmc import BmcConfig, check_cluster, check_single

@@ -12,9 +12,10 @@ inner AND gates get neither clauses nor solver variables; every other AND
 gate gets the 3 Tseitin clauses.  At every frame the bad literal of each
 still-unresolved property is assumed and solved, in ascending property
 order; a bad folded to constant false is refuted without a solver call.
-Learned clauses persist across properties and frames, which is what makes
-clustered runs cheaper than the sum of standalone runs on similar
-properties.
+A run solves each distinct bad literal once, as the first property that
+has it; the properties that share it take that verdict.  Learned clauses
+persist across properties and frames, which is what makes clustered runs
+cheaper than the sum of standalone runs on similar properties.
 
 Every property ends SAT, with a counterexample at the first frame whose
 bad is satisfiable, or UNDET at the deepest frame it was refuted at before
@@ -121,7 +122,8 @@ class Verdict:
                       # none) for UNDET
     elapsed: float = 0.0
     cex: Cex | None = None
-    per_frame: list = field(default_factory=list)
+    per_frame: list = field(default_factory=list)  # the run's, shared
+    stopped: bool = False              # the run's: see ClusterVerdict
 
 
 @dataclass
@@ -129,6 +131,9 @@ class ClusterVerdict:
     per_property: dict  # property index -> Verdict
     per_frame: list     # shared FrameStats of the whole session
     total_elapsed: float
+    # the run stopped on its budget or on an UNKNOWN call; a run that did
+    # not stop answered every property or reached the frame bound
+    stopped: bool = False
 
 
 class _Encoder:
@@ -201,29 +206,33 @@ def _run(n: Netlist, props, cfg: BmcConfig, budget) -> ClusterVerdict:
     """BMC of `props` in one session that spends at most `budget` in all
     (None: bounded by frames only).  A deterministic run is charged 1 +
     its conflicts per solver call and 1 per folded bad; any other run is
-    charged the wall seconds since it began, unrolling included."""
+    charged the wall seconds since it began, unrolling included.  Only
+    the first property with each bad literal is solved; the others take
+    its verdict."""
     start = time.perf_counter()
     props = sorted(set(props))
     if not props:
         raise EmptyCluster("cluster must be non-empty")
     cone = cone_vars(n, props)  # raises PropertyIndexOutOfRange
+    owner = single_run_owners(n, props)
+    owners = list(dict.fromkeys(owner.values()))
     solver = satcore.new_solver(seed=cfg.seed)
     enc = _Encoder(n, cfg.mode, solver, cone)
     timed = not cfg.deterministic
     deadline = start + budget if timed and budget is not None else None
 
     verdicts: dict = {}
-    refuted_to = {p: -1 for p in props}       # deepest refuted frame
+    refuted_to = {p: -1 for p in owners}      # deepest refuted frame
     frame_stats: list = []
     spent = 0.0
     stopped = budget is not None and budget <= 0
     frame = 0
-    while not stopped and len(verdicts) < len(props) and (
+    while not stopped and len(verdicts) < len(owners) and (
             cfg.max_frames is None or frame <= cfg.max_frames):
         bads = enc.add_frame()
         frame_conflicts = 0
         frame_start = spent
-        for p in props:
+        for p in owners:
             if p in verdicts:
                 continue
             if bads[p] == 0:
@@ -254,11 +263,15 @@ def _run(n: Netlist, props, cfg: BmcConfig, budget) -> ClusterVerdict:
             FrameStat(frame, frame_conflicts, spent - frame_start, spent))
         frame += 1
 
-    for p in props:
+    for p in owners:
         if p not in verdicts:
             verdicts[p] = Verdict(UNDET, refuted_to[p], spent)
         verdicts[p].per_frame = frame_stats
-    return ClusterVerdict(verdicts, frame_stats, total_elapsed=spent)
+        verdicts[p].stopped = stopped
+    # a copy shares its owner's verdict and is listed after it
+    per_property = {q: verdicts[p] for p in verdicts
+                    for q in props if owner[q] == p}
+    return ClusterVerdict(per_property, frame_stats, spent, stopped)
 
 
 def check_single(n: Netlist, p: int, cfg: BmcConfig) -> Verdict:
@@ -269,9 +282,9 @@ def check_single(n: Netlist, p: int, cfg: BmcConfig) -> Verdict:
 def single_run_owners(n: Netlist, props) -> dict:
     """Each of `props` mapped to the first of `props` with its bad literal.
 
-    A standalone run depends only on the netlist, the bad literal and the
-    config, so only these owners need to run; the others take their
-    owner's verdict.
+    A property's search depends on its bad literal, not its index, so
+    only these owners need to be solved, in standalone runs or inside one
+    run; the others take their owner's verdict.
     """
     first: dict = {}
     return {p: first.setdefault(n.properties[p], p) for p in props}
@@ -281,6 +294,9 @@ def check_cluster(n: Netlist, cluster, cfg: BmcConfig) -> ClusterVerdict:
     """Shared-session BMC of a property cluster.
 
     The run's budget is the per-property budget times the cluster size.
+    Members that share a bad literal are solved once and each counts
+    toward that budget, so k copies of one literal search as one
+    property under k times its budget.
     """
     cluster = set(cluster)
     budget = None if cfg.budget is None else cfg.budget * len(cluster)

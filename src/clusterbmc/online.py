@@ -283,7 +283,8 @@ def verify_unknown(
     `baseline` adds each property's standalone verdict, transition and
     gain.  Unclaimed properties already ran standalone, so their verdicts
     are reused; only clustered properties run `check_single` again.
-    Properties with one bad literal share one standalone run.
+    Properties with one bad literal share one standalone run, and a
+    cluster run solves each of its bad literals once.
 
     Which properties a cluster claims follows from member lists alone, so
     every run is planned first and the runs go through one `parallel.map2`

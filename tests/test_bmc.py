@@ -454,6 +454,78 @@ def test_cluster_budget_scales_with_size():
     assert cv.total_elapsed <= 3 * 100
 
 
+class CallLog(satcore.SolverSession):
+    """A session that lists each solver call: assumptions and outcome."""
+
+    def __init__(self, seed=0):
+        super().__init__(seed)
+        self.calls = []
+
+    def solve(self, assumptions=(), **limits):
+        res = super().solve(assumptions, **limits)
+        self.calls.append((list(assumptions), res.status,
+                           res.conflicts_this_call))
+        return res
+
+
+def with_calls(monkeypatch, run):
+    """`run()`'s result and the calls of the one session it made."""
+    sessions = []
+
+    def new_solver(seed=0):
+        sessions.append(CallLog(seed))
+        return sessions[-1]
+
+    monkeypatch.setattr(satcore, "new_solver", new_solver)
+    result = run()
+    (session,) = sessions
+    return result, session.calls
+
+
+def test_cluster_solves_each_literal_once(monkeypatch):
+    # copies of a bad literal take its first property's verdict: under a
+    # budget that does not bind, a cluster makes exactly the calls of a
+    # run of its distinct literals and answers each copy as that run did
+    cfg = bmc.BmcConfig(conflict_budget=5000, max_frames=3, seed=0)
+    dup = duplicated_property_family(3)
+    assert len(set(dup.properties)) == 1
+    single, want = with_calls(
+        monkeypatch, lambda: bmc.check_single(dup, 0, cfg))
+    cv, got = with_calls(
+        monkeypatch, lambda: bmc.check_cluster(dup, [0, 1, 2], cfg))
+    assert not single.stopped and not cv.stopped
+    assert got == want and len(want) == 4
+    assert cv.per_frame == single.per_frame
+    assert cv.per_property == {p: single for p in (0, 1, 2)}
+
+    # copies 0 and 1 next to a distinct variant 2
+    mixed = parity_miter(width=7, copies=2, variants=2)
+    assert mixed.properties[0] == mixed.properties[1] != mixed.properties[2]
+    distinct, want = with_calls(
+        monkeypatch, lambda: bmc.check_cluster(mixed, [0, 2], cfg))
+    cv, got = with_calls(
+        monkeypatch, lambda: bmc.check_cluster(mixed, [0, 1, 2], cfg))
+    assert not distinct.stopped and not cv.stopped
+    assert got == want and len(want) == 8
+    assert cv.per_frame == distinct.per_frame
+    by_lit = distinct.per_property
+    assert cv.per_property == {0: by_lit[0], 1: by_lit[0], 2: by_lit[2]}
+
+
+def test_cluster_shares_clauses_across_distinct_properties():
+    # with copies answered once, sharing shows on distinct properties:
+    # a variant conjoins the miter with one leaf, so clauses learned for
+    # one property refute the others' frames cheaply
+    n = parity_miter(width=9, variants=3)
+    assert len(set(n.properties)) == 3
+    for seed in range(3):
+        cfg = bmc.BmcConfig(conflict_budget=600, max_frames=3, seed=seed)
+        singles = sum(s.conflicts for p in range(3)
+                      for s in bmc.check_single(n, p, cfg).per_frame)
+        cv = bmc.check_cluster(n, range(3), cfg)
+        assert sum(s.conflicts for s in cv.per_frame) <= 0.8 * singles
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(budget=st.integers(5, 101), seed=st.integers(0, 3), cluster=st.booleans())
 def test_cost_never_exceeds_budget(budget, seed, cluster):
@@ -605,16 +677,16 @@ PINNED_RUNS = [
       (3, 70, 71.0, 300.0)]),
     ([(0, 'UNDET', 3, 300.0), (1, 'UNDET', 3, 300.0),
       (2, 'UNDET', 3, 300.0)],
-     [(0, 60, 63.0, 63.0), (1, 52, 55.0, 118.0), (2, 107, 110.0, 228.0),
-      (3, 52, 55.0, 283.0), (4, 16, 17.0, 300.0)]),
+     [(0, 58, 59.0, 59.0), (1, 50, 51.0, 110.0), (2, 105, 106.0, 216.0),
+      (3, 50, 51.0, 267.0), (4, 32, 33.0, 300.0)]),
     ([(0, 'UNDET', 1, 122.0), (1, 'UNDET', 1, 122.0),
       (2, 'UNDET', 1, 122.0)],
-     [(0, 60, 63.0, 63.0), (1, 52, 55.0, 118.0), (2, 3, 4.0, 122.0)]),
-    ([(2, 'SAT', 0, 3.0), (1, 'SAT', 1, 8.0), (3, 'SAT', 1, 9.0),
-      (0, 'UNDET', 6, 19.0)],
-     [(0, 0, 4.0, 4.0), (1, 2, 5.0, 9.0), (2, 1, 2.0, 11.0),
-      (3, 1, 2.0, 13.0), (4, 1, 2.0, 15.0), (5, 1, 2.0, 17.0),
-      (6, 1, 2.0, 19.0)]),
+     [(0, 58, 59.0, 59.0), (1, 50, 51.0, 110.0), (2, 11, 12.0, 122.0)]),
+    ([(2, 'SAT', 0, 3.0), (1, 'SAT', 1, 7.0), (3, 'SAT', 1, 7.0),
+      (0, 'UNDET', 6, 17.0)],
+     [(0, 0, 3.0, 3.0), (1, 2, 4.0, 7.0), (2, 1, 2.0, 9.0),
+      (3, 1, 2.0, 11.0), (4, 1, 2.0, 13.0), (5, 1, 2.0, 15.0),
+      (6, 1, 2.0, 17.0)]),
 ]
 
 
@@ -660,7 +732,7 @@ def pinned_work():
 
 
 PINNED_WORK = [
-    (57, 127, 19.0),
+    (57, 127, 17.0),
     (1, 1, 7.0),
     (280, 821, 600.0),
     (183, 533, 300.0),

@@ -1,14 +1,15 @@
 import os
+import random
 import re
 import subprocess
 import sys
 
 import pytest
 
-from clusterbmc import (bmc, cli, embed, netlist, online, parallel,
-                        satcore, store)
+from clusterbmc import (bmc, cli, clusterer, embed, gain, netlist, online,
+                        parallel, satcore, store)
 from clusterbmc.circuits import (counter, deep_sat_miter, parity_miter,
-                                 two_counters)
+                                 random_netlist, two_counters)
 from clusterbmc.netlist import INIT, parse_aiger, serialize_aiger
 
 
@@ -463,6 +464,72 @@ def test_offline_shares_standalone_runs_of_one_bad_literal(tmp_path,
     for p, v in standalone.items():
         assert v == check_single(n, p, cfg), p
 
+
+@pytest.mark.parametrize("flags, reused", [
+    (["--budget-conflicts", "300"], {("miter", (0, 1)), ("rand", (1, 3))}),
+    # stops the miter's standalone runs, not those of the random design
+    (["--budget-conflicts", "100"], {("rand", (1, 3))}),
+    (["--time-budget", "0.05"], set()),
+], ids=["conflicts-300", "conflicts-100", "time"])
+def test_offline_reuses_a_run_only_where_it_is_exact(tmp_path, monkeypatch,
+                                                     flags, reused):
+    # each design has a cluster of two copies of one bad literal, which
+    # repeats a standalone run; a cluster run is skipped only where that
+    # run is deterministic, did not stop and had no larger budget, and
+    # the rows then equal those of running every cluster
+    designs = {
+        "miter": parity_miter(width=5, copies=2, variants=3, name="miter"),
+        "rand": random_netlist(random.Random(7), num_bads=4, name="rand"),
+    }
+    assert designs["miter"].properties[0] == designs["miter"].properties[1]
+    assert designs["rand"].properties[1] == designs["rand"].properties[3]
+    paths = []
+    for name, n in designs.items():
+        paths.append(tmp_path / f"{name}.aag")
+        paths[-1].write_text(serialize_aiger(n))
+    log = tmp_path / "clusters.txt"
+    check_cluster = bmc.check_cluster
+
+    def logging(n, members, cfg):
+        with open(log, "a") as fh:
+            fh.write(f"{n.name} {' '.join(map(str, members))}\n")
+        return check_cluster(n, members, cfg)
+
+    monkeypatch.setattr(bmc, "check_cluster", logging)
+    out = tmp_path / "db"
+    argv = ["offline"] + [str(p) for p in paths] + [
+        "--out-dir", str(out), "--max-frames", "8", "--mode", "init",
+        "--seed", "1", "--patterns", "128"] + flags
+    assert cli.main(argv) == cli.EXIT_OK
+    monkeypatch.setattr(bmc, "check_cluster", check_cluster)
+
+    db_paths = store.db_paths(str(out))
+    db2 = store.read_db(store.DB2, db_paths[store.DB2])
+    cfg = cli._bmc_config(cli.build_parser().parse_args(argv))
+    rows, every = [], set()
+    for name, n in designs.items():
+        family = clusterer.build_family(
+            name, {r.property: r.vector for r in db2 if r.design == name},
+            seed=1)
+        runs = [(c.members, check_cluster(n, sorted(c.members),
+                                          cfg).per_property)
+                for c in family.clusters]
+        every |= {(name, tuple(sorted(c.members))) for c in family.clusters}
+        standalone = {p: bmc.check_single(n, p, cfg)
+                      for p in range(n.num_properties)}
+        imap = gain.build_influencing_map(name, standalone, runs)
+        rows += [store.InfluenceRecord(name, p, imap.influencing[p],
+                                       tuple(imap.records[p]))
+                 for p in sorted(imap.influencing)
+                 if imap.influencing[p] is not None]
+    ran = {(name, tuple(map(int, members))) for name, *members in
+           (line.split() for line in log.read_text().splitlines())}
+    assert len(log.read_text().splitlines()) == len(ran)
+    assert reused <= every and ran == every - reused
+    if cfg.deterministic:
+        direct = str(tmp_path / "direct.mpb")
+        store.write_db(store.DB3, rows, direct)
+        assert store.read_text(direct) == store.read_text(db_paths[store.DB3])
 
 def test_offline_all_designs_unparseable(tmp_path):
     bad = tmp_path / "bad.aag"
