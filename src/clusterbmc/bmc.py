@@ -123,7 +123,10 @@ class Verdict:
     elapsed: float = 0.0
     cex: Cex | None = None
     per_frame: list = field(default_factory=list)  # the run's, shared
-    stopped: bool = False              # the run's: see ClusterVerdict
+    # the run stopped on its budget or on an UNKNOWN call.  A run that did
+    # not stop answered every property or reached the frame bound, so a
+    # deterministic rerun under a larger budget would make the same calls
+    stopped: bool = False
 
 
 @dataclass
@@ -131,9 +134,6 @@ class ClusterVerdict:
     per_property: dict  # property index -> Verdict
     per_frame: list     # shared FrameStats of the whole session
     total_elapsed: float
-    # the run stopped on its budget or on an UNKNOWN call; a run that did
-    # not stop answered every property or reached the frame bound
-    stopped: bool = False
 
 
 class _Encoder:
@@ -271,7 +271,7 @@ def _run(n: Netlist, props, cfg: BmcConfig, budget) -> ClusterVerdict:
     # a copy shares its owner's verdict and is listed after it
     per_property = {q: verdicts[p] for p in verdicts
                     for q in props if owner[q] == p}
-    return ClusterVerdict(per_property, frame_stats, spent, stopped)
+    return ClusterVerdict(per_property, frame_stats, spent)
 
 
 def check_single(n: Netlist, p: int, cfg: BmcConfig) -> Verdict:

@@ -139,19 +139,15 @@ def cmd_offline(args) -> int:
         """A design's DB1 record and DB3 rows: its standalone runs, then
         its cluster runs if it has at least two reduced embeddings.
 
-        A run's key is its bad literals in the order it solves them.  A
-        later run of a key, under at least the budget of a deterministic
-        earlier run that did not stop, would make that run's solver calls
-        and get its answers, so it takes that run's verdicts instead."""
+        A cluster whose members all share one bad literal would search as
+        that literal's standalone run under a larger budget.  When that
+        run is deterministic and did not stop, the larger budget changes
+        nothing, so the cluster takes its verdict instead of running."""
         name, n = design
-        lit = n.properties
         owner = bmc.single_run_owners(n, range(n.num_properties))
         runs = {q: bmc.check_single(n, q, cfg)
                 for q in dict.fromkeys(owner.values())}
         standalone = {p: runs[q] for p, q in owner.items()}
-        # key -> (budget, stopped, verdict per bad literal)
-        done = {(lit[q],): (cfg.budget, v.stopped, {lit[q]: v})
-                for q, v in runs.items()}
         record = online.unknown_record(n, name, standalone)
         if len(reduced.get(name, {})) < 2:
             return record, []
@@ -160,16 +156,13 @@ def cmd_offline(args) -> int:
         runs = []
         for c in family.clusters:
             members = sorted(c.members)
-            key = tuple(dict.fromkeys(lit[p] for p in members))
-            budget = None if cfg.budget is None else cfg.budget * len(members)
-            # a key not run yet reads as a run that stopped
-            old_budget, stopped, by_lit = done.get(key, (None, True, None))
-            if (stopped or not cfg.deterministic
-                    or (budget is not None and budget < old_budget)):
-                cv = bmc.check_cluster(n, members, cfg)
-                by_lit = {lit[p]: v for p, v in cv.per_property.items()}
-                done[key] = (budget, cv.stopped, by_lit)
-            runs.append((c.members, {p: by_lit[lit[p]] for p in members}))
+            v = standalone[members[0]]
+            if (cfg.deterministic and not v.stopped
+                    and len({owner[p] for p in members}) == 1):
+                verdicts = dict.fromkeys(members, v)
+            else:
+                verdicts = bmc.check_cluster(n, members, cfg).per_property
+            runs.append((c.members, verdicts))
         imap = gain.build_influencing_map(name, standalone, runs)
         return record, [store.InfluenceRecord(name, p, imap.influencing[p],
                                               tuple(imap.records[p]))

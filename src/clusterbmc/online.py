@@ -222,12 +222,8 @@ def convert_clusters(influencing_clusters, prop_map: PropertyMap):
 class PropertyRow:
     property: int
     cluster: tuple | None   # sorted members, None for standalone
-    status: str
-    depth: int
-    elapsed: float
-    baseline_status: str | None = None
-    baseline_depth: int | None = None
-    baseline_elapsed: float | None = None
+    verdict: bmc.Verdict    # of the cluster run, or of the standalone run
+    baseline: bmc.Verdict | None = None   # the standalone run's, if asked
     transition: str | None = None
     gain: float | None = None
 
@@ -247,15 +243,13 @@ class CampaignReport:
         )
         for r in sorted(self.rows, key=lambda r: r.property):
             cluster = " ".join(map(str, r.cluster)) if r.cluster else "-"
-            base = [
-                r.baseline_status if r.baseline_status is not None else "-",
-                "-" if r.baseline_depth is None else str(r.baseline_depth),
-                "-" if r.baseline_elapsed is None else repr(r.baseline_elapsed),
-                r.transition if r.transition is not None else "-",
-                "-" if r.gain is None else repr(r.gain),
-            ]
+            v, b = r.verdict, r.baseline
+            base = (["-"] * 3 if b is None
+                    else [b.status, str(b.depth), repr(b.elapsed)])
+            base += [r.transition if r.transition is not None else "-",
+                     "-" if r.gain is None else repr(r.gain)]
             out.append(
-                f"{r.property}|{cluster}|{r.status}|{r.depth}|{r.elapsed!r}|"
+                f"{r.property}|{cluster}|{v.status}|{v.depth}|{v.elapsed!r}|"
                 + "|".join(base)
             )
         return "\n".join(out) + "\n"
@@ -323,32 +317,27 @@ def verify_unknown(
              + [1] * len(owners))
     results = parallel.map2(lambda run: run(), jobs, costs)
 
+    runs = dict(zip(owners, results[len(planned):]))
+    standalone = {p: runs[q] for p, q in owner.items()}
+    rows = {p: PropertyRow(p, None, standalone[p]) for p in unclaimed}
     report = CampaignReport(unknown=u_rec.design, matched=matched)
     for (members, new, _total), run in zip(planned, results):
         report.cluster_runs.append((members, run.per_frame))
-        for p in new:
-            v = run.per_property[p]
-            report.rows.append(PropertyRow(p, members, v.status, v.depth, v.elapsed))
-    runs = dict(zip(owners, results[len(planned):]))
-    standalone = {p: runs[q] for p, q in owner.items()}
-    for p in unclaimed:
-        v = standalone[p]
-        report.rows.append(PropertyRow(p, None, v.status, v.depth, v.elapsed))
+        rows.update((p, PropertyRow(p, members, run.per_property[p]))
+                    for p in new)
+    # in property order, so a contradiction names the lowest property
+    report.rows = [rows[p] for p in sorted(rows)]
 
     if baseline:
-        by_prop = {r.property: r for r in report.rows}
-        for p in range(unknown.num_properties):
-            v = standalone[p]
-            row = by_prop[p]
-            row.baseline_status = v.status
-            row.baseline_depth = v.depth
-            row.baseline_elapsed = v.elapsed
-            clustered = bmc.Verdict(row.status, row.depth, row.elapsed)
-            tr = classify_at(u_rec.design, p, row.cluster or (), v, clustered)
-            row.transition = tr
-            size = len(row.cluster) if row.cluster else 2
+        for row in report.rows:
+            p, members = row.property, row.cluster or ()
+            row.baseline = standalone[p]
+            row.transition = classify_at(u_rec.design, p, members,
+                                         row.baseline, row.verdict)
+            # an unclaimed row compares a run with itself, so it is never
+            # UNDET_TO_SAT, the one transition whose gain reads the size
             row.gain = compute_gain(
-                tr, v, clustered, max(size, 2), property_index=p,
-                cluster=frozenset(row.cluster or ()),
+                row.transition, row.baseline, row.verdict, len(members) or 2,
+                property_index=p, cluster=frozenset(members),
             ).value
     return report

@@ -493,7 +493,8 @@ def test_cluster_solves_each_literal_once(monkeypatch):
         monkeypatch, lambda: bmc.check_single(dup, 0, cfg))
     cv, got = with_calls(
         monkeypatch, lambda: bmc.check_cluster(dup, [0, 1, 2], cfg))
-    assert not single.stopped and not cv.stopped
+    assert not single.stopped
+    assert not any(cv.per_property[p].stopped for p in (0, 1, 2))
     assert got == want and len(want) == 4
     assert cv.per_frame == single.per_frame
     assert cv.per_property == {p: single for p in (0, 1, 2)}
@@ -505,7 +506,8 @@ def test_cluster_solves_each_literal_once(monkeypatch):
         monkeypatch, lambda: bmc.check_cluster(mixed, [0, 2], cfg))
     cv, got = with_calls(
         monkeypatch, lambda: bmc.check_cluster(mixed, [0, 1, 2], cfg))
-    assert not distinct.stopped and not cv.stopped
+    assert not any(distinct.per_property[p].stopped for p in (0, 2))
+    assert not any(cv.per_property[p].stopped for p in (0, 1, 2))
     assert got == want and len(want) == 8
     assert cv.per_frame == distinct.per_frame
     by_lit = distinct.per_property

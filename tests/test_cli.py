@@ -465,18 +465,28 @@ def test_offline_shares_standalone_runs_of_one_bad_literal(tmp_path,
         assert v == check_single(n, p, cfg), p
 
 
-@pytest.mark.parametrize("flags, reused", [
-    (["--budget-conflicts", "300"], {("miter", (0, 1)), ("rand", (1, 3))}),
+@pytest.mark.parametrize("flags, fixed, reused", [
+    (["--budget-conflicts", "300"], None,
+     {("miter", (0, 1)), ("rand", (1, 3))}),
     # stops the miter's standalone runs, not those of the random design
-    (["--budget-conflicts", "100"], {("rand", (1, 3))}),
-    (["--time-budget", "0.05"], set()),
-], ids=["conflicts-300", "conflicts-100", "time"])
+    (["--budget-conflicts", "100"], None, {("rand", (1, 3))}),
+    (["--time-budget", "0.05"], None, set()),
+    # {1, 2} and {0, 1, 2} repeat the literals of {0, 2}, but only a
+    # cluster of one literal takes a run's verdicts: its standalone run's
+    (["--budget-conflicts", "300"], ((0, 1), (0, 2), (1, 2), (0, 1, 2)),
+     {("miter", (0, 1))}),
+], ids=["conflicts-300", "conflicts-100", "time", "fixed-family"])
 def test_offline_reuses_a_run_only_where_it_is_exact(tmp_path, monkeypatch,
-                                                     flags, reused):
+                                                     flags, fixed, reused):
     # each design has a cluster of two copies of one bad literal, which
     # repeats a standalone run; a cluster run is skipped only where that
-    # run is deterministic, did not stop and had no larger budget, and
-    # the rows then equal those of running every cluster
+    # run is deterministic and did not stop, and the rows then equal
+    # those of running every cluster
+    if fixed is not None:
+        monkeypatch.setattr(clusterer, "build_family", lambda name, *a, **k:
+                            clusterer.ClusterFamily(name, tuple(
+                                clusterer.Cluster(name, frozenset(m), "fixed")
+                                for m in fixed)))
     designs = {
         "miter": parity_miter(width=5, copies=2, variants=3, name="miter"),
         "rand": random_netlist(random.Random(7), num_bads=4, name="rand"),

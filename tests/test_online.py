@@ -153,8 +153,8 @@ def test_verify_self_similarity():
     assert sorted(r.property for r in report.rows) == [0, 1]
     by_prop = {r.property: r for r in report.rows}
     assert by_prop[0].cluster == (0, 1)
-    assert by_prop[0].status == "SAT" and by_prop[0].depth == 3
-    assert by_prop[1].status == "SAT" and by_prop[1].depth == 2
+    assert (by_prop[0].verdict.status, by_prop[0].verdict.depth) == ("SAT", 3)
+    assert (by_prop[1].verdict.status, by_prop[1].verdict.depth) == ("SAT", 2)
 
 
 def test_verify_leftover_property_runs_standalone():
@@ -164,7 +164,8 @@ def test_verify_leftover_property_runs_standalone():
     report = online.verify_unknown(n, db1, db3, cfg, design="ctr")
     by_prop = {r.property: r for r in report.rows}
     assert by_prop[2].cluster is None
-    assert {p: by_prop[p].depth for p in (0, 1, 2)} == {0: 5, 1: 6, 2: 7}
+    assert {p: by_prop[p].verdict.depth for p in (0, 1, 2)} == {
+        0: 5, 1: 6, 2: 7}
 
 
 def test_verify_baseline_fields():
@@ -174,7 +175,7 @@ def test_verify_baseline_fields():
     report = online.verify_unknown(n, db1, db3, cfg, design="twoctr",
                                    baseline=True)
     for row in report.rows:
-        assert row.baseline_status is not None
+        assert row.baseline is not None
         assert row.transition is not None
         assert row.gain is not None
 
@@ -213,9 +214,7 @@ def test_baseline_reuses_standalone_verdicts(monkeypatch, tmp_path):
     by_prop = {r.property: r for r in report.rows}
     for p in range(3):
         v = check_single(n, p, cfg)
-        row = by_prop[p]
-        assert (row.baseline_status, row.baseline_depth,
-                row.baseline_elapsed) == (v.status, v.depth, v.elapsed)
+        assert by_prop[p].baseline == v
 
 
 def test_singles_run_once_per_bad_literal(monkeypatch, tmp_path):
@@ -240,9 +239,7 @@ def test_singles_run_once_per_bad_literal(monkeypatch, tmp_path):
     assert by_prop[1].cluster is None
     for p in range(3):
         v = check_single(n, p, cfg)
-        row = by_prop[p]
-        assert (row.baseline_status, row.baseline_depth,
-                row.baseline_elapsed) == (v.status, v.depth, v.elapsed)
+        assert by_prop[p].baseline == v
 
 
 @pytest.fixture(scope="module")
@@ -285,7 +282,8 @@ def test_campaign_spends_at_most_its_budget(bank_db, budget):
             claims = sum(r.cluster == members for r in report.rows)
             assert per_frame[-1].cumulative_time <= budget * claims
             spent += per_frame[-1].cumulative_time
-        spent += sum(r.elapsed for r in report.rows if r.cluster is None)
+        spent += sum(r.verdict.elapsed for r in report.rows
+                     if r.cluster is None)
         assert spent <= budget * n.num_properties
 
 
@@ -302,3 +300,25 @@ def test_report_render_deterministic():
     a = online.verify_unknown(n, db1, db3, cfg, design="twoctr").render()
     b = online.verify_unknown(n, db1, db3, cfg, design="twoctr").render()
     assert a == b
+
+
+def test_report_render_is_pinned():
+    # the bytes bench/check.py and `report` parse: property 0 runs
+    # unclaimed, 1 and 2 in one cluster
+    n = counter(3, (5, 6, 7))
+    cfg = bmc.BmcConfig(conflict_budget=500, max_frames=6, mode=INIT, seed=0)
+    db1, db3 = db_for(n, "ctr", cfg, [frozenset({1, 2})])
+    head = ("campaign ctr matched=ctr\n"
+            "property|cluster|status|depth|elapsed|baseline_status"
+            "|baseline_depth|baseline_elapsed|transition|gain\n")
+    assert online.verify_unknown(n, db1, db3, cfg, design="ctr").render() == (
+        head
+        + "0|-|SAT|5|6.0|-|-|-|-|-\n"
+        "1|1 2|SAT|6|13.0|-|-|-|-|-\n"
+        "2|1 2|UNDET|6|14.0|-|-|-|-|-\n")
+    assert online.verify_unknown(n, db1, db3, cfg, design="ctr",
+                                 baseline=True).render() == (
+        head
+        + "0|-|SAT|5|6.0|SAT|5|6.0|SAT_TO_SAT|0.0\n"
+        "1|1 2|SAT|6|13.0|SAT|6|7.0|SAT_TO_SAT|-0.8571428571428571\n"
+        "2|1 2|UNDET|6|14.0|UNDET|6|7.0|UNDET_TO_UNDET|0.0\n")
