@@ -35,7 +35,7 @@ for t in tensors:
 for name, emb in reduced.items():
     if len(emb) < 2:
         continue
-    fam = build_family(name, emb, seed=0)
+    fam = build_family(emb, seed=0)
     print(f"\n{name}: {len(fam.clusters)} clusters")
     for c in fam.clusters:
         print(f"  {sorted(c.members)}  ({c.origin})")

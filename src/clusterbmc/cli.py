@@ -151,7 +151,7 @@ def cmd_offline(args) -> int:
         record = online.unknown_record(n, name, standalone)
         if len(reduced.get(name, {})) < 2:
             return record, []
-        family = clusterer.build_family(name, reduced[name], seed=args.seed,
+        family = clusterer.build_family(reduced[name], seed=args.seed,
                                         max_clusters=args.max_clusters)
         runs = []
         for c in family.clusters:
@@ -193,17 +193,19 @@ def cmd_verify(args) -> int:
             raise DataError(f"missing database file {paths[key]}")
     db1 = store.read_db(store.DB1, paths[store.DB1])
     db3 = store.read_db(store.DB3, paths[store.DB3])
+    name = _design_name(args.unknown)
     try:
-        n = parse_aiger(store.read_text(args.unknown),
-                        name=_design_name(args.unknown))
-    except (store.UnreadableFile, store.CorruptRow, AigerError) as e:
+        # the report names the unknown, and `report` reads it back
+        store.check_name(name)
+        n = parse_aiger(store.read_text(args.unknown), name=name)
+    except (store.ReservedName, store.UnreadableFile, store.CorruptRow,
+            AigerError) as e:
         raise DataError(f"cannot load {args.unknown}: {e}") from None
     _make_out_dir(args.out_dir)
 
     report = online.verify_unknown(
         n, db1, db3, cfg,
-        delta=args.delta, baseline=args.baseline,
-        design=_design_name(args.unknown),
+        delta=args.delta, baseline=args.baseline, design=name,
     )
     report_path = os.path.join(args.out_dir, "report.txt")
     store.write_text(report_path, report.render())

@@ -37,7 +37,6 @@ class TooFewProperties(ValueError):
 
 @dataclass(frozen=True)
 class Cluster:
-    design: str
     members: frozenset
     origin: str
 
@@ -48,7 +47,6 @@ class Cluster:
 
 @dataclass(frozen=True)
 class ClusterFamily:
-    design: str
     clusters: tuple  # deduplicated by member set, stable order
 
 
@@ -170,7 +168,6 @@ def kmedoids(d: np.ndarray, k: int):
 
 
 def build_family(
-    design: str,
     embeddings: dict,
     seed: int = 0,
     max_clusters: int = DEFAULT_MAX_CLUSTERS,
@@ -183,7 +180,7 @@ def build_family(
         raise TooFewProperties(f"{n} properties")
     x, d = _pairwise_cos([embeddings[p] for p in props])
 
-    candidates = [Cluster(design, frozenset(props), "full")]
+    candidates = [Cluster(frozenset(props), "full")]
     k_hi = max(2, math.ceil(n / 2))
     for k in range(2, k_hi + 1):  # k_hi <= n, as n >= 2
         for algo, groups in (("kmeans", kmeans(x, d, k, seed)),
@@ -191,7 +188,7 @@ def build_family(
             for group in groups:
                 if len(group) >= 2:
                     members = frozenset(props[i] for i in group)
-                    candidates.append(Cluster(design, members, f"{algo}({k})"))
+                    candidates.append(Cluster(members, f"{algo}({k})"))
 
     seen = set()
     clusters = []
@@ -202,4 +199,4 @@ def build_family(
         clusters.append(c)
         if len(clusters) >= max_clusters:
             break
-    return ClusterFamily(design, tuple(clusters))
+    return ClusterFamily(tuple(clusters))

@@ -31,9 +31,6 @@ from .netlist import Netlist
 
 DEFAULT_WIDTH = 128
 
-PROVIDER_SIM = "simulation"
-PROVIDER_IMPORTED = "imported"
-
 
 class MalformedTensorFile(ValueError):
     pass
@@ -53,7 +50,6 @@ class EmbeddingTensor:
     property: int
     width: int
     values: tuple
-    provider: str = PROVIDER_SIM
 
     def __post_init__(self):
         if len(self.values) != self.width:
@@ -111,7 +107,6 @@ def simulate_signature(
         property=property_index,
         width=width,
         values=_bucket_pool(ratios or [0.0], width),
-        provider=PROVIDER_SIM,
     )
 
 
@@ -125,7 +120,6 @@ def _cone_signature(n: Netlist, p: int, ratios, width: int,
         property=p,
         width=width,
         values=_bucket_pool(cone or [0.0], width),
-        provider=PROVIDER_SIM,
     )
 
 
@@ -164,7 +158,7 @@ def import_tensor(path: str) -> EmbeddingTensor:
         )
     if not all(math.isfinite(v) for v in vals):
         raise MalformedTensorFile(f"{path}: non-finite value")
-    return EmbeddingTensor(design, prop, width, vals, PROVIDER_IMPORTED)
+    return EmbeddingTensor(design, prop, width, vals)
 
 
 @dataclass(frozen=True)

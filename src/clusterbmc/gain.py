@@ -1,9 +1,10 @@
 """Verification-status transitions and their gain metric.
 
 Comparing a property's standalone run against a cluster run gives one of
-four ranked transitions.  Each transition carries a scalar gain; per
-property, the cluster with the lexicographically best (rank, value) record
-is its "influencing cluster" and what the third database remembers.
+four ranked transitions.  Each transition carries a scalar gain, and
+`score` gives both for one pair of verdicts.  Per property, the cluster
+with the lexicographically best (rank, value) record is its "influencing
+cluster" and what the third database remembers.
 """
 
 from __future__ import annotations
@@ -25,14 +26,6 @@ RANK = {
     UNDET_TO_UNDET: 3,
     SAT_TO_UNDET: 2,
 }
-
-
-class NoRecords(ValueError):
-    pass
-
-
-class MissingStandaloneVerdict(KeyError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -68,17 +61,6 @@ def classify(standalone, clustered) -> str:
     return _TRANSITIONS[(standalone.status, clustered.status)]
 
 
-def classify_at(design: str, p: int, members, standalone, clustered) -> str:
-    """`classify`, with the design, the property and the cluster members
-    in front of a contradiction's message."""
-    try:
-        return classify(standalone, clustered)
-    except AssertionError as e:
-        raise AssertionError(
-            f"design {design} property {p} cluster "
-            f"{' '.join(map(str, sorted(members)))}: {e}") from None
-
-
 def compute_gain(transition, standalone, clustered, cluster_size: int,
                  property_index: int = 0, cluster=frozenset()) -> GainRecord:
     """Scalar gain for one transition.
@@ -87,11 +69,12 @@ def compute_gain(transition, standalone, clustered, cluster_size: int,
     resolutions present in both runs score the time saving (t_s - t_c)/t_s;
     still-undetermined outcomes score the relative depth change
     (d_c - d_s)/d_s.  Degenerate divisors give value 0 with a flag.
+    Only t_c/n reads `cluster_size`, so only a full resolution needs n >= 2.
     """
-    if cluster_size < 2:
-        raise ValueError("cluster_size must be >= 2")
     degenerate = False
     if transition == UNDET_TO_SAT:
+        if cluster_size < 2:
+            raise ValueError("cluster_size must be >= 2")
         value = clustered.elapsed / (cluster_size - 1)
     elif transition == SAT_TO_SAT:
         t_s = standalone.elapsed
@@ -116,6 +99,23 @@ def compute_gain(transition, standalone, clustered, cluster_size: int,
     )
 
 
+def score(design: str, p: int, members, standalone,
+          clustered) -> GainRecord:
+    """Gain record of property `p` of `design` in the cluster `members`:
+    its transition from the `standalone` to the `clustered` verdict, and
+    that transition's gain.  A contradiction's message names the design,
+    the property and the members."""
+    try:
+        transition = classify(standalone, clustered)
+    except AssertionError as e:
+        raise AssertionError(
+            f"design {design} property {p} cluster "
+            f"{' '.join(map(str, sorted(members)))}: {e}") from None
+    cluster = frozenset(members)
+    return compute_gain(transition, standalone, clustered, len(cluster),
+                        property_index=p, cluster=cluster)
+
+
 def _selection_key(r: GainRecord):
     # maximize rank, then value; break ties toward the smaller cluster and
     # then the lexicographically smallest member set
@@ -123,16 +123,13 @@ def _selection_key(r: GainRecord):
     return (-RANK[r.transition], -r.value, len(members), members)
 
 
-def influencing_cluster(property_index: int, records) -> frozenset:
-    mine = [r for r in records if r.property == property_index]
-    if not mine:
-        raise NoRecords(f"no gain records for property {property_index}")
-    return min(mine, key=_selection_key).cluster
+def influencing_cluster(records) -> frozenset:
+    """Cluster of the best of one property's gain records."""
+    return min(records, key=_selection_key).cluster
 
 
 @dataclass(frozen=True)
 class InfluencingClusterMap:
-    design: str
     influencing: dict  # property -> frozenset or None
     records: dict      # property -> list of GainRecord
 
@@ -142,30 +139,14 @@ def build_influencing_map(design: str, standalone: dict,
     """Select the influencing cluster of every property.
 
     `standalone` maps property -> Verdict; `cluster_runs` is an iterable of
-    (member set, per-property Verdict dict).  Properties in no cluster map
-    to None.
+    (member set, per-property Verdict dict) that holds a verdict for every
+    member.  Properties in no cluster map to None.
     """
     records: dict = {p: [] for p in standalone}
     for members, verdicts in cluster_runs:
-        members = frozenset(members)
         for p in sorted(members):
-            if p not in standalone:
-                raise MissingStandaloneVerdict(p)
-            if p not in verdicts:
-                continue
-            tr = classify_at(design, p, members, standalone[p], verdicts[p])
             records[p].append(
-                compute_gain(
-                    tr, standalone[p], verdicts[p], len(members),
-                    property_index=p, cluster=members,
-                )
-            )
-    influencing = {
-        p: (influencing_cluster(p, rs) if rs else None)
-        for p, rs in records.items()
-    }
-    return InfluencingClusterMap(
-        design=design,
-        influencing=influencing,
-        records=records,
-    )
+                score(design, p, members, standalone[p], verdicts[p]))
+    influencing = {p: (influencing_cluster(rs) if rs else None)
+                   for p, rs in records.items()}
+    return InfluencingClusterMap(influencing, records)

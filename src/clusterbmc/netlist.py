@@ -212,8 +212,6 @@ class Netlist:
 class Property:
     """COI size summary for one bad output."""
 
-    index: int
-    bad_literal: int
     coi_inputs: int
     coi_latches: int
     coi_ands: int
@@ -418,8 +416,6 @@ def extract_coi(n: Netlist, p: int) -> Property:
     """COI size information for property p."""
     inputs, latch_vars, and_vars = n.cone(p)
     return Property(
-        index=p,
-        bad_literal=n.properties[p],
         coi_inputs=len(inputs),
         coi_latches=len(latch_vars),
         coi_ands=len(and_vars),

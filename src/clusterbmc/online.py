@@ -5,6 +5,9 @@ pick the structurally closest design B, associate B's properties with the
 unknown's through a minimum-cost assignment over COI-size differences,
 rewrite B's influencing clusters through that association, then spend the
 budget on the converted clusters (leftover properties run standalone).
+Each step hands the next a plain value: the matched `DesignRecord`, the
+rows of COI-size differences, the B -> unknown property `dict` and the
+converted member sets.
 
 The assignment is the shortest augmenting path algorithm of Crouse, "On
 implementing 2D rectangular assignment algorithms" (IEEE Transactions on
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from . import bmc, parallel
-from .gain import classify_at, compute_gain
+from .gain import score
 from .netlist import Netlist, extract_coi
 from .store import DesignRecord, PropertyEntry, query_db1_by_property_count
 
@@ -38,18 +41,6 @@ class EmptyDatabase(ValueError):
 
 def default_delta(property_count: int) -> int:
     return max(5, math.ceil(0.2 * property_count))
-
-
-@dataclass(frozen=True)
-class DiffMatrix:
-    rows: tuple      # properties of the known design B
-    cols: tuple      # properties of the unknown design
-    entries: tuple   # entries[i][j], non-negative
-
-
-@dataclass(frozen=True)
-class PropertyMap:
-    mapping: dict    # B property -> unknown property (injective)
 
 
 def unknown_record(n: Netlist, design: str = "", verdicts=None) -> DesignRecord:
@@ -69,7 +60,7 @@ def unknown_record(n: Netlist, design: str = "", verdicts=None) -> DesignRecord:
 
 
 def select_similar_design(db1_records, unknown: DesignRecord,
-                          delta: int | None = None) -> str:
+                          delta: int | None = None) -> DesignRecord:
     """Closest design by L1 structural distance within the pruned set.
 
     Pruning keeps designs whose property count lies strictly within
@@ -86,8 +77,8 @@ def select_similar_design(db1_records, unknown: DesignRecord,
         raise ValueError(f"delta must be at least 1, not {delta}")
     candidates = []
     while not candidates:
-        ids = set(query_db1_by_property_count(db1_records, p_u - delta, p_u + delta))
-        candidates = [r for r in db1_records if r.design in ids]
+        candidates = query_db1_by_property_count(db1_records, p_u - delta,
+                                                 p_u + delta)
         if not candidates:
             log.warning("pruning empty at delta=%d; widening to %d", delta, 2 * delta)
             delta *= 2
@@ -96,27 +87,22 @@ def select_similar_design(db1_records, unknown: DesignRecord,
     def distance(r):
         return sum(abs(a - b) for a, b in zip(r.feature_vector(), fu))
 
-    return min(candidates, key=lambda r: (distance(r), r.design)).design
+    return min(candidates, key=lambda r: (distance(r), r.design))
 
 
-def build_diff_matrix(b: DesignRecord, u: DesignRecord) -> DiffMatrix:
-    """Pairwise L1 distance over per-property COI sizes: entries[i][j]
+def build_diff_matrix(b: DesignRecord, u: DesignRecord) -> list:
+    """Pairwise L1 distance over per-property COI sizes: row i, column j
     compares property i of the known design `b` with property j of the
     unknown's record `u`."""
-    entries = tuple(
-        tuple(
+    return [
+        [
             abs(bp.coi_inputs - up.coi_inputs)
             + abs(bp.coi_latches - up.coi_latches)
             + abs(bp.coi_ands - up.coi_ands)
             for up in u.props
-        )
+        ]
         for bp in b.props
-    )
-    return DiffMatrix(
-        rows=tuple(range(len(b.props))),
-        cols=tuple(range(len(u.props))),
-        entries=entries,
-    )
+    ]
 
 
 def _min_cost_assignment(cost):
@@ -177,23 +163,21 @@ def _min_cost_assignment(cost):
     return col4row
 
 
-def associate_properties(m: DiffMatrix) -> PropertyMap:
-    """Injective B-property -> unknown-property map of minimal total cost."""
-    nr, nc = len(m.rows), len(m.cols)
-    if nr == 0 or nc == 0:
-        return PropertyMap({})
+def associate_properties(rows) -> dict:
+    """Injective B-property -> unknown-property map of minimal total cost,
+    over the cost rows of `build_diff_matrix`."""
+    if not rows or not rows[0]:
+        return {}
+    nr, nc = len(rows), len(rows[0])
     size = max(nr, nc)
     cost = [[_SENTINEL] * size for _ in range(size)]
     for i in range(nr):
-        cost[i][:nc] = m.entries[i]
-    mapping = {}
-    for i, j in enumerate(_min_cost_assignment(cost)):
-        if i < nr and j < nc:
-            mapping[m.rows[i]] = m.cols[j]
-    return PropertyMap(mapping)
+        cost[i][:nc] = rows[i]
+    return {i: j for i, j in enumerate(_min_cost_assignment(cost))
+            if i < nr and j < nc}
 
 
-def convert_clusters(influencing_clusters, prop_map: PropertyMap):
+def convert_clusters(influencing_clusters, prop_map: dict):
     """Rewrite cluster member sets through the association.
 
     Unmapped members are dropped individually; clusters falling below two
@@ -203,9 +187,7 @@ def convert_clusters(influencing_clusters, prop_map: PropertyMap):
     converted = []
     seen = set()
     for members in influencing_clusters:
-        mapped = frozenset(
-            prop_map.mapping[p] for p in members if p in prop_map.mapping
-        )
+        mapped = frozenset(prop_map[p] for p in members if p in prop_map)
         if len(mapped) < len(members):
             log.warning(
                 "cluster %s: dropped %d unmapped member(s)",
@@ -286,13 +268,12 @@ def verify_unknown(
     """
     u_rec = unknown_record(unknown, design)
     matched = select_similar_design(db1_records, u_rec, delta)
-    b_rec = next(r for r in db1_records if r.design == matched)
-    prop_map = associate_properties(build_diff_matrix(b_rec, u_rec))
+    prop_map = associate_properties(build_diff_matrix(matched, u_rec))
 
     influencing = []
     seen = set()
     for r in db3_records:
-        if r.design == matched and r.influencing not in seen:
+        if r.design == matched.design and r.influencing not in seen:
             seen.add(r.influencing)
             influencing.append(r.influencing)
     clusters = convert_clusters(influencing, prop_map)
@@ -320,7 +301,7 @@ def verify_unknown(
     runs = dict(zip(owners, results[len(planned):]))
     standalone = {p: runs[q] for p, q in owner.items()}
     rows = {p: PropertyRow(p, None, standalone[p]) for p in unclaimed}
-    report = CampaignReport(unknown=u_rec.design, matched=matched)
+    report = CampaignReport(unknown=u_rec.design, matched=matched.design)
     for (members, new, _total), run in zip(planned, results):
         report.cluster_runs.append((members, run.per_frame))
         rows.update((p, PropertyRow(p, members, run.per_property[p]))
@@ -330,14 +311,8 @@ def verify_unknown(
 
     if baseline:
         for row in report.rows:
-            p, members = row.property, row.cluster or ()
-            row.baseline = standalone[p]
-            row.transition = classify_at(u_rec.design, p, members,
-                                         row.baseline, row.verdict)
-            # an unclaimed row compares a run with itself, so it is never
-            # UNDET_TO_SAT, the one transition whose gain reads the size
-            row.gain = compute_gain(
-                row.transition, row.baseline, row.verdict, len(members) or 2,
-                property_index=p, cluster=frozenset(members),
-            ).value
+            row.baseline = standalone[row.property]
+            g = score(u_rec.design, row.property, row.cluster or (),
+                      row.baseline, row.verdict)
+            row.transition, row.gain = g.transition, g.value
     return report

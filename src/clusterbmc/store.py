@@ -100,8 +100,10 @@ class ReservedName(ValueError):
 
 
 def check_name(s: str):
-    """Raises ReservedName unless `s` can be stored as a design id."""
-    if any(ch in s for ch in "|,;:\n") or not s:
+    """Raises ReservedName unless `s` can be stored as a design id: one
+    non-empty line, as `str.splitlines` splits the files it is stored in,
+    without a field separator."""
+    if s.splitlines() != [s] or any(ch in s for ch in "|,;:"):
         raise ReservedName(f"design id {s!r} contains reserved characters")
 
 
@@ -298,10 +300,10 @@ def read_db(kind: str, path: str):
 
 
 def query_db1_by_property_count(db1_records, low: int, high: int):
-    """Designs with property count strictly between `low` and `high`."""
+    """DB1 records with property count strictly between `low` and `high`."""
     if low > high:
         raise ValueError("low must not exceed high")
-    return [r.design for r in db1_records if low < r.property_count < high]
+    return [r for r in db1_records if low < r.property_count < high]
 
 
 def write_pca(model, path: str):

@@ -100,7 +100,7 @@ def test_criterion_03_gain_formula_oracle(capsys):
         gain.GainRecord(0, frozenset({0, 1}), gain.UNDET_TO_UNDET, 0.9),
         gain.GainRecord(0, frozenset({0, 2}), gain.UNDET_TO_SAT, 0.4),
     ]
-    priority = gain.influencing_cluster(0, recs) == frozenset({0, 2})
+    priority = gain.influencing_cluster(recs) == frozenset({0, 2})
     verdict_line(
         capsys, 3, mismatches == 0 and worked and priority,
         f"gain equals independent formula table on 1000 inputs "
@@ -132,9 +132,8 @@ def test_criterion_05_assignment_optimality(capsys):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         ent = tuple(tuple(rng.randint(0, 99) for _ in range(nc))
                     for _ in range(nr))
-        m = online.DiffMatrix(tuple(range(nr)), tuple(range(nc)), ent)
-        pm = online.associate_properties(m)
-        cost = sum(ent[i][j] for i, j in pm.mapping.items())
+        pm = online.associate_properties(ent)
+        cost = sum(ent[i][j] for i, j in pm.items())
         if cost != oracles.assignment_brute_force(ent):
             mismatches += 1
     verdict_line(

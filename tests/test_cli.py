@@ -483,9 +483,9 @@ def test_offline_reuses_a_run_only_where_it_is_exact(tmp_path, monkeypatch,
     # run is deterministic and did not stop, and the rows then equal
     # those of running every cluster
     if fixed is not None:
-        monkeypatch.setattr(clusterer, "build_family", lambda name, *a, **k:
-                            clusterer.ClusterFamily(name, tuple(
-                                clusterer.Cluster(name, frozenset(m), "fixed")
+        monkeypatch.setattr(clusterer, "build_family", lambda *a, **k:
+                            clusterer.ClusterFamily(tuple(
+                                clusterer.Cluster(frozenset(m), "fixed")
                                 for m in fixed)))
     designs = {
         "miter": parity_miter(width=5, copies=2, variants=3, name="miter"),
@@ -519,8 +519,7 @@ def test_offline_reuses_a_run_only_where_it_is_exact(tmp_path, monkeypatch,
     rows, every = [], set()
     for name, n in designs.items():
         family = clusterer.build_family(
-            name, {r.property: r.vector for r in db2 if r.design == name},
-            seed=1)
+            {r.property: r.vector for r in db2 if r.design == name}, seed=1)
         runs = [(c.members, check_cluster(n, sorted(c.members),
                                           cfg).per_property)
                 for c in family.clusters]
@@ -610,6 +609,38 @@ def test_offline_skips_reserved_design_name(corpus, tmp_path, caplog):
     assert f"skipping {bad}: design id 'a,b'" in caplog.text
     db1 = store.read_db(store.DB1, store.db_paths(str(out))[store.DB1])
     assert sorted(r.design for r in db1) == ["ctr", "twoctr"]
+
+
+# every line boundary of `str.splitlines`, which the readers of the
+# databases and of the campaign report split rows on
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("ch", LINE_BREAKS, ids=lambda ch: f"U+{ord(ch):04X}")
+def test_names_survive_the_round_trip(corpus, tmp_path, ch):
+    # each command either rejects a design name (exit 3) or writes files
+    # that the later commands read back
+    bad = tmp_path / f"ctr{ch}x.aag"
+    bad.write_text((corpus / "ctr.aag").read_text())
+    db = tmp_path / "db"
+    assert cli.main(["offline", str(bad), str(corpus / "ctr.aag"),
+                     str(corpus / "twoctr.aag"),
+                     "--out-dir", str(db)] + COMMON) == cli.EXIT_OK
+    for i, name in enumerate(("unknown", f"un{ch}k")):
+        unknown = tmp_path / f"{name}.aag"
+        unknown.write_text((corpus / "unknown.aag").read_text())
+        run = tmp_path / f"run{i}"
+        rc = cli.main(["verify", str(unknown), "--db-dir", str(db),
+                       "--out-dir", str(run), "--baseline",
+                       "--budget-conflicts", "300", "--max-frames", "8",
+                       "--mode", "init", "--seed", "1"])
+        assert rc in (cli.EXIT_OK, cli.EXIT_DATA)
+        if i == 0:   # a plain name: only the database could be rejected
+            assert rc == cli.EXIT_OK
+        if rc == cli.EXIT_OK:
+            assert cli.main(["report", str(run)]) == cli.EXIT_OK
+        else:
+            assert not (run / "report.txt").exists()
 
 
 def empty_db(tmp_path, db1=b"mpbdb 1 db1\n"):

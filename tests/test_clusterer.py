@@ -135,7 +135,7 @@ def test_kmedoids_coinciding_medoids_leave_empty_groups():
     assert sorted(i for g in groups for i in g) == list(range(5))
     # Cluster() rejects a group below two members, so building the family
     # proves that build_family drops the empty group
-    fam = clusterer.build_family("d", dict(enumerate(pts)), seed=0)
+    fam = clusterer.build_family(dict(enumerate(pts)), seed=0)
     assert all(len(c.members) >= 2 for c in fam.clusters)
 
 
@@ -149,13 +149,13 @@ def test_k_out_of_range():
 
 
 def test_family_two_properties():
-    fam = clusterer.build_family("d", {0: (1, 0), 1: (0, 1)}, seed=0)
+    fam = clusterer.build_family({0: (1, 0), 1: (0, 1)}, seed=0)
     assert [sorted(c.members) for c in fam.clusters] == [[0, 1]]
 
 
 def test_family_contains_pairs_and_full_set():
     emb = {0: (1, 0), 1: (0.99, 0.01), 2: (0, 1), 3: (0.01, 0.99)}
-    fam = clusterer.build_family("d", emb, seed=0)
+    fam = clusterer.build_family(emb, seed=0)
     sets = {frozenset(c.members) for c in fam.clusters}
     assert frozenset({0, 1}) in sets
     assert frozenset({2, 3}) in sets
@@ -167,8 +167,8 @@ def test_family_contains_pairs_and_full_set():
 def test_family_determinism_and_k_range():
     rng = np.random.default_rng(3)
     emb = {i: tuple(r) for i, r in enumerate(rng.normal(size=(10, 4)))}
-    a = clusterer.build_family("d", emb, seed=5)
-    b = clusterer.build_family("d", emb, seed=5)
+    a = clusterer.build_family(emb, seed=5)
+    b = clusterer.build_family(emb, seed=5)
     assert [c.members for c in a.clusters] == [c.members for c in b.clusters]
     ks = {
         int(c.origin.split("(")[1][:-1])
@@ -180,7 +180,7 @@ def test_family_determinism_and_k_range():
 def test_family_cap():
     rng = np.random.default_rng(7)
     emb = {i: tuple(r) for i, r in enumerate(rng.normal(size=(12, 3)))}
-    fam = clusterer.build_family("d", emb, seed=0, max_clusters=4)
+    fam = clusterer.build_family(emb, seed=0, max_clusters=4)
     assert len(fam.clusters) == 4
     # the full set survives the cap (it is added first)
     assert frozenset(range(12)) in {c.members for c in fam.clusters}
@@ -188,7 +188,7 @@ def test_family_cap():
 
 def test_too_few_properties():
     with pytest.raises(clusterer.TooFewProperties):
-        clusterer.build_family("d", {0: (1.0,)}, seed=0)
+        clusterer.build_family({0: (1.0,)}, seed=0)
 
 
 def test_kmeans_empty_group_is_not_averaged():
@@ -216,8 +216,8 @@ def test_family_ignores_rounding_noise():
     for name, emb in reduced.items():
         noisy = {p: tuple(np.asarray(v) + noise.normal(0, 1e-14, len(v)))
                  for p, v in emb.items()}
-        want = clusterer.build_family(name, emb, seed=101).clusters
-        got = clusterer.build_family(name, noisy, seed=101).clusters
+        want = clusterer.build_family(emb, seed=101).clusters
+        got = clusterer.build_family(noisy, seed=101).clusters
         assert [c.members for c in got] == [c.members for c in want], name
 
 
@@ -268,5 +268,5 @@ def test_family_computes_distances_once(monkeypatch):
 
     monkeypatch.setattr(clusterer, "_pairwise_cos", counted)
     emb = {i: (math.cos(i), math.sin(i), 0.5) for i in range(9)}
-    clusterer.build_family("d", emb, seed=3)
+    clusterer.build_family(emb, seed=3)
     assert calls == [9]

@@ -97,7 +97,6 @@ def test_tensor_roundtrip(tmp_path):
     back = embed.import_tensor(path)
     assert back.design == "m" and back.property == 0
     assert tuple(back.values) == tuple(float(v) for v in t.values)
-    assert back.provider == embed.PROVIDER_IMPORTED
 
 
 def test_export_tensor_is_utf8_and_unwritable_is_store_error(tmp_path):

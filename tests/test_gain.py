@@ -63,6 +63,11 @@ def test_worked_numbers():
     assert r.value == 0.0 and not r.degenerate
     with pytest.raises(ValueError):
         gain.compute_gain("SAT_TO_UNSAT", V(SAT), V(SAT), 2)
+    # only t_c/(n - 1) reads the cluster size
+    with pytest.raises(ValueError, match="cluster_size"):
+        gain.compute_gain(gain.UNDET_TO_SAT, V(UNDET, 2), V(SAT, 3), 1)
+    assert gain.compute_gain(gain.SAT_TO_SAT, V(SAT, 3, 4.0), V(SAT, 3, 4.0),
+                             0).value == 0.0
 
 
 def test_formula_matches_independent_table():
@@ -94,7 +99,7 @@ def test_rank_dominance_beats_value():
         rec(0, {0, 1}, gain.UNDET_TO_UNDET, 0.9),
         rec(0, {0, 2}, gain.UNDET_TO_SAT, 0.4),
     ]
-    assert gain.influencing_cluster(0, records) == frozenset({0, 2})
+    assert gain.influencing_cluster(records) == frozenset({0, 2})
 
 
 def test_rank_dominance_random():
@@ -105,7 +110,7 @@ def test_rank_dominance_random():
         lo_tr = rng.choice([t for t in ranked
                             if gain.RANK[t] < gain.RANK[gain.UNDET_TO_SAT]])
         lo = rec(0, {0, 2}, lo_tr, rng.uniform(-5, 5))
-        assert gain.influencing_cluster(0, [lo, hi]) == hi.cluster
+        assert gain.influencing_cluster([lo, hi]) == hi.cluster
 
 
 def test_selector_permutation_invariance():
@@ -114,10 +119,10 @@ def test_selector_permutation_invariance():
         rec(0, {0, i + 1}, rng.choice(TRANSITIONS), rng.uniform(-2, 2))
         for i in range(6)
     ]
-    want = gain.influencing_cluster(0, records)
+    want = gain.influencing_cluster(records)
     for _ in range(10):
         rng.shuffle(records)
-        assert gain.influencing_cluster(0, records) == want
+        assert gain.influencing_cluster(records) == want
 
 
 def test_tie_breaks():
@@ -126,18 +131,19 @@ def test_tie_breaks():
         rec(0, {0, 1, 2}, gain.UNDET_TO_UNDET, 0.5),
         rec(0, {0, 1}, gain.UNDET_TO_UNDET, 0.5),
     ]
-    assert gain.influencing_cluster(0, records) == frozenset({0, 1})
+    assert gain.influencing_cluster(records) == frozenset({0, 1})
     # same size too: lexicographically smallest member set
     records = [
         rec(0, {0, 2}, gain.UNDET_TO_UNDET, 0.5),
         rec(0, {0, 1}, gain.UNDET_TO_UNDET, 0.5),
     ]
-    assert gain.influencing_cluster(0, records) == frozenset({0, 1})
+    assert gain.influencing_cluster(records) == frozenset({0, 1})
 
 
 def test_no_records():
-    with pytest.raises(gain.NoRecords):
-        gain.influencing_cluster(3, [rec(0, {0, 1}, gain.SAT_TO_SAT, 0.1)])
+    # a property in no cluster has no records, and no influencing cluster
+    with pytest.raises(ValueError):
+        gain.influencing_cluster([])
 
 
 def table1_fixture():
@@ -169,5 +175,5 @@ def test_influencing_map_uncovered_property():
 
 def test_missing_standalone_verdict():
     runs = [(frozenset({0, 1}), {0: V(UNDET, 8), 1: V(UNDET, 9)})]
-    with pytest.raises(gain.MissingStandaloneVerdict):
+    with pytest.raises(KeyError):
         gain.build_influencing_map("d", {0: V(UNDET, 5)}, runs)

@@ -19,7 +19,7 @@ import pytest
 from clusterbmc.online import _SENTINEL, _min_cost_assignment
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DIRS = ("src/clusterbmc", "tests", "demos")
+DIRS = ("src/clusterbmc", "tests", "demos", "bench")
 
 
 def _sources():

@@ -23,14 +23,14 @@ def test_select_exact_twin():
     twin = record("twin", [(1, 2, 3), (4, 5, 6)])
     other = record("other", [(9, 9, 9), (9, 9, 9)], ni=7, nl=7, na=90)
     unknown = record("unk", [(1, 2, 3), (4, 5, 6)])
-    assert online.select_similar_design([other, twin], unknown) == "twin"
+    assert online.select_similar_design([other, twin], unknown) is twin
 
 
 def test_select_closer_candidate():
     a = record("a", [(1, 1, 1)] * 3, na=25)   # distance 5 from unknown
     b = record("b", [(1, 1, 1)] * 3, na=29)   # distance 9
     unknown = record("unk", [(1, 1, 1)] * 3, na=20)
-    assert online.select_similar_design([b, a], unknown) == "a"
+    assert online.select_similar_design([b, a], unknown) is a
 
 
 def test_select_matches_brute_force():
@@ -49,15 +49,15 @@ def test_select_matches_brute_force():
         got = online.select_similar_design(recs, unknown, delta=100)
         fu = unknown.feature_vector()
         dist = lambda r: sum(abs(x - y) for x, y in zip(r.feature_vector(), fu))
-        want = min(recs, key=lambda r: (dist(r), r.design)).design
-        assert got == want
+        want = min(recs, key=lambda r: (dist(r), r.design))
+        assert got is want
 
 
 def test_pruning_widens_when_empty():
     far = record("far", [(1, 1, 1)] * 9)
     unknown = record("unk", [(1, 1, 1)] * 2)
     # delta=1 admits only property count exactly 2; widening finds "far"
-    assert online.select_similar_design([far], unknown, delta=1) == "far"
+    assert online.select_similar_design([far], unknown, delta=1) is far
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -68,7 +68,7 @@ def test_pruning_always_finds_a_design(counts, unknown_count, delta):
     recs = [record(f"d{i}", [(1, 1, 1)] * c) for i, c in enumerate(counts)]
     unknown = record("unk", [(1, 1, 1)] * unknown_count)
     got = online.select_similar_design(recs, unknown, delta=delta)
-    assert got in {r.design for r in recs}
+    assert got in recs
 
 
 def test_empty_db():
@@ -82,8 +82,8 @@ def test_diff_matrix_arithmetic():
     m = online.build_diff_matrix(b, online.unknown_record(n))
     # unknown's properties each cover 2 latches and some ANDs
     c0 = online.extract_coi(n, 0)
-    assert m.entries[0][0] == c0.coi_inputs + c0.coi_latches + c0.coi_ands
-    assert m.entries[1][0] == (
+    assert m[0][0] == c0.coi_inputs + c0.coi_latches + c0.coi_ands
+    assert m[1][0] == (
         abs(2 - c0.coi_inputs) + abs(3 - c0.coi_latches) + abs(4 - c0.coi_ands)
     )
 
@@ -94,33 +94,29 @@ def test_assignment_matches_brute_force():
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
         ent = tuple(tuple(rng.randint(0, 30) for _ in range(nc))
                     for _ in range(nr))
-        m = online.DiffMatrix(tuple(range(nr)), tuple(range(nc)), ent)
-        pm = online.associate_properties(m)
-        assert len(set(pm.mapping.values())) == len(pm.mapping)  # injective
-        cost = sum(ent[i][j] for i, j in pm.mapping.items())
+        pm = online.associate_properties(ent)
+        assert len(set(pm.values())) == len(pm)  # injective
+        cost = sum(ent[i][j] for i, j in pm.items())
         assert cost == assignment_brute_force(ent)
 
 
 def test_assignment_identity_matrix():
     ent = ((0, 7, 7), (7, 0, 7), (7, 7, 0))
-    m = online.DiffMatrix((0, 1, 2), (0, 1, 2), ent)
-    pm = online.associate_properties(m)
-    assert pm.mapping == {0: 0, 1: 1, 2: 2}
+    assert online.associate_properties(ent) == {0: 0, 1: 1, 2: 2}
 
 
 def test_assignment_single_row():
-    m = online.DiffMatrix((0,), (0, 1, 2), ((4, 1, 9),))
-    assert online.associate_properties(m).mapping == {0: 1}
+    assert online.associate_properties(((4, 1, 9),)) == {0: 1}
 
 
 def test_convert_clusters_rewrite():
-    pm = online.PropertyMap({1: 3, 3: 1, 4: 2})
+    pm = {1: 3, 3: 1, 4: 2}
     out = online.convert_clusters([frozenset({1, 3, 4})], pm)
     assert out == [frozenset({1, 2, 3})]
 
 
 def test_convert_clusters_drops_and_dedups():
-    pm = online.PropertyMap({1: 3, 3: 1, 4: 2})
+    pm = {1: 3, 3: 1, 4: 2}
     out = online.convert_clusters(
         [frozenset({1, 2}), frozenset({1, 2, 3}), frozenset({3, 1})], pm
     )
@@ -129,7 +125,7 @@ def test_convert_clusters_drops_and_dedups():
 
 
 def test_identity_map_keeps_clusters():
-    pm = online.PropertyMap({0: 0, 1: 1, 2: 2})
+    pm = {0: 0, 1: 1, 2: 2}
     fam = [frozenset({0, 1}), frozenset({0, 1, 2})]
     assert online.convert_clusters(fam, pm) == sorted(
         fam, key=lambda c: (len(c), tuple(sorted(c))))

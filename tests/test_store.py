@@ -149,7 +149,7 @@ def test_query_strict_bounds():
     recs = random_db1(rng, count=40)
     for low, high in [(7, 13), (0, 3), (2, 2), (5, 6)]:
         got = store.query_db1_by_property_count(recs, low, high)
-        want = [r.design for r in recs if low < r.property_count < high]
+        want = [r for r in recs if low < r.property_count < high]
         assert got == want
     with pytest.raises(ValueError):
         store.query_db1_by_property_count(recs, 5, 2)
