@@ -12,6 +12,7 @@ import csv
 import glob
 import io
 import logging
+import math
 import os
 import sys
 from collections import Counter
@@ -31,10 +32,6 @@ MODES = {"init": INIT, "inductive": INDUCTIVE}
 
 class DataError(Exception):
     pass
-
-
-class UsageError(Exception):
-    """Options that are each valid but do not go together."""
 
 
 def _bmc_config(args) -> bmc.BmcConfig:
@@ -70,31 +67,8 @@ def _make_out_dir(path: str):
         raise DataError(f"cannot create output directory: {e}") from None
 
 
-def _import_tensors(paths, designs) -> list:
-    """Imported tensors, each naming a property of a parsed design, at most
-    one per property."""
-    num_props = {name: n.num_properties for name, n in designs}
-    tensors, seen = [], set()
-    for path in paths:
-        t = embed.import_tensor(path)
-        if t.design not in num_props:
-            raise DataError(f"{path}: design {t.design!r} is not among the "
-                            f"parsed designs")
-        if not 0 <= t.property < num_props[t.design]:
-            raise DataError(f"{path}: {t.design} has no property {t.property}")
-        if (t.design, t.property) in seen:
-            raise DataError(f"{path}: second tensor for {t.design} "
-                            f"property {t.property}")
-        seen.add((t.design, t.property))
-        tensors.append(t)
-    return tensors
-
-
 def cmd_offline(args) -> int:
     cfg = _bmc_config(args)
-    if (args.embed == "import") != (args.tensors is not None):
-        raise UsageError("--tensors needs --embed import, and "
-                         "--embed import needs --tensors")
     names = [_design_name(path) for path in args.designs]
     twice = sorted(name for name, k in Counter(names).items() if k > 1)
     if twice:
@@ -119,12 +93,9 @@ def cmd_offline(args) -> int:
         raise DataError("no parseable designs")
 
     # the embeddings and the PCA need no verdict: fit them before any run
-    if args.embed == "import":
-        tensors = _import_tensors(args.tensors, designs)
-    else:
-        tensors = [t for name, n in designs
-                   for t in embed.design_signatures(
-                       n, patterns=args.patterns, seed=args.seed, design=name)]
+    tensors = [t for name, n in designs
+               for t in embed.design_signatures(
+                   n, patterns=args.patterns, seed=args.seed, design=name)]
     if len(tensors) < 2:
         raise DataError("need at least 2 property embeddings to fit PCA")
     pca = embed.fit_pca(tensors, args.pca_threshold)
@@ -137,7 +108,7 @@ def cmd_offline(args) -> int:
 
     def design_runs(design):
         """A design's DB1 record and DB3 rows: its standalone runs, then
-        its cluster runs if it has at least two reduced embeddings.
+        its cluster runs if it has at least two properties.
 
         A cluster whose members all share one bad literal would search as
         that literal's standalone run under a larger budget.  When that
@@ -149,7 +120,7 @@ def cmd_offline(args) -> int:
                 for q in dict.fromkeys(owner.values())}
         standalone = {p: runs[q] for p, q in owner.items()}
         record = online.unknown_record(n, name, standalone)
-        if len(reduced.get(name, {})) < 2:
+        if n.num_properties < 2:
             return record, []
         family = clusterer.build_family(reduced[name], seed=args.seed,
                                         max_clusters=args.max_clusters)
@@ -224,12 +195,23 @@ def _require_columns(path, reader, names):
 
 def _read_report(path: str):
     """Property rows of a campaign report, keyed by the column names of its
-    header row (the second line, under the campaign line)."""
+    header row (the second line, under the campaign line).  Each row's
+    depth is an int, and its baseline depth an int or `-`."""
     fh = io.StringIO(store.read_text(path))
     fh.readline()
     reader = csv.DictReader(fh, delimiter="|", quoting=csv.QUOTE_NONE)
     _require_columns(path, reader, ("depth", "baseline_depth"))
-    return list(reader)
+    rows = []
+    for row in reader:
+        try:
+            int(row["depth"])
+            if row["baseline_depth"] != "-":
+                int(row["baseline_depth"])
+        except (TypeError, ValueError) as e:  # None: a short row
+            raise DataError(
+                f"{path}: line {reader.line_num + 1}: {e}") from None
+        rows.append(row)
+    return rows
 
 
 def cmd_report(args) -> int:
@@ -248,28 +230,26 @@ def cmd_report(args) -> int:
             for rec in reader:
                 try:
                     x, y = int(rec["x"]), float(rec["y"])
+                    if not math.isfinite(y):
+                        raise ValueError(f"non-finite y {rec['y']!r}")
                 except (TypeError, ValueError) as e:  # None: a short row
                     raise DataError(
                         f"{path}: line {reader.line_num}: {e}") from None
                 totals[x] = totals.get(x, 0.0) + y
         return totals
 
-    wrote = []
-    for metric, out_name in (("conflicts", "conflicts.csv"),
-                             ("cumulative_time", "verification_time.csv")):
-        totals = aggregate(metric)
-        out = os.path.join(args.campaign_dir, out_name)
-        store.write_text(out, "x,y\n" + "".join(
-            f"{x},{totals[x]!r}\n" for x in sorted(totals)))
-        wrote.append(out)
-
-    scatter = os.path.join(args.campaign_dir, "depth_scatter.csv")
-    store.write_text(scatter, "x,y\n" + "".join(
-        f"{r['baseline_depth']},{r['depth']}\n"
-        for r in rows if r["baseline_depth"] != "-"))
-    wrote.append(scatter)
-    for w in wrote:
-        print(w)
+    # every input is read and checked before the first output is written
+    outputs = {
+        "conflicts.csv": sorted(aggregate("conflicts").items()),
+        "verification_time.csv": sorted(aggregate("cumulative_time").items()),
+        "depth_scatter.csv": [(r["baseline_depth"], r["depth"])
+                              for r in rows if r["baseline_depth"] != "-"],
+    }
+    for name, pairs in outputs.items():
+        store.write_text(os.path.join(args.campaign_dir, name), "x,y\n"
+                         + "".join(f"{x},{y}\n" for x, y in pairs))
+    for name in outputs:
+        print(os.path.join(args.campaign_dir, name))
     return EXIT_OK
 
 
@@ -296,11 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("designs", nargs="+", help="AIGER (aag) design files")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--pca-threshold", type=_fraction, default=0.95)
-    p.add_argument("--embed", choices=["sim", "import"], default="sim")
     p.add_argument("--patterns", type=_at_least_one, default=4096,
                    help="simulation stimuli per design")
-    p.add_argument("--tensors", nargs="*", default=None,
-                   help="tensor files for --embed import")
     p.add_argument("--max-clusters", type=_at_least_one,
                    default=clusterer.DEFAULT_MAX_CLUSTERS)
     _add_common(p)
@@ -327,11 +304,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (bmc.BmcConfigError, UsageError) as e:  # before any work
+    except bmc.BmcConfigError as e:  # before any work
         ap.error(str(e))
     except (DataError, store.CorruptRow, store.SchemaVersionMismatch,
-            store.UnreadableFile, store.UnwritableFile, online.EmptyDatabase,
-            embed.MalformedTensorFile, embed.WidthMismatch) as e:
+            store.UnreadableFile, store.UnwritableFile,
+            online.EmptyDatabase) as e:
         log.error("%s", e)
         return EXIT_DATA
     except (AssertionError, parallel.ChildLost) as e:

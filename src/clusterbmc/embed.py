@@ -1,16 +1,15 @@
 """Functional property embeddings and their PCA reduction.
 
-The built-in provider simulates a design once, on one inductive frame with
-random stimuli drawn per design, and records every gate's logic-1 ratio.
+Every embedding comes from one simulation of its design, on one inductive
+frame with random stimuli drawn per design, which records every gate's
+logic-1 ratio.
 The stimuli come from `random.Random(seed)`: one `getrandbits(patterns)`
 int per latch, then one per input, so bit j of every signal is pattern j
 and each AND gate evaluates all patterns with one `&` on Python ints.
 A property's signature pools the ratios of its cone to a fixed width by
 bucketed averaging, in the order `restrict_to_coi` numbers the cone's
 variables (inputs, latches, ANDs): so it equals a simulation of the cone
-alone fed the cone's share of the same stimuli.  Externally produced
-tensors (e.g. from a learned model) can be imported through a small text
-interchange format instead.
+alone fed the cone's share of the same stimuli.
 
 PCA is fit once per database build from the LAPACK symmetric eigensolver
 (`numpy.linalg.eigh`); the covariance uses 1/(n-1) normalization.
@@ -19,21 +18,15 @@ Every tensor of a build is projected with one matrix product.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from . import store
 from .netlist import Netlist
 
 DEFAULT_WIDTH = 128
-
-
-class MalformedTensorFile(ValueError):
-    pass
 
 
 class WidthMismatch(ValueError):
@@ -48,16 +41,7 @@ class DegenerateCovariance(ValueError):
 class EmbeddingTensor:
     design: str
     property: int
-    width: int
     values: tuple
-
-    def __post_init__(self):
-        if len(self.values) != self.width:
-            raise WidthMismatch(
-                f"{len(self.values)} values for declared width {self.width}"
-            )
-        if not all(map(math.isfinite, self.values)):
-            raise ValueError("non-finite embedding value")
 
 
 def _bucket_pool(ratios, width: int):
@@ -105,7 +89,6 @@ def simulate_signature(
     return EmbeddingTensor(
         design=design,
         property=property_index,
-        width=width,
         values=_bucket_pool(ratios or [0.0], width),
     )
 
@@ -118,7 +101,6 @@ def _cone_signature(n: Netlist, p: int, ratios, width: int,
     return EmbeddingTensor(
         design=design or n.name,
         property=p,
-        width=width,
         values=_bucket_pool(cone or [0.0], width),
     )
 
@@ -130,35 +112,6 @@ def design_signatures(n: Netlist, patterns: int = 4096, seed: int = 0,
     ratios = _gate_ratios(n, patterns, seed)
     return [_cone_signature(n, p, ratios, width, design)
             for p in range(n.num_properties)]
-
-
-def export_tensor(t: EmbeddingTensor, path: str):
-    """Two-line interchange file: `design,property,width` then the values,
-    in UTF-8; raises `store.UnwritableFile` when it cannot be written."""
-    store.write_text(path, f"{t.design},{t.property},{t.width}\n"
-                     + ",".join(repr(float(v)) for v in t.values) + "\n")
-
-
-def import_tensor(path: str) -> EmbeddingTensor:
-    lines = store.read_text(path).splitlines()
-    if len(lines) < 2:
-        raise MalformedTensorFile(f"{path}: expected header and value lines")
-    head = lines[0].split(",")
-    if len(head) != 3:
-        raise MalformedTensorFile(f"{path}: bad header {lines[0]!r}")
-    design, prop_s, width_s = head
-    try:
-        prop, width = int(prop_s), int(width_s)
-        vals = tuple(float(x) for x in lines[1].split(","))
-    except ValueError as e:
-        raise MalformedTensorFile(f"{path}: {e}") from None
-    if len(vals) != width:
-        raise MalformedTensorFile(
-            f"{path}: {len(vals)} values for declared width {width}"
-        )
-    if not all(math.isfinite(v) for v in vals):
-        raise MalformedTensorFile(f"{path}: non-finite value")
-    return EmbeddingTensor(design, prop, width, vals)
 
 
 @dataclass(frozen=True)
@@ -182,10 +135,10 @@ def fit_pca(tensors, threshold: float = 0.95) -> PcaModel:
         raise ValueError("threshold must be in (0, 1]")
     if len(tensors) < 2:
         raise DegenerateCovariance("need at least 2 tensors")
-    width = tensors[0].width
+    width = len(tensors[0].values)
     for t in tensors:
-        if t.width != width:
-            raise WidthMismatch(f"tensor width {t.width} != {width}")
+        if len(t.values) != width:
+            raise WidthMismatch(f"tensor width {len(t.values)} != {width}")
     x = np.array([t.values for t in tensors], dtype=float)
     mean = x.mean(axis=0)
     centered = x - mean
@@ -216,9 +169,9 @@ def fit_pca(tensors, threshold: float = 0.95) -> PcaModel:
 def project_all(m: PcaModel, tensors) -> list:
     """Reduced vector (a tuple) of each tensor, by one matrix product."""
     for t in tensors:
-        if t.width != m.width:
+        if len(t.values) != m.width:
             raise WidthMismatch(
-                f"tensor width {t.width} != model width {m.width}")
+                f"tensor width {len(t.values)} != model width {m.width}")
     x = np.array([t.values for t in tensors], dtype=float)
     z = (x.reshape(len(tensors), m.width) - np.array(m.mean)) @ np.array(
         m.components).T

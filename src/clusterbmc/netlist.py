@@ -176,10 +176,10 @@ class Netlist:
     def eval_frame(self, latch_vals, input_vals, ones=True):
         """One combinational evaluation.
 
-        ``latch_vals`` and ``input_vals`` are sequences of bools, numpy bool
-        arrays, or ints that pack one pattern per bit; ``ones`` is the
-        all-true value a literal's negation is xor-ed with, so int callers
-        pass ``(1 << patterns) - 1``.  Returns ``(values, next_latch,
+        ``latch_vals`` and ``input_vals`` are sequences of bools, or of ints
+        that pack one pattern per bit; ``ones`` is the all-true value a
+        literal's negation is xor-ed with, so int callers pass
+        ``(1 << patterns) - 1``.  Returns ``(values, next_latch,
         bad_vals)`` where ``values[var]`` holds every variable's value.
         """
         if len(input_vals) != self.num_inputs:

@@ -152,7 +152,7 @@ def test_criterion_06_pca_threshold(capsys):
         dims = int(rng.integers(3, 16))
         data = rng.normal(size=(rows, dims)) * rng.uniform(0.1, 10, size=dims)
         tensors = [
-            embed.EmbeddingTensor("d", i, dims, tuple(r))
+            embed.EmbeddingTensor("d", i, tuple(r))
             for i, r in enumerate(data)
         ]
         m = embed.fit_pca(tensors, 0.95)

@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from clusterbmc import (bmc, cli, clusterer, embed, gain, netlist, online,
-                        parallel, satcore, store)
+from clusterbmc import (bmc, cli, clusterer, gain, netlist, online, parallel,
+                        satcore, store)
 from clusterbmc.circuits import (counter, deep_sat_miter, parity_miter,
                                  random_netlist, two_counters)
 from clusterbmc.netlist import INIT, parse_aiger, serialize_aiger
@@ -200,6 +200,22 @@ REPORT = ("campaign u matched=b\n"
           "0|0 1|UNDET|3|10.0|-|-|-|-|-\n")
 
 
+def test_report_sums_frame_csvs_over_cluster_runs(tmp_path, capsys):
+    (tmp_path / "report.txt").write_text(
+        REPORT + "1|0 1|SAT|2|0.1|SAT|2|0.1|SAT_TO_SAT|0.0\n")
+    (tmp_path / "cluster_0_1_conflicts.csv").write_text("x,y\n0,1.0\n1,2.5\n")
+    (tmp_path / "cluster_2_conflicts.csv").write_text("x,y\n1,0.5\n3,4.0\n")
+    (tmp_path / "cluster_0_1_cumulative_time.csv").write_text("x,y\n0,0.25\n")
+    assert cli.main(["report", str(tmp_path)]) == cli.EXIT_OK
+    outputs = {"conflicts.csv": "x,y\n0,1.0\n1,3.0\n3,4.0\n",
+               "verification_time.csv": "x,y\n0,0.25\n",
+               "depth_scatter.csv": "x,y\n2,2\n"}
+    for name, text in outputs.items():
+        assert (tmp_path / name).read_text() == text
+    assert capsys.readouterr().out.splitlines() == [
+        str(tmp_path / name) for name in outputs]
+
+
 def test_report_non_utf8_is_data_error(tmp_path, caplog):
     (tmp_path / "report.txt").write_bytes(REPORT.encode() + b"1|\xff\n")
     assert cli.main(["report", str(tmp_path)]) == cli.EXIT_DATA
@@ -217,6 +233,28 @@ def test_report_bad_frame_csv_is_data_error(tmp_path, caplog, csv_text,
     (tmp_path / "cluster_0_1_conflicts.csv").write_text(csv_text)
     assert cli.main(["report", str(tmp_path)]) == cli.EXIT_DATA
     assert "cluster_0_1_conflicts.csv: " + message in caplog.text
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("report.txt", REPORT + "1|-|SAT\n", "report.txt: line 4: "),
+    ("report.txt", REPORT + "1|-|SAT|abc|0.1|-|-|-|-|-\n",
+     "report.txt: line 4: invalid literal"),
+    ("report.txt", REPORT + "1|-|SAT|2|0.1|SAT|x|0.1|-|-\n",
+     "report.txt: line 4: invalid literal"),
+    ("cluster_0_1_conflicts.csv", "x,y\n0,1.0\n1,nan\n",
+     "cluster_0_1_conflicts.csv: line 3: non-finite y 'nan'"),
+    ("cluster_0_1_cumulative_time.csv", "x,y\n0,inf\n",
+     "cluster_0_1_cumulative_time.csv: line 2: non-finite y 'inf'"),
+], ids=["short-row", "non-integer-depth", "non-integer-baseline-depth",
+        "nan-y", "inf-y"])
+def test_report_malformed_row_is_data_error(tmp_path, caplog, name, text,
+                                            message):
+    # a bad row stops the report before it writes any output
+    (tmp_path / "report.txt").write_text(REPORT)
+    (tmp_path / name).write_text(text)
+    assert cli.main(["report", str(tmp_path)]) == cli.EXIT_DATA
+    assert message in caplog.text
+    assert sorted(os.listdir(tmp_path)) == sorted({"report.txt", name})
 
 
 @pytest.mark.parametrize("name", ["db1.mpb", "db3.mpb", "report.txt",
@@ -328,15 +366,10 @@ def test_budget_required(corpus, capsys):
      "must be in (0, 1]"),
     (["--budget-conflicts", "10", "--pca-threshold", "1.5"],
      "must be in (0, 1]"),
-    (["--budget-conflicts", "10", "--tensors", "t.tensor"],
-     "--tensors needs --embed import"),
-    (["--budget-conflicts", "10", "--embed", "import"],
-     "--embed import needs --tensors"),
 ], ids=["budget-conflicts-0", "time-budget-negative", "time-budget-nan",
         "time-budget-inf", "seed-negative", "max-frames-negative",
         "both-budgets", "patterns-0", "max-clusters-0", "pca-threshold-0",
-        "pca-threshold-above-1", "tensors-without-import",
-        "import-without-tensors"])
+        "pca-threshold-above-1"])
 def test_out_of_range_option_is_usage_error(corpus, tmp_path, capsys, flags,
                                             message):
     out = tmp_path / "db"
@@ -356,6 +389,21 @@ def test_verify_assoc_is_unknown_option(corpus, tmp_path, capsys):
                   "--assoc", "greedy", "--budget-conflicts", "10"])
     assert exc.value.code == cli.EXIT_USAGE
     assert "unrecognized arguments: --assoc" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--embed", "sim"], ["--tensors", "x"]],
+                         ids=["embed", "tensors"])
+def test_offline_embed_and_tensors_are_unknown_options(corpus, tmp_path,
+                                                       capsys, flags):
+    out = tmp_path / "db"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["offline", str(corpus / "ctr.aag"),
+                  str(corpus / "twoctr.aag"), "--out-dir", str(out),
+                  "--budget-conflicts", "10"] + flags)
+    assert exc.value.code == cli.EXIT_USAGE
+    assert ("unrecognized arguments: " + " ".join(flags)
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("delta", ["0", "-5"])
@@ -561,11 +609,39 @@ def test_offline_fits_pca_before_any_bmc_run(tmp_path, monkeypatch, caplog):
         return check_single(n, p, cfg)
 
     monkeypatch.setattr(bmc, "check_single", counting)
-    argv = ["offline", str(design), "--out-dir", str(tmp_path / "db"),
-            "--embed", "sim"] + COMMON
+    argv = ["offline", str(design), "--out-dir", str(tmp_path / "db")] + COMMON
     assert cli.main(argv) == cli.EXIT_DATA
     assert "need at least 2 property embeddings" in caplog.text
     assert not log.exists()
+
+
+def test_offline_runs_no_cluster_of_a_one_property_design(corpus, tmp_path,
+                                                        monkeypatch):
+    # a design of one property gets its DB1 record and embedding, and no
+    # cluster: its DB3 has no row and BMC runs no cluster of it
+    design = tmp_path / "one.aag"
+    design.write_text(serialize_aiger(counter(3, (5,))))
+    log = tmp_path / "clusters.txt"
+    check_cluster = bmc.check_cluster
+
+    def logging(n, members, cfg):
+        with open(log, "a") as fh:
+            fh.write(f"{n.name}\n")
+        return check_cluster(n, members, cfg)
+
+    monkeypatch.setattr(bmc, "check_cluster", logging)
+    out = tmp_path / "db"
+    assert cli.main(["offline", str(corpus / "ctr.aag"), str(design),
+                     "--out-dir", str(out)] + COMMON) == cli.EXIT_OK
+    paths = store.db_paths(str(out))
+    db1 = store.read_db(store.DB1, paths[store.DB1])
+    db2 = store.read_db(store.DB2, paths[store.DB2])
+    db3 = store.read_db(store.DB3, paths[store.DB3])
+    assert [r.design for r in db1] == ["ctr", "one"]
+    assert [(r.design, r.property) for r in db2] == [
+        ("ctr", 0), ("ctr", 1), ("one", 0)]
+    assert "one" not in {r.design for r in db3}
+    assert set(log.read_text().split()) == {"ctr"}
 
 
 def test_offline_skips_unparseable_design(corpus, tmp_path):
@@ -666,60 +742,6 @@ def test_verify_non_utf8_database(corpus, tmp_path, caplog):
             "--out-dir", str(tmp_path / "run"), "--budget-conflicts", "10"]
     assert cli.main(argv) == cli.EXIT_DATA
     assert "line 2: " in caplog.text and "not UTF-8" in caplog.text
-
-
-def write_tensors(tmp_path, keys):
-    paths = []
-    for i, (design, p) in enumerate(keys):
-        path = str(tmp_path / f"t{i}.tensor")
-        embed.export_tensor(
-            embed.EmbeddingTensor(design, p, 3, (float(i), 1.0, float(p))),
-            path)
-        paths.append(path)
-    return paths
-
-
-def run_import(corpus, tmp_path, tensor_paths):
-    argv = ["offline", str(corpus / "ctr.aag"), str(corpus / "twoctr.aag"),
-            "--out-dir", str(tmp_path / "db"), "--embed", "import",
-            "--tensors", *tensor_paths] + COMMON
-    return cli.main(argv)
-
-
-ALL_KEYS = [("ctr", 0), ("ctr", 1), ("twoctr", 0), ("twoctr", 1)]
-
-
-def test_offline_imports_tensors(corpus, tmp_path):
-    assert run_import(corpus, tmp_path,
-                      write_tensors(tmp_path, ALL_KEYS)) == cli.EXIT_OK
-    db2 = store.read_db(store.DB2,
-                        store.db_paths(str(tmp_path / "db"))[store.DB2])
-    assert [(r.design, r.property) for r in db2] == ALL_KEYS
-
-
-@pytest.mark.parametrize("extra", [
-    [("ctr", 2)],
-    [("twoctr", -1)],
-    [("ctr", 0)],
-    [("nope", 0)],
-    "missing",
-    "non-utf8",
-], ids=["property-past-end", "negative-property", "duplicate",
-        "unknown-design", "missing-file", "non-utf8-file"])
-def test_offline_import_rejects_bad_tensors(corpus, tmp_path, extra):
-    paths = write_tensors(tmp_path, ALL_KEYS)
-    if extra == "missing":
-        paths.append(str(tmp_path / "nope.tensor"))
-    elif extra == "non-utf8":
-        bad = tmp_path / "bad.tensor"
-        bad.write_bytes(b"ctr,0,3\n\xff\n")
-        paths.append(str(bad))
-    else:
-        extra_dir = tmp_path / "extra"
-        extra_dir.mkdir()
-        paths += write_tensors(extra_dir, extra)
-    assert run_import(corpus, tmp_path, paths) == cli.EXIT_DATA
-    assert not os.path.exists(tmp_path / "db" / "db1.mpb")
 
 
 def raise_assertion():

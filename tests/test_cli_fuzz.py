@@ -15,7 +15,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clusterbmc import cli, embed
+from clusterbmc import cli
 from clusterbmc.circuits import counter, two_counters
 from clusterbmc.netlist import serialize_aiger
 
@@ -37,7 +37,7 @@ OFFLINE = {
 }
 VERIFY = {"--delta": ["1", "3"]}
 # at most one option appended last, so that it wins: out of range, not a
-# number, in conflict with another option, or of another command
+# number, in conflict with another option, of another command, or unknown
 BAD = [("--budget-conflicts", "0"), ("--budget-conflicts", "x"),
        ("--time-budget", "0.02"), ("--time-budget", "-1"),
        ("--time-budget", "nan"), ("--time-budget", "inf"),
@@ -98,17 +98,6 @@ def world(tmp_path_factory):
     }
     unknown = variants(root, "unk.aag", serialize_aiger(
         two_counters(bits=2, bad_a=2, bad_b=3, name="unk")).encode())
-    tensors = {"valid": []}
-    for design in ("valid-ctr", "valid-two"):
-        for p in range(2):
-            path = str(root / f"{design}-{p}.tensor")
-            embed.export_tensor(embed.EmbeddingTensor(
-                design, p, 3, (float(p), 1.0, float(len(design)))), path)
-            tensors["valid"].append(path)
-    with open(tensors["valid"][0], "rb") as fh:
-        one = variants(root, "t.tensor", fh.read())
-    tensors.update((kind, tensors["valid"][1:] + [one[kind]])
-                   for kind in KINDS[1:])
 
     db, camp = root / "db", root / "camp"
     run = ["--budget-conflicts", "40", "--max-frames", "3", "--mode", "init"]
@@ -122,7 +111,6 @@ def world(tmp_path_factory):
                if name.endswith(".csv"))
     return {
         "root": root, "designs": designs, "unknown": unknown,
-        "tensors": tensors,
         "dbs": damaged_copies(root, "db", db, {
             "db1": "db1.mpb", "db2": "db2.mpb", "db3": "db3.mpb",
             "pca": "pca.mpb"}),
@@ -160,12 +148,11 @@ def damaged(labels):
        common=options(COMMON), offline=options(OFFLINE),
        verify=options(VERIFY), baseline=st.booleans(),
        bad=st.none() | st.sampled_from(BAD),
-       tensors=st.none() | st.sampled_from(KINDS),
        db=intact_or("complete", damaged(["db1", "db2", "db3", "pca"])),
        camp=intact_or("complete", damaged(["report", "csv"])),
        out=st.none() | st.sampled_from(["file"] + OUTPUTS))
 def test_main_exits_0_2_or_3(world, command, inputs, common, offline, verify,
-                             baseline, bad, tensors, db, camp, out):
+                             baseline, bad, db, camp, out):
     work = tempfile.mkdtemp(dir=world["root"])
     out_dir = os.path.join(work, "out")
     if out == "file":
@@ -179,9 +166,6 @@ def test_main_exits_0_2_or_3(world, command, inputs, common, offline, verify,
                 + [world["designs"][name][kind] for name, kind in inputs]
                 + ["--out-dir", out_dir] + BOUND + flags(common)
                 + flags(offline))
-        if tensors is not None:
-            argv += ["--embed", "import",
-                     "--tensors", *world["tensors"][tensors]]
     elif command == "verify":
         argv = (["verify", world["unknown"][inputs[0][1]],
                  "--db-dir", world["dbs"][db], "--out-dir", out_dir]

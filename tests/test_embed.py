@@ -2,9 +2,8 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from clusterbmc import embed, netlist, store
+from clusterbmc import embed, netlist
 from clusterbmc.circuits import AigBuilder, parity_miter, random_netlist
 from clusterbmc.netlist import restrict_to_coi
 from oracles import pca_keep_count, pooled_ratios
@@ -89,77 +88,20 @@ def test_design_signatures_equal_cone_simulations():
                                            seed=trial, width=width) == sig
 
 
-def test_tensor_roundtrip(tmp_path):
-    n = parity_miter(width=4)
-    t = embed.coi_signature(n, 0, patterns=256, seed=1, design="m")
-    path = str(tmp_path / "t.tensor")
-    embed.export_tensor(t, path)
-    back = embed.import_tensor(path)
-    assert back.design == "m" and back.property == 0
-    assert tuple(back.values) == tuple(float(v) for v in t.values)
-
-
-def test_export_tensor_is_utf8_and_unwritable_is_store_error(tmp_path):
-    t = embed.coi_signature(parity_miter(width=3), 0, patterns=64,
-                            design="m\u00e9")
-    path = tmp_path / "t.tensor"
-    embed.export_tensor(t, str(path))
-    assert path.read_bytes().startswith("m\u00e9,0,".encode("utf-8"))
-    assert embed.import_tensor(str(path)).design == "m\u00e9"
-    with pytest.raises(store.UnwritableFile):
-        embed.export_tensor(t, str(tmp_path))   # a directory
-
-
-def test_malformed_tensor(tmp_path):
-    p = tmp_path / "bad.tensor"
-    p.write_text("d,0,3\n1.0,2.0\n")
-    with pytest.raises(embed.MalformedTensorFile):
-        embed.import_tensor(str(p))
-    p.write_text("only-header\n")
-    with pytest.raises(embed.MalformedTensorFile):
-        embed.import_tensor(str(p))
-
-
-# a header line and a value line built from number-like fields, so that
-# files parse often enough to reach the width and finiteness checks
-NUMBER = st.one_of(
-    st.floats().map(repr),
-    st.text(alphabet="0123456789.-+e_ infa", max_size=6),
-)
-INTEGER = st.one_of(st.integers(-1, 4).map(str),
-                    st.sampled_from(["", "1.0", "\u0663", "9" * 5000]))
-TENSOR_TEXT = st.builds(
-    lambda design, prop, width, values, tail:
-        f"{design},{prop},{width}\n{','.join(values)}\n{tail}".encode(),
-    st.text(alphabet="d\xe9", max_size=3), INTEGER, INTEGER,
-    st.lists(NUMBER, max_size=4), st.text(max_size=8),
-)
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(st.one_of(st.binary(max_size=64), TENSOR_TEXT))
-def test_import_tensor_total(tmp_path_factory, data):
-    # any file content either imports or raises the module's own errors,
-    # or store's error for a byte that is not UTF-8
-    path = tmp_path_factory.getbasetemp() / "fuzz.tensor"
-    path.write_bytes(data)
-    try:
-        t = embed.import_tensor(str(path))
-    except (embed.MalformedTensorFile, embed.WidthMismatch, store.CorruptRow):
-        return
-    assert len(t.values) == t.width
+def make_tensors(data):
+    return [
+        embed.EmbeddingTensor("d", i, tuple(row))
+        for i, row in enumerate(data)
+    ]
 
 
 def test_width_invariant():
+    # every tensor of a fit, and every tensor projected, has the model's width
     with pytest.raises(embed.WidthMismatch):
-        embed.EmbeddingTensor("d", 0, 4, (1.0, 2.0))
-
-
-def make_tensors(data):
-    return [
-        embed.EmbeddingTensor("d", i, len(row), tuple(row))
-        for i, row in enumerate(data)
-    ]
+        embed.fit_pca(make_tensors([(1.0, 2.0), (3.0, 4.0), (5.0,)]), 0.95)
+    m = embed.fit_pca(make_tensors([(1.0, 2.0), (3.0, 5.0)]), 0.95)
+    with pytest.raises(embed.WidthMismatch):
+        embed.project_all(m, make_tensors([(1.0, 2.0), (1.0, 2.0, 3.0)]))
 
 
 def test_pca_rank1():
@@ -210,7 +152,7 @@ def test_project_mean_is_zero():
     rng = np.random.default_rng(2)
     data = rng.normal(size=(10, 5))
     m = embed.fit_pca(make_tensors(data), 0.95)
-    t = embed.EmbeddingTensor("d", 0, 5, tuple(m.mean))
+    t = embed.EmbeddingTensor("d", 0, tuple(m.mean))
     assert all(abs(v) < 1e-9 for v in embed.project(m, t))
 
 

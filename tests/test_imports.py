@@ -1,15 +1,19 @@
-"""Imports: no module imports a name it never uses, and no command
-imports scipy or numpy.random.
+"""Imports and names: no module imports a name it never uses, the package
+defines no function or class that nothing reads, and no command imports
+scipy or numpy.random.
 
-A plain `ast` scan, since no linter is a dependency: every name an
-import statement binds must appear as a name somewhere else in the
-module.  `__future__` imports and the package's re-exports in
-`__init__.py` are exempt.
+Plain `ast` scans, since no linter is a dependency.  Every name an import
+statement binds must appear as a name somewhere else in the module;
+`__future__` imports and the package's re-exports in `__init__.py` are
+exempt.  Every function and class the package defines must be read in
+the package, the demos or the benchmark; dunders and the fixture library
+`circuits.py` are exempt, and a re-export in `__init__.py` is no read.
 """
 
 import ast
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -55,6 +59,63 @@ def test_scan_finds_unused_names():
         "    return os.sep\n"
     )
     assert unused_imports(src) == [(3, "np"), (4, "d")]
+
+
+# a dotted name in a string constant: `bench/spans.py` patches functions by
+# their qualified names
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*\Z")
+PACKAGE = "src/clusterbmc"
+FIXTURES = os.path.join(PACKAGE, "circuits.py")
+
+
+def dead_names(sources: dict) -> list:
+    """`(path, line, name)` of each function and class defined in a package
+    file of `sources` (path -> text) whose name no file of `sources` reads
+    as a name, an attribute or a part of a dotted string."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and DOTTED.match(node.value)):
+                read.update(node.value.split("."))
+    return sorted(
+        (path, node.lineno, node.name)
+        for path, tree in trees.items()
+        if path.startswith(PACKAGE + os.sep) and path != FIXTURES
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in read)
+
+
+def test_scan_finds_dead_names():
+    module = os.path.join(PACKAGE, "a.py")
+    sources = {
+        module: ("class A:\n"
+                 "    def m(self): pass\n"
+                 "    def __len__(self): return 0\n"
+                 "def f(): pass\n"
+                 "def g(): pass\n"
+                 "def h(): pass\n"),
+        FIXTURES: "def fixture(): pass\n",
+        "bench/b.py": "a.f()\nx.m\npatch(a, 'A.h')\n",
+    }
+    assert dead_names(sources) == [(module, 5, "g")]
+
+
+def test_no_dead_names():
+    sources = {}
+    for path in _sources():
+        if not path.startswith("tests"):
+            with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+                sources[path] = fh.read()
+    assert dead_names(sources) == []
 
 
 def test_no_unused_imports():

@@ -74,7 +74,7 @@ def test_pca_roundtrip(tmp_path):
     rng = random.Random(7)
     for trial in range(10):
         ts = [
-            embed.EmbeddingTensor("d", i, 4, tuple(rng.random() for _ in range(4)))
+            embed.EmbeddingTensor("d", i, tuple(rng.random() for _ in range(4)))
             for i in range(6)
         ]
         m = embed.fit_pca(ts, 0.95)
@@ -172,7 +172,7 @@ def write_real(kind, path):
     """A small database or PCA file as `offline` writes it."""
     rng = random.Random(11)
     if kind == "pca":
-        ts = [embed.EmbeddingTensor("d", i, 3, (rng.random(), 1.0, i / 4))
+        ts = [embed.EmbeddingTensor("d", i, (rng.random(), 1.0, i / 4))
               for i in range(5)]
         store.write_pca(embed.fit_pca(ts, 0.95), path)
     elif kind == store.DB2:
