@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 from .netlist import (
     INDUCTIVE,
+    INIT,
     Netlist,
     PropertyIndexOutOfRange,
     UnfoldBuilder,
@@ -84,6 +85,8 @@ class BmcConfig:
             raise BmcConfigError("conflict_budget must be positive")
         if self.max_frames is not None and self.max_frames < 0:
             raise BmcConfigError("max_frames must not be negative")
+        if self.mode not in (INIT, INDUCTIVE):
+            raise BmcConfigError(f"unknown mode {self.mode!r}")
         # random.Random seeds with |seed|, so -s would name the run of s
         if self.seed < 0:
             raise BmcConfigError("seed must not be negative")

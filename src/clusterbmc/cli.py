@@ -1,5 +1,6 @@
-"""Command-line front end: offline database build, online verification,
-and figure-data reporting.
+"""Command-line front end: `offline` builds the databases, `verify` runs
+a campaign on an unknown design and writes its report, per-run frame CSVs
+and figure data.
 
 Exit codes: 0 success, 2 usage, 3 data error, 4 internal invariant
 violation.
@@ -8,11 +9,7 @@ violation.
 from __future__ import annotations
 
 import argparse
-import csv
-import glob
-import io
 import logging
-import math
 import os
 import sys
 from collections import Counter
@@ -166,7 +163,7 @@ def cmd_verify(args) -> int:
     db3 = store.read_db(store.DB3, paths[store.DB3])
     name = _design_name(args.unknown)
     try:
-        # the report names the unknown, and `report` reads it back
+        # the report names the unknown on its first line
         store.check_name(name)
         n = parse_aiger(store.read_text(args.unknown), name=name)
     except (store.ReservedName, store.UnreadableFile, store.CorruptRow,
@@ -180,76 +177,25 @@ def cmd_verify(args) -> int:
     )
     report_path = os.path.join(args.out_dir, "report.txt")
     store.write_text(report_path, report.render())
+    # figure data of this campaign alone: per frame, sums over its cluster
+    # runs; then each baselined property's standalone and clustered depth
+    conflicts, times = {}, {}
     for members, per_frame in report.cluster_runs:
         run_id = "cluster_" + "_".join(map(str, members))
         bmc.write_frame_csvs(per_frame, args.out_dir, run_id)
-    print(report_path)
-    return EXIT_OK
-
-
-def _require_columns(path, reader, names):
-    missing = set(names) - set(reader.fieldnames or ())
-    if missing:
-        raise DataError(f"{path}: no column {', '.join(sorted(missing))}")
-
-
-def _read_report(path: str):
-    """Property rows of a campaign report, keyed by the column names of its
-    header row (the second line, under the campaign line).  Each row's
-    depth is an int, and its baseline depth an int or `-`."""
-    fh = io.StringIO(store.read_text(path))
-    fh.readline()
-    reader = csv.DictReader(fh, delimiter="|", quoting=csv.QUOTE_NONE)
-    _require_columns(path, reader, ("depth", "baseline_depth"))
-    rows = []
-    for row in reader:
-        try:
-            int(row["depth"])
-            if row["baseline_depth"] != "-":
-                int(row["baseline_depth"])
-        except (TypeError, ValueError) as e:  # None: a short row
-            raise DataError(
-                f"{path}: line {reader.line_num + 1}: {e}") from None
-        rows.append(row)
-    return rows
-
-
-def cmd_report(args) -> int:
-    report_path = os.path.join(args.campaign_dir, "report.txt")
-    if not os.path.exists(report_path):
-        raise DataError(f"missing campaign report {report_path}")
-    rows = _read_report(report_path)
-
-    # aggregate per-frame metrics over all cluster runs of the campaign
-    def aggregate(metric):
-        totals: dict = {}
-        for path in sorted(glob.glob(
-                os.path.join(args.campaign_dir, f"cluster_*_{metric}.csv"))):
-            reader = csv.DictReader(io.StringIO(store.read_text(path)))
-            _require_columns(path, reader, ("x", "y"))
-            for rec in reader:
-                try:
-                    x, y = int(rec["x"]), float(rec["y"])
-                    if not math.isfinite(y):
-                        raise ValueError(f"non-finite y {rec['y']!r}")
-                except (TypeError, ValueError) as e:  # None: a short row
-                    raise DataError(
-                        f"{path}: line {reader.line_num}: {e}") from None
-                totals[x] = totals.get(x, 0.0) + y
-        return totals
-
-    # every input is read and checked before the first output is written
-    outputs = {
-        "conflicts.csv": sorted(aggregate("conflicts").items()),
-        "verification_time.csv": sorted(aggregate("cumulative_time").items()),
-        "depth_scatter.csv": [(r["baseline_depth"], r["depth"])
-                              for r in rows if r["baseline_depth"] != "-"],
+        for s in per_frame:
+            conflicts[s.frame] = conflicts.get(s.frame, 0.0) + s.conflicts
+            times[s.frame] = times.get(s.frame, 0.0) + s.cumulative_time
+    figures = {
+        "conflicts.csv": sorted(conflicts.items()),
+        "verification_time.csv": sorted(times.items()),
+        "depth_scatter.csv": [(r.baseline.depth, r.verdict.depth)
+                              for r in report.rows if r.baseline is not None],
     }
-    for name, pairs in outputs.items():
-        store.write_text(os.path.join(args.campaign_dir, name), "x,y\n"
+    for fname, pairs in figures.items():
+        store.write_text(os.path.join(args.out_dir, fname), "x,y\n"
                          + "".join(f"{x},{y}\n" for x, y in pairs))
-    for name in outputs:
-        print(os.path.join(args.campaign_dir, name))
+    print(report_path)
     return EXIT_OK
 
 
@@ -291,10 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("report", help="emit figure-data CSVs for a campaign")
-    p.add_argument("campaign_dir")
-    p.set_defaults(func=cmd_report)
     return ap
 
 

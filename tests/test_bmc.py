@@ -595,6 +595,9 @@ def test_config_validation():
             bmc.BmcConfig(time_budget=budget)
     with pytest.raises(bmc.BmcConfigError):
         bmc.BmcConfig(conflict_budget=5, seed=-1)
+    # the CLI's spelling of a mode is not a mode
+    with pytest.raises(bmc.BmcConfigError):
+        bmc.BmcConfig(conflict_budget=10, mode="init")
     assert bmc.BmcConfig(max_frames=0).max_frames == 0
 
 

@@ -30,6 +30,7 @@ def corpus(tmp_path):
 
 COMMON = ["--budget-conflicts", "300", "--max-frames", "8",
           "--mode", "init", "--seed", "1", "--patterns", "128"]
+FIGURES = ("conflicts.csv", "verification_time.csv", "depth_scatter.csv")
 
 
 def run_offline(corpus, out):
@@ -38,6 +39,15 @@ def run_offline(corpus, out):
             str(corpus / "miter.aag"),
             "--out-dir", str(out)] + COMMON
     return cli.main(argv)
+
+
+def verify_corpus(corpus, tmp_path, out, unknown="unknown.aag"):
+    """A `verify --baseline` campaign of `unknown` against the corpus DB."""
+    db = tmp_path / "db"
+    if not db.exists():
+        assert run_offline(corpus, db) == cli.EXIT_OK
+    return cli.main(["verify", str(corpus / unknown), "--db-dir", str(db),
+                     "--out-dir", str(out), "--baseline"] + COMMON[:-2])
 
 
 def test_offline_writes_databases(corpus, tmp_path):
@@ -53,22 +63,15 @@ def test_offline_writes_databases(corpus, tmp_path):
 
 
 def test_verify_and_report(corpus, tmp_path):
-    out = tmp_path / "db"
-    run_offline(corpus, out)
     run_dir = tmp_path / "run"
-    argv = ["verify", str(corpus / "unknown.aag"),
-            "--db-dir", str(out), "--out-dir", str(run_dir),
-            "--baseline",
-            "--budget-conflicts", "300", "--max-frames", "8",
-            "--mode", "init", "--seed", "1"]
-    assert cli.main(argv) == cli.EXIT_OK
+    assert verify_corpus(corpus, tmp_path, run_dir) == cli.EXIT_OK
     report = (run_dir / "report.txt").read_text()
     assert report.startswith("campaign unknown ")
     # every property of the unknown design has a row
     assert len(report.strip().splitlines()) == 2 + 2
 
-    assert cli.main(["report", str(run_dir)]) == cli.EXIT_OK
-    for name in ("conflicts.csv", "verification_time.csv", "depth_scatter.csv"):
+    # the figure data sits next to the report
+    for name in FIGURES:
         lines = (run_dir / name).read_text().splitlines()
         assert lines[0] == "x,y"
     scatter = (run_dir / "depth_scatter.csv").read_text().splitlines()
@@ -113,7 +116,9 @@ def test_deep_sat_depths_through_offline_and_verify(tmp_path, mode, depths):
     run = tmp_path / "run"
     assert cli.main(["verify", paths[3], "--db-dir", str(db),
                      "--out-dir", str(run), "--baseline"] + flags) == cli.EXIT_OK
-    rows = cli._read_report(str(run / "report.txt"))
+    lines = (run / "report.txt").read_text().splitlines()
+    rows = [dict(zip(lines[1].split("|"), line.split("|")))
+            for line in lines[2:]]
     assert [(r["status"], r["depth"], r["baseline_status"], r["baseline_depth"],
              r["transition"]) for r in rows] == [
         ("SAT", str(d), "SAT", str(d), "SAT_TO_SAT") for d in depths]
@@ -189,87 +194,57 @@ def test_verify_with_frame_bound_only(corpus, tmp_path):
     assert [r.split("|")[1:3] for r in rows] == [["0 1", "SAT"], ["0 1", "SAT"]]
 
 
-def test_report_without_columns_is_data_error(tmp_path):
-    (tmp_path / "report.txt").write_text("campaign x matched=y\n")
-    assert cli.main(["report", str(tmp_path)]) == cli.EXIT_DATA
-
-
-REPORT = ("campaign u matched=b\n"
-          "property|cluster|status|depth|elapsed|baseline_status"
-          "|baseline_depth|baseline_elapsed|transition|gain\n"
-          "0|0 1|UNDET|3|10.0|-|-|-|-|-\n")
-
-
-def test_report_sums_frame_csvs_over_cluster_runs(tmp_path, capsys):
-    (tmp_path / "report.txt").write_text(
-        REPORT + "1|0 1|SAT|2|0.1|SAT|2|0.1|SAT_TO_SAT|0.0\n")
-    (tmp_path / "cluster_0_1_conflicts.csv").write_text("x,y\n0,1.0\n1,2.5\n")
-    (tmp_path / "cluster_2_conflicts.csv").write_text("x,y\n1,0.5\n3,4.0\n")
-    (tmp_path / "cluster_0_1_cumulative_time.csv").write_text("x,y\n0,0.25\n")
-    assert cli.main(["report", str(tmp_path)]) == cli.EXIT_OK
-    outputs = {"conflicts.csv": "x,y\n0,1.0\n1,3.0\n3,4.0\n",
-               "verification_time.csv": "x,y\n0,0.25\n",
-               "depth_scatter.csv": "x,y\n2,2\n"}
+def test_report_sums_frame_csvs_over_cluster_runs(corpus, tmp_path, capsys):
+    # the bytes the former `report` command wrote from this campaign's
+    # files: its one cluster run, 0 1, summed per frame as floats
+    run = tmp_path / "run"
+    assert verify_corpus(corpus, tmp_path, run) == cli.EXIT_OK
+    outputs = {"conflicts.csv": "x,y\n0,0.0\n1,0.0\n2,0.0\n3,0.0\n",
+               "verification_time.csv": "x,y\n0,2.0\n1,4.0\n2,6.0\n3,7.0\n",
+               "depth_scatter.csv": "x,y\n2,2\n3,3\n"}
     for name, text in outputs.items():
-        assert (tmp_path / name).read_text() == text
-    assert capsys.readouterr().out.splitlines() == [
-        str(tmp_path / name) for name in outputs]
+        assert (run / name).read_text() == text
+    assert capsys.readouterr().out.splitlines()[-1] == str(run / "report.txt")
 
 
-def test_report_non_utf8_is_data_error(tmp_path, caplog):
-    (tmp_path / "report.txt").write_bytes(REPORT.encode() + b"1|\xff\n")
-    assert cli.main(["report", str(tmp_path)]) == cli.EXIT_DATA
-    assert "line 4: " in caplog.text and "not UTF-8" in caplog.text
+def test_figures_sum_overlapping_cluster_runs(corpus, tmp_path, monkeypatch):
+    # frames of two runs: shared frames add up, each frame is listed once
+    def stats(*rows):
+        return [bmc.FrameStat(f, c, 0.0, t) for f, c, t in rows]
+
+    report = online.CampaignReport("unknown", "twoctr", cluster_runs=[
+        ((0, 1), stats((0, 1, 0.25), (1, 2, 0.5))),
+        ((2,), stats((1, 1, 0.5), (3, 4, 1.0)))])
+    monkeypatch.setattr(online, "verify_unknown", lambda *a, **k: report)
+    run = tmp_path / "run"
+    assert verify_corpus(corpus, tmp_path, run) == cli.EXIT_OK
+    assert (run / "conflicts.csv").read_text() == "x,y\n0,1.0\n1,3.0\n3,4.0\n"
+    assert ((run / "verification_time.csv").read_text()
+            == "x,y\n0,0.25\n1,1.0\n3,1.0\n")
+    # no row has a baseline: the scatter is its header alone
+    assert (run / "depth_scatter.csv").read_text() == "x,y\n"
 
 
-@pytest.mark.parametrize("csv_text, message", [
-    ("x,y\n0,1.0\n1,many\n", "line 3: could not convert"),
-    ("x,z\n0,1.0\n", "no column y"),
-    ("y\n1.0\n", "no column x"),
-], ids=["non-numeric-y", "missing-y", "missing-x"])
-def test_report_bad_frame_csv_is_data_error(tmp_path, caplog, csv_text,
-                                            message):
-    (tmp_path / "report.txt").write_text(REPORT)
-    (tmp_path / "cluster_0_1_conflicts.csv").write_text(csv_text)
-    assert cli.main(["report", str(tmp_path)]) == cli.EXIT_DATA
-    assert "cluster_0_1_conflicts.csv: " + message in caplog.text
+def test_reused_out_dir_keeps_figures_to_its_campaign(corpus, tmp_path):
+    # an earlier campaign's cluster run (0 1) stays in the directory, but
+    # only the later campaign's run (1 2) enters its figures
+    (corpus / "ctr4.aag").write_text(serialize_aiger(counter(4, (5, 6, 7))))
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    assert verify_corpus(corpus, tmp_path, fresh, "ctr4.aag") == cli.EXIT_OK
+    assert verify_corpus(corpus, tmp_path, reused) == cli.EXIT_OK
+    assert verify_corpus(corpus, tmp_path, reused, "ctr4.aag") == cli.EXIT_OK
+    assert (reused / "cluster_0_1_conflicts.csv").exists()
+    assert not (fresh / "cluster_0_1_conflicts.csv").exists()
+    for name in FIGURES:
+        assert (reused / name).read_text() == (fresh / name).read_text()
 
 
-@pytest.mark.parametrize("name, text, message", [
-    ("report.txt", REPORT + "1|-|SAT\n", "report.txt: line 4: "),
-    ("report.txt", REPORT + "1|-|SAT|abc|0.1|-|-|-|-|-\n",
-     "report.txt: line 4: invalid literal"),
-    ("report.txt", REPORT + "1|-|SAT|2|0.1|SAT|x|0.1|-|-\n",
-     "report.txt: line 4: invalid literal"),
-    ("cluster_0_1_conflicts.csv", "x,y\n0,1.0\n1,nan\n",
-     "cluster_0_1_conflicts.csv: line 3: non-finite y 'nan'"),
-    ("cluster_0_1_cumulative_time.csv", "x,y\n0,inf\n",
-     "cluster_0_1_cumulative_time.csv: line 2: non-finite y 'inf'"),
-], ids=["short-row", "non-integer-depth", "non-integer-baseline-depth",
-        "nan-y", "inf-y"])
-def test_report_malformed_row_is_data_error(tmp_path, caplog, name, text,
-                                            message):
-    # a bad row stops the report before it writes any output
-    (tmp_path / "report.txt").write_text(REPORT)
-    (tmp_path / name).write_text(text)
-    assert cli.main(["report", str(tmp_path)]) == cli.EXIT_DATA
-    assert message in caplog.text
-    assert sorted(os.listdir(tmp_path)) == sorted({"report.txt", name})
-
-
-@pytest.mark.parametrize("name", ["db1.mpb", "db3.mpb", "report.txt",
-                                  "cluster_0_1_conflicts.csv"])
+@pytest.mark.parametrize("name", ["db1.mpb", "db3.mpb"])
 def test_unreadable_input_is_data_error(corpus, tmp_path, caplog, name):
-    # a directory where a database, report or frame CSV should be
-    if name.endswith(".mpb"):
-        base = empty_db(tmp_path)
-        argv = ["verify", str(corpus / "unknown.aag"), "--db-dir", str(base),
-                "--out-dir", str(tmp_path / "run"), "--budget-conflicts", "10"]
-    else:
-        base = tmp_path / "run"
-        base.mkdir()
-        (base / "report.txt").write_text(REPORT)
-        argv = ["report", str(base)]
+    # a directory where a database should be
+    base = empty_db(tmp_path)
+    argv = ["verify", str(corpus / "unknown.aag"), "--db-dir", str(base),
+            "--out-dir", str(tmp_path / "run"), "--budget-conflicts", "10"]
     (base / name).unlink(missing_ok=True)
     (base / name).mkdir()
     assert cli.main(argv) == cli.EXIT_DATA
@@ -282,8 +257,8 @@ def test_unreadable_input_is_data_error(corpus, tmp_path, caplog, name):
     ("verify", "cluster_0_1_conflicts.csv"),
     ("verify", "cluster_0_1_solve_time.csv"),
     ("verify", "cluster_0_1_cumulative_time.csv"),
-    ("report", "conflicts.csv"), ("report", "verification_time.csv"),
-    ("report", "depth_scatter.csv"),
+    ("verify", "conflicts.csv"), ("verify", "verification_time.csv"),
+    ("verify", "depth_scatter.csv"),
 ])
 def test_unwritable_output_is_data_error(corpus, tmp_path, caplog, command,
                                          name):
@@ -293,14 +268,11 @@ def test_unwritable_output_is_data_error(corpus, tmp_path, caplog, command,
     (out / name).mkdir()
     if command == "offline":
         code = run_offline(corpus, out)
-    elif command == "verify":
+    else:
         assert run_offline(corpus, tmp_path / "db") == cli.EXIT_OK
         code = cli.main(["verify", str(corpus / "unknown.aag"),
                          "--db-dir", str(tmp_path / "db"),
                          "--out-dir", str(out)] + COMMON[:-2])
-    else:
-        (out / "report.txt").write_text(REPORT)
-        code = cli.main(["report", str(out)])
     assert code == cli.EXIT_DATA
     assert f"cannot write {out / name}: Is a directory" in caplog.text
 
@@ -331,10 +303,6 @@ def test_verify_missing_db_dir(corpus, tmp_path):
             "--db-dir", str(tmp_path / "nope"), "--out-dir", str(tmp_path / "r"),
             "--budget-conflicts", "10"]
     assert cli.main(argv) == cli.EXIT_DATA
-
-
-def test_report_missing_campaign(tmp_path):
-    assert cli.main(["report", str(tmp_path)]) == cli.EXIT_DATA
 
 
 def test_usage_error_exit_code(capsys):
@@ -404,6 +372,14 @@ def test_offline_embed_and_tensors_are_unknown_options(corpus, tmp_path,
     assert ("unrecognized arguments: " + " ".join(flags)
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_report_is_an_unknown_command(tmp_path, capsys):
+    # verify writes the figure data; no second command reads it back
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", str(tmp_path)])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "invalid choice: 'report'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("delta", ["0", "-5"])
@@ -713,9 +689,7 @@ def test_names_survive_the_round_trip(corpus, tmp_path, ch):
         assert rc in (cli.EXIT_OK, cli.EXIT_DATA)
         if i == 0:   # a plain name: only the database could be rejected
             assert rc == cli.EXIT_OK
-        if rc == cli.EXIT_OK:
-            assert cli.main(["report", str(run)]) == cli.EXIT_OK
-        else:
+        if rc != cli.EXIT_OK:
             assert not (run / "report.txt").exists()
 
 

@@ -2,8 +2,8 @@
 
 Options take in-range, out-of-range and conflicting values.  Input files
 are valid, truncated, not UTF-8, directories or missing; database
-directories may lack a file, campaign directories their report, and
-output directories may hold a directory where a file goes.  Every outcome
+directories may lack a file, and output directories may hold a directory
+where a file goes.  Every outcome
 is exit 0, 2 (argparse's `SystemExit(2)` included) or 3: never exit 4, and
 never an exception out of `main`.
 """
@@ -49,7 +49,8 @@ BAD = [("--budget-conflicts", "0"), ("--budget-conflicts", "x"),
 
 # names an output directory may hold as a directory instead of a file
 OUTPUTS = ["db1.mpb", "db2.mpb", "db3.mpb", "pca.mpb", "report.txt",
-           "cluster_0_1_conflicts.csv", "conflicts.csv", "depth_scatter.csv"]
+           "cluster_0_1_conflicts.csv", "conflicts.csv",
+           "verification_time.csv", "depth_scatter.csv"]
 
 
 def variants(root, name, data):
@@ -99,23 +100,16 @@ def world(tmp_path_factory):
     unknown = variants(root, "unk.aag", serialize_aiger(
         two_counters(bits=2, bad_a=2, bad_b=3, name="unk")).encode())
 
-    db, camp = root / "db", root / "camp"
-    run = ["--budget-conflicts", "40", "--max-frames", "3", "--mode", "init"]
+    db = root / "db"
     assert cli.main(["offline", designs["ctr"]["valid"],
                      designs["two"]["valid"], "--out-dir", str(db),
-                     "--patterns", "16"] + run) == cli.EXIT_OK
-    assert cli.main(["verify", unknown["valid"], "--db-dir", str(db),
-                     "--out-dir", str(camp), "--baseline"]
-                    + run) == cli.EXIT_OK
-    csv = next(name for name in sorted(os.listdir(camp))
-               if name.endswith(".csv"))
+                     "--patterns", "16", "--budget-conflicts", "40",
+                     "--max-frames", "3", "--mode", "init"]) == cli.EXIT_OK
     return {
         "root": root, "designs": designs, "unknown": unknown,
         "dbs": damaged_copies(root, "db", db, {
             "db1": "db1.mpb", "db2": "db2.mpb", "db3": "db3.mpb",
             "pca": "pca.mpb"}),
-        "camps": damaged_copies(root, "camp", camp,
-                                {"report": "report.txt", "csv": csv}),
     }
 
 
@@ -141,7 +135,7 @@ def damaged(labels):
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
-@given(command=st.sampled_from(["offline", "verify", "report"]),
+@given(command=st.sampled_from(["offline", "verify"]),
        inputs=st.lists(st.tuples(st.sampled_from(["ctr", "two"]),
                                  intact_or("valid", KINDS[1:])),
                        min_size=1, max_size=3),
@@ -149,10 +143,9 @@ def damaged(labels):
        verify=options(VERIFY), baseline=st.booleans(),
        bad=st.none() | st.sampled_from(BAD),
        db=intact_or("complete", damaged(["db1", "db2", "db3", "pca"])),
-       camp=intact_or("complete", damaged(["report", "csv"])),
        out=st.none() | st.sampled_from(["file"] + OUTPUTS))
 def test_main_exits_0_2_or_3(world, command, inputs, common, offline, verify,
-                             baseline, bad, db, camp, out):
+                             baseline, bad, db, out):
     work = tempfile.mkdtemp(dir=world["root"])
     out_dir = os.path.join(work, "out")
     if out == "file":
@@ -166,25 +159,11 @@ def test_main_exits_0_2_or_3(world, command, inputs, common, offline, verify,
                 + [world["designs"][name][kind] for name, kind in inputs]
                 + ["--out-dir", out_dir] + BOUND + flags(common)
                 + flags(offline))
-    elif command == "verify":
+    else:
         argv = (["verify", world["unknown"][inputs[0][1]],
                  "--db-dir", world["dbs"][db], "--out-dir", out_dir]
                 + BOUND + flags(common) + flags(verify)
                 + (["--baseline"] if baseline else []))
-    else:
-        # report writes into the campaign: run it on a copy
-        source = world["camps"][camp]
-        campaign = os.path.join(work, "camp")
-        if os.path.isdir(source):
-            shutil.copytree(source, campaign)
-            if out is not None and out != "file":
-                blocked = os.path.join(campaign, out)
-                if os.path.isfile(blocked):
-                    os.remove(blocked)
-                os.makedirs(blocked, exist_ok=True)
-        elif os.path.exists(source):
-            shutil.copy(source, campaign)
-        argv = ["report", campaign]
     if bad is not None:
         argv += list(bad)
 
