@@ -2,10 +2,12 @@
 
 A 3-bit up-counter with two bad outputs ("counter == 5" and "counter == 6")
 is enough to show the whole netlist surface: AIGER text round-trips, cone
-of influence extraction per property, and time-unfolding in both modes.
+of influence extraction per property, and time-unfolding from reset.
 """
 
-from clusterbmc import INIT, INDUCTIVE, extract_coi, parse_aiger, serialize_aiger
+from dataclasses import replace
+
+from clusterbmc import extract_coi, parse_aiger, serialize_aiger
 from clusterbmc.circuits import counter
 from clusterbmc.netlist import UnfoldBuilder
 
@@ -26,13 +28,16 @@ for p in range(n.num_properties):
     print(f"property {p}: cone = {c.coi_inputs} inputs, "
           f"{c.coi_latches} latches, {c.coi_ands} ANDs")
 
-# unfolding: initial-state mode pins latches at their resets, inductive
-# mode leaves frame 0 free (an over-approximation of reachability); BMC
-# adds one frame at a time.  Constants fold as frames unroll, so a counter
-# with no inputs needs no variable from reset
-for mode in (INIT, INDUCTIVE):
-    u = UnfoldBuilder(n, mode)
+# unfolding: frame 0 pins each latch at its reset, and BMC adds one frame
+# at a time.  Constants fold as frames unroll, so a counter with no inputs
+# needs no variable from reset.  A latch with no reset (AIGER: reset = its
+# own literal) is free at frame 0, so a copy whose latches have no reset
+# unfolds from every state, an over-approximation of reachability
+free = replace(n, latches=tuple(replace(latch, reset=None)
+                                for latch in n.latches))
+for label, design in (("from reset", n), ("free latches", free)):
+    u = UnfoldBuilder(design)
     for _ in range(3):
         u.add_frame()
-    print(f"{mode}: frame-0 latch literals = {u.frame0_latches}, "
+    print(f"{label}: frame-0 latch literals = {u.frame0_latches}, "
           f"{u.num_vars} fresh variables over {u.frames} frames")

@@ -6,7 +6,7 @@ proof costs real conflicts), then BMC on the counter: the bad state
 while an unreachable parity miter is only refuted up to the frame bound.
 """
 
-from clusterbmc import BmcConfig, INIT, check_single, new_solver, replay_cex
+from clusterbmc import BmcConfig, check_single, new_solver, replay_cex
 from clusterbmc.circuits import counter, parity_miter
 
 # pigeonhole: 5 pigeons, 4 holes
@@ -29,7 +29,7 @@ print(f"repeat query: {res2.status} after {res2.conflicts_this_call} conflicts")
 
 # BMC finds the counter's bad state and the trace replays concretely
 n = counter(3, (5,))
-cfg = BmcConfig(conflict_budget=10_000, max_frames=8, mode=INIT, seed=0)
+cfg = BmcConfig(conflict_budget=10_000, max_frames=8, seed=0)
 v = check_single(n, 0, cfg)
 print(f"\ncounter==5: {v.status} at depth {v.depth}")
 print("trace replay:", replay_cex(n, 0, v.cex))
@@ -38,6 +38,6 @@ print("trace replay:", replay_cex(n, 0, v.cex))
 # alone proves nothing deeper, so the verdict stays UNDET
 m = parity_miter(width=5)
 v = check_single(m, 0, BmcConfig(conflict_budget=10_000, max_frames=4,
-                                 mode=INIT, seed=0))
+                                 seed=0))
 print(f"parity miter: {v.status}, refuted up to depth {v.depth} "
       f"(per-frame conflicts: {[s.conflicts for s in v.per_frame]})")

@@ -8,8 +8,6 @@ clusters borrowed from its closest relative.
 """
 
 from .netlist import (  # noqa: F401
-    INDUCTIVE,
-    INIT,
     Latch,
     Netlist,
     extract_coi,

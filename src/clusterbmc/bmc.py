@@ -1,9 +1,11 @@
 """Incremental bounded model checking over one shared solver session.
 
-A run owns a single SolverSession.  Frames are encoded into CNF one at a
-time, each limited to the union cone of influence of the run's
-properties: an input, latch or gate that no property of the run can see
-gets no solver variable and reads as false in counterexamples.  Constants
+BMC unrolls from reset (Biere et al., TACAS 1999); a latch with no reset
+is free at frame 0.  A run owns a single SolverSession.  Frames are
+encoded into CNF one at a time, each limited to the union cone of
+influence of the run's properties: an input, latch or gate that no
+property of the run can see gets no solver variable and reads as false
+in counterexamples, or as its reset for a frame-0 latch.  Constants
 are folded while a frame unfolds: a gate with a constant operand, or with
 equal or complementary operands, takes the literal of a constant or of an
 operand and gets neither a variable nor clauses.  Each other XOR that
@@ -39,14 +41,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .netlist import (
-    INDUCTIVE,
-    INIT,
-    Netlist,
-    PropertyIndexOutOfRange,
-    UnfoldBuilder,
-    cone_vars,
-)
+from .netlist import Netlist, PropertyIndexOutOfRange, UnfoldBuilder, cone_vars
 from . import satcore
 
 SAT = "SAT"
@@ -68,7 +63,6 @@ class BmcConfig:
     time_budget: float | None = None     # seconds per property
     conflict_budget: int | None = None   # cost units per property
     max_frames: int | None = None        # highest frame index checked
-    mode: str = INDUCTIVE
     seed: int = 0
 
     def __post_init__(self):
@@ -85,8 +79,6 @@ class BmcConfig:
             raise BmcConfigError("conflict_budget must be positive")
         if self.max_frames is not None and self.max_frames < 0:
             raise BmcConfigError("max_frames must not be negative")
-        if self.mode not in (INIT, INDUCTIVE):
-            raise BmcConfigError(f"unknown mode {self.mode!r}")
         # random.Random seeds with |seed|, so -s would name the run of s
         if self.seed < 0:
             raise BmcConfigError("seed must not be negative")
@@ -151,9 +143,8 @@ class _Encoder:
     the frame-0 latches, some clause reads every solver variable.
     """
 
-    def __init__(self, n: Netlist, mode: str, solver: satcore.SolverSession,
-                 cone: set):
-        self.builder = UnfoldBuilder(n, mode, cone, n.xors())
+    def __init__(self, n: Netlist, solver: satcore.SolverSession, cone: set):
+        self.builder = UnfoldBuilder(n, cone=cone, xors=n.xors())
         self.solver = solver
         solver.add_clause([-1])
 
@@ -220,7 +211,7 @@ def _run(n: Netlist, props, cfg: BmcConfig, budget) -> ClusterVerdict:
     owner = single_run_owners(n, props)
     owners = list(dict.fromkeys(owner.values()))
     solver = satcore.new_solver(seed=cfg.seed)
-    enc = _Encoder(n, cfg.mode, solver, cone)
+    enc = _Encoder(n, solver, cone)
     timed = not cfg.deterministic
     deadline = start + budget if timed and budget is not None else None
 
@@ -319,11 +310,15 @@ REFUTED = "refuted"
 
 
 def replay_cex(n: Netlist, p: int, cex: Cex) -> str:
-    """Simulate a counterexample; confirmed iff bad p holds at the last frame."""
+    """Simulate a counterexample; confirmed iff it starts at reset and bad
+    p holds at its last frame."""
     if not 0 <= p < n.num_properties:
         raise PropertyIndexOutOfRange(f"property {p} of {n.num_properties}")
     if len(cex.inputs) < 1:
         raise ValueError("counterexample needs at least one frame")
+    if any(latch.reset is not None and value != bool(latch.reset)
+           for latch, value in zip(n.latches, cex.latch_init)):
+        return REFUTED
     state = list(cex.latch_init)
     bad = False
     for frame_inputs in cex.inputs:

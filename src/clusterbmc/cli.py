@@ -15,7 +15,7 @@ import sys
 from collections import Counter
 
 from . import bmc, clusterer, embed, gain, online, parallel, store
-from .netlist import INDUCTIVE, INIT, AigerError, parse_aiger
+from .netlist import AigerError, parse_aiger
 
 log = logging.getLogger("clusterbmc")
 
@@ -23,8 +23,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
-
-MODES = {"init": INIT, "inductive": INDUCTIVE}
 
 
 class DataError(Exception):
@@ -36,7 +34,6 @@ def _bmc_config(args) -> bmc.BmcConfig:
         time_budget=args.time_budget,
         conflict_budget=args.budget_conflicts,
         max_frames=args.max_frames,
-        mode=MODES[args.mode],
         seed=args.seed,
     )
 
@@ -208,7 +205,9 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=0,
                    help="orders new solver variables; offline also draws "
                         "the simulation stimuli and starts k-means with it")
-    p.add_argument("--mode", choices=sorted(MODES), default="inductive")
+    p.add_argument("--mode", choices=["init"], default="init",
+                   help="no effect: BMC runs from reset, and a latch with no "
+                        "reset is free; kept while the benchmark passes it")
 
 
 def build_parser() -> argparse.ArgumentParser:

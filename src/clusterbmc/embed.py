@@ -1,8 +1,8 @@
 """Functional property embeddings and their PCA reduction.
 
-Every embedding comes from one simulation of its design, on one inductive
-frame with random stimuli drawn per design, which records every gate's
-logic-1 ratio.
+Every embedding comes from one simulation of its design, on one frame
+with free latches and random stimuli drawn per design, which records
+every gate's logic-1 ratio.
 The stimuli come from `random.Random(seed)`: one `getrandbits(patterns)`
 int per latch, then one per input, so bit j of every signal is pattern j
 and each AND gate evaluates all patterns with one `&` on Python ints.
@@ -81,8 +81,8 @@ def simulate_signature(
     """Per-gate logic-1 ratios of a whole netlist under random stimuli,
     pooled to `width`.
 
-    The netlist is evaluated on a single inductive frame, so frame-0
-    latches are free variables just like the inputs.  Deterministic for
+    The netlist is evaluated on one frame with free latches: frame-0
+    latches take random values just like the inputs.  Deterministic for
     fixed seed.
     """
     ratios = _gate_ratios(coi, patterns, seed)

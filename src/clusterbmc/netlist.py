@@ -459,25 +459,23 @@ def restrict_to_coi(n: Netlist, p: int) -> Netlist:
     )
 
 
-INIT = "initial-state"
-INDUCTIVE = "inductive"
-
-
 class UnfoldBuilder:
     """Combinational unfolding of a netlist, one frame per `add_frame`.
 
     Fresh variables are numbered from 1; literals use the same even/odd
     convention as Netlist.  ``frame_inputs[f][i]`` is the literal of input i
     at frame f, ``frame_bads[f][p]`` the literal of property p at frame f,
-    and ``frame0_latches`` the frame-0 latch literals.  Initial-state mode
-    pins frame-0 latches at their reset values (constants where the reset
-    is specified); inductive mode leaves them free, over-approximating the
-    reachable states.
+    and ``frame0_latches`` the frame-0 latch literals.  Frame 0 is the
+    initial state: a latch with a reset is that constant there, and a
+    latch with none (AIGER's reset = its own literal) is free.  So a run
+    from every state is a run on a copy whose latches have no reset.
 
     ``cone`` is the set of netlist variables to unfold (None: every one).
     A variable outside it gets literal 0 (constant false) instead of a
     fresh variable, and its AND gate or next-state function is skipped, so
     only the bads of properties whose COI lies inside ``cone`` are exact.
+    A latch outside it still takes its reset at frame 0, so the frame-0
+    latch literals always name an initial state.
 
     ``xors`` lists ``(top, g1, g2)`` XOR gates as `Netlist.xors` finds
     them.  A kept top unfolds as ``p XOR q`` over the operands of
@@ -491,13 +489,9 @@ class UnfoldBuilder:
     variable each.
     """
 
-    def __init__(self, n: Netlist, mode: str, cone: set | None = None,
-                 xors=()):
-        if mode not in (INIT, INDUCTIVE):
-            raise ValueError(f"unknown mode {mode!r}")
+    def __init__(self, n: Netlist, *, cone: set | None = None, xors=()):
         keep = (lambda var: True) if cone is None else cone.__contains__
         self.netlist = n
-        self.mode = mode
         self.num_vars = 0
         self.frames = 0
         self.frame_inputs: list = []
@@ -537,14 +531,11 @@ class UnfoldBuilder:
         """
         n = self.netlist
         if self.frames == 0:
-            latch_lits = []
-            for latch in self._latches:
-                if latch is None:
-                    latch_lits.append(0)
-                elif self.mode == INDUCTIVE or latch.reset is None:
-                    latch_lits.append(self._fresh())
-                else:
-                    latch_lits.append(latch.reset)  # constant 0 or 1
+            latch_lits = [
+                latch.reset if latch.reset is not None
+                else 0 if kept is None else self._fresh()
+                for latch, kept in zip(n.latches, self._latches)
+            ]
             self.frame0_latches = list(latch_lits)
         else:
             prev = self._frame_map

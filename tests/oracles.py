@@ -10,6 +10,7 @@ permutations, and the clusterer references recompute every distance
 and cost every PAM swap on a copy.
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -17,6 +18,13 @@ import numpy as np
 
 
 # -- explicit-state reachability --------------------------------------------
+
+def free_latches(n):
+    """`n` with no latch reset: every latch valuation is an initial state,
+    so BMC of the copy runs from every state of `n`."""
+    return dataclasses.replace(n, latches=tuple(
+        dataclasses.replace(latch, reset=None) for latch in n.latches))
+
 
 def _eval_lit(lit, values):
     if lit == 0:
@@ -41,15 +49,13 @@ def _step(n, state, inputs):
     return bads, nxt
 
 
-def bfs_reach(n, prop, max_depth, free_start=False):
+def bfs_reach(n, prop, max_depth):
     """('SAT', depth) for the first frame where bad `prop` holds on some
-    reachable state, else ('UNDET', None) within `max_depth` frames.
-
-    States are reachable from reset, or with `free_start` from every latch
-    valuation (the start of inductive-mode BMC)."""
+    state reachable from reset, else ('UNDET', None) within `max_depth`
+    frames.  A latch with no reset starts at either value."""
     init = [[]]
     for latch in n.latches:
-        if latch.reset is None or free_start:
+        if latch.reset is None:
             init = [s + [b] for s in init for b in (False, True)]
         else:
             init = [s + [bool(latch.reset)] for s in init]

@@ -21,7 +21,7 @@ from clusterbmc.circuits import (
     shared_coi_pair,
     two_counters,
 )
-from clusterbmc.netlist import INIT, parse_aiger, serialize_aiger, _coi_vars
+from clusterbmc.netlist import parse_aiger, serialize_aiger, _coi_vars
 from clusterbmc.bmc import Verdict
 import oracles
 
@@ -39,8 +39,7 @@ def test_criterion_01_bmc_oracle_equivalence(capsys):
         rng = random.Random(trial)
         n = random_netlist(rng)
         want_status, want_depth = oracles.bfs_reach(n, 0, 8)
-        cfg = BmcConfig(conflict_budget=50000, max_frames=8, mode=INIT,
-                        seed=trial % 5)
+        cfg = BmcConfig(conflict_budget=50000, max_frames=8, seed=trial % 5)
         v = bmc.check_single(n, 0, cfg)
         if want_status == "SAT":
             ok = (v.status, v.depth) == ("SAT", want_depth)

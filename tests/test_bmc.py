@@ -18,20 +18,24 @@ from clusterbmc.circuits import (
     shared_coi_pair,
     two_counters,
 )
-from clusterbmc.netlist import (
-    INDUCTIVE,
-    INIT,
-    PropertyIndexOutOfRange,
-    cone_vars,
-    extract_coi,
-)
-from oracles import RupLog, bfs_reach, rup_failures
+from clusterbmc.netlist import PropertyIndexOutOfRange, cone_vars, extract_coi
+from oracles import RupLog, bfs_reach, free_latches, rup_failures
 
 
 def cfg_init(**kw):
-    base = dict(conflict_budget=20000, max_frames=8, mode=INIT, seed=0)
+    base = dict(conflict_budget=20000, max_frames=8, seed=0)
     base.update(kw)
     return bmc.BmcConfig(**base)
+
+
+# each such test runs on the design and on its free-latch copy, which BMC
+# unrolls from every state, as the inductive step of k-induction does
+FROM_EVERY_STATE = pytest.mark.parametrize(
+    "free", [False, True], ids=["initial-state", "inductive"])
+
+
+def start(n, free):
+    return free_latches(n) if free else n
 
 
 def test_counter_sat_depth():
@@ -42,10 +46,11 @@ def test_counter_sat_depth():
 
 
 def test_inductive_dominates_init():
-    # a free initial state can hit the bad immediately
-    n = counter(3, (5,))
-    v = bmc.check_single(n, 0, cfg_init(mode=INDUCTIVE))
+    # from every state the bad can hold at once
+    n = free_latches(counter(3, (5,)))
+    v = bmc.check_single(n, 0, cfg_init())
     assert v.status == bmc.SAT and v.depth == 0
+    assert bmc.replay_cex(n, 0, v.cex) == bmc.CONFIRMED
 
 
 def test_undet_depth_is_deepest_refuted_frame():
@@ -55,15 +60,15 @@ def test_undet_depth_is_deepest_refuted_frame():
     assert 0 <= v.depth <= max(s.frame for s in v.per_frame)
 
 
-@pytest.mark.parametrize("mode", [INIT, INDUCTIVE])
+@FROM_EVERY_STATE
 @pytest.mark.parametrize("width, depth", [(10, 4), (12, 6)])
-def test_deep_sat_depths(width, depth, mode):
+def test_deep_sat_depths(width, depth, free):
     # each frame before the first bad one is refuted only through a parity
     # miter, so a clause learned unsoundly there can hide the bad frame
-    want = {0: depth, 1: depth - 1} if mode == INIT else {0: 0, 1: 0}
+    want = {0: 0, 1: 0} if free else {0: depth, 1: depth - 1}
     for seed in range(4):
-        n = deep_sat_miter(width, depth, seed)
-        cfg = cfg_init(max_frames=depth + 2, mode=mode, seed=seed)
+        n = start(deep_sat_miter(width, depth, seed), free)
+        cfg = cfg_init(max_frames=depth + 2, seed=seed)
         runs = [{p: bmc.check_single(n, p, cfg) for p in (0, 1)},
                 bmc.check_cluster(n, [0, 1], cfg).per_property]
         for verdicts in runs:
@@ -129,19 +134,19 @@ def test_cluster_vs_bfs_oracle():
 
 
 def test_inductive_vs_free_start_bfs_oracle():
-    # the CLI's default mode: frame 0 is every latch valuation, so a bad
-    # that holds on any state is hit at once and any other is never hit
+    # free latches: frame 0 is every latch valuation, so a bad that holds
+    # on any state is hit at once and any other is never hit
     sat = undet = 0
     for trial in range(100):
         rng = random.Random(3000 + trial)
-        n = random_netlist(rng, num_bads=rng.randint(2, 4))
-        cfg = cfg_init(mode=INDUCTIVE, seed=trial % 3)
+        n = free_latches(random_netlist(rng, num_bads=rng.randint(2, 4)))
+        cfg = cfg_init(seed=trial % 3)
         props = range(n.num_properties)
         runs = [{p: bmc.check_single(n, p, cfg) for p in props},
                 bmc.check_cluster(n, props, cfg).per_property]
         for verdicts in runs:
             for p, v in verdicts.items():
-                want_status, want_depth = bfs_reach(n, p, 8, free_start=True)
+                want_status, want_depth = bfs_reach(n, p, 8)
                 if want_status == "SAT":
                     assert (v.status, v.depth) == ("SAT", want_depth)
                     assert bmc.replay_cex(n, p, v.cex) == bmc.CONFIRMED
@@ -186,26 +191,26 @@ def xor_rich_netlist(rng, num_bads):
     return b.build(), tops
 
 
-@pytest.mark.parametrize("mode", [INIT, INDUCTIVE])
-def test_xor_rich_vs_bfs_oracle(mode):
+@FROM_EVERY_STATE
+def test_xor_rich_vs_bfs_oracle(free):
     # XOR tops get 4 clauses and their inner gates none; standalone and
     # cluster runs must still agree with explicit-state BFS exactly
     sat = undet = absorbed = declined = 0
     for trial in range(120):
         rng = random.Random(11000 + trial)
         n, tops = xor_rich_netlist(rng, num_bads=rng.randint(2, 4))
+        n = start(n, free)
         found = {top for top, _, _ in n.xors()}
         assert not found & {g for _, g1, g2 in n.xors() for g in (g1, g2)}
         absorbed += len(found)
         declined += len(tops - found)
-        cfg = cfg_init(mode=mode, seed=trial % 3)
+        cfg = cfg_init(seed=trial % 3)
         props = range(n.num_properties)
         runs = [{p: bmc.check_single(n, p, cfg) for p in props},
                 bmc.check_cluster(n, props, cfg).per_property]
         for verdicts in runs:
             for p, v in verdicts.items():
-                want_status, want_depth = bfs_reach(
-                    n, p, 8, free_start=mode == INDUCTIVE)
+                want_status, want_depth = bfs_reach(n, p, 8)
                 if want_status == "SAT":
                     assert (v.status, v.depth) == ("SAT", want_depth)
                     assert bmc.replay_cex(n, p, v.cex) == bmc.CONFIRMED
@@ -221,8 +226,8 @@ class RupSession(RupLog, satcore.SolverSession):
     pass
 
 
-@pytest.mark.parametrize("mode", [INIT, INDUCTIVE])
-def test_shared_session_clauses_are_rup(monkeypatch, mode):
+@FROM_EVERY_STATE
+def test_shared_session_clauses_are_rup(monkeypatch, free):
     # each clause learned in a cluster run, and the negated bad of each
     # refuted frame, follows by unit propagation from the clauses its
     # session held before it, whichever property it was learned for
@@ -239,8 +244,8 @@ def test_shared_session_clauses_are_rup(monkeypatch, mode):
         designs.append(random_netlist(rng, num_bads=rng.randint(2, 4)))
         designs.append(xor_rich_netlist(rng, num_bads=rng.randint(2, 4))[0])
     for trial, n in enumerate(designs):
-        bmc.check_cluster(n, range(n.num_properties),
-                          cfg_init(mode=mode, seed=trial % 3))
+        bmc.check_cluster(start(n, free), range(n.num_properties),
+                          cfg_init(seed=trial % 3))
     # failures first: an unsound solver that learns fewer clauses shows
     # as a RUP failure, not as too few claims
     assert [rup_failures(s.log) for s in sessions] == [[]] * len(sessions)
@@ -251,17 +256,17 @@ def test_shared_session_clauses_are_rup(monkeypatch, mode):
 @pytest.mark.parametrize("width", [4, 9])
 def test_xor_frame_clause_count(width):
     # one frame: 4 clauses per XOR top, none per inner gate, 3 per other
-    # AND; a return to 3 clauses per AND would give 3 * num_ands.  In
-    # inductive mode no gate folds; from reset the `width` leaves XOR an
+    # AND; a return to 3 clauses per AND would give 3 * num_ands.  With
+    # free latches no gate folds; from reset the `width` leaves XOR an
     # input with a constant-0 latch, so each folds to its input
     n = parity_miter(width=width, variants=2)
     tops = len(n.xors())
     assert tops == 3 * width - 1
     plain = n.num_ands - 3 * tops
     assert plain == 1   # the variant's AND with a leaf
-    for mode, folded in ((INDUCTIVE, 0), (INIT, width)):
+    for design, folded in ((free_latches(n), 0), (n, width)):
         solver = satcore.new_solver(seed=0)
-        enc = bmc._Encoder(n, mode, solver, cone_vars(n, [0, 1]))
+        enc = bmc._Encoder(design, solver, cone_vars(design, [0, 1]))
         before = len(solver.clauses)
         enc.add_frame()
         assert len(solver.clauses) - before == 4 * (tops - folded) + 3 * plain
@@ -278,7 +283,7 @@ def test_every_gate_variable_is_in_a_clause(monkeypatch, design):
         monkeypatch.syspath_prepend(os.path.join(root, "bench"))
         n = importlib.import_module("workloads").bank(random.Random(5), "bank")
     solver = RupSession(seed=0)
-    enc = bmc._Encoder(n, INIT, solver, cone_vars(n, range(n.num_properties)))
+    enc = bmc._Encoder(n, solver, cone_vars(n, range(n.num_properties)))
     for _ in range(3):
         enc.add_frame()
         free = {1} | {abs(enc.slit(lit)) for lits in enc.builder.frame_inputs
@@ -296,20 +301,20 @@ def simulation_sample():
     return designs
 
 
-@pytest.mark.parametrize("mode", [INIT, INDUCTIVE])
-def test_encoding_agrees_with_simulation(mode):
+@FROM_EVERY_STATE
+def test_encoding_agrees_with_simulation(free):
     # with every input and free frame-0 latch assumed, the unrolled CNF has
     # one model; each frame's bad literal, folded to a constant or not,
     # must read what simulating the netlist from the same values reads
     frames = 5
     folded = kept = 0
     for trial, n in enumerate(simulation_sample()):
+        n = start(n, free)
         rng = random.Random(16000 + trial)
         solver = satcore.new_solver(seed=trial % 3)
-        enc = bmc._Encoder(n, mode, solver,
-                           cone_vars(n, range(n.num_properties)))
+        enc = bmc._Encoder(n, solver, cone_vars(n, range(n.num_properties)))
         bads = [enc.add_frame() for _ in range(frames)]
-        state = [bool(latch.reset) if mode == INIT and latch.reset is not None
+        state = [bool(latch.reset) if latch.reset is not None
                  else rng.random() < 0.5 for latch in n.latches]
         inputs = [[rng.random() < 0.5 for _ in range(n.num_inputs)]
                   for _ in range(frames)]
@@ -372,12 +377,12 @@ def test_folded_frames_spend_the_budget_exactly(budget):
     # first b frames of a counter; runs that mix folded and solved bads
     # never spend more than their budget
     v = bmc.check_single(counter(3, (5,)), 0,
-                         bmc.BmcConfig(conflict_budget=budget, mode=INIT))
+                         bmc.BmcConfig(conflict_budget=budget))
     assert (v.status, v.depth, v.elapsed) == (bmc.UNDET, budget - 1, budget)
     for trial in range(40):
         rng = random.Random(17000 + trial)
         n = random_netlist(rng, num_bads=rng.randint(2, 4))
-        cfg = bmc.BmcConfig(conflict_budget=budget, max_frames=8, mode=INIT,
+        cfg = bmc.BmcConfig(conflict_budget=budget, max_frames=8,
                             seed=trial % 3)
         props = range(n.num_properties)
         for p in props:
@@ -401,7 +406,7 @@ def test_time_budget_vs_bfs_oracle(monkeypatch, time_budget):
     for trial in range(40):
         rng = random.Random(7000 + trial)
         n = random_netlist(rng, num_bads=rng.randint(2, 4))
-        cfg = bmc.BmcConfig(time_budget=time_budget, max_frames=8, mode=INIT,
+        cfg = bmc.BmcConfig(time_budget=time_budget, max_frames=8,
                             seed=trial % 3)
         props = range(n.num_properties)
         runs = [{p: bmc.check_single(n, p, cfg) for p in props},
@@ -427,7 +432,7 @@ def test_time_budget_charges_unrolling():
     b.add_bad(b.and_(b.latch_lit(0), b.input_lit(0)))
     b.add_bad(b.and_(b.latch_lit(0), b.input_lit(1)))
     n = b.build()
-    cfg = bmc.BmcConfig(time_budget=0.1, mode=INIT)
+    cfg = bmc.BmcConfig(time_budget=0.1)
     t0 = time.perf_counter()
     single = bmc.check_single(n, 0, cfg).elapsed
     t1 = time.perf_counter()
@@ -563,7 +568,7 @@ def test_run_with_budget_spends_its_total():
 
 def test_run_with_budget_frames_only_is_unbudgeted():
     n = two_counters(bits=2, bad_a=3, bad_b=2)
-    cfg = bmc.BmcConfig(max_frames=6, mode=INIT)
+    cfg = bmc.BmcConfig(max_frames=6)
     got = bmc.run_with_budget(n, [0, 1], cfg, None)
     want = bmc.check_cluster(n, [0, 1], cfg)
     for p, depth in ((0, 3), (1, 2)):
@@ -595,8 +600,8 @@ def test_config_validation():
             bmc.BmcConfig(time_budget=budget)
     with pytest.raises(bmc.BmcConfigError):
         bmc.BmcConfig(conflict_budget=5, seed=-1)
-    # the CLI's spelling of a mode is not a mode
-    with pytest.raises(bmc.BmcConfigError):
+    # BMC has one semantics: there is no mode to set
+    with pytest.raises(TypeError):
         bmc.BmcConfig(conflict_budget=10, mode="init")
     assert bmc.BmcConfig(max_frames=0).max_frames == 0
 
@@ -633,10 +638,15 @@ def test_seed_steers_the_search():
 
 
 def test_replay_refutes_wrong_cex():
-    n = counter(3, (5,))
+    n = counter(3, (5, 6))
     v = bmc.check_single(n, 0, cfg_init())
     wrong = bmc.Cex(latch_init=v.cex.latch_init, inputs=v.cex.inputs[:-1])
     assert bmc.replay_cex(n, 0, wrong) == bmc.REFUTED
+    # one frame from state 5, which reset reaches only at frame 5: a
+    # witness from every state, not from reset
+    late = bmc.Cex(latch_init=[True, False, True], inputs=[[]])
+    assert bmc.replay_cex(n, 0, late) == bmc.REFUTED
+    assert bmc.replay_cex(free_latches(n), 0, late) == bmc.CONFIRMED
 
 
 def test_frame_csvs(tmp_path):
@@ -653,12 +663,13 @@ def test_frame_csvs(tmp_path):
 
 
 def pinned_runs():
-    """Four runs, one through each entry point under a conflict budget and
-    one bounded by frames alone, each as its verdicts (property, status,
-    depth, elapsed) in the order the run reports them and its frames
-    (frame, conflicts, solve time, cumulative time)."""
-    dup = duplicated_property_family(3, width=7)
-    single = bmc.check_single(parity_miter(width=9), 0,
+    """Four runs, one through each entry point under a conflict budget
+    from every state (on free-latch copies) and one from reset bounded by
+    frames alone, each as its verdicts (property, status, depth, elapsed)
+    in the order the run reports them and its frames (frame, conflicts,
+    solve time, cumulative time)."""
+    dup = free_latches(duplicated_property_family(3, width=7))
+    single = bmc.check_single(free_latches(parity_miter(width=9)), 0,
                               bmc.BmcConfig(conflict_budget=300, seed=0))
     clusters = [
         bmc.check_cluster(dup, [0, 1, 2],
@@ -666,7 +677,7 @@ def pinned_runs():
         bmc.run_with_budget(dup, [2, 0, 1], bmc.BmcConfig(
             conflict_budget=1, max_frames=6, seed=0), 3 * 40 + 2),
         bmc.check_cluster(random_netlist(random.Random(7), num_bads=4),
-                          range(4), bmc.BmcConfig(max_frames=6, mode=INIT)),
+                          range(4), bmc.BmcConfig(max_frames=6)),
     ]
     runs = [({0: single}, single.per_frame)] + [
         (cv.per_property, cv.per_frame) for cv in clusters]

@@ -10,7 +10,8 @@ from clusterbmc import (bmc, cli, clusterer, gain, netlist, online, parallel,
                         satcore, store)
 from clusterbmc.circuits import (counter, deep_sat_miter, parity_miter,
                                  random_netlist, two_counters)
-from clusterbmc.netlist import INIT, parse_aiger, serialize_aiger
+from clusterbmc.netlist import parse_aiger, serialize_aiger
+from oracles import free_latches
 
 
 @pytest.fixture
@@ -83,30 +84,33 @@ def test_verify_and_report(corpus, tmp_path):
     assert scatter[1:] == want
 
 
-def deep_designs(tmp_path):
+def deep_designs(tmp_path, start="init"):
     """Four width-10 miters whose bads are first reachable at frames 4 and
-    3 in init mode, 0 and 0 in inductive mode."""
+    3 from reset.  With `start` "inductive" their latches are written
+    without resets, so BMC runs from every state and reaches both at
+    frame 0."""
     paths = []
     for seed in range(4):
+        n = deep_sat_miter(10, 4, seed, name=f"deep{seed}")
+        if start == "inductive":
+            n = free_latches(n)
         path = tmp_path / f"deep{seed}.aag"
-        path.write_text(serialize_aiger(
-            deep_sat_miter(10, 4, seed, name=f"deep{seed}")))
+        path.write_text(serialize_aiger(n))
         paths.append(str(path))
     return paths
 
 
-def deep_flags(mode):
-    return ["--mode", mode, "--max-frames", "6", "--budget-conflicts", "5000"]
+DEEP_FLAGS = ["--max-frames", "6", "--budget-conflicts", "5000"]
 
 
-@pytest.mark.parametrize("mode, depths", [("init", [4, 3]),
-                                          ("inductive", [0, 0])])
-def test_deep_sat_depths_through_offline_and_verify(tmp_path, mode, depths):
+@pytest.mark.parametrize("start, depths", [("init", [4, 3]),
+                                           ("inductive", [0, 0])])
+def test_deep_sat_depths_through_offline_and_verify(tmp_path, start, depths):
     # bads first reachable at known depths, each earlier frame refuted
     # through a parity miter: DB1, the campaign and its baseline must all
-    # find them
-    paths = deep_designs(tmp_path)
-    flags = deep_flags(mode)
+    # find them, by default from reset
+    paths = deep_designs(tmp_path, start)
+    flags = DEEP_FLAGS
     db = tmp_path / "db"
     assert cli.main(["offline", *paths[:3], "--out-dir", str(db)]
                     + flags) == cli.EXIT_OK
@@ -124,9 +128,9 @@ def test_deep_sat_depths_through_offline_and_verify(tmp_path, mode, depths):
         ("SAT", str(d), "SAT", str(d), "SAT_TO_SAT") for d in depths]
 
 
-@pytest.mark.parametrize("mode", ["init", "inductive"])
+@pytest.mark.parametrize("start", ["init", "inductive"])
 def test_unsound_learning_is_internal_error(tmp_path, monkeypatch, caplog,
-                                            mode):
+                                            start):
     # a learned clause missing a literal is stronger than its derivation:
     # a cluster run then disagrees with a standalone run on a depth
     learn = satcore.SolverSession._learn
@@ -135,9 +139,9 @@ def test_unsound_learning_is_internal_error(tmp_path, monkeypatch, caplog,
         learn(self, lits[:-1] if len(lits) > 2 else lits)
 
     monkeypatch.setattr(satcore.SolverSession, "_learn", drop_last_literal)
-    assert cli.main(["offline", *deep_designs(tmp_path)[:3],
+    assert cli.main(["offline", *deep_designs(tmp_path, start)[:3],
                      "--out-dir", str(tmp_path / "db")]
-                    + deep_flags(mode)) == cli.EXIT_INTERNAL
+                    + DEEP_FLAGS) == cli.EXIT_INTERNAL
     # the logged line says where: a design, a property and its cluster
     assert re.search(r"design deep[0-2] property [01] cluster 0 1: "
                      r"contradictory verdicts ",
@@ -149,7 +153,7 @@ def test_unsound_learning_in_verify_names_the_design(tmp_path, monkeypatch,
                                                       caplog):
     # a sound database, then a baseline run whose cluster run learns the
     # unsound clause and misses the standalone run's counterexample
-    paths, flags = deep_designs(tmp_path), deep_flags("init")
+    paths, flags = deep_designs(tmp_path), DEEP_FLAGS
     db = str(tmp_path / "db")
     assert cli.main(["offline", *paths[:3], "--out-dir", db]
                     + flags) == cli.EXIT_OK
@@ -334,10 +338,13 @@ def test_budget_required(corpus, capsys):
      "must be in (0, 1]"),
     (["--budget-conflicts", "10", "--pca-threshold", "1.5"],
      "must be in (0, 1]"),
+    # BMC runs from reset only; `--mode init` is still accepted
+    (["--budget-conflicts", "10", "--mode", "inductive"],
+     "invalid choice: 'inductive'"),
 ], ids=["budget-conflicts-0", "time-budget-negative", "time-budget-nan",
         "time-budget-inf", "seed-negative", "max-frames-negative",
         "both-budgets", "patterns-0", "max-clusters-0", "pca-threshold-0",
-        "pca-threshold-above-1"])
+        "pca-threshold-above-1", "mode-inductive"])
 def test_out_of_range_option_is_usage_error(corpus, tmp_path, capsys, flags,
                                             message):
     out = tmp_path / "db"
@@ -483,7 +490,7 @@ def test_offline_shares_standalone_runs_of_one_bad_literal(tmp_path,
     assert cli.main(["offline", str(path), "--out-dir", str(tmp_path / "db")]
                     + COMMON) == cli.EXIT_OK
     assert ran == [0, 2]
-    cfg = bmc.BmcConfig(conflict_budget=300, max_frames=8, mode=INIT, seed=1)
+    cfg = bmc.BmcConfig(conflict_budget=300, max_frames=8, seed=1)
     assert sorted(standalone) == [0, 1, 2]
     for p, v in standalone.items():
         assert v == check_single(n, p, cfg), p

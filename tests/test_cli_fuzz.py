@@ -28,7 +28,7 @@ COMMON = {
     "--budget-conflicts": ["40", "1"],
     "--max-frames": ["2", "0"],
     "--seed": ["0", "7"],
-    "--mode": ["init", "inductive"],
+    "--mode": ["init"],
 }
 OFFLINE = {
     "--pca-threshold": ["0.95", "0.5", "1"],
@@ -42,6 +42,7 @@ BAD = [("--budget-conflicts", "0"), ("--budget-conflicts", "x"),
        ("--time-budget", "0.02"), ("--time-budget", "-1"),
        ("--time-budget", "nan"), ("--time-budget", "inf"),
        ("--max-frames", "-1"), ("--seed", "-1"), ("--mode", "bogus"),
+       ("--mode", "inductive"),
        ("--patterns", "0"), ("--max-clusters", "0"),
        ("--pca-threshold", "1.5"), ("--pca-threshold", "nan"),
        ("--delta", "0"), ("--delta", "-2"), ("--embed", "import"),

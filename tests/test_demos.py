@@ -13,7 +13,12 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # a demo's temporary files go into a directory of its own, which it
+    # must leave empty
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp))
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert list(tmp.iterdir()) == []

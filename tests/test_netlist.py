@@ -26,6 +26,7 @@ from clusterbmc.netlist import (
     restrict_to_coi,
     serialize_aiger,
 )
+from oracles import free_latches
 
 
 def test_parse_minimal():
@@ -261,13 +262,16 @@ def unfold_ands(builder, frames):
 
 def test_unfold_init_vs_inductive():
     n = counter(2, (1,))
-    init = netlist.UnfoldBuilder(n, netlist.INIT)
-    free = netlist.UnfoldBuilder(n, netlist.INDUCTIVE)
+    init = netlist.UnfoldBuilder(n)
+    free = netlist.UnfoldBuilder(free_latches(n))
     init.add_frame()
     free.add_frame()
-    # initial-state mode pins reset-0 latches to constant false literals
+    # frame 0 pins reset-0 latches to constant false literals, and gives a
+    # latch with no reset a fresh variable
     assert all(lit in (0, 1) for lit in init.frame0_latches)
     assert all(lit > 1 for lit in free.frame0_latches)
+    with pytest.raises(TypeError):   # there is no mode to choose
+        netlist.UnfoldBuilder(n, "inductive")
 
 
 def test_unfold_full_cone_equals_unfold():
@@ -276,10 +280,10 @@ def test_unfold_full_cone_equals_unfold():
     n = counter(2, (1,))
     # from reset the counter has no free variable, so every gate folds and
     # the bad "counter == 1" is constant: false at frame 0, true at 1
-    init = netlist.UnfoldBuilder(n, netlist.INIT)
+    init = netlist.UnfoldBuilder(n)
     assert unfold_ands(init, 2) == [None] * 8
     assert (init.num_vars, init.frame_bads) == (0, [[0], [1]])
-    free = netlist.UnfoldBuilder(n, netlist.INDUCTIVE)
+    free = netlist.UnfoldBuilder(free_latches(n))
     assert unfold_ands(free, 2) == [
         (6, 4, 3, False), (8, 5, 2, False), (10, 9, 7, False),
         (12, 4, 2, False), (14, 11, 2, False), (16, 10, 3, False),
@@ -288,9 +292,10 @@ def test_unfold_full_cone_equals_unfold():
     assert (free.num_vars, free.frame_bads) == (10, [[8], [16]])
     for trial in range(30):
         n = random_netlist(random.Random(1100 + trial), num_bads=3)
-        for mode in (netlist.INIT, netlist.INDUCTIVE):
-            want = netlist.UnfoldBuilder(n, mode)
-            every = netlist.UnfoldBuilder(n, mode, set(range(1, n.max_var + 1)))
+        for design in (n, free_latches(n)):
+            want = netlist.UnfoldBuilder(design)
+            every = netlist.UnfoldBuilder(
+                design, cone=set(range(1, n.max_var + 1)))
             assert unfold_ands(every, 4) == unfold_ands(want, 4)
             assert every.num_vars == want.num_vars
             assert every.frame_inputs == want.frame_inputs
@@ -306,10 +311,10 @@ def test_unfold_cone_matches_restricted_netlist():
         n = random_netlist(rng, num_bads=3)
         p = rng.randrange(n.num_properties)
         inputs, latches, _ = netlist._coi_vars(n, p)
-        sub = restrict_to_coi(n, p)
-        for mode in (netlist.INIT, netlist.INDUCTIVE):
-            cut = netlist.UnfoldBuilder(n, mode, netlist.cone_vars(n, [p]))
-            ref = netlist.UnfoldBuilder(sub, mode)
+        for design in (n, free_latches(n)):
+            cut = netlist.UnfoldBuilder(
+                design, cone=netlist.cone_vars(design, [p]))
+            ref = netlist.UnfoldBuilder(restrict_to_coi(design, p))
             for _ in range(4):
                 assert cut.add_frame() == ref.add_frame()
                 assert cut.frame_bads[-1][p] == ref.frame_bads[-1][0]
@@ -326,7 +331,7 @@ def test_unfold_cone_of_one_counter():
     # is outside its cone
     n = two_counters()
     sub = restrict_to_coi(n, 0)
-    b = netlist.UnfoldBuilder(n, netlist.INDUCTIVE, netlist.cone_vars(n, [0]))
+    b = netlist.UnfoldBuilder(free_latches(n), cone=netlist.cone_vars(n, [0]))
     for _ in range(4):
         gates = b.add_frame()
         assert len(gates) == sub.num_ands < n.num_ands
@@ -344,7 +349,7 @@ def test_unfold_cone_input_outside_gets_literal_zero():
     b.add_bad(b.and_(b.input_lit(0), b.latch_lit(0)))
     b.add_bad(b.input_lit(1))
     n = b.build()
-    builder = netlist.UnfoldBuilder(n, netlist.INIT, netlist.cone_vars(n, [0]))
+    builder = netlist.UnfoldBuilder(n, cone=netlist.cone_vars(n, [0]))
     for _ in range(3):
         assert len(builder.add_frame()) == 1
     assert [lits[1] for lits in builder.frame_inputs] == [0, 0, 0]

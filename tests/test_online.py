@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from clusterbmc import bmc, cli, gain, online, store
 from clusterbmc.circuits import counter, parity_miter, two_counters
-from clusterbmc.netlist import INIT, serialize_aiger
+from clusterbmc.netlist import serialize_aiger
 from oracles import assignment_brute_force
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -142,7 +142,7 @@ def db_for(n, name, cfg, clusters):
 
 def test_verify_self_similarity():
     n = two_counters(bits=2, bad_a=3, bad_b=2)
-    cfg = bmc.BmcConfig(conflict_budget=200, max_frames=6, mode=INIT, seed=0)
+    cfg = bmc.BmcConfig(conflict_budget=200, max_frames=6, seed=0)
     db1, db3 = db_for(n, "twoctr", cfg, [frozenset({0, 1})])
     report = online.verify_unknown(n, db1, db3, cfg, design="twoctr")
     assert report.matched == "twoctr"
@@ -155,7 +155,7 @@ def test_verify_self_similarity():
 
 def test_verify_leftover_property_runs_standalone():
     n = counter(3, (5, 6, 7))
-    cfg = bmc.BmcConfig(conflict_budget=500, max_frames=8, mode=INIT, seed=0)
+    cfg = bmc.BmcConfig(conflict_budget=500, max_frames=8, seed=0)
     db1, db3 = db_for(n, "ctr", cfg, [frozenset({0, 1})])
     report = online.verify_unknown(n, db1, db3, cfg, design="ctr")
     by_prop = {r.property: r for r in report.rows}
@@ -166,7 +166,7 @@ def test_verify_leftover_property_runs_standalone():
 
 def test_verify_baseline_fields():
     n = two_counters(bits=2)
-    cfg = bmc.BmcConfig(conflict_budget=200, max_frames=6, mode=INIT, seed=0)
+    cfg = bmc.BmcConfig(conflict_budget=200, max_frames=6, seed=0)
     db1, db3 = db_for(n, "twoctr", cfg, [frozenset({0, 1})])
     report = online.verify_unknown(n, db1, db3, cfg, design="twoctr",
                                    baseline=True)
@@ -178,7 +178,7 @@ def test_verify_baseline_fields():
 
 def test_unknown_record_carries_verdicts():
     n = counter(3, (5, 6))
-    cfg = bmc.BmcConfig(conflict_budget=500, max_frames=8, mode=INIT, seed=0)
+    cfg = bmc.BmcConfig(conflict_budget=500, max_frames=8, seed=0)
     verdicts = {p: bmc.check_single(n, p, cfg) for p in range(2)}
     rec = online.unknown_record(n, "ctr", verdicts)
     assert [(e.status, e.depth, e.elapsed) for e in rec.props] == [
@@ -190,7 +190,7 @@ def test_unknown_record_carries_verdicts():
 
 def test_baseline_reuses_standalone_verdicts(monkeypatch, tmp_path):
     n = counter(3, (5, 6, 7))
-    cfg = bmc.BmcConfig(conflict_budget=500, max_frames=8, mode=INIT, seed=0)
+    cfg = bmc.BmcConfig(conflict_budget=500, max_frames=8, seed=0)
     db1, db3 = db_for(n, "ctr", cfg, [frozenset({0, 1})])
     # runs are split over two processes, so they are counted in a file
     log = tmp_path / "runs.txt"
@@ -216,7 +216,7 @@ def test_baseline_reuses_standalone_verdicts(monkeypatch, tmp_path):
 def test_singles_run_once_per_bad_literal(monkeypatch, tmp_path):
     # properties 0 and 1 are copies of one bad literal
     n = parity_miter(width=4, copies=2, variants=2)
-    cfg = bmc.BmcConfig(conflict_budget=300, max_frames=6, mode=INIT, seed=0)
+    cfg = bmc.BmcConfig(conflict_budget=300, max_frames=6, seed=0)
     db1, db3 = db_for(n, "miter", cfg, [frozenset({0, 2})])
     log = tmp_path / "runs.txt"
     check_single = bmc.check_single
@@ -268,8 +268,7 @@ def test_campaign_spends_at_most_its_budget(bank_db, budget):
     # each cluster run gets exactly the per-property budget times the
     # properties it claims, also when that is fewer than its members
     db1, db3, unseen = bank_db
-    cfg = bmc.BmcConfig(conflict_budget=budget, max_frames=8, mode=INIT,
-                        seed=0)
+    cfg = bmc.BmcConfig(conflict_budget=budget, max_frames=8, seed=0)
     for n in unseen:
         report = online.verify_unknown(n, db1, db3, cfg, design=n.name)
         assert report.cluster_runs
@@ -291,7 +290,7 @@ def test_select_rejects_delta_below_one():
 
 def test_report_render_deterministic():
     n = two_counters(bits=2)
-    cfg = bmc.BmcConfig(conflict_budget=200, max_frames=6, mode=INIT, seed=0)
+    cfg = bmc.BmcConfig(conflict_budget=200, max_frames=6, seed=0)
     db1, db3 = db_for(n, "twoctr", cfg, [frozenset({0, 1})])
     a = online.verify_unknown(n, db1, db3, cfg, design="twoctr").render()
     b = online.verify_unknown(n, db1, db3, cfg, design="twoctr").render()
@@ -302,7 +301,7 @@ def test_report_render_is_pinned():
     # the bytes bench/check.py and `report` parse: property 0 runs
     # unclaimed, 1 and 2 in one cluster
     n = counter(3, (5, 6, 7))
-    cfg = bmc.BmcConfig(conflict_budget=500, max_frames=6, mode=INIT, seed=0)
+    cfg = bmc.BmcConfig(conflict_budget=500, max_frames=6, seed=0)
     db1, db3 = db_for(n, "ctr", cfg, [frozenset({1, 2})])
     head = ("campaign ctr matched=ctr\n"
             "property|cluster|status|depth|elapsed|baseline_status"
