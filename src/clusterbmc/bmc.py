@@ -179,7 +179,7 @@ class _Encoder:
                 add([-o, sa])
                 add([-o, sb])
                 add([o, -sa, -sb])
-        return self.builder.frame_bads[-1]
+        return self.builder.bads
 
     def extract_cex(self, model, frames: int) -> Cex:
         def val(comb_lit):

@@ -153,9 +153,6 @@ def cmd_offline(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _bmc_config(args)
     paths = store.db_paths(args.db_dir)
-    for key in (store.DB1, store.DB3):
-        if not os.path.exists(paths[key]):
-            raise DataError(f"missing database file {paths[key]}")
     db1 = store.read_db(store.DB1, paths[store.DB1])
     db3 = store.read_db(store.DB3, paths[store.DB3])
     name = _design_name(args.unknown)

@@ -3,6 +3,17 @@
 Literals follow the AIGER convention: even literals are variables, odd
 literals are negations of the preceding even literal, 0 is constant false
 and 1 is constant true.  Only the ASCII ``aag`` format is supported.
+
+Each rule of the format is checked in one place.  `Netlist` holds the
+rules on literals and latches, so they hold for every netlist, parsed or
+built: latches and AND outputs in canonical position, no negated AND
+output, each AND operand defined before its gate, every next-state,
+output and bad literal within the variable count, and a reset of 0, 1 or
+none.  `parse_aiger` checks what a netlist cannot see: the header, its
+counts and ``maxvar == I + L + A``, unsupported sections, truncation, the
+field count of each line, ASCII numbers, the input literals' positions
+and the symbol-line syntax.  It reads a reset equal to the latch's own
+literal as none (AIGER 1.9).  A symbol table is checked, then dropped.
 """
 
 from __future__ import annotations
@@ -20,14 +31,6 @@ class MalformedHeader(AigerError):
 
 class BinaryFormatUnsupported(AigerError):
     """Raised for binary ``aig`` input; only ASCII ``aag`` is accepted."""
-
-
-class LiteralOutOfRange(AigerError):
-    pass
-
-
-class NonTopologicalDefinition(AigerError):
-    pass
 
 
 class PropertyIndexOutOfRange(AigerError):
@@ -63,7 +66,6 @@ class Netlist:
     ands: tuple[tuple[int, int, int], ...]  # (lhs, rhs0, rhs1)
     outputs: tuple[int, ...] = ()
     bads: tuple[int, ...] = ()
-    symbols: tuple[tuple[str, int, str], ...] = ()
 
     @property
     def num_latches(self) -> int:
@@ -95,30 +97,26 @@ class Netlist:
         return len(self.properties)
 
     def __post_init__(self):
-        # Canonical AIGER variable layout: inputs, then latches, then ands.
+        # AIGER's rules on literals and latches, checked here only, so they
+        # hold for every netlist, parsed or built.  Canonical variable
+        # layout: inputs, then latches, then ands.
         ni, nl = self.num_inputs, self.num_latches
         for pos, latch in enumerate(self.latches):
             if latch.lit != 2 * (ni + pos + 1):
-                raise NonTopologicalDefinition(
-                    f"latch literal {latch.lit} out of canonical position"
-                )
+                raise AigerError(f"latch literal {latch.lit} out of canonical position")
             if latch.reset not in (0, 1, None):
                 raise AigerError(f"bad reset value {latch.reset!r}")
         defined = ni + nl
         for lhs, rhs0, rhs1 in self.ands:
             if lit_sign(lhs):
-                raise NonTopologicalDefinition(f"negated AND output {lhs}")
+                raise AigerError(f"negated AND output {lhs}")
             if lit_var(lhs) != defined + 1:
-                raise NonTopologicalDefinition(
-                    f"AND output {lhs} out of canonical position"
-                )
+                raise AigerError(f"AND output {lhs} out of canonical position")
             for rhs in (rhs0, rhs1):
                 if rhs < 0:
-                    raise LiteralOutOfRange(f"AND {lhs} has negative literal {rhs}")
+                    raise AigerError(f"AND {lhs} has negative literal {rhs}")
                 if rhs > 1 and lit_var(rhs) > defined:
-                    raise NonTopologicalDefinition(
-                        f"AND {lhs} references undefined literal {rhs}"
-                    )
+                    raise AigerError(f"AND {lhs} references undefined literal {rhs}")
             defined += 1
         for latch in self.latches:
             self._check_lit(latch.next)
@@ -130,7 +128,7 @@ class Netlist:
 
     def _check_lit(self, lit: int):
         if lit < 0 or lit_var(lit) > self.max_var:
-            raise LiteralOutOfRange(f"literal {lit} exceeds variable count")
+            raise AigerError(f"literal {lit} exceeds variable count")
 
     # -- structural queries -------------------------------------------------
 
@@ -255,9 +253,7 @@ def parse_aiger(text: str, name: str = "") -> Netlist:
         if len(toks) != 1:
             raise MalformedHeader(f"bad input line: {lines[pos - 1]!r}")
         if _nat(toks[0], lines[pos - 1]) != 2 * (i + 1):
-            raise NonTopologicalDefinition(
-                f"input literal {toks[0]} out of canonical position"
-            )
+            raise AigerError(f"input literal {toks[0]} out of canonical position")
 
     latches = []
     for i in range(nl):
@@ -269,37 +265,26 @@ def parse_aiger(text: str, name: str = "") -> Netlist:
         if rest:
             # AIGER 1.9: reset equal to the latch literal means "uninitialized"
             reset = None if rest[0] == lit else rest[0]
-            if reset not in (0, 1, None):
-                raise MalformedHeader(f"bad reset value in: {lines[pos - 1]!r}")
         latches.append(Latch(lit, nxt, reset))
 
-    outputs = tuple(_read_lit_line(next_line("output"), maxvar) for _ in range(no))
-    bads = tuple(_read_lit_line(next_line("bad"), maxvar) for _ in range(nb))
+    outputs = tuple(_read_lit_line(next_line("output")) for _ in range(no))
+    bads = tuple(_read_lit_line(next_line("bad")) for _ in range(nb))
     ands = []
     for _ in range(na):
         toks = next_line("and").split()
         if len(toks) != 3:
             raise MalformedHeader(f"bad and line: {lines[pos - 1]!r}")
-        lhs, rhs0, rhs1 = (_nat(t, lines[pos - 1]) for t in toks)
-        for lit in (lhs, rhs0, rhs1):
-            if lit_var(lit) > maxvar:
-                raise LiteralOutOfRange(f"literal {lit} exceeds {maxvar}")
-        ands.append((lhs, rhs0, rhs1))
+        ands.append(tuple(_nat(t, lines[pos - 1]) for t in toks))
 
-    symbols = []
-    while pos < len(lines):
-        line = lines[pos]
-        pos += 1
+    # the symbol table is checked, then dropped: nothing reads it
+    for line in lines[pos:]:
         if line.startswith("c"):
             break  # comment section: ignored
         if not line.strip():
             continue
-        kind = line[0]
-        if kind not in "ilob":
+        if line[0] not in "ilob":
             raise MalformedHeader(f"bad symbol line: {line!r}")
-        rest = line[1:]
-        idx_str, _, sym = rest.partition(" ")
-        symbols.append((kind, _nat(idx_str, line), sym))
+        _nat(line[1:].partition(" ")[0], line)
 
     return Netlist(
         name=name,
@@ -308,7 +293,6 @@ def parse_aiger(text: str, name: str = "") -> Netlist:
         ands=tuple(ands),
         outputs=outputs,
         bads=bads,
-        symbols=tuple(symbols),
     )
 
 
@@ -322,14 +306,11 @@ def _nat(tok: str, line: str) -> int:
     raise MalformedHeader(f"bad number {tok[:20]!r} in line {line[:80]!r}")
 
 
-def _read_lit_line(line: str, maxvar: int) -> int:
+def _read_lit_line(line: str) -> int:
     toks = line.split()
     if len(toks) != 1:
         raise MalformedHeader(f"bad output/bad line: {line!r}")
-    lit = _nat(toks[0], line)
-    if lit_var(lit) > maxvar:
-        raise LiteralOutOfRange(f"literal {lit} exceeds {maxvar}")
-    return lit
+    return _nat(toks[0], line)
 
 
 def serialize_aiger(n: Netlist) -> str:
@@ -350,7 +331,6 @@ def serialize_aiger(n: Netlist) -> str:
     out.extend(str(lit) for lit in n.outputs)
     out.extend(str(lit) for lit in n.bads)
     out.extend(f"{a} {b} {c}" for a, b, c in n.ands)
-    out.extend(f"{kind}{idx} {sym}" for kind, idx, sym in n.symbols)
     return "\n".join(out) + "\n"
 
 
@@ -464,11 +444,12 @@ class UnfoldBuilder:
 
     Fresh variables are numbered from 1; literals use the same even/odd
     convention as Netlist.  ``frame_inputs[f][i]`` is the literal of input i
-    at frame f, ``frame_bads[f][p]`` the literal of property p at frame f,
-    and ``frame0_latches`` the frame-0 latch literals.  Frame 0 is the
-    initial state: a latch with a reset is that constant there, and a
-    latch with none (AIGER's reset = its own literal) is free.  So a run
-    from every state is a run on a copy whose latches have no reset.
+    at frame f, ``bads[p]`` the literal of property p at the last frame
+    unfolded (earlier frames' bads are not kept), and ``frame0_latches``
+    the frame-0 latch literals.  Frame 0 is the initial state: a latch
+    with a reset is that constant there, and a latch with none (AIGER's
+    reset = its own literal) is free.  So a run from every state is a run
+    on a copy whose latches have no reset.
 
     ``cone`` is the set of netlist variables to unfold (None: every one).
     A variable outside it gets literal 0 (constant false) instead of a
@@ -495,7 +476,7 @@ class UnfoldBuilder:
         self.num_vars = 0
         self.frames = 0
         self.frame_inputs: list = []
-        self.frame_bads: list = []
+        self.bads: list = []
         self.frame0_latches: list = []
         self._inputs = [keep(var) for var in range(1, n.num_inputs + 1)]
         self._latches = [
@@ -578,7 +559,7 @@ class UnfoldBuilder:
                     out = 0
             fm[var] = out
         self.num_vars = num_vars
-        self.frame_bads.append([fm[bad >> 1] ^ (bad & 1) for bad in n.properties])
+        self.bads = [fm[bad >> 1] ^ (bad & 1) for bad in n.properties]
         self._frame_map = fm
         self.frames += 1
         return gates

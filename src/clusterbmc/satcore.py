@@ -65,7 +65,6 @@ class SolverSession:
     """One incremental solving session; single-threaded, not shareable."""
 
     def __init__(self, seed: int = 0):
-        self.seed = seed
         self._rng = random.Random(seed)
         self.num_vars = 0
         self.clauses: list[list[int]] = []   # original clauses, as added
@@ -131,8 +130,6 @@ class SolverSession:
         lits = list(lits)
         self._ensure_vars(lits)
         self.clauses.append(lits)
-        if self._trail_lim:
-            self._backtrack(0)
         # dedup literals, drop tautologies, strip level-0-false literals
         vals = self._vals
         out = []
@@ -167,7 +164,8 @@ class SolverSession:
         `conflict_budget` bounds the number of conflicts this call may spend,
         exactly: with 0 it stops at its first conflict.  `deadline` is an
         absolute time.perf_counter() value.  Exhaustion is reported as
-        status, never raised.
+        status, never raised.  Every return leaves decision level 0, so a
+        clause added between calls is added at level 0.
         """
         assumptions = list(assumptions)
         self._ensure_vars(assumptions)

@@ -302,11 +302,24 @@ def test_failed_offline_leaves_no_db_to_verify(corpus, tmp_path, name,
                     + COMMON[:-2]) == cli.EXIT_DATA
 
 
-def test_verify_missing_db_dir(corpus, tmp_path):
+def test_verify_missing_db_dir(corpus, tmp_path, caplog):
     argv = ["verify", str(corpus / "unknown.aag"),
             "--db-dir", str(tmp_path / "nope"), "--out-dir", str(tmp_path / "r"),
             "--budget-conflicts", "10"]
     assert cli.main(argv) == cli.EXIT_DATA
+    assert f"cannot read {tmp_path / 'nope' / 'db1.mpb'}: " in caplog.text
+
+
+def test_verify_missing_db3_names_it(tmp_path, caplog):
+    db = empty_db(tmp_path)
+    (db / "db3.mpb").unlink()
+    unknown = tmp_path / "unk.aag"
+    unknown.write_text(serialize_aiger(counter(3, (5, 6))))
+    argv = ["verify", str(unknown), "--db-dir", str(db),
+            "--out-dir", str(tmp_path / "run"), "--budget-conflicts", "10"]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert f"cannot read {db / 'db3.mpb'}: No such file" in caplog.text
+    assert not (tmp_path / "run").exists()
 
 
 def test_usage_error_exit_code(capsys):
@@ -635,6 +648,48 @@ def test_offline_skips_unparseable_design(corpus, tmp_path):
             str(corpus / "ctr.aag"), str(corpus / "twoctr.aag"),
             "--out-dir", str(out)] + COMMON
     assert cli.main(argv) == cli.EXIT_OK
+    db1 = store.read_db(store.DB1, store.db_paths(str(out))[store.DB1])
+    assert sorted(r.design for r in db1) == ["ctr", "twoctr"]
+
+
+# AIGER documents that break one rule each: an operand defined after its
+# gate, a reset that is not 0, 1 or the latch's own literal, a bad literal
+# beyond the variable count and a header whose counts disagree
+MALFORMED_AIGER = {
+    "operand": ("aag 3 1 0 0 2\n2\n4 6 2\n6 2 2\n",
+                "references undefined literal 6"),
+    "reset": ("aag 1 0 1 0 0\n2 2 5\n", "bad reset value 5"),
+    "bad-range": ("aag 1 1 0 0 0 1\n2\n5\n", "literal 5 exceeds variable count"),
+    "maxvar": ("aag 2 1 0 0 0\n2\n", "maximum variable index 2 != I+L+A = 1"),
+}
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_AIGER.values(),
+                         ids=MALFORMED_AIGER)
+def test_verify_malformed_unknown_is_data_error(tmp_path, caplog, text,
+                                                message):
+    unknown = tmp_path / "unk.aag"
+    unknown.write_text(text)
+    run = tmp_path / "run"
+    argv = ["verify", str(unknown), "--db-dir", str(empty_db(tmp_path)),
+            "--out-dir", str(run), "--budget-conflicts", "10"]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert f"cannot load {unknown}: " in caplog.text and message in caplog.text
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_AIGER.values(),
+                         ids=MALFORMED_AIGER)
+def test_offline_skips_malformed_design(corpus, tmp_path, caplog, text,
+                                        message):
+    bad = tmp_path / "bad.aag"
+    bad.write_text(text)
+    out = tmp_path / "db"
+    argv = ["offline", str(bad),
+            str(corpus / "ctr.aag"), str(corpus / "twoctr.aag"),
+            "--out-dir", str(out)] + COMMON
+    assert cli.main(argv) == cli.EXIT_OK
+    assert f"skipping {bad}: " in caplog.text and message in caplog.text
     db1 = store.read_db(store.DB1, store.db_paths(str(out))[store.DB1])
     assert sorted(r.design for r in db1) == ["ctr", "twoctr"]
 

@@ -5,7 +5,8 @@ are valid, truncated, not UTF-8, directories or missing; database
 directories may lack a file, and output directories may hold a directory
 where a file goes.  Every outcome
 is exit 0, 2 (argparse's `SystemExit(2)` included) or 3: never exit 4, and
-never an exception out of `main`.
+never an exception out of `main`.  An option value that is invalid on its
+own, or in conflict with another drawn option, is exit 2.
 """
 
 import os
@@ -37,16 +38,17 @@ OFFLINE = {
 }
 VERIFY = {"--delta": ["1", "3"]}
 # at most one option appended last, so that it wins: out of range, not a
-# number, in conflict with another option, of another command, or unknown
+# number, of another command, or unknown, so exit 2 on either command
 BAD = [("--budget-conflicts", "0"), ("--budget-conflicts", "x"),
-       ("--time-budget", "0.02"), ("--time-budget", "-1"),
-       ("--time-budget", "nan"), ("--time-budget", "inf"),
-       ("--max-frames", "-1"), ("--seed", "-1"), ("--mode", "bogus"),
-       ("--mode", "inductive"),
+       ("--time-budget", "-1"), ("--time-budget", "nan"),
+       ("--time-budget", "inf"), ("--max-frames", "-1"), ("--seed", "-1"),
+       ("--mode", "bogus"), ("--mode", "inductive"),
        ("--patterns", "0"), ("--max-clusters", "0"),
        ("--pca-threshold", "1.5"), ("--pca-threshold", "nan"),
        ("--delta", "0"), ("--delta", "-2"), ("--embed", "import"),
        ("--embed", "bogus"), ("--bogus", "3")]
+# valid alone, and exit 2 next to a drawn --budget-conflicts
+CONFLICTING = ("--time-budget", "0.02")
 
 # names an output directory may hold as a directory instead of a file
 OUTPUTS = ["db1.mpb", "db2.mpb", "db3.mpb", "pca.mpb", "report.txt",
@@ -142,7 +144,7 @@ def damaged(labels):
                        min_size=1, max_size=3),
        common=options(COMMON), offline=options(OFFLINE),
        verify=options(VERIFY), baseline=st.booleans(),
-       bad=st.none() | st.sampled_from(BAD),
+       bad=st.none() | st.sampled_from(BAD + [CONFLICTING]),
        db=intact_or("complete", damaged(["db1", "db2", "db3", "pca"])),
        out=st.none() | st.sampled_from(["file"] + OUTPUTS))
 def test_main_exits_0_2_or_3(world, command, inputs, common, offline, verify,
@@ -173,3 +175,5 @@ def test_main_exits_0_2_or_3(world, command, inputs, common, offline, verify,
     except SystemExit as e:   # argparse's usage errors
         code = e.code
     assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA), argv
+    if bad in BAD or (bad == CONFLICTING and common["--budget-conflicts"]):
+        assert code == cli.EXIT_USAGE, argv

@@ -64,6 +64,47 @@ def test_malformed_fields_raise_aiger_error(text):
         parse_aiger(text)
 
 
+# one document per rejection rule (a header of the wrong field count is
+# `test_malformed_header`'s), each one edit from a valid document; the
+# first group is checked by `parse_aiger`, the rest by `Netlist`
+MALFORMED = {
+    "empty": ("", "empty document"),
+    "not-aag": ("garbage\n", "expected 'aag' header"),
+    "constraints": ("aag 0 0 0 0 0 0 1\n",
+                    "constraint/justice/fairness sections not supported"),
+    "maxvar": ("aag 2 1 0 0 0\n2\n", "maximum variable index 2 != I+L+A = 1"),
+    "truncated": ("aag 2 1 1 0 0\n2\n", "truncated document in latch section"),
+    "input-line": ("aag 1 1 0 0 0\n2 3\n", "bad input line"),
+    "input-position": ("aag 2 2 0 0 0\n2\n2\n",
+                       "input literal 2 out of canonical position"),
+    "latch-line": ("aag 1 0 1 0 0\n2\n", "bad latch line"),
+    "output-line": ("aag 0 0 0 1 0\n0 1\n", "bad output/bad line"),
+    "and-line": ("aag 1 0 0 0 1\n2 0\n", "bad and line"),
+    "symbol-line": ("aag 1 1 0 0 0\n2\nx0 a\n", "bad symbol line"),
+    "latch-position": ("aag 2 1 1 0 0\n2\n2 0\n",
+                       "latch literal 2 out of canonical position"),
+    "reset": ("aag 1 0 1 0 0\n2 2 5\n", "bad reset value 5"),
+    "negated-and": ("aag 1 0 0 0 1\n3 0 0\n", "negated AND output 3"),
+    "and-position": ("aag 2 1 0 0 1\n2\n8 2 2\n",
+                     "AND output 8 out of canonical position"),
+    "and-operand-later": ("aag 3 1 0 0 2\n2\n4 6 2\n6 2 2\n",
+                          "AND 4 references undefined literal 6"),
+    "and-operand-range": ("aag 2 1 0 0 1\n2\n4 2 100\n",
+                          "AND 4 references undefined literal 100"),
+    "next-range": ("aag 1 0 1 0 0\n2 4\n", "literal 4 exceeds variable count"),
+    "output-range": ("aag 1 1 0 1 0\n2\n4\n",
+                     "literal 4 exceeds variable count"),
+    "bad-range": ("aag 1 1 0 0 0 1\n2\n5\n", "literal 5 exceeds variable count"),
+}
+
+
+@pytest.mark.parametrize("text, message", MALFORMED.values(), ids=MALFORMED)
+def test_each_rule_rejects_its_document(text, message):
+    with pytest.raises(AigerError) as exc:
+        parse_aiger(text)
+    assert message in str(exc.value)
+
+
 def test_netlist_rejects_negative_and_operand():
     with pytest.raises(AigerError):
         Netlist(name="", num_inputs=1, latches=(), ands=((4, -2, 2),),
@@ -256,8 +297,13 @@ def test_restrict_to_coi_preserves_reachability():
         assert bads_sub[0] == bads_full[0]
 
 
-def unfold_ands(builder, frames):
-    return [t for _ in range(frames) for t in builder.add_frame()]
+def unfold(builder, frames):
+    """The gates of `frames` more frames, and each frame's bad literals."""
+    gates, bads = [], []
+    for _ in range(frames):
+        gates += builder.add_frame()
+        bads.append(builder.bads)
+    return gates, bads
 
 
 def test_unfold_init_vs_inductive():
@@ -281,25 +327,26 @@ def test_unfold_full_cone_equals_unfold():
     # from reset the counter has no free variable, so every gate folds and
     # the bad "counter == 1" is constant: false at frame 0, true at 1
     init = netlist.UnfoldBuilder(n)
-    assert unfold_ands(init, 2) == [None] * 8
-    assert (init.num_vars, init.frame_bads) == (0, [[0], [1]])
+    assert unfold(init, 2) == ([None] * 8, [[0], [1]])
+    assert init.num_vars == 0
     free = netlist.UnfoldBuilder(free_latches(n))
-    assert unfold_ands(free, 2) == [
+    gates, bads = unfold(free, 2)
+    assert gates == [
         (6, 4, 3, False), (8, 5, 2, False), (10, 9, 7, False),
         (12, 4, 2, False), (14, 11, 2, False), (16, 10, 3, False),
         (18, 17, 15, False), (20, 11, 3, False),
     ]
-    assert (free.num_vars, free.frame_bads) == (10, [[8], [16]])
+    assert (free.num_vars, bads) == (10, [[8], [16]])
     for trial in range(30):
         n = random_netlist(random.Random(1100 + trial), num_bads=3)
         for design in (n, free_latches(n)):
             want = netlist.UnfoldBuilder(design)
             every = netlist.UnfoldBuilder(
                 design, cone=set(range(1, n.max_var + 1)))
-            assert unfold_ands(every, 4) == unfold_ands(want, 4)
+            # equal gates and equal bads at each frame
+            assert unfold(every, 4) == unfold(want, 4)
             assert every.num_vars == want.num_vars
             assert every.frame_inputs == want.frame_inputs
-            assert every.frame_bads == want.frame_bads
             assert every.frame0_latches == want.frame0_latches
 
 
@@ -317,7 +364,7 @@ def test_unfold_cone_matches_restricted_netlist():
             ref = netlist.UnfoldBuilder(restrict_to_coi(design, p))
             for _ in range(4):
                 assert cut.add_frame() == ref.add_frame()
-                assert cut.frame_bads[-1][p] == ref.frame_bads[-1][0]
+                assert cut.bads[p] == ref.bads[0]
                 assert [cut.frame_inputs[-1][v - 1] for v in sorted(inputs)] == (
                     ref.frame_inputs[-1])
             assert cut.num_vars == ref.num_vars

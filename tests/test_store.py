@@ -103,12 +103,16 @@ def test_corrupt_row_line_number(tmp_path):
      "unknown transition 'UNDET_TO_UNSAT'"),
     (store.DB3, "d|0|0 1|0 1:UNSAT_TO_UNDET:0.5:0",
      "unknown transition 'UNSAT_TO_UNDET'"),
+    (store.DB3, "d|0|0 1|", "empty gain list"),
+    (store.DB3, "d|0|0 1|0 2:SAT_TO_SAT:0.5:0",
+     "influencing cluster not in gain list"),
     (store.DB1, "d|1,1,4|1|1,1,4,MAYBE,3,9.0", "unknown status 'MAYBE'"),
     (store.DB1, "d|1,1,4|1|1,1,4,UNSAT,3,9.0", "unknown status 'UNSAT'"),
     (store.DB1, "d|1,1,4|1|1,1,4,UNDET,-7,9.0", "depth -7 below -1"),
     (store.DB1, "d|1,1,4|1|1,1,4,UNDET,2,nan", "elapsed nan is not finite"),
 ], ids=["db3-transition", "db3-unsat-target", "db3-unsat-source",
-        "db1-status", "db1-unsat", "db1-depth", "db1-elapsed"])
+        "db3-no-gains", "db3-influencing-not-listed", "db1-status",
+        "db1-unsat", "db1-depth", "db1-elapsed"])
 def test_reader_rejects_rows_no_writer_produces(tmp_path, kind, row,
                                                 message):
     path = tmp_path / "db.mpb"
