@@ -3,18 +3,21 @@
 Everything in here deliberately avoids the library's own evaluation and
 solving code paths: the BFS oracle walks the AIG with its own literal
 evaluator, the signature oracle simulates and pools with its own code, the
-CNF oracle enumerates assignments, the RUP checker propagates over the
-clauses a solver session logged with its own loop, the gain table
-re-states the formulas from scratch, the assignment oracle tries
-permutations, and the clusterer references recompute every distance
-and cost every PAM swap on a copy.
+CNF oracle enumerates assignments, the RUP checker propagates with its own
+loop over the clauses a solver session logged (the learned ones read from
+the C kernel), the gain table re-states the formulas from scratch, the
+assignment oracle tries permutations, and the clusterer references
+recompute every distance and cost every PAM swap on a copy.
 """
 
+import ctypes
 import dataclasses
 import itertools
 import random
 
 import numpy as np
+
+from clusterbmc import satcore
 
 
 # -- explicit-state reachability --------------------------------------------
@@ -130,10 +133,11 @@ def cnf_enumerate(num_vars, clauses, assumptions=()):
 # -- reverse unit propagation over a solver session's clauses ------------
 
 class RupLog:
-    """Mixin for a solver session class that logs, in session order, each
-    original clause (``add_clause``), each learned clause (``_learn``, whose
-    literals are ``2 * var + sign``) and, for each UNSAT answer under
-    assumptions, the clause of the negated assumptions."""
+    """Mixin for `satcore.SolverSession` that logs, in session order, each
+    original clause (``add_clause``), each learned clause and, for each
+    UNSAT answer under assumptions, the clause of the negated assumptions.
+    The learned clauses are the C kernel's own, read after each solve from
+    the loaded library in the order they were learned."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -144,16 +148,23 @@ class RupLog:
         self.log.append((False, lits))
         super().add_clause(lits)
 
-    def _learn(self, lits):
-        self.log.append((True, [-(q >> 1) if q & 1 else q >> 1 for q in lits]))
-        super()._learn(lits)
-
     def solve(self, assumptions=(), **kwargs):
         assumptions = list(assumptions)
+        learned = satcore._lib.cdcl_num_learned(self._handle)
         res = super().solve(assumptions, **kwargs)
+        self.log += [(True, c) for c in learned_clauses(self, learned)]
         if res.status == "unsatisfiable" and assumptions:
             self.log.append((True, [-a for a in assumptions]))
         return res
+
+
+def learned_clauses(session, start):
+    """Learned clauses `start`, `start + 1`, ... of a kernel session, in
+    DIMACS and in learning order."""
+    lib = satcore._lib
+    buf = (ctypes.c_int32 * max(1, session.num_vars))()
+    return [buf[:lib.cdcl_learned(session._handle, i, buf)]
+            for i in range(start, lib.cdcl_num_learned(session._handle))]
 
 
 def rup_failures(log):

@@ -11,6 +11,7 @@ from clusterbmc import (bmc, cli, clusterer, gain, netlist, online, parallel,
 from clusterbmc.circuits import (counter, deep_sat_miter, parity_miter,
                                  random_netlist, two_counters)
 from clusterbmc.netlist import parse_aiger, serialize_aiger
+import ref_satcore
 from oracles import free_latches
 
 
@@ -128,17 +129,22 @@ def test_deep_sat_depths_through_offline_and_verify(tmp_path, start, depths):
         ("SAT", str(d), "SAT", str(d), "SAT_TO_SAT") for d in depths]
 
 
+class DropLastLiteral(ref_satcore.SolverSession):
+    """The reference search with an unsound learning step: a learned
+    clause of three or more literals loses its last one."""
+
+    def _learn(self, lits):
+        super()._learn(lits[:-1] if len(lits) > 2 else lits)
+
+
 @pytest.mark.parametrize("start", ["init", "inductive"])
 def test_unsound_learning_is_internal_error(tmp_path, monkeypatch, caplog,
                                             start):
     # a learned clause missing a literal is stronger than its derivation:
-    # a cluster run then disagrees with a standalone run on a depth
-    learn = satcore.SolverSession._learn
-
-    def drop_last_literal(self, lits):
-        learn(self, lits[:-1] if len(lits) > 2 else lits)
-
-    monkeypatch.setattr(satcore.SolverSession, "_learn", drop_last_literal)
+    # a cluster run then disagrees with a standalone run on a depth.  The
+    # mutant is the Python reference search, which every session of the
+    # run uses, the forked half of `map2` included
+    monkeypatch.setattr(satcore, "new_solver", DropLastLiteral)
     assert cli.main(["offline", *deep_designs(tmp_path, start)[:3],
                      "--out-dir", str(tmp_path / "db")]
                     + DEEP_FLAGS) == cli.EXIT_INTERNAL
@@ -157,10 +163,7 @@ def test_unsound_learning_in_verify_names_the_design(tmp_path, monkeypatch,
     db = str(tmp_path / "db")
     assert cli.main(["offline", *paths[:3], "--out-dir", db]
                     + flags) == cli.EXIT_OK
-    learn = satcore.SolverSession._learn
-    monkeypatch.setattr(satcore.SolverSession, "_learn",
-                        lambda self, lits: learn(
-                            self, lits[:-1] if len(lits) > 2 else lits))
+    monkeypatch.setattr(satcore, "new_solver", DropLastLiteral)
     assert cli.main(["verify", paths[3], "--db-dir", db, "--out-dir",
                      str(tmp_path / "run"), "--baseline"]
                     + flags) == cli.EXIT_INTERNAL

@@ -1,9 +1,17 @@
+import gc
 import itertools
+import os
 import random
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
 import time
 
 import pytest
 
+import ref_satcore
 from clusterbmc import satcore
 from oracles import cnf_enumerate
 
@@ -20,17 +28,18 @@ def random_cnf(rng, max_vars=8, max_clauses=25):
     return nv, clauses
 
 
-class QueueCheckedSession(satcore.SolverSession):
-    """Asserts at every decision that the queue picks what a linear scan
-    over all variables picks, the unassigned variable of highest stamp, and
-    that the queue links every variable once, in increasing stamp order."""
+class QueueCheckedSession(ref_satcore.SolverSession):
+    """Asserts at every decision of the reference search that the queue
+    picks what a linear scan over all variables picks, the unassigned
+    variable of highest stamp, and that the queue links every variable
+    once, in increasing stamp order."""
 
     decisions = 0
 
     def _pick_branch(self):
         best = 0
         for v in range(1, self.num_vars + 1):
-            if (self._vals[v << 1] == satcore._UNASSIGNED
+            if (self._vals[v << 1] == ref_satcore._UNASSIGNED
                     and (not best or self._stamp[v] > self._stamp[best])):
                 best = v
         order = []
@@ -235,7 +244,7 @@ def test_second_solve_needs_no_more_conflicts():
 
 
 def test_luby_prefix():
-    assert [satcore._luby(i) for i in range(1, 16)] == [
+    assert [ref_satcore._luby(i) for i in range(1, 16)] == [
         1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8
     ]
 
@@ -266,6 +275,167 @@ def test_zero_is_not_a_literal():
         s.add_clause([1, 0])
     with pytest.raises(ValueError):
         s.solve([0])
+
+
+def test_clause_cap_stops_the_search(monkeypatch):
+    # php(4) holds 45 clauses, so a cap of 60 leaves room for 15 learned
+    # ones and stops a search that needs more conflicts
+    _, clauses = php(4)
+    runs = []
+    for module in (satcore, ref_satcore):
+        s = module.SolverSession(seed=1)
+        for c in clauses:
+            s.add_clause(c)
+        monkeypatch.setattr(satcore, "CLAUSE_CAP", 60)
+        monkeypatch.setattr(ref_satcore, "CLAUSE_CAP", 60)
+        capped = s.solve()
+        monkeypatch.undo()
+        assert capped.status == satcore.UNKNOWN
+        # the session goes on from level 0: a unit added now is kept
+        s.add_clause([-1])
+        after = s.solve()
+        assert after.status == satcore.UNSAT
+        runs.append([(r.status, r.conflicts_this_call,
+                      r.propagations_this_call) for r in (capped, after)])
+    assert runs[0] == runs[1]
+    uncapped = satcore.new_solver(seed=1)
+    for c in clauses:
+        uncapped.add_clause(c)
+    assert uncapped.solve().conflicts_this_call > runs[0][0][1]
+
+
+def run_script(session, seed):
+    """(status, conflicts, propagations, model, num_vars) of each solve of
+    a seeded incremental script: rounds of clauses of 1-6 literals, with
+    duplicate and complementary literals, level-0 units, now and then an
+    empty clause or new variables, each round solved under 0-4
+    assumptions with a conflict budget of None, 0, 1, a few, a negative
+    one or one past 64 bits, and now and then a past deadline."""
+    rng = random.Random(seed)
+    nv = (rng.randint(20, 90) if rng.random() < 0.85
+          else rng.randint(130, 170))
+    out = []
+    for rnd in range(rng.randint(1, 5)):
+        # the first round brings the clause/variable ratio close to 3-SAT's
+        # threshold, later ones add a few clauses each
+        for _ in range(int(nv * rng.uniform(2.5, 4.3)) if rnd == 0
+                       else rng.randint(0, nv // 2)):
+            draw = rng.random()
+            if draw < 0.0005:
+                session.add_clause([])
+            elif draw < 0.01:
+                session.ensure_var(session.num_vars + rng.randint(0, 2))
+            else:
+                width = rng.choice((1, 1, 2) if draw < 0.015 else
+                                   (2,) + (3,) * 12 + (4, 5, 6))
+                clause = [rng.randint(1, nv) * rng.choice((1, -1))
+                          for _ in range(width)]
+                if rng.random() < 0.1:
+                    clause.append(rng.choice(clause) * rng.choice((1, -1)))
+                session.add_clause(clause)
+        assumptions = [rng.randint(1, nv + 2) * rng.choice((1, -1))
+                       for _ in range(rng.randint(0, 4))]
+        budget = rng.choice((None, None, 0, 1, rng.randint(2, 40), -3,
+                             1 << 64))
+        deadline = (time.perf_counter() - 1 if rng.random() < 0.1 else None)
+        r = session.solve(assumptions, conflict_budget=budget,
+                          deadline=deadline)
+        out.append((r.status, r.conflicts_this_call,
+                    r.propagations_this_call, r.model, session.num_vars))
+    return out
+
+
+def test_kernel_decides_as_the_reference():
+    statuses, conflicts = set(), []
+    for trial in range(320):
+        want = run_script(ref_satcore.SolverSession(seed=trial), 20000 + trial)
+        got = run_script(satcore.SolverSession(seed=trial), 20000 + trial)
+        assert got == want, trial
+        statuses.update(row[0] for row in got)
+        conflicts += [row[1] for row in got]
+    assert statuses == {satcore.SAT, satcore.UNSAT, satcore.UNKNOWN}
+    # some calls search past the first restarts, at 64 and 128 conflicts
+    assert sum(conflicts) > 3000
+    assert sum(c > 128 for c in conflicts) >= 3
+
+
+def _rss() -> int:
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+def test_sessions_free_their_kernel_state():
+    rng = random.Random(3)
+    clauses = [[rng.randint(1, 300) * rng.choice((1, -1)) for _ in range(3)]
+               for _ in range(1000)]
+
+    def one_session():
+        s = satcore.new_solver()
+        for c in clauses:
+            s.add_clause(c)
+        s.solve(conflict_budget=20)
+
+    for _ in range(100):
+        one_session()
+    gc.collect()
+    before = _rss()
+    for _ in range(2000):
+        one_session()
+    gc.collect()
+    assert _rss() - before < 8 << 20
+
+
+def test_kernel_builds_once_into_pycache(tmp_path):
+    # a fresh copy of the package builds its kernel on first import, into
+    # its own __pycache__ and nowhere else; the next import reuses it
+    pkg = tmp_path / "src" / "clusterbmc"
+    shutil.copytree(os.path.dirname(satcore.__file__), pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(tmp_path / "src"),
+               TMPDIR=str(tmpdir))
+
+    def load(env):
+        return subprocess.run(
+            [sys.executable, "-c",
+             "from clusterbmc import satcore; print(satcore._lib._name)"],
+            env=env, capture_output=True, text=True, timeout=300)
+
+    first = load(env)
+    assert first.returncode == 0, first.stderr
+    lib = first.stdout.strip()
+    assert os.path.dirname(lib) == str(pkg / "__pycache__")
+    assert os.listdir(tmpdir) == []
+    assert [n for n in os.listdir(pkg / "__pycache__")
+            if not n.endswith(".pyc")] == [os.path.basename(lib)]
+    mtime = os.stat(lib).st_mtime_ns
+    second = load(env)
+    assert second.returncode == 0, second.stderr
+    assert second.stdout.strip() == lib
+    assert os.stat(lib).st_mtime_ns == mtime
+
+    # with no compiler to run, a copy with no library cannot be imported
+    os.remove(lib)
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    third = load(dict(env, PATH=str(empty)))
+    assert third.returncode != 0
+    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
+    assert (f"ImportError: cannot build {pkg / '_cdcl.c'} with the C "
+            f"compiler {compiler!r}") in third.stderr
+    assert not os.path.exists(lib)
+
+    # a build that fails says why, in the compiler's words
+    with open(pkg / "_cdcl.c", "a") as fh:
+        fh.write("#error this kernel does not build\n")
+    fourth = load(env)
+    assert fourth.returncode != 0
+    assert f"ImportError: the C compiler {compiler!r} failed" in fourth.stderr
+    assert "this kernel does not build" in fourth.stderr
+    assert os.listdir(tmpdir) == []
+    assert not [n for n in os.listdir(pkg / "__pycache__")
+                if not n.endswith(".pyc")]
 
 
 def pinned_solves():
