@@ -41,15 +41,11 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .netlist import Netlist, PropertyIndexOutOfRange, UnfoldBuilder, cone_vars
+from .netlist import Netlist, UnfoldBuilder, cone_vars
 from . import satcore
 
 SAT = "SAT"
 UNDET = "UNDET"
-
-
-class EmptyCluster(ValueError):
-    pass
 
 
 class BmcConfigError(ValueError):
@@ -206,8 +202,8 @@ def _run(n: Netlist, props, cfg: BmcConfig, budget) -> ClusterVerdict:
     start = time.perf_counter()
     props = sorted(set(props))
     if not props:
-        raise EmptyCluster("cluster must be non-empty")
-    cone = cone_vars(n, props)  # raises PropertyIndexOutOfRange
+        raise ValueError("cluster must be non-empty")
+    cone = cone_vars(n, props)  # raises ValueError on an unknown property
     owner = single_run_owners(n, props)
     owners = list(dict.fromkeys(owner.values()))
     solver = satcore.new_solver(seed=cfg.seed)
@@ -313,7 +309,7 @@ def replay_cex(n: Netlist, p: int, cex: Cex) -> str:
     """Simulate a counterexample; confirmed iff it starts at reset and bad
     p holds at its last frame."""
     if not 0 <= p < n.num_properties:
-        raise PropertyIndexOutOfRange(f"property {p} of {n.num_properties}")
+        raise ValueError(f"property {p} of {n.num_properties}")
     if len(cex.inputs) < 1:
         raise ValueError("counterexample needs at least one frame")
     if any(latch.reset is not None and value != bool(latch.reset)

@@ -2,8 +2,15 @@
 a campaign on an unknown design and writes its report, per-run frame CSVs
 and figure data.
 
-Exit codes: 0 success, 2 usage, 3 data error, 4 internal invariant
-violation.
+Exit codes, each raised as one exception class:
+
+  0  success
+  2  usage: argparse's own errors, and `bmc.BmcConfigError` for option
+     values out of range or in conflict, before any work
+  3  data: `netlist.DataError` for input, a database or an output file
+     that cannot be used
+  4  internal invariant violation: `AssertionError`, or
+     `parallel.ChildLost` when a forked worker ends without a result
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import sys
 from collections import Counter
 
 from . import bmc, clusterer, embed, gain, online, parallel, store
-from .netlist import AigerError, parse_aiger
+from .netlist import DataError, parse_aiger
 
 log = logging.getLogger("clusterbmc")
 
@@ -23,10 +30,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
-
-
-class DataError(Exception):
-    pass
 
 
 def _bmc_config(args) -> bmc.BmcConfig:
@@ -42,12 +45,6 @@ def _at_least_one(text: str) -> int:
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, not {text}")
     return int(text)
-
-
-def _fraction(text: str) -> float:
-    if not 0 < float(text) <= 1:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1], not {text}")
-    return float(text)
 
 
 def _design_name(path: str) -> str:
@@ -80,8 +77,7 @@ def cmd_offline(args) -> int:
             store.check_name(name)
             text = store.read_text(path)
             designs.append((name, parse_aiger(text, name=name)))
-        except (store.ReservedName, store.UnreadableFile, store.CorruptRow,
-                AigerError) as e:
+        except DataError as e:
             log.error("skipping %s: %s", path, e)
     if not designs:
         raise DataError("no parseable designs")
@@ -92,7 +88,7 @@ def cmd_offline(args) -> int:
                    n, patterns=args.patterns, seed=args.seed, design=name)]
     if len(tensors) < 2:
         raise DataError("need at least 2 property embeddings to fit PCA")
-    pca = embed.fit_pca(tensors, args.pca_threshold)
+    pca = embed.fit_pca(tensors)
     db2 = [store.EmbeddingRecord(t.design, t.property, vector)
            for t, vector in zip(tensors, embed.project_all(pca, tensors))]
 
@@ -160,15 +156,12 @@ def cmd_verify(args) -> int:
         # the report names the unknown on its first line
         store.check_name(name)
         n = parse_aiger(store.read_text(args.unknown), name=name)
-    except (store.ReservedName, store.UnreadableFile, store.CorruptRow,
-            AigerError) as e:
+    except DataError as e:
         raise DataError(f"cannot load {args.unknown}: {e}") from None
     _make_out_dir(args.out_dir)
 
-    report = online.verify_unknown(
-        n, db1, db3, cfg,
-        delta=args.delta, baseline=args.baseline, design=name,
-    )
+    report = online.verify_unknown(n, db1, db3, cfg,
+                                   baseline=args.baseline, design=name)
     report_path = os.path.join(args.out_dir, "report.txt")
     store.write_text(report_path, report.render())
     # figure data of this campaign alone: per frame, sums over its cluster
@@ -217,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("offline", help="build the three databases")
     p.add_argument("designs", nargs="+", help="AIGER (aag) design files")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--pca-threshold", type=_fraction, default=0.95)
     p.add_argument("--patterns", type=_at_least_one, default=4096,
                    help="simulation stimuli per design")
     p.add_argument("--max-clusters", type=_at_least_one,
@@ -229,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("unknown", help="AIGER (aag) file")
     p.add_argument("--db-dir", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--delta", type=_at_least_one, default=None)
     p.add_argument("--baseline", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
@@ -244,9 +235,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except bmc.BmcConfigError as e:  # before any work
         ap.error(str(e))
-    except (DataError, store.CorruptRow, store.SchemaVersionMismatch,
-            store.UnreadableFile, store.UnwritableFile,
-            online.EmptyDatabase) as e:
+    except DataError as e:
         log.error("%s", e)
         return EXIT_DATA
     except (AssertionError, parallel.ChildLost) as e:

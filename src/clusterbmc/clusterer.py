@@ -27,14 +27,6 @@ DEFAULT_MAX_CLUSTERS = 64
 _MAX_ITERS = 100  # Lloyd iterations and PAM swap sweeps
 
 
-class KOutOfRange(ValueError):
-    pass
-
-
-class TooFewProperties(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Cluster:
     members: frozenset
@@ -79,7 +71,7 @@ def kmeans(x: np.ndarray, d: np.ndarray, k: int, seed: int):
     groups."""
     n = len(x)
     if not 2 <= k <= n:
-        raise KOutOfRange(f"k={k} for {n} points")
+        raise ValueError(f"k={k} for {n} points")
     rng = random.Random(seed)
 
     # kmeans++ seeding: d2 is each point's squared distance to its nearest
@@ -132,7 +124,7 @@ def kmedoids(d: np.ndarray, k: int):
     """
     n = len(d)
     if not 2 <= k <= n:
-        raise KOutOfRange(f"k={k} for {n} points")
+        raise ValueError(f"k={k} for {n} points")
 
     # build: greedy medoid additions minimizing total cost
     medoids = [int(np.argmin(d.sum(axis=1)))]
@@ -177,7 +169,7 @@ def build_family(
     props = sorted(embeddings)
     n = len(props)
     if n < 2:
-        raise TooFewProperties(f"{n} properties")
+        raise ValueError(f"{n} properties")
     x, d = _pairwise_cos([embeddings[p] for p in props])
 
     candidates = [Cluster(frozenset(props), "full")]

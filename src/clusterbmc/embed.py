@@ -29,14 +29,6 @@ from .netlist import Netlist
 DEFAULT_WIDTH = 128
 
 
-class WidthMismatch(ValueError):
-    pass
-
-
-class DegenerateCovariance(ValueError):
-    """Fewer than two tensors; nothing to decompose."""
-
-
 @dataclass(frozen=True)
 class EmbeddingTensor:
     design: str
@@ -134,11 +126,11 @@ def fit_pca(tensors, threshold: float = 0.95) -> PcaModel:
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must be in (0, 1]")
     if len(tensors) < 2:
-        raise DegenerateCovariance("need at least 2 tensors")
+        raise ValueError("need at least 2 tensors")
     width = len(tensors[0].values)
     for t in tensors:
         if len(t.values) != width:
-            raise WidthMismatch(f"tensor width {len(t.values)} != {width}")
+            raise ValueError(f"tensor width {len(t.values)} != {width}")
     x = np.array([t.values for t in tensors], dtype=float)
     mean = x.mean(axis=0)
     centered = x - mean
@@ -170,7 +162,7 @@ def project_all(m: PcaModel, tensors) -> list:
     """Reduced vector (a tuple) of each tensor, by one matrix product."""
     for t in tensors:
         if len(t.values) != m.width:
-            raise WidthMismatch(
+            raise ValueError(
                 f"tensor width {len(t.values)} != model width {m.width}")
     x = np.array([t.values for t in tensors], dtype=float)
     z = (x.reshape(len(tensors), m.width) - np.array(m.mean)) @ np.array(

@@ -21,24 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class AigerError(Exception):
-    """Base class for netlist construction failures."""
-
-
-class MalformedHeader(AigerError):
-    pass
-
-
-class BinaryFormatUnsupported(AigerError):
-    """Raised for binary ``aig`` input; only ASCII ``aag`` is accepted."""
-
-
-class PropertyIndexOutOfRange(AigerError):
-    pass
-
-
-class InputArityMismatch(AigerError):
-    pass
+class DataError(Exception):
+    """Input a command cannot use: a malformed netlist or database, or a
+    file that cannot be read or written.  The CLI exits 3 on it."""
 
 
 def lit_var(lit: int) -> int:
@@ -103,20 +88,20 @@ class Netlist:
         ni, nl = self.num_inputs, self.num_latches
         for pos, latch in enumerate(self.latches):
             if latch.lit != 2 * (ni + pos + 1):
-                raise AigerError(f"latch literal {latch.lit} out of canonical position")
+                raise DataError(f"latch literal {latch.lit} out of canonical position")
             if latch.reset not in (0, 1, None):
-                raise AigerError(f"bad reset value {latch.reset!r}")
+                raise DataError(f"bad reset value {latch.reset!r}")
         defined = ni + nl
         for lhs, rhs0, rhs1 in self.ands:
             if lit_sign(lhs):
-                raise AigerError(f"negated AND output {lhs}")
+                raise DataError(f"negated AND output {lhs}")
             if lit_var(lhs) != defined + 1:
-                raise AigerError(f"AND output {lhs} out of canonical position")
+                raise DataError(f"AND output {lhs} out of canonical position")
             for rhs in (rhs0, rhs1):
                 if rhs < 0:
-                    raise AigerError(f"AND {lhs} has negative literal {rhs}")
+                    raise DataError(f"AND {lhs} has negative literal {rhs}")
                 if rhs > 1 and lit_var(rhs) > defined:
-                    raise AigerError(f"AND {lhs} references undefined literal {rhs}")
+                    raise DataError(f"AND {lhs} references undefined literal {rhs}")
             defined += 1
         for latch in self.latches:
             self._check_lit(latch.next)
@@ -128,7 +113,7 @@ class Netlist:
 
     def _check_lit(self, lit: int):
         if lit < 0 or lit_var(lit) > self.max_var:
-            raise AigerError(f"literal {lit} exceeds variable count")
+            raise DataError(f"literal {lit} exceeds variable count")
 
     # -- structural queries -------------------------------------------------
 
@@ -181,11 +166,11 @@ class Netlist:
         bad_vals)`` where ``values[var]`` holds every variable's value.
         """
         if len(input_vals) != self.num_inputs:
-            raise InputArityMismatch(
+            raise ValueError(
                 f"expected {self.num_inputs} inputs, got {len(input_vals)}"
             )
         if len(latch_vals) != self.num_latches:
-            raise InputArityMismatch(
+            raise ValueError(
                 f"expected {self.num_latches} latch values, got {len(latch_vals)}"
             )
         values: list = [None] * (self.max_var + 1)
@@ -218,23 +203,23 @@ class Property:
 def parse_aiger(text: str, name: str = "") -> Netlist:
     """Parse an ASCII AIGER document into a Netlist."""
     if text.startswith("aig ") or text.startswith("aig\n"):
-        raise BinaryFormatUnsupported("binary 'aig' input; convert to ASCII 'aag'")
+        raise DataError("binary 'aig' input; convert to ASCII 'aag'")
     lines = text.splitlines()
     if not lines:
-        raise MalformedHeader("empty document")
+        raise DataError("empty document")
     head = lines[0].split()
     if not head or head[0] != "aag":
-        raise MalformedHeader(f"expected 'aag' header, got {lines[0]!r}")
+        raise DataError(f"expected 'aag' header, got {lines[0]!r}")
     if len(head) < 6 or len(head) > 10:
-        raise MalformedHeader(f"bad header field count: {lines[0]!r}")
+        raise DataError(f"bad header field count: {lines[0]!r}")
     counts = [_nat(tok, lines[0]) for tok in head[1:]]
     maxvar, ni, nl, no, na = counts[:5]
     nb = counts[5] if len(counts) > 5 else 0
     extra = counts[6:]
     if any(extra):
-        raise MalformedHeader("constraint/justice/fairness sections not supported")
+        raise DataError("constraint/justice/fairness sections not supported")
     if maxvar != ni + nl + na:
-        raise MalformedHeader(
+        raise DataError(
             f"maximum variable index {maxvar} != I+L+A = {ni + nl + na}"
         )
 
@@ -243,7 +228,7 @@ def parse_aiger(text: str, name: str = "") -> Netlist:
     def next_line(section):
         nonlocal pos
         if pos >= len(lines):
-            raise MalformedHeader(f"truncated document in {section} section")
+            raise DataError(f"truncated document in {section} section")
         line = lines[pos]
         pos += 1
         return line
@@ -251,15 +236,15 @@ def parse_aiger(text: str, name: str = "") -> Netlist:
     for i in range(ni):
         toks = next_line("input").split()
         if len(toks) != 1:
-            raise MalformedHeader(f"bad input line: {lines[pos - 1]!r}")
+            raise DataError(f"bad input line: {lines[pos - 1]!r}")
         if _nat(toks[0], lines[pos - 1]) != 2 * (i + 1):
-            raise AigerError(f"input literal {toks[0]} out of canonical position")
+            raise DataError(f"input literal {toks[0]} out of canonical position")
 
     latches = []
     for i in range(nl):
         toks = next_line("latch").split()
         if len(toks) not in (2, 3):
-            raise MalformedHeader(f"bad latch line: {lines[pos - 1]!r}")
+            raise DataError(f"bad latch line: {lines[pos - 1]!r}")
         lit, nxt, *rest = (_nat(t, lines[pos - 1]) for t in toks)
         reset: int | None = 0
         if rest:
@@ -273,7 +258,7 @@ def parse_aiger(text: str, name: str = "") -> Netlist:
     for _ in range(na):
         toks = next_line("and").split()
         if len(toks) != 3:
-            raise MalformedHeader(f"bad and line: {lines[pos - 1]!r}")
+            raise DataError(f"bad and line: {lines[pos - 1]!r}")
         ands.append(tuple(_nat(t, lines[pos - 1]) for t in toks))
 
     # the symbol table is checked, then dropped: nothing reads it
@@ -283,7 +268,7 @@ def parse_aiger(text: str, name: str = "") -> Netlist:
         if not line.strip():
             continue
         if line[0] not in "ilob":
-            raise MalformedHeader(f"bad symbol line: {line!r}")
+            raise DataError(f"bad symbol line: {line!r}")
         _nat(line[1:].partition(" ")[0], line)
 
     return Netlist(
@@ -303,13 +288,13 @@ def _nat(tok: str, line: str) -> int:
             return int(tok)
         except ValueError:  # longer than Python's int conversion limit
             pass
-    raise MalformedHeader(f"bad number {tok[:20]!r} in line {line[:80]!r}")
+    raise DataError(f"bad number {tok[:20]!r} in line {line[:80]!r}")
 
 
 def _read_lit_line(line: str) -> int:
     toks = line.split()
     if len(toks) != 1:
-        raise MalformedHeader(f"bad output/bad line: {line!r}")
+        raise DataError(f"bad output/bad line: {line!r}")
     return _nat(toks[0], line)
 
 
@@ -341,7 +326,7 @@ def _coi_vars(n: Netlist, p: int) -> tuple[set, set, set]:
     the transition logic of every reached latch relevant.
     """
     if not 0 <= p < n.num_properties:
-        raise PropertyIndexOutOfRange(f"property {p} of {n.num_properties}")
+        raise ValueError(f"property {p} of {n.num_properties}")
     inputs: set = set()
     latch_vars: set = set()
     and_vars: set = set()

@@ -25,7 +25,7 @@ from functools import partial
 
 from . import bmc, parallel
 from .gain import score
-from .netlist import Netlist, extract_coi
+from .netlist import DataError, Netlist, extract_coi
 from .store import DesignRecord, PropertyEntry, query_db1_by_property_count
 
 log = logging.getLogger(__name__)
@@ -33,10 +33,6 @@ log = logging.getLogger(__name__)
 # rectangular assignment pads with this sentinel; anything matched to a pad
 # stays unmapped
 _SENTINEL = 10 ** 9
-
-
-class EmptyDatabase(ValueError):
-    pass
 
 
 def default_delta(property_count: int) -> int:
@@ -59,22 +55,19 @@ def unknown_record(n: Netlist, design: str = "", verdicts=None) -> DesignRecord:
                         n.num_latches, n.num_ands, tuple(props))
 
 
-def select_similar_design(db1_records, unknown: DesignRecord,
-                          delta: int | None = None) -> DesignRecord:
+def select_similar_design(db1_records, unknown: DesignRecord) -> DesignRecord:
     """Closest design by L1 structural distance within the pruned set.
 
     Pruning keeps designs whose property count lies strictly within
-    (P_U - delta, P_U + delta); an empty result doubles delta and retries
-    instead of failing.  Once delta exceeds both P_U and every design's
-    property count, every design is a candidate, so the loop ends.
+    (P_U - delta, P_U + delta), with delta = `default_delta(P_U)`; an
+    empty result doubles delta and retries instead of failing.  Once delta
+    exceeds both P_U and every design's property count, every design is a
+    candidate, so the loop ends.
     """
     if not db1_records:
-        raise EmptyDatabase("DB1 has no designs")
+        raise DataError("DB1 has no designs")
     p_u = unknown.property_count
-    if delta is None:
-        delta = default_delta(p_u)
-    if delta < 1:
-        raise ValueError(f"delta must be at least 1, not {delta}")
+    delta = default_delta(p_u)
     candidates = []
     while not candidates:
         candidates = query_db1_by_property_count(db1_records, p_u - delta,
@@ -242,7 +235,6 @@ def verify_unknown(
     db1_records,
     db3_records,
     cfg: bmc.BmcConfig,
-    delta: int | None = None,
     baseline: bool = False,
     design: str = "",
 ) -> CampaignReport:
@@ -267,7 +259,7 @@ def verify_unknown(
     call, each costed by its member count.
     """
     u_rec = unknown_record(unknown, design)
-    matched = select_similar_design(db1_records, u_rec, delta)
+    matched = select_similar_design(db1_records, u_rec)
     prop_map = associate_properties(build_diff_matrix(matched, u_rec))
 
     influencing = []

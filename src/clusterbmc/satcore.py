@@ -71,7 +71,8 @@ def _build() -> str:
     """Path of the compiled kernel, compiling `_cdcl.c` if this source and
     interpreter have no library yet.  The compiler writes to a name of its
     own in `__pycache__/`, and the result is renamed into place, so an
-    importer never loads a half-written file."""
+    importer never loads a half-written file.  A build that succeeds
+    removes this interpreter's libraries of other sources."""
     here = os.path.dirname(os.path.abspath(__file__))
     source = os.path.join(here, "_cdcl.c")
     with open(source, "rb") as fh:
@@ -83,6 +84,7 @@ def _build() -> str:
     if os.path.exists(lib):
         return lib
     # needed only to build: a process that finds the library loads none
+    import glob
     import shlex
     import subprocess
     import sysconfig
@@ -106,6 +108,12 @@ def _build() -> str:
     if proc.returncode != 0:
         raise ImportError(f"the C compiler {cc[0]!r} failed to build "
                           f"{source}:\n{proc.stderr}")
+    for old in glob.glob(os.path.join(cache, f"_cdcl.{tag}.*.so")):
+        if old != lib:
+            try:
+                os.remove(old)
+            except FileNotFoundError:  # another importer removed it
+                pass
     return lib
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from .bmc import SAT, UNDET
 from .gain import RANK, GainRecord
+from .netlist import DataError
 
 SCHEMA_VERSION = 1
 
@@ -34,22 +35,22 @@ FILENAMES = {DB1: "db1.mpb", DB2: "db2.mpb", DB3: "db3.mpb"}
 PCA_FILENAME = "pca.mpb"
 
 
-class CorruptRow(ValueError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+def _corrupt(line_no: int, message: str) -> DataError:
+    """The error for a row of a database file that cannot be read."""
+    return DataError(f"line {line_no}: {message}")
 
 
-class SchemaVersionMismatch(ValueError):
-    pass
+def _nat(tok: str) -> int:
+    """A non-negative decimal field in ASCII digits, as AIGER numbers are;
+    `int` alone would take a sign, `_` and non-ASCII digits."""
+    if not (tok.isascii() and tok.isdigit()):
+        raise ValueError(f"bad number {tok[:20]!r}")
+    return int(tok)
 
 
-class UnreadableFile(ValueError):
-    pass
-
-
-class UnwritableFile(ValueError):
-    pass
+def _depth(tok: str) -> int:
+    """A depth: a number as `_nat` reads it, or one with a minus sign."""
+    return -_nat(tok[1:]) if tok.startswith("-") else _nat(tok)
 
 
 @dataclass(frozen=True)
@@ -95,16 +96,12 @@ class InfluenceRecord:
     gains: tuple  # GainRecord list across this property's clusters
 
 
-class ReservedName(ValueError):
-    pass
-
-
 def check_name(s: str):
-    """Raises ReservedName unless `s` can be stored as a design id: one
+    """Raises DataError unless `s` can be stored as a design id: one
     non-empty line, as `str.splitlines` splits the files it is stored in,
     without a field separator."""
     if s.splitlines() != [s] or any(ch in s for ch in "|,;:"):
-        raise ReservedName(f"design id {s!r} contains reserved characters")
+        raise DataError(f"design id {s!r} contains reserved characters")
 
 
 def _header(kind: str) -> str:
@@ -112,53 +109,53 @@ def _header(kind: str) -> str:
 
 
 def read_text(path: str) -> str:
-    """The text of a file, decoded as UTF-8; raises UnreadableFile when it
-    cannot be read and CorruptRow at the line of the first byte that is
-    not UTF-8."""
+    """The text of a file, decoded as UTF-8; raises DataError when it
+    cannot be read, naming the line of the first byte that is not
+    UTF-8."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as e:
-        raise UnreadableFile(f"cannot read {path}: {e.strerror or e}") from None
+        raise DataError(f"cannot read {path}: {e.strerror or e}") from None
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:
-        raise CorruptRow(data.count(b"\n", 0, e.start) + 1,
-                         f"{path} is not UTF-8 text ({e.reason})") from None
+        raise _corrupt(data.count(b"\n", 0, e.start) + 1,
+                       f"{path} is not UTF-8 text ({e.reason})") from None
 
 
 def write_text(path: str, text: str):
-    """Writes `text` to a file as UTF-8; raises UnwritableFile when it
+    """Writes `text` to a file as UTF-8; raises DataError when it
     cannot."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as e:
-        raise UnwritableFile(f"cannot write {path}: {e.strerror or e}") from None
+        raise DataError(f"cannot write {path}: {e.strerror or e}") from None
 
 
 def remove_file(path: str):
-    """Removes the file at `path` if there is one; raises UnwritableFile
-    when it cannot, as no file could then be written there either."""
+    """Removes the file at `path` if there is one; raises DataError when
+    it cannot, as no file could then be written there either."""
     try:
         os.remove(path)
     except FileNotFoundError:
         pass
     except OSError as e:
-        raise UnwritableFile(f"cannot write {path}: {e.strerror or e}") from None
+        raise DataError(f"cannot write {path}: {e.strerror or e}") from None
 
 
 def _read_lines(path: str, kind: str):
     lines = read_text(path).splitlines()
     if not lines:
-        raise SchemaVersionMismatch(f"{path}: empty file")
+        raise DataError(f"{path}: empty file")
     parts = lines[0].split()
     if len(parts) != 3 or parts[0] != "mpbdb":
-        raise SchemaVersionMismatch(f"{path}: bad header {lines[0]!r}")
+        raise DataError(f"{path}: bad header {lines[0]!r}")
     if parts[1] != str(SCHEMA_VERSION):
-        raise SchemaVersionMismatch(f"{path}: schema version {parts[1]}")
+        raise DataError(f"{path}: schema version {parts[1]}")
     if parts[2] != kind:
-        raise SchemaVersionMismatch(f"{path}: kind {parts[2]!r}, expected {kind}")
+        raise DataError(f"{path}: kind {parts[2]!r}, expected {kind}")
     return lines[1:]
 
 
@@ -181,27 +178,27 @@ def _write_db1(records, fh):
 def _parse_db1_row(line: str, no: int) -> DesignRecord:
     try:
         design, dims, count_s, body = line.split("|")
-        ni, nl, na = (int(x) for x in dims.split(","))
-        count = int(count_s)
+        ni, nl, na = (_nat(x) for x in dims.split(","))
+        count = _nat(count_s)
         props = []
         if body:
             for entry in body.split(";"):
                 ci, cl, ca, status, depth, elapsed = entry.split(",")
                 props.append(
-                    PropertyEntry(int(ci), int(cl), int(ca), status,
-                                  int(depth), float(elapsed))
+                    PropertyEntry(_nat(ci), _nat(cl), _nat(ca), status,
+                                  _depth(depth), float(elapsed))
                 )
     except ValueError as e:
-        raise CorruptRow(no, str(e)) from None
+        raise _corrupt(no, str(e)) from None
     if len(props) != count:
-        raise CorruptRow(no, f"{len(props)} property entries, declared {count}")
+        raise _corrupt(no, f"{len(props)} property entries, declared {count}")
     for p in props:
         if p.status not in (SAT, UNDET):
-            raise CorruptRow(no, f"unknown status {p.status!r}")
+            raise _corrupt(no, f"unknown status {p.status!r}")
         if p.depth < -1:
-            raise CorruptRow(no, f"depth {p.depth} below -1")
+            raise _corrupt(no, f"depth {p.depth} below -1")
         if not math.isfinite(p.elapsed):
-            raise CorruptRow(no, f"elapsed {p.elapsed!r} is not finite")
+            raise _corrupt(no, f"elapsed {p.elapsed!r} is not finite")
     return DesignRecord(design, ni, nl, na, tuple(props))
 
 
@@ -220,9 +217,9 @@ def _parse_db2_row(line: str, no: int) -> EmbeddingRecord:
     try:
         design, prop_s, body = line.split("|")
         vec = tuple(float(x) for x in body.split(",")) if body else ()
-        return EmbeddingRecord(design, int(prop_s), vec)
+        return EmbeddingRecord(design, _nat(prop_s), vec)
     except ValueError as e:
-        raise CorruptRow(no, str(e)) from None
+        raise _corrupt(no, str(e)) from None
 
 
 # -- DB3 ---------------------------------------------------------------------
@@ -251,25 +248,29 @@ def _write_db3(records, fh):
 def _parse_db3_row(line: str, no: int) -> InfluenceRecord:
     try:
         design, prop_s, inf_s, body = line.split("|")
-        prop = int(prop_s)
-        influencing = frozenset(int(x) for x in inf_s.split())
+        prop = _nat(prop_s)
+        influencing = frozenset(_nat(x) for x in inf_s.split())
         gains = []
         for entry in body.split(";") if body else []:
             members_s, transition, value_s, deg_s = entry.split(":")
-            members = frozenset(int(x) for x in members_s.split())
+            members = frozenset(_nat(x) for x in members_s.split())
             value = float(value_s)
+            if deg_s not in ("0", "1"):
+                raise ValueError(f"bad degenerate flag {deg_s!r}")
             gains.append(
-                GainRecord(prop, members, transition, value, bool(int(deg_s)))
+                GainRecord(prop, members, transition, value, deg_s == "1")
             )
     except ValueError as e:
-        raise CorruptRow(no, str(e)) from None
+        raise _corrupt(no, str(e)) from None
     if not gains:
-        raise CorruptRow(no, "empty gain list")
+        raise _corrupt(no, "empty gain list")
     for g in gains:
         if g.transition not in RANK:
-            raise CorruptRow(no, f"unknown transition {g.transition!r}")
+            raise _corrupt(no, f"unknown transition {g.transition!r}")
+        if not math.isfinite(g.value):
+            raise _corrupt(no, f"gain {g.value!r} is not finite")
     if influencing not in [g.cluster for g in gains]:
-        raise CorruptRow(no, "influencing cluster not in gain list")
+        raise _corrupt(no, "influencing cluster not in gain list")
     return InfluenceRecord(design, prop, influencing, tuple(gains))
 
 
@@ -295,7 +296,7 @@ def read_db(kind: str, path: str):
     if kind == DB2:
         widths = {len(r.vector) for r in rows}
         if len(widths) > 1:
-            raise SchemaVersionMismatch(f"{path}: mixed vector widths {sorted(widths)}")
+            raise DataError(f"{path}: mixed vector widths {sorted(widths)}")
     return rows
 
 
@@ -318,7 +319,7 @@ def read_pca(path: str):
 
     lines = _read_lines(path, "pca")
     if len(lines) < 3:
-        raise SchemaVersionMismatch(f"{path}: truncated model")
+        raise DataError(f"{path}: truncated model")
     try:
         ratio = float(lines[0])
         mean = tuple(float(x) for x in lines[1].split(","))
@@ -327,7 +328,7 @@ def read_pca(path: str):
             for line in lines[2:] if line
         )
     except ValueError as e:
-        raise CorruptRow(2, str(e)) from None
+        raise _corrupt(2, str(e)) from None
     return PcaModel(mean, comps, ratio)
 
 

@@ -350,17 +350,12 @@ def test_budget_required(corpus, capsys):
     (["--budget-conflicts", "10", "--patterns", "0"], "must be at least 1"),
     (["--budget-conflicts", "10", "--max-clusters", "0"],
      "must be at least 1"),
-    (["--budget-conflicts", "10", "--pca-threshold", "0"],
-     "must be in (0, 1]"),
-    (["--budget-conflicts", "10", "--pca-threshold", "1.5"],
-     "must be in (0, 1]"),
     # BMC runs from reset only; `--mode init` is still accepted
     (["--budget-conflicts", "10", "--mode", "inductive"],
      "invalid choice: 'inductive'"),
 ], ids=["budget-conflicts-0", "time-budget-negative", "time-budget-nan",
         "time-budget-inf", "seed-negative", "max-frames-negative",
-        "both-budgets", "patterns-0", "max-clusters-0", "pca-threshold-0",
-        "pca-threshold-above-1", "mode-inductive"])
+        "both-budgets", "patterns-0", "max-clusters-0", "mode-inductive"])
 def test_out_of_range_option_is_usage_error(corpus, tmp_path, capsys, flags,
                                             message):
     out = tmp_path / "db"
@@ -380,6 +375,26 @@ def test_verify_assoc_is_unknown_option(corpus, tmp_path, capsys):
                   "--assoc", "greedy", "--budget-conflicts", "10"])
     assert exc.value.code == cli.EXIT_USAGE
     assert "unrecognized arguments: --assoc" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("offline", ["--pca-threshold", "0.5"]), ("verify", ["--delta", "3"])],
+    ids=["pca-threshold", "delta"])
+def test_fixed_parameters_are_unknown_options(corpus, tmp_path, capsys,
+                                              command, flags):
+    # the PCA keeps 95% of the variance and the pruning window is
+    # online.default_delta: neither is an option
+    out = tmp_path / "out"
+    inputs = ([str(corpus / "ctr.aag"), str(corpus / "twoctr.aag")]
+              if command == "offline" else
+              [str(corpus / "unknown.aag"), "--db-dir", str(tmp_path / "db")])
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *inputs, "--out-dir", str(out),
+                  "--budget-conflicts", "10", *flags])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert ("unrecognized arguments: " + " ".join(flags)
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [["--embed", "sim"], ["--tensors", "x"]],
@@ -403,19 +418,6 @@ def test_report_is_an_unknown_command(tmp_path, capsys):
         cli.main(["report", str(tmp_path)])
     assert exc.value.code == cli.EXIT_USAGE
     assert "invalid choice: 'report'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("delta", ["0", "-5"])
-def test_verify_delta_below_one_is_usage_error(corpus, tmp_path, capsys,
-                                               delta):
-    out = tmp_path / "run"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", str(corpus / "unknown.aag"),
-                  "--db-dir", str(tmp_path / "db"), "--out-dir", str(out),
-                  "--delta", delta, "--budget-conflicts", "10"])
-    assert exc.value.code == cli.EXIT_USAGE
-    assert "must be at least 1" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def count_runs(monkeypatch, log):
@@ -783,12 +785,23 @@ def test_verify_non_utf8_database(corpus, tmp_path, caplog):
     assert "line 2: " in caplog.text and "not UTF-8" in caplog.text
 
 
+def test_verify_rejects_db1_numbers_aiger_would_reject(corpus, tmp_path,
+                                                       caplog):
+    # a sign, a non-ASCII digit and `_` each read as a number to `int`
+    row = "k0|-5,\u0663,1_0|2|-40,2,4,SAT,3,4.0;1,2,4,UNDET,-1,4.0"
+    db = empty_db(tmp_path, db1=f"mpbdb 1 db1\n{row}\n".encode())
+    argv = ["verify", str(corpus / "unknown.aag"), "--db-dir", str(db),
+            "--out-dir", str(tmp_path / "run"), "--budget-conflicts", "10"]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert "line 2: bad number '-5'" in caplog.text
+
+
 def raise_assertion():
     raise AssertionError("child broke")
 
 
 def raise_data_error():
-    raise cli.DataError("child broke")
+    raise netlist.DataError("child broke")
 
 
 @pytest.mark.parametrize("action, code, message", [

@@ -32,20 +32,18 @@ COMMON = {
     "--mode": ["init"],
 }
 OFFLINE = {
-    "--pca-threshold": ["0.95", "0.5", "1"],
     "--patterns": ["16", "1"],
     "--max-clusters": ["3", "1"],
 }
-VERIFY = {"--delta": ["1", "3"]}
 # at most one option appended last, so that it wins: out of range, not a
-# number, of another command, or unknown, so exit 2 on either command
+# number, of another command, or unknown, so exit 2 on either command;
+# `--pca-threshold` and `--delta` are unknown, as their values are fixed
 BAD = [("--budget-conflicts", "0"), ("--budget-conflicts", "x"),
        ("--time-budget", "-1"), ("--time-budget", "nan"),
        ("--time-budget", "inf"), ("--max-frames", "-1"), ("--seed", "-1"),
        ("--mode", "bogus"), ("--mode", "inductive"),
        ("--patterns", "0"), ("--max-clusters", "0"),
-       ("--pca-threshold", "1.5"), ("--pca-threshold", "nan"),
-       ("--delta", "0"), ("--delta", "-2"), ("--embed", "import"),
+       ("--pca-threshold", "0.95"), ("--delta", "3"), ("--embed", "import"),
        ("--embed", "bogus"), ("--bogus", "3")]
 # valid alone, and exit 2 next to a drawn --budget-conflicts
 CONFLICTING = ("--time-budget", "0.02")
@@ -143,11 +141,11 @@ def damaged(labels):
                                  intact_or("valid", KINDS[1:])),
                        min_size=1, max_size=3),
        common=options(COMMON), offline=options(OFFLINE),
-       verify=options(VERIFY), baseline=st.booleans(),
+       baseline=st.booleans(),
        bad=st.none() | st.sampled_from(BAD + [CONFLICTING]),
        db=intact_or("complete", damaged(["db1", "db2", "db3", "pca"])),
        out=st.none() | st.sampled_from(["file"] + OUTPUTS))
-def test_main_exits_0_2_or_3(world, command, inputs, common, offline, verify,
+def test_main_exits_0_2_or_3(world, command, inputs, common, offline,
                              baseline, bad, db, out):
     work = tempfile.mkdtemp(dir=world["root"])
     out_dir = os.path.join(work, "out")
@@ -165,7 +163,7 @@ def test_main_exits_0_2_or_3(world, command, inputs, common, offline, verify,
     else:
         argv = (["verify", world["unknown"][inputs[0][1]],
                  "--db-dir", world["dbs"][db], "--out-dir", out_dir]
-                + BOUND + flags(common) + flags(verify)
+                + BOUND + flags(common)
                 + (["--baseline"] if baseline else []))
     if bad is not None:
         argv += list(bad)

@@ -142,9 +142,9 @@ def test_kmedoids_coinciding_medoids_leave_empty_groups():
 def test_k_out_of_range():
     pts = [(1, 0), (0, 1)]
     for fn in (kmeans, kmedoids):
-        with pytest.raises(clusterer.KOutOfRange):
+        with pytest.raises(ValueError, match="k=1 for 2 points"):
             fn(pts, 1, seed=0)
-        with pytest.raises(clusterer.KOutOfRange):
+        with pytest.raises(ValueError, match="k=3 for 2 points"):
             fn(pts, 3, seed=0)
 
 
@@ -187,7 +187,7 @@ def test_family_cap():
 
 
 def test_too_few_properties():
-    with pytest.raises(clusterer.TooFewProperties):
+    with pytest.raises(ValueError, match="1 properties"):
         clusterer.build_family({0: (1.0,)}, seed=0)
 
 

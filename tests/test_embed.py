@@ -97,10 +97,10 @@ def make_tensors(data):
 
 def test_width_invariant():
     # every tensor of a fit, and every tensor projected, has the model's width
-    with pytest.raises(embed.WidthMismatch):
+    with pytest.raises(ValueError, match="tensor width 1 != 2"):
         embed.fit_pca(make_tensors([(1.0, 2.0), (3.0, 4.0), (5.0,)]), 0.95)
     m = embed.fit_pca(make_tensors([(1.0, 2.0), (3.0, 5.0)]), 0.95)
-    with pytest.raises(embed.WidthMismatch):
+    with pytest.raises(ValueError, match="tensor width 3 != model width 2"):
         embed.project_all(m, make_tensors([(1.0, 2.0), (1.0, 2.0, 3.0)]))
 
 
@@ -144,7 +144,7 @@ def test_pca_identical_tensors():
 
 
 def test_pca_too_few():
-    with pytest.raises(embed.DegenerateCovariance):
+    with pytest.raises(ValueError, match="need at least 2 tensors"):
         embed.fit_pca(make_tensors([(1.0, 2.0)]), 0.95)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from clusterbmc import bmc, cli, gain, online, store
 from clusterbmc.circuits import counter, parity_miter, two_counters
-from clusterbmc.netlist import serialize_aiger
+from clusterbmc.netlist import DataError, serialize_aiger
 from oracles import assignment_brute_force
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -36,43 +36,50 @@ def test_select_closer_candidate():
 def test_select_matches_brute_force():
     rng = random.Random(0)
     for trial in range(30):
+        # property counts 1-5 differ by less than the default window of
+        # 5: no pruning, pure distance comparison
         recs = [
             record(f"d{i}",
-                   [(rng.randint(0, 9),) * 3 for _ in range(rng.randint(1, 6))],
+                   [(rng.randint(0, 9),) * 3 for _ in range(rng.randint(1, 5))],
                    ni=rng.randint(0, 9), nl=rng.randint(0, 9),
                    na=rng.randint(0, 99))
             for i in range(6)
         ]
         unknown = record("unk", [(rng.randint(0, 9),) * 3
-                                 for _ in range(rng.randint(1, 6))])
-        # wide delta: no pruning, pure distance comparison
-        got = online.select_similar_design(recs, unknown, delta=100)
+                                 for _ in range(rng.randint(1, 5))])
+        got = online.select_similar_design(recs, unknown)
         fu = unknown.feature_vector()
         dist = lambda r: sum(abs(x - y) for x, y in zip(r.feature_vector(), fu))
         want = min(recs, key=lambda r: (dist(r), r.design))
         assert got is want
 
 
-def test_pruning_widens_when_empty():
-    far = record("far", [(1, 1, 1)] * 9)
-    unknown = record("unk", [(1, 1, 1)] * 2)
-    # delta=1 admits only property count exactly 2; widening finds "far"
-    assert online.select_similar_design([far], unknown, delta=1) is far
+def test_pruning_widens_when_empty(caplog):
+    # the window (p_u - delta, p_u + delta) is open, so a design of
+    # p_u + delta properties is pruned until delta doubles; delta is 5
+    # up to 25 properties, then a fifth of them, rounded up
+    for p_u, delta in [(2, 5), (40, 8)]:
+        far = record("far", [(1, 1, 1)] * (p_u + delta))
+        unknown = record("unk", [(1, 1, 1)] * p_u)
+        caplog.clear()
+        assert online.select_similar_design([far], unknown) is far
+        assert (f"pruning empty at delta={delta}; widening to {2 * delta}"
+                in caplog.text)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(counts=st.lists(st.integers(0, 40), min_size=1, max_size=6),
-       unknown_count=st.integers(0, 40), delta=st.integers(1, 100))
-def test_pruning_always_finds_a_design(counts, unknown_count, delta):
+@given(counts=st.lists(st.integers(0, 400), min_size=1, max_size=6),
+       unknown_count=st.integers(0, 40))
+def test_pruning_always_finds_a_design(counts, unknown_count):
     # doubling delta past every property count admits every design
     recs = [record(f"d{i}", [(1, 1, 1)] * c) for i, c in enumerate(counts)]
     unknown = record("unk", [(1, 1, 1)] * unknown_count)
-    got = online.select_similar_design(recs, unknown, delta=delta)
+    got = online.select_similar_design(recs, unknown)
     assert got in recs
 
 
 def test_empty_db():
-    with pytest.raises(online.EmptyDatabase):
+    with pytest.raises(DataError, match="DB1 has no designs"):
         online.select_similar_design([], record("u", [(1, 1, 1)]))
 
 
@@ -280,12 +287,6 @@ def test_campaign_spends_at_most_its_budget(bank_db, budget):
         spent += sum(r.verdict.elapsed for r in report.rows
                      if r.cluster is None)
         assert spent <= budget * n.num_properties
-
-
-def test_select_rejects_delta_below_one():
-    rec = record("a", [(1, 1, 1)] * 2)
-    with pytest.raises(ValueError, match="delta must be at least 1"):
-        online.select_similar_design([rec], rec, delta=0)
 
 
 def test_report_render_deterministic():

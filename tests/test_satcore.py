@@ -345,7 +345,9 @@ def run_script(session, seed):
     return out
 
 
-def test_kernel_decides_as_the_reference():
+def kernel_against_reference():
+    """Statuses and conflict counts of 320 seeded scripts, each run on the
+    kernel and on `ref_satcore`, which must agree."""
     statuses, conflicts = set(), []
     for trial in range(320):
         want = run_script(ref_satcore.SolverSession(seed=trial), 20000 + trial)
@@ -353,10 +355,62 @@ def test_kernel_decides_as_the_reference():
         assert got == want, trial
         statuses.update(row[0] for row in got)
         conflicts += [row[1] for row in got]
+    return statuses, conflicts
+
+
+def test_kernel_decides_as_the_reference():
+    statuses, conflicts = kernel_against_reference()
     assert statuses == {satcore.SAT, satcore.UNSAT, satcore.UNKNOWN}
     # some calls search past the first restarts, at 64 and 128 conflicts
     assert sum(conflicts) > 3000
     assert sum(c > 128 for c in conflicts) >= 3
+
+
+# a child that loads the sanitized kernel and runs the differential
+# scripts, then the clause-cap and past-deadline tests
+SANITIZED_CHECKS = """
+import sys
+import pytest
+import test_satcore as t
+assert t.satcore._lib._name == sys.argv[1], t.satcore._lib._name
+t.kernel_against_reference()
+with pytest.MonkeyPatch.context() as mp:
+    t.test_clause_cap_stops_the_search(mp)
+t.test_past_deadline_stops_before_search()
+"""
+
+
+def test_kernel_runs_clean_under_sanitizers(tmp_path):
+    # _cdcl.c built with AddressSanitizer and UBSan into a copied package,
+    # under the name `satcore._build` looks for, so that importing the copy
+    # loads it; the child preloads both runtimes, as Python has neither
+    pkg = tmp_path / "src" / "clusterbmc"
+    shutil.copytree(os.path.dirname(satcore.__file__), pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    lib = pkg / "__pycache__" / os.path.basename(satcore._lib._name)
+    lib.parent.mkdir()
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    runtimes = [subprocess.run(cc + [f"-print-file-name={name}"],
+                               capture_output=True, text=True).stdout.strip()
+                for name in ("libasan.so", "libubsan.so")]
+    build = subprocess.run(
+        cc + ["-O1", "-g", "-fno-omit-frame-pointer",
+              "-fsanitize=address,undefined",
+              "-fno-sanitize-recover=undefined", "-shared", "-fPIC",
+              str(pkg / "_cdcl.c"), "-o", str(lib)],
+        capture_output=True, text=True)
+    if build.returncode != 0 or not all(map(os.path.isabs, runtimes)):
+        pytest.skip(f"{cc[0]} cannot link the sanitizers: {build.stderr}")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(tmp_path / "src"), tests]),
+               LD_PRELOAD=":".join(runtimes), ASAN_OPTIONS="detect_leaks=0")
+    child = subprocess.run(
+        [sys.executable, "-c", SANITIZED_CHECKS, str(lib)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr[-4000:]
+    assert "Sanitizer" not in child.stderr, child.stderr[-4000:]
+    assert "runtime error" not in child.stderr, child.stderr[-4000:]
 
 
 def _rss() -> int:
@@ -415,27 +469,40 @@ def test_kernel_builds_once_into_pycache(tmp_path):
     assert second.stdout.strip() == lib
     assert os.stat(lib).st_mtime_ns == mtime
 
-    # with no compiler to run, a copy with no library cannot be imported
-    os.remove(lib)
-    empty = tmp_path / "bin"
-    empty.mkdir()
-    third = load(dict(env, PATH=str(empty)))
-    assert third.returncode != 0
-    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
-    assert (f"ImportError: cannot build {pkg / '_cdcl.c'} with the C "
-            f"compiler {compiler!r}") in third.stderr
-    assert not os.path.exists(lib)
+    def libraries():
+        return [n for n in os.listdir(pkg / "__pycache__")
+                if not n.endswith(".pyc")]
 
-    # a build that fails says why, in the compiler's words
+    # an edited source builds a new library, which replaces the old one
+    with open(pkg / "_cdcl.c", "a") as fh:
+        fh.write("/* edited */\n")
+    edited = load(env)
+    assert edited.returncode == 0, edited.stderr
+    lib = edited.stdout.strip()
+    assert lib != first.stdout.strip()
+    assert libraries() == [os.path.basename(lib)]
+
+    # a build that fails says why, in the compiler's words, and removes
+    # no library
     with open(pkg / "_cdcl.c", "a") as fh:
         fh.write("#error this kernel does not build\n")
-    fourth = load(env)
-    assert fourth.returncode != 0
-    assert f"ImportError: the C compiler {compiler!r} failed" in fourth.stderr
-    assert "this kernel does not build" in fourth.stderr
+    fails = load(env)
+    assert fails.returncode != 0
+    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
+    assert f"ImportError: the C compiler {compiler!r} failed" in fails.stderr
+    assert "this kernel does not build" in fails.stderr
     assert os.listdir(tmpdir) == []
-    assert not [n for n in os.listdir(pkg / "__pycache__")
-                if not n.endswith(".pyc")]
+    assert libraries() == [os.path.basename(lib)]
+
+    # with no compiler to run, a copy with no library for its source
+    # cannot be imported
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    no_cc = load(dict(env, PATH=str(empty)))
+    assert no_cc.returncode != 0
+    assert (f"ImportError: cannot build {pkg / '_cdcl.c'} with the C "
+            f"compiler {compiler!r}") in no_cc.stderr
+    assert libraries() == [os.path.basename(lib)]
 
 
 def pinned_solves():

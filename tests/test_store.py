@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clusterbmc import embed, gain, store
+from clusterbmc.netlist import DataError
 
 
 def random_db1(rng, count=10):
@@ -92,9 +93,8 @@ def test_corrupt_row_line_number(tmp_path):
     lines[2] = lines[2].replace("|", "!", 1)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    with pytest.raises(store.CorruptRow) as exc:
+    with pytest.raises(DataError, match="^line 3: "):
         store.read_db(store.DB1, path)
-    assert exc.value.line_no == 3
 
 
 @pytest.mark.parametrize("kind, row, message", [
@@ -110,16 +110,37 @@ def test_corrupt_row_line_number(tmp_path):
     (store.DB1, "d|1,1,4|1|1,1,4,UNSAT,3,9.0", "unknown status 'UNSAT'"),
     (store.DB1, "d|1,1,4|1|1,1,4,UNDET,-7,9.0", "depth -7 below -1"),
     (store.DB1, "d|1,1,4|1|1,1,4,UNDET,2,nan", "elapsed nan is not finite"),
+    # integer fields are ASCII digits, as AIGER numbers are: no sign (but
+    # a depth's), no `_`, no other script's digits
+    (store.DB1, "d|-5,1,4|1|1,1,4,SAT,3,9.0", "bad number '-5'"),
+    (store.DB1, "d|1,\u0663,4|1|1,1,4,SAT,3,9.0", "bad number '\u0663'"),
+    (store.DB1, "d|1,1,1_0|1|1,1,4,SAT,3,9.0", "bad number '1_0'"),
+    (store.DB1, "d|1,1,4|+1|1,1,4,SAT,3,9.0", "bad number '+1'"),
+    (store.DB1, "d|1,1,4|1|-40,1,4,SAT,3,9.0", "bad number '-40'"),
+    (store.DB1, "d|1,1,4|1|1,1,4 ,SAT,3,9.0", "bad number '4 '"),
+    (store.DB1, "d|1,1,4|1|1,1,4,SAT,\u0663,9.0", "bad number '\u0663'"),
+    (store.DB3, "d|-1|0 1|0 1:SAT_TO_SAT:0.5:0", "bad number '-1'"),
+    (store.DB3, "d|0|0 \u0661|0 1:SAT_TO_SAT:0.5:0", "bad number '\u0661'"),
+    (store.DB3, "d|0|0 1|0 1_0:SAT_TO_SAT:0.5:0", "bad number '1_0'"),
+    (store.DB3, "d|0|0 1|0 1:SAT_TO_SAT:nan:0", "gain nan is not finite"),
+    (store.DB3, "d|0|0 1|0 1:SAT_TO_SAT:-inf:0", "gain -inf is not finite"),
+    (store.DB3, "d|0|0 1|0 1:SAT_TO_SAT:0.5:\u0663",
+     "bad degenerate flag '\u0663'"),
 ], ids=["db3-transition", "db3-unsat-target", "db3-unsat-source",
         "db3-no-gains", "db3-influencing-not-listed", "db1-status",
-        "db1-unsat", "db1-depth", "db1-elapsed"])
+        "db1-unsat", "db1-depth", "db1-elapsed", "db1-dims-sign",
+        "db1-dims-arabic", "db1-dims-underscore", "db1-count-sign",
+        "db1-coi-sign", "db1-coi-space", "db1-depth-arabic",
+        "db3-property-sign", "db3-influencing-arabic",
+        "db3-members-underscore", "db3-gain-nan", "db3-gain-inf",
+        "db3-flag-arabic"])
 def test_reader_rejects_rows_no_writer_produces(tmp_path, kind, row,
                                                 message):
     path = tmp_path / "db.mpb"
-    path.write_text(f"mpbdb 1 {kind}\n{row}\n")
-    with pytest.raises(store.CorruptRow) as exc:
+    path.write_text(f"mpbdb 1 {kind}\n{row}\n", encoding="utf-8")
+    with pytest.raises(DataError, match="^line 2: ") as exc:
         store.read_db(kind, str(path))
-    assert exc.value.line_no == 2 and message in str(exc.value)
+    assert message in str(exc.value)
 
 
 def test_db3_invariant_rejected(tmp_path):
@@ -132,10 +153,10 @@ def test_db3_invariant_rejected(tmp_path):
 def test_schema_version_mismatch(tmp_path):
     path = tmp_path / "db1.mpb"
     path.write_text("mpbdb 99 db1\n")
-    with pytest.raises(store.SchemaVersionMismatch):
+    with pytest.raises(DataError, match="schema version 99"):
         store.read_db(store.DB1, str(path))
     path.write_text("mpbdb 1 db2\n")
-    with pytest.raises(store.SchemaVersionMismatch):
+    with pytest.raises(DataError, match="kind 'db2', expected db1"):
         store.read_db(store.DB1, str(path))
 
 
@@ -144,7 +165,7 @@ def test_db2_mixed_widths(tmp_path):
     recs = [store.EmbeddingRecord("a", 0, (1.0, 2.0)),
             store.EmbeddingRecord("b", 0, (1.0, 2.0, 3.0))]
     store.write_db(store.DB2, recs, path)
-    with pytest.raises(store.SchemaVersionMismatch):
+    with pytest.raises(DataError, match=r"mixed vector widths \[2, 3\]"):
         store.read_db(store.DB2, path)
 
 
@@ -218,5 +239,5 @@ def test_readers_raise_only_store_errors(tmp_path_factory, kind, raw, edits,
             store.read_pca(str(path))
         else:
             store.read_db(kind, str(path))
-    except (store.CorruptRow, store.SchemaVersionMismatch):
+    except DataError:
         pass
