@@ -24,9 +24,9 @@ assert serialize_aiger(again) == text
 print("round-trip is byte-identical")
 
 for p in range(n.num_properties):
-    c = extract_coi(n, p)
-    print(f"property {p}: cone = {c.coi_inputs} inputs, "
-          f"{c.coi_latches} latches, {c.coi_ands} ANDs")
+    inputs, latches, ands = extract_coi(n, p)
+    print(f"property {p}: cone = {inputs} inputs, "
+          f"{latches} latches, {ands} ANDs")
 
 # unfolding: frame 0 pins each latch at its reset, and BMC adds one frame
 # at a time.  Constants fold as frames unroll, so a counter with no inputs

@@ -8,9 +8,9 @@ properties end up in the same clusters; the family deliberately overlaps.
 
 import numpy as np
 
-from clusterbmc import build_family, fit_pca, project
+from clusterbmc import build_family, fit_pca
 from clusterbmc.circuits import counter, parity_miter, two_counters
-from clusterbmc.embed import coi_signature
+from clusterbmc.embed import design_signatures, project_all
 
 # a small mixed corpus: counter properties resemble each other, the two
 # miter variants resemble each other, and the families differ
@@ -19,18 +19,17 @@ designs = {
     "twoctr": two_counters(),
     "miter": parity_miter(width=5, copies=1, variants=2),
 }
-tensors = []
-for name, n in designs.items():
-    for p in range(n.num_properties):
-        tensors.append(coi_signature(n, p, patterns=1024, seed=0, design=name))
+# one simulation per design gives every property's signature
+tensors = [t for name, n in designs.items()
+           for t in design_signatures(n, patterns=1024, seed=0, design=name)]
 
 pca = fit_pca(tensors, threshold=0.95)
 print(f"PCA: width {pca.width} -> {pca.num_components} components, "
       f"explained ratio {pca.explained_ratio:.4f}")
 
 reduced = {}
-for t in tensors:
-    reduced.setdefault(t.design, {})[t.property] = project(pca, t)
+for t, vector in zip(tensors, project_all(pca, tensors)):
+    reduced.setdefault(t.design, {})[t.property] = vector
 
 for name, emb in reduced.items():
     if len(emb) < 2:

@@ -20,7 +20,7 @@ from .satcore import SolverSession, new_solver  # noqa: F401
 from .embed import EmbeddingTensor, PcaModel, fit_pca, project, simulate_signature  # noqa: F401
 from .clusterer import Cluster, ClusterFamily, build_family, kmeans, kmedoids  # noqa: F401
 from .gain import build_influencing_map, classify, compute_gain, influencing_cluster  # noqa: F401
-from .store import read_db, write_db, query_db1_by_property_count  # noqa: F401
+from .store import read_db, write_db  # noqa: F401
 from .online import associate_properties, build_diff_matrix, convert_clusters, select_similar_design, verify_unknown  # noqa: F401
 
 __version__ = "0.1.0"

@@ -89,12 +89,12 @@ def cmd_offline(args) -> int:
     if len(tensors) < 2:
         raise DataError("need at least 2 property embeddings to fit PCA")
     pca = embed.fit_pca(tensors)
-    db2 = [store.EmbeddingRecord(t.design, t.property, vector)
+    db2 = [embed.EmbeddingTensor(t.design, t.property, vector)
            for t, vector in zip(tensors, embed.project_all(pca, tensors))]
 
     reduced = {}
     for rec in db2:
-        reduced.setdefault(rec.design, {})[rec.property] = rec.vector
+        reduced.setdefault(rec.design, {})[rec.property] = rec.values
 
     def design_runs(design):
         """A design's DB1 record and DB3 rows: its standalone runs, then

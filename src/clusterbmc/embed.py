@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -87,9 +86,9 @@ def simulate_signature(
 
 def _cone_signature(n: Netlist, p: int, ratios, width: int,
                     design: str) -> EmbeddingTensor:
-    # canonical numbering puts inputs before latches before ANDs, so one
-    # sort gives the variable order of restrict_to_coi(n, p)
-    cone = [ratios[var - 1] for var in sorted(chain(*n.cone(p)))]
+    # canonical numbering puts inputs before latches before ANDs, so the
+    # sorted cone is the variable order of restrict_to_coi(n, p)
+    cone = [ratios[var - 1] for var in sorted(n.cone(p))]
     return EmbeddingTensor(
         design=design or n.name,
         property=p,

@@ -30,7 +30,8 @@ RANK = {
 
 @dataclass(frozen=True)
 class GainRecord:
-    property: int
+    """A cluster's gain for the property whose records hold it."""
+
     cluster: frozenset
     transition: str
     value: float
@@ -61,21 +62,22 @@ def classify(standalone, clustered) -> str:
     return _TRANSITIONS[(standalone.status, clustered.status)]
 
 
-def compute_gain(transition, standalone, clustered, cluster_size: int,
-                 property_index: int = 0, cluster=frozenset()) -> GainRecord:
-    """Scalar gain for one transition.
+def compute_gain(transition, standalone, clustered, cluster) -> GainRecord:
+    """Scalar gain for one transition in the cluster of members `cluster`.
 
     Full resolutions inside the cluster score t_c/n (n co-properties);
     resolutions present in both runs score the time saving (t_s - t_c)/t_s;
     still-undetermined outcomes score the relative depth change
     (d_c - d_s)/d_s.  Degenerate divisors give value 0 with a flag.
-    Only t_c/n reads `cluster_size`, so only a full resolution needs n >= 2.
+    Only t_c/n reads n = len(cluster), so only a full resolution needs
+    n >= 2.
     """
+    cluster = frozenset(cluster)
     degenerate = False
     if transition == UNDET_TO_SAT:
-        if cluster_size < 2:
-            raise ValueError("cluster_size must be >= 2")
-        value = clustered.elapsed / (cluster_size - 1)
+        if len(cluster) < 2:
+            raise ValueError("cluster must have at least 2 members")
+        value = clustered.elapsed / (len(cluster) - 1)
     elif transition == SAT_TO_SAT:
         t_s = standalone.elapsed
         if t_s <= 0:
@@ -91,8 +93,7 @@ def compute_gain(transition, standalone, clustered, cluster_size: int,
     else:
         raise ValueError(f"unknown transition {transition!r}")
     return GainRecord(
-        property=property_index,
-        cluster=frozenset(cluster),
+        cluster=cluster,
         transition=transition,
         value=float(value),
         degenerate=degenerate,
@@ -111,9 +112,7 @@ def score(design: str, p: int, members, standalone,
         raise AssertionError(
             f"design {design} property {p} cluster "
             f"{' '.join(map(str, sorted(members)))}: {e}") from None
-    cluster = frozenset(members)
-    return compute_gain(transition, standalone, clustered, len(cluster),
-                        property_index=p, cluster=cluster)
+    return compute_gain(transition, standalone, clustered, members)
 
 
 def _selection_key(r: GainRecord):

@@ -14,6 +14,11 @@ counts and ``maxvar == I + L + A``, unsupported sections, truncation, the
 field count of each line, ASCII numbers, the input literals' positions
 and the symbol-line syntax.  It reads a reset equal to the latch's own
 literal as none (AIGER 1.9).  A symbol table is checked, then dropped.
+
+A property's cone of influence is one set of variables (`Netlist.cone`).
+Canonical numbering tells its inputs, latches and ANDs apart by range,
+so `extract_coi` counts them and `restrict_to_coi` renumbers the cone in
+ascending order without keeping them in separate sets.
 """
 
 from __future__ import annotations
@@ -129,15 +134,16 @@ class Netlist:
     def and_of_var(self, var: int) -> tuple[int, int, int]:
         return self.ands[var - self.num_inputs - self.num_latches - 1]
 
-    def cone(self, p: int) -> tuple[frozenset, frozenset, frozenset]:
-        """Input, latch and AND variables in the COI of property p.
+    def cone(self, p: int) -> frozenset:
+        """The input, latch and AND variables in the COI of property p, as
+        one set; canonical numbering tells the three kinds apart by range.
 
-        Computed once per netlist and property; the sets are frozen, so
-        every caller can share them.
+        Computed once per netlist and property; the set is frozen, so
+        every caller can share it.
         """
         cone = self._cones.get(p)
         if cone is None:
-            cone = self._cones[p] = tuple(map(frozenset, _coi_vars(self, p)))
+            cone = self._cones[p] = frozenset(_coi_vars(self, p))
         return cone
 
     def xors(self) -> tuple[tuple[int, int, int], ...]:
@@ -189,15 +195,6 @@ class Netlist:
         next_latch = [ev(l.next) for l in self.latches]
         bad_vals = [ev(b) for b in self.properties]
         return values, next_latch, bad_vals
-
-
-@dataclass(frozen=True)
-class Property:
-    """COI size summary for one bad output."""
-
-    coi_inputs: int
-    coi_latches: int
-    coi_ands: int
 
 
 def parse_aiger(text: str, name: str = "") -> Netlist:
@@ -319,17 +316,14 @@ def serialize_aiger(n: Netlist) -> str:
     return "\n".join(out) + "\n"
 
 
-def _coi_vars(n: Netlist, p: int) -> tuple[set, set, set]:
-    """Backward-reachable input/latch/AND variable sets for property p.
+def _coi_vars(n: Netlist, p: int) -> set:
+    """Backward-reachable input, latch and AND variables of property p.
 
     Latch traversal crosses into the next-state cone: BMC unrolling makes
     the transition logic of every reached latch relevant.
     """
     if not 0 <= p < n.num_properties:
         raise ValueError(f"property {p} of {n.num_properties}")
-    inputs: set = set()
-    latch_vars: set = set()
-    and_vars: set = set()
     seen: set = set()
     stack = [lit_var(n.properties[p])]
     while stack:
@@ -337,17 +331,13 @@ def _coi_vars(n: Netlist, p: int) -> tuple[set, set, set]:
         if var == 0 or var in seen:
             continue
         seen.add(var)
-        if n.is_input_var(var):
-            inputs.add(var)
-        elif n.is_latch_var(var):
-            latch_vars.add(var)
+        if n.is_latch_var(var):
             stack.append(lit_var(n.latch_of_var(var).next))
-        else:
-            and_vars.add(var)
+        elif not n.is_input_var(var):
             _, rhs0, rhs1 = n.and_of_var(var)
             stack.append(lit_var(rhs0))
             stack.append(lit_var(rhs1))
-    return inputs, latch_vars, and_vars
+    return seen
 
 
 def _find_xors(n: Netlist) -> tuple[tuple[int, int, int], ...]:
@@ -373,47 +363,46 @@ def _find_xors(n: Netlist) -> tuple[tuple[int, int, int], ...]:
 
 
 def cone_vars(n: Netlist, props) -> frozenset:
-    """Union of the input, latch and AND variables in the COI of `props`."""
-    return frozenset().union(*(part for p in props for part in n.cone(p)))
+    """Union of the cones of `props`."""
+    return frozenset().union(*(n.cone(p) for p in props))
 
 
-def extract_coi(n: Netlist, p: int) -> Property:
-    """COI size information for property p."""
-    inputs, latch_vars, and_vars = n.cone(p)
-    return Property(
-        coi_inputs=len(inputs),
-        coi_latches=len(latch_vars),
-        coi_ands=len(and_vars),
-    )
+def extract_coi(n: Netlist, p: int) -> tuple[int, int, int]:
+    """Input, latch and AND counts of the COI of property p."""
+    cone = n.cone(p)
+    # canonical numbering: inputs are 1..I, latches I+1..I+L, ANDs above
+    ni = n.num_inputs
+    inputs = len(cone.intersection(range(1, ni + 1)))
+    latches = len(cone.intersection(range(ni + 1, ni + n.num_latches + 1)))
+    return inputs, latches, len(cone) - inputs - latches
 
 
 def restrict_to_coi(n: Netlist, p: int) -> Netlist:
     """Standalone netlist containing exactly the COI of property p.
 
     The result has the property as its single bad output; verdicts on it
-    equal verdicts of p on the original netlist.
+    equal verdicts of p on the original netlist.  Canonical numbering
+    puts inputs before latches before ANDs, so the cone's variables in
+    ascending order keep that layout.
     """
-    inputs, latch_vars, and_vars = n.cone(p)
-    old_inputs = sorted(inputs)
-    old_latches = sorted(latch_vars)
-    old_ands = sorted(and_vars)
+    old = sorted(n.cone(p))
+    ni, nl, _ = extract_coi(n, p)
     remap = {0: 0}
-    for new, old in enumerate(old_inputs + old_latches + old_ands):
-        remap[old] = new + 1
+    for new, var in enumerate(old):
+        remap[var] = new + 1
 
     def m(lit: int) -> int:
         if lit <= 1:
             return lit
         return 2 * remap[lit_var(lit)] + (lit & 1)
 
-    ni = len(old_inputs)
     latches = tuple(
         Latch(2 * (ni + i + 1), m(n.latch_of_var(v).next), n.latch_of_var(v).reset)
-        for i, v in enumerate(old_latches)
+        for i, v in enumerate(old[ni:ni + nl])
     )
     ands = tuple(
         (m(n.and_of_var(v)[0]), m(n.and_of_var(v)[1]), m(n.and_of_var(v)[2]))
-        for v in old_ands
+        for v in old[ni + nl:]
     )
     return Netlist(
         name=f"{n.name}#p{p}" if n.name else f"#p{p}",

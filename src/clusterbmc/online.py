@@ -26,7 +26,7 @@ from functools import partial
 from . import bmc, parallel
 from .gain import score
 from .netlist import DataError, Netlist, extract_coi
-from .store import DesignRecord, PropertyEntry, query_db1_by_property_count
+from .store import DesignRecord, PropertyEntry
 
 log = logging.getLogger(__name__)
 
@@ -45,12 +45,9 @@ def unknown_record(n: Netlist, design: str = "", verdicts=None) -> DesignRecord:
     a design not yet verified."""
     props = []
     for p in range(n.num_properties):
-        c = extract_coi(n, p)
         v = verdicts[p] if verdicts is not None else bmc.Verdict(bmc.UNDET, -1)
-        props.append(
-            PropertyEntry(c.coi_inputs, c.coi_latches, c.coi_ands,
-                          v.status, v.depth, v.elapsed)
-        )
+        props.append(PropertyEntry(*extract_coi(n, p), v.status, v.depth,
+                                   v.elapsed))
     return DesignRecord(design or n.name or "unknown", n.num_inputs,
                         n.num_latches, n.num_ands, tuple(props))
 
@@ -58,11 +55,11 @@ def unknown_record(n: Netlist, design: str = "", verdicts=None) -> DesignRecord:
 def select_similar_design(db1_records, unknown: DesignRecord) -> DesignRecord:
     """Closest design by L1 structural distance within the pruned set.
 
-    Pruning keeps designs whose property count lies strictly within
-    (P_U - delta, P_U + delta), with delta = `default_delta(P_U)`; an
-    empty result doubles delta and retries instead of failing.  Once delta
-    exceeds both P_U and every design's property count, every design is a
-    candidate, so the loop ends.
+    Pruning keeps designs whose property count P has |P - P_U| < delta,
+    so P lies strictly within (P_U - delta, P_U + delta), with delta =
+    `default_delta(P_U)` >= 5; an empty result doubles delta and retries
+    instead of failing.  Once delta exceeds both P_U and every design's
+    property count, every design is a candidate, so the loop ends.
     """
     if not db1_records:
         raise DataError("DB1 has no designs")
@@ -70,8 +67,8 @@ def select_similar_design(db1_records, unknown: DesignRecord) -> DesignRecord:
     delta = default_delta(p_u)
     candidates = []
     while not candidates:
-        candidates = query_db1_by_property_count(db1_records, p_u - delta,
-                                                 p_u + delta)
+        candidates = [r for r in db1_records
+                      if abs(r.property_count - p_u) < delta]
         if not candidates:
             log.warning("pruning empty at delta=%d; widening to %d", delta, 2 * delta)
             delta *= 2

@@ -4,7 +4,7 @@ All files are line-delimited text with an explicit schema-version header:
 
   db1.mpb   structural stats + per-property COI sizes and standalone verdicts
             design|ni,nl,na|propcount|ci,cl,ca,status,depth,elapsed;...
-  db2.mpb   reduced property embeddings
+  db2.mpb   reduced property embeddings, one `embed.EmbeddingTensor` a row
             design|prop|v0,v1,...
   db3.mpb   influencing clusters + full gain record lists
             design|prop|m0 m1 ...|members:transition:value:degflag;...
@@ -22,6 +22,7 @@ import os
 from dataclasses import dataclass
 
 from .bmc import SAT, UNDET
+from .embed import EmbeddingTensor, PcaModel
 from .gain import RANK, GainRecord
 from .netlist import DataError
 
@@ -79,13 +80,6 @@ class DesignRecord:
         """Structural features used for design-level similarity."""
         coi_sum = sum(p.coi_inputs + p.coi_latches + p.coi_ands for p in self.props)
         return (self.num_ands, self.num_latches, self.num_inputs, coi_sum)
-
-
-@dataclass(frozen=True)
-class EmbeddingRecord:
-    design: str
-    property: int
-    vector: tuple
 
 
 @dataclass(frozen=True)
@@ -209,15 +203,15 @@ def _write_db2(records, fh):
         check_name(r.design)
         fh.write(
             f"{r.design}|{r.property}|"
-            + ",".join(repr(float(v)) for v in r.vector) + "\n"
+            + ",".join(repr(float(v)) for v in r.values) + "\n"
         )
 
 
-def _parse_db2_row(line: str, no: int) -> EmbeddingRecord:
+def _parse_db2_row(line: str, no: int) -> EmbeddingTensor:
     try:
         design, prop_s, body = line.split("|")
         vec = tuple(float(x) for x in body.split(",")) if body else ()
-        return EmbeddingRecord(design, _nat(prop_s), vec)
+        return EmbeddingTensor(design, _nat(prop_s), vec)
     except ValueError as e:
         raise _corrupt(no, str(e)) from None
 
@@ -258,7 +252,7 @@ def _parse_db3_row(line: str, no: int) -> InfluenceRecord:
             if deg_s not in ("0", "1"):
                 raise ValueError(f"bad degenerate flag {deg_s!r}")
             gains.append(
-                GainRecord(prop, members, transition, value, deg_s == "1")
+                GainRecord(members, transition, value, deg_s == "1")
             )
     except ValueError as e:
         raise _corrupt(no, str(e)) from None
@@ -294,17 +288,10 @@ def read_db(kind: str, path: str):
             continue
         rows.append(_PARSERS[kind](line, no))
     if kind == DB2:
-        widths = {len(r.vector) for r in rows}
+        widths = {len(r.values) for r in rows}
         if len(widths) > 1:
             raise DataError(f"{path}: mixed vector widths {sorted(widths)}")
     return rows
-
-
-def query_db1_by_property_count(db1_records, low: int, high: int):
-    """DB1 records with property count strictly between `low` and `high`."""
-    if low > high:
-        raise ValueError("low must not exceed high")
-    return [r for r in db1_records if low < r.property_count < high]
 
 
 def write_pca(model, path: str):
@@ -315,8 +302,6 @@ def write_pca(model, path: str):
 
 
 def read_pca(path: str):
-    from .embed import PcaModel
-
     lines = _read_lines(path, "pca")
     if len(lines) < 3:
         raise DataError(f"{path}: truncated model")

@@ -1,11 +1,12 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything in here deliberately avoids the library's own evaluation and
-solving code paths: the BFS oracle walks the AIG with its own literal
-evaluator, the signature oracle simulates and pools with its own code, the
-CNF oracle enumerates assignments, the RUP checker propagates with its own
-loop over the clauses a solver session logged (the learned ones read from
-the C kernel), the gain table re-states the formulas from scratch, the
+solving code paths: the cone oracle sweeps the gates to a fixpoint, the
+BFS oracle walks the AIG with its own literal evaluator, the signature
+oracle simulates and pools with its own code, the CNF oracle enumerates
+assignments, the RUP checker propagates with its own loop over the
+clauses a solver session logged (the learned ones read from the C
+kernel), the gain table re-states the formulas from scratch, the
 assignment oracle tries permutations, and the clusterer references
 recompute every distance and cost every PAM swap on a copy.
 """
@@ -18,6 +19,27 @@ import random
 import numpy as np
 
 from clusterbmc import satcore
+
+
+# -- cone of influence ------------------------------------------------------
+
+def cone_closure(n, p):
+    """The least set of variables that holds the variable of bad `p`
+    (unless it is the constant 0) and is closed under two rules: an AND
+    in it adds its operands' variables, a latch in it adds its next-state
+    variable.  Found by sweeping every AND and latch until nothing is
+    added."""
+    reads = [(lhs >> 1, (a >> 1, b >> 1)) for lhs, a, b in n.ands]
+    reads += [(latch.lit >> 1, (latch.next >> 1,)) for latch in n.latches]
+    cone = {n.properties[p] >> 1} - {0}
+    size = None
+    while size != len(cone):
+        size = len(cone)
+        for var, operands in reads:
+            if var in cone:
+                cone.update(operands)
+        cone.discard(0)
+    return cone
 
 
 # -- explicit-state reachability --------------------------------------------

@@ -87,17 +87,17 @@ def test_criterion_03_gain_formula_oracle(capsys):
         d_s, d_c = rng.randint(0, 120), rng.randint(0, 120)
         size = rng.randint(2, 8)
         r = gain.compute_gain(tr, Verdict(bmc.UNDET, d_s, t_s),
-                              Verdict(bmc.UNDET, d_c, t_c), size)
+                              Verdict(bmc.UNDET, d_c, t_c), range(size))
         want, deg = oracles.gain_value(tr, t_s, t_c, d_s, d_c, size)
         if r.value != want or r.degenerate != deg:
             mismatches += 1
     # worked numbers: d_s=70, d_c=105 gives 0.5; priority example
     worked = gain.compute_gain(
-        gain.UNDET_TO_UNDET, Verdict(bmc.UNDET, 70), Verdict(bmc.UNDET, 105), 2
-    ).value == 0.5
+        gain.UNDET_TO_UNDET, Verdict(bmc.UNDET, 70), Verdict(bmc.UNDET, 105),
+        {0, 1}).value == 0.5
     recs = [
-        gain.GainRecord(0, frozenset({0, 1}), gain.UNDET_TO_UNDET, 0.9),
-        gain.GainRecord(0, frozenset({0, 2}), gain.UNDET_TO_SAT, 0.4),
+        gain.GainRecord(frozenset({0, 1}), gain.UNDET_TO_UNDET, 0.9),
+        gain.GainRecord(frozenset({0, 2}), gain.UNDET_TO_SAT, 0.4),
     ]
     priority = gain.influencing_cluster(recs) == frozenset({0, 2})
     verdict_line(
@@ -190,10 +190,7 @@ def test_criterion_07_clause_sharing(capsys):
 
 def test_criterion_08_undet_depth_gain(capsys):
     n = shared_coi_pair(width=9)
-    cones = []
-    for p in (0, 1):
-        inp, lat, av = _coi_vars(n, p)
-        cones.append(set(inp) | set(lat) | set(av))
+    cones = [_coi_vars(n, p) for p in (0, 1)]
     shared = len(cones[0] & cones[1]) / max(len(c) for c in cones)
     wins = 0
     for seed in range(20):
@@ -270,7 +267,7 @@ def test_criterion_10_roundtrips(capsys, tmp_path):
         rng = random.Random(10_000 + trial)
         db1 = random_db1(rng, count=4)
         db2 = [
-            store.EmbeddingRecord(f"d{i}", 0,
+            embed.EmbeddingTensor(f"d{i}", 0,
                                   tuple(rng.random() for _ in range(4)))
             for i in range(4)
         ]

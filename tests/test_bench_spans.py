@@ -50,7 +50,7 @@ def test_instrument_then_unpatch_restores_originals(monkeypatch):
 def test_traced_unfold_counts_one_triple_per_kept_and(monkeypatch):
     spans = import_spans(monkeypatch)
     n = parity_miter(width=6, variants=3)
-    kept = len(n.cone(1)[2])
+    kept = netlist.extract_coi(n, 1)[2]
     assert n.xors() and kept < n.num_ands
     tracer = spans.Tracer()
     spans.instrument(tracer)

@@ -106,7 +106,7 @@ def test_single_vs_bfs_every_property():
                 assert len(v.cex.latch_init) == n.num_latches
                 assert all(len(f) == n.num_inputs for f in v.cex.inputs)
                 sat += 1
-                outside += extract_coi(n, p).coi_inputs < n.num_inputs
+                outside += extract_coi(n, p)[0] < n.num_inputs
             else:
                 assert (v.status, v.depth) == (bmc.UNDET, 8)
                 undet += 1

@@ -568,7 +568,7 @@ def test_offline_reuses_a_run_only_where_it_is_exact(tmp_path, monkeypatch,
     rows, every = [], set()
     for name, n in designs.items():
         family = clusterer.build_family(
-            {r.property: r.vector for r in db2 if r.design == name}, seed=1)
+            {r.property: r.values for r in db2 if r.design == name}, seed=1)
         runs = [(c.members, check_cluster(n, sorted(c.members),
                                           cfg).per_property)
                 for c in family.clusters]

@@ -77,12 +77,13 @@ def test_design_signatures_equal_cone_simulations():
             input_vals = [unpack(draw.getrandbits(patterns), patterns)
                           for _ in range(n.num_inputs)]
             for p, sig in enumerate(sigs):
-                inputs, latches, _ = netlist._coi_vars(n, p)
+                cone = sorted(netlist._coi_vars(n, p))
                 want = pooled_ratios(
                     restrict_to_coi(n, p),
-                    [latch_vals[v - n.num_inputs - 1] for v in sorted(latches)],
-                    [input_vals[v - 1] for v in sorted(inputs)], patterns,
-                    width)
+                    [latch_vals[v - n.num_inputs - 1] for v in cone
+                     if n.is_latch_var(v)],
+                    [input_vals[v - 1] for v in cone if n.is_input_var(v)],
+                    patterns, width)
                 assert sig.values == want, (patterns, trial, p)
                 assert embed.coi_signature(n, p, patterns=patterns,
                                            seed=trial, width=width) == sig

@@ -55,19 +55,22 @@ def test_rank_total_order():
 
 
 def test_worked_numbers():
-    r = gain.compute_gain(gain.UNDET_TO_UNDET, V(UNDET, 70), V(UNDET, 105), 2)
-    assert r.value == 0.5
-    r = gain.compute_gain(gain.SAT_TO_SAT, V(SAT, 0, 100.0), V(SAT, 0, 25.0), 3)
+    r = gain.compute_gain(gain.UNDET_TO_UNDET, V(UNDET, 70), V(UNDET, 105),
+                          {0, 1})
+    assert r.value == 0.5 and r.cluster == frozenset({0, 1})
+    r = gain.compute_gain(gain.SAT_TO_SAT, V(SAT, 0, 100.0), V(SAT, 0, 25.0),
+                          {0, 1, 2})
     assert r.value == 0.75
-    r = gain.compute_gain(gain.UNDET_TO_UNDET, V(UNDET, 9), V(UNDET, 9), 2)
+    r = gain.compute_gain(gain.UNDET_TO_UNDET, V(UNDET, 9), V(UNDET, 9),
+                          {0, 1})
     assert r.value == 0.0 and not r.degenerate
     with pytest.raises(ValueError):
-        gain.compute_gain("SAT_TO_UNSAT", V(SAT), V(SAT), 2)
+        gain.compute_gain("SAT_TO_UNSAT", V(SAT), V(SAT), {0, 1})
     # only t_c/(n - 1) reads the cluster size
-    with pytest.raises(ValueError, match="cluster_size"):
-        gain.compute_gain(gain.UNDET_TO_SAT, V(UNDET, 2), V(SAT, 3), 1)
+    with pytest.raises(ValueError, match="at least 2 members"):
+        gain.compute_gain(gain.UNDET_TO_SAT, V(UNDET, 2), V(SAT, 3), {0})
     assert gain.compute_gain(gain.SAT_TO_SAT, V(SAT, 3, 4.0), V(SAT, 3, 4.0),
-                             0).value == 0.0
+                             ()).value == 0.0
 
 
 def test_formula_matches_independent_table():
@@ -77,27 +80,30 @@ def test_formula_matches_independent_table():
         t_s, t_c = rng.randint(0, 50), rng.randint(0, 50)
         d_s, d_c = rng.randint(0, 30), rng.randint(0, 30)
         size = rng.randint(2, 6)
-        r = gain.compute_gain(tr, V(UNDET, d_s, t_s), V(UNDET, d_c, t_c), size)
+        r = gain.compute_gain(tr, V(UNDET, d_s, t_s), V(UNDET, d_c, t_c),
+                              range(size))
         want, deg = gain_value(tr, t_s, t_c, d_s, d_c, size)
         assert r.value == want and r.degenerate == deg
 
 
 def test_degenerate_divisors():
-    r = gain.compute_gain(gain.SAT_TO_SAT, V(SAT, 0, 0.0), V(SAT, 0, 1.0), 2)
+    r = gain.compute_gain(gain.SAT_TO_SAT, V(SAT, 0, 0.0), V(SAT, 0, 1.0),
+                          {0, 1})
     assert r.value == 0.0 and r.degenerate
-    r = gain.compute_gain(gain.UNDET_TO_UNDET, V(UNDET, 0), V(UNDET, 5), 2)
+    r = gain.compute_gain(gain.UNDET_TO_UNDET, V(UNDET, 0), V(UNDET, 5),
+                          {0, 1})
     assert r.value == 0.0 and r.degenerate
 
 
-def rec(prop, members, tr, value):
-    return gain.GainRecord(prop, frozenset(members), tr, value)
+def rec(members, tr, value):
+    return gain.GainRecord(frozenset(members), tr, value)
 
 
 def test_rank_dominance_beats_value():
     # a modest full resolution beats a big depth gain
     records = [
-        rec(0, {0, 1}, gain.UNDET_TO_UNDET, 0.9),
-        rec(0, {0, 2}, gain.UNDET_TO_SAT, 0.4),
+        rec({0, 1}, gain.UNDET_TO_UNDET, 0.9),
+        rec({0, 2}, gain.UNDET_TO_SAT, 0.4),
     ]
     assert gain.influencing_cluster(records) == frozenset({0, 2})
 
@@ -106,17 +112,17 @@ def test_rank_dominance_random():
     rng = random.Random(2)
     ranked = [t for t in TRANSITIONS]
     for _ in range(200):
-        hi = rec(0, {0, 1}, gain.UNDET_TO_SAT, rng.uniform(-5, 5))
+        hi = rec({0, 1}, gain.UNDET_TO_SAT, rng.uniform(-5, 5))
         lo_tr = rng.choice([t for t in ranked
                             if gain.RANK[t] < gain.RANK[gain.UNDET_TO_SAT]])
-        lo = rec(0, {0, 2}, lo_tr, rng.uniform(-5, 5))
+        lo = rec({0, 2}, lo_tr, rng.uniform(-5, 5))
         assert gain.influencing_cluster([lo, hi]) == hi.cluster
 
 
 def test_selector_permutation_invariance():
     rng = random.Random(3)
     records = [
-        rec(0, {0, i + 1}, rng.choice(TRANSITIONS), rng.uniform(-2, 2))
+        rec({0, i + 1}, rng.choice(TRANSITIONS), rng.uniform(-2, 2))
         for i in range(6)
     ]
     want = gain.influencing_cluster(records)
@@ -128,14 +134,14 @@ def test_selector_permutation_invariance():
 def test_tie_breaks():
     # equal rank and value: smaller cluster wins
     records = [
-        rec(0, {0, 1, 2}, gain.UNDET_TO_UNDET, 0.5),
-        rec(0, {0, 1}, gain.UNDET_TO_UNDET, 0.5),
+        rec({0, 1, 2}, gain.UNDET_TO_UNDET, 0.5),
+        rec({0, 1}, gain.UNDET_TO_UNDET, 0.5),
     ]
     assert gain.influencing_cluster(records) == frozenset({0, 1})
     # same size too: lexicographically smallest member set
     records = [
-        rec(0, {0, 2}, gain.UNDET_TO_UNDET, 0.5),
-        rec(0, {0, 1}, gain.UNDET_TO_UNDET, 0.5),
+        rec({0, 2}, gain.UNDET_TO_UNDET, 0.5),
+        rec({0, 1}, gain.UNDET_TO_UNDET, 0.5),
     ]
     assert gain.influencing_cluster(records) == frozenset({0, 1})
 

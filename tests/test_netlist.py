@@ -23,7 +23,7 @@ from clusterbmc.netlist import (
     restrict_to_coi,
     serialize_aiger,
 )
-from oracles import free_latches
+from oracles import cone_closure, free_latches
 
 
 def test_parse_minimal():
@@ -183,8 +183,27 @@ def test_coi_sizes_two_counters():
     n = two_counters(bits=2)
     c0 = extract_coi(n, 0)
     c1 = extract_coi(n, 1)
-    assert c0.coi_latches == 2 and c1.coi_latches == 2
-    assert c0.coi_inputs == 0
+    assert c0[1] == 2 and c1[1] == 2
+    assert c0[0] == 0
+
+
+def test_cone_equals_independent_closure():
+    # the cone against a fixpoint sweep that shares none of its code, and
+    # extract_coi's per-kind counts against the closure's
+    rng = random.Random(1600)
+    designs = [parity_miter(), two_counters()]
+    for _ in range(50):
+        n = random_netlist(rng, num_bads=3)
+        designs += [n, free_latches(n)]
+    for n in designs:
+        for p in range(n.num_properties):
+            want = cone_closure(n, p)
+            assert n.cone(p) == want
+            assert extract_coi(n, p) == (
+                sum(1 for v in want if v <= n.num_inputs),
+                sum(1 for latch in n.latches if latch.lit >> 1 in want),
+                sum(1 for lhs, _, _ in n.ands if lhs >> 1 in want),
+            )
 
 
 def recording_xor_tops(monkeypatch):
@@ -270,12 +289,10 @@ def test_restrict_to_coi_sizes_and_idempotence():
         rng = random.Random(1000 + trial)
         n = random_netlist(rng, num_bads=2)
         p = rng.randrange(n.num_properties)
-        c = extract_coi(n, p)
         sub = restrict_to_coi(n, p)
         assert sub.num_properties == 1
         assert (sub.num_inputs, sub.num_latches, sub.num_ands) == (
-            c.coi_inputs, c.coi_latches, c.coi_ands
-        )
+            extract_coi(n, p))
         # restricting the cone again changes nothing
         again = restrict_to_coi(sub, 0)
         assert (again.num_inputs, again.num_latches, again.num_ands) == (
@@ -355,7 +372,9 @@ def test_unfold_cone_matches_restricted_netlist():
         rng = random.Random(1200 + trial)
         n = random_netlist(rng, num_bads=3)
         p = rng.randrange(n.num_properties)
-        inputs, latches, _ = netlist._coi_vars(n, p)
+        cone = sorted(netlist._coi_vars(n, p))
+        inputs = [v for v in cone if n.is_input_var(v)]
+        latches = [v for v in cone if n.is_latch_var(v)]
         for design in (n, free_latches(n)):
             cut = netlist.UnfoldBuilder(
                 design, cone=netlist.cone_vars(design, [p]))

@@ -67,6 +67,51 @@ def test_pruning_widens_when_empty(caplog):
                 in caplog.text)
 
 
+@pytest.mark.parametrize("p_u", [0, 2, 4, 7, 25, 26, 40, 53])
+def test_pruning_window_is_open(p_u):
+    # a structural twin wins only while its property count lies strictly
+    # inside (p_u - delta, p_u + delta); on the bounds it is pruned and a
+    # design inside the window wins, however far its structure.  Empty
+    # cones keep the property count out of the distance
+    delta = online.default_delta(p_u)
+    inside = record("inside", [(0, 0, 0)] * p_u, ni=9, nl=9, na=99)
+    unknown = record("unk", [(0, 0, 0)] * p_u)
+    for count in (p_u - delta, p_u - delta + 1, p_u + delta - 1, p_u + delta):
+        if count < 0:
+            continue
+        twin = record("twin", [(0, 0, 0)] * count)
+        got = online.select_similar_design([inside, twin], unknown)
+        assert got is (twin if abs(count - p_u) < delta else inside), count
+
+
+def test_select_with_pruning_matches_brute_force():
+    rng = random.Random(3)
+    for trial in range(200):
+        recs = [
+            record(f"d{i}", [(rng.randint(0, 3),) * 3
+                             for _ in range(rng.randint(0, 60))],
+                   ni=rng.randint(0, 9), nl=rng.randint(0, 9),
+                   na=rng.randint(0, 99))
+            for i in range(rng.randint(1, 8))
+        ]
+        unknown = record("unk", [(rng.randint(0, 3),) * 3
+                                 for _ in range(rng.randint(0, 60))])
+        p_u = unknown.property_count
+
+        def window(delta):
+            return [r for r in recs
+                    if p_u - delta < r.property_count < p_u + delta]
+
+        delta = online.default_delta(p_u)
+        while not window(delta):
+            delta *= 2
+        fu = unknown.feature_vector()
+        want = min(window(delta),
+                   key=lambda r: (sum(abs(x - y) for x, y in
+                                      zip(r.feature_vector(), fu)), r.design))
+        assert online.select_similar_design(recs, unknown) is want, trial
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(counts=st.lists(st.integers(0, 400), min_size=1, max_size=6),
        unknown_count=st.integers(0, 40))
@@ -88,11 +133,9 @@ def test_diff_matrix_arithmetic():
     b = record("b", [(0, 0, 0), (2, 3, 4)])
     m = online.build_diff_matrix(b, online.unknown_record(n))
     # unknown's properties each cover 2 latches and some ANDs
-    c0 = online.extract_coi(n, 0)
-    assert m[0][0] == c0.coi_inputs + c0.coi_latches + c0.coi_ands
-    assert m[1][0] == (
-        abs(2 - c0.coi_inputs) + abs(3 - c0.coi_latches) + abs(4 - c0.coi_ands)
-    )
+    ci, cl, ca = online.extract_coi(n, 0)
+    assert m[0][0] == ci + cl + ca
+    assert m[1][0] == abs(2 - ci) + abs(3 - cl) + abs(4 - ca)
 
 
 def test_assignment_matches_brute_force():
@@ -141,7 +184,7 @@ def test_identity_map_keeps_clusters():
 def db_for(n, name, cfg, clusters):
     """Minimal DB1+DB3 built from a real netlist."""
     rec = online.unknown_record(n, name)
-    g = gain.GainRecord(0, clusters[0], gain.UNDET_TO_UNDET, 0.5)
+    g = gain.GainRecord(clusters[0], gain.UNDET_TO_UNDET, 0.5)
     db3 = [store.InfluenceRecord(name, 0, clusters[0],
                                  (g,))]
     return [rec], db3

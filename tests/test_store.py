@@ -33,8 +33,7 @@ def random_db3(rng, count=8):
             members = frozenset(rng.sample(range(8), rng.randint(2, 4)))
             tr = rng.choice(sorted(gain.RANK))
             val = rng.random() * 4 - 1
-            gains.append(gain.GainRecord(i, members, tr, val,
-                                         rng.random() < 0.2))
+            gains.append(gain.GainRecord(members, tr, val, rng.random() < 0.2))
         recs.append(store.InfluenceRecord(f"d{i}", i, gains[0].cluster,
                                           tuple(gains)))
     return recs
@@ -53,7 +52,7 @@ def test_db2_roundtrip(tmp_path):
     for trial in range(30):
         rng = random.Random(100 + trial)
         recs = [
-            store.EmbeddingRecord(f"d{i}", j,
+            embed.EmbeddingTensor(f"d{i}", j,
                                   tuple(rng.random() * 10 - 5 for _ in range(5)))
             for i in range(6) for j in range(rng.randint(1, 3))
         ]
@@ -144,7 +143,7 @@ def test_reader_rejects_rows_no_writer_produces(tmp_path, kind, row,
 
 
 def test_db3_invariant_rejected(tmp_path):
-    g = gain.GainRecord(0, frozenset({0, 1}), gain.SAT_TO_SAT, 0.5)
+    g = gain.GainRecord(frozenset({0, 1}), gain.SAT_TO_SAT, 0.5)
     bad = store.InfluenceRecord("d", 0, frozenset({0, 9}), (g,))
     with pytest.raises(ValueError):
         store.write_db(store.DB3, [bad], str(tmp_path / "db3.mpb"))
@@ -162,28 +161,11 @@ def test_schema_version_mismatch(tmp_path):
 
 def test_db2_mixed_widths(tmp_path):
     path = str(tmp_path / "db2.mpb")
-    recs = [store.EmbeddingRecord("a", 0, (1.0, 2.0)),
-            store.EmbeddingRecord("b", 0, (1.0, 2.0, 3.0))]
+    recs = [embed.EmbeddingTensor("a", 0, (1.0, 2.0)),
+            embed.EmbeddingTensor("b", 0, (1.0, 2.0, 3.0))]
     store.write_db(store.DB2, recs, path)
     with pytest.raises(DataError, match=r"mixed vector widths \[2, 3\]"):
         store.read_db(store.DB2, path)
-
-
-def test_query_strict_bounds():
-    rng = random.Random(3)
-    recs = random_db1(rng, count=40)
-    for low, high in [(7, 13), (0, 3), (2, 2), (5, 6)]:
-        got = store.query_db1_by_property_count(recs, low, high)
-        want = [r for r in recs if low < r.property_count < high]
-        assert got == want
-    with pytest.raises(ValueError):
-        store.query_db1_by_property_count(recs, 5, 2)
-
-
-def test_query_delta_zero_is_empty():
-    recs = random_db1(random.Random(4), count=10)
-    p = recs[0].property_count
-    assert store.query_db1_by_property_count(recs, p, p) == []
 
 
 def test_reads_are_repeatable(tmp_path):
@@ -201,7 +183,7 @@ def write_real(kind, path):
               for i in range(5)]
         store.write_pca(embed.fit_pca(ts, 0.95), path)
     elif kind == store.DB2:
-        store.write_db(kind, [store.EmbeddingRecord(f"d{i}", i, (0.5, -1.25))
+        store.write_db(kind, [embed.EmbeddingTensor(f"d{i}", i, (0.5, -1.25))
                               for i in range(3)], path)
     else:
         recs = random_db1(rng, 3) if kind == store.DB1 else random_db3(rng, 3)
