@@ -3,8 +3,9 @@
  * One Solver holds one incremental session: values, levels, reasons,
  * phases, the VMTF decision queue, the trail, watch lists and a clause
  * arena.  `satcore.SolverSession` drives it through ctypes and keeps
- * everything the search does not read (the seeded generator, the list of
- * original clauses).  The search is the one satcore's docstring
+ * everything the search does not read (the seeded generator, the records
+ * of the original clauses); `cdcl_scan` checks each batch of clause
+ * records before the session queues it.  The search is the one satcore's docstring
  * describes; `tests/ref_satcore.py` is the same search in Python, and the
  * tests require both to make identical decisions.
  *
@@ -497,6 +498,35 @@ Solver *cdcl_new(void)
     return s;
 }
 
+
+/* Checks `len` ints of clause records, each a length n >= 0 followed by
+ * n DIMACS literals, before any of them is added.  Returns the highest
+ * variable they name (0 for none), or -1 for a 0 literal, -2 for
+ * INT32_MIN (whose negation is no int32), -3 for a negative length and
+ * -4 for a record that runs past the end. */
+int32_t cdcl_scan(const int32_t *buf, int64_t len)
+{
+    int32_t top = 0;
+    for (int64_t i = 0; i < len;) {
+        int32_t n = buf[i++];
+        if (n < 0)
+            return -3;
+        if (n > len - i)
+            return -4;
+        for (int64_t end = i + n; i < end; i++) {
+            int32_t d = buf[i];
+            if (d == 0)
+                return -1;
+            if (d == INT32_MIN)
+                return -2;
+            if (d < 0)
+                d = -d;
+            if (d > top)
+                top = d;
+        }
+    }
+    return top;
+}
 
 /* Applies `len - nassume` ints of records, then solves under the last
  * `nassume` ints, DIMACS assumptions.  A record is -1 (a new variable at

@@ -11,7 +11,9 @@ equal or complementary operands, takes the literal of a constant or of an
 operand and gets neither a variable nor clauses.  Each other XOR that
 `Netlist.xors` finds becomes 4 clauses over its two inputs, and its two
 inner AND gates get neither clauses nor solver variables; every other AND
-gate gets the 3 Tseitin clauses.  At every frame the bad literal of each
+gate gets the 3 Tseitin clauses.  A frame's variables are created first,
+in the builder's order, and its clauses then go to the solver in one
+`add_clauses` batch.  At every frame the bad literal of each
 still-unresolved property is assumed and solved, in ascending property
 order; a bad folded to constant false is refuted without a solver call.
 A run solves each distinct bad literal once, as the first property that
@@ -137,6 +139,13 @@ class _Encoder:
     clauses as an AND, or 4 clauses over p and q as an XOR top; a folded
     gate or an XOR inner gate gets none.  Past variable 1, the inputs and
     the frame-0 latches, some clause reads every solver variable.
+
+    `add_frame` creates the frame's solver variables at once, up to the
+    builder's last one, then adds its clauses in one batch.  The seeded
+    draws come in variable order either way, and the kernel searches as
+    if variables and clauses had come interleaved: a new variable touches
+    only its own entries and the decision queue, and a level-0 clause only
+    values, the trail and the watch lists.
     """
 
     def __init__(self, n: Netlist, solver: satcore.SolverSession, cone: set):
@@ -150,14 +159,12 @@ class _Encoder:
 
     def add_frame(self) -> list:
         gates = self.builder.add_frame()
-        add = self.solver.add_clause
-        # inputs (and frame-0 latches) may feed nothing; the solver still
-        # needs their variables so counterexamples cover them
-        frame_lits = self.builder.frame_inputs[-1]
-        if self.builder.frames == 1:
-            frame_lits = frame_lits + self.builder.frame0_latches
-        for lit in frame_lits:
-            self.solver.ensure_var((lit >> 1) + 1)
+        # the frame's variables, in the order the builder numbered them:
+        # inputs (and frame-0 latches) may feed nothing, and the solver
+        # still needs their variables so counterexamples cover them
+        self.solver.ensure_var(self.builder.num_vars + 1)
+        records = []
+        add = records.extend
         for gate in gates:
             if gate is None:
                 continue
@@ -167,14 +174,11 @@ class _Encoder:
             sa = -(a >> 1) - 1 if a & 1 else (a >> 1) + 1
             sb = -(b >> 1) - 1 if b & 1 else (b >> 1) + 1
             if xor:
-                add([-o, sa, sb])
-                add([-o, -sa, -sb])
-                add([o, -sa, sb])
-                add([o, sa, -sb])
+                add((3, -o, sa, sb, 3, -o, -sa, -sb,
+                     3, o, -sa, sb, 3, o, sa, -sb))
             else:
-                add([-o, sa])
-                add([-o, sb])
-                add([o, -sa, -sb])
+                add((2, -o, sa, 2, -o, sb, 3, o, -sa, -sb))
+        self.solver.add_clauses(records)
         return self.builder.bads
 
     def extract_cex(self, model, frames: int) -> Cex:

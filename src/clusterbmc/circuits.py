@@ -47,13 +47,13 @@ class AigBuilder:
             return b
         if b == TRUE or a == b:
             return a
-        key = (min(a, b), max(a, b))
-        if key in self._and_cache:
-            return self._and_cache[key]
-        self._next_var += 1
-        lhs = 2 * self._next_var
-        self._ands.append((lhs, max(a, b), min(a, b)))
-        self._and_cache[key] = lhs
+        key = (a, b) if a < b else (b, a)
+        lhs = self._and_cache.get(key)
+        if lhs is None:
+            self._next_var += 1
+            lhs = 2 * self._next_var
+            self._ands.append((lhs, key[1], key[0]))
+            self._and_cache[key] = lhs
         return lhs
 
     def or_(self, a: int, b: int) -> int:

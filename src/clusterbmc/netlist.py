@@ -35,10 +35,6 @@ def lit_var(lit: int) -> int:
     return lit >> 1
 
 
-def lit_sign(lit: int) -> bool:
-    return bool(lit & 1)
-
-
 @dataclass(frozen=True)
 class Latch:
     lit: int
@@ -98,35 +94,26 @@ class Netlist:
                 raise DataError(f"bad reset value {latch.reset!r}")
         defined = ni + nl
         for lhs, rhs0, rhs1 in self.ands:
-            if lit_sign(lhs):
+            defined += 1   # the variable this AND must define
+            if lhs & 1:
                 raise DataError(f"negated AND output {lhs}")
-            if lit_var(lhs) != defined + 1:
+            if lhs != 2 * defined:
                 raise DataError(f"AND output {lhs} out of canonical position")
             for rhs in (rhs0, rhs1):
                 if rhs < 0:
                     raise DataError(f"AND {lhs} has negative literal {rhs}")
-                if rhs > 1 and lit_var(rhs) > defined:
+                if rhs >> 1 >= defined:
                     raise DataError(f"AND {lhs} references undefined literal {rhs}")
-            defined += 1
-        for latch in self.latches:
-            self._check_lit(latch.next)
-        for lit in self.outputs + self.bads:
-            self._check_lit(lit)
+        top = 2 * defined + 1   # the highest literal, defined = max_var
+        for lit in [latch.next for latch in self.latches] + [
+                *self.outputs, *self.bads]:
+            if not 0 <= lit <= top:
+                raise DataError(f"literal {lit} exceeds variable count")
         # caches, not fields, so equality and hashing ignore them
         object.__setattr__(self, "_cones", {})   # property -> cone
         object.__setattr__(self, "_xors", None)
 
-    def _check_lit(self, lit: int):
-        if lit < 0 or lit_var(lit) > self.max_var:
-            raise DataError(f"literal {lit} exceeds variable count")
-
     # -- structural queries -------------------------------------------------
-
-    def is_input_var(self, var: int) -> bool:
-        return 1 <= var <= self.num_inputs
-
-    def is_latch_var(self, var: int) -> bool:
-        return self.num_inputs < var <= self.num_inputs + self.num_latches
 
     def latch_of_var(self, var: int) -> Latch:
         return self.latches[var - self.num_inputs - 1]
@@ -324,19 +311,22 @@ def _coi_vars(n: Netlist, p: int) -> set:
     """
     if not 0 <= p < n.num_properties:
         raise ValueError(f"property {p} of {n.num_properties}")
+    # canonical numbering: inputs are 1..I, latches I+1..I+L, ANDs above
+    ni, latches, ands = n.num_inputs, n.latches, n.ands
+    first_and = ni + len(latches) + 1
     seen: set = set()
-    stack = [lit_var(n.properties[p])]
+    stack = [n.properties[p] >> 1]
     while stack:
         var = stack.pop()
         if var == 0 or var in seen:
             continue
         seen.add(var)
-        if n.is_latch_var(var):
-            stack.append(lit_var(n.latch_of_var(var).next))
-        elif not n.is_input_var(var):
-            _, rhs0, rhs1 = n.and_of_var(var)
-            stack.append(lit_var(rhs0))
-            stack.append(lit_var(rhs1))
+        if var >= first_and:
+            _, rhs0, rhs1 = ands[var - first_and]
+            stack.append(rhs0 >> 1)
+            stack.append(rhs1 >> 1)
+        elif var > ni:
+            stack.append(latches[var - ni - 1].next >> 1)
     return seen
 
 

@@ -14,6 +14,13 @@ C compiler (`sysconfig`'s CC) into this package's `__pycache__/`, once per
 source and interpreter; a missing compiler or a failed build is an
 ImportError.
 
+Clauses go in by batch: `add_clauses` takes a flat int sequence of
+records, each a clause's length followed by its literals, converts it to
+one `array('i')` and has the kernel's `cdcl_scan` check it whole, so a
+batch costs a few Python calls however many clauses it holds.
+`add_clause` is a batch of one.  The session keeps the records it was
+given, and `clauses` decodes them on each read.
+
 Literals are nonzero signed ints in the DIMACS convention at the
 interface.  Inside, DIMACS literal d is stored as 2*|d| + (d < 0), so the
 variable of `lit` is `lit >> 1` and its negation is `lit ^ 1`.  A clause
@@ -56,6 +63,10 @@ _STATUS = (SAT, UNSAT, UNKNOWN)
 # records of a new variable at the back / front of the decision queue
 _BACK, _FRONT = -1, -2
 _INT64_MAX = (1 << 63) - 1
+# the errors of cdcl_scan, by its return code -1, -2, ...
+_MALFORMED = ("0 is not a literal", "-2**31 is not a literal",
+              "a clause length is negative",
+              "a clause runs past the end of its batch")
 _NO_DEADLINE = float("inf")
 
 
@@ -123,6 +134,7 @@ def _load() -> ctypes.CDLL:
     for name, restype, argtypes in (
             ("cdcl_new", p, ()),
             ("cdcl_free", None, (p,)),
+            ("cdcl_scan", ctypes.c_int32, (p, i64)),
             ("cdcl_solve", ctypes.c_int,
              (p, p, i64, i64, i64, ctypes.c_double, i64, p)),
             # the learned clauses, which the tests' RUP checker reads
@@ -146,7 +158,8 @@ class SolverSession:
     def __init__(self, seed: int = 0):
         self._rng = random.Random(seed)
         self.num_vars = 0
-        self.clauses: list[list[int]] = []   # original clauses, as added
+        # the original clauses' records, as added; `clauses` decodes them
+        self._records = array("i")
         # records: _BACK or _FRONT for a new variable, or a clause's length
         # followed by its literals
         self._pending = array("i")
@@ -156,6 +169,18 @@ class SolverSession:
         if not self._handle:
             raise MemoryError("cannot allocate a solver session")
         weakref.finalize(self, _lib.cdcl_free, self._handle)
+
+    @property
+    def clauses(self) -> list[list[int]]:
+        """The original clauses in the order they were added, each as its
+        list of DIMACS literals; decoded anew on each read."""
+        records = self._records.tolist()
+        out, i = [], 0
+        while i < len(records):
+            end = i + 1 + records[i]
+            out.append(records[i + 1:end])
+            i = end
+        return out
 
     def ensure_var(self, v: int):
         if v > self.num_vars:
@@ -167,14 +192,23 @@ class SolverSession:
             self.num_vars = v
 
     def add_clause(self, lits) -> None:
-        """Adds a clause at level 0, where the kernel drops duplicate and
-        level-0-false literals, and the whole clause if it is a tautology
-        or already satisfied."""
+        """Adds one clause, as `add_clauses` does."""
         lits = list(lits)
-        self._ensure_vars(lits)
-        # one fromlist call: a literal that is no int leaves no half record
-        self._pending.fromlist([len(lits), *lits])
-        self.clauses.append(lits)
+        self.add_clauses([len(lits), *lits])
+
+    def add_clauses(self, records) -> None:
+        """Adds a batch of clauses at level 0.  `records` is a flat int
+        sequence in which each clause is its length followed by its DIMACS
+        literals.  The kernel checks the whole batch first: a malformed one
+        raises ValueError, and a value that is no 32-bit int TypeError or
+        OverflowError, before any clause is added.  Then the batch's new
+        variables are created, and the kernel drops each clause's duplicate
+        and level-0-false literals, and the whole clause if it is a
+        tautology or already satisfied."""
+        batch = array("i", records)
+        self.ensure_var(_top(batch))
+        self._pending += batch
+        self._records += batch
 
     def solve(
         self,
@@ -191,7 +225,8 @@ class SolverSession:
         clause added between calls is added at level 0.
         """
         assumptions = list(assumptions)
-        self._ensure_vars(assumptions)
+        # checked as the one record of a batch
+        self.ensure_var(_top(array("i", [len(assumptions), *assumptions])))
         pending = self._pending
         pending.fromlist(assumptions)
         addr, size = pending.buffer_info()
@@ -211,16 +246,14 @@ class SolverSession:
             model += map(bool, ctypes.string_at(out[2], self.num_vars))
         return SolveResult(_STATUS[code], model, out[0], out[1])
 
-    def _ensure_vars(self, lits: list):
-        """Creates the variables of DIMACS `lits`."""
-        if lits:
-            top, bottom = max(lits), min(lits)
-            if 0 in lits:
-                raise ValueError("0 is not a literal")
-            if -bottom > top:
-                top = -bottom
-            if top > self.num_vars:
-                self.ensure_var(top)
+
+def _top(batch: array) -> int:
+    """The highest variable of a batch of clause records, which the kernel
+    checks; ValueError if the batch is malformed."""
+    top = _lib.cdcl_scan(*batch.buffer_info())
+    if top < 0:
+        raise ValueError(_MALFORMED[-1 - top])
+    return top
 
 
 def new_solver(seed: int = 0) -> SolverSession:

@@ -156,19 +156,20 @@ def cnf_enumerate(num_vars, clauses, assumptions=()):
 
 class RupLog:
     """Mixin for `satcore.SolverSession` that logs, in session order, each
-    original clause (``add_clause``), each learned clause and, for each
-    UNSAT answer under assumptions, the clause of the negated assumptions.
-    The learned clauses are the C kernel's own, read after each solve from
-    the loaded library in the order they were learned."""
+    original clause (from ``add_clauses``, which ``add_clause`` calls),
+    each learned clause and, for each UNSAT answer under assumptions, the
+    clause of the negated assumptions.  The learned clauses are the C
+    kernel's own, read after each solve from the loaded library in the
+    order they were learned."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.log = []   # (must be RUP, clause)
 
-    def add_clause(self, lits):
-        lits = list(lits)
-        self.log.append((False, lits))
-        super().add_clause(lits)
+    def add_clauses(self, records):
+        records = list(records)
+        super().add_clauses(records)   # a malformed batch logs nothing
+        self.log += [(False, c) for c in split_records(records)]
 
     def solve(self, assumptions=(), **kwargs):
         assumptions = list(assumptions)
@@ -178,6 +179,29 @@ class RupLog:
         if res.status == "unsatisfiable" and assumptions:
             self.log.append((True, [-a for a in assumptions]))
         return res
+
+
+class CountingSession(satcore.SolverSession):
+    """A kernel session that counts the clauses it is given, one by one
+    from each batch, without reading the session's own `clauses`."""
+
+    added = 0
+
+    def add_clauses(self, records):
+        records = list(records)
+        super().add_clauses(records)
+        self.added += len(split_records(records))
+
+
+def split_records(records):
+    """The clauses of a well-formed batch of clause records (each a
+    length followed by that many literals), as lists."""
+    clauses, i = [], 0
+    while i < len(records):
+        n = records[i]
+        clauses.append(list(records[i + 1:i + 1 + n]))
+        i += 1 + n
+    return clauses
 
 
 def learned_clauses(session, start):

@@ -24,6 +24,7 @@ _UNASSIGNED = -1
 # Hard cap on the clause database (original + learned).  Exceeding it makes
 # solve() report budget exhaustion instead of thrashing.
 CLAUSE_CAP = 400_000
+_INT32 = 1 << 31
 
 
 def _luby(i: int) -> int:
@@ -33,6 +34,29 @@ def _luby(i: int) -> int:
         if i == (1 << k) - 1:
             return 1 << (k - 1)
         i = i - (1 << (k - 1)) + 1
+
+
+def _scan(records: list) -> int:
+    """The highest variable of a batch of clause records, raising what
+    `clusterbmc.satcore` raises on a bad batch: OverflowError if a value
+    is no 32-bit int, else ValueError with `cdcl_scan`'s message."""
+    if not all(-_INT32 <= x < _INT32 for x in records):
+        raise OverflowError("a record value is no 32-bit int")
+    top, i = 0, 0
+    while i < len(records):
+        n = records[i]
+        if n < 0:
+            raise ValueError("a clause length is negative")
+        if n > len(records) - i - 1:
+            raise ValueError("a clause runs past the end of its batch")
+        for d in records[i + 1:i + 1 + n]:
+            if d == 0:
+                raise ValueError("0 is not a literal")
+            if d == -_INT32:
+                raise ValueError("-2**31 is not a literal")
+            top = max(top, abs(d))
+        i += 1 + n
+    return top
 
 
 class SolverSession:
@@ -102,7 +126,20 @@ class SolverSession:
 
     def add_clause(self, lits) -> None:
         lits = list(lits)
-        self._ensure_vars(lits)
+        self.add_clauses([len(lits), *lits])
+
+    def add_clauses(self, records) -> None:
+        """The kernel's batch: check every record, create the batch's new
+        variables, then add its clauses in order."""
+        records = list(records)
+        self.ensure_var(_scan(records))
+        i = 0
+        while i < len(records):
+            end = i + 1 + records[i]
+            self._add_clause(records[i + 1:end])
+            i = end
+
+    def _add_clause(self, lits: list) -> None:
         self.clauses.append(lits)
         # dedup literals, drop tautologies, strip level-0-false literals
         vals = self._vals
@@ -142,7 +179,7 @@ class SolverSession:
         clause added between calls is added at level 0.
         """
         assumptions = list(assumptions)
-        self._ensure_vars(assumptions)
+        self.ensure_var(_scan([len(assumptions), *assumptions]))
         assumptions = [d << 1 if d > 0 else (-d << 1) | 1 for d in assumptions]
         conflicts = 0
         prop_start = self._propagated
@@ -214,19 +251,6 @@ class SolverSession:
             self._enqueue((v << 1) | self._phase[v], None)
 
     # -- internals ----------------------------------------------------------
-
-    def _ensure_vars(self, lits: list):
-        """Creates the variables of DIMACS `lits`."""
-        top = 0
-        for d in lits:
-            if d > top:
-                top = d
-            elif -d > top:
-                top = -d
-            elif not d:
-                raise ValueError("0 is not a literal")
-        if top > self.num_vars:
-            self.ensure_var(top)
 
     def _learn(self, lits: list[int]):
         self._num_clauses += 1

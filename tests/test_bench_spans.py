@@ -7,16 +7,19 @@ tracer also counts `netlist.unfold_ands` from the triples that
 `UnfoldBuilder.add_frame` returns, so the second checks that a BMC run
 still unfolds one triple per AND of its cone, XOR inner gates included.
 The third checks that the tracer's budget of each online cluster run
-still agrees with the program's at the benchmark's budget.
+still agrees with the program's at the benchmark's budget.  The fourth
+checks that the tracer's `satcore.clauses`, which it reads from each
+session's decoded `clauses`, still counts the clauses the encoder added.
 """
 
 import importlib
 import os
 import random
 
-from clusterbmc import bmc, cli, clusterer, netlist, parallel
+from clusterbmc import bmc, cli, clusterer, netlist, parallel, satcore
 from clusterbmc.circuits import parity_miter
 from clusterbmc.netlist import serialize_aiger
+from oracles import CountingSession
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -89,3 +92,35 @@ def test_traced_verify_bank_reads_no_budget_overshoot(monkeypatch, tmp_path):
         tracer.unpatch()
     assert tracer.counts["bmc.runs"] > 0
     assert tracer.counts["bmc.budget_overshoots"] == 0
+
+
+def test_traced_clause_count_equals_the_encoders(monkeypatch, tmp_path):
+    spans = import_spans(monkeypatch)
+    from workloads import OfflineMiter, _budget_args, miter
+    rng = random.Random(0)
+    paths = []
+    for w in OfflineMiter.WIDTHS:
+        path = tmp_path / f"m{w}.aag"
+        path.write_text(serialize_aiger(miter(rng, w, f"m{w}")))
+        paths.append(str(path))
+    sessions = []
+
+    def new_solver(seed=0):
+        sessions.append(CountingSession(seed))
+        return sessions[-1]
+
+    monkeypatch.setattr(satcore, "new_solver", new_solver)
+    monkeypatch.setattr(parallel, "map2",
+                        lambda fn, jobs, costs: [fn(job) for job in jobs])
+    tracer = spans.Tracer()
+    spans.instrument(tracer)
+    try:
+        tracer.begin_op(0)
+        assert cli.main(["offline", *paths, "--out-dir", str(tmp_path / "db"),
+                         *_budget_args(OfflineMiter.BUDGET,
+                                       OfflineMiter.FRAMES, 1)]) == 0
+        tracer.end_op()
+    finally:
+        tracer.unpatch()
+    assert len(sessions) > len(paths)
+    assert tracer.counts["satcore.clauses"] == sum(s.added for s in sessions)

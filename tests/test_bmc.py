@@ -19,7 +19,8 @@ from clusterbmc.circuits import (
     two_counters,
 )
 from clusterbmc.netlist import cone_vars, extract_coi
-from oracles import RupLog, bfs_reach, free_latches, rup_failures
+from oracles import (CountingSession, RupLog, bfs_reach, free_latches,
+                     rup_failures)
 
 
 def cfg_init(**kw):
@@ -711,14 +712,6 @@ def test_runs_are_pinned():
     # tuples; one that changes it must re-record them with
     # `python tests/test_bmc.py`
     assert pinned_runs() == PINNED_RUNS
-
-
-class CountingSession(satcore.SolverSession):
-    added = 0
-
-    def add_clause(self, lits):
-        self.added += 1
-        super().add_clause(lits)
 
 
 def pinned_work():

@@ -76,13 +76,14 @@ def test_design_signatures_equal_cone_simulations():
                           for _ in range(n.num_latches)]
             input_vals = [unpack(draw.getrandbits(patterns), patterns)
                           for _ in range(n.num_inputs)]
+            ni = n.num_inputs
             for p, sig in enumerate(sigs):
                 cone = sorted(netlist._coi_vars(n, p))
                 want = pooled_ratios(
                     restrict_to_coi(n, p),
-                    [latch_vals[v - n.num_inputs - 1] for v in cone
-                     if n.is_latch_var(v)],
-                    [input_vals[v - 1] for v in cone if n.is_input_var(v)],
+                    [latch_vals[v - ni - 1] for v in cone
+                     if ni < v <= ni + n.num_latches],
+                    [input_vals[v - 1] for v in cone if v <= ni],
                     patterns, width)
                 assert sig.values == want, (patterns, trial, p)
                 assert embed.coi_signature(n, p, patterns=patterns,

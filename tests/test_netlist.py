@@ -373,8 +373,10 @@ def test_unfold_cone_matches_restricted_netlist():
         n = random_netlist(rng, num_bads=3)
         p = rng.randrange(n.num_properties)
         cone = sorted(netlist._coi_vars(n, p))
-        inputs = [v for v in cone if n.is_input_var(v)]
-        latches = [v for v in cone if n.is_latch_var(v)]
+        # canonical numbering: inputs 1..I, then latches, then ANDs
+        inputs = [v for v in cone if v <= n.num_inputs]
+        latches = [v for v in cone
+                   if n.num_inputs < v <= n.num_inputs + n.num_latches]
         for design in (n, free_latches(n)):
             cut = netlist.UnfoldBuilder(
                 design, cone=netlist.cone_vars(design, [p]))

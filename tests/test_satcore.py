@@ -304,14 +304,28 @@ def test_clause_cap_stops_the_search(monkeypatch):
     assert uncapped.solve().conflicts_this_call > runs[0][0][1]
 
 
-def run_script(session, seed):
+def run_script(session, seed, batches=True):
     """(status, conflicts, propagations, model, num_vars) of each solve of
     a seeded incremental script: rounds of clauses of 1-6 literals, with
     duplicate and complementary literals, level-0 units, now and then an
     empty clause or new variables, each round solved under 0-4
     assumptions with a conflict budget of None, 0, 1, a few, a negative
-    one or one past 64 bits, and now and then a past deadline."""
+    one or one past 64 bits, and now and then a past deadline.
+
+    With `batches`, a second generator sends most clauses in batches of
+    random size through `add_clauses`, empty batches included, and the
+    rest one at a time through `add_clause`; without, every clause goes
+    through `add_clause`.  The script's clauses, variables and solves are
+    the same either way."""
     rng = random.Random(seed)
+    group = random.Random(seed + (1 << 32))   # |-seed| would repeat rng
+    batch = []
+
+    def flush():
+        if batch or group.random() < 0.05:
+            session.add_clauses(batch)
+        batch.clear()
+
     nv = (rng.randint(20, 90) if rng.random() < 0.85
           else rng.randint(130, 170))
     out = []
@@ -322,9 +336,11 @@ def run_script(session, seed):
                        else rng.randint(0, nv // 2)):
             draw = rng.random()
             if draw < 0.0005:
-                session.add_clause([])
+                clause = []
             elif draw < 0.01:
+                flush()
                 session.ensure_var(session.num_vars + rng.randint(0, 2))
+                continue
             else:
                 width = rng.choice((1, 1, 2) if draw < 0.015 else
                                    (2,) + (3,) * 12 + (4, 5, 6))
@@ -332,7 +348,14 @@ def run_script(session, seed):
                           for _ in range(width)]
                 if rng.random() < 0.1:
                     clause.append(rng.choice(clause) * rng.choice((1, -1)))
+            if batches and group.random() < 0.9:
+                batch += [len(clause), *clause]
+                if group.random() < 0.1:
+                    flush()
+            else:
+                flush()
                 session.add_clause(clause)
+        flush()
         assumptions = [rng.randint(1, nv + 2) * rng.choice((1, -1))
                        for _ in range(rng.randint(0, 4))]
         budget = rng.choice((None, None, 0, 1, rng.randint(2, 40), -3,
@@ -347,12 +370,18 @@ def run_script(session, seed):
 
 def kernel_against_reference():
     """Statuses and conflict counts of 320 seeded scripts, each run on the
-    kernel and on `ref_satcore`, which must agree."""
+    kernel and on `ref_satcore` with batches, which must agree, and on
+    the kernel one clause at a time, which must not change a result: a
+    batch creates its variables before it adds its clauses, and that
+    order must leave the search as it is."""
     statuses, conflicts = set(), []
     for trial in range(320):
         want = run_script(ref_satcore.SolverSession(seed=trial), 20000 + trial)
         got = run_script(satcore.SolverSession(seed=trial), 20000 + trial)
         assert got == want, trial
+        singly = run_script(satcore.SolverSession(seed=trial), 20000 + trial,
+                            batches=False)
+        assert singly == got, trial
         statuses.update(row[0] for row in got)
         conflicts += [row[1] for row in got]
     return statuses, conflicts
@@ -366,14 +395,45 @@ def test_kernel_decides_as_the_reference():
     assert sum(c > 128 for c in conflicts) >= 3
 
 
+def test_malformed_batches_add_nothing():
+    # the kernel's scan and the reference reject the same batches, and a
+    # rejected batch queues no variable and no clause, even when it names
+    # a new variable before its fault
+    bad = [
+        ([2, 9, 0], ValueError, "0 is not a literal"),
+        ([1, 9, 3, 9, -2, -(1 << 31)], ValueError,
+         r"-2\*\*31 is not a literal"),
+        ([1, 9, -1, 2], ValueError, "length is negative"),
+        ([1, 9, 3, 9, 2], ValueError, "past the end"),
+        ([1, 9, 1], ValueError, "past the end"),
+        ([2, 9, 1 << 31], OverflowError, None),
+        ([1, 9, "1"], TypeError, None),
+    ]
+    for module in (satcore, ref_satcore):
+        s = module.SolverSession(seed=0)
+        s.add_clauses([2, 1, -2, 0])
+        before = (s.num_vars, s.clauses,
+                  list(getattr(s, "_pending", ())))
+        for records, error, message in bad:
+            with pytest.raises(error, match=message):
+                s.add_clauses(records)
+            assert (s.num_vars, s.clauses,
+                    list(getattr(s, "_pending", ()))) == before, records
+        # an empty clause in a batch is the empty clause
+        assert s.solve().status == satcore.UNSAT
+        assert s.clauses == [[1, -2], []]
+
+
 # a child that loads the sanitized kernel and runs the differential
-# scripts, then the clause-cap and past-deadline tests
+# scripts, the malformed batches, then the clause-cap and past-deadline
+# tests
 SANITIZED_CHECKS = """
 import sys
 import pytest
 import test_satcore as t
 assert t.satcore._lib._name == sys.argv[1], t.satcore._lib._name
 t.kernel_against_reference()
+t.test_malformed_batches_add_nothing()
 with pytest.MonkeyPatch.context() as mp:
     t.test_clause_cap_stops_the_search(mp)
 t.test_past_deadline_stops_before_search()
