@@ -39,5 +39,5 @@ for label, design in (("from reset", n), ("free latches", free)):
     u = UnfoldBuilder(design)
     for _ in range(3):
         u.add_frame()
-    print(f"{label}: frame-0 latch literals = {u.frame0_latches}, "
+    print(f"{label}: frame-0 latch literals = {list(u.frame0_latches)}, "
           f"{u.num_vars} fresh variables over {u.frames} frames")

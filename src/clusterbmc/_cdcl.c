@@ -1,13 +1,22 @@
-/* The CDCL search of clusterbmc.satcore, as a plain C library.
+/* The CDCL search of clusterbmc.satcore and the frame unfolder of
+ * clusterbmc.netlist, as a plain C library.
  *
  * One Solver holds one incremental session: values, levels, reasons,
  * phases, the VMTF decision queue, the trail, watch lists and a clause
- * arena.  `satcore.SolverSession` drives it through ctypes and keeps
- * everything the search does not read (the seeded generator, the records
- * of the original clauses); `cdcl_scan` checks each batch of clause
- * records before the session queues it.  The search is the one satcore's docstring
- * describes; `tests/ref_satcore.py` is the same search in Python, and the
- * tests require both to make identical decisions.
+ * arena, and the seeded generator that places each new variable in the
+ * queue, a copy of Python's Mersenne Twister.  `satcore.SolverSession`
+ * drives it through ctypes and keeps what the search does not read (the
+ * records of the original clauses); `cdcl_scan` checks each batch of
+ * clause records before the session queues it.  The search is the one satcore's
+ * docstring describes; `tests/ref_satcore.py` is the same search in
+ * Python, and the tests require both to make identical decisions.
+ *
+ * One Unfolder, at the end of this file, unrolls one BMC run's cone of a
+ * netlist: `netlist.UnfoldBuilder` drives it, one call per frame, which
+ * folds the frame's constants and writes its clause records, ready for
+ * `SolverSession.add_clauses`.  `tests/ref_unfold.py` is the same
+ * unfolder in Python, and the tests require both to write identical
+ * frames.
  *
  * Literals: DIMACS literal d is stored as 2*|d| + (d < 0), so the
  * variable of `lit` is `lit >> 1` and its negation `lit ^ 1`.  A clause
@@ -28,6 +37,11 @@ enum { SAT = 0, UNSAT = 1, UNKNOWN = 2, NOMEM = -1 };
 #define UNASSIGNED (-1)
 #define NO_REASON UINT32_MAX
 #define RESTART_BASE 64
+/* bump() sorts at most this many variables by insertion, more by qsort */
+#define BUMP_INSERTION_MAX 32
+/* Python's Mersenne Twister (random.Random): state size and shift */
+#define MT_N 624
+#define MT_M 397
 /* propagate() results that are not a clause */
 #define NO_CONFLICT (-1)
 #define PROP_NOMEM (-2)
@@ -76,6 +90,8 @@ typedef struct {
     int64_t propagated;    /* trail entries processed, over the session */
     int has_empty_clause;
     int nomem;             /* an allocation failed: the session is lost */
+    uint32_t mt[MT_N];     /* the seeded generator of new variables' places */
+    int32_t mti;
 } Solver;
 
 static int resize(void *ptr, size_t count, size_t size)
@@ -197,6 +213,79 @@ static int add_var(Solver *s, int back)
     return 1;
 }
 
+/* The generator's next 32-bit word, as Python's genrand_uint32. */
+static uint32_t genrand(Solver *s)
+{
+    static const uint32_t mag01[2] = {0, 0x9908b0dfU};
+    uint32_t *mt = s->mt, y;
+    if (s->mti >= MT_N) {
+        int k;
+        for (k = 0; k < MT_N - MT_M; k++) {
+            y = (mt[k] & 0x80000000U) | (mt[k + 1] & 0x7fffffffU);
+            mt[k] = mt[k + MT_M] ^ (y >> 1) ^ mag01[y & 1];
+        }
+        for (; k < MT_N - 1; k++) {
+            y = (mt[k] & 0x80000000U) | (mt[k + 1] & 0x7fffffffU);
+            mt[k] = mt[k + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 1];
+        }
+        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 1];
+        s->mti = 0;
+    }
+    y = mt[s->mti++];
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    return y ^ (y >> 18);
+}
+
+/* Writes to `mt` the MT_N words of the generator state that Python's
+ * random.Random(seed) starts from (its init_by_array), with `key` the
+ * 32-bit words of |seed|, lowest first. */
+void cdcl_seed(const uint32_t *key, int32_t nkey, uint32_t *mt)
+{
+    mt[0] = 19650218U;
+    for (int i = 1; i < MT_N; i++)
+        mt[i] = 1812433253U * (mt[i - 1] ^ (mt[i - 1] >> 30)) + (uint32_t)i;
+    int i = 1, j = 0;
+    for (int k = MT_N > nkey ? MT_N : nkey; k; k--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U))
+                + key[j] + (uint32_t)j;
+        i++;
+        j++;
+        if (i >= MT_N) {
+            mt[0] = mt[MT_N - 1];
+            i = 1;
+        }
+        if (j >= nkey)
+            j = 0;
+    }
+    for (int k = MT_N - 1; k; k--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1566083941U))
+                - (uint32_t)i;
+        i++;
+        if (i >= MT_N) {
+            mt[0] = mt[MT_N - 1];
+            i = 1;
+        }
+    }
+    mt[0] = 0x80000000U;
+}
+
+/* Adds `k` variables, each placed by one draw: Python's
+ * random.Random.random() < 0.5, which holds when the first of the two
+ * words it draws has its top bit clear, puts it at the back. */
+static int add_vars(Solver *s, int32_t k)
+{
+    for (; k > 0; k--) {
+        int back = genrand(s) < 0x80000000U;
+        genrand(s);
+        if (!add_var(s, back))
+            return 0;
+    }
+    return 1;
+}
+
 /* Adds DIMACS clause `d` at level 0: drops duplicate and level-0-false
  * literals, and the whole clause if it is a tautology or satisfied. */
 static int add_clause(Solver *s, const int32_t *d, int32_t n)
@@ -306,14 +395,27 @@ static int by_stamp(const void *a, const void *b)
 }
 
 /* Moves the `n` variables of s->bumped to the back of the decision queue,
- * oldest stamp first.  Each is assigned, so `search` needs no update. */
+ * oldest stamp first.  Each is assigned, so `search` needs no update.
+ * Stamps are distinct, so insertion sort, which a conflict's dozen or so
+ * variables make the faster one, and qsort, which keeps a conflict of
+ * thousands O(n log n), sort them the same way. */
 static void bump(Solver *s, int32_t n)
 {
     Bump *b = s->bumped;
     int32_t *prev = s->prev, *next = s->next;
     for (int32_t i = 0; i < n; i++)
         b[i].stamp = s->stamp[b[i].var];
-    qsort(b, (size_t)n, sizeof(Bump), by_stamp);
+    if (n > BUMP_INSERTION_MAX) {
+        qsort(b, (size_t)n, sizeof(Bump), by_stamp);
+    } else {
+        for (int32_t i = 1; i < n; i++) {
+            Bump x = b[i];
+            int32_t j = i;
+            for (; j > 0 && b[j - 1].stamp > x.stamp; j--)
+                b[j] = b[j - 1];
+            b[j] = x;
+        }
+    }
     for (int32_t i = 0; i < n; i++) {
         int32_t v = b[i].var, p = prev[v], nx = next[v];
         next[p] = nx;
@@ -479,7 +581,9 @@ void cdcl_free(Solver *s)
     free(s);
 }
 
-Solver *cdcl_new(void)
+/* A session whose generator starts from the MT_N words of `mt`, as
+ * cdcl_seed() writes them, or NULL when out of memory. */
+Solver *cdcl_new(const uint32_t *mt)
 {
     Solver *s = calloc(1, sizeof(Solver));
     if (!s)
@@ -488,6 +592,8 @@ Solver *cdcl_new(void)
         cdcl_free(s);
         return NULL;
     }
+    memcpy(s->mt, mt, sizeof s->mt);
+    s->mti = MT_N;
     s->vals[0] = s->vals[1] = UNASSIGNED;
     s->stamp[0] = INT64_MIN;
     s->prev[0] = s->next[0] = 0;
@@ -529,9 +635,9 @@ int32_t cdcl_scan(const int32_t *buf, int64_t len)
 }
 
 /* Applies `len - nassume` ints of records, then solves under the last
- * `nassume` ints, DIMACS assumptions.  A record is -1 (a new variable at
- * the back of the decision queue), -2 (at its front) or n >= 0 followed
- * by the n DIMACS literals of a clause.  `budget` < 0 means no conflict
+ * `nassume` ints, DIMACS assumptions.  A record is -k (k new variables,
+ * each placed in the decision queue by a draw, see add_vars()) or n >= 0
+ * followed by the n DIMACS literals of a clause.  `budget` < 0 means no conflict
  * budget; `deadline` is a CLOCK_MONOTONIC time in seconds (+inf: none).
  * Writes this call's conflicts and propagations to out[0] and out[1],
  * and on SAT the address of the model (one 0/1 byte per variable) to
@@ -544,7 +650,7 @@ int cdcl_solve(Solver *s, const int32_t *buf, int64_t len, int64_t nassume,
         return NOMEM;
     for (int64_t i = 0; i < len - nassume;) {
         int32_t h = buf[i++];
-        int ok = h < 0 ? add_var(s, h == -1) : add_clause(s, buf + i, h);
+        int ok = h < 0 ? add_vars(s, -h) : add_clause(s, buf + i, h);
         if (!ok)
             goto nomem;
         if (h > 0)
@@ -670,4 +776,187 @@ int32_t cdcl_learned(const Solver *s, int64_t i, int32_t *out)
     for (int32_t j = 0; j < c[-1]; j++)
         out[j] = c[j] & 1 ? -(c[j] >> 1) : c[j] >> 1;
     return c[-1];
+}
+
+
+/* ---- The unfolder of clusterbmc.netlist.UnfoldBuilder ----
+ *
+ * Unfolds a netlist's cone one frame at a time, folding constants, and
+ * writes each frame's CNF as clause records in solver numbering, where
+ * combinational variable k is solver variable k + 1.  Its input is the
+ * table `Netlist.gate_table` describes:
+ *   ni, nl, na, np, and the ints of an unfolder's state (unfold_size);
+ *   per latch: next-state literal, reset (0, 1, or -1 for none);
+ *   per AND, in variable order: two operands and a kind, GATE_AND,
+ *   GATE_XOR (a top, whose operands are p and q of p XOR q) or
+ *   GATE_INNER (an XOR's inner gate, which gets no literal);
+ *   per property: its bad literal.
+ * The state lives in an int buffer the caller owns, so nothing here is
+ * allocated or freed: an Unfolder header, then its sections. */
+
+enum { GATE_AND = 0, GATE_XOR = 1, GATE_INNER = 2 };
+
+typedef struct {
+    int32_t ni, nl, np, na, ngates, num_vars, frames;
+} Unfolder;
+
+/* The sections after the header, each sized for the whole netlist. */
+typedef struct {
+    int32_t *gates;    /* per kept AND: variable, operand, operand, kind */
+    int32_t *latches;  /* per latch: next literal (-1 outside the cone),
+                        * reset (-1 for none) */
+    int32_t *inputs;   /* per input: 1 inside the cone, else 0 */
+    int32_t *bads;     /* per property: its literal */
+    int32_t *state;    /* the latch literals of the next frame */
+    int32_t *map;      /* each variable's literal at the last frame;
+                        * 0 outside the cone and for inner gates */
+} Sections;
+
+static Sections sections(Unfolder *u)
+{
+    Sections x;
+    x.gates = (int32_t *)(u + 1);
+    x.latches = x.gates + 4 * (size_t)u->na;
+    x.inputs = x.latches + 2 * (size_t)u->nl;
+    x.bads = x.inputs + u->ni;
+    x.state = x.bads + u->np;
+    x.map = x.state + u->nl;
+    return x;
+}
+
+/* The ints of the state of an unfolder of `table`. */
+int64_t unfold_size(const int32_t *table)
+{
+    int64_t ni = table[0], nl = table[1], na = table[2], np = table[3];
+    return (int64_t)(sizeof(Unfolder) / sizeof(int32_t)) + 4 * na + 3 * nl
+           + ni + np + (ni + nl + na + 1);
+}
+
+/* Sets up, in the zeroed buffer `u` of unfold_size(table) ints, an
+ * unfolder of the cone's `ncone` variables (ncone < 0: every variable; a
+ * variable out of range is ignored).  Returns its number of kept ANDs,
+ * XOR inner gates included. */
+int32_t unfold_init(Unfolder *u, const int32_t *table, const int32_t *cone,
+                    int64_t ncone)
+{
+    int32_t ni = table[0], nl = table[1], na = table[2], np = table[3];
+    int32_t nvars = ni + nl + na + 1;
+    const int32_t *latches = table + 5, *ands = latches + 2 * nl,
+                  *bads = ands + 3 * na;
+    u->ni = ni;
+    u->nl = nl;
+    u->np = np;
+    u->na = na;
+    Sections x = sections(u);
+    /* the map holds the cone's membership until the first frame */
+    int32_t *keep = x.map;
+    if (ncone < 0) {
+        for (int32_t v = 1; v < nvars; v++)
+            keep[v] = 1;
+    } else {
+        for (int64_t i = 0; i < ncone; i++)
+            if (cone[i] > 0 && cone[i] < nvars)
+                keep[cone[i]] = 1;
+    }
+    for (int32_t i = 0; i < ni; i++)
+        x.inputs[i] = keep[1 + i];
+    for (int32_t i = 0; i < nl; i++) {
+        x.latches[2 * i] = keep[ni + 1 + i] ? latches[2 * i] : -1;
+        x.latches[2 * i + 1] = latches[2 * i + 1];
+    }
+    for (int32_t i = 0; i < na; i++) {
+        int32_t var = ni + nl + 1 + i;
+        if (!keep[var])
+            continue;
+        int32_t *g = x.gates + 4 * u->ngates++;
+        g[0] = var;
+        memcpy(g + 1, ands + 3 * i, 3 * sizeof(int32_t));
+    }
+    memcpy(x.bads, bads, (size_t)np * sizeof(int32_t));
+    memset(keep, 0, (size_t)nvars * sizeof(int32_t));
+    return u->ngates;
+}
+
+static inline int32_t dimacs(int32_t lit)
+{
+    return lit & 1 ? -(lit >> 1) - 1 : (lit >> 1) + 1;
+}
+
+/* Unfolds one more frame.  Numbers its fresh variables in order: at frame
+ * 0 the free latches inside the cone, then the inputs inside it, then
+ * each kept gate that folds to no constant and no operand.  Writes to
+ * `out`:
+ *   the number of variables so far, the number of record ints,
+ *   the frame's bad literals (np), input literals (ni), and at frame 0
+ *   only its latch literals (nl), each gate's literal (ngates; -1 for an
+ *   inner gate), then the frame's clause records: 3 clauses per new AND
+ *   variable, 4 per new XOR variable.
+ * `out` has room for 16 record ints per gate.  Returns 0, or -1 when the
+ * frame's variables would not fit in a literal; nothing is unfolded
+ * then. */
+int32_t unfold_frame(Unfolder *u, int32_t *out)
+{
+    int32_t ni = u->ni, nl = u->nl, nv = u->num_vars;
+    Sections x = sections(u);
+    int32_t *map = x.map, *state = x.state;
+    int32_t *bads = out + 2, *inputs = bads + u->np, *lits = inputs + ni + nl;
+    int32_t *rec = lits + u->ngates, *r = rec;
+    if (nv > INT32_MAX / 2 - 1 - nl - ni - u->ngates)
+        return -1;
+    if (u->frames == 0) {
+        for (int32_t i = 0; i < nl; i++) {
+            int32_t next = x.latches[2 * i], reset = x.latches[2 * i + 1];
+            state[i] = reset >= 0 ? reset : next < 0 ? 0 : 2 * ++nv;
+        }
+        memcpy(inputs + ni, state, (size_t)nl * sizeof(int32_t));
+    }
+    for (int32_t i = 0; i < ni; i++)
+        map[1 + i] = inputs[i] = x.inputs[i] ? 2 * ++nv : 0;
+    memcpy(map + ni + 1, state, (size_t)nl * sizeof(int32_t));
+    const int32_t *g = x.gates;
+    for (int32_t k = 0; k < u->ngates; k++, g += 4) {
+        int32_t kind = g[3];
+        if (kind == GATE_INNER) {
+            lits[k] = -1;
+            continue;
+        }
+        int32_t a = map[g[1] >> 1] ^ (g[1] & 1);
+        int32_t b = map[g[2] >> 1] ^ (g[2] & 1), lit;
+        if (a > 1 && b > 1 && (a ^ b) > 1) {   /* two distinct variables */
+            lit = 2 * ++nv;
+            int32_t o = nv + 1, sa = dimacs(a), sb = dimacs(b);
+            if (kind == GATE_XOR) {
+                int32_t c[16] = {3, -o, sa, sb, 3, -o, -sa, -sb,
+                                 3, o, -sa, sb, 3, o, sa, -sb};
+                memcpy(r, c, sizeof c);
+                r += 16;
+            } else {
+                int32_t c[10] = {2, -o, sa, 2, -o, sb, 3, o, -sa, -sb};
+                memcpy(r, c, sizeof c);
+                r += 10;
+            }
+        } else if (kind == GATE_XOR) {
+            /* a constant flips or clears the other operand's sign; p and
+             * +-q give 0 or 1 */
+            lit = a ^ b;
+        } else if (a == b || b == 1) {
+            lit = a;
+        } else if (a == 1) {
+            lit = b;
+        } else {   /* a 0 operand, or complementary operands */
+            lit = 0;
+        }
+        map[g[0]] = lits[k] = lit;
+    }
+    for (int32_t i = 0; i < u->np; i++)
+        bads[i] = map[x.bads[i] >> 1] ^ (x.bads[i] & 1);
+    for (int32_t i = 0; i < nl; i++) {
+        int32_t next = x.latches[2 * i];
+        state[i] = next < 0 ? 0 : map[next >> 1] ^ (next & 1);
+    }
+    u->num_vars = nv;
+    u->frames++;
+    out[0] = nv;
+    out[1] = (int32_t)(r - rec);
+    return 0;
 }

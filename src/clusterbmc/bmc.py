@@ -5,17 +5,19 @@ is free at frame 0.  A run owns a single SolverSession.  Frames are
 encoded into CNF one at a time, each limited to the union cone of
 influence of the run's properties: an input, latch or gate that no
 property of the run can see gets no solver variable and reads as false
-in counterexamples, or as its reset for a frame-0 latch.  Constants
-are folded while a frame unfolds: a gate with a constant operand, or with
-equal or complementary operands, takes the literal of a constant or of an
-operand and gets neither a variable nor clauses.  Each other XOR that
-`Netlist.xors` finds becomes 4 clauses over its two inputs, and its two
-inner AND gates get neither clauses nor solver variables; every other AND
-gate gets the 3 Tseitin clauses.  A frame's variables are created first,
-in the builder's order, and its clauses then go to the solver in one
-`add_clauses` batch.  At every frame the bad literal of each
-still-unresolved property is assumed and solved, in ascending property
-order; a bad folded to constant false is refuted without a solver call.
+in counterexamples, or as its reset for a frame-0 latch.  The C kernel
+unfolds and encodes each frame in one call (`netlist.UnfoldBuilder`).
+Constants are folded while a frame unfolds: a gate with a constant
+operand, or with equal or complementary operands, takes the literal of a
+constant or of an operand and gets neither a variable nor clauses.  Each
+other XOR that `Netlist.xors` finds becomes 4 clauses over its two
+inputs, and its two inner AND gates get neither clauses nor solver
+variables; every other AND gate gets the 3 Tseitin clauses.  A frame's
+variables are created first, in the builder's order, and the clause
+records the kernel wrote then go to the solver in one `add_clauses`
+batch.  At every frame the bad literal of each still-unresolved property
+is assumed and solved, in ascending property order; a bad folded to
+constant false is refuted without a solver call.
 A run solves each distinct bad literal once, as the first property that
 has it; the properties that share it take that verdict.  Learned clauses
 persist across properties and frames, which is what makes clustered runs
@@ -100,7 +102,7 @@ class Cex:
     inputs: list  # inputs[f][i] is input i at frame f
 
 
-@dataclass
+@dataclass(slots=True)
 class FrameStat:
     frame: int
     conflicts: int
@@ -132,13 +134,12 @@ class ClusterVerdict:
 class _Encoder:
     """Writes unfolded frames into a solver session as CNF.
 
-    Combinational variable k maps to solver variable k + 1.  Variable 0
-    is the constant false, so solver variable 1 is pinned false and the
-    constants map like any other literal.  The builder folds constants and
-    tells each gate's kind: a gate it gives a variable gets 3 Tseitin
-    clauses as an AND, or 4 clauses over p and q as an XOR top; a folded
-    gate or an XOR inner gate gets none.  Past variable 1, the inputs and
-    the frame-0 latches, some clause reads every solver variable.
+    The builder folds constants and writes each frame's clauses already in
+    solver numbering, where combinational variable k is solver variable
+    k + 1.  Variable 0 is the constant false, so solver variable 1 is
+    pinned false and the constants map like any other literal.  Past
+    variable 1, the inputs and the frame-0 latches, some clause reads every
+    solver variable.
 
     `add_frame` creates the frame's solver variables at once, up to the
     builder's last one, then adds its clauses in one batch.  The seeded
@@ -149,7 +150,7 @@ class _Encoder:
     """
 
     def __init__(self, n: Netlist, solver: satcore.SolverSession, cone: set):
-        self.builder = UnfoldBuilder(n, cone=cone, xors=n.xors())
+        self.builder = UnfoldBuilder(n, cone=cone)
         self.solver = solver
         solver.add_clause([-1])
 
@@ -157,38 +158,25 @@ class _Encoder:
         var = (comb_lit >> 1) + 1
         return -var if comb_lit & 1 else var
 
-    def add_frame(self) -> list:
-        gates = self.builder.add_frame()
+    def add_frame(self):
+        builder = self.builder
+        builder.add_frame()
         # the frame's variables, in the order the builder numbered them:
         # inputs (and frame-0 latches) may feed nothing, and the solver
         # still needs their variables so counterexamples cover them
-        self.solver.ensure_var(self.builder.num_vars + 1)
-        records = []
-        add = records.extend
-        for gate in gates:
-            if gate is None:
-                continue
-            out, a, b, xor = gate
-            # no operand is a constant and no output is negated
-            o = (out >> 1) + 1
-            sa = -(a >> 1) - 1 if a & 1 else (a >> 1) + 1
-            sb = -(b >> 1) - 1 if b & 1 else (b >> 1) + 1
-            if xor:
-                add((3, -o, sa, sb, 3, -o, -sa, -sb,
-                     3, o, -sa, sb, 3, o, sa, -sb))
-            else:
-                add((2, -o, sa, 2, -o, sb, 3, o, -sa, -sb))
-        self.solver.add_clauses(records)
-        return self.builder.bads
+        self.solver.ensure_var(builder.num_vars + 1)
+        self.solver.add_clauses(builder.records)
+        return builder.bads
 
     def extract_cex(self, model, frames: int) -> Cex:
         def val(comb_lit):
             return model[(comb_lit >> 1) + 1] != bool(comb_lit & 1)
 
+        ni = self.builder.netlist.num_inputs
+        lits = self.builder.frame_inputs
         latch_init = [val(lit) for lit in self.builder.frame0_latches]
-        inputs = [
-            [val(lit) for lit in self.builder.frame_inputs[f]] for f in range(frames)
-        ]
+        inputs = [[val(lit) for lit in lits[f * ni:(f + 1) * ni]]
+                  for f in range(frames)]
         return Cex(latch_init, inputs)
 
 

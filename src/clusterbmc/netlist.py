@@ -19,11 +19,21 @@ A property's cone of influence is one set of variables (`Netlist.cone`).
 Canonical numbering tells its inputs, latches and ANDs apart by range,
 so `extract_coi` counts them and `restrict_to_coi` renumbers the cone in
 ascending order without keeping them in separate sets.
+
+`UnfoldBuilder` unrolls a cone one frame at a time in the C kernel that
+`satcore` builds and loads (`_cdcl.c`): one call per frame folds its
+constants and writes its CNF as clause records in solver numbering.  It
+reads each netlist as one table of ints (`Netlist.gate_table`), built
+once per netlist.  `tests/ref_unfold.py` holds the same unfolder in
+Python, the reference the tests hold the kernel to.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+
+from .satcore import _lib
 
 
 class DataError(Exception):
@@ -112,6 +122,7 @@ class Netlist:
         # caches, not fields, so equality and hashing ignore them
         object.__setattr__(self, "_cones", {})   # property -> cone
         object.__setattr__(self, "_xors", None)
+        object.__setattr__(self, "_table", None)
 
     # -- structural queries -------------------------------------------------
 
@@ -146,6 +157,20 @@ class Netlist:
         if self._xors is None:
             object.__setattr__(self, "_xors", _find_xors(self))
         return self._xors
+
+    def gate_table(self) -> array:
+        """The netlist as the kernel's unfolder reads it, in one
+        ``array('i')``: the input, latch, AND and property counts and the
+        size of an unfolder's state in ints, which the kernel computes;
+        per latch its next-state literal and reset (-1 for none); per AND,
+        in variable order, two operands and a kind, which is 1 for an XOR
+        top of `xors` (its operands are then p and q of ``p XOR q``), 2
+        for an XOR inner gate and 0 for any other AND; per property its
+        bad literal.  Computed once per netlist.
+        """
+        if self._table is None:
+            object.__setattr__(self, "_table", _gate_table(self))
+        return self._table
 
     # -- simulation ---------------------------------------------------------
 
@@ -352,6 +377,26 @@ def _find_xors(n: Netlist) -> tuple[tuple[int, int, int], ...]:
     return tuple(found)
 
 
+def _gate_table(n: Netlist) -> array:
+    xors = n.xors()
+    tops = {top: n.and_of_var(g1) for top, g1, _ in xors}
+    inner = {g for _, g1, g2 in xors for g in (g1, g2)}
+    rows = [n.num_inputs, n.num_latches, n.num_ands, n.num_properties, 0]
+    for latch in n.latches:
+        rows += (latch.next, -1 if latch.reset is None else latch.reset)
+    for lhs, rhs0, rhs1 in n.ands:
+        var = lhs >> 1
+        if var in tops:
+            _, p, q = tops[var]
+            rows += (p, q, 1)
+        else:
+            rows += (rhs0, rhs1, 2 if var in inner else 0)
+    rows += n.properties
+    table = array("i", rows)
+    table[4] = _lib.unfold_size(table.buffer_info()[0])
+    return table
+
+
 def cone_vars(n: Netlist, props) -> frozenset:
     """Union of the cones of `props`."""
     return frozenset().union(*(n.cone(p) for p in props))
@@ -404,16 +449,23 @@ def restrict_to_coi(n: Netlist, p: int) -> Netlist:
 
 
 class UnfoldBuilder:
-    """Combinational unfolding of a netlist, one frame per `add_frame`.
+    """Combinational unfolding of a netlist, one frame per `add_frame`;
+    a wrapper over the unfolder in the solver's C kernel (`_cdcl.c`).
 
     Fresh variables are numbered from 1; literals use the same even/odd
-    convention as Netlist.  ``frame_inputs[f][i]`` is the literal of input i
-    at frame f, ``bads[p]`` the literal of property p at the last frame
-    unfolded (earlier frames' bads are not kept), and ``frame0_latches``
-    the frame-0 latch literals.  Frame 0 is the initial state: a latch
-    with a reset is that constant there, and a latch with none (AIGER's
-    reset = its own literal) is free.  So a run from every state is a run
-    on a copy whose latches have no reset.
+    convention as Netlist.  Each frame numbers its fresh variables in
+    order: at frame 0 the free latches, then the inputs, then the gates.
+    ``frame_inputs`` holds every frame's input literals in one flat
+    ``array('i')``: input i at frame f is ``frame_inputs[f * I + i]``.
+    ``bads[p]`` is the literal of property p at the last frame unfolded
+    (earlier frames' bads are not kept), ``frame0_latches`` the frame-0
+    latch literals, and ``records`` the last frame's clauses as the
+    length-prefixed DIMACS records of `satcore.SolverSession.add_clauses`,
+    in solver numbering: combinational variable k is solver variable
+    k + 1, so solver variable 1 stands for the constant.  Frame 0 is the
+    initial state: a latch with a reset is that constant there, and a
+    latch with none (AIGER's reset = its own literal) is free.  So a run
+    from every state is a run on a copy whose latches have no reset.
 
     ``cone`` is the set of netlist variables to unfold (None: every one).
     A variable outside it gets literal 0 (constant false) instead of a
@@ -422,10 +474,10 @@ class UnfoldBuilder:
     A latch outside it still takes its reset at frame 0, so the frame-0
     latch literals always name an initial state.
 
-    ``xors`` lists ``(top, g1, g2)`` XOR gates as `Netlist.xors` finds
-    them.  A kept top unfolds as ``p XOR q`` over the operands of
-    ``g1 = AND(p, q)``; its two inner gates, which only the top reads, get
-    no literal.
+    Each XOR top of `Netlist.xors` unfolds as ``p XOR q`` over the
+    operands of ``g1 = AND(p, q)``, with 4 clauses; its two inner gates,
+    which only the top reads, get no literal.  Every other AND that gets a
+    variable gets the 3 Tseitin clauses.
 
     Constants are folded as each frame unfolds.  An AND with a constant
     operand, or with equal or complementary operands, gets no variable: its
@@ -434,96 +486,50 @@ class UnfoldBuilder:
     variable each.
     """
 
-    def __init__(self, n: Netlist, *, cone: set | None = None, xors=()):
-        keep = (lambda var: True) if cone is None else cone.__contains__
+    def __init__(self, n: Netlist, *, cone=None):
         self.netlist = n
         self.num_vars = 0
         self.frames = 0
-        self.frame_inputs: list = []
-        self.bads: list = []
-        self.frame0_latches: list = []
-        self._inputs = [keep(var) for var in range(1, n.num_inputs + 1)]
-        self._latches = [
-            latch if keep(lit_var(latch.lit)) else None for latch in n.latches
-        ]
-        tops = {top: n.and_of_var(g1) for top, g1, _ in xors}
-        inner = {g for _, g1, g2 in xors for g in (g1, g2)}
-        # per kept AND: (variable, operand, operand, xor), where xor is
-        # True for an XOR top, False for an AND and None for an inner gate
-        self._gates = []
-        for lhs, rhs0, rhs1 in n.ands:
-            var = lit_var(lhs)
-            if not keep(var):
-                continue
-            xor = var in tops
-            if xor:
-                _, rhs0, rhs1 = tops[var]
-            elif var in inner:
-                xor = None
-            self._gates.append((var, rhs0, rhs1, xor))
-
-    def _fresh(self) -> int:
-        self.num_vars += 1
-        return 2 * self.num_vars
+        self.frame_inputs = array("i")
+        self.frame0_latches = array("i")
+        self.bads = array("i")
+        self.records = array("i")
+        table = n.gate_table()
+        # the kernel's state, in a buffer this builder owns
+        self._state = array("i", [0]) * table[4]
+        self._addr = self._state.buffer_info()[0]
+        if cone is None:
+            gates = _lib.unfold_init(self._addr, table.buffer_info()[0],
+                                     None, -1)
+        else:
+            cone = array("i", list(cone))
+            gates = _lib.unfold_init(self._addr, table.buffer_info()[0],
+                                     *cone.buffer_info())
+        # the kernel's output, as unfold_frame lays it out: 2 counts, then
+        # bads, inputs, frame-0 latches, gate literals and records
+        inputs = 2 + n.num_properties
+        latches = inputs + n.num_inputs
+        lits = latches + n.num_latches
+        records = lits + gates
+        self._at = inputs, latches, lits, records
+        self._out = array("i", [0]) * (records + 16 * gates)
+        self._out_addr = self._out.buffer_info()[0]
 
     def add_frame(self):
         """Unfold one more frame.
 
-        Returns one entry per kept AND gate, XOR inner gates included:
-        None for a gate that got no variable, else ``(out, a, b, xor)``,
-        whose operands are never constants and which states
-        ``out = a XOR b`` if ``xor``, ``out = a AND b`` otherwise.
+        Returns one entry per kept AND gate, XOR inner gates included: the
+        gate's literal at this frame, or -1 for an inner gate.
         """
-        n = self.netlist
-        if self.frames == 0:
-            latch_lits = [
-                latch.reset if latch.reset is not None
-                else 0 if kept is None else self._fresh()
-                for latch, kept in zip(n.latches, self._latches)
-            ]
-            self.frame0_latches = list(latch_lits)
-        else:
-            prev = self._frame_map
-            latch_lits = [
-                0 if latch is None else prev[latch.next >> 1] ^ (latch.next & 1)
-                for latch in self._latches
-            ]
-        input_lits = [self._fresh() if kept else 0 for kept in self._inputs]
-        self.frame_inputs.append(input_lits)
-
-        # fm[var] -> combinational literal of that variable's output; fm[0]
-        # stays 0, so fm[lit >> 1] ^ (lit & 1) maps constants to themselves
-        fm = [0] * (n.max_var + 1)
-        fm[1:n.num_inputs + 1] = input_lits
-        fm[n.num_inputs + 1:n.num_inputs + 1 + n.num_latches] = latch_lits
-        gates = []
-        append = gates.append
-        num_vars = self.num_vars
-        for var, rhs0, rhs1, xor in self._gates:
-            if xor is None:
-                append(None)
-                continue
-            a = fm[rhs0 >> 1] ^ (rhs0 & 1)
-            b = fm[rhs1 >> 1] ^ (rhs1 & 1)
-            if a > 1 and b > 1 and a ^ b > 1:   # two distinct variables
-                num_vars += 1
-                out = 2 * num_vars
-                append((out, a, b, xor))
-            else:
-                append(None)
-                if xor:
-                    # a constant flips or clears the other operand's sign;
-                    # p and +-q give 0 or 1
-                    out = a ^ b
-                elif a == b or b == 1:
-                    out = a
-                elif a == 1:
-                    out = b
-                else:   # a 0 operand, or complementary operands
-                    out = 0
-            fm[var] = out
-        self.num_vars = num_vars
-        self.bads = [fm[bad >> 1] ^ (bad & 1) for bad in n.properties]
-        self._frame_map = fm
+        if _lib.unfold_frame(self._addr, self._out_addr):
+            raise OverflowError("the unfolding outgrew 32-bit literals")
+        out = self._out
+        inputs, latches, lits, records = self._at
+        self.num_vars = out[0]
+        self.bads = out[2:inputs]
+        self.frame_inputs += out[inputs:latches]
+        if not self.frames:
+            self.frame0_latches = out[latches:lits]
+        self.records = out[records:records + out[1]]
         self.frames += 1
-        return gates
+        return out[lits:records]

@@ -9,8 +9,10 @@ multi-property BMC relies on.
 The search lives in C, in `_cdcl.c` next to this file; `SolverSession`
 is a ctypes wrapper over it.  `tests/ref_satcore.py` is the same search in
 Python, the reference the tests hold the C search to, decision for
-decision.  On first import the C file is compiled with the interpreter's
-C compiler (`sysconfig`'s CC) into this package's `__pycache__/`, once per
+decision.  The same library holds the frame unfolder that
+`netlist.UnfoldBuilder` wraps, and this module builds and loads it for
+both.  On first import the C file is compiled with the interpreter's C
+compiler (`sysconfig`'s CC) into this package's `__pycache__/`, once per
 source and interpreter; a missing compiler or a failed build is an
 ImportError.
 
@@ -35,16 +37,19 @@ and gives each a new, highest stamp.  The search caches a variable after
 which every variable is assigned: backtracking moves it to each variable
 it unassigns whose stamp is higher, and a decision walks back from it to
 the first unassigned variable.  A new variable joins the back of the list
-(decided first) or the front by a draw from the seeded generator, which
-is how the seed steers the search.
+(decided first) or the front by a draw from the session's generator,
+which is how the seed steers the search.  The kernel holds a copy of
+Python's Mersenne Twister, seeded and drawn as `random.Random(seed)` with
+`random() < 0.5` would be, so the reference search, which uses
+`random.Random`, makes the same draws.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
-import random
 import sys
 import weakref
 from array import array
@@ -60,8 +65,6 @@ CLAUSE_CAP = 400_000
 
 # the kernel's statuses, by its return code
 _STATUS = (SAT, UNSAT, UNKNOWN)
-# records of a new variable at the back / front of the decision queue
-_BACK, _FRONT = -1, -2
 _INT64_MAX = (1 << 63) - 1
 # the errors of cdcl_scan, by its return code -1, -2, ...
 _MALFORMED = ("0 is not a literal", "-2**31 is not a literal",
@@ -132,14 +135,19 @@ def _load() -> ctypes.CDLL:
     lib = ctypes.CDLL(_build())
     p, i64 = ctypes.c_void_p, ctypes.c_int64
     for name, restype, argtypes in (
-            ("cdcl_new", p, ()),
+            ("cdcl_seed", None, (p, ctypes.c_int32, p)),
+            ("cdcl_new", p, (p,)),
             ("cdcl_free", None, (p,)),
             ("cdcl_scan", ctypes.c_int32, (p, i64)),
             ("cdcl_solve", ctypes.c_int,
              (p, p, i64, i64, i64, ctypes.c_double, i64, p)),
             # the learned clauses, which the tests' RUP checker reads
             ("cdcl_num_learned", i64, (p,)),
-            ("cdcl_learned", ctypes.c_int32, (p, i64, p))):
+            ("cdcl_learned", ctypes.c_int32, (p, i64, p)),
+            # the unfolder of netlist.UnfoldBuilder
+            ("unfold_size", i64, (p,)),
+            ("unfold_init", ctypes.c_int32, (p, p, p, i64)),
+            ("unfold_frame", ctypes.c_int32, (p, p))):
         fn = getattr(lib, name)
         fn.restype, fn.argtypes = restype, argtypes
     return lib
@@ -156,16 +164,15 @@ class SolverSession:
     """
 
     def __init__(self, seed: int = 0):
-        self._rng = random.Random(seed)
         self.num_vars = 0
         # the original clauses' records, as added; `clauses` decodes them
         self._records = array("i")
-        # records: _BACK or _FRONT for a new variable, or a clause's length
-        # followed by its literals
+        # records: -k for k new variables, or a clause's length followed by
+        # its literals
         self._pending = array("i")
         self._out = (ctypes.c_int64 * 3)()
         self._out_addr = ctypes.addressof(self._out)
-        self._handle = _lib.cdcl_new()
+        self._handle = _lib.cdcl_new(_seeded(seed)[1])
         if not self._handle:
             raise MemoryError("cannot allocate a solver session")
         weakref.finalize(self, _lib.cdcl_free, self._handle)
@@ -184,11 +191,8 @@ class SolverSession:
 
     def ensure_var(self, v: int):
         if v > self.num_vars:
-            # the seed's one say in the search: a new variable goes to the
-            # back of the queue (decided first) or to the front
-            draw = self._rng.random
-            self._pending.extend([_BACK if draw() < 0.5 else _FRONT
-                                  for _ in range(v - self.num_vars)])
+            # the kernel places each new variable by a seeded draw
+            self._pending.append(self.num_vars - v)
             self.num_vars = v
 
     def add_clause(self, lits) -> None:
@@ -245,6 +249,20 @@ class SolverSession:
             model = [None]
             model += map(bool, ctypes.string_at(out[2], self.num_vars))
         return SolveResult(_STATUS[code], model, out[0], out[1])
+
+
+@functools.lru_cache(maxsize=64)
+def _seeded(seed: int) -> tuple:
+    """The generator state random.Random(seed) starts from, as the
+    kernel's cdcl_seed writes it, and its address: seeding is most of what
+    a new session costs, and runs share a few seeds."""
+    seed = abs(seed)
+    # random.Random seeds with the 32-bit words of |seed|, lowest first
+    key = array("I", [seed >> shift & 0xFFFFFFFF for shift in
+                      range(0, max(seed.bit_length(), 1), 32)])
+    state = array("I", [0]) * 624   # the twister's MT_N words
+    _lib.cdcl_seed(*key.buffer_info(), state.buffer_info()[0])
+    return state, state.buffer_info()[0]
 
 
 def _top(batch: array) -> int:

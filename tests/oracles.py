@@ -9,6 +9,7 @@ clauses a solver session logged (the learned ones read from the C
 kernel), the gain table re-states the formulas from scratch, the
 assignment oracle tries permutations, and the clusterer references
 recompute every distance and cost every PAM swap on a copy.
+`xor_rich_netlist` is a fixture family, of netlists mostly made of XORs.
 """
 
 import ctypes
@@ -19,6 +20,7 @@ import random
 import numpy as np
 
 from clusterbmc import satcore
+from clusterbmc.circuits import TRUE, AigBuilder
 
 
 # -- cone of influence ------------------------------------------------------
@@ -40,6 +42,42 @@ def cone_closure(n, p):
                 cone.update(operands)
         cone.discard(0)
     return cone
+
+
+# -- fixtures ----------------------------------------------------------------
+
+def xor_rich_netlist(rng, num_bads):
+    """Random netlist mostly of `xor_` gates, with the XOR tops it built.
+
+    Some inner gates of an XOR are read again (by an AND, a latch or a
+    bad), so that XOR is encoded as its three ANDs instead."""
+    ni, nl = rng.randint(1, 3), rng.randint(1, 4)
+    b = AigBuilder(num_inputs=ni, num_latches=nl, name="xrand")
+    pool = [TRUE] + [b.input_lit(i) for i in range(ni)]
+    pool += [b.latch_lit(i) for i in range(nl)]
+    tops = set()
+
+    def pick():
+        return rng.choice(pool) ^ (rng.random() < 0.5)
+
+    for _ in range(rng.randint(3, 16)):
+        x, y = pick(), pick()
+        if rng.random() < 0.7:
+            fresh = b._next_var
+            lit = b.xor_(x, y)
+            if b._next_var == fresh + 3:
+                tops.add(lit >> 1)
+                if rng.random() < 0.2:
+                    pool.append(b.and_(x, y ^ 1))   # reuse an inner gate
+        else:
+            lit = b.and_(x, y)
+        if lit > 1:
+            pool.append(lit)
+    for i in range(nl):
+        b.set_latch(i, pick(), reset=rng.choice([0, 0, 1, None]))
+    for _ in range(num_bads):
+        b.add_bad(pick())
+    return b.build(), tops
 
 
 # -- explicit-state reachability --------------------------------------------

@@ -6,9 +6,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clusterbmc import bmc, satcore
+from clusterbmc import bmc, netlist, satcore
 from clusterbmc.circuits import (
-    TRUE,
     AigBuilder,
     counter,
     deep_sat_miter,
@@ -19,8 +18,9 @@ from clusterbmc.circuits import (
     two_counters,
 )
 from clusterbmc.netlist import cone_vars, extract_coi
+import ref_unfold
 from oracles import (CountingSession, RupLog, bfs_reach, free_latches,
-                     rup_failures)
+                     rup_failures, xor_rich_netlist)
 
 
 def cfg_init(**kw):
@@ -33,6 +33,11 @@ def cfg_init(**kw):
 # unrolls from every state, as the inductive step of k-induction does
 FROM_EVERY_STATE = pytest.mark.parametrize(
     "free", [False, True], ids=["initial-state", "inductive"])
+
+
+# the C unfolder and its Python reference, for the tests that read an
+# encoder's builder
+BUILDERS = (netlist.UnfoldBuilder, ref_unfold.UnfoldBuilder)
 
 
 def start(n, free):
@@ -158,40 +163,6 @@ def test_inductive_vs_free_start_bfs_oracle():
     assert sat > 400 and undet > 40
 
 
-def xor_rich_netlist(rng, num_bads):
-    """Random netlist mostly of `xor_` gates, with the XOR tops it built.
-
-    Some inner gates of an XOR are read again (by an AND, a latch or a
-    bad), so that XOR is encoded as its three ANDs instead."""
-    ni, nl = rng.randint(1, 3), rng.randint(1, 4)
-    b = AigBuilder(num_inputs=ni, num_latches=nl, name="xrand")
-    pool = [TRUE] + [b.input_lit(i) for i in range(ni)]
-    pool += [b.latch_lit(i) for i in range(nl)]
-    tops = set()
-
-    def pick():
-        return rng.choice(pool) ^ (rng.random() < 0.5)
-
-    for _ in range(rng.randint(3, 16)):
-        x, y = pick(), pick()
-        if rng.random() < 0.7:
-            fresh = b._next_var
-            lit = b.xor_(x, y)
-            if b._next_var == fresh + 3:
-                tops.add(lit >> 1)
-                if rng.random() < 0.2:
-                    pool.append(b.and_(x, y ^ 1))   # reuse an inner gate
-        else:
-            lit = b.and_(x, y)
-        if lit > 1:
-            pool.append(lit)
-    for i in range(nl):
-        b.set_latch(i, pick(), reset=rng.choice([0, 0, 1, None]))
-    for _ in range(num_bads):
-        b.add_bad(pick())
-    return b.build(), tops
-
-
 @FROM_EVERY_STATE
 def test_xor_rich_vs_bfs_oracle(free):
     # XOR tops get 4 clauses and their inner gates none; standalone and
@@ -255,7 +226,7 @@ def test_shared_session_clauses_are_rup(monkeypatch, free):
 
 
 @pytest.mark.parametrize("width", [4, 9])
-def test_xor_frame_clause_count(width):
+def test_xor_frame_clause_count(monkeypatch, width):
     # one frame: 4 clauses per XOR top, none per inner gate, 3 per other
     # AND; a return to 3 clauses per AND would give 3 * num_ands.  With
     # free latches no gate folds; from reset the `width` leaves XOR an
@@ -265,12 +236,15 @@ def test_xor_frame_clause_count(width):
     assert tops == 3 * width - 1
     plain = n.num_ands - 3 * tops
     assert plain == 1   # the variant's AND with a leaf
-    for design, folded in ((free_latches(n), 0), (n, width)):
-        solver = satcore.new_solver(seed=0)
-        enc = bmc._Encoder(design, solver, cone_vars(design, [0, 1]))
-        before = len(solver.clauses)
-        enc.add_frame()
-        assert len(solver.clauses) - before == 4 * (tops - folded) + 3 * plain
+    for builder in BUILDERS:
+        monkeypatch.setattr(bmc, "UnfoldBuilder", builder)
+        for design, folded in ((free_latches(n), 0), (n, width)):
+            solver = satcore.new_solver(seed=0)
+            enc = bmc._Encoder(design, solver, cone_vars(design, [0, 1]))
+            before = len(solver.clauses)
+            enc.add_frame()
+            assert len(solver.clauses) - before == (
+                4 * (tops - folded) + 3 * plain)
 
 
 @pytest.mark.parametrize("design", ["miter", "bank"])
@@ -283,14 +257,16 @@ def test_every_gate_variable_is_in_a_clause(monkeypatch, design):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         monkeypatch.syspath_prepend(os.path.join(root, "bench"))
         n = importlib.import_module("workloads").bank(random.Random(5), "bank")
-    solver = RupSession(seed=0)
-    enc = bmc._Encoder(n, solver, cone_vars(n, range(n.num_properties)))
-    for _ in range(3):
-        enc.add_frame()
-        free = {1} | {abs(enc.slit(lit)) for lits in enc.builder.frame_inputs
-                      for lit in lits + enc.builder.frame0_latches}
-        read = {abs(lit) for _, clause in solver.log for lit in clause}
-        assert set(range(1, solver.num_vars + 1)) - free <= read
+    for builder in BUILDERS:
+        monkeypatch.setattr(bmc, "UnfoldBuilder", builder)
+        solver = RupSession(seed=0)
+        enc = bmc._Encoder(n, solver, cone_vars(n, range(n.num_properties)))
+        for _ in range(3):
+            enc.add_frame()
+            free = {1} | {abs(enc.slit(lit)) for lit in [
+                *enc.builder.frame_inputs, *enc.builder.frame0_latches]}
+            read = {abs(lit) for _, clause in solver.log for lit in clause}
+            assert set(range(1, solver.num_vars + 1)) - free <= read
 
 
 def simulation_sample():
@@ -303,39 +279,46 @@ def simulation_sample():
 
 
 @FROM_EVERY_STATE
-def test_encoding_agrees_with_simulation(free):
+def test_encoding_agrees_with_simulation(monkeypatch, free):
     # with every input and free frame-0 latch assumed, the unrolled CNF has
     # one model; each frame's bad literal, folded to a constant or not,
     # must read what simulating the netlist from the same values reads
     frames = 5
-    folded = kept = 0
-    for trial, n in enumerate(simulation_sample()):
-        n = start(n, free)
-        rng = random.Random(16000 + trial)
-        solver = satcore.new_solver(seed=trial % 3)
-        enc = bmc._Encoder(n, solver, cone_vars(n, range(n.num_properties)))
-        bads = [enc.add_frame() for _ in range(frames)]
-        state = [bool(latch.reset) if latch.reset is not None
-                 else rng.random() < 0.5 for latch in n.latches]
-        inputs = [[rng.random() < 0.5 for _ in range(n.num_inputs)]
-                  for _ in range(frames)]
-        assumptions = []
-        for lits, vals in [(enc.builder.frame0_latches, state)] + list(
-                zip(enc.builder.frame_inputs, inputs)):
-            assumptions += [enc.slit(lit) if val else -enc.slit(lit)
-                            for lit, val in zip(lits, vals) if lit > 1]
-        res = solver.solve(assumptions)
-        assert res.status == satcore.SAT
+    for builder in BUILDERS:
+        monkeypatch.setattr(bmc, "UnfoldBuilder", builder)
+        folded = kept = 0
+        for trial, n in enumerate(simulation_sample()):
+            n = start(n, free)
+            rng = random.Random(16000 + trial)
+            solver = satcore.new_solver(seed=trial % 3)
+            enc = bmc._Encoder(n, solver,
+                               cone_vars(n, range(n.num_properties)))
+            bads = [list(enc.add_frame()) for _ in range(frames)]
+            state = [bool(latch.reset) if latch.reset is not None
+                     else rng.random() < 0.5 for latch in n.latches]
+            inputs = [[rng.random() < 0.5 for _ in range(n.num_inputs)]
+                      for _ in range(frames)]
+            ni = n.num_inputs
+            frame_inputs = [enc.builder.frame_inputs[f * ni:(f + 1) * ni]
+                            for f in range(frames)]
+            assumptions = []
+            for lits, vals in [(enc.builder.frame0_latches, state)] + list(
+                    zip(frame_inputs, inputs)):
+                assumptions += [enc.slit(lit) if val else -enc.slit(lit)
+                                for lit, val in zip(lits, vals) if lit > 1]
+            res = solver.solve(assumptions)
+            assert res.status == satcore.SAT
 
-        def value(lit):
-            return bool(lit) if lit <= 1 else res.model[(lit >> 1) + 1] ^ (lit & 1)
+            def value(lit):
+                return bool(lit) if lit <= 1 else (
+                    res.model[(lit >> 1) + 1] ^ (lit & 1))
 
-        for f in range(frames):
-            _, state, want = n.eval_frame(state, inputs[f])
-            assert [value(lit) for lit in bads[f]] == want, (trial, f)
-            folded += sum(lit <= 1 for lit in bads[f])
-            kept += sum(lit > 1 for lit in bads[f])
-    assert folded > 100 and kept > 400
+            for f in range(frames):
+                _, state, want = n.eval_frame(state, inputs[f])
+                assert [value(lit) for lit in bads[f]] == want, (trial, f)
+                folded += sum(lit <= 1 for lit in bads[f])
+                kept += sum(lit > 1 for lit in bads[f])
+        assert folded > 100 and kept > 400
 
 
 def test_constant_false_bad_is_refuted_without_a_call(monkeypatch):

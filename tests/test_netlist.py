@@ -23,7 +23,8 @@ from clusterbmc.netlist import (
     restrict_to_coi,
     serialize_aiger,
 )
-from oracles import cone_closure, free_latches
+import ref_unfold
+from oracles import cone_closure, free_latches, xor_rich_netlist
 
 
 def test_parse_minimal():
@@ -312,27 +313,41 @@ def test_restrict_to_coi_preserves_reachability():
         assert bads_sub[0] == bads_full[0]
 
 
+# the C builder and its Python reference; the reference also keeps each
+# frame's gates as tuples
+BUILDERS = (netlist.UnfoldBuilder, ref_unfold.UnfoldBuilder)
+
+
 def unfold(builder, frames):
-    """The gates of `frames` more frames, and each frame's bad literals."""
+    """The gates of `frames` more frames of a reference builder, and each
+    frame's bad literals."""
     gates, bads = [], []
     for _ in range(frames):
-        gates += builder.add_frame()
+        builder.add_frame()
+        gates += builder.gates
         bads.append(builder.bads)
     return gates, bads
 
 
 def test_unfold_init_vs_inductive():
     n = counter(2, (1,))
-    init = netlist.UnfoldBuilder(n)
-    free = netlist.UnfoldBuilder(free_latches(n))
-    init.add_frame()
-    free.add_frame()
-    # frame 0 pins reset-0 latches to constant false literals, and gives a
-    # latch with no reset a fresh variable
-    assert all(lit in (0, 1) for lit in init.frame0_latches)
-    assert all(lit > 1 for lit in free.frame0_latches)
-    with pytest.raises(TypeError):   # there is no mode to choose
-        netlist.UnfoldBuilder(n, "inductive")
+    for builder in BUILDERS:
+        init = builder(n)
+        free = builder(free_latches(n))
+        init.add_frame()
+        free.add_frame()
+        # frame 0 pins reset-0 latches to constant false literals, and
+        # gives a latch with no reset a fresh variable
+        assert all(lit in (0, 1) for lit in init.frame0_latches)
+        assert all(lit > 1 for lit in free.frame0_latches)
+        with pytest.raises(TypeError):   # there is no mode to choose
+            builder(n, "inductive")
+
+
+def frames_of(builder, frames):
+    """Each frame's gate literals, bads and clause records, as lists."""
+    return [(list(builder.add_frame()), list(builder.bads),
+             list(builder.records)) for _ in range(frames)]
 
 
 def test_unfold_full_cone_equals_unfold():
@@ -341,10 +356,10 @@ def test_unfold_full_cone_equals_unfold():
     n = counter(2, (1,))
     # from reset the counter has no free variable, so every gate folds and
     # the bad "counter == 1" is constant: false at frame 0, true at 1
-    init = netlist.UnfoldBuilder(n)
+    init = ref_unfold.UnfoldBuilder(n)
     assert unfold(init, 2) == ([None] * 8, [[0], [1]])
     assert init.num_vars == 0
-    free = netlist.UnfoldBuilder(free_latches(n))
+    free = ref_unfold.UnfoldBuilder(free_latches(n))
     gates, bads = unfold(free, 2)
     assert gates == [
         (6, 4, 3, False), (8, 5, 2, False), (10, 9, 7, False),
@@ -355,14 +370,14 @@ def test_unfold_full_cone_equals_unfold():
     for trial in range(30):
         n = random_netlist(random.Random(1100 + trial), num_bads=3)
         for design in (n, free_latches(n)):
-            want = netlist.UnfoldBuilder(design)
-            every = netlist.UnfoldBuilder(
-                design, cone=set(range(1, n.max_var + 1)))
-            # equal gates and equal bads at each frame
-            assert unfold(every, 4) == unfold(want, 4)
-            assert every.num_vars == want.num_vars
-            assert every.frame_inputs == want.frame_inputs
-            assert every.frame0_latches == want.frame0_latches
+            for builder in BUILDERS:
+                want = builder(design)
+                every = builder(design, cone=set(range(1, n.max_var + 1)))
+                # equal gate literals, bads and records at each frame
+                assert frames_of(every, 4) == frames_of(want, 4)
+                assert every.num_vars == want.num_vars
+                assert list(every.frame_inputs) == list(want.frame_inputs)
+                assert list(every.frame0_latches) == list(want.frame0_latches)
 
 
 def test_unfold_cone_matches_restricted_netlist():
@@ -378,18 +393,23 @@ def test_unfold_cone_matches_restricted_netlist():
         latches = [v for v in cone
                    if n.num_inputs < v <= n.num_inputs + n.num_latches]
         for design in (n, free_latches(n)):
-            cut = netlist.UnfoldBuilder(
-                design, cone=netlist.cone_vars(design, [p]))
-            ref = netlist.UnfoldBuilder(restrict_to_coi(design, p))
-            for _ in range(4):
-                assert cut.add_frame() == ref.add_frame()
-                assert cut.bads[p] == ref.bads[0]
-                assert [cut.frame_inputs[-1][v - 1] for v in sorted(inputs)] == (
-                    ref.frame_inputs[-1])
-            assert cut.num_vars == ref.num_vars
-            first_latch = n.num_inputs + 1
-            assert [cut.frame0_latches[v - first_latch] for v in sorted(latches)] == (
-                ref.frame0_latches)
+            sub = restrict_to_coi(design, p)
+            for builder in BUILDERS:
+                cut = builder(design, cone=netlist.cone_vars(design, [p]))
+                ref = builder(sub)
+                for f in range(4):
+                    assert list(cut.add_frame()) == list(ref.add_frame())
+                    if builder is ref_unfold.UnfoldBuilder:
+                        assert cut.gates == ref.gates
+                    assert list(cut.records) == list(ref.records)
+                    assert cut.bads[p] == ref.bads[0]
+                    frame = cut.frame_inputs[f * n.num_inputs:]
+                    assert [frame[v - 1] for v in inputs] == list(
+                        ref.frame_inputs[f * sub.num_inputs:])
+                assert cut.num_vars == ref.num_vars
+                first_latch = n.num_inputs + 1
+                assert [cut.frame0_latches[v - first_latch]
+                        for v in latches] == list(ref.frame0_latches)
 
 
 def test_unfold_cone_of_one_counter():
@@ -397,13 +417,17 @@ def test_unfold_cone_of_one_counter():
     # is outside its cone
     n = two_counters()
     sub = restrict_to_coi(n, 0)
-    b = netlist.UnfoldBuilder(free_latches(n), cone=netlist.cone_vars(n, [0]))
+    b = ref_unfold.UnfoldBuilder(free_latches(n),
+                                 cone=netlist.cone_vars(n, [0]))
     for _ in range(4):
-        gates = b.add_frame()
-        assert len(gates) == sub.num_ands < n.num_ands
+        lits = b.add_frame()
+        assert len(b.gates) == sub.num_ands < n.num_ands
         # no gate of counter A reads a constant, so a folded gate (None) or
-        # a 0 or 1 operand would come from a latch of counter B
-        assert all(g is not None and g[1] > 1 and g[2] > 1 for g in gates)
+        # a 0 or 1 operand would come from a latch of counter B; an XOR's
+        # inner gates (literal -1) get no tuple
+        gates = [g for g, lit in zip(b.gates, lits) if lit != -1]
+        assert gates and all(g is not None and g[1] > 1 and g[2] > 1
+                             for g in gates)
         assert b._frame_map[3:5] == [0, 0]  # latch variables 3 and 4
     assert b.frame0_latches[2:] == [0, 0]
     assert all(lit > 1 for lit in b.frame0_latches[:2])
@@ -415,8 +439,84 @@ def test_unfold_cone_input_outside_gets_literal_zero():
     b.add_bad(b.and_(b.input_lit(0), b.latch_lit(0)))
     b.add_bad(b.input_lit(1))
     n = b.build()
-    builder = netlist.UnfoldBuilder(n, cone=netlist.cone_vars(n, [0]))
-    for _ in range(3):
-        assert len(builder.add_frame()) == 1
-    assert [lits[1] for lits in builder.frame_inputs] == [0, 0, 0]
-    assert all(lits[0] > 1 for lits in builder.frame_inputs)
+    for unfolder in BUILDERS:
+        builder = unfolder(n, cone=netlist.cone_vars(n, [0]))
+        for _ in range(3):
+            assert len(builder.add_frame()) == 1
+        assert list(builder.frame_inputs[1::2]) == [0, 0, 0]
+        assert all(lit > 1 for lit in builder.frame_inputs[0::2])
+
+
+def edge_designs():
+    """Designs at the unfolder's edges: no inputs, bads folded to
+    constants, and cones of latches only."""
+    b = AigBuilder(num_inputs=0, num_latches=2, name="no-inputs")
+    b.set_latch(0, b.latch_lit(1), reset=1)
+    b.set_latch(1, b.and_(b.latch_lit(0), b.latch_lit(1) ^ 1), reset=None)
+    b.add_bad(b.and_(b.latch_lit(0), b.latch_lit(1)))
+    no_inputs = b.build()
+    # each bad reads a latch stuck at its reset 0, or is a constant
+    b = AigBuilder(num_inputs=2, num_latches=1, name="folded")
+    b.set_latch(0, b.latch_lit(0))
+    b.add_bad(b.and_(b.latch_lit(0), b.input_lit(0)))
+    b.add_bad(0)
+    b.add_bad(1)
+    folded = b.build()
+    # property 0's cone is two latches that swap, with no gate
+    b = AigBuilder(num_inputs=1, num_latches=3, name="latches")
+    b.set_latch(0, b.latch_lit(1), reset=1)
+    b.set_latch(1, b.latch_lit(0), reset=None)
+    b.set_latch(2, b.and_(b.input_lit(0), b.latch_lit(2)))
+    b.add_bad(b.latch_lit(0))
+    b.add_bad(b.latch_lit(2))
+    latches = b.build()
+    assert netlist.extract_coi(latches, 0) == (0, 2, 0)
+    return [no_inputs, folded, latches]
+
+
+def unfold_designs():
+    """The designs of the unfold differential; `bench/` must be on the
+    import path, for its banks."""
+    workloads = importlib.import_module("workloads")
+    designs = edge_designs()
+    designs += [parity_miter(width=w, variants=2) for w in (4, 7)]
+    designs += [workloads.bank(random.Random(k), "bank") for k in range(2)]
+    for trial in range(25):
+        rng = random.Random(17000 + trial)
+        designs.append(random_netlist(rng, num_bads=rng.randint(1, 4)))
+        designs.append(xor_rich_netlist(rng, num_bads=rng.randint(1, 4))[0])
+    return designs
+
+
+def unfold_against_reference(frames=7):
+    """Unfolds each design of `unfold_designs` and its free-latch copy
+    with the kernel and with `ref_unfold`, over every cone, the cone of
+    each property and a union of cones, and requires equal variable
+    counts, gate literals, bads, records, frame inputs and frame-0
+    latches at every frame.  Returns the number of records compared."""
+    compared = 0
+    for trial, n in enumerate(unfold_designs()):
+        rng = random.Random(trial)
+        props = range(n.num_properties)
+        union = rng.sample(props, rng.randint(1, n.num_properties))
+        cones = [None, *(netlist.cone_vars(n, [p]) for p in props),
+                 netlist.cone_vars(n, union)]
+        for design in (n, free_latches(n)):
+            for cone in cones:
+                got = netlist.UnfoldBuilder(design, cone=cone)
+                want = ref_unfold.UnfoldBuilder(design, cone=cone)
+                for f in range(frames):
+                    assert list(got.add_frame()) == want.add_frame(), (trial, f)
+                    assert list(got.records) == want.records, (trial, f)
+                    assert (got.num_vars, list(got.bads)) == (
+                        want.num_vars, want.bads), (trial, f)
+                    assert list(got.frame_inputs) == want.frame_inputs
+                    assert list(got.frame0_latches) == want.frame0_latches
+                    compared += len(want.records)
+    return compared
+
+
+def test_kernel_unfolds_as_the_reference(monkeypatch):
+    monkeypatch.syspath_prepend(
+        os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench"))
+    assert unfold_against_reference() > 100_000

@@ -2,6 +2,7 @@ import gc
 import itertools
 import os
 import random
+import re
 import shlex
 import shutil
 import subprocess
@@ -387,12 +388,57 @@ def kernel_against_reference():
     return statuses, conflicts
 
 
+def test_kernel_seeds_as_python_random():
+    # the kernel's generator is seeded with the 32-bit words of |seed|, as
+    # random.Random is: seeds of one to four words must place each new
+    # variable as the reference does, and seeds that differ only above the
+    # lowest word must search differently
+    runs = {}
+    for seed in (0, 1, -7, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 3,
+                 2**64 + 5, 10**30):
+        want = run_script(ref_satcore.SolverSession(seed=seed), 20007)
+        assert run_script(satcore.SolverSession(seed=seed), 20007) == want
+        runs[seed] = want
+    assert len({repr(r) for r in runs.values()}) > 5
+    assert runs[2**32] != runs[0] and runs[2**32 + 1] != runs[1]
+
+
 def test_kernel_decides_as_the_reference():
     statuses, conflicts = kernel_against_reference()
     assert statuses == {satcore.SAT, satcore.UNSAT, satcore.UNKNOWN}
     # some calls search past the first restarts, at 64 and 128 conflicts
     assert sum(conflicts) > 3000
     assert sum(c > 128 for c in conflicts) >= 3
+
+
+class BumpSizes(ref_satcore.SolverSession):
+    """The reference search, keeping the number of variables each
+    conflict's analysis bumps."""
+
+    def __init__(self, seed=0):
+        super().__init__(seed)
+        self.bumped = []
+
+    def _bump(self, vs):
+        self.bumped.append(len(vs))
+        super()._bump(vs)
+
+
+def test_scripts_sort_bumped_variables_both_ways():
+    # the kernel's bump() sorts up to BUMP_INSERTION_MAX variables by
+    # insertion and more with qsort; the differential scripts must reach
+    # both, which only the reference can count
+    with open(os.path.join(os.path.dirname(satcore.__file__), "_cdcl.c")) as fh:
+        cutoff = int(re.search(r"#define BUMP_INSERTION_MAX (\d+)",
+                               fh.read()).group(1))
+    sizes = []
+    for trial in range(320):
+        session = BumpSizes(seed=trial)
+        run_script(session, 20000 + trial)
+        sizes += session.bumped
+        if max(sizes) > cutoff and min(sizes) <= cutoff:
+            break
+    assert min(sizes) <= cutoff < max(sizes)
 
 
 def test_malformed_batches_add_nothing():
@@ -425,11 +471,13 @@ def test_malformed_batches_add_nothing():
 
 
 # a child that loads the sanitized kernel and runs the differential
-# scripts, the malformed batches, then the clause-cap and past-deadline
-# tests
+# scripts, the malformed batches, the clause-cap and past-deadline tests,
+# then the unfold differential, whose designs include one with no inputs,
+# bads folded to constants and a cone of latches only
 SANITIZED_CHECKS = """
 import sys
 import pytest
+import test_netlist
 import test_satcore as t
 assert t.satcore._lib._name == sys.argv[1], t.satcore._lib._name
 t.kernel_against_reference()
@@ -437,6 +485,7 @@ t.test_malformed_batches_add_nothing()
 with pytest.MonkeyPatch.context() as mp:
     t.test_clause_cap_stops_the_search(mp)
 t.test_past_deadline_stops_before_search()
+test_netlist.unfold_against_reference()
 """
 
 
@@ -462,9 +511,14 @@ def test_kernel_runs_clean_under_sanitizers(tmp_path):
     if build.returncode != 0 or not all(map(os.path.isabs, runtimes)):
         pytest.skip(f"{cc[0]} cannot link the sanitizers: {build.stderr}")
     tests = os.path.dirname(os.path.abspath(__file__))
+    bench = os.path.join(os.path.dirname(tests), "bench")
     env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([str(tmp_path / "src"), tests]),
-               LD_PRELOAD=":".join(runtimes), ASAN_OPTIONS="detect_leaks=0")
+               PYTHONPATH=os.pathsep.join([str(tmp_path / "src"), tests,
+                                           bench]),
+               LD_PRELOAD=":".join(runtimes), ASAN_OPTIONS="detect_leaks=0",
+               # Python's own allocator would hide an overrun of a buffer
+               # the kernel writes, such as an unfolder's state
+               PYTHONMALLOC="malloc")
     child = subprocess.run(
         [sys.executable, "-c", SANITIZED_CHECKS, str(lib)],
         env=env, capture_output=True, text=True, timeout=300)
