@@ -832,12 +832,18 @@ int64_t unfold_size(const int32_t *table)
            + ni + np + (ni + nl + na + 1);
 }
 
+/* The most record ints a frame writes per kept gate, by kind: 3 clauses
+ * of 2, 2 and 3 literals for an AND, 4 of 3 for an XOR, none for an
+ * inner gate. */
+static const int32_t RECORD_INTS[] = {10, 16, 0};
+
 /* Sets up, in the zeroed buffer `u` of unfold_size(table) ints, an
  * unfolder of the cone's `ncone` variables (ncone < 0: every variable; a
  * variable out of range is ignored).  Returns its number of kept ANDs,
- * XOR inner gates included. */
+ * XOR inner gates included, and writes to `records` the most record ints
+ * one frame can write. */
 int32_t unfold_init(Unfolder *u, const int32_t *table, const int32_t *cone,
-                    int64_t ncone)
+                    int64_t ncone, int64_t *records)
 {
     int32_t ni = table[0], nl = table[1], na = table[2], np = table[3];
     int32_t nvars = ni + nl + na + 1;
@@ -860,6 +866,7 @@ int32_t unfold_init(Unfolder *u, const int32_t *table, const int32_t *cone,
     }
     for (int32_t i = 0; i < ni; i++)
         x.inputs[i] = keep[1 + i];
+    *records = 0;
     for (int32_t i = 0; i < nl; i++) {
         x.latches[2 * i] = keep[ni + 1 + i] ? latches[2 * i] : -1;
         x.latches[2 * i + 1] = latches[2 * i + 1];
@@ -871,6 +878,7 @@ int32_t unfold_init(Unfolder *u, const int32_t *table, const int32_t *cone,
         int32_t *g = x.gates + 4 * u->ngates++;
         g[0] = var;
         memcpy(g + 1, ands + 3 * i, 3 * sizeof(int32_t));
+        *records += RECORD_INTS[g[3]];
     }
     memcpy(x.bads, bads, (size_t)np * sizeof(int32_t));
     memset(keep, 0, (size_t)nvars * sizeof(int32_t));
@@ -891,9 +899,9 @@ static inline int32_t dimacs(int32_t lit)
  *   only its latch literals (nl), each gate's literal (ngates; -1 for an
  *   inner gate), then the frame's clause records: 3 clauses per new AND
  *   variable, 4 per new XOR variable.
- * `out` has room for 16 record ints per gate.  Returns 0, or -1 when the
- * frame's variables would not fit in a literal; nothing is unfolded
- * then. */
+ * `out` has room for the record ints unfold_init counted.  Returns 0, or
+ * -1 when the frame's variables would not fit in a literal; nothing is
+ * unfolded then. */
 int32_t unfold_frame(Unfolder *u, int32_t *out)
 {
     int32_t ni = u->ni, nl = u->nl, nv = u->num_vars;

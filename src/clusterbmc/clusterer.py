@@ -1,11 +1,11 @@
 """Overlapping property-cluster families from reduced embeddings.
 
 Partitional algorithms only produce disjoint groups, so the overlapping
-family is built by unioning the partitions of k-means and k-medoids across
-the whole k range (2 .. ceil(n/2)) plus the full property set, then
-deduplicating by member set.  Distances are cosine on unit-normalized
-vectors throughout.  Each design's unit rows and distance matrix are
-computed once, and every k of both algorithms reads them.
+family is built by unioning the full property set and the partitions of
+k-means and k-medoids for k = 2 .. ceil(n/2), deduplicated by member set,
+until it holds `max_clusters` clusters.  Distances are cosine on
+unit-normalized vectors throughout.  Each design's unit rows and distance
+matrix are computed once, and every k of both algorithms reads them.
 
 Every distance is rounded to a fixed 1e-9 grid.  Builds hold many
 properties with identical embeddings, so seeding, assignment and medoid
@@ -159,32 +159,44 @@ def kmedoids(d: np.ndarray, k: int):
     return [sorted(np.flatnonzero(assign == c).tolist()) for c in range(k)]
 
 
+def _candidates(props, x, d, seed):
+    """The full property set, then the groups of size 2 or more of the
+    kmeans and kmedoids partitions for k = 2 .. ceil(n/2), in that order.
+    Lazy: a partition is computed only when its first group is asked for."""
+    yield Cluster(frozenset(props), "full")
+    k_hi = max(2, math.ceil(len(props) / 2))
+    for k in range(2, k_hi + 1):  # k_hi <= n, as n >= 2
+        for algo in ("kmeans", "kmedoids"):
+            groups = (kmeans(x, d, k, seed) if algo == "kmeans"
+                      else kmedoids(d, k))
+            for group in groups:
+                if len(group) >= 2:
+                    members = frozenset(props[i] for i in group)
+                    yield Cluster(members, f"{algo}({k})")
+
+
 def build_family(
     embeddings: dict,
     seed: int = 0,
     max_clusters: int = DEFAULT_MAX_CLUSTERS,
 ) -> ClusterFamily:
-    """Union of kmeans/kmedoids partitions over k = 2 .. ceil(n/2), plus the
-    full property set; groups below size 2 are dropped."""
+    """The first `max_clusters` distinct member sets among the candidates:
+    the full property set, then the kmeans/kmedoids partitions over
+    k = 2 .. ceil(n/2), groups below size 2 dropped.
+
+    Each partition seeds its own generator, so computing none past the one
+    that fills the cap changes no cluster; the PAM swaps of every larger k
+    would cost O(k n^2) each.
+    """
     props = sorted(embeddings)
     n = len(props)
     if n < 2:
         raise ValueError(f"{n} properties")
     x, d = _pairwise_cos([embeddings[p] for p in props])
 
-    candidates = [Cluster(frozenset(props), "full")]
-    k_hi = max(2, math.ceil(n / 2))
-    for k in range(2, k_hi + 1):  # k_hi <= n, as n >= 2
-        for algo, groups in (("kmeans", kmeans(x, d, k, seed)),
-                             ("kmedoids", kmedoids(d, k))):
-            for group in groups:
-                if len(group) >= 2:
-                    members = frozenset(props[i] for i in group)
-                    candidates.append(Cluster(members, f"{algo}({k})"))
-
     seen = set()
     clusters = []
-    for c in candidates:
+    for c in _candidates(props, x, d, seed):
         if c.members in seen:
             continue
         seen.add(c.members)

@@ -120,7 +120,7 @@ class Netlist:
             if not 0 <= lit <= top:
                 raise DataError(f"literal {lit} exceeds variable count")
         # caches, not fields, so equality and hashing ignore them
-        object.__setattr__(self, "_cones", {})   # property -> cone
+        object.__setattr__(self, "_cones", {})   # bad variable -> cone
         object.__setattr__(self, "_xors", None)
         object.__setattr__(self, "_table", None)
 
@@ -136,12 +136,16 @@ class Netlist:
         """The input, latch and AND variables in the COI of property p, as
         one set; canonical numbering tells the three kinds apart by range.
 
-        Computed once per netlist and property; the set is frozen, so
-        every caller can share it.
+        Computed once per netlist and bad variable, so properties whose
+        bad literals share a variable (a miter's copies) share one set;
+        the set is frozen, so every caller can share it.
         """
-        cone = self._cones.get(p)
+        if not 0 <= p < self.num_properties:
+            raise ValueError(f"property {p} of {self.num_properties}")
+        var = self.properties[p] >> 1
+        cone = self._cones.get(var)
         if cone is None:
-            cone = self._cones[p] = frozenset(_coi_vars(self, p))
+            cone = self._cones[var] = frozenset(_coi_vars(self, p))
         return cone
 
     def xors(self) -> tuple[tuple[int, int, int], ...]:
@@ -334,8 +338,6 @@ def _coi_vars(n: Netlist, p: int) -> set:
     Latch traversal crosses into the next-state cone: BMC unrolling makes
     the transition logic of every reached latch relevant.
     """
-    if not 0 <= p < n.num_properties:
-        raise ValueError(f"property {p} of {n.num_properties}")
     # canonical numbering: inputs are 1..I, latches I+1..I+L, ANDs above
     ni, latches, ands = n.num_inputs, n.latches, n.ands
     first_and = ni + len(latches) + 1
@@ -498,13 +500,17 @@ class UnfoldBuilder:
         # the kernel's state, in a buffer this builder owns
         self._state = array("i", [0]) * table[4]
         self._addr = self._state.buffer_info()[0]
+        # the most record ints a frame can write, which unfold_init counts
+        # from the kept gates' kinds
+        bound = array("q", [0])
         if cone is None:
             gates = _lib.unfold_init(self._addr, table.buffer_info()[0],
-                                     None, -1)
+                                     None, -1, bound.buffer_info()[0])
         else:
             cone = array("i", list(cone))
             gates = _lib.unfold_init(self._addr, table.buffer_info()[0],
-                                     *cone.buffer_info())
+                                     *cone.buffer_info(),
+                                     bound.buffer_info()[0])
         # the kernel's output, as unfold_frame lays it out: 2 counts, then
         # bads, inputs, frame-0 latches, gate literals and records
         inputs = 2 + n.num_properties
@@ -512,7 +518,7 @@ class UnfoldBuilder:
         lits = latches + n.num_latches
         records = lits + gates
         self._at = inputs, latches, lits, records
-        self._out = array("i", [0]) * (records + 16 * gates)
+        self._out = array("i", [0]) * (records + bound[0])
         self._out_addr = self._out.buffer_info()[0]
 
     def add_frame(self):

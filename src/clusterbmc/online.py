@@ -34,6 +34,12 @@ log = logging.getLogger(__name__)
 # stays unmapped
 _SENTINEL = 10 ** 9
 
+# a campaign whose runs may spend at most this many cost units in total
+# runs on this process: at that size a forked second process costs about
+# as much as it takes off (fork, reap and copy-on-write faults: about 4 ms);
+# the README has the measurements
+ONE_PROCESS_MAX_COST = 10_000
+
 
 def default_delta(property_count: int) -> int:
     return max(5, math.ceil(0.2 * property_count))
@@ -253,7 +259,10 @@ def verify_unknown(
 
     Which properties a cluster claims follows from member lists alone, so
     every run is planned first and the runs go through one `parallel.map2`
-    call, each costed by its member count.
+    call, each costed by its member count.  A campaign whose cost-unit
+    budget, summed over its runs, is at most `ONE_PROCESS_MAX_COST` runs
+    them in plan order on this process instead; under a time budget, or a
+    frame bound alone, it always splits.
     """
     u_rec = unknown_record(unknown, design)
     matched = select_similar_design(db1_records, u_rec)
@@ -285,7 +294,13 @@ def verify_unknown(
             + [partial(bmc.check_single, unknown, q, cfg) for q in owners])
     costs = ([len(members) for members, _new, _total in planned]
              + [1] * len(owners))
-    results = parallel.map2(lambda run: run(), jobs, costs)
+    # the cluster runs share len(claimed) budgets, each standalone run one
+    if (cfg.deterministic and cfg.budget is not None
+            and cfg.budget * (len(claimed) + len(owners))
+            <= ONE_PROCESS_MAX_COST):
+        results = [run() for run in jobs]
+    else:
+        results = parallel.map2(lambda run: run(), jobs, costs)
 
     runs = dict(zip(owners, results[len(planned):]))
     standalone = {p: runs[q] for p, q in owner.items()}

@@ -146,7 +146,7 @@ def _load() -> ctypes.CDLL:
             ("cdcl_learned", ctypes.c_int32, (p, i64, p)),
             # the unfolder of netlist.UnfoldBuilder
             ("unfold_size", i64, (p,)),
-            ("unfold_init", ctypes.c_int32, (p, p, p, i64)),
+            ("unfold_init", ctypes.c_int32, (p, p, p, i64, p)),
             ("unfold_frame", ctypes.c_int32, (p, p))):
         fn = getattr(lib, name)
         fn.restype, fn.argtypes = restype, argtypes
@@ -172,7 +172,10 @@ class SolverSession:
         self._pending = array("i")
         self._out = (ctypes.c_int64 * 3)()
         self._out_addr = ctypes.addressof(self._out)
-        self._handle = _lib.cdcl_new(_seeded(seed)[1])
+        # held here while cdcl_new copies it: the cache need not hold the
+        # state it returns (racing first calls of two threads keep one)
+        state = _seeded(seed)
+        self._handle = _lib.cdcl_new(state.buffer_info()[0])
         if not self._handle:
             raise MemoryError("cannot allocate a solver session")
         weakref.finalize(self, _lib.cdcl_free, self._handle)
@@ -252,17 +255,17 @@ class SolverSession:
 
 
 @functools.lru_cache(maxsize=64)
-def _seeded(seed: int) -> tuple:
+def _seeded(seed: int) -> array:
     """The generator state random.Random(seed) starts from, as the
-    kernel's cdcl_seed writes it, and its address: seeding is most of what
-    a new session costs, and runs share a few seeds."""
+    kernel's cdcl_seed writes it: seeding is most of what a new session
+    costs, and runs share a few seeds."""
     seed = abs(seed)
     # random.Random seeds with the 32-bit words of |seed|, lowest first
     key = array("I", [seed >> shift & 0xFFFFFFFF for shift in
                       range(0, max(seed.bit_length(), 1), 32)])
     state = array("I", [0]) * 624   # the twister's MT_N words
     _lib.cdcl_seed(*key.buffer_info(), state.buffer_info()[0])
-    return state, state.buffer_info()[0]
+    return state
 
 
 def _top(batch: array) -> int:

@@ -7,19 +7,21 @@ oracle simulates and pools with its own code, the CNF oracle enumerates
 assignments, the RUP checker propagates with its own loop over the
 clauses a solver session logged (the learned ones read from the C
 kernel), the gain table re-states the formulas from scratch, the
-assignment oracle tries permutations, and the clusterer references
-recompute every distance and cost every PAM swap on a copy.
+assignment oracle tries permutations, the clusterer references
+recompute every distance and cost every PAM swap on a copy, and the
+family reference runs every k, however few clusters are asked for.
 `xor_rich_netlist` is a fixture family, of netlists mostly made of XORs.
 """
 
 import ctypes
 import dataclasses
 import itertools
+import math
 import random
 
 import numpy as np
 
-from clusterbmc import satcore
+from clusterbmc import clusterer, satcore
 from clusterbmc.circuits import TRUE, AigBuilder
 
 
@@ -437,3 +439,25 @@ def kmedoids_reference(points, k):
     medoids = sorted(medoids)
     assign = np.argmin(d[:, medoids], axis=1)
     return [sorted(np.flatnonzero(assign == c).tolist()) for c in range(k)]
+
+
+def family_reference(embeddings, seed):
+    """Every distinct cluster of the full sweep, in the order
+    `clusterer.build_family` keeps them: the candidates of every k from 2
+    to ceil(n/2), made with the library's own partitions, then deduplicated
+    by member set.  A capped family is a prefix of this list."""
+    props = sorted(embeddings)
+    x, d = clusterer._pairwise_cos([embeddings[p] for p in props])
+    candidates = [clusterer.Cluster(frozenset(props), "full")]
+    for k in range(2, max(2, math.ceil(len(props) / 2)) + 1):
+        for algo, groups in (("kmeans", clusterer.kmeans(x, d, k, seed)),
+                             ("kmedoids", clusterer.kmedoids(d, k))):
+            candidates += [clusterer.Cluster(frozenset(props[i] for i in g),
+                                             f"{algo}({k})")
+                           for g in groups if len(g) >= 2]
+    seen, clusters = set(), []
+    for c in candidates:
+        if c.members not in seen:
+            seen.add(c.members)
+            clusters.append(c)
+    return clusters

@@ -828,23 +828,75 @@ def test_offline_reports_child_errors(corpus, tmp_path, monkeypatch, caplog,
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_two_processes_write_the_same_bytes(corpus, tmp_path, monkeypatch):
-    def run(out):
-        assert run_offline(corpus, out / "db") == cli.EXIT_OK
-        assert cli.main(["verify", str(corpus / "unknown.aag"),
-                         "--db-dir", str(out / "db"),
-                         "--out-dir", str(out / "run"), "--baseline",
-                         "--budget-conflicts", "300", "--max-frames", "8",
-                         "--mode", "init", "--seed", "1"]) == cli.EXIT_OK
-        return {str(p.relative_to(out)): p.read_bytes()
-                for p in sorted(out.rglob("*")) if p.is_file()}
+def verify_and_read(corpus, out):
+    """A `verify --baseline` campaign of the corpus's unknown against the
+    DB in `out/db`, into `out/run`; every file's bytes, by path under
+    `out`."""
+    assert cli.main(["verify", str(corpus / "unknown.aag"),
+                     "--db-dir", str(out / "db"),
+                     "--out-dir", str(out / "run"), "--baseline",
+                     "--budget-conflicts", "300", "--max-frames", "8",
+                     "--mode", "init", "--seed", "1"]) == cli.EXIT_OK
+    return {str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
 
-    forked = run(tmp_path / "forked")
-    monkeypatch.setattr(parallel, "map2",
-                        lambda fn, jobs, costs: [fn(job) for job in jobs])
-    sequential = run(tmp_path / "sequential")
+
+def test_two_processes_write_the_same_bytes(corpus, tmp_path, monkeypatch):
+    # forked: offline splits its designs and, with its cap at 0, verify
+    # splits its campaign; sequential: map2 runs its jobs here, and verify's
+    # 300 cost units a run fit its default cap, so it never calls map2
+    forks, fork = [], os.fork
+
+    def counting():
+        forks.append(os.getpid())
+        return fork()
+
+    def refusing():
+        raise OSError("a campaign under the cap forked")
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "fork", counting)
+        assert run_offline(corpus, tmp_path / "forked" / "db") == cli.EXIT_OK
+        assert len(forks) == 1
+        m.setattr(online, "ONE_PROCESS_MAX_COST", 0)
+        forked = verify_and_read(corpus, tmp_path / "forked")
+        assert forks == [os.getpid()] * 2
+    with monkeypatch.context() as m:
+        m.setattr(parallel, "map2",
+                  lambda fn, jobs, costs: [fn(job) for job in jobs])
+        assert run_offline(corpus, tmp_path / "sequential" / "db") == cli.EXIT_OK
+    monkeypatch.setattr(os, "fork", refusing)
+    sequential = verify_and_read(corpus, tmp_path / "sequential")
     assert "db/db3.mpb" in forked and "run/report.txt" in forked
     assert sequential == forked
+
+
+def test_campaign_at_its_cap_runs_on_one_process(corpus, tmp_path,
+                                                 monkeypatch):
+    # each clustered property adds one budget of 300 cost units, and so does
+    # each standalone run: --baseline runs one for every distinct bad literal
+    assert run_offline(corpus, tmp_path / "db") == cli.EXIT_OK
+    want = verify_and_read(corpus, tmp_path)
+    rows = want["run/report.txt"].decode().splitlines()[2:]
+    claimed = [r for r in rows if r.split("|")[1] != "-"]
+    unknown = parse_aiger((corpus / "unknown.aag").read_text())
+    owners = set(bmc.single_run_owners(
+        unknown, range(unknown.num_properties)).values())
+    assert claimed and len(owners) >= 2
+    budgets = 300 * (len(claimed) + len(owners))
+    calls = []
+    map2 = parallel.map2
+
+    def counting(fn, jobs, costs):
+        calls.append(len(jobs))
+        return map2(fn, jobs, costs)
+
+    monkeypatch.setattr(parallel, "map2", counting)
+    for cap, split in ((budgets - 1, True), (budgets, False)):
+        calls.clear()
+        monkeypatch.setattr(online, "ONE_PROCESS_MAX_COST", cap)
+        assert verify_and_read(corpus, tmp_path) == want
+        assert bool(calls) == split, cap
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

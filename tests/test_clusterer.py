@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from clusterbmc import circuits, clusterer, embed
 
-from oracles import kmeans_reference, kmedoids_reference
+from oracles import family_reference, kmeans_reference, kmedoids_reference
 
 
 def kmeans(pts, k, seed=0):
@@ -270,3 +271,45 @@ def test_family_computes_distances_once(monkeypatch):
     emb = {i: (math.cos(i), math.sin(i), 0.5) for i in range(9)}
     clusterer.build_family(emb, seed=3)
     assert calls == [9]
+
+
+def test_family_stops_at_the_cap_as_the_full_sweep_would():
+    # caps below, at and far above what each family reaches; duplicated
+    # rows make partitions repeat member sets, so the dedup decides too
+    rng = np.random.default_rng(46)
+    for t in range(40):
+        n = int(rng.integers(2, 61))
+        pts = rng.normal(size=(n, int(rng.integers(1, 17))))
+        copies = rng.integers(0, n, size=(2, n // 3))
+        pts[copies[0]] = pts[copies[1]]
+        emb = {i: tuple(r) for i, r in enumerate(pts)}
+        full = family_reference(emb, t)
+        for cap in (1, 2, 5, 17, 64, 10_000):
+            got = clusterer.build_family(emb, seed=t, max_clusters=cap)
+            assert list(got.clusters) == full[:cap], (t, n, cap)
+
+
+def test_family_of_400_properties_stops_at_the_cap(monkeypatch):
+    # the full sweep runs PAM for every k up to 200: 31 s on a 2-core
+    # x86-64 host; the capped family computes partitions in candidate
+    # order up to the one that fills the cap, and none after it
+    computed = []
+    kmeans, kmedoids = clusterer.kmeans, clusterer.kmedoids
+    monkeypatch.setattr(clusterer, "kmeans", lambda x, d, k, seed: (
+        computed.append(f"kmeans({k})") or kmeans(x, d, k, seed)))
+    monkeypatch.setattr(clusterer, "kmedoids", lambda d, k: (
+        computed.append(f"kmedoids({k})") or kmedoids(d, k)))
+    rng = np.random.default_rng(1)
+    emb = {i: tuple(r) for i, r in enumerate(rng.normal(size=(400, 16)))}
+    start = time.perf_counter()
+    fam = clusterer.build_family(emb, seed=1)
+    seconds = time.perf_counter() - start
+    assert len(fam.clusters) == clusterer.DEFAULT_MAX_CLUSTERS
+    last = fam.clusters[-1].origin
+    k_last = int(last[last.index("(") + 1:-1])
+    order = [f"{algo}({k})" for k in range(2, k_last + 1)
+             for algo in ("kmeans", "kmedoids")]
+    assert computed == order[:order.index(last) + 1]
+    assert k_last < 200, k_last
+    # loose: 0.05 s measured on that host
+    assert seconds < 2.0

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import os
 import pickle
@@ -205,6 +206,29 @@ def test_cone_equals_independent_closure():
                 sum(1 for latch in n.latches if latch.lit >> 1 in want),
                 sum(1 for lhs, _, _ in n.ands if lhs >> 1 in want),
             )
+
+
+def test_properties_of_one_bad_variable_share_one_cone(monkeypatch):
+    # a miter's copies repeat a bad literal, and a negated bad has the same
+    # variable: one search per variable, by the first property that asks
+    searched, coi_vars = [], netlist._coi_vars
+
+    def recording(n, p):
+        searched.append(p)
+        return coi_vars(n, p)
+
+    monkeypatch.setattr(netlist, "_coi_vars", recording)
+    m = parity_miter(width=4, copies=2, variants=2)
+    n = dataclasses.replace(m, bads=m.bads + (m.bads[0] ^ 1,))
+    last = n.num_properties - 1
+    assert n.properties[0] == n.properties[1] == n.properties[last] ^ 1
+    cones = [n.cone(p) for p in range(n.num_properties)]
+    assert searched == [0] + list(range(2, last))
+    assert cones[0] is cones[1] is cones[last]
+    assert cones == [cone_closure(n, p) for p in range(n.num_properties)]
+    for p in (-1, n.num_properties):
+        with pytest.raises(ValueError, match=f"property {p} of "):
+            n.cone(p)
 
 
 def recording_xor_tops(monkeypatch):
@@ -491,16 +515,19 @@ def unfold_designs():
 def unfold_against_reference(frames=7):
     """Unfolds each design of `unfold_designs` and its free-latch copy
     with the kernel and with `ref_unfold`, over every cone, the cone of
-    each property and a union of cones, and requires equal variable
-    counts, gate literals, bads, records, frame inputs and frame-0
-    latches at every frame.  Returns the number of records compared."""
+    each property, a union of cones and a random set of variables, which
+    COI need not close, and requires equal variable counts, gate
+    literals, bads, records, frame inputs and frame-0 latches at every
+    frame.  Returns the number of records compared."""
     compared = 0
     for trial, n in enumerate(unfold_designs()):
         rng = random.Random(trial)
         props = range(n.num_properties)
         union = rng.sample(props, rng.randint(1, n.num_properties))
+        variables = range(1, n.max_var + 1)
         cones = [None, *(netlist.cone_vars(n, [p]) for p in props),
-                 netlist.cone_vars(n, union)]
+                 netlist.cone_vars(n, union),
+                 rng.sample(variables, rng.randint(0, len(variables)))]
         for design in (n, free_latches(n)):
             for cone in cones:
                 got = netlist.UnfoldBuilder(design, cone=cone)
@@ -514,6 +541,26 @@ def unfold_against_reference(frames=7):
                     assert list(got.frame0_latches) == want.frame0_latches
                     compared += len(want.records)
     return compared
+
+
+def test_unfold_output_has_room_for_one_frame_exactly():
+    # 10 record ints per AND, 16 per XOR top and none per XOR inner gate,
+    # counted over the kept gates of any cone, closed under COI or not;
+    # free inputs fold no gate, so a frame of every gate fills the room
+    b = AigBuilder(num_inputs=3)
+    g = b.and_(b.input_lit(0), b.input_lit(1))
+    b.add_bad(b.and_(g, b.xor_(b.input_lit(0), b.input_lit(2))))
+    n = b.build()
+    assert n.xors() == ((7, 6, 5),)
+    for cone, room in ((None, 36), ({7}, 16), ({5, 6}, 0), ({4, 8}, 20),
+                       ({1, 2, 3}, 0)):
+        builder = netlist.UnfoldBuilder(n, cone=cone)
+        assert len(builder._out) - builder._at[-1] == room, cone
+        builder.add_frame()
+        assert len(builder.records) <= room, cone
+    full = netlist.UnfoldBuilder(n)
+    full.add_frame()
+    assert len(full.records) == 36
 
 
 def test_kernel_unfolds_as_the_reference(monkeypatch):

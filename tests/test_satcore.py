@@ -472,8 +472,10 @@ def test_malformed_batches_add_nothing():
 
 # a child that loads the sanitized kernel and runs the differential
 # scripts, the malformed batches, the clause-cap and past-deadline tests,
-# then the unfold differential, whose designs include one with no inputs,
-# bads folded to constants and a cone of latches only
+# the unfold differential, whose designs include one with no inputs, bads
+# folded to constants and a cone of latches only, then the seeding test
+# with each generator state held by the session's constructor alone, as
+# when two threads' first calls of the cache race and it keeps one state
 SANITIZED_CHECKS = """
 import sys
 import pytest
@@ -486,6 +488,8 @@ with pytest.MonkeyPatch.context() as mp:
     t.test_clause_cap_stops_the_search(mp)
 t.test_past_deadline_stops_before_search()
 test_netlist.unfold_against_reference()
+t.satcore._seeded = t.satcore._seeded.__wrapped__
+t.test_kernel_seeds_as_python_random()
 """
 
 
