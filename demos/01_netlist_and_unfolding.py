@@ -32,11 +32,12 @@ for p in range(n.num_properties):
 # at a time.  Constants fold as frames unroll, so a counter with no inputs
 # needs no variable from reset.  A latch with no reset (AIGER: reset = its
 # own literal) is free at frame 0, so a copy whose latches have no reset
-# unfolds from every state, an over-approximation of reachability
+# unfolds from every state, an over-approximation of reachability.  The
+# cone here is every variable; BMC passes the cone of its properties
 free = replace(n, latches=tuple(replace(latch, reset=None)
                                 for latch in n.latches))
 for label, design in (("from reset", n), ("free latches", free)):
-    u = UnfoldBuilder(design)
+    u = UnfoldBuilder(design, cone=range(1, design.max_var + 1))
     for _ in range(3):
         u.add_frame()
     print(f"{label}: frame-0 latch literals = {list(u.frame0_latches)}, "

@@ -14,16 +14,17 @@ from clusterbmc.embed import design_signatures, project_all
 
 # a small mixed corpus: counter properties resemble each other, the two
 # miter variants resemble each other, and the families differ
-designs = {
-    "ctr": counter(3, (5, 6)),
-    "twoctr": two_counters(),
-    "miter": parity_miter(width=5, copies=1, variants=2),
-}
-# one simulation per design gives every property's signature
-tensors = [t for name, n in designs.items()
-           for t in design_signatures(n, patterns=1024, seed=0, design=name)]
+designs = [
+    counter(3, (5, 6), name="ctr"),
+    two_counters(name="twoctr"),
+    parity_miter(width=5, copies=1, variants=2, name="miter"),
+]
+# one simulation per design gives every property's signature, which
+# carries the design's name
+tensors = [t for n in designs
+           for t in design_signatures(n, patterns=1024, seed=0)]
 
-pca = fit_pca(tensors, threshold=0.95)
+pca = fit_pca(tensors)
 print(f"PCA: width {pca.width} -> {pca.num_components} components, "
       f"explained ratio {pca.explained_ratio:.4f}")
 

@@ -781,9 +781,10 @@ int32_t cdcl_learned(const Solver *s, int64_t i, int32_t *out)
 
 /* ---- The unfolder of clusterbmc.netlist.UnfoldBuilder ----
  *
- * Unfolds a netlist's cone one frame at a time, folding constants, and
- * writes each frame's CNF as clause records in solver numbering, where
- * combinational variable k is solver variable k + 1.  Its input is the
+ * Unfolds a netlist's cone, the variables its caller lists, one frame at
+ * a time, folding constants, and writes each frame's CNF as clause
+ * records in solver numbering, where combinational variable k is solver
+ * variable k + 1.  Its input is the
  * table `Netlist.gate_table` describes:
  *   ni, nl, na, np, and the ints of an unfolder's state (unfold_size);
  *   per latch: next-state literal, reset (0, 1, or -1 for none);
@@ -838,8 +839,8 @@ int64_t unfold_size(const int32_t *table)
 static const int32_t RECORD_INTS[] = {10, 16, 0};
 
 /* Sets up, in the zeroed buffer `u` of unfold_size(table) ints, an
- * unfolder of the cone's `ncone` variables (ncone < 0: every variable; a
- * variable out of range is ignored).  Returns its number of kept ANDs,
+ * unfolder of the cone's `ncone` variables (an entry outside 1..maxvar
+ * is ignored).  Returns its number of kept ANDs,
  * XOR inner gates included, and writes to `records` the most record ints
  * one frame can write. */
 int32_t unfold_init(Unfolder *u, const int32_t *table, const int32_t *cone,
@@ -856,14 +857,9 @@ int32_t unfold_init(Unfolder *u, const int32_t *table, const int32_t *cone,
     Sections x = sections(u);
     /* the map holds the cone's membership until the first frame */
     int32_t *keep = x.map;
-    if (ncone < 0) {
-        for (int32_t v = 1; v < nvars; v++)
-            keep[v] = 1;
-    } else {
-        for (int64_t i = 0; i < ncone; i++)
-            if (cone[i] > 0 && cone[i] < nvars)
-                keep[cone[i]] = 1;
-    }
+    for (int64_t i = 0; i < ncone; i++)
+        if (cone[i] > 0 && cone[i] < nvars)
+            keep[cone[i]] = 1;
     for (int32_t i = 0; i < ni; i++)
         x.inputs[i] = keep[1 + i];
     *records = 0;

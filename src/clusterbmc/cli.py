@@ -84,8 +84,8 @@ def cmd_offline(args) -> int:
 
     # the embeddings and the PCA need no verdict: fit them before any run
     tensors = [t for name, n in designs
-               for t in embed.design_signatures(
-                   n, patterns=args.patterns, seed=args.seed, design=name)]
+               for t in embed.design_signatures(n, patterns=args.patterns,
+                                                seed=args.seed)]
     if len(tensors) < 2:
         raise DataError("need at least 2 property embeddings to fit PCA")
     pca = embed.fit_pca(tensors)
@@ -109,7 +109,7 @@ def cmd_offline(args) -> int:
         runs = {q: bmc.check_single(n, q, cfg)
                 for q in dict.fromkeys(owner.values())}
         standalone = {p: runs[q] for p, q in owner.items()}
-        record = online.unknown_record(n, name, standalone)
+        record = online.unknown_record(n, standalone)
         if n.num_properties < 2:
             return record, []
         family = clusterer.build_family(reduced[name], seed=args.seed,
@@ -160,8 +160,7 @@ def cmd_verify(args) -> int:
         raise DataError(f"cannot load {args.unknown}: {e}") from None
     _make_out_dir(args.out_dir)
 
-    report = online.verify_unknown(n, db1, db3, cfg,
-                                   baseline=args.baseline, design=name)
+    report = online.verify_unknown(n, db1, db3, cfg, baseline=args.baseline)
     report_path = os.path.join(args.out_dir, "report.txt")
     store.write_text(report_path, report.render())
     # figure data of this campaign alone: per frame, sums over its cluster

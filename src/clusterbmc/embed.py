@@ -6,13 +6,16 @@ every gate's logic-1 ratio.
 The stimuli come from `random.Random(seed)`: one `getrandbits(patterns)`
 int per latch, then one per input, so bit j of every signal is pattern j
 and each AND gate evaluates all patterns with one `&` on Python ints.
-A property's signature pools the ratios of its cone to a fixed width by
-bucketed averaging, in the order `restrict_to_coi` numbers the cone's
-variables (inputs, latches, ANDs): so it equals a simulation of the cone
-alone fed the cone's share of the same stimuli.
+A property's signature pools the ratios of its cone to `DEFAULT_WIDTH`
+values by bucketed averaging, in the order `restrict_to_coi` numbers the
+cone's variables (inputs, latches, ANDs): so it equals a simulation of
+the cone alone fed the cone's share of the same stimuli.  A signature
+names its design by `Netlist.name`.
 
 PCA is fit once per database build from the LAPACK symmetric eigensolver
-(`numpy.linalg.eigh`); the covariance uses 1/(n-1) normalization.
+(`numpy.linalg.eigh`); the covariance uses 1/(n-1) normalization, and
+the model keeps the fewest components that explain `PCA_RETENTION` of
+the variance.  One width and one retention serve a whole database.
 Every tensor of a build is projected with one matrix product.
 """
 
@@ -25,7 +28,8 @@ import numpy as np
 
 from .netlist import Netlist
 
-DEFAULT_WIDTH = 128
+DEFAULT_WIDTH = 128   # values per signature
+PCA_RETENTION = 0.95  # share of the variance the PCA components explain
 
 
 @dataclass(frozen=True)
@@ -61,48 +65,34 @@ def _gate_ratios(n: Netlist, patterns: int, seed: int) -> list:
     return [v.bit_count() / patterns for v in values[1:]]
 
 
-def simulate_signature(
-    coi: Netlist,
-    patterns: int = 4096,
-    seed: int = 0,
-    width: int = DEFAULT_WIDTH,
-    design: str = "",
-    property_index: int = 0,
-) -> EmbeddingTensor:
+def simulate_signature(coi: Netlist, patterns: int = 4096,
+                       seed: int = 0) -> EmbeddingTensor:
     """Per-gate logic-1 ratios of a whole netlist under random stimuli,
-    pooled to `width`.
+    pooled to `DEFAULT_WIDTH`, as property 0 of the design `coi.name`.
 
     The netlist is evaluated on one frame with free latches: frame-0
     latches take random values just like the inputs.  Deterministic for
     fixed seed.
     """
     ratios = _gate_ratios(coi, patterns, seed)
-    return EmbeddingTensor(
-        design=design,
-        property=property_index,
-        values=_bucket_pool(ratios or [0.0], width),
-    )
+    return EmbeddingTensor(coi.name, 0,
+                           _bucket_pool(ratios or [0.0], DEFAULT_WIDTH))
 
 
-def _cone_signature(n: Netlist, p: int, ratios, width: int,
-                    design: str) -> EmbeddingTensor:
+def _cone_signature(n: Netlist, p: int, ratios) -> EmbeddingTensor:
     # canonical numbering puts inputs before latches before ANDs, so the
     # sorted cone is the variable order of restrict_to_coi(n, p)
     cone = [ratios[var - 1] for var in sorted(n.cone(p))]
-    return EmbeddingTensor(
-        design=design or n.name,
-        property=p,
-        values=_bucket_pool(cone or [0.0], width),
-    )
+    return EmbeddingTensor(n.name, p,
+                           _bucket_pool(cone or [0.0], DEFAULT_WIDTH))
 
 
-def design_signatures(n: Netlist, patterns: int = 4096, seed: int = 0,
-                      width: int = DEFAULT_WIDTH, design: str = "") -> list:
+def design_signatures(n: Netlist, patterns: int = 4096,
+                      seed: int = 0) -> list:
     """Signatures of every property of `n`, in property order, from one
     simulation of the whole design."""
     ratios = _gate_ratios(n, patterns, seed)
-    return [_cone_signature(n, p, ratios, width, design)
-            for p in range(n.num_properties)]
+    return [_cone_signature(n, p, ratios) for p in range(n.num_properties)]
 
 
 @dataclass(frozen=True)
@@ -120,10 +110,9 @@ class PcaModel:
         return len(self.components)
 
 
-def fit_pca(tensors, threshold: float = 0.95) -> PcaModel:
-    """Smallest component count reaching `threshold` cumulative variance."""
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError("threshold must be in (0, 1]")
+def fit_pca(tensors) -> PcaModel:
+    """Smallest component count reaching `PCA_RETENTION` cumulative
+    variance."""
     if len(tensors) < 2:
         raise ValueError("need at least 2 tensors")
     width = len(tensors[0].values)
@@ -145,7 +134,7 @@ def fit_pca(tensors, threshold: float = 0.95) -> PcaModel:
     evals = np.clip(evals[order], 0.0, None)
     evecs = evecs[:, order]
     cum = np.cumsum(evals) / evals.sum()
-    keep = int(np.searchsorted(cum, threshold - 1e-12) + 1)
+    keep = int(np.searchsorted(cum, PCA_RETENTION - 1e-12) + 1)
     comps = []
     for i in range(keep):
         c = evecs[:, i]
@@ -173,8 +162,7 @@ def project(m: PcaModel, t: EmbeddingTensor):
     return project_all(m, [t])[0]
 
 
-def coi_signature(n: Netlist, p: int, patterns: int = 4096, seed: int = 0,
-                  width: int = DEFAULT_WIDTH, design: str = "") -> EmbeddingTensor:
+def coi_signature(n: Netlist, p: int, patterns: int = 4096,
+                  seed: int = 0) -> EmbeddingTensor:
     """Signature of property p, equal to `design_signatures(...)[p]`."""
-    return _cone_signature(n, p, _gate_ratios(n, patterns, seed), width,
-                           design)
+    return _cone_signature(n, p, _gate_ratios(n, patterns, seed))

@@ -14,6 +14,8 @@ counts and ``maxvar == I + L + A``, unsupported sections, truncation, the
 field count of each line, ASCII numbers, the input literals' positions
 and the symbol-line syntax.  It reads a reset equal to the latch's own
 literal as none (AIGER 1.9).  A symbol table is checked, then dropped.
+AIGER's number rule is `parse_nat`, which `store` reads its integer
+fields by too.
 
 A property's cone of influence is one set of variables (`Netlist.cone`).
 Canonical numbering tells its inputs, latches and ANDs apart by range,
@@ -294,14 +296,24 @@ def parse_aiger(text: str, name: str = "") -> Netlist:
     )
 
 
-def _nat(tok: str, line: str) -> int:
-    """A non-negative decimal field; AIGER numbers are ASCII digits only."""
+def parse_nat(tok: str) -> int:
+    """A non-negative decimal number in ASCII digits, AIGER's number rule,
+    which the databases follow too: `int` alone would take a sign, `_`,
+    spaces and non-ASCII digits.  Raises ValueError on anything else."""
     if tok.isascii() and tok.isdigit():
         try:
             return int(tok)
         except ValueError:  # longer than Python's int conversion limit
             pass
-    raise DataError(f"bad number {tok[:20]!r} in line {line[:80]!r}")
+    raise ValueError(f"bad number {tok[:20]!r}")
+
+
+def _nat(tok: str, line: str) -> int:
+    """`parse_nat` of a field of the AIGER line `line`."""
+    try:
+        return parse_nat(tok)
+    except ValueError as e:
+        raise DataError(f"{e} in line {line[:80]!r}") from None
 
 
 def _read_lit_line(line: str) -> int:
@@ -469,10 +481,12 @@ class UnfoldBuilder:
     latch with none (AIGER's reset = its own literal) is free.  So a run
     from every state is a run on a copy whose latches have no reset.
 
-    ``cone`` is the set of netlist variables to unfold (None: every one).
-    A variable outside it gets literal 0 (constant false) instead of a
-    fresh variable, and its AND gate or next-state function is skipped, so
-    only the bads of properties whose COI lies inside ``cone`` are exact.
+    ``cone`` holds the netlist variables to unfold, as 32-bit ints;
+    entries outside ``1..max_var`` are ignored, and ``range(1, n.max_var
+    + 1)`` unfolds every variable.  A variable outside it gets literal 0
+    (constant false) instead of a fresh variable, and its AND gate or
+    next-state function is skipped, so only the bads of properties whose
+    COI lies inside ``cone`` are exact.
     A latch outside it still takes its reset at frame 0, so the frame-0
     latch literals always name an initial state.
 
@@ -488,7 +502,7 @@ class UnfoldBuilder:
     variable each.
     """
 
-    def __init__(self, n: Netlist, *, cone=None):
+    def __init__(self, n: Netlist, *, cone):
         self.netlist = n
         self.num_vars = 0
         self.frames = 0
@@ -503,14 +517,9 @@ class UnfoldBuilder:
         # the most record ints a frame can write, which unfold_init counts
         # from the kept gates' kinds
         bound = array("q", [0])
-        if cone is None:
-            gates = _lib.unfold_init(self._addr, table.buffer_info()[0],
-                                     None, -1, bound.buffer_info()[0])
-        else:
-            cone = array("i", list(cone))
-            gates = _lib.unfold_init(self._addr, table.buffer_info()[0],
-                                     *cone.buffer_info(),
-                                     bound.buffer_info()[0])
+        cone = array("i", list(cone))
+        gates = _lib.unfold_init(self._addr, table.buffer_info()[0],
+                                 *cone.buffer_info(), bound.buffer_info()[0])
         # the kernel's output, as unfold_frame lays it out: 2 counts, then
         # bads, inputs, frame-0 latches, gate literals and records
         inputs = 2 + n.num_properties

@@ -45,16 +45,17 @@ def default_delta(property_count: int) -> int:
     return max(5, math.ceil(0.2 * property_count))
 
 
-def unknown_record(n: Netlist, design: str = "", verdicts=None) -> DesignRecord:
-    """DB1 record of a netlist: per-property COI sizes with the standalone
-    verdicts in `verdicts` (property -> Verdict), or UNDET at depth -1 for
-    a design not yet verified."""
+def unknown_record(n: Netlist, verdicts=None) -> DesignRecord:
+    """DB1 record of a netlist, named `n.name` ("unknown" if it has no
+    name): per-property COI sizes with the standalone verdicts in
+    `verdicts` (property -> Verdict), or UNDET at depth -1 for a design
+    not yet verified."""
     props = []
     for p in range(n.num_properties):
         v = verdicts[p] if verdicts is not None else bmc.Verdict(bmc.UNDET, -1)
         props.append(PropertyEntry(*extract_coi(n, p), v.status, v.depth,
                                    v.elapsed))
-    return DesignRecord(design or n.name or "unknown", n.num_inputs,
+    return DesignRecord(n.name or "unknown", n.num_inputs,
                         n.num_latches, n.num_ands, tuple(props))
 
 
@@ -239,11 +240,11 @@ def verify_unknown(
     db3_records,
     cfg: bmc.BmcConfig,
     baseline: bool = False,
-    design: str = "",
 ) -> CampaignReport:
     """Algorithm for the full online phase; every property gets one verdict.
 
-    The unknown's record (COI sizes, each cone extracted once) picks the
+    The unknown's record (`unknown_record`, which names it by
+    `unknown.name`; COI sizes, each cone extracted once) picks the
     closest DB1 design and is associated with it; that design's DB3
     influencing clusters are converted through the association.  Each
     converted cluster is charged the per-property budget times the number
@@ -264,7 +265,7 @@ def verify_unknown(
     them in plan order on this process instead; under a time budget, or a
     frame bound alone, it always splits.
     """
-    u_rec = unknown_record(unknown, design)
+    u_rec = unknown_record(unknown)
     matched = select_similar_design(db1_records, u_rec)
     prop_map = associate_properties(build_diff_matrix(matched, u_rec))
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .bmc import SAT, UNDET
 from .embed import EmbeddingTensor, PcaModel
 from .gain import RANK, GainRecord
-from .netlist import DataError
+from .netlist import DataError, parse_nat
 
 SCHEMA_VERSION = 1
 
@@ -41,17 +41,10 @@ def _corrupt(line_no: int, message: str) -> DataError:
     return DataError(f"line {line_no}: {message}")
 
 
-def _nat(tok: str) -> int:
-    """A non-negative decimal field in ASCII digits, as AIGER numbers are;
-    `int` alone would take a sign, `_` and non-ASCII digits."""
-    if not (tok.isascii() and tok.isdigit()):
-        raise ValueError(f"bad number {tok[:20]!r}")
-    return int(tok)
-
-
 def _depth(tok: str) -> int:
-    """A depth: a number as `_nat` reads it, or one with a minus sign."""
-    return -_nat(tok[1:]) if tok.startswith("-") else _nat(tok)
+    """A depth: a number as `parse_nat` reads it, or one with a minus
+    sign."""
+    return -parse_nat(tok[1:]) if tok.startswith("-") else parse_nat(tok)
 
 
 @dataclass(frozen=True)
@@ -172,16 +165,15 @@ def _write_db1(records, fh):
 def _parse_db1_row(line: str, no: int) -> DesignRecord:
     try:
         design, dims, count_s, body = line.split("|")
-        ni, nl, na = (_nat(x) for x in dims.split(","))
-        count = _nat(count_s)
+        ni, nl, na = (parse_nat(x) for x in dims.split(","))
+        count = parse_nat(count_s)
         props = []
         if body:
             for entry in body.split(";"):
                 ci, cl, ca, status, depth, elapsed = entry.split(",")
-                props.append(
-                    PropertyEntry(_nat(ci), _nat(cl), _nat(ca), status,
-                                  _depth(depth), float(elapsed))
-                )
+                props.append(PropertyEntry(
+                    parse_nat(ci), parse_nat(cl), parse_nat(ca), status,
+                    _depth(depth), float(elapsed)))
     except ValueError as e:
         raise _corrupt(no, str(e)) from None
     if len(props) != count:
@@ -211,7 +203,7 @@ def _parse_db2_row(line: str, no: int) -> EmbeddingTensor:
     try:
         design, prop_s, body = line.split("|")
         vec = tuple(float(x) for x in body.split(",")) if body else ()
-        return EmbeddingTensor(design, _nat(prop_s), vec)
+        return EmbeddingTensor(design, parse_nat(prop_s), vec)
     except ValueError as e:
         raise _corrupt(no, str(e)) from None
 
@@ -242,12 +234,12 @@ def _write_db3(records, fh):
 def _parse_db3_row(line: str, no: int) -> InfluenceRecord:
     try:
         design, prop_s, inf_s, body = line.split("|")
-        prop = _nat(prop_s)
-        influencing = frozenset(_nat(x) for x in inf_s.split())
+        prop = parse_nat(prop_s)
+        influencing = frozenset(parse_nat(x) for x in inf_s.split())
         gains = []
         for entry in body.split(";") if body else []:
             members_s, transition, value_s, deg_s = entry.split(":")
-            members = frozenset(_nat(x) for x in members_s.split())
+            members = frozenset(parse_nat(x) for x in members_s.split())
             value = float(value_s)
             if deg_s not in ("0", "1"):
                 raise ValueError(f"bad degenerate flag {deg_s!r}")

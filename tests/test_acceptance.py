@@ -154,7 +154,7 @@ def test_criterion_06_pca_threshold(capsys):
             embed.EmbeddingTensor("d", i, tuple(r))
             for i, r in enumerate(data)
         ]
-        m = embed.fit_pca(tensors, 0.95)
+        m = embed.fit_pca(tensors)
         keep, ratio = oracles.pca_keep_count(data, 0.95)
         if m.num_components != keep:
             mismatches += 1

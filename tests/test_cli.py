@@ -498,9 +498,9 @@ def test_offline_shares_standalone_runs_of_one_bad_literal(tmp_path,
         ran.append(p)
         return check_single(n, p, cfg)
 
-    def recording(n, design="", verdicts=None):
+    def recording(n, verdicts=None):
         standalone.update(verdicts)
-        return unknown_record(n, design, verdicts)
+        return unknown_record(n, verdicts)
 
     # one design is one job, which runs in this process
     monkeypatch.setattr(bmc, "check_single", counting)

@@ -207,7 +207,7 @@ def test_family_ignores_rounding_noise():
     rng = random.Random(101)
     nets = [circuits.random_netlist(rng, num_bads=rng.randint(4, 10),
                                     name=f"d{i}") for i in range(12)]
-    tensors = [embed.coi_signature(n, p, patterns=1024, seed=101, design=n.name)
+    tensors = [embed.coi_signature(n, p, patterns=1024, seed=101)
                for n in nets for p in range(n.num_properties)]
     pca = embed.fit_pca(tensors)
     reduced = {}

@@ -342,6 +342,11 @@ def test_restrict_to_coi_preserves_reachability():
 BUILDERS = (netlist.UnfoldBuilder, ref_unfold.UnfoldBuilder)
 
 
+def every_var(n):
+    """The cone that unfolds every variable of `n`."""
+    return range(1, n.max_var + 1)
+
+
 def unfold(builder, frames):
     """The gates of `frames` more frames of a reference builder, and each
     frame's bad literals."""
@@ -356,8 +361,8 @@ def unfold(builder, frames):
 def test_unfold_init_vs_inductive():
     n = counter(2, (1,))
     for builder in BUILDERS:
-        init = builder(n)
-        free = builder(free_latches(n))
+        init = builder(n, cone=every_var(n))
+        free = builder(free_latches(n), cone=every_var(n))
         init.add_frame()
         free.add_frame()
         # frame 0 pins reset-0 latches to constant false literals, and
@@ -375,8 +380,8 @@ def frames_of(builder, frames):
 
 
 def test_unfold_full_cone_equals_unfold():
-    # cone=None ("every variable") is the reference for an explicit cone
-    # holding every variable
+    # ref_unfold's cone=None ("every variable") against its explicit cone
+    # of every variable
     n = counter(2, (1,))
     # from reset the counter has no free variable, so every gate folds and
     # the bad "counter == 1" is constant: false at frame 0, true at 1
@@ -394,14 +399,13 @@ def test_unfold_full_cone_equals_unfold():
     for trial in range(30):
         n = random_netlist(random.Random(1100 + trial), num_bads=3)
         for design in (n, free_latches(n)):
-            for builder in BUILDERS:
-                want = builder(design)
-                every = builder(design, cone=set(range(1, n.max_var + 1)))
-                # equal gate literals, bads and records at each frame
-                assert frames_of(every, 4) == frames_of(want, 4)
-                assert every.num_vars == want.num_vars
-                assert list(every.frame_inputs) == list(want.frame_inputs)
-                assert list(every.frame0_latches) == list(want.frame0_latches)
+            want = ref_unfold.UnfoldBuilder(design)
+            every = ref_unfold.UnfoldBuilder(design, cone=every_var(n))
+            # equal gate literals, bads and records at each frame
+            assert frames_of(every, 4) == frames_of(want, 4)
+            assert every.num_vars == want.num_vars
+            assert every.frame_inputs == want.frame_inputs
+            assert every.frame0_latches == want.frame0_latches
 
 
 def test_unfold_cone_matches_restricted_netlist():
@@ -420,7 +424,7 @@ def test_unfold_cone_matches_restricted_netlist():
             sub = restrict_to_coi(design, p)
             for builder in BUILDERS:
                 cut = builder(design, cone=netlist.cone_vars(design, [p]))
-                ref = builder(sub)
+                ref = builder(sub, cone=every_var(sub))
                 for f in range(4):
                     assert list(cut.add_frame()) == list(ref.add_frame())
                     if builder is ref_unfold.UnfoldBuilder:
@@ -514,20 +518,24 @@ def unfold_designs():
 
 def unfold_against_reference(frames=7):
     """Unfolds each design of `unfold_designs` and its free-latch copy
-    with the kernel and with `ref_unfold`, over every cone, the cone of
-    each property, a union of cones and a random set of variables, which
-    COI need not close, and requires equal variable counts, gate
-    literals, bads, records, frame inputs and frame-0 latches at every
-    frame.  Returns the number of records compared."""
+    with the kernel and with `ref_unfold`, over the cone of every
+    variable, the cone of each property, a union of cones, a random set
+    of variables, which COI need not close, and the cone of property 0
+    among entries outside ``1..max_var``; and requires equal variable
+    counts, gate literals, bads, records, frame inputs and frame-0
+    latches at every frame.  Returns the number of records compared."""
     compared = 0
     for trial, n in enumerate(unfold_designs()):
         rng = random.Random(trial)
         props = range(n.num_properties)
         union = rng.sample(props, rng.randint(1, n.num_properties))
         variables = range(1, n.max_var + 1)
-        cones = [None, *(netlist.cone_vars(n, [p]) for p in props),
+        cones = [variables, *(netlist.cone_vars(n, [p]) for p in props),
                  netlist.cone_vars(n, union),
-                 rng.sample(variables, rng.randint(0, len(variables)))]
+                 rng.sample(variables, rng.randint(0, len(variables))),
+                 # entries outside 1..max_var, which both ignore
+                 [0, -3, *netlist.cone_vars(n, [0]), n.max_var + 1,
+                  2 ** 31 - 1]]
         for design in (n, free_latches(n)):
             for cone in cones:
                 got = netlist.UnfoldBuilder(design, cone=cone)
@@ -552,13 +560,13 @@ def test_unfold_output_has_room_for_one_frame_exactly():
     b.add_bad(b.and_(g, b.xor_(b.input_lit(0), b.input_lit(2))))
     n = b.build()
     assert n.xors() == ((7, 6, 5),)
-    for cone, room in ((None, 36), ({7}, 16), ({5, 6}, 0), ({4, 8}, 20),
-                       ({1, 2, 3}, 0)):
+    for cone, room in ((every_var(n), 36), ({7}, 16), ({5, 6}, 0),
+                       ({4, 8}, 20), ({1, 2, 3}, 0)):
         builder = netlist.UnfoldBuilder(n, cone=cone)
         assert len(builder._out) - builder._at[-1] == room, cone
         builder.add_frame()
         assert len(builder.records) <= room, cone
-    full = netlist.UnfoldBuilder(n)
+    full = netlist.UnfoldBuilder(n, cone=every_var(n))
     full.add_frame()
     assert len(full.records) == 36
 

@@ -181,11 +181,11 @@ def test_identity_map_keeps_clusters():
         fam, key=lambda c: (len(c), tuple(sorted(c))))
 
 
-def db_for(n, name, cfg, clusters):
+def db_for(n, cfg, clusters):
     """Minimal DB1+DB3 built from a real netlist."""
-    rec = online.unknown_record(n, name)
+    rec = online.unknown_record(n)
     g = gain.GainRecord(clusters[0], gain.UNDET_TO_UNDET, 0.5)
-    db3 = [store.InfluenceRecord(name, 0, clusters[0],
+    db3 = [store.InfluenceRecord(n.name, 0, clusters[0],
                                  (g,))]
     return [rec], db3
 
@@ -193,8 +193,8 @@ def db_for(n, name, cfg, clusters):
 def test_verify_self_similarity():
     n = two_counters(bits=2, bad_a=3, bad_b=2)
     cfg = bmc.BmcConfig(conflict_budget=200, max_frames=6, seed=0)
-    db1, db3 = db_for(n, "twoctr", cfg, [frozenset({0, 1})])
-    report = online.verify_unknown(n, db1, db3, cfg, design="twoctr")
+    db1, db3 = db_for(n, cfg, [frozenset({0, 1})])
+    report = online.verify_unknown(n, db1, db3, cfg)
     assert report.matched == "twoctr"
     assert sorted(r.property for r in report.rows) == [0, 1]
     by_prop = {r.property: r for r in report.rows}
@@ -204,10 +204,10 @@ def test_verify_self_similarity():
 
 
 def test_verify_leftover_property_runs_standalone():
-    n = counter(3, (5, 6, 7))
+    n = counter(3, (5, 6, 7), name="ctr")
     cfg = bmc.BmcConfig(conflict_budget=500, max_frames=8, seed=0)
-    db1, db3 = db_for(n, "ctr", cfg, [frozenset({0, 1})])
-    report = online.verify_unknown(n, db1, db3, cfg, design="ctr")
+    db1, db3 = db_for(n, cfg, [frozenset({0, 1})])
+    report = online.verify_unknown(n, db1, db3, cfg)
     by_prop = {r.property: r for r in report.rows}
     assert by_prop[2].cluster is None
     assert {p: by_prop[p].verdict.depth for p in (0, 1, 2)} == {
@@ -217,8 +217,8 @@ def test_verify_leftover_property_runs_standalone():
 def test_verify_baseline_fields():
     n = two_counters(bits=2)
     cfg = bmc.BmcConfig(conflict_budget=200, max_frames=6, seed=0)
-    db1, db3 = db_for(n, "twoctr", cfg, [frozenset({0, 1})])
-    report = online.verify_unknown(n, db1, db3, cfg, design="twoctr",
+    db1, db3 = db_for(n, cfg, [frozenset({0, 1})])
+    report = online.verify_unknown(n, db1, db3, cfg,
                                    baseline=True)
     for row in report.rows:
         assert row.baseline is not None
@@ -227,21 +227,21 @@ def test_verify_baseline_fields():
 
 
 def test_unknown_record_carries_verdicts():
-    n = counter(3, (5, 6))
+    n = counter(3, (5, 6), name="ctr")
     cfg = bmc.BmcConfig(conflict_budget=500, max_frames=8, seed=0)
     verdicts = {p: bmc.check_single(n, p, cfg) for p in range(2)}
-    rec = online.unknown_record(n, "ctr", verdicts)
+    rec = online.unknown_record(n, verdicts)
     assert [(e.status, e.depth, e.elapsed) for e in rec.props] == [
         (v.status, v.depth, v.elapsed) for v in verdicts.values()]
-    bare = online.unknown_record(n, "ctr")
+    bare = online.unknown_record(n)
     assert [(e.status, e.depth) for e in bare.props] == [(bmc.UNDET, -1)] * 2
     assert [e.coi_ands for e in bare.props] == [e.coi_ands for e in rec.props]
 
 
 def test_baseline_reuses_standalone_verdicts(monkeypatch, tmp_path):
-    n = counter(3, (5, 6, 7))
+    n = counter(3, (5, 6, 7), name="ctr")
     cfg = bmc.BmcConfig(conflict_budget=500, max_frames=8, seed=0)
-    db1, db3 = db_for(n, "ctr", cfg, [frozenset({0, 1})])
+    db1, db3 = db_for(n, cfg, [frozenset({0, 1})])
     # runs are split over two processes, so they are counted in a file
     log = tmp_path / "runs.txt"
     check_single = bmc.check_single
@@ -252,7 +252,7 @@ def test_baseline_reuses_standalone_verdicts(monkeypatch, tmp_path):
         return check_single(n, p, cfg)
 
     monkeypatch.setattr(bmc, "check_single", counting)
-    report = online.verify_unknown(n, db1, db3, cfg, design="ctr",
+    report = online.verify_unknown(n, db1, db3, cfg,
                                    baseline=True)
     runs = [int(line) for line in log.read_text().split()]
     # property 2 ran standalone once; only the clustered 0 and 1 re-run
@@ -267,7 +267,7 @@ def test_singles_run_once_per_bad_literal(monkeypatch, tmp_path):
     # properties 0 and 1 are copies of one bad literal
     n = parity_miter(width=4, copies=2, variants=2)
     cfg = bmc.BmcConfig(conflict_budget=300, max_frames=6, seed=0)
-    db1, db3 = db_for(n, "miter", cfg, [frozenset({0, 2})])
+    db1, db3 = db_for(n, cfg, [frozenset({0, 2})])
     log = tmp_path / "runs.txt"
     check_single = bmc.check_single
 
@@ -277,7 +277,7 @@ def test_singles_run_once_per_bad_literal(monkeypatch, tmp_path):
         return check_single(n, p, cfg)
 
     monkeypatch.setattr(bmc, "check_single", counting)
-    report = online.verify_unknown(n, db1, db3, cfg, design="miter",
+    report = online.verify_unknown(n, db1, db3, cfg,
                                    baseline=True)
     # 1 runs unclaimed and answers the baseline of 0; 2 runs for its own
     assert sorted(int(line) for line in log.read_text().split()) == [1, 2]
@@ -320,7 +320,7 @@ def test_campaign_spends_at_most_its_budget(bank_db, budget):
     db1, db3, unseen = bank_db
     cfg = bmc.BmcConfig(conflict_budget=budget, max_frames=8, seed=0)
     for n in unseen:
-        report = online.verify_unknown(n, db1, db3, cfg, design=n.name)
+        report = online.verify_unknown(n, db1, db3, cfg)
         assert report.cluster_runs
         spent = 0.0
         for members, per_frame in report.cluster_runs:
@@ -335,27 +335,27 @@ def test_campaign_spends_at_most_its_budget(bank_db, budget):
 def test_report_render_deterministic():
     n = two_counters(bits=2)
     cfg = bmc.BmcConfig(conflict_budget=200, max_frames=6, seed=0)
-    db1, db3 = db_for(n, "twoctr", cfg, [frozenset({0, 1})])
-    a = online.verify_unknown(n, db1, db3, cfg, design="twoctr").render()
-    b = online.verify_unknown(n, db1, db3, cfg, design="twoctr").render()
+    db1, db3 = db_for(n, cfg, [frozenset({0, 1})])
+    a = online.verify_unknown(n, db1, db3, cfg).render()
+    b = online.verify_unknown(n, db1, db3, cfg).render()
     assert a == b
 
 
 def test_report_render_is_pinned():
     # the bytes bench/check.py and `report` parse: property 0 runs
     # unclaimed, 1 and 2 in one cluster
-    n = counter(3, (5, 6, 7))
+    n = counter(3, (5, 6, 7), name="ctr")
     cfg = bmc.BmcConfig(conflict_budget=500, max_frames=6, seed=0)
-    db1, db3 = db_for(n, "ctr", cfg, [frozenset({1, 2})])
+    db1, db3 = db_for(n, cfg, [frozenset({1, 2})])
     head = ("campaign ctr matched=ctr\n"
             "property|cluster|status|depth|elapsed|baseline_status"
             "|baseline_depth|baseline_elapsed|transition|gain\n")
-    assert online.verify_unknown(n, db1, db3, cfg, design="ctr").render() == (
+    assert online.verify_unknown(n, db1, db3, cfg).render() == (
         head
         + "0|-|SAT|5|6.0|-|-|-|-|-\n"
         "1|1 2|SAT|6|13.0|-|-|-|-|-\n"
         "2|1 2|UNDET|6|14.0|-|-|-|-|-\n")
-    assert online.verify_unknown(n, db1, db3, cfg, design="ctr",
+    assert online.verify_unknown(n, db1, db3, cfg,
                                  baseline=True).render() == (
         head
         + "0|-|SAT|5|6.0|SAT|5|6.0|SAT_TO_SAT|0.0\n"

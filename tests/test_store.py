@@ -77,7 +77,7 @@ def test_pca_roundtrip(tmp_path):
             embed.EmbeddingTensor("d", i, tuple(rng.random() for _ in range(4)))
             for i in range(6)
         ]
-        m = embed.fit_pca(ts, 0.95)
+        m = embed.fit_pca(ts)
         path = str(tmp_path / f"pca_{trial}.mpb")
         store.write_pca(m, path)
         assert store.read_pca(path) == m
@@ -118,6 +118,9 @@ def test_corrupt_row_line_number(tmp_path):
     (store.DB1, "d|1,1,4|1|-40,1,4,SAT,3,9.0", "bad number '-40'"),
     (store.DB1, "d|1,1,4|1|1,1,4 ,SAT,3,9.0", "bad number '4 '"),
     (store.DB1, "d|1,1,4|1|1,1,4,SAT,\u0663,9.0", "bad number '\u0663'"),
+    # past Python's int() digit limit, as `parse_aiger` reads it too
+    (store.DB1, "d|1,1,4|1|1,1," + "9" * 5000 + ",SAT,3,9.0",
+     "bad number '99999999999999999999'"),
     (store.DB3, "d|-1|0 1|0 1:SAT_TO_SAT:0.5:0", "bad number '-1'"),
     (store.DB3, "d|0|0 \u0661|0 1:SAT_TO_SAT:0.5:0", "bad number '\u0661'"),
     (store.DB3, "d|0|0 1|0 1_0:SAT_TO_SAT:0.5:0", "bad number '1_0'"),
@@ -129,7 +132,7 @@ def test_corrupt_row_line_number(tmp_path):
         "db3-no-gains", "db3-influencing-not-listed", "db1-status",
         "db1-unsat", "db1-depth", "db1-elapsed", "db1-dims-sign",
         "db1-dims-arabic", "db1-dims-underscore", "db1-count-sign",
-        "db1-coi-sign", "db1-coi-space", "db1-depth-arabic",
+        "db1-coi-sign", "db1-coi-space", "db1-depth-arabic", "db1-coi-long",
         "db3-property-sign", "db3-influencing-arabic",
         "db3-members-underscore", "db3-gain-nan", "db3-gain-inf",
         "db3-flag-arabic"])
@@ -181,7 +184,7 @@ def write_real(kind, path):
     if kind == "pca":
         ts = [embed.EmbeddingTensor("d", i, (rng.random(), 1.0, i / 4))
               for i in range(5)]
-        store.write_pca(embed.fit_pca(ts, 0.95), path)
+        store.write_pca(embed.fit_pca(ts), path)
     elif kind == store.DB2:
         store.write_db(kind, [embed.EmbeddingTensor(f"d{i}", i, (0.5, -1.25))
                               for i in range(3)], path)
