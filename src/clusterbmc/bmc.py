@@ -315,19 +315,16 @@ def replay_cex(n: Netlist, p: int, cex: Cex) -> str:
     return CONFIRMED if bad else REFUTED
 
 
-def write_frame_csvs(per_frame, out_dir: str, run_id: str) -> list:
-    """Per-run figure data: one x,y CSV per metric."""
+def write_frame_csvs(cluster_runs, out_dir: str) -> str:
+    """Writes a campaign's frame table, `cluster_frames.csv`, to `out_dir`
+    and returns its path: one row per frame of each (members, per_frame)
+    cluster run, in the order given, its members space-separated."""
     from .store import write_text  # store imports this module
-    os.makedirs(out_dir, exist_ok=True)
-    metrics = {
-        "conflicts": lambda s: s.conflicts,
-        "solve_time": lambda s: s.solve_time,
-        "cumulative_time": lambda s: s.cumulative_time,
-    }
-    paths = []
-    for name, getter in metrics.items():
-        path = os.path.join(out_dir, f"{run_id}_{name}.csv")
-        write_text(path, "x,y\n" + "".join(
-            f"{stat.frame},{getter(stat)!r}\n" for stat in per_frame))
-        paths.append(path)
-    return paths
+    path = os.path.join(out_dir, "cluster_frames.csv")
+    write_text(path, "cluster,frame,conflicts,solve_time,cumulative_time\n"
+               + "".join(f"{' '.join(map(str, members))},{s.frame},"
+                         f"{s.conflicts!r},{s.solve_time!r},"
+                         f"{s.cumulative_time!r}\n"
+                         for members, per_frame in cluster_runs
+                         for s in per_frame))
+    return path

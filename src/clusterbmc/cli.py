@@ -1,5 +1,5 @@
 """Command-line front end: `offline` builds the databases, `verify` runs
-a campaign on an unknown design and writes its report, per-run frame CSVs
+a campaign on an unknown design and writes its report, its frame table
 and figure data.
 
 Exit codes, each raised as one exception class:
@@ -163,12 +163,11 @@ def cmd_verify(args) -> int:
     report = online.verify_unknown(n, db1, db3, cfg, baseline=args.baseline)
     report_path = os.path.join(args.out_dir, "report.txt")
     store.write_text(report_path, report.render())
+    bmc.write_frame_csvs(report.cluster_runs, args.out_dir)
     # figure data of this campaign alone: per frame, sums over its cluster
     # runs; then each baselined property's standalone and clustered depth
     conflicts, times = {}, {}
-    for members, per_frame in report.cluster_runs:
-        run_id = "cluster_" + "_".join(map(str, members))
-        bmc.write_frame_csvs(per_frame, args.out_dir, run_id)
+    for _members, per_frame in report.cluster_runs:
         for s in per_frame:
             conflicts[s.frame] = conflicts.get(s.frame, 0.0) + s.conflicts
             times[s.frame] = times.get(s.frame, 0.0) + s.cumulative_time

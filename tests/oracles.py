@@ -10,7 +10,8 @@ kernel), the gain table re-states the formulas from scratch, the
 assignment oracle tries permutations, the clusterer references
 recompute every distance and cost every PAM swap on a copy, and the
 family reference runs every k, however few clusters are asked for.
-`xor_rich_netlist` is a fixture family, of netlists mostly made of XORs.
+`xor_rich_netlist` is a fixture family, of netlists mostly made of XORs,
+and `read_frame_table` reads a campaign's frame table back.
 """
 
 import ctypes
@@ -21,8 +22,24 @@ import random
 
 import numpy as np
 
-from clusterbmc import clusterer, satcore
+from clusterbmc import bmc, clusterer, satcore
 from clusterbmc.circuits import TRUE, AigBuilder
+
+
+# -- output tables ----------------------------------------------------------
+
+def read_frame_table(path):
+    """The rows of a `cluster_frames.csv`, each as (members, FrameStat)."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == "cluster,frame,conflicts,solve_time,cumulative_time"
+    rows = []
+    for line in lines[1:]:
+        cluster, frame, conflicts, solve_time, cumulative = line.split(",")
+        rows.append((tuple(int(m) for m in cluster.split()),
+                     bmc.FrameStat(int(frame), int(conflicts),
+                                   float(solve_time), float(cumulative))))
+    return rows
 
 
 # -- cone of influence ------------------------------------------------------

@@ -20,7 +20,7 @@ from clusterbmc.circuits import (
 from clusterbmc.netlist import cone_vars, extract_coi
 import ref_unfold
 from oracles import (CountingSession, RupLog, bfs_reach, free_latches,
-                     rup_failures, xor_rich_netlist)
+                     read_frame_table, rup_failures, xor_rich_netlist)
 
 
 def cfg_init(**kw):
@@ -634,16 +634,16 @@ def test_replay_refutes_wrong_cex():
 
 
 def test_frame_csvs(tmp_path):
-    n = counter(3, (5,))
-    v = bmc.check_single(n, 0, cfg_init())
-    paths = bmc.write_frame_csvs(v.per_frame, str(tmp_path), "run0")
-    assert len(paths) == 3
-    for p in paths:
-        with open(p) as fh:
-            lines = fh.read().splitlines()
-        assert lines[0] == "x,y"
-        assert len(lines) == 1 + len(v.per_frame)
-        assert os.path.basename(p).startswith("run0_")
+    # one row per frame of each run, in the order the runs are given
+    n = counter(3, (5, 6))
+    runs = [((0, 1), bmc.check_cluster(n, [0, 1], cfg_init()).per_frame),
+            ((0,), bmc.check_single(n, 0, cfg_init()).per_frame)]
+    path = bmc.write_frame_csvs(runs, str(tmp_path))
+    assert os.path.basename(path) == "cluster_frames.csv"
+    assert read_frame_table(path) == [(members, s) for members, per_frame
+                                      in runs for s in per_frame]
+    assert bmc.write_frame_csvs([], str(tmp_path)) == path
+    assert read_frame_table(path) == []
 
 
 def pinned_runs():

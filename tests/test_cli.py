@@ -12,7 +12,7 @@ from clusterbmc.circuits import (counter, deep_sat_miter, parity_miter,
                                  random_netlist, two_counters)
 from clusterbmc.netlist import parse_aiger, serialize_aiger
 import ref_satcore
-from oracles import free_latches
+from oracles import free_latches, read_frame_table
 
 
 @pytest.fixture
@@ -202,11 +202,16 @@ def test_verify_with_frame_bound_only(corpus, tmp_path):
 
 
 def test_report_sums_frame_csvs_over_cluster_runs(corpus, tmp_path, capsys):
-    # the bytes the former `report` command wrote from this campaign's
-    # files: its one cluster run, 0 1, summed per frame as floats
+    # the campaign's one cluster run, 0 1, as table rows, and the bytes the
+    # former `report` command wrote from its files: summed per frame as
+    # floats
     run = tmp_path / "run"
     assert verify_corpus(corpus, tmp_path, run) == cli.EXIT_OK
-    outputs = {"conflicts.csv": "x,y\n0,0.0\n1,0.0\n2,0.0\n3,0.0\n",
+    outputs = {"cluster_frames.csv":
+               "cluster,frame,conflicts,solve_time,cumulative_time\n"
+               "0 1,0,0,2.0,2.0\n0 1,1,0,2.0,4.0\n0 1,2,0,2.0,6.0\n"
+               "0 1,3,0,1.0,7.0\n",
+               "conflicts.csv": "x,y\n0,0.0\n1,0.0\n2,0.0\n3,0.0\n",
                "verification_time.csv": "x,y\n0,2.0\n1,4.0\n2,6.0\n3,7.0\n",
                "depth_scatter.csv": "x,y\n2,2\n3,3\n"}
     for name, text in outputs.items():
@@ -215,7 +220,8 @@ def test_report_sums_frame_csvs_over_cluster_runs(corpus, tmp_path, capsys):
 
 
 def test_figures_sum_overlapping_cluster_runs(corpus, tmp_path, monkeypatch):
-    # frames of two runs: shared frames add up, each frame is listed once
+    # frames of two runs: the table lists each run's in plan order; in the
+    # figures shared frames add up, each frame is listed once
     def stats(*rows):
         return [bmc.FrameStat(f, c, 0.0, t) for f, c, t in rows]
 
@@ -225,6 +231,9 @@ def test_figures_sum_overlapping_cluster_runs(corpus, tmp_path, monkeypatch):
     monkeypatch.setattr(online, "verify_unknown", lambda *a, **k: report)
     run = tmp_path / "run"
     assert verify_corpus(corpus, tmp_path, run) == cli.EXIT_OK
+    assert read_frame_table(run / "cluster_frames.csv") == [
+        (members, s) for members, per_frame in report.cluster_runs
+        for s in per_frame]
     assert (run / "conflicts.csv").read_text() == "x,y\n0,1.0\n1,3.0\n3,4.0\n"
     assert ((run / "verification_time.csv").read_text()
             == "x,y\n0,0.25\n1,1.0\n3,1.0\n")
@@ -232,17 +241,34 @@ def test_figures_sum_overlapping_cluster_runs(corpus, tmp_path, monkeypatch):
     assert (run / "depth_scatter.csv").read_text() == "x,y\n"
 
 
+def test_long_cluster_run_names_no_file(corpus, tmp_path, monkeypatch):
+    # a run's 150 members go into table rows, not into a file name
+    members = tuple(range(150))
+    per_frame = [bmc.FrameStat(f, 2 * f, 0.5, f + 0.5) for f in range(3)]
+    report = online.CampaignReport("unknown", "twoctr",
+                                   cluster_runs=[(members, per_frame)])
+    monkeypatch.setattr(online, "verify_unknown", lambda *a, **k: report)
+    run = tmp_path / "run"
+    assert verify_corpus(corpus, tmp_path, run) == cli.EXIT_OK
+    assert all(len(os.fsencode(name)) <= 64 for name in os.listdir(run))
+    assert read_frame_table(run / "cluster_frames.csv") == [
+        (members, s) for s in per_frame]
+
+
 def test_reused_out_dir_keeps_figures_to_its_campaign(corpus, tmp_path):
-    # an earlier campaign's cluster run (0 1) stays in the directory, but
-    # only the later campaign's run (1 2) enters its figures
+    # an earlier campaign's cluster run (0 1) leaves the directory's frame
+    # table and figures: they hold the later campaign's run (1 2) alone
     (corpus / "ctr4.aag").write_text(serialize_aiger(counter(4, (5, 6, 7))))
     fresh, reused = tmp_path / "fresh", tmp_path / "reused"
     assert verify_corpus(corpus, tmp_path, fresh, "ctr4.aag") == cli.EXIT_OK
     assert verify_corpus(corpus, tmp_path, reused) == cli.EXIT_OK
+    earlier = read_frame_table(reused / "cluster_frames.csv")
+    assert {members for members, _s in earlier} == {(0, 1)}
     assert verify_corpus(corpus, tmp_path, reused, "ctr4.aag") == cli.EXIT_OK
-    assert (reused / "cluster_0_1_conflicts.csv").exists()
-    assert not (fresh / "cluster_0_1_conflicts.csv").exists()
-    for name in FIGURES:
+    later = read_frame_table(reused / "cluster_frames.csv")
+    assert {members for members, _s in later} == {(1, 2)}
+    assert sorted(os.listdir(reused)) == sorted(os.listdir(fresh))
+    for name in FIGURES + ("cluster_frames.csv",):
         assert (reused / name).read_text() == (fresh / name).read_text()
 
 
@@ -261,9 +287,7 @@ def test_unreadable_input_is_data_error(corpus, tmp_path, caplog, name):
 @pytest.mark.parametrize("command, name", [
     ("offline", "db1.mpb"), ("offline", "db2.mpb"), ("offline", "db3.mpb"),
     ("offline", "pca.mpb"), ("verify", "report.txt"),
-    ("verify", "cluster_0_1_conflicts.csv"),
-    ("verify", "cluster_0_1_solve_time.csv"),
-    ("verify", "cluster_0_1_cumulative_time.csv"),
+    ("verify", "cluster_frames.csv"),
     ("verify", "conflicts.csv"), ("verify", "verification_time.csv"),
     ("verify", "depth_scatter.csv"),
 ])
