@@ -29,7 +29,9 @@ for p in range(n.num_properties):
           f"{latches} latches, {ands} ANDs")
 
 # unfolding: frame 0 pins each latch at its reset, and BMC adds one frame
-# at a time.  Constants fold as frames unroll, so a counter with no inputs
+# at a time.  Literals are the SAT solver's (DIMACS): variable 1 is the
+# constant false, so a reset-0 latch reads 1, and fresh variables count
+# from 2.  Constants fold as frames unroll, so a counter with no inputs
 # needs no variable from reset.  A latch with no reset (AIGER: reset = its
 # own literal) is free at frame 0, so a copy whose latches have no reset
 # unfolds from every state, an over-approximation of reachability.  The
@@ -41,4 +43,4 @@ for label, design in (("from reset", n), ("free latches", free)):
     for _ in range(3):
         u.add_frame()
     print(f"{label}: frame-0 latch literals = {list(u.frame0_latches)}, "
-          f"{u.num_vars} fresh variables over {u.frames} frames")
+          f"{u.num_vars - 1} fresh variables over {u.frames} frames")

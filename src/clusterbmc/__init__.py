@@ -5,7 +5,20 @@ clusters of functionally similar properties; what each cluster did for
 each property is distilled into three small text databases.  Online, an
 unseen design is matched against the corpus and verified through the
 clusters borrowed from its closest relative.
+
+numpy's BLAS runs on one thread unless the caller set a count: the
+package's matrices are at most 128 wide, its parallelism comes from the
+fork of `parallel.map2`, and a second OpenBLAS thread made
+`numpy.linalg.eigh` of a 128x128 covariance stall for up to 0.3 s on a
+2-core host, against at most 2.5 ms on one.  This runs before any module
+of the package imports numpy.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 from .netlist import (  # noqa: F401
     Latch,

@@ -6,17 +6,17 @@
  * arena, and the seeded generator that places each new variable in the
  * queue, a copy of Python's Mersenne Twister.  `satcore.SolverSession`
  * drives it through ctypes and keeps what the search does not read (the
- * records of the original clauses); `cdcl_scan` checks each batch of
- * clause records before the session queues it.  The search is the one satcore's
- * docstring describes; `tests/ref_satcore.py` is the same search in
- * Python, and the tests require both to make identical decisions.
+ * records of the original clauses); `cdcl_add` checks a whole batch of
+ * variables and clauses before it adds any of it.  The search is the one
+ * satcore's docstring describes; `tests/ref_satcore.py` is the same search
+ * in Python, and the tests require both to make identical decisions.
  *
  * One Unfolder, at the end of this file, unrolls one BMC run's cone of a
  * netlist: `netlist.UnfoldBuilder` drives it, one call per frame, which
- * folds the frame's constants and writes its clause records, ready for
- * `SolverSession.add_clauses`.  `tests/ref_unfold.py` is the same
- * unfolder in Python, and the tests require both to write identical
- * frames.
+ * folds the frame's constants and writes its literals and clause records
+ * in the solver's DIMACS numbering, ready for `SolverSession.add_clauses`
+ * and `solve`.  `tests/ref_unfold.py` is the same unfolder in Python, and
+ * the tests require both to write identical frames.
  *
  * Literals: DIMACS literal d is stored as 2*|d| + (d < 0), so the
  * variable of `lit` is `lit >> 1` and its negation `lit ^ 1`.  A clause
@@ -32,7 +32,8 @@
 #include <string.h>
 #include <time.h>
 
-enum { SAT = 0, UNSAT = 1, UNKNOWN = 2, NOMEM = -1 };
+enum { SAT = 0, UNSAT = 1, UNKNOWN = 2, NOMEM = -1, ZERO_LIT = -2,
+       MIN_LIT = -3, NEG_LENGTH = -4, PAST_END = -5 };
 
 #define UNASSIGNED (-1)
 #define NO_REASON UINT32_MAX
@@ -605,26 +606,26 @@ Solver *cdcl_new(const uint32_t *mt)
 }
 
 
-/* Checks `len` ints of clause records, each a length n >= 0 followed by
- * n DIMACS literals, before any of them is added.  Returns the highest
- * variable they name (0 for none), or -1 for a 0 literal, -2 for
- * INT32_MIN (whose negation is no int32), -3 for a negative length and
- * -4 for a record that runs past the end. */
-int32_t cdcl_scan(const int32_t *buf, int64_t len)
+/* The highest variable that `len` ints of clause records name (0 for
+ * none), each record a length n >= 0 followed by n DIMACS literals; or
+ * the first fault: ZERO_LIT for a 0 literal, MIN_LIT for INT32_MIN
+ * (whose negation is no int32), NEG_LENGTH for a negative length and
+ * PAST_END for a record that runs past the end. */
+static int32_t scan(const int32_t *buf, int64_t len)
 {
     int32_t top = 0;
     for (int64_t i = 0; i < len;) {
         int32_t n = buf[i++];
         if (n < 0)
-            return -3;
+            return NEG_LENGTH;
         if (n > len - i)
-            return -4;
+            return PAST_END;
         for (int64_t end = i + n; i < end; i++) {
             int32_t d = buf[i];
             if (d == 0)
-                return -1;
+                return ZERO_LIT;
             if (d == INT32_MIN)
-                return -2;
+                return MIN_LIT;
             if (d < 0)
                 d = -d;
             if (d > top)
@@ -634,36 +635,58 @@ int32_t cdcl_scan(const int32_t *buf, int64_t len)
     return top;
 }
 
-/* Applies `len - nassume` ints of records, then solves under the last
- * `nassume` ints, DIMACS assumptions.  A record is -k (k new variables,
- * each placed in the decision queue by a draw, see add_vars()) or n >= 0
- * followed by the n DIMACS literals of a clause.  `budget` < 0 means no conflict
- * budget; `deadline` is a CLOCK_MONOTONIC time in seconds (+inf: none).
- * Writes this call's conflicts and propagations to out[0] and out[1],
- * and on SAT the address of the model (one 0/1 byte per variable) to
- * out[2].  Every return leaves decision level 0. */
-int cdcl_solve(Solver *s, const int32_t *buf, int64_t len, int64_t nassume,
-               int64_t budget, double deadline, int64_t clause_cap,
-               int64_t *out)
+/* Adds a batch at level 0: checks `len` ints of clause records, as scan()
+ * does, before it adds any of it; then adds variables up to `nvars` or
+ * the highest variable the records name, each placed by a draw (see
+ * add_vars()), then the records' clauses in order (see add_clause()).
+ * Returns the session's number of variables, or the batch's fault, which
+ * adds nothing, or NOMEM; `nvars` above INT32_MAX is NOMEM too. */
+int32_t cdcl_add(Solver *s, int64_t nvars, const int32_t *buf, int64_t len)
+{
+    if (s->nomem || nvars > INT32_MAX)
+        return NOMEM;
+    int32_t top = scan(buf, len);
+    if (top < 0)
+        return top;
+    if (!add_vars(s, (int32_t)(nvars > top ? nvars : top) - s->nvars))
+        goto nomem;
+    for (int64_t i = 0; i < len; i += 1 + buf[i])
+        if (!add_clause(s, buf + i + 1, buf[i]))
+            goto nomem;
+    return s->nvars;
+nomem:
+    s->nomem = 1;
+    return NOMEM;
+}
+
+/* Solves under the assumptions of `rec`, one clause record of `len` ints
+ * (a length n, then n DIMACS literals), which is checked as scan() checks
+ * a batch (a fault adds nothing) and whose new variables are added first,
+ * as cdcl_add() adds them.  `budget` < 0 means no conflict budget;
+ * `deadline` is a CLOCK_MONOTONIC time in seconds (+inf: none).  Writes
+ * this call's conflicts and propagations to out[0] and out[1], on SAT
+ * the address of the model (one 0/1 byte per variable) to out[2], and
+ * the session's number of variables to out[3].  Every return leaves
+ * decision level 0. */
+int cdcl_solve(Solver *s, const int32_t *rec, int64_t len, int64_t budget,
+               double deadline, int64_t clause_cap, int64_t *out)
 {
     if (s->nomem)
         return NOMEM;
-    for (int64_t i = 0; i < len - nassume;) {
-        int32_t h = buf[i++];
-        int ok = h < 0 ? add_vars(s, -h) : add_clause(s, buf + i, h);
-        if (!ok)
-            goto nomem;
-        if (h > 0)
-            i += h;
-    }
+    int32_t top = scan(rec, len), nassume = rec[0];
+    if (top < 0)
+        return top;
+    if (!add_vars(s, top - s->nvars))
+        goto nomem;
+    out[3] = s->nvars;
     if (nassume > s->assume_cap) {
         if (!resize(&s->assumptions, (size_t)nassume, 4))
             goto nomem;
         s->assume_cap = nassume;
     }
     int32_t *assume = s->assumptions;
-    for (int64_t i = 0; i < nassume; i++) {
-        int32_t d = buf[len - nassume + i];
+    for (int32_t i = 0; i < nassume; i++) {
+        int32_t d = rec[1 + i];
         assume[i] = d > 0 ? d << 1 : (-d << 1) | 1;
     }
 
@@ -782,18 +805,20 @@ int32_t cdcl_learned(const Solver *s, int64_t i, int32_t *out)
 /* ---- The unfolder of clusterbmc.netlist.UnfoldBuilder ----
  *
  * Unfolds a netlist's cone, the variables its caller lists, one frame at
- * a time, folding constants, and writes each frame's CNF as clause
- * records in solver numbering, where combinational variable k is solver
- * variable k + 1.  Its input is the
- * table `Netlist.gate_table` describes:
+ * a time, folding constants, and writes each frame's literals and CNF in
+ * the solver's DIMACS numbering: solver variable 1 is the constant false,
+ * so literal 1 reads false and -1 true, and the unfolding's own variables
+ * are 2, 3, ....  Its input is the table `Netlist.gate_table` describes:
  *   ni, nl, na, np, and the ints of an unfolder's state (unfold_size);
  *   per latch: next-state literal, reset (0, 1, or -1 for none);
  *   per AND, in variable order: two operands and a kind, GATE_AND,
  *   GATE_XOR (a top, whose operands are p and q of p XOR q) or
  *   GATE_INNER (an XOR's inner gate, which gets no literal);
  *   per property: its bad literal.
- * The state lives in an int buffer the caller owns, so nothing here is
- * allocated or freed: an Unfolder header, then its sections. */
+ * Table literals are AIGER's; every literal the unfolder writes is a
+ * solver literal.  The state lives in an int buffer the caller owns, so
+ * nothing here is allocated or freed: an Unfolder header, then its
+ * sections. */
 
 enum { GATE_AND = 0, GATE_XOR = 1, GATE_INNER = 2 };
 
@@ -810,7 +835,7 @@ typedef struct {
     int32_t *bads;     /* per property: its literal */
     int32_t *state;    /* the latch literals of the next frame */
     int32_t *map;      /* each variable's literal at the last frame;
-                        * 0 outside the cone and for inner gates */
+                        * false outside the cone */
 } Sections;
 
 static Sections sections(Unfolder *u)
@@ -854,6 +879,7 @@ int32_t unfold_init(Unfolder *u, const int32_t *table, const int32_t *cone,
     u->nl = nl;
     u->np = np;
     u->na = na;
+    u->num_vars = 1;   /* the constant */
     Sections x = sections(u);
     /* the map holds the cone's membership until the first frame */
     int32_t *keep = x.map;
@@ -877,24 +903,26 @@ int32_t unfold_init(Unfolder *u, const int32_t *table, const int32_t *cone,
         *records += RECORD_INTS[g[3]];
     }
     memcpy(x.bads, bads, (size_t)np * sizeof(int32_t));
-    memset(keep, 0, (size_t)nvars * sizeof(int32_t));
+    for (int32_t v = 0; v < nvars; v++)
+        keep[v] = 1;   /* false, the constant's and each outsider's literal */
     return u->ngates;
 }
 
-static inline int32_t dimacs(int32_t lit)
+/* The solver literal of AIGER literal `lit` at the last frame. */
+static inline int32_t lit_at(const int32_t *map, int32_t lit)
 {
-    return lit & 1 ? -(lit >> 1) - 1 : (lit >> 1) + 1;
+    return lit & 1 ? -map[lit >> 1] : map[lit >> 1];
 }
 
 /* Unfolds one more frame.  Numbers its fresh variables in order: at frame
  * 0 the free latches inside the cone, then the inputs inside it, then
  * each kept gate that folds to no constant and no operand.  Writes to
  * `out`:
- *   the number of variables so far, the number of record ints,
- *   the frame's bad literals (np), input literals (ni), and at frame 0
- *   only its latch literals (nl), each gate's literal (ngates; -1 for an
- *   inner gate), then the frame's clause records: 3 clauses per new AND
- *   variable, 4 per new XOR variable.
+ *   the highest variable so far, the number of record ints,
+ *   the frame's bad literals (np), input literals (ni; false outside the
+ *   cone), and at frame 0 only its latch literals (nl), each gate's
+ *   literal (ngates; 0 for an inner gate), then the frame's clause
+ *   records: 3 clauses per new AND variable, 4 per new XOR variable.
  * `out` has room for the record ints unfold_init counted.  Returns 0, or
  * -1 when the frame's variables would not fit in a literal; nothing is
  * unfolded then. */
@@ -905,58 +933,56 @@ int32_t unfold_frame(Unfolder *u, int32_t *out)
     int32_t *map = x.map, *state = x.state;
     int32_t *bads = out + 2, *inputs = bads + u->np, *lits = inputs + ni + nl;
     int32_t *rec = lits + u->ngates, *r = rec;
-    if (nv > INT32_MAX / 2 - 1 - nl - ni - u->ngates)
+    if (nv > INT32_MAX - nl - ni - u->ngates)
         return -1;
     if (u->frames == 0) {
         for (int32_t i = 0; i < nl; i++) {
             int32_t next = x.latches[2 * i], reset = x.latches[2 * i + 1];
-            state[i] = reset >= 0 ? reset : next < 0 ? 0 : 2 * ++nv;
+            state[i] = reset >= 0 ? (reset ? -1 : 1) : next < 0 ? 1 : ++nv;
         }
         memcpy(inputs + ni, state, (size_t)nl * sizeof(int32_t));
     }
     for (int32_t i = 0; i < ni; i++)
-        map[1 + i] = inputs[i] = x.inputs[i] ? 2 * ++nv : 0;
+        map[1 + i] = inputs[i] = x.inputs[i] ? ++nv : 1;
     memcpy(map + ni + 1, state, (size_t)nl * sizeof(int32_t));
     const int32_t *g = x.gates;
     for (int32_t k = 0; k < u->ngates; k++, g += 4) {
         int32_t kind = g[3];
         if (kind == GATE_INNER) {
-            lits[k] = -1;
+            lits[k] = 0;
             continue;
         }
-        int32_t a = map[g[1] >> 1] ^ (g[1] & 1);
-        int32_t b = map[g[2] >> 1] ^ (g[2] & 1), lit;
-        if (a > 1 && b > 1 && (a ^ b) > 1) {   /* two distinct variables */
-            lit = 2 * ++nv;
-            int32_t o = nv + 1, sa = dimacs(a), sb = dimacs(b);
+        int32_t a = lit_at(map, g[1]), b = lit_at(map, g[2]), lit;
+        if (abs(a) > 1 && abs(b) > 1 && abs(a) != abs(b)) {  /* two vars */
+            lit = ++nv;
             if (kind == GATE_XOR) {
-                int32_t c[16] = {3, -o, sa, sb, 3, -o, -sa, -sb,
-                                 3, o, -sa, sb, 3, o, sa, -sb};
+                int32_t c[16] = {3, -lit, a, b, 3, -lit, -a, -b,
+                                 3, lit, -a, b, 3, lit, a, -b};
                 memcpy(r, c, sizeof c);
                 r += 16;
             } else {
-                int32_t c[10] = {2, -o, sa, 2, -o, sb, 3, o, -sa, -sb};
+                int32_t c[10] = {2, -lit, a, 2, -lit, b, 3, lit, -a, -b};
                 memcpy(r, c, sizeof c);
                 r += 10;
             }
         } else if (kind == GATE_XOR) {
-            /* a constant flips or clears the other operand's sign; p and
-             * +-q give 0 or 1 */
-            lit = a ^ b;
-        } else if (a == b || b == 1) {
+            /* a constant (false 1, true -1) keeps or flips the other
+             * operand's sign; p and +-q give false or true */
+            lit = abs(a) == 1 || abs(b) == 1 ? a * b : a == b ? 1 : -1;
+        } else if (a == b || b == -1) {
             lit = a;
-        } else if (a == 1) {
+        } else if (a == -1) {
             lit = b;
-        } else {   /* a 0 operand, or complementary operands */
-            lit = 0;
+        } else {   /* a false operand, or complementary operands */
+            lit = 1;
         }
         map[g[0]] = lits[k] = lit;
     }
     for (int32_t i = 0; i < u->np; i++)
-        bads[i] = map[x.bads[i] >> 1] ^ (x.bads[i] & 1);
+        bads[i] = lit_at(map, x.bads[i]);
     for (int32_t i = 0; i < nl; i++) {
         int32_t next = x.latches[2 * i];
-        state[i] = next < 0 ? 0 : map[next >> 1] ^ (next & 1);
+        state[i] = next < 0 ? 1 : lit_at(map, next);
     }
     u->num_vars = nv;
     u->frames++;

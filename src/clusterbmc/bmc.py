@@ -6,7 +6,9 @@ encoded into CNF one at a time, each limited to the union cone of
 influence of the run's properties: an input, latch or gate that no
 property of the run can see gets no solver variable and reads as false
 in counterexamples, or as its reset for a frame-0 latch.  The C kernel
-unfolds and encodes each frame in one call (`netlist.UnfoldBuilder`).
+unfolds and encodes each frame in one call (`netlist.UnfoldBuilder`),
+in the solver's own numbering, where variable 1 is the constant false
+that each run pins with the clause ``[-1]``.
 Constants are folded while a frame unfolds: a gate with a constant
 operand, or with equal or complementary operands, takes the literal of a
 constant or of an operand and gets neither a variable nor clauses.  Each
@@ -17,7 +19,10 @@ variables are created first, in the builder's order, and the clause
 records the kernel wrote then go to the solver in one `add_clauses`
 batch.  At every frame the bad literal of each still-unresolved property
 is assumed and solved, in ascending property order; a bad folded to
-constant false is refuted without a solver call.
+constant false is refuted without a solver call.  Each counterexample
+is replayed on the netlist (`replay_cex`) before it leaves the run: one
+that does not reach its bad is an unsound encoding or search, and
+raises AssertionError.
 A run solves each distinct bad literal once, as the first property that
 has it; the properties that share it take that verdict.  Learned clauses
 persist across properties and frames, which is what makes clustered runs
@@ -131,53 +136,17 @@ class ClusterVerdict:
     total_elapsed: float
 
 
-class _Encoder:
-    """Writes unfolded frames into a solver session as CNF.
+def _cex(builder: UnfoldBuilder, model, frames: int) -> Cex:
+    """The trace of the first `frames` frames that a SAT model gives."""
+    def val(lit):
+        return model[abs(lit)] != (lit < 0)
 
-    The builder folds constants and writes each frame's clauses already in
-    solver numbering, where combinational variable k is solver variable
-    k + 1.  Variable 0 is the constant false, so solver variable 1 is
-    pinned false and the constants map like any other literal.  Past
-    variable 1, the inputs and the frame-0 latches, some clause reads every
-    solver variable.
-
-    `add_frame` creates the frame's solver variables at once, up to the
-    builder's last one, then adds its clauses in one batch.  The seeded
-    draws come in variable order either way, and the kernel searches as
-    if variables and clauses had come interleaved: a new variable touches
-    only its own entries and the decision queue, and a level-0 clause only
-    values, the trail and the watch lists.
-    """
-
-    def __init__(self, n: Netlist, solver: satcore.SolverSession, cone: set):
-        self.builder = UnfoldBuilder(n, cone=cone)
-        self.solver = solver
-        solver.add_clause([-1])
-
-    def slit(self, comb_lit: int) -> int:
-        var = (comb_lit >> 1) + 1
-        return -var if comb_lit & 1 else var
-
-    def add_frame(self):
-        builder = self.builder
-        builder.add_frame()
-        # the frame's variables, in the order the builder numbered them:
-        # inputs (and frame-0 latches) may feed nothing, and the solver
-        # still needs their variables so counterexamples cover them
-        self.solver.ensure_var(builder.num_vars + 1)
-        self.solver.add_clauses(builder.records)
-        return builder.bads
-
-    def extract_cex(self, model, frames: int) -> Cex:
-        def val(comb_lit):
-            return model[(comb_lit >> 1) + 1] != bool(comb_lit & 1)
-
-        ni = self.builder.netlist.num_inputs
-        lits = self.builder.frame_inputs
-        latch_init = [val(lit) for lit in self.builder.frame0_latches]
-        inputs = [[val(lit) for lit in lits[f * ni:(f + 1) * ni]]
-                  for f in range(frames)]
-        return Cex(latch_init, inputs)
+    ni = builder.netlist.num_inputs
+    lits = builder.frame_inputs
+    latch_init = [val(lit) for lit in builder.frame0_latches]
+    inputs = [[val(lit) for lit in lits[f * ni:(f + 1) * ni]]
+              for f in range(frames)]
+    return Cex(latch_init, inputs)
 
 
 # the answer for a bad folded to constant false: refuted without a call
@@ -199,7 +168,8 @@ def _run(n: Netlist, props, cfg: BmcConfig, budget) -> ClusterVerdict:
     owner = single_run_owners(n, props)
     owners = list(dict.fromkeys(owner.values()))
     solver = satcore.new_solver(seed=cfg.seed)
-    enc = _Encoder(n, solver, cone)
+    solver.add_clause([-1])   # solver variable 1 is the constant false
+    builder = UnfoldBuilder(n, cone=cone)
     timed = not cfg.deterministic
     deadline = start + budget if timed and budget is not None else None
 
@@ -211,18 +181,24 @@ def _run(n: Netlist, props, cfg: BmcConfig, budget) -> ClusterVerdict:
     frame = 0
     while not stopped and len(verdicts) < len(owners) and (
             cfg.max_frames is None or frame <= cfg.max_frames):
-        bads = enc.add_frame()
+        builder.add_frame()
+        # the frame's variables, in the order the builder numbered them:
+        # inputs (and frame-0 latches) may feed nothing, and the solver
+        # still needs their variables so counterexamples cover them
+        solver.ensure_var(builder.num_vars)
+        solver.add_clauses(builder.records)
+        bads = builder.bads
         frame_conflicts = 0
         frame_start = spent
         for p in owners:
             if p in verdicts:
                 continue
-            if bads[p] == 0:
+            if bads[p] == 1:
                 res = _FOLDED_FALSE
             else:
                 limit = None if timed or budget is None else max(
                     0, int(budget - spent) - 1)
-                res = solver.solve([enc.slit(bads[p])],
+                res = solver.solve([bads[p]],
                                    conflict_budget=limit, deadline=deadline)
             if timed:
                 spent = time.perf_counter() - start
@@ -233,8 +209,12 @@ def _run(n: Netlist, props, cfg: BmcConfig, budget) -> ClusterVerdict:
                     f"spent {spent} of {budget} cost units")
             frame_conflicts += res.conflicts_this_call
             if res.status == satcore.SAT:
-                verdicts[p] = Verdict(SAT, frame, spent,
-                                      enc.extract_cex(res.model, frame + 1))
+                cex = _cex(builder, res.model, frame + 1)
+                if replay_cex(n, p, cex) != CONFIRMED:
+                    raise AssertionError(
+                        f"design {n.name!r}: the counterexample of property "
+                        f"{p} at depth {frame} does not replay")
+                verdicts[p] = Verdict(SAT, frame, spent, cex)
             elif res.status != satcore.UNKNOWN:   # the frame is refuted
                 refuted_to[p] = frame
             stopped = res.status == satcore.UNKNOWN or (

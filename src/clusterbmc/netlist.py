@@ -19,12 +19,13 @@ fields by too.
 
 A property's cone of influence is one set of variables (`Netlist.cone`).
 Canonical numbering tells its inputs, latches and ANDs apart by range,
-so `extract_coi` counts them and `restrict_to_coi` renumbers the cone in
-ascending order without keeping them in separate sets.
+so the search for a cone counts them, which `extract_coi` reads, and
+`restrict_to_coi` renumbers the cone in ascending order without keeping
+them in separate sets.
 
 `UnfoldBuilder` unrolls a cone one frame at a time in the C kernel that
 `satcore` builds and loads (`_cdcl.c`): one call per frame folds its
-constants and writes its CNF as clause records in solver numbering.  It
+constants and writes its literals and CNF in solver numbering.  It
 reads each netlist as one table of ints (`Netlist.gate_table`), built
 once per netlist.  `tests/ref_unfold.py` holds the same unfolder in
 Python, the reference the tests hold the kernel to.
@@ -122,7 +123,8 @@ class Netlist:
             if not 0 <= lit <= top:
                 raise DataError(f"literal {lit} exceeds variable count")
         # caches, not fields, so equality and hashing ignore them
-        object.__setattr__(self, "_cones", {})   # bad variable -> cone
+        # bad variable -> (cone, counts)
+        object.__setattr__(self, "_cones", {})
         object.__setattr__(self, "_xors", None)
         object.__setattr__(self, "_table", None)
 
@@ -142,13 +144,20 @@ class Netlist:
         bad literals share a variable (a miter's copies) share one set;
         the set is frozen, so every caller can share it.
         """
+        return self._coi(p)[0]
+
+    def _coi(self, p: int) -> tuple:
+        """`cone(p)` and its input, latch and AND counts, computed once per
+        bad variable in time proportional to the cone."""
         if not 0 <= p < self.num_properties:
             raise ValueError(f"property {p} of {self.num_properties}")
         var = self.properties[p] >> 1
-        cone = self._cones.get(var)
-        if cone is None:
-            cone = self._cones[var] = frozenset(_coi_vars(self, p))
-        return cone
+        coi = self._cones.get(var)
+        if coi is None:
+            cone, inputs, latches = _coi_vars(self, p)
+            coi = self._cones[var] = frozenset(cone), (
+                inputs, latches, len(cone) - inputs - latches)
+        return coi
 
     def xors(self) -> tuple[tuple[int, int, int], ...]:
         """XOR gates as ``(top, g1, g2)`` variables, ascending by top.
@@ -344,8 +353,9 @@ def serialize_aiger(n: Netlist) -> str:
     return "\n".join(out) + "\n"
 
 
-def _coi_vars(n: Netlist, p: int) -> set:
-    """Backward-reachable input, latch and AND variables of property p.
+def _coi_vars(n: Netlist, p: int) -> tuple[set, int, int]:
+    """Backward-reachable input, latch and AND variables of property p,
+    and how many of them are inputs and latches.
 
     Latch traversal crosses into the next-state cone: BMC unrolling makes
     the transition logic of every reached latch relevant.
@@ -354,6 +364,7 @@ def _coi_vars(n: Netlist, p: int) -> set:
     ni, latches, ands = n.num_inputs, n.latches, n.ands
     first_and = ni + len(latches) + 1
     seen: set = set()
+    inputs = latches_seen = 0
     stack = [n.properties[p] >> 1]
     while stack:
         var = stack.pop()
@@ -365,8 +376,11 @@ def _coi_vars(n: Netlist, p: int) -> set:
             stack.append(rhs0 >> 1)
             stack.append(rhs1 >> 1)
         elif var > ni:
+            latches_seen += 1
             stack.append(latches[var - ni - 1].next >> 1)
-    return seen
+        else:
+            inputs += 1
+    return seen, inputs, latches_seen
 
 
 def _find_xors(n: Netlist) -> tuple[tuple[int, int, int], ...]:
@@ -418,12 +432,7 @@ def cone_vars(n: Netlist, props) -> frozenset:
 
 def extract_coi(n: Netlist, p: int) -> tuple[int, int, int]:
     """Input, latch and AND counts of the COI of property p."""
-    cone = n.cone(p)
-    # canonical numbering: inputs are 1..I, latches I+1..I+L, ANDs above
-    ni = n.num_inputs
-    inputs = len(cone.intersection(range(1, ni + 1)))
-    latches = len(cone.intersection(range(ni + 1, ni + n.num_latches + 1)))
-    return inputs, latches, len(cone) - inputs - latches
+    return n._coi(p)[1]
 
 
 def restrict_to_coi(n: Netlist, p: int) -> Netlist:
@@ -466,27 +475,29 @@ class UnfoldBuilder:
     """Combinational unfolding of a netlist, one frame per `add_frame`;
     a wrapper over the unfolder in the solver's C kernel (`_cdcl.c`).
 
-    Fresh variables are numbered from 1; literals use the same even/odd
-    convention as Netlist.  Each frame numbers its fresh variables in
-    order: at frame 0 the free latches, then the inputs, then the gates.
-    ``frame_inputs`` holds every frame's input literals in one flat
-    ``array('i')``: input i at frame f is ``frame_inputs[f * I + i]``.
-    ``bads[p]`` is the literal of property p at the last frame unfolded
-    (earlier frames' bads are not kept), ``frame0_latches`` the frame-0
-    latch literals, and ``records`` the last frame's clauses as the
-    length-prefixed DIMACS records of `satcore.SolverSession.add_clauses`,
-    in solver numbering: combinational variable k is solver variable
-    k + 1, so solver variable 1 stands for the constant.  Frame 0 is the
-    initial state: a latch with a reset is that constant there, and a
-    latch with none (AIGER's reset = its own literal) is free.  So a run
-    from every state is a run on a copy whose latches have no reset.
+    Every literal it reports is a solver literal, in the DIMACS numbering
+    of `satcore.SolverSession`: solver variable 1 is the constant false,
+    which a BMC run pins with the clause ``[-1]``, so literal 1 reads
+    false and -1 true, and fresh variables are numbered from 2.
+    ``num_vars`` is the highest variable so far, 1 before the first frame.
+    Each frame numbers its fresh variables in order: at frame 0 the free
+    latches, then the inputs, then the gates.  ``frame_inputs`` holds
+    every frame's input literals in one flat ``array('i')``: input i at
+    frame f is ``frame_inputs[f * I + i]``.  ``bads[p]`` is the literal of
+    property p at the last frame unfolded (earlier frames' bads are not
+    kept), ``frame0_latches`` the frame-0 latch literals, and ``records``
+    the last frame's clauses as the length-prefixed records of
+    `satcore.SolverSession.add_clauses`.  Frame 0 is the initial state: a
+    latch with a reset is that constant there, and a latch with none
+    (AIGER's reset = its own literal) is free.  So a run from every state
+    is a run on a copy whose latches have no reset.
 
     ``cone`` holds the netlist variables to unfold, as 32-bit ints;
     entries outside ``1..max_var`` are ignored, and ``range(1, n.max_var
-    + 1)`` unfolds every variable.  A variable outside it gets literal 0
-    (constant false) instead of a fresh variable, and its AND gate or
-    next-state function is skipped, so only the bads of properties whose
-    COI lies inside ``cone`` are exact.
+    + 1)`` unfolds every variable.  A variable outside it reads false
+    instead of getting a fresh variable, and its AND gate or next-state
+    function is skipped, so only the bads of properties whose COI lies
+    inside ``cone`` are exact.
     A latch outside it still takes its reset at frame 0, so the frame-0
     latch literals always name an initial state.
 
@@ -504,7 +515,7 @@ class UnfoldBuilder:
 
     def __init__(self, n: Netlist, *, cone):
         self.netlist = n
-        self.num_vars = 0
+        self.num_vars = 1
         self.frames = 0
         self.frame_inputs = array("i")
         self.frame0_latches = array("i")
@@ -534,7 +545,7 @@ class UnfoldBuilder:
         """Unfold one more frame.
 
         Returns one entry per kept AND gate, XOR inner gates included: the
-        gate's literal at this frame, or -1 for an inner gate.
+        gate's literal at this frame, or 0 for an inner gate.
         """
         if _lib.unfold_frame(self._addr, self._out_addr):
             raise OverflowError("the unfolding outgrew 32-bit literals")

@@ -8,9 +8,10 @@ host (0.6 ms to fork, 1.3 ms to reap the child), a process pool tens.
 The split is static: bins are filled longest first by a cost computed from
 the input, so every run of the same input gives each process the same
 jobs.  Results come back in job order, so output bytes do not depend on
-the split.  No thread of the caller runs in the child; OpenBLAS, whose
-thread pool numpy starts, stops that pool before a fork and restarts it
-when next called.
+the split.  No thread of the caller runs in the child.  The package
+keeps numpy's BLAS on one thread unless the caller set a count (see
+`clusterbmc`); with more, OpenBLAS stops its thread pool before a fork
+and restarts it when next called.
 """
 
 from __future__ import annotations

@@ -18,10 +18,13 @@ ImportError.
 
 Clauses go in by batch: `add_clauses` takes a flat int sequence of
 records, each a clause's length followed by its literals, converts it to
-one `array('i')` and has the kernel's `cdcl_scan` check it whole, so a
-batch costs a few Python calls however many clauses it holds.
-`add_clause` is a batch of one.  The session keeps the records it was
-given, and `clauses` decodes them on each read.
+one `array('i')` and hands it to the kernel's `cdcl_add`, which checks it
+whole before it adds any of it, so a batch costs a few Python calls
+however many clauses it holds.  `add_clause` is a batch of one, and
+`ensure_var` a batch of variables alone.  Each reaches the kernel when it
+is called, at decision level 0, and `solve` passes only its assumptions.
+The session keeps the records it was given, and `clauses` decodes them on
+each read.
 
 Literals are nonzero signed ints in the DIMACS convention at the
 interface.  Inside, DIMACS literal d is stored as 2*|d| + (d < 0), so the
@@ -66,10 +69,12 @@ CLAUSE_CAP = 400_000
 # the kernel's statuses, by its return code
 _STATUS = (SAT, UNSAT, UNKNOWN)
 _INT64_MAX = (1 << 63) - 1
-# the errors of cdcl_scan, by its return code -1, -2, ...
-_MALFORMED = ("0 is not a literal", "-2**31 is not a literal",
-              "a clause length is negative",
-              "a clause runs past the end of its batch")
+# the kernel's errors, by its return code -1, -2, ...
+_ERRORS = ((MemoryError, "the solver session ran out of memory"),
+           (ValueError, "0 is not a literal"),
+           (ValueError, "-2**31 is not a literal"),
+           (ValueError, "a clause length is negative"),
+           (ValueError, "a clause runs past the end of its batch"))
 _NO_DEADLINE = float("inf")
 
 
@@ -138,9 +143,9 @@ def _load() -> ctypes.CDLL:
             ("cdcl_seed", None, (p, ctypes.c_int32, p)),
             ("cdcl_new", p, (p,)),
             ("cdcl_free", None, (p,)),
-            ("cdcl_scan", ctypes.c_int32, (p, i64)),
+            ("cdcl_add", ctypes.c_int32, (p, i64, p, i64)),
             ("cdcl_solve", ctypes.c_int,
-             (p, p, i64, i64, i64, ctypes.c_double, i64, p)),
+             (p, p, i64, i64, ctypes.c_double, i64, p)),
             # the learned clauses, which the tests' RUP checker reads
             ("cdcl_num_learned", i64, (p,)),
             ("cdcl_learned", ctypes.c_int32, (p, i64, p)),
@@ -157,20 +162,13 @@ _lib = _load()
 
 
 class SolverSession:
-    """One incremental solving session; single-threaded, not shareable.
-
-    New variables and clauses wait in `_pending` and reach the kernel with
-    the next `solve`, in the order they were added.
-    """
+    """One incremental solving session; single-threaded, not shareable."""
 
     def __init__(self, seed: int = 0):
         self.num_vars = 0
         # the original clauses' records, as added; `clauses` decodes them
         self._records = array("i")
-        # records: -k for k new variables, or a clause's length followed by
-        # its literals
-        self._pending = array("i")
-        self._out = (ctypes.c_int64 * 3)()
+        self._out = (ctypes.c_int64 * 4)()
         self._out_addr = ctypes.addressof(self._out)
         # held here while cdcl_new copies it: the cache need not hold the
         # state it returns (racing first calls of two threads keep one)
@@ -195,8 +193,7 @@ class SolverSession:
     def ensure_var(self, v: int):
         if v > self.num_vars:
             # the kernel places each new variable by a seeded draw
-            self._pending.append(self.num_vars - v)
-            self.num_vars = v
+            self.num_vars = _checked(_lib.cdcl_add(self._handle, v, None, 0))
 
     def add_clause(self, lits) -> None:
         """Adds one clause, as `add_clauses` does."""
@@ -213,8 +210,8 @@ class SolverSession:
         and level-0-false literals, and the whole clause if it is a
         tautology or already satisfied."""
         batch = array("i", records)
-        self.ensure_var(_top(batch))
-        self._pending += batch
+        self.num_vars = _checked(
+            _lib.cdcl_add(self._handle, 0, *batch.buffer_info()))
         self._records += batch
 
     def solve(
@@ -223,7 +220,9 @@ class SolverSession:
         conflict_budget: int | None = None,
         deadline: float | None = None,
     ) -> SolveResult:
-        """Solve the current clause set under the given assumptions.
+        """Solve the current clause set under the given assumptions, which
+        are checked as a batch's literals are, and whose new variables are
+        created first.
 
         `conflict_budget` bounds the number of conflicts this call may spend,
         exactly: with 0 it stops at its first conflict.  `deadline` is an
@@ -232,21 +231,16 @@ class SolverSession:
         clause added between calls is added at level 0.
         """
         assumptions = list(assumptions)
-        # checked as the one record of a batch
-        self.ensure_var(_top(array("i", [len(assumptions), *assumptions])))
-        pending = self._pending
-        pending.fromlist(assumptions)
-        addr, size = pending.buffer_info()
+        # the kernel checks them as the one record of a batch
+        record = array("i", [len(assumptions), *assumptions])
         budget = -1 if conflict_budget is None else min(
             max(conflict_budget, 0), _INT64_MAX)
-        code = _lib.cdcl_solve(
-            self._handle, addr, size, len(assumptions), budget,
+        code = _checked(_lib.cdcl_solve(
+            self._handle, *record.buffer_info(), budget,
             _NO_DEADLINE if deadline is None else deadline, CLAUSE_CAP,
-            self._out_addr)
-        del pending[:]
-        if code < 0:
-            raise MemoryError("the solver session ran out of memory")
+            self._out_addr))
         out = self._out
+        self.num_vars = out[3]
         model = None
         if code == 0:
             model = [None]
@@ -268,13 +262,12 @@ def _seeded(seed: int) -> array:
     return state
 
 
-def _top(batch: array) -> int:
-    """The highest variable of a batch of clause records, which the kernel
-    checks; ValueError if the batch is malformed."""
-    top = _lib.cdcl_scan(*batch.buffer_info())
-    if top < 0:
-        raise ValueError(_MALFORMED[-1 - top])
-    return top
+def _checked(code: int) -> int:
+    """A kernel call's result, or its error raised if it failed."""
+    if code < 0:
+        error, message = _ERRORS[-1 - code]
+        raise error(message)
+    return code
 
 
 def new_solver(seed: int = 0) -> SolverSession:

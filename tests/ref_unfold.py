@@ -20,7 +20,7 @@ class UnfoldBuilder:
     def __init__(self, n: Netlist, *, cone=None):
         keep = (lambda var: True) if cone is None else set(cone).__contains__
         self.netlist = n
-        self.num_vars = 0
+        self.num_vars = 1   # solver variable 1 is the constant false
         self.frames = 0
         self.frame_inputs: list = []
         self.bads: list = []
@@ -50,12 +50,12 @@ class UnfoldBuilder:
 
     def _fresh(self) -> int:
         self.num_vars += 1
-        return 2 * self.num_vars
+        return self.num_vars
 
     def add_frame(self) -> list:
         """Unfold one more frame.
 
-        Returns each kept gate's literal, -1 for an inner gate.  Sets
+        Returns each kept gate's literal, 0 for an inner gate.  Sets
         ``gates`` to one entry per kept AND gate, XOR inner gates
         included: None for a gate that got no variable, else
         ``(out, a, b, xor)``, whose operands are never constants and which
@@ -64,74 +64,74 @@ class UnfoldBuilder:
         n = self.netlist
         if self.frames == 0:
             latch_lits = [
-                latch.reset if latch.reset is not None
-                else 0 if kept is None else self._fresh()
+                (-1 if latch.reset else 1) if latch.reset is not None
+                else 1 if kept is None else self._fresh()
                 for latch, kept in zip(n.latches, self._latches)
             ]
             self.frame0_latches = list(latch_lits)
         else:
-            prev = self._frame_map
             latch_lits = [
-                0 if latch is None else prev[latch.next >> 1] ^ (latch.next & 1)
+                1 if latch is None else self._lit(latch.next)
                 for latch in self._latches
             ]
-        input_lits = [self._fresh() if kept else 0 for kept in self._inputs]
+        input_lits = [self._fresh() if kept else 1 for kept in self._inputs]
         self.frame_inputs += input_lits
 
-        # fm[var] -> combinational literal of that variable's output; fm[0]
-        # stays 0, so fm[lit >> 1] ^ (lit & 1) maps constants to themselves
-        fm = [0] * (n.max_var + 1)
+        # fm[var] -> solver literal of that variable's output; fm[0] stays
+        # 1, false, as does every variable outside the cone
+        fm = self._frame_map = [1] * (n.max_var + 1)
         fm[1:n.num_inputs + 1] = input_lits
         fm[n.num_inputs + 1:n.num_inputs + 1 + n.num_latches] = latch_lits
         gates, lits = [], []
         for var, rhs0, rhs1, xor in self._gates:
             if xor is None:
                 gates.append(None)
-                lits.append(-1)
+                lits.append(0)
                 continue
-            a = fm[rhs0 >> 1] ^ (rhs0 & 1)
-            b = fm[rhs1 >> 1] ^ (rhs1 & 1)
-            if a > 1 and b > 1 and a ^ b > 1:   # two distinct variables
+            a, b = self._lit(rhs0), self._lit(rhs1)
+            if abs(a) > 1 and abs(b) > 1 and abs(a) != abs(b):
+                # two distinct variables
                 out = self._fresh()
                 gates.append((out, a, b, xor))
             else:
                 gates.append(None)
                 if xor:
-                    # a constant flips or clears the other operand's sign;
-                    # p and +-q give 0 or 1
-                    out = a ^ b
-                elif a == b or b == 1:
+                    # a constant (false 1, true -1) keeps or flips the
+                    # other operand's sign; p and +-q give false or true
+                    out = (a * b if 1 in (abs(a), abs(b))
+                           else 1 if a == b else -1)
+                elif a == b or b == -1:
                     out = a
-                elif a == 1:
+                elif a == -1:
                     out = b
-                else:   # a 0 operand, or complementary operands
-                    out = 0
+                else:   # a false operand, or complementary operands
+                    out = 1
             fm[var] = out
             lits.append(out)
-        self.bads = [fm[bad >> 1] ^ (bad & 1) for bad in n.properties]
+        self.bads = [self._lit(bad) for bad in n.properties]
         self.records = records(gates)
         self.gates = gates
-        self._frame_map = fm
         self.frames += 1
         return lits
 
+    def _lit(self, lit: int) -> int:
+        """The solver literal of netlist literal `lit` at the frame being
+        unfolded, or at the last one."""
+        d = self._frame_map[lit >> 1]
+        return -d if lit & 1 else d
+
 
 def records(gates) -> list:
-    """The clause records of a frame's gates in solver numbering, where
-    combinational variable k is solver variable k + 1: 4 clauses over p
-    and q per XOR, the 3 Tseitin clauses per other AND."""
+    """The clause records of a frame's gates: 4 clauses over p and q per
+    XOR, the 3 Tseitin clauses per other AND."""
     out = []
     for gate in gates:
         if gate is None:
             continue
-        lit, a, b, xor = gate
-        # no operand is a constant and no output is negated
-        o = (lit >> 1) + 1
-        sa = -(a >> 1) - 1 if a & 1 else (a >> 1) + 1
-        sb = -(b >> 1) - 1 if b & 1 else (b >> 1) + 1
+        o, a, b, xor = gate
         if xor:
-            out += (3, -o, sa, sb, 3, -o, -sa, -sb,
-                    3, o, -sa, sb, 3, o, sa, -sb)
+            out += (3, -o, a, b, 3, -o, -a, -b,
+                    3, o, -a, b, 3, o, a, -b)
         else:
-            out += (2, -o, sa, 2, -o, sb, 3, o, -sa, -sb)
+            out += (2, -o, a, 2, -o, b, 3, o, -a, -b)
     return out

@@ -190,7 +190,7 @@ def test_criterion_07_clause_sharing(capsys):
 
 def test_criterion_08_undet_depth_gain(capsys):
     n = shared_coi_pair(width=9)
-    cones = [_coi_vars(n, p) for p in (0, 1)]
+    cones = [_coi_vars(n, p)[0] for p in (0, 1)]
     shared = len(cones[0] & cones[1]) / max(len(c) for c in cones)
     wins = 0
     for seed in range(20):

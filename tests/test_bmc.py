@@ -1,12 +1,13 @@
 import importlib
 import os
 import random
+import re
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clusterbmc import bmc, netlist, satcore
+from clusterbmc import bmc, cli, netlist, satcore
 from clusterbmc.circuits import (
     AigBuilder,
     counter,
@@ -17,10 +18,12 @@ from clusterbmc.circuits import (
     shared_coi_pair,
     two_counters,
 )
-from clusterbmc.netlist import cone_vars, extract_coi
+from clusterbmc.netlist import (cone_vars, extract_coi, parse_aiger,
+                                serialize_aiger)
 import ref_unfold
 from oracles import (CountingSession, RupLog, bfs_reach, free_latches,
-                     read_frame_table, rup_failures, xor_rich_netlist)
+                     read_frame_table, rup_failures, split_records,
+                     xor_rich_netlist)
 
 
 def cfg_init(**kw):
@@ -35,9 +38,18 @@ FROM_EVERY_STATE = pytest.mark.parametrize(
     "free", [False, True], ids=["initial-state", "inductive"])
 
 
-# the C unfolder and its Python reference, for the tests that read an
-# encoder's builder
+# the C unfolder and its Python reference, for the tests that encode
+# frames themselves
 BUILDERS = (netlist.UnfoldBuilder, ref_unfold.UnfoldBuilder)
+
+
+def add_frame(builder, solver):
+    """Unfolds one more frame into `solver` as a BMC run does, once the
+    run has pinned solver variable 1 false; returns the frame's bads."""
+    builder.add_frame()
+    solver.ensure_var(builder.num_vars)
+    solver.add_clauses(builder.records)
+    return list(builder.bads)
 
 
 def start(n, free):
@@ -226,7 +238,7 @@ def test_shared_session_clauses_are_rup(monkeypatch, free):
 
 
 @pytest.mark.parametrize("width", [4, 9])
-def test_xor_frame_clause_count(monkeypatch, width):
+def test_xor_frame_clause_count(width):
     # one frame: 4 clauses per XOR top, none per inner gate, 3 per other
     # AND; a return to 3 clauses per AND would give 3 * num_ands.  With
     # free latches no gate folds; from reset the `width` leaves XOR an
@@ -237,13 +249,12 @@ def test_xor_frame_clause_count(monkeypatch, width):
     plain = n.num_ands - 3 * tops
     assert plain == 1   # the variant's AND with a leaf
     for builder in BUILDERS:
-        monkeypatch.setattr(bmc, "UnfoldBuilder", builder)
         for design, folded in ((free_latches(n), 0), (n, width)):
             solver = satcore.new_solver(seed=0)
-            enc = bmc._Encoder(design, solver, cone_vars(design, [0, 1]))
-            before = len(solver.clauses)
-            enc.add_frame()
-            assert len(solver.clauses) - before == (
+            solver.add_clause([-1])
+            add_frame(builder(design, cone=cone_vars(design, [0, 1])),
+                      solver)
+            assert len(solver.clauses) - 1 == (
                 4 * (tops - folded) + 3 * plain)
 
 
@@ -257,14 +268,14 @@ def test_every_gate_variable_is_in_a_clause(monkeypatch, design):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         monkeypatch.syspath_prepend(os.path.join(root, "bench"))
         n = importlib.import_module("workloads").bank(random.Random(5), "bank")
-    for builder in BUILDERS:
-        monkeypatch.setattr(bmc, "UnfoldBuilder", builder)
+    for unfolder in BUILDERS:
         solver = RupSession(seed=0)
-        enc = bmc._Encoder(n, solver, cone_vars(n, range(n.num_properties)))
+        solver.add_clause([-1])
+        builder = unfolder(n, cone=cone_vars(n, range(n.num_properties)))
         for _ in range(3):
-            enc.add_frame()
-            free = {1} | {abs(enc.slit(lit)) for lit in [
-                *enc.builder.frame_inputs, *enc.builder.frame0_latches]}
+            add_frame(builder, solver)
+            free = {abs(lit) for lit in [
+                *builder.frame_inputs, *builder.frame0_latches]}
             read = {abs(lit) for _, clause in solver.log for lit in clause}
             assert set(range(1, solver.num_vars + 1)) - free <= read
 
@@ -279,45 +290,45 @@ def simulation_sample():
 
 
 @FROM_EVERY_STATE
-def test_encoding_agrees_with_simulation(monkeypatch, free):
+def test_encoding_agrees_with_simulation(free):
     # with every input and free frame-0 latch assumed, the unrolled CNF has
     # one model; each frame's bad literal, folded to a constant or not,
     # must read what simulating the netlist from the same values reads
     frames = 5
-    for builder in BUILDERS:
-        monkeypatch.setattr(bmc, "UnfoldBuilder", builder)
+    for unfolder in BUILDERS:
         folded = kept = 0
         for trial, n in enumerate(simulation_sample()):
             n = start(n, free)
             rng = random.Random(16000 + trial)
             solver = satcore.new_solver(seed=trial % 3)
-            enc = bmc._Encoder(n, solver,
-                               cone_vars(n, range(n.num_properties)))
-            bads = [list(enc.add_frame()) for _ in range(frames)]
+            solver.add_clause([-1])
+            builder = unfolder(n, cone=cone_vars(n, range(n.num_properties)))
+            bads = [add_frame(builder, solver) for _ in range(frames)]
             state = [bool(latch.reset) if latch.reset is not None
                      else rng.random() < 0.5 for latch in n.latches]
             inputs = [[rng.random() < 0.5 for _ in range(n.num_inputs)]
                       for _ in range(frames)]
             ni = n.num_inputs
-            frame_inputs = [enc.builder.frame_inputs[f * ni:(f + 1) * ni]
+            frame_inputs = [builder.frame_inputs[f * ni:(f + 1) * ni]
                             for f in range(frames)]
             assumptions = []
-            for lits, vals in [(enc.builder.frame0_latches, state)] + list(
+            for lits, vals in [(builder.frame0_latches, state)] + list(
                     zip(frame_inputs, inputs)):
-                assumptions += [enc.slit(lit) if val else -enc.slit(lit)
+                # a fresh variable is positive, a constant 1 or -1
+                assumptions += [lit if val else -lit
                                 for lit, val in zip(lits, vals) if lit > 1]
             res = solver.solve(assumptions)
             assert res.status == satcore.SAT
 
             def value(lit):
-                return bool(lit) if lit <= 1 else (
-                    res.model[(lit >> 1) + 1] ^ (lit & 1))
+                return lit == -1 if abs(lit) == 1 else (
+                    res.model[abs(lit)] != (lit < 0))
 
             for f in range(frames):
                 _, state, want = n.eval_frame(state, inputs[f])
                 assert [value(lit) for lit in bads[f]] == want, (trial, f)
-                folded += sum(lit <= 1 for lit in bads[f])
-                kept += sum(lit > 1 for lit in bads[f])
+                folded += sum(abs(lit) == 1 for lit in bads[f])
+                kept += sum(abs(lit) > 1 for lit in bads[f])
         assert folded > 100 and kept > 400
 
 
@@ -631,6 +642,56 @@ def test_replay_refutes_wrong_cex():
     late = bmc.Cex(latch_init=[True, False, True], inputs=[[]])
     assert bmc.replay_cex(n, 0, late) == bmc.REFUTED
     assert bmc.replay_cex(free_latches(n), 0, late) == bmc.CONFIRMED
+
+
+class DropsAndClause(netlist.UnfoldBuilder):
+    """The kernel's unfolder with a broken encoding: each AND loses its
+    clause ``[-o, b]``, so a model may set a gate true with b false."""
+
+    def add_frame(self):
+        lits = super().add_frame()
+        # an AND's clauses are [-o, a], [-o, b] and [o, -a, -b]; every
+        # clause of an XOR has three literals
+        clauses = split_records(self.records)
+        self.records = [x for i, c in enumerate(clauses)
+                        if not (i and len(c) == len(clauses[i - 1]) == 2)
+                        for x in (len(c), *c)]
+        return lits
+
+
+def test_counterexamples_that_do_not_replay_stop_the_run(monkeypatch,
+                                                         tmp_path):
+    # the broken encoding gives traces that are no run of the design; each
+    # is replayed before it leaves its run, so offline exits 4 rather than
+    # writing a wrong SAT verdict, and a run names what failed
+    rng = random.Random(101)
+    paths = []
+    for d in range(12):
+        n = random_netlist(rng, num_bads=rng.randint(4, 10), name=f"r{d}")
+        paths.append(str(tmp_path / f"r{d}.aag"))
+        with open(paths[-1], "w") as fh:
+            fh.write(serialize_aiger(n))
+    args = ["--budget-conflicts", "60", "--max-frames", "5", "--seed", "1",
+            "--patterns", "128"]
+    assert cli.main(["offline", *paths, "--out-dir", str(tmp_path / "db"),
+                     *args]) == cli.EXIT_OK
+    monkeypatch.setattr(bmc, "UnfoldBuilder", DropsAndClause)
+    assert cli.main(["offline", *paths, "--out-dir", str(tmp_path / "bad"),
+                     *args]) == cli.EXIT_INTERNAL
+    refuted = 0
+    for path in paths:
+        with open(path) as fh:
+            n = parse_aiger(fh.read(), name="broken")
+        for p in range(n.num_properties):
+            try:
+                bmc.check_single(n, p, cfg_init(conflict_budget=60,
+                                                max_frames=5))
+            except AssertionError as e:
+                assert re.fullmatch(
+                    r"design 'broken': the counterexample of property "
+                    rf"{p} at depth \d does not replay", str(e)), e
+                refuted += 1
+    assert refuted >= 3
 
 
 def test_frame_csvs(tmp_path):

@@ -367,7 +367,7 @@ def test_unfold_init_vs_inductive():
         free.add_frame()
         # frame 0 pins reset-0 latches to constant false literals, and
         # gives a latch with no reset a fresh variable
-        assert all(lit in (0, 1) for lit in init.frame0_latches)
+        assert list(init.frame0_latches) == [1, 1]
         assert all(lit > 1 for lit in free.frame0_latches)
         with pytest.raises(TypeError):   # there is no mode to choose
             builder(n, "inductive")
@@ -384,18 +384,21 @@ def test_unfold_full_cone_equals_unfold():
     # of every variable
     n = counter(2, (1,))
     # from reset the counter has no free variable, so every gate folds and
-    # the bad "counter == 1" is constant: false at frame 0, true at 1
+    # the bad "counter == 1" is constant: false (1) at frame 0, true (-1)
+    # at 1, and the only variable is the constant's
     init = ref_unfold.UnfoldBuilder(n)
-    assert unfold(init, 2) == ([None] * 8, [[0], [1]])
-    assert init.num_vars == 0
+    assert unfold(init, 2) == ([None] * 8, [[1], [-1]])
+    assert init.num_vars == 1
     free = ref_unfold.UnfoldBuilder(free_latches(n))
     gates, bads = unfold(free, 2)
+    # the frame-0 latches are variables 2 and 3, frame 0's gates 4-7 and
+    # frame 1's 8-11
     assert gates == [
-        (6, 4, 3, False), (8, 5, 2, False), (10, 9, 7, False),
-        (12, 4, 2, False), (14, 11, 2, False), (16, 10, 3, False),
-        (18, 17, 15, False), (20, 11, 3, False),
+        (4, 3, -2, False), (5, -3, 2, False), (6, -5, -4, False),
+        (7, 3, 2, False), (8, -6, 2, False), (9, 6, -2, False),
+        (10, -9, -8, False), (11, -6, -2, False),
     ]
-    assert (free.num_vars, bads) == (10, [[8], [16]])
+    assert (free.num_vars, bads) == (11, [[5], [9]])
     for trial in range(30):
         n = random_netlist(random.Random(1100 + trial), num_bads=3)
         for design in (n, free_latches(n)):
@@ -415,7 +418,7 @@ def test_unfold_cone_matches_restricted_netlist():
         rng = random.Random(1200 + trial)
         n = random_netlist(rng, num_bads=3)
         p = rng.randrange(n.num_properties)
-        cone = sorted(netlist._coi_vars(n, p))
+        cone = sorted(netlist._coi_vars(n, p)[0])
         # canonical numbering: inputs 1..I, then latches, then ANDs
         inputs = [v for v in cone if v <= n.num_inputs]
         latches = [v for v in cone
@@ -451,17 +454,17 @@ def test_unfold_cone_of_one_counter():
         lits = b.add_frame()
         assert len(b.gates) == sub.num_ands < n.num_ands
         # no gate of counter A reads a constant, so a folded gate (None) or
-        # a 0 or 1 operand would come from a latch of counter B; an XOR's
-        # inner gates (literal -1) get no tuple
-        gates = [g for g, lit in zip(b.gates, lits) if lit != -1]
-        assert gates and all(g is not None and g[1] > 1 and g[2] > 1
-                             for g in gates)
-        assert b._frame_map[3:5] == [0, 0]  # latch variables 3 and 4
-    assert b.frame0_latches[2:] == [0, 0]
+        # a constant operand (1 or -1) would come from a latch of counter
+        # B; an XOR's inner gates (literal 0) get no tuple
+        gates = [g for g, lit in zip(b.gates, lits) if lit != 0]
+        assert gates and all(g is not None and abs(g[1]) > 1
+                             and abs(g[2]) > 1 for g in gates)
+        assert b._frame_map[3:5] == [1, 1]  # latch variables 3 and 4
+    assert b.frame0_latches[2:] == [1, 1]
     assert all(lit > 1 for lit in b.frame0_latches[:2])
 
 
-def test_unfold_cone_input_outside_gets_literal_zero():
+def test_unfold_cone_input_outside_reads_false():
     b = AigBuilder(num_inputs=2, num_latches=1)
     b.set_latch(0, b.not_(b.input_lit(0)))
     b.add_bad(b.and_(b.input_lit(0), b.latch_lit(0)))
@@ -471,7 +474,7 @@ def test_unfold_cone_input_outside_gets_literal_zero():
         builder = unfolder(n, cone=netlist.cone_vars(n, [0]))
         for _ in range(3):
             assert len(builder.add_frame()) == 1
-        assert list(builder.frame_inputs[1::2]) == [0, 0, 0]
+        assert list(builder.frame_inputs[1::2]) == [1, 1, 1]
         assert all(lit > 1 for lit in builder.frame_inputs[0::2])
 
 

@@ -1,5 +1,7 @@
 import os
 import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -72,3 +74,24 @@ def test_own_half_raises_after_reaping():
     with pytest.raises(ValueError, match="parent"):
         parallel.map2(fn, [0, 1], [1, 1])
     assert_no_child_left()
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_blas_runs_on_one_thread_unless_the_caller_chose():
+    # the package's parallelism is the fork; importing it sets each BLAS
+    # thread count the caller left unset to 1, before numpy loads
+    show = ("import os, clusterbmc, numpy; "
+            f"print(*(os.environ[v] for v in {BLAS_VARS!r}))")
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src
+    for chosen, want in (({}, "1 1 1"),
+                         ({"OMP_NUM_THREADS": "2"}, "1 2 1")):
+        out = subprocess.run([sys.executable, "-c", show],
+                             env=dict(env, **chosen), capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == want.split()

@@ -442,9 +442,9 @@ def test_scripts_sort_bumped_variables_both_ways():
 
 
 def test_malformed_batches_add_nothing():
-    # the kernel's scan and the reference reject the same batches, and a
-    # rejected batch queues no variable and no clause, even when it names
-    # a new variable before its fault
+    # the kernel and the reference reject the same batches, and a rejected
+    # batch adds no variable and no clause, even when it names a new
+    # variable before its fault
     bad = [
         ([2, 9, 0], ValueError, "0 is not a literal"),
         ([1, 9, 3, 9, -2, -(1 << 31)], ValueError,
@@ -458,13 +458,18 @@ def test_malformed_batches_add_nothing():
     for module in (satcore, ref_satcore):
         s = module.SolverSession(seed=0)
         s.add_clauses([2, 1, -2, 0])
-        before = (s.num_vars, s.clauses,
-                  list(getattr(s, "_pending", ())))
+        before = (s.num_vars, s.clauses)
         for records, error, message in bad:
             with pytest.raises(error, match=message):
                 s.add_clauses(records)
-            assert (s.num_vars, s.clauses,
-                    list(getattr(s, "_pending", ()))) == before, records
+            assert (s.num_vars, s.clauses) == before, records
+        for assumptions, error, message in ([9, 0], ValueError, "0 is not"), (
+                [9, 1 << 31], OverflowError, None):
+            with pytest.raises(error, match=message):
+                s.solve(assumptions)
+        # the session made no variable 3 or 9: it makes 3 now
+        s.ensure_var(3)
+        assert s.num_vars == 3
         # an empty clause in a batch is the empty clause
         assert s.solve().status == satcore.UNSAT
         assert s.clauses == [[1, -2], []]
@@ -529,6 +534,28 @@ def test_kernel_runs_clean_under_sanitizers(tmp_path):
     assert child.returncode == 0, child.stderr[-4000:]
     assert "Sanitizer" not in child.stderr, child.stderr[-4000:]
     assert "runtime error" not in child.stderr, child.stderr[-4000:]
+
+
+def test_kernel_compiles_without_warnings(tmp_path):
+    # the interpreter's compiler finds nothing to warn of in the kernel at
+    # -Wall -Wextra; a compiler that cannot build it at all skips the test
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    source = os.path.join(os.path.dirname(satcore.__file__), "_cdcl.c")
+
+    def build(*flags):
+        return subprocess.run(
+            cc + [*flags, "-O2", "-shared", "-fPIC", source, "-o",
+                  str(tmp_path / "kernel.so")],
+            capture_output=True, text=True, timeout=300)
+
+    try:
+        plain = build()
+    except OSError as e:
+        pytest.skip(f"cannot run {cc[0]}: {e}")
+    if plain.returncode != 0:
+        pytest.skip(f"{cc[0]} cannot build the kernel: {plain.stderr}")
+    strict = build("-Wall", "-Wextra", "-Werror")
+    assert strict.returncode == 0, strict.stderr
 
 
 def _rss() -> int:
