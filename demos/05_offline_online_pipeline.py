@@ -6,7 +6,7 @@ influencing clusters).  Online: a fourth design the databases have never
 seen is matched to its closest relative, the relative's influencing
 clusters are rewritten through the property association, and verification
 spends its budget on those converted clusters; the campaign writes its
-report and its figure data.  Everything runs in
+report and its frame table.  Everything runs in
 conflict-budget mode, so a rerun is byte-identical.
 """
 
@@ -49,7 +49,11 @@ with tempfile.TemporaryDirectory(prefix="pipeline_demo_") as tmp:
               "--baseline",
               "--budget-conflicts", "300", "--max-frames", "8",
               "--seed", "1"])
-    print((root / "run" / "report.txt").read_text())
+    report = (root / "run" / "report.txt").read_text()
+    print(report)
 
-    print("== figure data: standalone depth (x) against clustered depth (y) ==")
-    print((root / "run" / "depth_scatter.csv").read_text())
+    print("== standalone depth against clustered depth, per property ==")
+    lines = report.splitlines()
+    for line in lines[2:]:
+        r = dict(zip(lines[1].split("|"), line.split("|")))
+        print(f"  P{r['property']}: {r['baseline_depth']} -> {r['depth']}")

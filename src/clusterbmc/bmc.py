@@ -21,8 +21,9 @@ batch.  At every frame the bad literal of each still-unresolved property
 is assumed and solved, in ascending property order; a bad folded to
 constant false is refuted without a solver call.  Each counterexample
 is replayed on the netlist (`replay_cex`) before it leaves the run: one
-that does not reach its bad is an unsound encoding or search, and
-raises AssertionError.
+that does not reach its bad, or reaches it at an earlier frame than its
+last, which a sound run has refuted, is an unsound encoding or search,
+and raises AssertionError.
 A run solves each distinct bad literal once, as the first property that
 has it; the properties that share it take that verdict.  Learned clauses
 persist across properties and frames, which is what makes clustered runs
@@ -279,7 +280,9 @@ REFUTED = "refuted"
 
 def replay_cex(n: Netlist, p: int, cex: Cex) -> str:
     """Simulate a counterexample; confirmed iff it starts at reset and bad
-    p holds at its last frame."""
+    p holds at its last frame and at no earlier one.  A run solves a
+    frame only once it has refuted every earlier one, so a trace whose bad
+    holds sooner exposes an unsound refutation."""
     if not 0 <= p < n.num_properties:
         raise ValueError(f"property {p} of {n.num_properties}")
     if len(cex.inputs) < 1:
@@ -288,11 +291,11 @@ def replay_cex(n: Netlist, p: int, cex: Cex) -> str:
            for latch, value in zip(n.latches, cex.latch_init)):
         return REFUTED
     state = list(cex.latch_init)
-    bad = False
+    bads = []
     for frame_inputs in cex.inputs:
         _, state, bad_vals = n.eval_frame(state, frame_inputs)
-        bad = bad_vals[p]
-    return CONFIRMED if bad else REFUTED
+        bads.append(bad_vals[p])
+    return CONFIRMED if bads[-1] and not any(bads[:-1]) else REFUTED
 
 
 def write_frame_csvs(cluster_runs, out_dir: str) -> str:

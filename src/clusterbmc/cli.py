@@ -1,6 +1,6 @@
 """Command-line front end: `offline` builds the databases, `verify` runs
-a campaign on an unknown design and writes its report, its frame table
-and figure data.
+a campaign on an unknown design and writes its report and its frame
+table.
 
 Exit codes, each raised as one exception class:
 
@@ -164,22 +164,6 @@ def cmd_verify(args) -> int:
     report_path = os.path.join(args.out_dir, "report.txt")
     store.write_text(report_path, report.render())
     bmc.write_frame_csvs(report.cluster_runs, args.out_dir)
-    # figure data of this campaign alone: per frame, sums over its cluster
-    # runs; then each baselined property's standalone and clustered depth
-    conflicts, times = {}, {}
-    for _members, per_frame in report.cluster_runs:
-        for s in per_frame:
-            conflicts[s.frame] = conflicts.get(s.frame, 0.0) + s.conflicts
-            times[s.frame] = times.get(s.frame, 0.0) + s.cumulative_time
-    figures = {
-        "conflicts.csv": sorted(conflicts.items()),
-        "verification_time.csv": sorted(times.items()),
-        "depth_scatter.csv": [(r.baseline.depth, r.verdict.depth)
-                              for r in report.rows if r.baseline is not None],
-    }
-    for fname, pairs in figures.items():
-        store.write_text(os.path.join(args.out_dir, fname), "x,y\n"
-                         + "".join(f"{x},{y}\n" for x, y in pairs))
     print(report_path)
     return EXIT_OK
 

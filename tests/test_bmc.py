@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import os
 import random
@@ -642,6 +643,48 @@ def test_replay_refutes_wrong_cex():
     late = bmc.Cex(latch_init=[True, False, True], inputs=[[]])
     assert bmc.replay_cex(n, 0, late) == bmc.REFUTED
     assert bmc.replay_cex(free_latches(n), 0, late) == bmc.CONFIRMED
+
+
+def test_replay_refutes_a_bad_reached_before_the_last_frame():
+    # a latch with no reset that keeps its value: from true, bad holds at
+    # frames 0 and 1, so only the one-frame trace is a first reach
+    n = parse_aiger("aag 1 0 1 0 0 1\n2 2 2\n2\n")
+    assert bmc.replay_cex(n, 0, bmc.Cex([True], [[]])) == bmc.CONFIRMED
+    assert bmc.replay_cex(n, 0, bmc.Cex([True], [[], []])) == bmc.REFUTED
+
+
+class RefutesFirstSat(satcore.SolverSession):
+    """A session with an unsound refutation: its first satisfiable call
+    reports UNSAT."""
+
+    refuted = False
+
+    def solve(self, assumptions=(), **limits):
+        res = super().solve(assumptions, **limits)
+        if res.status == satcore.SAT and not self.refuted:
+            self.refuted = True
+            return dataclasses.replace(res, status=satcore.UNSAT, model=None)
+        return res
+
+
+def test_counterexample_past_a_refuted_reach_stops_the_run(monkeypatch,
+                                                          tmp_path):
+    # a latch set at frame 1 that stays set, with no inputs, as both bads
+    # (offline embeds two properties at least): once frame 1 is wrongly
+    # refuted, frame 2's trace reaches the bad at frames 1 and 2, which
+    # replay refutes, so offline exits 4
+    text = "aag 1 0 1 0 0 2\n2 1 0\n2\n2\n"
+    n = parse_aiger(text, name="sticky")
+    assert bmc.check_single(n, 0, cfg_init()).depth == 1
+    monkeypatch.setattr(satcore, "new_solver", RefutesFirstSat)
+    with pytest.raises(AssertionError, match=r"design 'sticky': the "
+                       r"counterexample of property 0 at depth 2 does not "
+                       r"replay"):
+        bmc.check_single(n, 0, cfg_init())
+    (tmp_path / "sticky.aag").write_text(text)
+    assert cli.main(["offline", str(tmp_path / "sticky.aag"), "--out-dir",
+                     str(tmp_path / "db"), "--max-frames", "4",
+                     "--budget-conflicts", "100"]) == cli.EXIT_INTERNAL
 
 
 class DropsAndClause(netlist.UnfoldBuilder):

@@ -13,6 +13,7 @@ from clusterbmc.circuits import (counter, deep_sat_miter, parity_miter,
 from clusterbmc.netlist import parse_aiger, serialize_aiger
 import ref_satcore
 from oracles import free_latches, read_frame_table
+from test_cli_fuzz import OUTPUTS
 
 
 @pytest.fixture
@@ -32,7 +33,6 @@ def corpus(tmp_path):
 
 COMMON = ["--budget-conflicts", "300", "--max-frames", "8",
           "--mode", "init", "--seed", "1", "--patterns", "128"]
-FIGURES = ("conflicts.csv", "verification_time.csv", "depth_scatter.csv")
 
 
 def run_offline(corpus, out):
@@ -72,17 +72,13 @@ def test_verify_and_report(corpus, tmp_path):
     # every property of the unknown design has a row
     assert len(report.strip().splitlines()) == 2 + 2
 
-    # the figure data sits next to the report
-    for name in FIGURES:
-        lines = (run_dir / name).read_text().splitlines()
-        assert lines[0] == "x,y"
-    scatter = (run_dir / "depth_scatter.csv").read_text().splitlines()
-    assert len(scatter) == 3  # header + one point per property
-    rows = [line.split("|") for line in report.splitlines()[2:]]
-    columns = report.splitlines()[1].split("|")
-    want = [f"{r[columns.index('baseline_depth')]},{r[columns.index('depth')]}"
-            for r in rows]
-    assert scatter[1:] == want
+
+def test_outputs_are_the_fuzzers_blocked_paths(corpus, tmp_path):
+    # every file offline and verify write is one the fuzzer blocks with a
+    # directory, so a new output file must be added there too
+    db, run = tmp_path / "db", tmp_path / "run"
+    assert verify_corpus(corpus, tmp_path, run) == cli.EXIT_OK
+    assert sorted(os.listdir(db) + os.listdir(run)) == sorted(OUTPUTS)
 
 
 def deep_designs(tmp_path, start="init"):
@@ -158,7 +154,9 @@ def test_unsound_learning_is_internal_error(tmp_path, monkeypatch, caplog,
 def test_unsound_learning_in_verify_names_the_design(tmp_path, monkeypatch,
                                                       caplog):
     # a sound database, then a baseline run whose cluster run learns the
-    # unsound clause and misses the standalone run's counterexample
+    # unsound clause, misses the standalone run's counterexample at depth 4
+    # and returns one at depth 6 whose bad already held at depth 5: replay
+    # refutes it before the verdict pair is compared
     paths, flags = deep_designs(tmp_path), DEEP_FLAGS
     db = str(tmp_path / "db")
     assert cli.main(["offline", *paths[:3], "--out-dir", db]
@@ -167,8 +165,8 @@ def test_unsound_learning_in_verify_names_the_design(tmp_path, monkeypatch,
     assert cli.main(["verify", paths[3], "--db-dir", db, "--out-dir",
                      str(tmp_path / "run"), "--baseline"]
                     + flags) == cli.EXIT_INTERNAL
-    assert re.search(r"design deep3 property [01] cluster 0 1: "
-                     r"contradictory verdicts ",
+    assert re.search(r"design 'deep3': the counterexample of property 0 at "
+                     r"depth 6 does not replay",
                      caplog.records[-1].getMessage())
 
 
@@ -202,26 +200,20 @@ def test_verify_with_frame_bound_only(corpus, tmp_path):
 
 
 def test_report_sums_frame_csvs_over_cluster_runs(corpus, tmp_path, capsys):
-    # the campaign's one cluster run, 0 1, as table rows, and the bytes the
-    # former `report` command wrote from its files: summed per frame as
-    # floats
+    # the campaign's one cluster run, 0 1, as table rows
     run = tmp_path / "run"
     assert verify_corpus(corpus, tmp_path, run) == cli.EXIT_OK
-    outputs = {"cluster_frames.csv":
-               "cluster,frame,conflicts,solve_time,cumulative_time\n"
-               "0 1,0,0,2.0,2.0\n0 1,1,0,2.0,4.0\n0 1,2,0,2.0,6.0\n"
-               "0 1,3,0,1.0,7.0\n",
-               "conflicts.csv": "x,y\n0,0.0\n1,0.0\n2,0.0\n3,0.0\n",
-               "verification_time.csv": "x,y\n0,2.0\n1,4.0\n2,6.0\n3,7.0\n",
-               "depth_scatter.csv": "x,y\n2,2\n3,3\n"}
-    for name, text in outputs.items():
-        assert (run / name).read_text() == text
+    assert (run / "cluster_frames.csv").read_text() == (
+        "cluster,frame,conflicts,solve_time,cumulative_time\n"
+        "0 1,0,0,2.0,2.0\n0 1,1,0,2.0,4.0\n0 1,2,0,2.0,6.0\n"
+        "0 1,3,0,1.0,7.0\n")
     assert capsys.readouterr().out.splitlines()[-1] == str(run / "report.txt")
 
 
-def test_figures_sum_overlapping_cluster_runs(corpus, tmp_path, monkeypatch):
-    # frames of two runs: the table lists each run's in plan order; in the
-    # figures shared frames add up, each frame is listed once
+def test_frame_table_lists_overlapping_cluster_runs(corpus, tmp_path,
+                                                    monkeypatch):
+    # frames of two runs that share frame 1: the table lists each run's
+    # rows in plan order, and a shared frame once per run
     def stats(*rows):
         return [bmc.FrameStat(f, c, 0.0, t) for f, c, t in rows]
 
@@ -234,11 +226,6 @@ def test_figures_sum_overlapping_cluster_runs(corpus, tmp_path, monkeypatch):
     assert read_frame_table(run / "cluster_frames.csv") == [
         (members, s) for members, per_frame in report.cluster_runs
         for s in per_frame]
-    assert (run / "conflicts.csv").read_text() == "x,y\n0,1.0\n1,3.0\n3,4.0\n"
-    assert ((run / "verification_time.csv").read_text()
-            == "x,y\n0,0.25\n1,1.0\n3,1.0\n")
-    # no row has a baseline: the scatter is its header alone
-    assert (run / "depth_scatter.csv").read_text() == "x,y\n"
 
 
 def test_long_cluster_run_names_no_file(corpus, tmp_path, monkeypatch):
@@ -256,8 +243,8 @@ def test_long_cluster_run_names_no_file(corpus, tmp_path, monkeypatch):
 
 
 def test_reused_out_dir_keeps_figures_to_its_campaign(corpus, tmp_path):
-    # an earlier campaign's cluster run (0 1) leaves the directory's frame
-    # table and figures: they hold the later campaign's run (1 2) alone
+    # an earlier campaign's cluster run (0 1) leaves the directory's
+    # report and frame table: they hold the later campaign's run (1 2) alone
     (corpus / "ctr4.aag").write_text(serialize_aiger(counter(4, (5, 6, 7))))
     fresh, reused = tmp_path / "fresh", tmp_path / "reused"
     assert verify_corpus(corpus, tmp_path, fresh, "ctr4.aag") == cli.EXIT_OK
@@ -268,7 +255,7 @@ def test_reused_out_dir_keeps_figures_to_its_campaign(corpus, tmp_path):
     later = read_frame_table(reused / "cluster_frames.csv")
     assert {members for members, _s in later} == {(1, 2)}
     assert sorted(os.listdir(reused)) == sorted(os.listdir(fresh))
-    for name in FIGURES + ("cluster_frames.csv",):
+    for name in ("report.txt", "cluster_frames.csv"):
         assert (reused / name).read_text() == (fresh / name).read_text()
 
 
@@ -288,8 +275,6 @@ def test_unreadable_input_is_data_error(corpus, tmp_path, caplog, name):
     ("offline", "db1.mpb"), ("offline", "db2.mpb"), ("offline", "db3.mpb"),
     ("offline", "pca.mpb"), ("verify", "report.txt"),
     ("verify", "cluster_frames.csv"),
-    ("verify", "conflicts.csv"), ("verify", "verification_time.csv"),
-    ("verify", "depth_scatter.csv"),
 ])
 def test_unwritable_output_is_data_error(corpus, tmp_path, caplog, command,
                                          name):
@@ -437,7 +422,8 @@ def test_offline_embed_and_tensors_are_unknown_options(corpus, tmp_path,
 
 
 def test_report_is_an_unknown_command(tmp_path, capsys):
-    # verify writes the figure data; no second command reads it back
+    # verify writes the report and the frame table; no second command
+    # reads them back
     with pytest.raises(SystemExit) as exc:
         cli.main(["report", str(tmp_path)])
     assert exc.value.code == cli.EXIT_USAGE

@@ -50,8 +50,7 @@ CONFLICTING = ("--time-budget", "0.02")
 
 # names an output directory may hold as a directory instead of a file
 OUTPUTS = ["db1.mpb", "db2.mpb", "db3.mpb", "pca.mpb", "report.txt",
-           "cluster_frames.csv", "conflicts.csv",
-           "verification_time.csv", "depth_scatter.csv"]
+           "cluster_frames.csv"]
 
 
 def variants(root, name, data):
