@@ -4,10 +4,11 @@
  * One Solver holds one incremental session: values, levels, reasons,
  * phases, the VMTF decision queue, the trail, watch lists and a clause
  * arena, and the seeded generator that places each new variable in the
- * queue, a copy of Python's Mersenne Twister.  `satcore.SolverSession`
- * drives it through ctypes and keeps what the search does not read (the
- * records of the original clauses); `cdcl_add` checks a whole batch of
- * variables and clauses before it adds any of it.  The search is the one
+ * queue: Python's Mersenne Twister, drawing from the state that
+ * `random.Random(seed)` starts from.  `satcore.SolverSession` drives it
+ * through ctypes and keeps what the search does not read (the records of
+ * the original clauses); `cdcl_add` checks a whole batch of variables
+ * and clauses before it adds any of it.  The search is the one
  * satcore's docstring describes; `tests/ref_satcore.py` is the same search
  * in Python, and the tests require both to make identical decisions.
  *
@@ -238,39 +239,6 @@ static uint32_t genrand(Solver *s)
     y ^= (y << 7) & 0x9d2c5680U;
     y ^= (y << 15) & 0xefc60000U;
     return y ^ (y >> 18);
-}
-
-/* Writes to `mt` the MT_N words of the generator state that Python's
- * random.Random(seed) starts from (its init_by_array), with `key` the
- * 32-bit words of |seed|, lowest first. */
-void cdcl_seed(const uint32_t *key, int32_t nkey, uint32_t *mt)
-{
-    mt[0] = 19650218U;
-    for (int i = 1; i < MT_N; i++)
-        mt[i] = 1812433253U * (mt[i - 1] ^ (mt[i - 1] >> 30)) + (uint32_t)i;
-    int i = 1, j = 0;
-    for (int k = MT_N > nkey ? MT_N : nkey; k; k--) {
-        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U))
-                + key[j] + (uint32_t)j;
-        i++;
-        j++;
-        if (i >= MT_N) {
-            mt[0] = mt[MT_N - 1];
-            i = 1;
-        }
-        if (j >= nkey)
-            j = 0;
-    }
-    for (int k = MT_N - 1; k; k--) {
-        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1566083941U))
-                - (uint32_t)i;
-        i++;
-        if (i >= MT_N) {
-            mt[0] = mt[MT_N - 1];
-            i = 1;
-        }
-    }
-    mt[0] = 0x80000000U;
 }
 
 /* Adds `k` variables, each placed by one draw: Python's
@@ -582,8 +550,8 @@ void cdcl_free(Solver *s)
     free(s);
 }
 
-/* A session whose generator starts from the MT_N words of `mt`, as
- * cdcl_seed() writes them, or NULL when out of memory. */
+/* A session whose generator starts from the MT_N words of `mt`, the
+ * state of a freshly seeded random.Random, or NULL when out of memory. */
 Solver *cdcl_new(const uint32_t *mt)
 {
     Solver *s = calloc(1, sizeof(Solver));

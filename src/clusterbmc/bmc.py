@@ -183,11 +183,9 @@ def _run(n: Netlist, props, cfg: BmcConfig, budget) -> ClusterVerdict:
     while not stopped and len(verdicts) < len(owners) and (
             cfg.max_frames is None or frame <= cfg.max_frames):
         builder.add_frame()
-        # the frame's variables, in the order the builder numbered them:
-        # inputs (and frame-0 latches) may feed nothing, and the solver
-        # still needs their variables so counterexamples cover them
-        solver.ensure_var(builder.num_vars)
-        solver.add_clauses(builder.records)
+        # every variable the builder numbered: inputs (and frame-0 latches)
+        # may feed nothing, and counterexamples still need their values
+        solver.add_clauses(builder.records, builder.num_vars)
         bads = builder.bads
         frame_conflicts = 0
         frame_start = spent

@@ -20,9 +20,9 @@ Clauses go in by batch: `add_clauses` takes a flat int sequence of
 records, each a clause's length followed by its literals, converts it to
 one `array('i')` and hands it to the kernel's `cdcl_add`, which checks it
 whole before it adds any of it, so a batch costs a few Python calls
-however many clauses it holds.  `add_clause` is a batch of one, and
-`ensure_var` a batch of variables alone.  Each reaches the kernel when it
-is called, at decision level 0, and `solve` passes only its assumptions.
+however many clauses it holds and how many variables it asks for.
+`add_clause` is a batch of one.  Each reaches the kernel when it is
+called, at decision level 0, and `solve` passes only its assumptions.
 The session keeps the records it was given, and `clauses` decodes them on
 each read.
 
@@ -42,9 +42,9 @@ it unassigns whose stamp is higher, and a decision walks back from it to
 the first unassigned variable.  A new variable joins the back of the list
 (decided first) or the front by a draw from the session's generator,
 which is how the seed steers the search.  The kernel holds a copy of
-Python's Mersenne Twister, seeded and drawn as `random.Random(seed)` with
-`random() < 0.5` would be, so the reference search, which uses
-`random.Random`, makes the same draws.
+Python's Mersenne Twister that starts from the state `random.Random(seed)`
+starts from and draws as `random() < 0.5` would, so the reference search,
+which uses `random.Random`, makes the same draws.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ import ctypes
 import functools
 import hashlib
 import os
+import random
 import sys
 import weakref
 from array import array
@@ -140,7 +141,6 @@ def _load() -> ctypes.CDLL:
     lib = ctypes.CDLL(_build())
     p, i64 = ctypes.c_void_p, ctypes.c_int64
     for name, restype, argtypes in (
-            ("cdcl_seed", None, (p, ctypes.c_int32, p)),
             ("cdcl_new", p, (p,)),
             ("cdcl_free", None, (p,)),
             ("cdcl_add", ctypes.c_int32, (p, i64, p, i64)),
@@ -190,28 +190,23 @@ class SolverSession:
             i = end
         return out
 
-    def ensure_var(self, v: int):
-        if v > self.num_vars:
-            # the kernel places each new variable by a seeded draw
-            self.num_vars = _checked(_lib.cdcl_add(self._handle, v, None, 0))
-
     def add_clause(self, lits) -> None:
         """Adds one clause, as `add_clauses` does."""
         lits = list(lits)
         self.add_clauses([len(lits), *lits])
 
-    def add_clauses(self, records) -> None:
+    def add_clauses(self, records, num_vars: int = 0) -> None:
         """Adds a batch of clauses at level 0.  `records` is a flat int
         sequence in which each clause is its length followed by its DIMACS
         literals.  The kernel checks the whole batch first: a malformed one
         raises ValueError, and a value that is no 32-bit int TypeError or
-        OverflowError, before any clause is added.  Then the batch's new
-        variables are created, and the kernel drops each clause's duplicate
-        and level-0-false literals, and the whole clause if it is a
-        tautology or already satisfied."""
+        OverflowError, before any clause is added.  Then variables are made
+        up to `num_vars` or the batch's highest, and the kernel drops each
+        clause's duplicate and level-0-false literals, and the whole clause
+        if it is a tautology or already satisfied."""
         batch = array("i", records)
         self.num_vars = _checked(
-            _lib.cdcl_add(self._handle, 0, *batch.buffer_info()))
+            _lib.cdcl_add(self._handle, num_vars, *batch.buffer_info()))
         self._records += batch
 
     def solve(
@@ -250,16 +245,10 @@ class SolverSession:
 
 @functools.lru_cache(maxsize=64)
 def _seeded(seed: int) -> array:
-    """The generator state random.Random(seed) starts from, as the
-    kernel's cdcl_seed writes it: seeding is most of what a new session
-    costs, and runs share a few seeds."""
-    seed = abs(seed)
-    # random.Random seeds with the 32-bit words of |seed|, lowest first
-    key = array("I", [seed >> shift & 0xFFFFFFFF for shift in
-                      range(0, max(seed.bit_length(), 1), 32)])
-    state = array("I", [0]) * 624   # the twister's MT_N words
-    _lib.cdcl_seed(*key.buffer_info(), state.buffer_info()[0])
-    return state
+    """The 624 words of generator state random.Random(seed) starts from,
+    which cdcl_new copies: seeding is most of what a new session costs,
+    and runs share a few seeds."""
+    return array("I", random.Random(seed).getstate()[1][:624])
 
 
 def _checked(code: int) -> int:

@@ -223,9 +223,9 @@ class RupLog:
         super().__init__(*args, **kwargs)
         self.log = []   # (must be RUP, clause)
 
-    def add_clauses(self, records):
+    def add_clauses(self, records, num_vars=0):
         records = list(records)
-        super().add_clauses(records)   # a malformed batch logs nothing
+        super().add_clauses(records, num_vars)   # a malformed one logs nothing
         self.log += [(False, c) for c in split_records(records)]
 
     def solve(self, assumptions=(), **kwargs):
@@ -244,9 +244,9 @@ class CountingSession(satcore.SolverSession):
 
     added = 0
 
-    def add_clauses(self, records):
+    def add_clauses(self, records, num_vars=0):
         records = list(records)
-        super().add_clauses(records)
+        super().add_clauses(records, num_vars)
         self.added += len(split_records(records))
 
 
@@ -264,10 +264,10 @@ def split_records(records):
 def learned_clauses(session, start):
     """Learned clauses `start`, `start + 1`, ... of a kernel session, in
     DIMACS and in learning order."""
-    lib = satcore._lib
     buf = (ctypes.c_int32 * max(1, session.num_vars))()
-    return [buf[:lib.cdcl_learned(session._handle, i, buf)]
-            for i in range(start, lib.cdcl_num_learned(session._handle))]
+    return [buf[:satcore._lib.cdcl_learned(session._handle, i, buf)]
+            for i in range(start,
+                           satcore._lib.cdcl_num_learned(session._handle))]
 
 
 def rup_failures(log):

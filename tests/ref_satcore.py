@@ -39,7 +39,7 @@ def _luby(i: int) -> int:
 def _scan(records: list) -> int:
     """The highest variable of a batch of clause records, raising what
     `clusterbmc.satcore` raises on a bad batch: OverflowError if a value
-    is no 32-bit int, else ValueError with `cdcl_scan`'s message."""
+    is no 32-bit int, else ValueError with the kernel's `scan` message."""
     if not all(-_INT32 <= x < _INT32 for x in records):
         raise OverflowError("a record value is no 32-bit int")
     top, i = 0, 0
@@ -120,19 +120,16 @@ class SolverSession:
             self._search = v
         return v
 
-    def ensure_var(self, v: int):
-        while self.num_vars < v:
-            self.add_var()
-
     def add_clause(self, lits) -> None:
         lits = list(lits)
         self.add_clauses([len(lits), *lits])
 
-    def add_clauses(self, records) -> None:
-        """The kernel's batch: check every record, create the batch's new
-        variables, then add its clauses in order."""
+    def add_clauses(self, records, num_vars: int = 0) -> None:
+        """The kernel's batch: check every record, create variables up to
+        `num_vars` or the batch's highest, then add its clauses in order."""
         records = list(records)
-        self.ensure_var(_scan(records))
+        for _ in range(max(num_vars, _scan(records)) - self.num_vars):
+            self.add_var()
         i = 0
         while i < len(records):
             end = i + 1 + records[i]
@@ -179,7 +176,7 @@ class SolverSession:
         clause added between calls is added at level 0.
         """
         assumptions = list(assumptions)
-        self.ensure_var(_scan([len(assumptions), *assumptions]))
+        self.add_clauses([], _scan([len(assumptions), *assumptions]))
         assumptions = [d << 1 if d > 0 else (-d << 1) | 1 for d in assumptions]
         conflicts = 0
         prop_start = self._propagated

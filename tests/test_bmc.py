@@ -48,8 +48,7 @@ def add_frame(builder, solver):
     """Unfolds one more frame into `solver` as a BMC run does, once the
     run has pinned solver variable 1 false; returns the frame's bads."""
     builder.add_frame()
-    solver.ensure_var(builder.num_vars)
-    solver.add_clauses(builder.records)
+    solver.add_clauses(builder.records, builder.num_vars)
     return list(builder.bads)
 
 
@@ -685,6 +684,35 @@ def test_counterexample_past_a_refuted_reach_stops_the_run(monkeypatch,
     assert cli.main(["offline", str(tmp_path / "sticky.aag"), "--out-dir",
                      str(tmp_path / "db"), "--max-frames", "4",
                      "--budget-conflicts", "100"]) == cli.EXIT_INTERNAL
+
+
+def test_replay_reads_the_whole_netlist_not_the_cone(monkeypatch, tmp_path):
+    # a latch with reset 1 that keeps its value, an input x and bad
+    # x AND NOT latch, which no run reaches.  With latches left out of
+    # every cone, the encoder reads the latch as false from frame 1 and
+    # finds a depth-1 trace; replay evaluates the whole netlist, not the
+    # cone the encoder shares, so it refutes that trace and offline exits 4
+    text = "aag 3 1 1 0 1 {bads}\n2\n4 4 1\n{bad_lines}6 2 5\n"
+    one, two = (text.format(bads=k, bad_lines="6\n" * k) for k in (1, 2))
+    assert bmc.check_single(parse_aiger(one), 0, cfg_init()).status == bmc.UNDET
+    (tmp_path / "kept.aag").write_text(two)
+    offline = ["offline", str(tmp_path / "kept.aag"), "--max-frames", "4",
+               "--budget-conflicts", "100", "--out-dir"]
+    assert cli.main(offline + [str(tmp_path / "sound")]) == cli.EXIT_OK
+    coi_vars = netlist._coi_vars
+
+    def without_latches(n, p):
+        cone, inputs, _latches = coi_vars(n, p)
+        return {v for v in cone if not n.num_inputs < v <= n.num_inputs
+                + n.num_latches}, inputs, 0
+
+    monkeypatch.setattr(netlist, "_coi_vars", without_latches)
+    with pytest.raises(AssertionError, match=r"design 'kept': the "
+                       r"counterexample of property 0 at depth 1 does not "
+                       r"replay"):
+        bmc.check_single(parse_aiger(one, name="kept"), 0, cfg_init())
+    # offline embeds two properties at least, hence the second bad
+    assert cli.main(offline + [str(tmp_path / "db")]) == cli.EXIT_INTERNAL
 
 
 class DropsAndClause(netlist.UnfoldBuilder):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import re
@@ -168,6 +169,36 @@ def test_unsound_learning_in_verify_names_the_design(tmp_path, monkeypatch,
     assert re.search(r"design 'deep3': the counterexample of property 0 at "
                      r"depth 6 does not replay",
                      caplog.records[-1].getMessage())
+
+
+def test_cluster_run_refuting_past_a_cex_is_internal_error(
+        tmp_path, monkeypatch, caplog):
+    # a sound database, then a baseline run whose cluster runs report each
+    # SAT member as refuted through its SAT depth, with no trace to
+    # replay, as a run that refutes past a real counterexample would: the
+    # verdict pair of the first such property is contradictory
+    paths, flags = deep_designs(tmp_path), DEEP_FLAGS
+    db = str(tmp_path / "db")
+    assert cli.main(["offline", *paths[:3], "--out-dir", db]
+                    + flags) == cli.EXIT_OK
+    run_with_budget = bmc.run_with_budget
+
+    def refuting_past_sat(*args):
+        run = run_with_budget(*args)
+        for p, v in run.per_property.items():
+            if v.status == bmc.SAT:
+                run.per_property[p] = dataclasses.replace(
+                    v, status=bmc.UNDET, cex=None)
+        return run
+
+    monkeypatch.setattr(bmc, "run_with_budget", refuting_past_sat)
+    assert cli.main(["verify", paths[3], "--db-dir", db, "--out-dir",
+                     str(tmp_path / "run"), "--baseline"]
+                    + flags) == cli.EXIT_INTERNAL
+    # property 0, whose bad is first reachable at depth 4, comes first
+    assert caplog.records[-1].getMessage().endswith(
+        "design deep3 property 0 cluster 0 1: "
+        "contradictory verdicts SAT@4 and UNDET@4")
 
 
 def test_verify_with_time_budget(corpus, tmp_path):

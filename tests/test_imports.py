@@ -1,6 +1,7 @@
 """Imports and names: no module imports a name it never uses, the package
-defines no function or class that nothing reads, and no command imports
-scipy or numpy.random.
+defines no function or class that nothing reads, the C kernel exports no
+function that nothing calls, and no command imports scipy or
+numpy.random.
 
 Plain `ast` scans, since no linter is a dependency.  Every name an import
 statement binds must appear as a name somewhere else in the module;
@@ -116,6 +117,50 @@ def test_no_dead_names():
             with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
                 sources[path] = fh.read()
     assert dead_names(sources) == []
+
+
+# a function definition at the start of a line of C: its return type,
+# then its name and an opening parenthesis
+C_FUNCTION = re.compile(r"^(static )?[A-Za-z_][\w \t*]*?\b(\w+)\(", re.M)
+
+
+def kernel_exports(c_source: str) -> list:
+    """Names of the functions `c_source` defines without `static`."""
+    return [name for static, name in C_FUNCTION.findall(c_source)
+            if not static]
+
+
+def test_scan_finds_kernel_exports():
+    c_source = ("/* one(int a)\n * two(int b) */\n"
+                "#define MAX(a, b) ((a) > (b) ? (a) : (b))\n"
+                "static int helper(int a)\n{\n    return f(a);\n}\n"
+                "int32_t *entry(const int32_t *p)\n{\n}\n"
+                "Solver *make(void)\n{\n}\n")
+    assert kernel_exports(c_source) == ["entry", "make"]
+
+
+def test_every_kernel_export_is_loaded_and_called():
+    # an exported function of `_cdcl.c` is registered, with its types, in
+    # `satcore._load` and called through the loaded library somewhere
+    with open(os.path.join(ROOT, PACKAGE, "_cdcl.c"), encoding="utf-8") as fh:
+        exports = kernel_exports(fh.read())
+    with open(os.path.join(ROOT, PACKAGE, "satcore.py"),
+              encoding="utf-8") as fh:
+        load = next(node for node in ast.walk(ast.parse(fh.read()))
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == "_load")
+    registered = {node.elts[0].value for node in ast.walk(load)
+                  if isinstance(node, ast.Tuple) and node.elts
+                  and isinstance(node.elts[0], ast.Constant)}
+    called = set()
+    for d in (PACKAGE, "tests"):
+        for name in os.listdir(os.path.join(ROOT, d)):
+            if name.endswith(".py"):
+                with open(os.path.join(ROOT, d, name), encoding="utf-8") as fh:
+                    called.update(re.findall(r"\b_lib\.(\w+)", fh.read()))
+    assert "cdcl_solve" in exports
+    assert [e for e in exports if e not in registered] == []
+    assert [e for e in exports if e not in called] == []
 
 
 def test_no_unused_imports():

@@ -340,7 +340,7 @@ def run_script(session, seed, batches=True):
                 clause = []
             elif draw < 0.01:
                 flush()
-                session.ensure_var(session.num_vars + rng.randint(0, 2))
+                session.add_clauses([], session.num_vars + rng.randint(0, 2))
                 continue
             else:
                 width = rng.choice((1, 1, 2) if draw < 0.015 else
@@ -468,7 +468,7 @@ def test_malformed_batches_add_nothing():
             with pytest.raises(error, match=message):
                 s.solve(assumptions)
         # the session made no variable 3 or 9: it makes 3 now
-        s.ensure_var(3)
+        s.add_clauses([], 3)
         assert s.num_vars == 3
         # an empty clause in a batch is the empty clause
         assert s.solve().status == satcore.UNSAT
