@@ -777,7 +777,7 @@ int32_t cdcl_learned(const Solver *s, int64_t i, int32_t *out)
  * the solver's DIMACS numbering: solver variable 1 is the constant false,
  * so literal 1 reads false and -1 true, and the unfolding's own variables
  * are 2, 3, ....  Its input is the table `Netlist.gate_table` describes:
- *   ni, nl, na, np, and the ints of an unfolder's state (unfold_size);
+ *   ni, nl, na, np;
  *   per latch: next-state literal, reset (0, 1, or -1 for none);
  *   per AND, in variable order: two operands and a kind, GATE_AND,
  *   GATE_XOR (a top, whose operands are p and q of p XOR q) or
@@ -841,7 +841,7 @@ int32_t unfold_init(Unfolder *u, const int32_t *table, const int32_t *cone,
 {
     int32_t ni = table[0], nl = table[1], na = table[2], np = table[3];
     int32_t nvars = ni + nl + na + 1;
-    const int32_t *latches = table + 5, *ands = latches + 2 * nl,
+    const int32_t *latches = table + 4, *ands = latches + 2 * nl,
                   *bads = ands + 3 * na;
     u->ni = ni;
     u->nl = nl;

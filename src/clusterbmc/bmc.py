@@ -12,7 +12,7 @@ that each run pins with the clause ``[-1]``.
 Constants are folded while a frame unfolds: a gate with a constant
 operand, or with equal or complementary operands, takes the literal of a
 constant or of an operand and gets neither a variable nor clauses.  Each
-other XOR that `Netlist.xors` finds becomes 4 clauses over its two
+other XOR top of `Netlist.gate_table` becomes 4 clauses over its two
 inputs, and its two inner AND gates get neither clauses nor solver
 variables; every other AND gate gets the 3 Tseitin clauses.  A frame's
 variables are created first, in the builder's order, and the clause

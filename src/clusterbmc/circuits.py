@@ -80,14 +80,10 @@ class AigBuilder:
         for i, nxt in enumerate(self._latch_next):
             if nxt is None:
                 raise ValueError(f"latch {i} has no next-state function")
-        latches = tuple(
-            Latch(self.latch_lit(i), self._latch_next[i], self._latch_resets[i])
-            for i in range(len(self._latch_next))
-        )
         return Netlist(
             name=self.name,
             num_inputs=self.num_inputs,
-            latches=latches,
+            latches=tuple(map(Latch, self._latch_next, self._latch_resets)),
             ands=tuple(self._ands),
             outputs=tuple(self._outputs),
             bads=tuple(self._bads),

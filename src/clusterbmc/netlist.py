@@ -5,17 +5,19 @@ literals are negations of the preceding even literal, 0 is constant false
 and 1 is constant true.  Only the ASCII ``aag`` format is supported.
 
 Each rule of the format is checked in one place.  `Netlist` holds the
-rules on literals and latches, so they hold for every netlist, parsed or
-built: latches and AND outputs in canonical position, no negated AND
-output, each AND operand defined before its gate, every next-state,
-output and bad literal within the variable count, and a reset of 0, 1 or
-none.  `parse_aiger` checks what a netlist cannot see: the header, its
-counts and ``maxvar == I + L + A``, unsupported sections, truncation, the
-field count of each line, ASCII numbers, the input literals' positions
-and the symbol-line syntax.  It reads a reset equal to the latch's own
-literal as none (AIGER 1.9).  A symbol table is checked, then dropped.
-AIGER's number rule is `parse_nat`, which `store` reads its integer
-fields by too.
+rules on the literals it stores, so they hold for every netlist, parsed
+or built: AND outputs in canonical position, no negated AND output, each
+AND operand defined before its gate, every next-state, output and bad
+literal within the variable count, and a reset of 0, 1 or none.  Input
+and latch literals are implicit in a netlist (latch i is variable
+``I + i + 1``), so `parse_aiger` checks their positions, along with what
+else a netlist cannot see: the header, its counts and
+``maxvar == I + L + A``, unsupported sections, truncation, the field
+count of each line, ASCII numbers and the symbol-line syntax.  It reads
+a reset equal to the latch's own literal as none (AIGER 1.9).  A symbol
+table is checked, then dropped, and a comment section ends it.  AIGER's
+number rule is `parse_nat`, which `store` reads its integer fields by
+too.
 
 A property's cone of influence is one set of variables (`Netlist.cone`).
 Canonical numbering tells its inputs, latches and ANDs apart by range,
@@ -50,7 +52,8 @@ def lit_var(lit: int) -> int:
 
 @dataclass(frozen=True)
 class Latch:
-    lit: int
+    """A latch; latch i of a netlist has the literal ``2 * (I + i + 1)``."""
+
     next: int
     reset: int | None  # 0, 1 or None for "free at frame 0"
 
@@ -96,16 +99,13 @@ class Netlist:
         return len(self.properties)
 
     def __post_init__(self):
-        # AIGER's rules on literals and latches, checked here only, so they
+        # AIGER's rules on the stored literals, checked here only, so they
         # hold for every netlist, parsed or built.  Canonical variable
         # layout: inputs, then latches, then ands.
-        ni, nl = self.num_inputs, self.num_latches
-        for pos, latch in enumerate(self.latches):
-            if latch.lit != 2 * (ni + pos + 1):
-                raise DataError(f"latch literal {latch.lit} out of canonical position")
+        for latch in self.latches:
             if latch.reset not in (0, 1, None):
                 raise DataError(f"bad reset value {latch.reset!r}")
-        defined = ni + nl
+        defined = self.num_inputs + self.num_latches
         for lhs, rhs0, rhs1 in self.ands:
             defined += 1   # the variable this AND must define
             if lhs & 1:
@@ -125,7 +125,6 @@ class Netlist:
         # caches, not fields, so equality and hashing ignore them
         # bad variable -> (cone, counts)
         object.__setattr__(self, "_cones", {})
-        object.__setattr__(self, "_xors", None)
         object.__setattr__(self, "_table", None)
 
     # -- structural queries -------------------------------------------------
@@ -159,29 +158,20 @@ class Netlist:
                 inputs, latches, len(cone) - inputs - latches)
         return coi
 
-    def xors(self) -> tuple[tuple[int, int, int], ...]:
-        """XOR gates as ``(top, g1, g2)`` variables, ascending by top.
-
-        The top is ``AND(!g1, !g2)`` with ``g1 = AND(p, q)`` and
-        ``g2 = AND(!p, !q)``, the shape ``AigBuilder.xor_`` builds, so the
-        top equals ``p XOR q``.  A top is listed only if g1 and g2 have it
-        as their only reader among every AND, latch next-state function
-        and property; nothing else then sees an inner gate, and no gate is
-        both a top and an inner gate.  Computed once per netlist.
-        """
-        if self._xors is None:
-            object.__setattr__(self, "_xors", _find_xors(self))
-        return self._xors
-
     def gate_table(self) -> array:
         """The netlist as the kernel's unfolder reads it, in one
-        ``array('i')``: the input, latch, AND and property counts and the
-        size of an unfolder's state in ints, which the kernel computes;
-        per latch its next-state literal and reset (-1 for none); per AND,
-        in variable order, two operands and a kind, which is 1 for an XOR
-        top of `xors` (its operands are then p and q of ``p XOR q``), 2
-        for an XOR inner gate and 0 for any other AND; per property its
-        bad literal.  Computed once per netlist.
+        ``array('i')``: the input, latch, AND and property counts; per
+        latch its next-state literal and reset (-1 for none); per AND, in
+        variable order, two operands and a kind; per property its bad
+        literal.  Computed once per netlist.
+
+        The kind is 0 for an AND, 1 for an XOR top and 2 for an XOR inner
+        gate.  An XOR top is ``AND(!g1, !g2)`` with ``g1 = AND(p, q)`` and
+        ``g2 = AND(!p, !q)``, the shape ``AigBuilder.xor_`` builds, so it
+        equals ``p XOR q``, and its row holds p and q.  A top counts only
+        if g1 and g2 have it as their only reader among every AND, latch
+        next-state function and property; nothing else then sees an inner
+        gate, and no gate is both a top and an inner gate.
         """
         if self._table is None:
             object.__setattr__(self, "_table", _gate_table(self))
@@ -270,11 +260,13 @@ def parse_aiger(text: str, name: str = "") -> Netlist:
         if len(toks) not in (2, 3):
             raise DataError(f"bad latch line: {lines[pos - 1]!r}")
         lit, nxt, *rest = (_nat(t, lines[pos - 1]) for t in toks)
+        if lit != 2 * (ni + i + 1):
+            raise DataError(f"latch literal {toks[0]} out of canonical position")
         reset: int | None = 0
         if rest:
             # AIGER 1.9: reset equal to the latch literal means "uninitialized"
             reset = None if rest[0] == lit else rest[0]
-        latches.append(Latch(lit, nxt, reset))
+        latches.append(Latch(nxt, reset))
 
     outputs = tuple(_read_lit_line(next_line("output")) for _ in range(no))
     bads = tuple(_read_lit_line(next_line("bad")) for _ in range(nb))
@@ -339,13 +331,14 @@ def serialize_aiger(n: Netlist) -> str:
         f"{len(n.outputs)} {n.num_ands}" + (f" {len(n.bads)}" if n.bads else "")
     ]
     out.extend(str(lit) for lit in n.inputs)
-    for latch in n.latches:
+    for i, latch in enumerate(n.latches):
+        lit = 2 * (n.num_inputs + i + 1)
         if latch.reset is None:
-            out.append(f"{latch.lit} {latch.next} {latch.lit}")
+            out.append(f"{lit} {latch.next} {lit}")
         elif latch.reset == 1:
-            out.append(f"{latch.lit} {latch.next} 1")
+            out.append(f"{lit} {latch.next} 1")
         else:
-            out.append(f"{latch.lit} {latch.next}")
+            out.append(f"{lit} {latch.next}")
         # reset 0 is the AIGER default and is left implicit
     out.extend(str(lit) for lit in n.outputs)
     out.extend(str(lit) for lit in n.bads)
@@ -383,46 +376,32 @@ def _coi_vars(n: Netlist, p: int) -> tuple[set, int, int]:
     return seen, inputs, latches_seen
 
 
-def _find_xors(n: Netlist) -> tuple[tuple[int, int, int], ...]:
-    readers = [0] * (n.max_var + 1)
-    for _, rhs0, rhs1 in n.ands:
-        readers[lit_var(rhs0)] += 1
-        readers[lit_var(rhs1)] += 1
-    for lit in [latch.next for latch in n.latches] + list(n.properties):
-        readers[lit_var(lit)] += 1
-    first_and = n.num_inputs + n.num_latches + 1
-    found = []
-    for lhs, rhs0, rhs1 in n.ands:
-        g1, g2 = lit_var(rhs0), lit_var(rhs1)
-        if not (rhs0 & rhs1 & 1) or min(g1, g2) < first_and or g1 == g2:
-            continue
-        if readers[g1] != 1 or readers[g2] != 1:
-            continue
-        _, p, q = n.and_of_var(g1)
-        _, r, s = n.and_of_var(g2)
-        if sorted((p ^ 1, q ^ 1)) == sorted((r, s)):
-            found.append((lit_var(lhs), g1, g2))
-    return tuple(found)
-
-
 def _gate_table(n: Netlist) -> array:
-    xors = n.xors()
-    tops = {top: n.and_of_var(g1) for top, g1, _ in xors}
-    inner = {g for _, g1, g2 in xors for g in (g1, g2)}
-    rows = [n.num_inputs, n.num_latches, n.num_ands, n.num_properties, 0]
+    ands, first_and = n.ands, n.num_inputs + n.num_latches + 1
+    rows = [n.num_inputs, n.num_latches, n.num_ands, n.num_properties]
+    readers = [0] * (n.max_var + 1)
     for latch in n.latches:
         rows += (latch.next, -1 if latch.reset is None else latch.reset)
-    for lhs, rhs0, rhs1 in n.ands:
-        var = lhs >> 1
-        if var in tops:
-            _, p, q = tops[var]
-            rows += (p, q, 1)
-        else:
-            rows += (rhs0, rhs1, 2 if var in inner else 0)
-    rows += n.properties
-    table = array("i", rows)
-    table[4] = _lib.unfold_size(table.buffer_info()[0])
-    return table
+        readers[latch.next >> 1] += 1
+    at = len(rows)   # the first AND's row
+    for _, rhs0, rhs1 in ands:
+        rows += (rhs0, rhs1, 0)
+        readers[rhs0 >> 1] += 1
+        readers[rhs1 >> 1] += 1
+    for lit in n.properties:
+        rows.append(lit)
+        readers[lit >> 1] += 1
+    for i, (_, rhs0, rhs1) in enumerate(ands):
+        g1, g2 = rhs0 >> 1, rhs1 >> 1
+        if (rhs0 & rhs1 & 1 and g1 != g2 and min(g1, g2) >= first_and
+                and readers[g1] == readers[g2] == 1):
+            _, p, q = ands[g1 - first_and]
+            _, r, s = ands[g2 - first_and]
+            if sorted((p ^ 1, q ^ 1)) == sorted((r, s)):
+                rows[at + 3 * i:at + 3 * i + 3] = p, q, 1
+                rows[at + 3 * (g1 - first_and) + 2] = 2
+                rows[at + 3 * (g2 - first_and) + 2] = 2
+    return array("i", rows)
 
 
 def cone_vars(n: Netlist, props) -> frozenset:
@@ -455,8 +434,8 @@ def restrict_to_coi(n: Netlist, p: int) -> Netlist:
         return 2 * remap[lit_var(lit)] + (lit & 1)
 
     latches = tuple(
-        Latch(2 * (ni + i + 1), m(n.latch_of_var(v).next), n.latch_of_var(v).reset)
-        for i, v in enumerate(old[ni:ni + nl])
+        Latch(m(n.latch_of_var(v).next), n.latch_of_var(v).reset)
+        for v in old[ni:ni + nl]
     )
     ands = tuple(
         (m(n.and_of_var(v)[0]), m(n.and_of_var(v)[1]), m(n.and_of_var(v)[2]))
@@ -501,7 +480,7 @@ class UnfoldBuilder:
     A latch outside it still takes its reset at frame 0, so the frame-0
     latch literals always name an initial state.
 
-    Each XOR top of `Netlist.xors` unfolds as ``p XOR q`` over the
+    Each XOR top of `Netlist.gate_table` unfolds as ``p XOR q`` over the
     operands of ``g1 = AND(p, q)``, with 4 clauses; its two inner gates,
     which only the top reads, get no literal.  Every other AND that gets a
     variable gets the 3 Tseitin clauses.
@@ -521,16 +500,16 @@ class UnfoldBuilder:
         self.frame0_latches = array("i")
         self.bads = array("i")
         self.records = array("i")
-        table = n.gate_table()
+        table = n.gate_table().buffer_info()[0]
         # the kernel's state, in a buffer this builder owns
-        self._state = array("i", [0]) * table[4]
+        self._state = array("i", [0]) * _lib.unfold_size(table)
         self._addr = self._state.buffer_info()[0]
         # the most record ints a frame can write, which unfold_init counts
         # from the kept gates' kinds
         bound = array("q", [0])
         cone = array("i", list(cone))
-        gates = _lib.unfold_init(self._addr, table.buffer_info()[0],
-                                 *cone.buffer_info(), bound.buffer_info()[0])
+        gates = _lib.unfold_init(self._addr, table, *cone.buffer_info(),
+                                 bound.buffer_info()[0])
         # the kernel's output, as unfold_frame lays it out: 2 counts, then
         # bads, inputs, frame-0 latches, gate literals and records
         inputs = 2 + n.num_properties

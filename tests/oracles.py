@@ -51,7 +51,8 @@ def cone_closure(n, p):
     variable.  Found by sweeping every AND and latch until nothing is
     added."""
     reads = [(lhs >> 1, (a >> 1, b >> 1)) for lhs, a, b in n.ands]
-    reads += [(latch.lit >> 1, (latch.next >> 1,)) for latch in n.latches]
+    reads += [(n.num_inputs + 1 + i, (latch.next >> 1,))
+              for i, latch in enumerate(n.latches)]
     cone = {n.properties[p] >> 1} - {0}
     size = None
     while size != len(cone):
@@ -99,6 +100,22 @@ def xor_rich_netlist(rng, num_bads):
     return b.build(), tops
 
 
+def gate_kinds(n):
+    """Each AND's kind in `n.gate_table()`, in variable order: 0 for an
+    AND, 1 for an XOR top, 2 for an XOR inner gate."""
+    at = 4 + 2 * n.num_latches
+    return list(n.gate_table()[at + 2:at + 3 * n.num_ands:3])
+
+
+def xor_gates(n):
+    """The XOR gates of `n.gate_table()` as ``(top, g1, g2)`` variables,
+    ascending by top, where g1 and g2 are the variables of the top's
+    operands in `n.ands`."""
+    first_and = n.num_inputs + n.num_latches + 1
+    return tuple((first_and + i, n.ands[i][1] >> 1, n.ands[i][2] >> 1)
+                 for i, kind in enumerate(gate_kinds(n)) if kind == 1)
+
+
 # -- explicit-state reachability --------------------------------------------
 
 def free_latches(n):
@@ -122,8 +139,8 @@ def _step(n, state, inputs):
     values = {}
     for i in range(n.num_inputs):
         values[i + 1] = inputs[i]
-    for i, latch in enumerate(n.latches):
-        values[latch.lit >> 1] = state[i]
+    for i, v in enumerate(state):
+        values[n.num_inputs + 1 + i] = v
     for lhs, a, b in n.ands:
         values[lhs >> 1] = _eval_lit(a, values) and _eval_lit(b, values)
     bads = tuple(_eval_lit(b, values) for b in n.properties)
@@ -169,8 +186,8 @@ def pooled_ratios(n, latch_vals, input_vals, patterns, width):
     values = {}
     for i, v in enumerate(input_vals):
         values[i + 1] = v
-    for latch, v in zip(n.latches, latch_vals):
-        values[latch.lit >> 1] = v
+    for i, v in enumerate(latch_vals):
+        values[n.num_inputs + 1 + i] = v
 
     def lit(x):
         v = np.full(patterns, False) if x <= 1 else values[x >> 1]

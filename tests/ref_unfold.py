@@ -10,6 +10,7 @@ more for the tests: ``gates``, the last frame's gates as tuples, and
 from __future__ import annotations
 
 from clusterbmc.netlist import Netlist, lit_var
+from oracles import gate_kinds
 
 
 class UnfoldBuilder:
@@ -29,24 +30,20 @@ class UnfoldBuilder:
         self.gates: list = []
         self._inputs = [keep(var) for var in range(1, n.num_inputs + 1)]
         self._latches = [
-            latch if keep(lit_var(latch.lit)) else None for latch in n.latches
+            latch if keep(n.num_inputs + 1 + i) else None
+            for i, latch in enumerate(n.latches)
         ]
-        xors = n.xors()
-        tops = {top: n.and_of_var(g1) for top, g1, _ in xors}
-        inner = {g for _, g1, g2 in xors for g in (g1, g2)}
         # per kept AND: (variable, operand, operand, xor), where xor is
-        # True for an XOR top, False for an AND and None for an inner gate
+        # True for an XOR top, False for an AND and None for an inner gate;
+        # a top's operands are those of its g1 = AND(p, q)
         self._gates = []
-        for lhs, rhs0, rhs1 in n.ands:
+        for (lhs, rhs0, rhs1), kind in zip(n.ands, gate_kinds(n)):
             var = lit_var(lhs)
             if not keep(var):
                 continue
-            xor = var in tops
-            if xor:
-                _, rhs0, rhs1 = tops[var]
-            elif var in inner:
-                xor = None
-            self._gates.append((var, rhs0, rhs1, xor))
+            if kind == 1:
+                _, rhs0, rhs1 = n.and_of_var(lit_var(rhs0))
+            self._gates.append((var, rhs0, rhs1, (False, True, None)[kind]))
 
     def _fresh(self) -> int:
         self.num_vars += 1

@@ -19,7 +19,7 @@ import random
 from clusterbmc import bmc, cli, clusterer, netlist, parallel, satcore
 from clusterbmc.circuits import parity_miter
 from clusterbmc.netlist import serialize_aiger
-from oracles import CountingSession
+from oracles import CountingSession, xor_gates
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -54,7 +54,7 @@ def test_traced_unfold_counts_one_triple_per_kept_and(monkeypatch):
     spans = import_spans(monkeypatch)
     n = parity_miter(width=6, variants=3)
     kept = netlist.extract_coi(n, 1)[2]
-    assert n.xors() and kept < n.num_ands
+    assert xor_gates(n) and kept < n.num_ands
     tracer = spans.Tracer()
     spans.instrument(tracer)
     try:

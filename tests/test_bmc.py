@@ -24,7 +24,7 @@ from clusterbmc.netlist import (cone_vars, extract_coi, parse_aiger,
 import ref_unfold
 from oracles import (CountingSession, RupLog, bfs_reach, free_latches,
                      read_frame_table, rup_failures, split_records,
-                     xor_rich_netlist)
+                     xor_gates, xor_rich_netlist)
 
 
 def cfg_init(**kw):
@@ -184,8 +184,8 @@ def test_xor_rich_vs_bfs_oracle(free):
         rng = random.Random(11000 + trial)
         n, tops = xor_rich_netlist(rng, num_bads=rng.randint(2, 4))
         n = start(n, free)
-        found = {top for top, _, _ in n.xors()}
-        assert not found & {g for _, g1, g2 in n.xors() for g in (g1, g2)}
+        found = {top for top, _, _ in xor_gates(n)}
+        assert not found & {g for _, g1, g2 in xor_gates(n) for g in (g1, g2)}
         absorbed += len(found)
         declined += len(tops - found)
         cfg = cfg_init(seed=trial % 3)
@@ -244,7 +244,7 @@ def test_xor_frame_clause_count(width):
     # free latches no gate folds; from reset the `width` leaves XOR an
     # input with a constant-0 latch, so each folds to its input
     n = parity_miter(width=width, variants=2)
-    tops = len(n.xors())
+    tops = len(xor_gates(n))
     assert tops == 3 * width - 1
     plain = n.num_ands - 3 * tops
     assert plain == 1   # the variant's AND with a leaf

@@ -65,6 +65,25 @@ def test_offline_writes_databases(corpus, tmp_path):
     assert db3  # at least one influencing cluster was recorded
 
 
+def test_one_property_design_gets_no_clusters(corpus, tmp_path):
+    (corpus / "one.aag").write_text(
+        serialize_aiger(counter(bits=3, bad_values=(5,))))
+    db, run_dir = tmp_path / "db", tmp_path / "run"
+    assert cli.main(["offline", str(corpus / "one.aag"),
+                     str(corpus / "twoctr.aag"), "--out-dir", str(db)]
+                    + COMMON) == cli.EXIT_OK
+    paths = store.db_paths(str(db))
+    db1 = store.read_db(store.DB1, paths[store.DB1])
+    assert sorted(r.design for r in db1) == ["one", "twoctr"]
+    db3 = store.read_db(store.DB3, paths[store.DB3])
+    assert db3 and {r.design for r in db3} == {"twoctr"}
+    assert cli.main(["verify", str(corpus / "one.aag"), "--db-dir", str(db),
+                     "--out-dir", str(run_dir), "--baseline"]
+                    + COMMON[:-2]) == cli.EXIT_OK
+    rows = (run_dir / "report.txt").read_text().splitlines()[2:]
+    assert [r.split("|")[:4] for r in rows] == [["0", "-", "SAT", "5"]]
+
+
 def test_verify_and_report(corpus, tmp_path):
     run_dir = tmp_path / "run"
     assert verify_corpus(corpus, tmp_path, run_dir) == cli.EXIT_OK

@@ -25,7 +25,8 @@ from clusterbmc.netlist import (
     serialize_aiger,
 )
 import ref_unfold
-from oracles import cone_closure, free_latches, xor_rich_netlist
+from oracles import (cone_closure, free_latches, gate_kinds, xor_gates,
+                     xor_rich_netlist)
 
 
 def test_parse_minimal():
@@ -66,7 +67,8 @@ def test_malformed_fields_raise_aiger_error(text):
 
 # one document per rejection rule (a header of the wrong field count is
 # `test_malformed_header`'s), each one edit from a valid document; the
-# first group is checked by `parse_aiger`, the rest by `Netlist`
+# first group is checked by `parse_aiger`, which also checks the input and
+# latch positions a netlist leaves implicit, the rest by `Netlist`
 MALFORMED = {
     "empty": ("", "empty document"),
     "not-aag": ("garbage\n", "expected 'aag' header"),
@@ -81,6 +83,8 @@ MALFORMED = {
     "output-line": ("aag 0 0 0 1 0\n0 1\n", "bad output/bad line"),
     "and-line": ("aag 1 0 0 0 1\n2 0\n", "bad and line"),
     "symbol-line": ("aag 1 1 0 0 0\n2\nx0 a\n", "bad symbol line"),
+    "symbol-after-blank": ("aag 1 1 0 0 0\n2\ni0 x\n\nq\n",
+                           "bad symbol line: 'q'"),
     "latch-position": ("aag 2 1 1 0 0\n2\n2 0\n",
                        "latch literal 2 out of canonical position"),
     "reset": ("aag 1 0 1 0 0\n2 2 5\n", "bad reset value 5"),
@@ -110,7 +114,7 @@ def test_netlist_rejects_negative_and_operand():
         Netlist(name="", num_inputs=1, latches=(), ands=((4, -2, 2),),
                 outputs=(4,))
     with pytest.raises(DataError, match="literal -1 exceeds variable count"):
-        Netlist(name="", num_inputs=0, latches=(Latch(2, -1, 0),), ands=())
+        Netlist(name="", num_inputs=0, latches=(Latch(-1, 0),), ands=())
 
 
 # near-valid documents: a consistent header, then lines of small literals
@@ -134,6 +138,13 @@ def test_parse_aiger_total(text):
     except DataError:
         return
     assert isinstance(n, Netlist)
+
+
+def test_symbol_table_and_comment_section_are_dropped():
+    # HWMCC files end in a comment section, which may hold any text
+    bare = serialize_aiger(counter())
+    text = bare + "i0 x\n\nl0 y\nb0 p\nc\nfree | text é\n9 9 9\n"
+    assert parse_aiger(text) == parse_aiger(bare)
 
 
 def test_bad_lines_preferred_over_outputs():
@@ -203,7 +214,8 @@ def test_cone_equals_independent_closure():
             assert n.cone(p) == want
             assert extract_coi(n, p) == (
                 sum(1 for v in want if v <= n.num_inputs),
-                sum(1 for latch in n.latches if latch.lit >> 1 in want),
+                sum(1 for i in range(n.num_latches)
+                    if n.num_inputs + 1 + i in want),
                 sum(1 for lhs, _, _ in n.ands if lhs >> 1 in want),
             )
 
@@ -248,11 +260,14 @@ def recording_xor_tops(monkeypatch):
 
 
 def assert_xors_well_formed(n):
-    xors = n.xors()
+    xors = xor_gates(n)
     tops = [top for top, _, _ in xors]
     inner = [g for _, g1, g2 in xors for g in (g1, g2)]
     assert tops == sorted(tops)
     assert len(set(inner)) == len(inner)
+    first_and = n.num_inputs + n.num_latches + 1
+    assert set(inner) == {first_and + i for i, kind
+                          in enumerate(gate_kinds(n)) if kind == 2}
     # implied by the single-reader rule
     assert not set(tops) & set(inner)
     for top, g1, g2 in xors:
@@ -271,7 +286,7 @@ def test_xors_are_the_xor_gates_of_a_miter_and_a_bank(monkeypatch):
         with monkeypatch.context() as m:
             built = recording_xor_tops(m)
             n = build()
-        assert built and {top for top, _, _ in n.xors()} == built
+        assert built and {top for top, _, _ in xor_gates(n)} == built
         assert_xors_well_formed(n)
 
 
@@ -284,7 +299,7 @@ def test_xors_decline_an_inner_gate_with_a_second_reader(reader):
     b.add_bad(top)
     b.set_latch(0, b.latch_lit(0))
     plain = b.build()
-    [(got_top, *got_inner)] = plain.xors()
+    [(got_top, *got_inner)] = xor_gates(plain)
     assert got_top == top >> 1
     assert set(got_inner) == {inner >> 1, b.and_(x ^ 1, y) >> 1}
     if reader == "and":
@@ -293,20 +308,22 @@ def test_xors_decline_an_inner_gate_with_a_second_reader(reader):
         b.set_latch(0, inner)
     if reader == "bad":
         b.add_bad(inner ^ 1)
-    assert b.build().xors() == ()
+    assert xor_gates(b.build()) == ()
 
 
 def test_xors_computed_once_and_not_part_of_equality(monkeypatch):
+    # the XOR kinds live in the gate table, built once per netlist
     calls = []
-    find = netlist._find_xors
-    monkeypatch.setattr(netlist, "_find_xors",
-                        lambda n: calls.append(n) or find(n))
+    build = netlist._gate_table
+    monkeypatch.setattr(netlist, "_gate_table",
+                        lambda n: calls.append(n) or build(n))
     n, twin = parity_miter(width=5), parity_miter(width=5)
-    assert n.xors() is n.xors()
-    assert len(calls) == 1
+    assert n.gate_table() is n.gate_table()
+    assert xor_gates(n) and len(calls) == 1
     assert n == twin and hash(n) == hash(twin)
     copy = pickle.loads(pickle.dumps(n))
-    assert copy == n and hash(copy) == hash(n) and copy.xors() == n.xors()
+    assert copy == n and hash(copy) == hash(n)
+    assert copy.gate_table() == n.gate_table()
 
 
 def test_restrict_to_coi_sizes_and_idempotence():
@@ -562,7 +579,7 @@ def test_unfold_output_has_room_for_one_frame_exactly():
     g = b.and_(b.input_lit(0), b.input_lit(1))
     b.add_bad(b.and_(g, b.xor_(b.input_lit(0), b.input_lit(2))))
     n = b.build()
-    assert n.xors() == ((7, 6, 5),)
+    assert xor_gates(n) == ((7, 6, 5),)
     for cone, room in ((every_var(n), 36), ({7}, 16), ({5, 6}, 0),
                        ({4, 8}, 20), ({1, 2, 3}, 0)):
         builder = netlist.UnfoldBuilder(n, cone=cone)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 
@@ -212,6 +213,23 @@ def test_verify_leftover_property_runs_standalone():
     assert by_prop[2].cluster is None
     assert {p: by_prop[p].verdict.depth for p in (0, 1, 2)} == {
         0: 5, 1: 6, 2: 7}
+
+
+def test_verify_skips_a_cluster_already_claimed():
+    # {0, 1, 2, 3} converts after the two pairs, which claim all of it;
+    # the pairs stay disjoint under any association, so it never runs
+    known = parity_miter(width=5, variants=4, name="known")
+    cfg = bmc.BmcConfig(conflict_budget=50, max_frames=3, seed=0)
+    verdicts = {p: bmc.check_single(known, p, cfg) for p in range(4)}
+    db1 = [online.unknown_record(known, verdicts)]
+    db3 = [store.InfluenceRecord("known", 0, frozenset(c), ())
+           for c in ({0, 1}, {2, 3}, {0, 1, 2, 3})]
+    unknown = dataclasses.replace(known, name="unknown")
+    report = online.verify_unknown(unknown, db1, db3, cfg)
+    assert [members for members, _ in report.cluster_runs] == [
+        (0, 1), (2, 3)]
+    assert {r.property: r.cluster for r in report.rows} == {
+        0: (0, 1), 1: (0, 1), 2: (2, 3), 3: (2, 3)}
 
 
 def test_verify_baseline_fields():
